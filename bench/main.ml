@@ -783,27 +783,48 @@ let bench_interp () =
           ~hooks:(Conair.Runtime.Hooks.bundle ~flight:ring ())
           Engine.Block micro)
   in
-  if fast_out <> ref_out || block_out <> ref_out || flight_out <> ref_out then
-    failwith "interp bench: micro outcomes diverge between engines";
+  (* The full-recording column: the block engine with a schedule
+     recorder on the flight slot (recorder creation included, log
+     extraction excluded, as the flight column excludes the dump). The
+     @perf gate holds this within 5% of recorder-off too. *)
+  let (recorded_m, recorded_out), recorded_t =
+    time_best ~repeats:12 (fun () ->
+        Engine.run_program ~config:micro_config
+          ~hooks:
+            (Conair.Runtime.Hooks.bundle
+               ~flight:(Conair.Replay.Recorder.create ())
+               ())
+          Engine.Block micro)
+  in
+  if
+    fast_out <> ref_out || block_out <> ref_out || flight_out <> ref_out
+    || recorded_out <> ref_out
+  then failwith "interp bench: micro outcomes diverge between engines";
   let steps = Engine.steps fast_m in
   if
     steps <> Engine.steps ref_m
     || steps <> Engine.steps block_m
     || steps <> Engine.steps flight_m
+    || steps <> Engine.steps recorded_m
   then failwith "interp bench: micro step counts diverge between engines";
   let ref_sps = float steps /. ref_t
   and fast_sps = float steps /. fast_t
   and block_sps = float steps /. block_t
-  and flight_sps = float steps /. flight_t in
+  and flight_sps = float steps /. flight_t
+  and recorded_sps = float steps /. recorded_t in
   Printf.printf "micro: %d steps\n" steps;
   Printf.printf "  reference:      %.4fs  %12.0f steps/s\n" ref_t ref_sps;
   Printf.printf "  pre-resolved:   %.4fs  %12.0f steps/s\n" fast_t fast_sps;
   Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" block_t block_sps;
   Printf.printf "  block + flight: %.4fs  %12.0f steps/s\n" flight_t flight_sps;
+  Printf.printf "  block + record: %.4fs  %12.0f steps/s\n" recorded_t
+    recorded_sps;
   Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
     (fast_sps /. ref_sps) (block_sps /. ref_sps) (block_sps /. fast_sps);
   Printf.printf "  flight/block: %.3fx (recorder-on vs recorder-off)\n"
     (flight_sps /. block_sps);
+  Printf.printf "  recorded/block: %.3fx (full recording vs recorder-off)\n"
+    (recorded_sps /. block_sps);
   let corpus = interp_sweep_corpus () in
   let sweep_config = { Machine.default_config with fuel = 200_000 } in
   let sweep engine =
@@ -842,12 +863,15 @@ let bench_interp () =
               ("block_steps_per_sec", Float block_sps);
               ("block_flight_seconds", Float flight_t);
               ("block_flight_steps_per_sec", Float flight_sps);
+              ("block_recorded_seconds", Float recorded_t);
+              ("block_recorded_steps_per_sec", Float recorded_sps);
               (* fast over ref; kept under its historical name *)
               ("speedup", Float (fast_sps /. ref_sps));
               ("fast_vs_ref", Float (fast_sps /. ref_sps));
               ("block_vs_ref", Float (block_sps /. ref_sps));
               ("block_vs_fast", Float (block_sps /. fast_sps));
               ("flight_vs_block", Float (flight_sps /. block_sps));
+              ("recorded_vs_block", Float (recorded_sps /. block_sps));
             ] );
         ( "sweep",
           Obj

@@ -297,15 +297,15 @@ let mode_name : mode -> string = function
   | Fix _ -> "fix"
 
 (* Record while keeping the machine, so the result is a full facade
-   [run] next to the schedule log. [race] rides along in the same scoped
-   install — campaign workers observe schedule coverage (the
+   [run] next to the schedule log. [race] rides along in the same hook
+   bundle — campaign workers observe schedule coverage (the
    [Obs.Coverage] collector probe) on the very run they record. *)
 let record_into ?(config = Machine.default_config) ?(engine = Engine.Fast)
     ?meta ?race ~ident program : run * Replay.Log.t =
   let r = Conair_replay.Recorder.create () in
   let m =
     Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ?race ~tap:(Conair_replay.Recorder.tap r) ())
+      ~hooks:(Hooks.bundle ?race ~flight:r ())
       engine program
   in
   let outcome = Engine.run m in
@@ -350,8 +350,8 @@ let run_recorded ?config ?engine ?ident ?race (h : hardened) :
 
 (** Run with the flight recorder attached: the run plus the diagnostic
     bundle its ring retained — the always-on post-mortem artifact. The
-    flight hook is the one hook that keeps the block engine on its
-    window fast path, so this is cheap enough to leave on everywhere. *)
+    flight hook keeps the block engine on its window fast path, so this
+    is cheap enough to leave on everywhere. *)
 let run_flight ?(config = Machine.default_config) ?(engine = Engine.Fast)
     ?meta ?cap ?reason ~ident program : run * Conair_obs.Flight.t =
   let m, outcome, bundle =

@@ -321,10 +321,9 @@ val run_flight :
     locksets, sync/recovery events, episode spans, regeneration recipe —
     see {!Obs.Flight}). [cap] sizes the decision ring (default
     {!Runtime.Flight_ring.default_capacity}); [reason] defaults to
-    ["requested"]. Unlike every other hook, the flight recorder keeps
-    the block engine on its window fast path, so this is cheap enough to
-    leave always on (the [@perf] gate holds it within 5% of a bare
-    run). *)
+    ["requested"]. The flight recorder keeps the block engine on its
+    window fast path, so this is cheap enough to leave always on (the
+    [@perf] gate holds it within 5% of a bare run). *)
 
 val flight_of_log :
   ?cap:int ->

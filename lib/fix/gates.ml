@@ -12,11 +12,15 @@
 
    3. deadlock-freedom — the same sweep runs under the race detector's
       lock-order lens; the candidate may keep the lock-order cycles the
-      buggy program already had, but must not mint new ones
-      (Report.new_cycles against a baseline sweep of the original
-      program).
+      buggy program already had, but must not mint new ones (cycle keys
+      absent from a baseline sweep of the original program).
 
-   Gates 2 and 3 share one detector-instrumented sweep per candidate.
+   Gates 2 and 3 share one sweep per candidate, observed by exactly what
+   they read: a recorder on the flight slot (the interleaving signature)
+   and the lock-order witness graph (the cycle keys). Neither needs a
+   per-step observer, so on the block engine — the default — the sweep
+   runs on the compiled window path.
+
    Everything reported here is deterministic in (program, config,
    seeds): counts come from the engines' differential-guaranteed
    statistics and signatures from Obs.Coverage, so gate results are
@@ -26,15 +30,15 @@ open Conair_ir
 open Conair_runtime
 module Driver = Conair_replay.Driver
 module Log = Conair_replay.Schedule_log
-module Detect = Conair_race.Detect
-module Report = Conair_race.Report
+module Recorder = Conair_replay.Recorder
+module Lockorder = Conair_race.Lockorder
 module Coverage = Conair_obs.Coverage
 
 type result = { g_gate : string; g_passed : bool; g_detail : string }
 
 (* ---- gate 1: directed replay of the failing schedule -------------- *)
 
-let replay_gate ?(engine = Engine.Fast) ?accept ~log program : result =
+let replay_gate ?(engine = Engine.Block) ?accept ~log program : result =
   let rb = Driver.replay_directed ~engine ~program log in
   let ok_outcome = Outcome.is_success rb.Driver.rb_outcome in
   let ok_outputs =
@@ -62,35 +66,30 @@ type sweep = {
   sw_first_failure : string option;
 }
 
-let sweep ?(engine = Engine.Fast) ?accept ~config ~seeds (p : Program.t) :
+let sweep ?(engine = Engine.Block) ?accept ~config ~seeds (p : Program.t) :
     sweep =
   let failures = ref 0 and rejected = ref 0 in
   let sigs = Hashtbl.create 64 in
   let cycles = Hashtbl.create 8 in
   let first = ref None in
   let one policy =
-    let det = Detect.create () in
-    let rc = Conair_replay.Recorder.create () in
+    let lo = Lockorder.witness () in
+    let rc = Recorder.create () in
     let m =
       Engine.create
         ~config:{ config with Machine.policy }
-        ~hooks:
-          (Hooks.bundle ~race:(Detect.probe det)
-             ~tap:(Conair_replay.Recorder.tap rc) ())
+        ~hooks:(Hooks.bundle ~race:(Lockorder.witness_probe lo) ~flight:rc ())
         engine p
     in
     let outcome = Engine.run m in
     let s =
       Coverage.signature ~context:"fix-sweep"
-        ~decisions:(Conair_replay.Recorder.decisions rc)
-        ~preemptions:(Conair_replay.Recorder.preemptions rc)
+        ~decisions:(Recorder.decisions rc)
+        ~preemptions:(Recorder.preemptions rc)
         ()
     in
     Hashtbl.replace sigs s ();
-    let report = Detect.report det in
-    List.iter
-      (fun c -> Hashtbl.replace cycles (Report.cycle_key c) ())
-      report.Report.cycles;
+    List.iter (fun k -> Hashtbl.replace cycles k ()) (Lockorder.cycle_keys lo);
     if not (Outcome.is_success outcome) then begin
       incr failures;
       if !first = None then first := Some (Outcome.to_string outcome)

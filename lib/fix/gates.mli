@@ -9,9 +9,12 @@
        detector's lock-order lens, must mint no lock-order cycle the
        unpatched baseline did not already have.
 
-    Gates 2 and 3 share one detector-instrumented {!sweep} per
-    candidate. All results are deterministic in (program, config,
-    seeds) and byte-identical across the ref/fast/block engines. *)
+    Gates 2 and 3 share one {!sweep} per candidate, watched only by a
+    schedule recorder and the lock-order witness graph — neither a
+    per-step observer, so a block-engine sweep keeps its compiled window
+    path. Every [?engine] defaults to [Engine.Block]. All results are
+    deterministic in (program, config, seeds) and byte-identical across
+    the ref/fast/block engines. *)
 
 open Conair_ir
 open Conair_runtime
@@ -45,8 +48,9 @@ val sweep :
   seeds:int ->
   Program.t ->
   sweep
-(** One round-robin run plus [seeds] seeded random runs, each under the
-    race detector and the schedule recorder. *)
+(** One round-robin run plus [seeds] seeded random runs, each with a
+    {!Conair_replay.Recorder} on the flight slot and the
+    {!Conair_race.Lockorder.witness_probe} as the race observer. *)
 
 val regression_gate : sweep -> result
 (** Gate 2 over a candidate's sweep. *)

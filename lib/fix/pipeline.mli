@@ -23,8 +23,17 @@ type options = {
 }
 
 val default_options : options
-(** Fast engine, fuel 8_000_000, 8 candidates, 100-seed sweeps, 50
-    search seeds, 2000 ddmin tests, 30_000-step order timeout. *)
+(** Block engine, fuel 8_000_000, 8 candidates, 100-seed sweeps, 50
+    search seeds, 2000 ddmin tests, 30_000-step order timeout.
+
+    Block is the default because the pipeline's bulk — the failing-run
+    search and the validation sweeps — carries only a schedule recorder
+    and the lock-order witness graph, neither of which is a per-step
+    observer, so those runs stay on the block engine's compiled window
+    path. Detection (the full race detector) and directed replay (a
+    feed) are per-step hooks and step generically on any engine. The
+    report is byte-identical on every engine, so the choice only moves
+    time. *)
 
 type candidate = {
   c_patch : Patch.t;

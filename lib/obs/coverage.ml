@@ -152,8 +152,9 @@ let on_access c ~tid ~block ~(kind : Race_probe.kind) ~addr =
 let probe (c : collector) : Race_probe.probe =
   {
     rp_access =
-      (fun ~step:_ ~tid ~iid:_ ~stack:_ ~block ~kind ~addr ~locks:_ ->
-        on_access c ~tid ~block ~kind ~addr);
+      Some
+        (fun ~step:_ ~tid ~iid:_ ~stack:_ ~block ~kind ~addr ~locks:_ ->
+          on_access c ~tid ~block ~kind ~addr);
     rp_acquire =
       (fun ~step:_ ~tid:_ ~iid:_ ~lock ~locks:_ ->
         c.cl_points <- SS.add ("lock:" ^ lock) c.cl_points);
@@ -182,22 +183,49 @@ let observed (c : collector) : observed =
 
 (* --- the signature ------------------------------------------------- *)
 
+(* [%d] of [n], written digit by digit: a sweep signs hundreds of
+   thousands of preemptions, and a formatted string per integer cost
+   more than the runs being signed. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+(* The signed text is
+   "conair-sig-v1|c:<context>|n:<decisions>" then "|p:<ordinal>:<from>><to>"
+   per preemption ([-1] where the ordinal's neighbour is out of range)
+   then "|a:<addr>=<order>" per sorted order entry; test_campaign pins
+   it with golden digests. *)
 let signature ?(context = "") ?(orders = []) ~(decisions : int array)
     ~(preemptions : int array) () : string =
   let b = Buffer.create 256 in
+  let n = Array.length decisions in
   Buffer.add_string b "conair-sig-v1|c:";
   Buffer.add_string b context;
-  Buffer.add_string b (Printf.sprintf "|n:%d" (Array.length decisions));
+  Buffer.add_string b "|n:";
+  add_int b n;
   Array.iter
     (fun p ->
-      let from = if p > 0 && p <= Array.length decisions then decisions.(p - 1) else -1 in
-      let chosen =
-        if p >= 0 && p < Array.length decisions then decisions.(p) else -1
-      in
-      Buffer.add_string b (Printf.sprintf "|p:%d:%d>%d" p from chosen))
+      Buffer.add_string b "|p:";
+      add_int b p;
+      Buffer.add_char b ':';
+      add_int b (if p > 0 && p <= n then decisions.(p - 1) else -1);
+      Buffer.add_char b '>';
+      add_int b (if p >= 0 && p < n then decisions.(p) else -1))
     preemptions;
   List.iter
-    (fun (a, t) -> Buffer.add_string b (Printf.sprintf "|a:%s=%s" a t))
+    (fun (a, t) ->
+      Buffer.add_string b "|a:";
+      Buffer.add_string b a;
+      Buffer.add_char b '=';
+      Buffer.add_string b t)
     (List.sort compare orders);
   Digest.to_hex (Digest.string (Buffer.contents b))
 

@@ -26,22 +26,23 @@ let probe t : Race_probe.probe =
   let o = t.options in
   {
     Race_probe.rp_access =
-      (fun ~step ~tid ~iid ~stack ~block ~kind ~addr ~locks ->
-        let acc =
-          {
-            Report.ac_step = step;
-            ac_tid = tid;
-            ac_iid = iid;
-            ac_stack = stack;
-            ac_block = block;
-            ac_kind = kind;
-            ac_addr = addr;
-            ac_locks = locks;
-          }
-        in
-        if o.hb then Hb.on_access t.hb acc;
-        if o.lockset then Lockset.on_access t.ls acc;
-        if o.deadlock then Lockorder.clear t.lo tid);
+      Some
+        (fun ~step ~tid ~iid ~stack ~block ~kind ~addr ~locks ->
+          let acc =
+            {
+              Report.ac_step = step;
+              ac_tid = tid;
+              ac_iid = iid;
+              ac_stack = stack;
+              ac_block = block;
+              ac_kind = kind;
+              ac_addr = addr;
+              ac_locks = locks;
+            }
+          in
+          if o.hb then Hb.on_access t.hb acc;
+          if o.lockset then Lockset.on_access t.ls acc;
+          if o.deadlock then Lockorder.clear t.lo tid);
     rp_acquire =
       (fun ~step ~tid ~iid ~lock ~locks ->
         if o.hb then Hb.on_acquire t.hb ~tid ~lock;

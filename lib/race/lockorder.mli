@@ -25,3 +25,22 @@ val on_request :
 val finalize : t -> Report.cycle list
 (** Actual cycles in discovery order, then potential ones sorted by
     their canonical lock list; no cycle appears in both. *)
+
+(** {1 The witness graph alone}
+
+    The set of {!Report.cycle_key}s that {!finalize} reports is the set of
+    simple cycles of the witnessed held→acquired/requested graph (every
+    actual cycle closes among request edges that are witnessed too), so
+    it can be computed from acquisitions and requests alone. *)
+
+type witness
+
+val witness : unit -> witness
+
+val witness_probe : witness -> Conair_runtime.Race_probe.probe
+(** A lock-event-only observer: no access callback, so it keeps the
+    block engine on its compiled window path. *)
+
+val cycle_keys : witness -> string list
+(** The canonical keys of the witnessed graph's simple cycles, sorted —
+    the keys of {!finalize}'s cycles over the same run. *)

@@ -6,8 +6,9 @@
 
    [recover_log] is the regeneration recipe: because every run is
    deterministic from (program, seed, config, engine), re-running the
-   bundle's embedded program under its embedded config with the full
-   recorder attached reconstructs the complete decision stream. The
+   bundle's embedded program under its embedded config with a full
+   recording (an unbounded flight ring) reconstructs the complete
+   decision stream. The
    recorded tail then acts as a tamper-evident check — the re-run's
    decision suffix, preemption ordinals and trailer must all match what
    the ring retained, or the bundle is rejected. On success the caller
@@ -148,7 +149,7 @@ let recover_log ?engine (b : Flight.t) : (Log.t, string) result =
   let recorder = Recorder.create () in
   let m =
     Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~tap:(Recorder.tap recorder) ())
+      ~hooks:(Hooks.bundle ~flight:recorder ())
       engine program
   in
   let outcome = Engine.run m in

@@ -77,7 +77,7 @@ let record ?(engine = Fast) ?config ?meta ?embed_program ~ident program =
   let recorder = Recorder.create () in
   let m =
     Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~tap:(Recorder.tap recorder) ())
+      ~hooks:(Hooks.bundle ~flight:recorder ())
       engine program
   in
   let outcome = Engine.run m in

@@ -179,7 +179,12 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
           let best = ddmin test cand in
           (* Final run: directed by the winning set, re-recorded, with
              the switch contexts captured as they happen. *)
-          let m = Machine.create ~config ?meta program in
+          let recorder = Recorder.create () in
+          let m =
+            Machine.create ~config ?meta
+              ~hooks:(Hooks.bundle ~flight:recorder ())
+              program
+          in
           let texts =
             let tbl = Hashtbl.create 256 in
             Program.iter_funcs program (fun f ->
@@ -188,25 +193,25 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
                       (Format.asprintf "%a" Instr.pp i)));
             tbl
           in
-          let recorder = Recorder.create () in
+          (* The tap sees each decision before the recorder does, so the
+             recorder's [prev] is still the thread being switched away
+             from and its [count] is this decision's ordinal. Whether a
+             switch was preemptive is read back from the recording. *)
           let switches = ref [] in
-          let prev = ref (-1) in
-          let tap ~chosen ~eligible =
-            (if !prev >= 0 && chosen <> !prev then
-               let preemptive = List.mem !prev eligible in
-               switches :=
-                 {
-                   sw_index = Recorder.count recorder;
-                   sw_step = m.Machine.step;
-                   sw_from = !prev;
-                   sw_to = chosen;
-                   sw_from_at = locate texts m !prev;
-                   sw_to_at = locate texts m chosen;
-                   sw_preemptive = preemptive;
-                 }
-                 :: !switches);
-            prev := chosen;
-            Recorder.tap recorder ~chosen ~eligible
+          let tap ~chosen ~eligible:_ =
+            let prev = Flight_ring.prev recorder in
+            if prev >= 0 && chosen <> prev then
+              switches :=
+                {
+                  sw_index = Recorder.count recorder;
+                  sw_step = m.Machine.step;
+                  sw_from = prev;
+                  sw_to = chosen;
+                  sw_from_at = locate texts m prev;
+                  sw_to_at = locate texts m chosen;
+                  sw_preemptive = false;
+                }
+                :: !switches
           in
           let d = Feed.directed (merge fixed best) in
           (* the tap closure reads [m]'s state as it records, so it can
@@ -222,12 +227,17 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
             Error "the minimized schedule stopped failing on re-execution"
           else
             let stats = Machine.stats m in
+            let preemptions = Recorder.preemptions recorder in
+            let preempted = Hashtbl.create 16 in
+            Array.iter
+              (fun ord -> Hashtbl.replace preempted ord ())
+              preemptions;
             let mn_log =
               {
                 log with
                 Log.engine = "fast";
                 decisions = Recorder.decisions recorder;
-                preemptions = Recorder.preemptions recorder;
+                preemptions;
                 steps = m.Machine.step;
                 instrs = stats.Stats.instrs;
                 rollbacks = stats.Stats.rollbacks;
@@ -262,7 +272,14 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
                 mn_original = Array.length log.Log.preemptions;
                 mn_minimized = List.length best;
                 mn_tests = !tests;
-                mn_switches = List.rev !switches;
+                mn_switches =
+                  List.rev_map
+                    (fun sw ->
+                      {
+                        sw with
+                        sw_preemptive = Hashtbl.mem preempted sw.sw_index;
+                      })
+                    !switches;
                 mn_races;
               }
       end

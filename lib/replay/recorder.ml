@@ -1,46 +1,22 @@
-(* The recorder: a scheduler tap that captures the chosen-thread stream
-   and classifies context switches as it goes.
+(* The recorder: a full recording of the chosen-thread stream, as a view
+   over an unbounded flight ring. The engines push every decision into
+   the run's flight slot and classify preemptive switches as they push
+   (the chosen thread differs from the previously scheduled one while
+   the previous one was still eligible — the scheduler took the CPU
+   away). Switches forced by the previous thread blocking, sleeping or
+   finishing are reproduced for free by any schedule-respecting
+   executor, so only preemptive switches are interesting to the
+   minimizer.
 
-   A decision is a *preemptive* switch when the chosen thread differs
-   from the previously scheduled one while the previous one was still
-   eligible — the scheduler took the CPU away. Switches forced by the
-   previous thread blocking, sleeping or finishing are reproduced for
-   free by any schedule-respecting executor, so only preemptive switches
-   are interesting to the minimizer. *)
+   Riding the flight slot instead of a scheduler tap keeps a recorded
+   block-engine run on its compiled window path: a window is one
+   run-length [push_run]. *)
 
 open Conair_runtime
 
-type t = {
-  mutable d : int array;
-  mutable n : int;
-  mutable prev : int;  (** previously chosen tid, [-1] before the first *)
-  mutable preempts_rev : int list;  (** preemptive ordinals, newest first *)
-}
+type t = Flight_ring.t
 
-let create () = { d = Array.make 1024 0; n = 0; prev = -1; preempts_rev = [] }
-
-let push r tid =
-  if r.n = Array.length r.d then begin
-    let bigger = Array.make (2 * r.n) 0 in
-    Array.blit r.d 0 bigger 0 r.n;
-    r.d <- bigger
-  end;
-  r.d.(r.n) <- tid;
-  r.n <- r.n + 1
-
-let tap r ~chosen ~eligible =
-  let k = r.n in
-  push r chosen;
-  if chosen <> r.prev && r.prev >= 0 && List.mem r.prev eligible then
-    r.preempts_rev <- k :: r.preempts_rev;
-  r.prev <- chosen
-
-let attach sched =
-  let r = create () in
-  Sched.set_tap sched (Some (tap r));
-  r
-
-let detach sched = Sched.set_tap sched None
-let count r = r.n
-let decisions r = Array.sub r.d 0 r.n
-let preemptions r = Array.of_list (List.rev r.preempts_rev)
+let create () = Flight_ring.unbounded ()
+let count = Flight_ring.total
+let decisions = Flight_ring.tail
+let preemptions = Flight_ring.tail_preemptions

@@ -1,22 +1,18 @@
-(** The recorder: a scheduler tap ({!Conair_runtime.Sched.set_tap}) that
-    captures every scheduling decision — the chosen-thread stream — and
-    classifies each as preemptive (the previous thread was still eligible
-    when another was chosen) or forced. *)
+(** The recorder: every scheduling decision of one run — the
+    chosen-thread stream — and the preemptive ones among them (the
+    previous thread was still eligible when another was chosen).
+
+    A recorder is an unbounded {!Conair_runtime.Flight_ring}: install it
+    as the run's [~flight] hook ({!Conair_runtime.Hooks.bundle}). It is
+    the one hook a recorded block-engine run can carry without leaving
+    the compiled window path. *)
 
 open Conair_runtime
 
-type t
+type t = Flight_ring.t
 
 val create : unit -> t
-
-val tap : t -> chosen:int -> eligible:int list -> unit
-(** The tap itself — exposed so callers can compose it with their own
-    observation in a single scheduler tap. *)
-
-val attach : Sched.t -> t
-(** [create] + [Sched.set_tap]. *)
-
-val detach : Sched.t -> unit
+(** [Flight_ring.unbounded ()]. *)
 
 val count : t -> int
 (** Decisions recorded so far. *)

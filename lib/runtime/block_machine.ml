@@ -23,15 +23,19 @@
      events, thread statuses or the thread table. The only time-based
      wakes are bounded below by the [horizon] computed at window entry,
      and the window never runs past it.
-   - With every probe uninstalled, [Machine]'s per-step hook work is a
-     handful of [None] matches — emitting nothing — so skipping it is
-     byte-invisible in every observable (traces, profiles, race reports,
-     schedule logs, stats).
+   - With no per-step observer installed ([hooked]), [Machine]'s
+     per-step hook work on straight-line code is a handful of matches
+     that emit nothing, so skipping it is byte-invisible in every
+     observable (traces, profiles, race reports, schedule logs, stats).
+     The flight slot is fed the window's decisions in bulk, and a race
+     observer without an access callback hears only schedulable ops,
+     which the window runs through [Machine.run_thread_step].
 
-   Whenever any of this fails to hold — a hook is installed, several
-   threads are eligible, the one eligible thread sits at a schedulable
-   op — the driver falls back to [Machine]'s own generic path
-   ([Machine.step] / [Machine.run_thread_step]), which is correct by
+   Whenever any of this fails to hold — a per-step observer is
+   installed, several threads are eligible, the one eligible thread sits
+   at a schedulable op — the driver falls back to [Machine]'s own
+   generic path ([Machine.step] / [Machine.run_thread_step]), or to its
+   compiled-dispatch twin [generic_step], which is correct by
    construction. [Ref_machine] remains the oracle; the three-way
    differential suite enforces bit-for-bit identity. *)
 
@@ -58,11 +62,18 @@ let hooks bm = Machine.hooks bm.m
 let step bm = Machine.step bm.m
 let thread_summaries bm = Machine.thread_summaries bm.m
 
-(* Any installed hook observes (or steers) per-step state the window
-   skips, so its presence sends every step down the generic path.
-   [profile_sites] counts per-instruction hits the same way. *)
+(* Is a per-step observer (or a scheduler hook) attached? Those see state
+   the window skips, so their presence sends every step down the generic
+   path. [profile_sites] counts per-instruction hits the same way. The
+   flight slot — a bounded ring or a full recording — is fed in bulk by
+   the window, and a race observer without an access callback only
+   hears schedulable operations, which the window hands to
+   [Machine.run_thread_step]; neither counts. *)
 let hooked (m : Machine.t) =
-  m.Machine.trace <> None || m.Machine.prof <> None || m.Machine.race <> None
+  m.Machine.trace <> None || m.Machine.prof <> None
+  || (match m.Machine.race with
+     | Some { Race_probe.rp_access = Some _; _ } -> true
+     | _ -> false)
   || m.Machine.config.Machine.profile_sites
   || m.Machine.sched.Sched.tap <> None
   || m.Machine.sched.Sched.feed <> None
@@ -173,168 +184,142 @@ let run_window bm (th : Thread.t) bound =
   | None -> ()
   | Some fl -> Flight_ring.push_run fl th.Thread.tid retired
 
-(* One fast-path attempt. Returns [true] if it made progress (or decided
-   the outcome); [false] sends the caller to the generic [Machine.step].
-   Mirrors [Machine.step]'s eligibility scan and its rn = 0 handling. *)
-let try_fast bm =
-  let m = bm.m in
-  let n = m.Machine.live_n in
-  let count = ref 0 and first = ref (-1) in
-  for i = 0 to n - 1 do
-    if Machine.eligible m m.Machine.live.(i) then begin
-      if !count = 0 then first := i;
-      incr count
-    end
+(* No thread is eligible. [Machine.step] would retire idle steps one at
+   a time until the nearest time-based wake (the profiler's idle probe is
+   off by construction here); take them in bulk, or declare the hang
+   when nobody waits on time. *)
+let idle (m : Machine.t) =
+  let wake = ref max_int in
+  for i = 0 to m.Machine.live_n - 1 do
+    match m.Machine.live.(i).Thread.status with
+    | Thread.Sleeping until -> if until < !wake then wake := until
+    | Thread.Blocked_lock { since; timeout = Some t; _ }
+    | Thread.Blocked_event { since; timeout = Some t; _ } ->
+        if since + t < !wake then wake := since + t
+    | _ -> ()
   done;
-  if !count = 0 then begin
-    (* Nobody is eligible. [Machine.step] would retire idle steps one at
-       a time until the nearest time-based wake; take them in bulk. *)
-    let wake = ref max_int in
-    for i = 0 to n - 1 do
-      match m.Machine.live.(i).Thread.status with
-      | Thread.Sleeping until -> if until < !wake then wake := until
-      | Thread.Blocked_lock { since; timeout = Some t; _ }
-      | Thread.Blocked_event { since; timeout = Some t; _ } ->
-          if since + t < !wake then wake := since + t
-      | _ -> ()
-    done;
-    if !wake = max_int then
-      m.Machine.outcome <-
-        Some
-          (Outcome.Hang
-             { step = m.Machine.step; blocked = Machine.live_threads m })
-    else begin
-      (* an ineligible waiter's wake time is strictly in the future *)
-      let target = min !wake m.Machine.config.Machine.fuel in
-      let skip = target - m.Machine.step in
-      m.Machine.step <- m.Machine.step + skip;
-      m.Machine.stats.Stats.idle <- m.Machine.stats.Stats.idle + skip;
-      m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + skip
-    end;
-    true
-  end
-  else if !count > 1 then false
+  if !wake = max_int then
+    m.Machine.outcome <-
+      Some
+        (Outcome.Hang
+           { step = m.Machine.step; blocked = Machine.live_threads m })
   else begin
-    let th = m.Machine.live.(!first) in
-    match th.Thread.status with
-    | Thread.Blocked_lock _ | Thread.Blocked_event _ | Thread.Blocked_join _ ->
-        (* stands at its blocking instruction — a schedulable op *)
-        false
-    | _ ->
-        (* Runnable, or a sleeper whose deadline passed: wake it exactly
-           as [run_thread_step] would (the trace is off). *)
-        (match th.Thread.status with
-        | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
-        | _ -> ());
-        let bound = horizon m th in
-        if bound <= m.Machine.step then false
-        else begin
-          run_window bm th bound;
-          true
-        end
+    (* an ineligible waiter's wake time is strictly in the future *)
+    let target = min !wake m.Machine.config.Machine.fuel in
+    let skip = target - m.Machine.step in
+    m.Machine.step <- m.Machine.step + skip;
+    m.Machine.stats.Stats.idle <- m.Machine.stats.Stats.idle + skip;
+    m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + skip
   end
 
-(* [Machine.step], with the chosen thread's instruction dispatched
-   through the compiled code instead of [exec_instr]'s interpretive
-   match. Used when the window fast path does not apply (several
-   eligible threads, or the one eligible thread is blocked/at a
-   stopper) but no hook is installed — the scheduler is still consulted
-   for every step ([choose_idx] over the same candidate list, in the
-   same order), so scheduling decisions, rng draws and all observables
-   are byte-identical; only the opcode dispatch is cheaper. Schedulable
-   ops and [L_exit] still run through [Machine.run_thread_step], and
+(* The window fast path for [th], the only eligible thread. [false] when
+   it does not apply and the caller must take a generic step: [th]
+   stands at its blocking instruction (a schedulable op), or the horizon
+   leaves no room. *)
+let try_window bm (th : Thread.t) =
+  let m = bm.m in
+  match th.Thread.status with
+  | Thread.Blocked_lock _ | Thread.Blocked_event _ | Thread.Blocked_join _ ->
+      false
+  | _ ->
+      (* Runnable, or a sleeper whose deadline passed: wake it exactly
+         as [run_thread_step] would (the trace is off). *)
+      (match th.Thread.status with
+      | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
+      | _ -> ());
+      let bound = horizon m th in
+      if bound <= m.Machine.step then false
+      else begin
+        run_window bm th bound;
+        true
+      end
+
+(* [Machine.step] over the [rn] eligible threads already listed in
+   [m.ready], with the chosen thread's instruction dispatched through
+   the compiled code instead of [exec_instr]'s interpretive match. Used
+   when the window fast path does not apply (several eligible threads,
+   or the one eligible thread is blocked/at a stopper) but no hook is
+   installed — the scheduler is still consulted for every step
+   ([choose_idx] over the same candidate list, in the same order), so
+   scheduling decisions, rng draws and all observables are
+   byte-identical; only the opcode dispatch is cheaper. Schedulable ops
+   and [L_exit] still run through [Machine.run_thread_step], and
    [m.wbound] is floored so a transfer link never chains past its own
    step. *)
-let generic_step bm =
+let generic_step bm rn =
   let m = bm.m in
-  let n = m.Machine.live_n in
+  let k =
+    Sched.choose_idx m.Machine.sched
+      ~tid_of:(fun j -> m.Machine.live.(m.Machine.ready.(j)).Thread.tid)
+      rn
+  in
+  let th = m.Machine.live.(m.Machine.ready.(k)) in
+  (match m.Machine.flight with
+  | None -> ()
+  | Some fl ->
+      (* same classification as [Machine.step]'s push *)
+      let tid = th.Thread.tid in
+      let p = Flight_ring.prev fl in
+      let preemptive =
+        tid <> p && p >= 0
+        &&
+        let found = ref false in
+        for j = 0 to rn - 1 do
+          if m.Machine.live.(m.Machine.ready.(j)).Thread.tid = p then
+            found := true
+        done;
+        !found
+      in
+      Flight_ring.push fl tid ~preemptive);
+  let fr = Thread.top th in
+  let cbv =
+    bm.code.(fr.Thread.func.Link.lf_id).(fr.Thread.block.Link.lb_index)
+  in
+  let i = fr.Thread.idx in
+  if cbv.Compile.cb_sched.(i) then begin
+    Machine.run_thread_step m th;
+    m.Machine.step <- m.Machine.step + 1;
+    m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + 1
+  end
+  else begin
+    (* [run_thread_step]'s preamble for a compiled instruction: wake a
+       chosen sleeper (the trace is off), count the instruction. *)
+    (match th.Thread.status with
+    | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
+    | _ -> ());
+    m.Machine.stats.Stats.instrs <- m.Machine.stats.Stats.instrs + 1;
+    m.Machine.wbound <- min_int;
+    (match cbv.Compile.cb_one.(i) m th fr with
+    | _ -> ()
+    | exception Machine.Fault msg ->
+        Machine.close_episode m th;
+        let iid =
+          let iids = cbv.Compile.cb_iids in
+          if i < Array.length iids then Some iids.(i) else None
+        in
+        Machine.set_failure m ~kind:Instr.Seg_fault ~site_id:None ~iid
+          ~tid:th.Thread.tid ~msg;
+        m.Machine.step <- m.Machine.step + 1);
+    m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + 1
+  end
+
+(* One step of the unhooked driver. A single eligibility scan — the one
+   [Machine.step] makes — fills [m.ready]; then nobody eligible idles in
+   bulk, one eligible thread runs a compiled window, and anything else
+   (or a window that does not apply) takes a compiled generic step over
+   the same list. *)
+let unhooked_step bm =
+  let m = bm.m in
   let rn = ref 0 in
-  for i = 0 to n - 1 do
+  for i = 0 to m.Machine.live_n - 1 do
     if Machine.eligible m m.Machine.live.(i) then begin
       m.Machine.ready.(!rn) <- i;
       incr rn
     end
   done;
-  (if !rn = 0 then begin
-     (* replicates [Machine.step]'s nobody-eligible arm (the profiler's
-        idle probe is off by construction here) *)
-     let waiting_on_time = ref false in
-     for i = 0 to n - 1 do
-       match m.Machine.live.(i).Thread.status with
-       | Thread.Sleeping _
-       | Thread.Blocked_lock { timeout = Some _; _ }
-       | Thread.Blocked_event { timeout = Some _; _ } ->
-           waiting_on_time := true
-       | _ -> ()
-     done;
-     if !waiting_on_time then begin
-       m.Machine.step <- m.Machine.step + 1;
-       m.Machine.stats.Stats.idle <- m.Machine.stats.Stats.idle + 1;
-       m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + 1
-     end
-     else
-       m.Machine.outcome <-
-         Some
-           (Outcome.Hang
-              { step = m.Machine.step; blocked = Machine.live_threads m })
-   end
-   else begin
-     let k =
-       Sched.choose_idx m.Machine.sched
-         ~tid_of:(fun j -> m.Machine.live.(m.Machine.ready.(j)).Thread.tid)
-         !rn
-     in
-     let th = m.Machine.live.(m.Machine.ready.(k)) in
-     (match m.Machine.flight with
-     | None -> ()
-     | Some fl ->
-         (* same classification as [Machine.step]'s push *)
-         let tid = th.Thread.tid in
-         let p = Flight_ring.prev fl in
-         let preemptive =
-           tid <> p && p >= 0
-           &&
-           let found = ref false in
-           for j = 0 to !rn - 1 do
-             if m.Machine.live.(m.Machine.ready.(j)).Thread.tid = p then
-               found := true
-           done;
-           !found
-         in
-         Flight_ring.push fl tid ~preemptive);
-     let fr = Thread.top th in
-     let cbv =
-       bm.code.(fr.Thread.func.Link.lf_id).(fr.Thread.block.Link.lb_index)
-     in
-     let i = fr.Thread.idx in
-     if cbv.Compile.cb_sched.(i) then begin
-       Machine.run_thread_step m th;
-       m.Machine.step <- m.Machine.step + 1;
-       m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + 1
-     end
-     else begin
-       (* [run_thread_step]'s preamble for a compiled instruction: wake
-          a chosen sleeper (the trace is off), count the instruction. *)
-       (match th.Thread.status with
-       | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
-       | _ -> ());
-       m.Machine.stats.Stats.instrs <- m.Machine.stats.Stats.instrs + 1;
-       m.Machine.wbound <- min_int;
-       (match cbv.Compile.cb_one.(i) m th fr with
-       | _ -> ()
-       | exception Machine.Fault msg ->
-           Machine.close_episode m th;
-           let iid =
-             let iids = cbv.Compile.cb_iids in
-             if i < Array.length iids then Some iids.(i) else None
-           in
-           Machine.set_failure m ~kind:Instr.Seg_fault ~site_id:None ~iid
-             ~tid:th.Thread.tid ~msg;
-           m.Machine.step <- m.Machine.step + 1);
-       m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + 1
-     end
-   end);
-  m.Machine.outcome = None
+  if !rn = 0 then idle m
+  else if not (!rn = 1 && try_window bm m.Machine.live.(m.Machine.ready.(0)))
+  then generic_step bm !rn
 
 let run bm =
   let m = bm.m in
@@ -354,9 +339,12 @@ let run bm =
           else if hooked m then
             if Machine.step m then go ()
             else Option.value ~default:Outcome.Success m.Machine.outcome
-          else if try_fast bm then go ()
-          else if generic_step bm then go ()
-          else Option.value ~default:Outcome.Success m.Machine.outcome
+          else begin
+            unhooked_step bm;
+            (* like [Machine.run]: an outcome decided by this step stands,
+               even if the step also used up the fuel *)
+            match m.Machine.outcome with Some o -> o | None -> go ()
+          end
   in
   go ()
 

@@ -4,17 +4,18 @@
     The state is a plain [Machine.t]; the driver retires maximal
     straight-line runs of compiled closures in a tight loop whenever the
     scheduler has no choice to make (exactly one eligible thread) and no
-    observation hook is installed, consulting the scheduler, probes and
-    replay tap/feed only at schedulable operations — exactly where
-    [Machine] makes visible decisions. Everything observable (outcomes,
-    outputs, step counts, stats, traces, profiles, race reports, JSONL
-    telemetry, schedule logs) is bit-for-bit identical to [Machine] and
-    [Ref_machine]; with any hook installed every step goes down
-    [Machine]'s own generic path — except the flight-recorder ring,
-    which windows feed in bulk ([Flight_ring.push_run]) precisely so it
-    can stay on always. The three-way differential suite in
-    [test_fast_exec.ml] enforces the identity over the bugbench
-    catalog. *)
+    per-step observer is installed ({!hooked}), consulting the
+    scheduler, probes and replay tap/feed only at schedulable operations
+    — exactly where [Machine] makes visible decisions. Everything
+    observable (outcomes, outputs, step counts, stats, traces, profiles,
+    race reports, JSONL telemetry, schedule logs) is bit-for-bit
+    identical to [Machine] and [Ref_machine]. Two hooks ride the window
+    path: the flight slot, which windows feed in bulk
+    ([Flight_ring.push_run]) — a bounded ring or a full recording
+    ([Conair_replay.Recorder]) — and a race observer without an access
+    callback, which only hears schedulable operations. The three-way
+    differential suite in [test_fast_exec.ml] enforces the identity over
+    the bugbench catalog. *)
 
 open Conair_ir
 
@@ -31,6 +32,13 @@ val create :
 
 val machine : t -> Machine.t
 (** The underlying machine state (shared, not a copy). *)
+
+val hooked : Machine.t -> bool
+(** Is a per-step observer or a scheduler hook attached — a trace sink,
+    a cost profiler, a race probe with an access callback,
+    [profile_sites], a scheduler tap or feed? Then every step takes
+    [Machine]'s generic path. The flight slot and an access-free race
+    observer do not count. *)
 
 val hooks : t -> Hooks.target
 (** The machine's six hook slots, bundled for [Hooks.install] and the

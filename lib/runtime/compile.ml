@@ -1478,20 +1478,32 @@ let compile_uncached (lp : Link.program) : program =
 (* The compiled code is machine-independent (closures take the machine as
    an argument) and never mutated after the two-phase fill, so machines
    over the same linked image — which [Link]'s own memo already shares —
-   reuse one code image: a code cache, keyed by physical identity. As
-   with [Link.memo], the [Atomic.t] makes concurrent compiles safe — a
-   racing publish can drop an entry (costing a recompile), never corrupt
-   one. *)
-let memo : (Link.program * program) list Atomic.t = Atomic.make []
-let memo_max = 256
+   reuse one code image: a code cache keyed by physical identity. Like
+   [Link.memo] it is a weak table, each entry an ephemeron on its linked
+   image, so code lives as long as its image, which lives as long as its
+   program; the same mutex discipline makes concurrent compiles safe. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Link.program
 
-let truncate n l =
-  if List.length l <= n then l else List.filteri (fun i _ -> i < n) l
+  let equal = ( == )
+
+  let hash (lp : Link.program) =
+    Array.length lp.Link.lp_funcs + (31 * lp.Link.lp_main)
+end)
+
+let memo : program Memo.t = Memo.create 64
+let memo_lock = Mutex.create ()
 
 let compile (lp : Link.program) : program =
-  match List.find_opt (fun (lp', _) -> lp' == lp) (Atomic.get memo) with
-  | Some (_, code) -> code
-  | None ->
+  Mutex.lock memo_lock;
+  match Memo.find memo lp with
+  | code ->
+      Mutex.unlock memo_lock;
+      code
+  | exception Not_found ->
+      Mutex.unlock memo_lock;
       let code = compile_uncached lp in
-      Atomic.set memo (truncate memo_max ((lp, code) :: Atomic.get memo));
+      Mutex.lock memo_lock;
+      Memo.replace memo lp code;
+      Mutex.unlock memo_lock;
       code

@@ -7,11 +7,11 @@
 
    - the *decision* ring holds the last [cap] scheduler decisions
      (chosen tid per non-idle step) — the tail of exactly the stream a
-     [Conair_replay.Recorder] tap would capture;
+     schedule log records;
    - the *preemption* ring holds the absolute ordinals of the most
      recent preemptive context switches (chosen <> previous while the
-     previous thread was still eligible), classified with the same rule
-     as the recorder;
+     previous thread was still eligible) — the one classifier of the
+     code base, applied by the engines at the push;
    - the *event* ring holds the recent synchronization / recovery
      events (lock acquire/block/release, spawn, rollback, recovered,
      failure), recorded only on paths every engine executes
@@ -24,7 +24,15 @@
    names, failure messages). The block engine's window fast path records
    a whole window with one [push_run] (an [Array.fill] RLE), which is
    what keeps recorder-on throughput within a few percent of
-   recorder-off. *)
+   recorder-off.
+
+   The *unbounded* mode ([unbounded]) is a full recording through the
+   same slot: it keeps every decision and every preemption, so the
+   "tail" is the whole stream — what a schedule log stores. Decisions
+   are run-length encoded as (tid, count) pairs, one pair per context
+   switch, so a block-engine window is still one O(1) [push_run] and a
+   run of N decisions costs memory in its switches, not in N. The pairs
+   and the preemption ordinals grow by doubling (amortized O(1)). *)
 
 type event = {
   mutable fe_kind : int;
@@ -59,11 +67,16 @@ let kind_name = function
   | k -> "unknown:" ^ string_of_int k
 
 type t = {
-  cap : int;
-  d : int array;  (** decision ring, indexed [ordinal mod cap] *)
+  cap : int;  (** ring capacity; [0] for an unbounded recording *)
+  mutable d : int array;
+      (** bounded: the decision ring, indexed [ordinal mod cap];
+          unbounded: run-length pairs [tid; count; tid; count; ...] *)
+  mutable runs : int;  (** unbounded: pairs in use in [d] *)
   mutable d_total : int;  (** decisions ever pushed *)
   mutable prev : int;  (** previously chosen tid, [-1] before the first *)
-  pre : int array;  (** preemption-ordinal ring *)
+  mutable pre : int array;
+      (** preemption ordinals: a ring when bounded, every one (growing)
+          when unbounded *)
   mutable pre_total : int;
   evs : event array;
   mutable ev_total : int;
@@ -72,18 +85,14 @@ type t = {
 let default_capacity = 4096
 let default_event_capacity = 256
 
-let create ?(cap = default_capacity) ?(events = default_event_capacity) () =
-  if cap <= 0 then invalid_arg "Flight_ring.create: capacity must be positive";
-  if events <= 0 then
-    invalid_arg "Flight_ring.create: event capacity must be positive";
+let make ~cap ~d ~pre ~events =
   {
     cap;
-    d = Array.make cap 0;
+    d;
+    runs = 0;
     d_total = 0;
     prev = -1;
-    (* at most one preemption per decision, so [cap] ordinals always
-       cover every preemption still inside the decision tail *)
-    pre = Array.make cap 0;
+    pre;
     pre_total = 0;
     evs =
       Array.init events (fun _ ->
@@ -91,16 +100,47 @@ let create ?(cap = default_capacity) ?(events = default_event_capacity) () =
     ev_total = 0;
   }
 
+let create ?(cap = default_capacity) ?(events = default_event_capacity) () =
+  if cap <= 0 then invalid_arg "Flight_ring.create: capacity must be positive";
+  if events <= 0 then
+    invalid_arg "Flight_ring.create: event capacity must be positive";
+  (* at most one preemption per decision, so [cap] ordinals always cover
+     every preemption still inside the decision tail *)
+  make ~cap ~d:(Array.make cap 0) ~pre:(Array.make cap 0) ~events
+
+(* A recording keeps no event history worth the name: one slot absorbs
+   the engines' event writes. *)
+let unbounded () =
+  make ~cap:0 ~d:(Array.make 64 0) ~pre:(Array.make 16 0) ~events:1
+
 let capacity t = t.cap
 let total t = t.d_total
 let prev t = t.prev
 
+let grow a = Array.append a (Array.make (Array.length a) 0)
+
+(* Unbounded mode: extend the last run when [tid] keeps the CPU, else
+   open a new (tid, count) pair. *)
+let extend t tid count =
+  let n = t.runs in
+  if t.prev = tid then t.d.((2 * n) - 1) <- t.d.((2 * n) - 1) + count
+  else begin
+    if (2 * n) + 2 > Array.length t.d then t.d <- grow t.d;
+    t.d.(2 * n) <- tid;
+    t.d.((2 * n) + 1) <- count;
+    t.runs <- n + 1
+  end
+
 let push t tid ~preemptive =
-  t.d.(t.d_total mod t.cap) <- tid;
   if preemptive then begin
-    t.pre.(t.pre_total mod t.cap) <- t.d_total;
+    if t.cap = 0 then begin
+      if t.pre_total = Array.length t.pre then t.pre <- grow t.pre;
+      t.pre.(t.pre_total) <- t.d_total
+    end
+    else t.pre.(t.pre_total mod t.cap) <- t.d_total;
     t.pre_total <- t.pre_total + 1
   end;
+  if t.cap = 0 then extend t tid 1 else t.d.(t.d_total mod t.cap) <- tid;
   t.d_total <- t.d_total + 1;
   t.prev <- tid
 
@@ -113,7 +153,8 @@ let push t tid ~preemptive =
 let push_run t tid count =
   if count < 0 then invalid_arg "Flight_ring.push_run: negative count";
   if count > 0 then begin
-    if count >= t.cap then Array.fill t.d 0 t.cap tid
+    if t.cap = 0 then extend t tid count
+    else if count >= t.cap then Array.fill t.d 0 t.cap tid
     else begin
       let start = t.d_total mod t.cap in
       let first = min count (t.cap - start) in
@@ -135,27 +176,42 @@ let event t ~kind ~step ~tid ~arg ~detail =
 
 (* --- reading the rings out (dump time; allocation is fine here) ----- *)
 
-let tail_first t = t.d_total - min t.d_total t.cap
+let tail_first t = if t.cap = 0 then 0 else t.d_total - min t.d_total t.cap
 
 let tail t =
-  let n = min t.d_total t.cap in
-  let first = t.d_total - n in
-  Array.init n (fun i -> t.d.((first + i) mod t.cap))
+  if t.cap = 0 then begin
+    let out = Array.make t.d_total 0 in
+    let pos = ref 0 in
+    for r = 0 to t.runs - 1 do
+      let count = t.d.((2 * r) + 1) in
+      Array.fill out !pos count t.d.(2 * r);
+      pos := !pos + count
+    done;
+    out
+  end
+  else
+    let n = min t.d_total t.cap in
+    let first = t.d_total - n in
+    Array.init n (fun i -> t.d.((first + i) mod t.cap))
 
 (* Absolute ordinals of the preemptive switches inside the decision
    tail, ascending. The preemption ring stores the most recent [cap]
    preemptions; preemptions are at most one per decision, so every
    preemption whose decision is still in the tail is still stored —
-   older stored ordinals are filtered out. *)
+   older stored ordinals are filtered out. An unbounded recording keeps
+   them all. *)
 let tail_preemptions t =
-  let n = min t.pre_total t.cap in
-  let first = tail_first t in
-  let out = ref [] in
-  for i = t.pre_total - 1 downto t.pre_total - n do
-    let ord = t.pre.(i mod t.cap) in
-    if ord >= first then out := ord :: !out
-  done;
-  Array.of_list !out
+  if t.cap = 0 then Array.sub t.pre 0 t.pre_total
+  else begin
+    let n = min t.pre_total t.cap in
+    let first = tail_first t in
+    let out = ref [] in
+    for i = t.pre_total - 1 downto t.pre_total - n do
+      let ord = t.pre.(i mod t.cap) in
+      if ord >= first then out := ord :: !out
+    done;
+    Array.of_list !out
+  end
 
 let events t =
   let stored = Array.length t.evs in

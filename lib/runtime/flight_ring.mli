@@ -7,9 +7,13 @@
     force the block engine off its window fast path: compiled windows
     account their decisions in bulk via {!push_run}, which is what keeps
     recorder-on throughput within a few percent of recorder-off. The
-    decision stream is exactly what a full [Conair_replay.Recorder] tap
-    would capture, so the tail can be verified against (and regenerated
-    into) an ordinary schedule log. *)
+    decision stream is exactly what a schedule log records, so the tail
+    can be verified against (and regenerated into) an ordinary schedule
+    log.
+
+    The same slot carries a full recording: an {!unbounded} ring keeps
+    the whole decision stream, run-length encoded, and every preemption
+    — [Conair_replay.Recorder] is a view over it. *)
 
 type t
 
@@ -41,17 +45,27 @@ val create : ?cap:int -> ?events:int -> unit -> t
     scheduler decisions and the last [events] (default 256) sync /
     recovery events. Raises [Invalid_argument] on non-positive sizes. *)
 
+val unbounded : unit -> t
+(** A full recording: every decision (stored as one (tid, count) pair per
+    context switch, so a block-engine window stays one O(1) {!push_run})
+    and every preemption ordinal, growing as the run goes. {!tail_first}
+    is [0] and {!tail} / {!tail_preemptions} return the whole stream.
+    Its event ring holds one event. *)
+
 val capacity : t -> int
+(** Decisions retained; [0] for an {!unbounded} recording. *)
 
 val total : t -> int
 (** Decisions ever pushed (the run's non-idle step count so far). *)
 
 val prev : t -> int
 (** Previously chosen tid, [-1] before the first decision. Engines use
-    this to classify preemptive switches with the recorder's rule. *)
+    this to classify preemptive switches: a decision is preemptive when
+    it chooses another thread while [prev] is still eligible. *)
 
 val push : t -> int -> preemptive:bool -> unit
-(** Record one scheduler decision. O(1), allocation-free. *)
+(** Record one scheduler decision. O(1); allocation-free on a bounded
+    ring, amortized O(1) growth on an unbounded one. *)
 
 val push_run : t -> int -> int -> unit
 (** [push_run t tid count] records [count] consecutive decisions for

@@ -1,11 +1,11 @@
 (* Per-run observation hooks, bundled.
 
    Every engine carries the same six hook slots: a trace sink, a
-   cost-profiler probe, a race-detector probe, the scheduler's
-   record tap / replay feed, and the always-on flight-recorder ring.
-   Historically callers installed them by hand after [create]
-   ([set_trace] / [set_profile] / [Recorder.attach] /
-   ...) and were responsible for uninstalling them afterwards — which
+   cost-profiler probe, a race-detector probe, the scheduler's tap /
+   replay feed, and the flight slot (the decision stream: the always-on
+   ring, or a full schedule recording). Historically callers installed
+   them by hand after [create] ([set_trace] / [set_profile] / ...) and
+   were responsible for uninstalling them afterwards — which
    nobody did on the exception paths, and which made two in-process runs
    race for the same mutable slots when they shared helper code.
 
@@ -20,7 +20,9 @@
    The flight slot is special: unlike the other five it does not force
    the block engine off its compiled window fast path — windows account
    their decisions in bulk (see [Flight_ring.push_run]), which is what
-   makes the recorder cheap enough to leave on everywhere.
+   makes the ring cheap enough to leave on everywhere and a full
+   recording nearly free. A race probe without an access callback does
+   not force it either (see [Block_machine.hooked]).
 
    [with_installed] survives as a compatibility shim for the scoped
    post-create style (and for the rare self-referential hook that needs

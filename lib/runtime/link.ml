@@ -240,25 +240,34 @@ let link_func ~fail_index funcs id (f : Func.t) : lfunc =
 (* Linking is deterministic and its output is never mutated, so machines
    created repeatedly over the same program — bench sweeps, schedule
    replay, fuzz loops — share one linked image instead of re-interning
-   every name.  Keyed by physical identity of the inputs (the only cheap
-   equality on whole programs); a bounded MRU list scanned with [==].
-   Held in an [Atomic.t] so concurrent in-process runs (the serve
-   daemon's worker pool) can link safely: a racing publish may drop the
-   other thread's entry, which only costs a re-link, never a wrong
-   result — the cached images are immutable and keyed by identity. *)
+   every name. Keyed by physical identity of the inputs (the only cheap
+   equality on whole programs) in a weak table: each entry is an
+   ephemeron on its program, so the memo never keeps a program alive and
+   an image lives exactly as long as its program (or a machine running
+   it) does — fix synthesis makes a fresh program per candidate patch.
+   The table drops dead entries as it grows. A hit never restructures
+   the table: it hashes the key by its shape — a few list lengths, no
+   traversal of the code, stable since programs are immutable — and
+   reads the ephemerons of that bucket. Its data is the list of images
+   of that program, one per recovery metadata (fail-block list and
+   index, also compared by identity). Guarded by a mutex, so concurrent
+   in-process runs (the serve daemon's worker pool) can link safely. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Program.t
+
+  let equal = ( == )
+
+  let hash (p : Program.t) =
+    List.length p.funcs
+    + (31 * (List.length p.globals + (31 * List.length p.mutexes)))
+end)
+
 let memo :
-    (Program.t
-    * (Label.t * int) list
-    * (string, int) Hashtbl.t option
-    * program)
-    list
-    Atomic.t =
-  Atomic.make []
+    ((Label.t * int) list * (string, int) Hashtbl.t option * program) list
+    Memo.t =
+  Memo.create 64
 
-let memo_max = 256
-
-let truncate n l =
-  if List.length l <= n then l else List.filteri (fun i _ -> i < n) l
+let memo_lock = Mutex.create ()
 
 let link_uncached ?(fail_blocks = []) ?fail_index (p : Program.t) : program =
   let funcs = Hashtbl.create 16 in
@@ -295,25 +304,35 @@ let link_uncached ?(fail_blocks = []) ?fail_index (p : Program.t) : program =
   in
   { lp_src = p; lp_funcs; lp_main }
 
+let rec memo_image fail_blocks fail_index = function
+  | [] -> raise Not_found
+  | (fb, fi, lp) :: rest ->
+      if
+        fb == fail_blocks
+        &&
+        match (fi, fail_index) with
+        | None, None -> true
+        | Some a, Some b -> a == b
+        | _ -> false
+      then lp
+      else memo_image fail_blocks fail_index rest
+
 (** Pre-resolve [p]. [fail_blocks] is the hardening metadata (fail-arm
     label -> site id); pass [[]] for unhardened programs. Re-linking the
     same inputs returns the first link's image (see [memo] above). *)
 let link ?(fail_blocks = []) ?fail_index (p : Program.t) : program =
-  let same (p', fb', fi', _) =
-    p' == p
-    && fb' == fail_blocks
-    &&
-    match (fi', fail_index) with
-    | None, None -> true
-    | Some a, Some b -> a == b
-    | _ -> false
-  in
-  match List.find_opt same (Atomic.get memo) with
-  | Some (_, _, _, lp) -> lp
-  | None ->
+  Mutex.lock memo_lock;
+  match memo_image fail_blocks fail_index (Memo.find memo p) with
+  | lp ->
+      Mutex.unlock memo_lock;
+      lp
+  | exception Not_found ->
+      Mutex.unlock memo_lock;
       let lp = link_uncached ~fail_blocks ?fail_index p in
-      Atomic.set memo
-        (truncate memo_max ((p, fail_blocks, fail_index, lp) :: Atomic.get memo));
+      Mutex.lock memo_lock;
+      let others = Option.value ~default:[] (Memo.find_opt memo p) in
+      Memo.replace memo p ((fail_blocks, fail_index, lp) :: others);
+      Mutex.unlock memo_lock;
       lp
 
 let func_by_id lp id = lp.lp_funcs.(id)

@@ -119,9 +119,9 @@ type t = {
   mutable race : Race_probe.probe option;
       (** race-detector probe; one [match] per memory/sync op when off *)
   mutable flight : Flight_ring.t option;
-      (** flight-recorder ring; one [match] per decision / sync op when
-          off, and the one hook that keeps the block engine on its
-          compiled window fast path *)
+      (** the flight slot — the recorder ring or a full schedule
+          recording; one [match] per decision / sync op when off, and
+          fed in bulk by the block engine's compiled windows *)
   mutable live : Thread.t array;
       (** slots [0, live_n): the live threads, ascending tid — maintained
           at spawn and death instead of folded from [threads] per step *)
@@ -265,7 +265,9 @@ let thread_summaries m =
 (* --- race-probe emission ------------------------------------------- *)
 (* Each helper is one [match] when no probe is installed; the event
    payloads (stacks, locksets, address values) are only built inside the
-   [Some] branch, so the uninstrumented hot path allocates nothing. *)
+   [Some] branch, so the uninstrumented hot path allocates nothing. An
+   observer of synchronization only ([rp_access = None]) costs the
+   memory accesses the same single match. *)
 
 let race_stack (th : Thread.t) =
   List.map
@@ -274,43 +276,40 @@ let race_stack (th : Thread.t) =
 
 let race_access m (th : Thread.t) (i : Link.linstr) kind addr =
   match m.race with
-  | None -> ()
-  | Some p ->
+  | Some { Race_probe.rp_access = Some access; _ } ->
       let fr = Thread.top th in
-      p.Race_probe.rp_access ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid
+      access ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid
         ~stack:(race_stack th) ~block:fr.Thread.block.Link.lb_label_name ~kind
         ~addr
         ~locks:(Locks.held_by m.locks ~tid:th.Thread.tid)
+  | _ -> ()
 
 let race_global m th i kind g =
   match m.race with
-  | None -> ()
-  | Some _ -> race_access m th i kind (Race_probe.A_global g)
+  | Some { Race_probe.rp_access = Some _; _ } ->
+      race_access m th i kind (Race_probe.A_global g)
+  | _ -> ()
 
 let race_slot m (th : Thread.t) i kind s =
   match m.race with
-  | None -> ()
-  | Some _ -> race_access m th i kind (Race_probe.A_slot (th.Thread.tid, s))
+  | Some { Race_probe.rp_access = Some _; _ } ->
+      race_access m th i kind (Race_probe.A_slot (th.Thread.tid, s))
+  | _ -> ()
 
 (* Heap accesses are classified by the *attempted* cell; non-pointer
    operands fault without designating an address and emit nothing. *)
 let race_cell m th i kind pv idx =
-  match m.race with
-  | None -> ()
-  | Some _ -> (
-      match pv with
-      | Value.Ptr { Value.block; offset } ->
-          race_access m th i kind (Race_probe.A_cell (block, offset + idx))
-      | _ -> ())
+  match (m.race, pv) with
+  | Some { Race_probe.rp_access = Some _; _ }, Value.Ptr { Value.block; offset }
+    ->
+      race_access m th i kind (Race_probe.A_cell (block, offset + idx))
+  | _ -> ()
 
 let race_free m th i pv =
-  match m.race with
-  | None -> ()
-  | Some _ -> (
-      match pv with
-      | Value.Ptr { Value.block; _ } ->
-          race_access m th i Race_probe.Write (Race_probe.A_block block)
-      | _ -> ())
+  match (m.race, pv) with
+  | Some { Race_probe.rp_access = Some _; _ }, Value.Ptr { Value.block; _ } ->
+      race_access m th i Race_probe.Write (Race_probe.A_block block)
+  | _ -> ()
 
 let race_acquire m (th : Thread.t) (i : Link.linstr) name =
   match m.race with
@@ -1119,8 +1118,8 @@ let step m =
                let preemptive =
                  tid <> p && p >= 0
                  &&
-                 (* the recorder's rule: the switch is preemptive only if
-                    the previously running thread was still eligible *)
+                 (* the switch is preemptive only if the previously
+                    running thread was still eligible *)
                  let found = ref false in
                  for j = 0 to !rn - 1 do
                    if m.live.(m.ready.(j)).Thread.tid = p then found := true

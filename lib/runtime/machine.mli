@@ -88,9 +88,9 @@ type t = {
   mutable race : Race_probe.probe option;
       (** race-detector probe; one [match] per memory/sync op when off *)
   mutable flight : Flight_ring.t option;
-      (** flight-recorder ring; one [match] per decision / sync op when
-          off, and the one hook that keeps the block engine on its
-          compiled window fast path *)
+      (** the flight slot — the recorder ring or a full schedule
+          recording; one [match] per decision / sync op when off, and
+          fed in bulk by the block engine's compiled windows *)
   mutable live : Thread.t array;
       (** slots [0, live_n): the live threads, ascending tid — maintained
           at spawn and death instead of folded from [threads] per step *)

@@ -35,7 +35,7 @@ type kind = Read | Write
 
 type probe = {
   rp_access :
-    step:int ->
+    (step:int ->
     tid:int ->
     iid:int ->
     stack:string list ->
@@ -43,13 +43,18 @@ type probe = {
     kind:kind ->
     addr:addr ->
     locks:string list ->
-    unit;
+    unit)
+    option;
       (** Thread [tid] is about to access [addr]. Emitted after the
           operands are evaluated and *before* the memory operation, so
           attempted accesses that fault (use-after-free, out-of-bounds)
           are still seen. [stack]: call stack as function names,
           innermost first. [block]: current block label. [locks]: the
-          lockset held by [tid], sorted. *)
+          lockset held by [tid], sorted. [None] for an observer of
+          synchronization only: the other callbacks all fire at
+          schedulable operations, which every engine executes
+          interpretively, so such a probe does not push the block
+          engine off its compiled window path. *)
   rp_acquire :
     step:int -> tid:int -> iid:int -> lock:string -> locks:string list -> unit;
       (** [tid] successfully acquired [lock]. [locks] is the held set

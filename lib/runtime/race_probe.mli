@@ -25,7 +25,7 @@ type kind = Read | Write
 
 type probe = {
   rp_access :
-    step:int ->
+    (step:int ->
     tid:int ->
     iid:int ->
     stack:string list ->
@@ -33,11 +33,15 @@ type probe = {
     kind:kind ->
     addr:addr ->
     locks:string list ->
-    unit;
+    unit)
+    option;
       (** An attempted memory access, emitted before the memory
           operation (faulting accesses are still seen). [stack] is
           innermost-first function names; [locks] the held lockset,
-          sorted. *)
+          sorted. [None] for an observer of synchronization only: every
+          other callback fires at a schedulable operation, so such a
+          probe leaves the block engine on its compiled window path
+          ([Block_machine]) and costs the straight-line code nothing. *)
   rp_acquire :
     step:int -> tid:int -> iid:int -> lock:string -> locks:string list -> unit;
       (** Successful acquisition; [locks] includes [lock]. *)

@@ -214,42 +214,39 @@ let race_stack (th : T.t) =
 
 let race_access m (th : T.t) (i : Instr.t) kind addr =
   match m.race with
-  | None -> ()
-  | Some p ->
+  | Some { Race_probe.rp_access = Some access; _ } ->
       let fr = T.top th in
-      p.Race_probe.rp_access ~step:m.step ~tid:th.T.tid ~iid:i.Instr.iid
+      access ~step:m.step ~tid:th.T.tid ~iid:i.Instr.iid
         ~stack:(race_stack th)
         ~block:(Label.name fr.T.block.Block.label)
         ~kind ~addr
         ~locks:(Locks.held_by m.locks ~tid:th.T.tid)
+  | _ -> ()
 
 let race_global m th i kind g =
   match m.race with
-  | None -> ()
-  | Some _ -> race_access m th i kind (Race_probe.A_global g)
+  | Some { Race_probe.rp_access = Some _; _ } ->
+      race_access m th i kind (Race_probe.A_global g)
+  | _ -> ()
 
 let race_slot m (th : T.t) i kind s =
   match m.race with
-  | None -> ()
-  | Some _ -> race_access m th i kind (Race_probe.A_slot (th.T.tid, s))
+  | Some { Race_probe.rp_access = Some _; _ } ->
+      race_access m th i kind (Race_probe.A_slot (th.T.tid, s))
+  | _ -> ()
 
 let race_cell m th i kind pv idx =
-  match m.race with
-  | None -> ()
-  | Some _ -> (
-      match pv with
-      | Value.Ptr { Value.block; offset } ->
-          race_access m th i kind (Race_probe.A_cell (block, offset + idx))
-      | _ -> ())
+  match (m.race, pv) with
+  | Some { Race_probe.rp_access = Some _; _ }, Value.Ptr { Value.block; offset }
+    ->
+      race_access m th i kind (Race_probe.A_cell (block, offset + idx))
+  | _ -> ()
 
 let race_free m th i pv =
-  match m.race with
-  | None -> ()
-  | Some _ -> (
-      match pv with
-      | Value.Ptr { Value.block; _ } ->
-          race_access m th i Race_probe.Write (Race_probe.A_block block)
-      | _ -> ())
+  match (m.race, pv) with
+  | Some { Race_probe.rp_access = Some _; _ }, Value.Ptr { Value.block; _ } ->
+      race_access m th i Race_probe.Write (Race_probe.A_block block)
+  | _ -> ()
 
 let race_acquire m (th : T.t) (i : Instr.t) name =
   match m.race with

@@ -21,9 +21,10 @@
    is exactly what [conair_fuzz --detect] exploits to count the schedules
    on which a race is observed.
 
-   The scheduler is also the record/replay seam ([Conair_replay]): an
-   optional [tap] observes every decision (eligible set + chosen tid) and
-   an optional [feed] overrides the policy's choice. Both default to
+   The scheduler is also the replay seam ([Conair_replay]): an optional
+   [feed] overrides the policy's choice, and an optional [tap] observes
+   every decision with its eligible set (schedule recording itself rides
+   the machine's flight slot, not the tap). Both default to
    [None] and cost one match per decision when absent, the same
    zero-cost-when-off discipline as the trace/profile/race probes. A fed
    decision still consumes the rng and moves the cursor exactly as the

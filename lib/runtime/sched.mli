@@ -10,9 +10,11 @@
     traces, cost profiles, and race-detection reports are byte-identical
     across repeated runs with the same seed, on either engine.
 
-    The scheduler doubles as the record/replay seam: {!set_tap} installs
-    an observer of every decision and {!set_feed} an override of the
-    policy's choice (see [Conair_replay]). Both are [None] by default and
+    The scheduler doubles as the replay seam: {!set_feed} installs an
+    override of the policy's choice and {!set_tap} an observer of every
+    decision with its eligible set (see [Conair_replay]; recording a
+    schedule uses the machine's flight slot instead). Both are [None] by
+    default and
     cost one match per decision when off — the same zero-cost-when-off
     discipline as the trace/profile/race probes. *)
 

@@ -37,6 +37,25 @@ let signature_properties () =
     (base = s ~orders:[ ("global:x", "t0w@b;t1r@c;") ] ~preemptions:[| 1; 3 |] ());
   Alcotest.(check int) "MD5 hex digest" 32 (String.length base)
 
+(* The signed encoding is an on-disk contract (campaign reports, corpus
+   names, BENCH_fuzz.json digests): these digests were taken from the
+   formatted encoding the signature used to build with [Printf]. They
+   cover an ordinal-0 preemption (no predecessor: from = -1), one past
+   the end (to = -1), multi-digit ints, an empty run and sorted orders. *)
+let signature_golden () =
+  Alcotest.(check string)
+    "ordinal 0, out of range, orders" "93a1219a2e766d87dfec7ab2a85cf392"
+    (Coverage.signature ~context:"golden"
+       ~orders:[ ("global:x", "t0w@entry;t1r@loop;"); ("cell:1:2", "md5:0f") ]
+       ~decisions:[| 0; 1; 0; 2; 2; 1 |] ~preemptions:[| 0; 1; 3; 5; 6 |] ());
+  Alcotest.(check string)
+    "empty run" "5d1159f2d5806d7d6f0a621135c9d19d"
+    (Coverage.signature ~decisions:[||] ~preemptions:[||] ());
+  Alcotest.(check string)
+    "multi-digit tids" "dae1ba9cb6a05df4a2fd0cf14e195640"
+    (Coverage.signature ~context:"fix-sweep"
+       ~decisions:[| 12; 3; 12; 12; 1234567 |] ~preemptions:[| 1; 2; 4 |] ())
+
 (* The facade signature of a real recorded run is stable across repeated
    recordings — the restart-determinism property at the single-run
    level. *)
@@ -260,6 +279,7 @@ let suites =
     ( "campaign",
       [
         Alcotest.test_case "signature properties" `Quick signature_properties;
+        Alcotest.test_case "signature golden encoding" `Quick signature_golden;
         Alcotest.test_case "signature stable across recordings" `Quick
           signature_stable_across_recordings;
         Alcotest.test_case "coverage map" `Quick coverage_map;

@@ -266,9 +266,10 @@ let sweep_detector_reports () =
 
 (* Recorded schedule logs must serialize identically across the engines
    — modulo the engine stamp itself, which names the recorder and is
-   checked separately. *)
+   checked separately — under round-robin and several seeds. The
+   recorder rides the flight slot, so the block engine records on its
+   compiled window path. *)
 let sweep_recorded_logs () =
-  let config = config (Sched.Random 42) in
   let module Log = Conair.Replay.Log in
   let check_logs name log_of =
     let log_lines engine =
@@ -287,16 +288,29 @@ let sweep_recorded_logs () =
       engines
   in
   List.iter
-    (fun (name, p) ->
-      check_logs name (fun engine ->
-          snd (Conair.record_run ~config ~engine ~ident:(Log.ident name) p));
-      match Conair.harden p Conair.Survival with
-      | Error _ -> ()
-      | Ok h ->
-          check_logs (name ^ "/hardened") (fun engine ->
+    (fun (pname, policy) ->
+      let config = config policy in
+      List.iter
+        (fun (name, p) ->
+          let name = name ^ "@" ^ pname in
+          check_logs name (fun engine ->
               snd
-                (Conair.run_recorded ~config ~engine ~ident:(Log.ident name) h)))
-    (corpus ())
+                (Conair.record_run ~config ~engine ~ident:(Log.ident name) p));
+          match Conair.harden p Conair.Survival with
+          | Error _ -> ()
+          | Ok h ->
+              check_logs (name ^ "/hardened") (fun engine ->
+                  snd
+                    (Conair.run_recorded ~config ~engine
+                       ~ident:(Log.ident name) h)))
+        (corpus ()))
+    [
+      ("round-robin", Sched.Round_robin);
+      ("random:1", Sched.Random 1);
+      ("random:2", Sched.Random 2);
+      ("random:3", Sched.Random 3);
+      ("random:42", Sched.Random 42);
+    ]
 
 (* Interleaving signatures — the campaign's dedupe key — must be
    byte-identical across engines: they hash the decision stream and the
@@ -352,6 +366,165 @@ let choose_idx_agrees () =
         tid_sets)
     [ Sched.Round_robin; Sched.Random 13 ]
 
+(* ---- the fast-path contract ----------------------------------------
+
+   A full recording rides the flight slot and the fix sweep's deadlock
+   lens hears only lock events, so neither may push the block engine off
+   its compiled window path — and what they observe there must be what a
+   per-step observer sees on the interpretive engines. *)
+
+module Block_machine = Conair.Runtime.Block_machine
+module Recorder = Conair.Replay.Recorder
+module Lockorder = Conair.Race.Lockorder
+module Detect = Conair.Race.Detect
+module Tap = Test_util.Tap_recorder
+
+let recorder_and_witness_stay_unhooked () =
+  let p =
+    (List.hd Registry.all).Spec.make ~variant:Spec.Buggy ~oracle:false
+  in
+  let hooked hooks =
+    Block_machine.hooked
+      (Block_machine.machine
+         (Block_machine.create ~config:(config Sched.Round_robin) ~hooks
+            p.Spec.program))
+  in
+  let witness () = Lockorder.witness_probe (Lockorder.witness ()) in
+  List.iter
+    (fun (label, hooks, expected) ->
+      Alcotest.(check bool) label expected (hooked hooks))
+    [
+      ("bare", Hooks.none, false);
+      ("recorder", Hooks.bundle ~flight:(Recorder.create ()) (), false);
+      ( "bounded ring",
+        Hooks.bundle ~flight:(Conair.Runtime.Flight_ring.create ()) (),
+        false );
+      ("lock-order witness", Hooks.bundle ~race:(witness ()) (), false);
+      ( "recorder + witness",
+        Hooks.bundle ~flight:(Recorder.create ()) ~race:(witness ()) (),
+        false );
+      ( "full detector",
+        Hooks.bundle ~race:(Detect.probe (Detect.create ())) (),
+        true );
+      ( "scheduler tap",
+        Hooks.bundle ~tap:(fun ~chosen:_ ~eligible:_ -> ()) (),
+        true );
+      ("trace sink", Hooks.bundle ~trace:(Trace.create ()) (), true);
+    ]
+
+(* The run-length recording, on every engine (the block engine on its
+   window path), expands to exactly the decisions and preemptions an
+   independent tap recorder classifies on the fast engine, under
+   round-robin and three seeds. *)
+let recorder_matches_tap_oracle () =
+  List.iter
+    (fun (pname, policy) ->
+      let config = config policy in
+      List.iter
+        (fun (name, p) ->
+          let oracle = Tap.create () in
+          ignore
+            (Engine.run_program ~config
+               ~hooks:(Hooks.bundle ~tap:(Tap.tap oracle) ())
+               Engine.Fast p);
+          List.iter
+            (fun engine ->
+              let label = name ^ "@" ^ pname ^ "#" ^ Engine.name engine in
+              let r = Recorder.create () in
+              ignore
+                (Engine.run_program ~config ~hooks:(Hooks.bundle ~flight:r ())
+                   engine p);
+              Alcotest.(check int) (label ^ ": count") (Tap.count oracle)
+                (Recorder.count r);
+              Alcotest.(check (array int))
+                (label ^ ": decisions") (Tap.decisions oracle)
+                (Recorder.decisions r);
+              Alcotest.(check (array int))
+                (label ^ ": preemptions") (Tap.preemptions oracle)
+                (Recorder.preemptions r))
+            Engine.all)
+        (corpus ()))
+    [
+      ("round-robin", Sched.Round_robin);
+      ("random:1", Sched.Random 1);
+      ("random:2", Sched.Random 2);
+      ("random:3", Sched.Random 3);
+    ]
+
+(* The lock-event-only witness (block engine, window path) yields the
+   cycle keys of the full detector (fast engine, every event) on every
+   catalog app, buggy and clean, at every seed of a triage-sized sweep. *)
+let witness_keys_match_detector () =
+  let policies =
+    Sched.Round_robin :: List.init 25 (fun s -> Sched.Random (s + 1))
+  in
+  let with_cycles = ref 0 in
+  List.iter
+    (fun (s : Spec.t) ->
+      List.iter
+        (fun variant ->
+          let p = (s.make ~variant ~oracle:false).program in
+          List.iter
+            (fun policy ->
+              let config = config policy in
+              let det = Detect.create () in
+              ignore
+                (Engine.run_program ~config
+                   ~hooks:(Hooks.bundle ~race:(Detect.probe det) ())
+                   Engine.Fast p);
+              let expected =
+                List.sort_uniq compare
+                  (List.map Conair.Race.Report.cycle_key
+                     (Detect.report det).Conair.Race.Report.cycles)
+              in
+              if expected <> [] then incr with_cycles;
+              let w = Lockorder.witness () in
+              ignore
+                (Engine.run_program ~config
+                   ~hooks:(Hooks.bundle ~race:(Lockorder.witness_probe w) ())
+                   Engine.Block p);
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s/%s: cycle keys" s.info.name
+                   (match variant with
+                   | Spec.Buggy -> "buggy"
+                   | Spec.Clean -> "clean"))
+                expected (Lockorder.cycle_keys w))
+            policies)
+        [ Spec.Buggy; Spec.Clean ])
+    (Registry.all @ Registry.extended);
+  Alcotest.(check bool) "some runs close lock-order cycles" true
+    (!with_cycles > 0)
+
+(* The link and compile memos never keep a program alive: once a program
+   is dropped its image and code go with it, while a live program keeps
+   getting the same ones back. *)
+let memos_follow_program_liveness () =
+  let module Link = Conair.Runtime.Link in
+  let module Compile = Conair.Runtime.Compile in
+  let fresh () =
+    ((List.hd Registry.all).Spec.make ~variant:Spec.Buggy ~oracle:false)
+      .Spec.program
+  in
+  let live = fresh () in
+  let image = Link.link live in
+  let code = Compile.compile image in
+  let images = Weak.create 1 and codes = Weak.create 1 in
+  let[@inline never] drop () =
+    let lp = Link.link (fresh ()) in
+    Weak.set images 0 (Some lp);
+    Weak.set codes 0 (Some (Compile.compile lp))
+  in
+  drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped program's image collected" false
+    (Weak.check images 0);
+  Alcotest.(check bool) "dropped program's code collected" false
+    (Weak.check codes 0);
+  Alcotest.(check bool) "live program: same image" true
+    (Link.link live == image);
+  Alcotest.(check bool) "live program: same code" true
+    (Compile.compile (Link.link live) == code)
+
 let suites =
   [
     ( "fast-exec",
@@ -379,4 +552,15 @@ let suites =
           Alcotest.test_case "choose_idx mirrors choose" `Quick
             choose_idx_agrees;
         ] );
+    ( "fast-path",
+      [
+        Alcotest.test_case "recorder and witness keep block unhooked" `Quick
+          recorder_and_witness_stay_unhooked;
+        Alcotest.test_case "run-length recording matches the tap oracle"
+          `Quick recorder_matches_tap_oracle;
+        Alcotest.test_case "witness cycle keys match the detector" `Quick
+          witness_keys_match_detector;
+        Alcotest.test_case "memos follow program liveness" `Quick
+          memos_follow_program_liveness;
+      ] );
   ]

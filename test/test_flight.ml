@@ -21,7 +21,7 @@ module Flight_ring = Conair.Runtime.Flight_ring
 module Flight = Conair.Obs.Flight
 module Replay = Conair.Replay
 module Log = Replay.Log
-module Recorder = Replay.Recorder
+module Recorder = Test_util.Tap_recorder
 module Bundle = Replay.Bundle
 module Spec = Conair_bugbench.Bench_spec
 module Registry = Conair_bugbench.Registry
@@ -46,9 +46,9 @@ let ident name =
 
 let ints = Alcotest.(array int)
 
-(* Run [p] once on [engine] with a flight ring of [cap] decisions and a
-   full recorder tapping the same scheduler, so the ring's retained tail
-   can be checked against ground truth. *)
+(* Run [p] once on [engine] with a flight ring of [cap] decisions and an
+   independent tap recorder on the same scheduler, so the ring's retained
+   tail can be checked against ground truth. *)
 let ring_vs_recorder ?cap engine p =
   let ring = Flight_ring.create ?cap () in
   let r = Recorder.create () in

@@ -57,7 +57,7 @@ let record_traced config ?meta p =
   let r = Recorder.create () in
   let m =
     Machine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~trace:sink ~tap:(Recorder.tap r) ())
+      ~hooks:(Hooks.bundle ~trace:sink ~flight:r ())
       p
   in
   let outcome = Machine.run m in

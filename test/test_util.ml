@@ -21,6 +21,35 @@ let check_valid p =
         (Format.pp_print_list Validate.pp_problem)
         problems
 
+(* --- The tap recorder: an independent preemption classifier --------- *)
+
+(* A schedule recorder built as a scheduler tap that classifies each
+   decision itself: a switch is preemptive when the previously chosen
+   thread is still in the eligible list. The engines classify on their
+   own as they push into the flight slot, which is where the library's
+   recorder lives; tests keep this one as the oracle for that stream. *)
+module Tap_recorder = struct
+  type t = {
+    mutable rev : int list;  (* decisions, newest first *)
+    mutable n : int;
+    mutable prev : int;
+    mutable pre_rev : int list;  (* preemptive ordinals, newest first *)
+  }
+
+  let create () = { rev = []; n = 0; prev = -1; pre_rev = [] }
+
+  let tap r ~chosen ~eligible =
+    if chosen <> r.prev && r.prev >= 0 && List.mem r.prev eligible then
+      r.pre_rev <- r.n :: r.pre_rev;
+    r.rev <- chosen :: r.rev;
+    r.n <- r.n + 1;
+    r.prev <- chosen
+
+  let count r = r.n
+  let decisions r = Array.of_list (List.rev r.rev)
+  let preemptions r = Array.of_list (List.rev r.pre_rev)
+end
+
 (* --- Execution helpers -------------------------------------------- *)
 
 let run ?(policy = Conair.Runtime.Sched.Round_robin) ?(fuel = 500_000) p =
