@@ -780,20 +780,17 @@ let bench_interp () =
     time_best ~repeats:12 (fun () ->
         let ring = Conair.Runtime.Flight_ring.create () in
         Engine.run_program ~config:micro_config
-          ~hooks:(Conair.Runtime.Hooks.bundle ~flight:ring ())
+          ~observer:(Conair.Runtime.Flight_ring.observer ring)
           Engine.Block micro)
   in
   (* The full-recording column: the block engine with a schedule
-     recorder on the flight slot (recorder creation included, log
-     extraction excluded, as the flight column excludes the dump). The
-     @perf gate holds this within 5% of recorder-off too. *)
+     recorder attached (recorder creation included, log extraction
+     excluded, as the flight column excludes the dump). The @perf gate
+     holds this within 5% of recorder-off too. *)
   let (recorded_m, recorded_out), recorded_t =
     time_best ~repeats:12 (fun () ->
         Engine.run_program ~config:micro_config
-          ~hooks:
-            (Conair.Runtime.Hooks.bundle
-               ~flight:(Conair.Replay.Recorder.create ())
-               ())
+          ~observer:(Conair.Replay.Recorder.(observer (create ())))
           Engine.Block micro)
   in
   if
@@ -865,8 +862,6 @@ let bench_interp () =
               ("block_flight_steps_per_sec", Float flight_sps);
               ("block_recorded_seconds", Float recorded_t);
               ("block_recorded_steps_per_sec", Float recorded_sps);
-              (* fast over ref; kept under its historical name *)
-              ("speedup", Float (fast_sps /. ref_sps));
               ("fast_vs_ref", Float (fast_sps /. ref_sps));
               ("block_vs_ref", Float (block_sps /. ref_sps));
               ("block_vs_fast", Float (block_sps /. fast_sps));
@@ -880,7 +875,6 @@ let bench_interp () =
               ("ref_seconds", Float sweep_ref_t);
               ("fast_seconds", Float sweep_fast_t);
               ("block_seconds", Float sweep_block_t);
-              ("speedup", Float (sweep_ref_t /. sweep_fast_t));
               ("fast_vs_ref", Float (sweep_ref_t /. sweep_fast_t));
               ("block_vs_ref", Float (sweep_ref_t /. sweep_block_t));
               ("block_vs_fast", Float (sweep_fast_t /. sweep_block_t));

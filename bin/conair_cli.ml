@@ -27,7 +27,7 @@ module Spec = Conair_bugbench.Bench_spec
 module Registry = Conair_bugbench.Registry
 module Machine = Conair.Runtime.Machine
 module Engine = Conair.Runtime.Engine
-module Hooks = Conair.Runtime.Hooks
+module Event = Conair.Runtime.Event
 module Outcome = Conair.Runtime.Outcome
 module Sched = Conair.Runtime.Sched
 module Stats = Conair.Runtime.Stats
@@ -107,17 +107,6 @@ let engine_arg =
   in
   let e = Arg.enum (List.map (fun e -> (Engine.name e, e)) Engine.all) in
   Arg.(value & opt e Engine.Fast & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-(* The one engine-dispatch point every subcommand shares: create the
-   selected machine with the requested hooks attached for its lifetime,
-   run it, and hand back both. *)
-let run_with_engine ~config ?meta ?trace ?profile engine program =
-  let m =
-    Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ?trace ?profile ())
-      engine program
-  in
-  (m, Engine.run m)
 
 let find_spec name =
   match Registry.find name with
@@ -347,7 +336,7 @@ let bundle_out_arg =
 let bundle_file_of ~dir app =
   Filename.concat dir ("flight_" ^ String.lowercase_ascii app ^ ".bundle.json")
 
-(* Capture the run with the flight hook (deterministic, so identical to
+(* Capture the run with a flight ring (deterministic, so identical to
    the displayed one) and dump the diagnostic bundle. [reason] records
    why: the displayed run's failure, or an explicit request. *)
 let flight_capture ~config ~engine ~app ~variant ~oracle ~mode ~dir ~reason
@@ -838,10 +827,11 @@ let profile_cmd =
           let prof = Obs.Prof.create () in
           let sink = Trace.create () in
           let _, outcome =
-            run_with_engine ~config
+            Engine.run_program ~config
               ~meta:(Machine.meta_of_harden h.hardened)
-              ~trace:sink ~profile:(Obs.Prof.probe prof) engine
-              h.hardened.program
+              ~observer:
+                (Event.combine [ Trace.observer sink; Obs.Prof.probe prof ])
+              engine h.hardened.program
           in
           Obs.Prof.finalize prof;
           Format.printf "outcome:    %a@." Outcome.pp outcome;

@@ -49,7 +49,7 @@
    With --jobs N (or --campaign DIR), this process becomes a
    *coordinator*: it shards the seed range into N contiguous chunks,
    re-executes itself once per chunk (`--worker i` + the chunk's
-   --seeds; process fan-out keeps the [Runtime.Hooks] slots
+   --seeds; process fan-out keeps each run's observers
    single-owner), tails the worker JSONL streams into live Prometheus
    counters (DIR/metrics.prom), and at the end folds the streams through
    [Obs.Campaign] into one report (DIR/report.json): findings deduped by

@@ -203,7 +203,6 @@ let check_bench_interp file =
           "ref_seconds";
           "fast_seconds";
           "block_seconds";
-          "speedup";
           "fast_vs_ref";
           "block_vs_ref";
           "block_vs_fast";
@@ -242,8 +241,9 @@ let check_bench_interp file =
                    ratio (block /. fast))
           | _ -> ());
           (* the recorders' overhead gates, same-run ratios: the always-on
-             flight ring and a full schedule recording, both fed through
-             the flight slot, must each cost the block engine at most 5% *)
+             flight ring and a full schedule recording, both observers of
+             decisions and sync events only, must each cost the block engine
+             at most 5% *)
           List.iter
             (fun (what, steps_field, ratio_field) ->
               match

@@ -65,9 +65,7 @@ let () =
   let meta = Machine.meta_of_harden h.hardened in
   let sink = Trace.create () in
   let m =
-    Machine.create ~meta
-      ~hooks:(Conair.Runtime.Hooks.bundle ~trace:sink ())
-      h.hardened.program
+    Machine.create ~meta ~observer:(Trace.observer sink) h.hardened.program
   in
   let outcome = Machine.run m in
   Format.printf "outcome: %a@." Outcome.pp outcome;

@@ -63,10 +63,8 @@ module Runtime = struct
   module Compile = Conair_runtime.Compile
   module Block_machine = Conair_runtime.Block_machine
   module Engine = Conair_runtime.Engine
-  module Hooks = Conair_runtime.Hooks
+  module Event = Conair_runtime.Event
   module Trace = Conair_runtime.Trace
-  module Profile = Conair_runtime.Profile
-  module Race_probe = Conair_runtime.Race_probe
   module Flight_ring = Conair_runtime.Flight_ring
 end
 
@@ -187,16 +185,18 @@ let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
   | Some w, Some mi ->
       Conair_obs.Jsonl.write_json w (Conair_obs.Jsonl.meta_json ~config mi)
   | _ -> ());
-  let emit ev =
-    (match trace_writer with
-    | Some w -> w.Conair_obs.Jsonl.write (Conair_obs.Jsonl.event_line ev)
-    | None -> ());
-    Conair_obs.Report.live_metrics live ev
+  let emit =
+    Option.map
+      (fun w ev -> w.Conair_obs.Jsonl.write (Conair_obs.Jsonl.event_line ev))
+      trace_writer
   in
-  let sink = Trace.create ~emit () in
+  let sink = Trace.create ?emit () in
   let m =
-    Engine.create ~config ?meta ~hooks:(Hooks.bundle ~trace:sink ()) engine
-      program
+    Engine.create ~config ?meta
+      ~observer:
+        (Event.combine
+           [ Trace.observer sink; Conair_obs.Report.live_metrics live ])
+      engine program
   in
   let outcome = Engine.run m in
   let run = make_run m outcome in
@@ -239,9 +239,8 @@ let run_profiled ?(config = Machine.default_config) ?(engine = Engine.Fast)
   let meta = Machine.meta_of_harden h.hardened in
   let prof = Conair_obs.Prof.create () in
   let m =
-    Engine.create ~config ~meta
-      ~hooks:(Hooks.bundle ~profile:(Conair_obs.Prof.probe prof) ())
-      engine h.hardened.program
+    Engine.create ~config ~meta ~observer:(Conair_obs.Prof.probe prof) engine
+      h.hardened.program
   in
   let outcome = Engine.run m in
   Conair_obs.Prof.finalize prof;
@@ -256,9 +255,7 @@ let run_detected ?(config = Machine.default_config) ?(engine = Engine.Fast)
     ?options ?meta (p : Program.t) : run * Conair_race.Report.t =
   let d = Conair_race.Detect.create ?options () in
   let m =
-    Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~race:(Conair_race.Detect.probe d) ())
-      engine p
+    Engine.create ~config ?meta ~observer:(Conair_race.Detect.probe d) engine p
   in
   let outcome = Engine.run m in
   (make_run m outcome, Conair_race.Detect.report d)
@@ -297,15 +294,17 @@ let mode_name : mode -> string = function
   | Fix _ -> "fix"
 
 (* Record while keeping the machine, so the result is a full facade
-   [run] next to the schedule log. [race] rides along in the same hook
-   bundle — campaign workers observe schedule coverage (the
-   [Obs.Coverage] collector probe) on the very run they record. *)
+   [run] next to the schedule log. [race] observes the same run next to
+   the recorder — campaign workers observe schedule coverage (the
+   [Obs.Coverage] collector) on the very run they record. *)
 let record_into ?(config = Machine.default_config) ?(engine = Engine.Fast)
     ?meta ?race ~ident program : run * Replay.Log.t =
   let r = Conair_replay.Recorder.create () in
   let m =
     Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ?race ~flight:r ())
+      ~observer:
+        (Event.combine
+           (Conair_replay.Recorder.observer r :: Option.to_list race))
       engine program
   in
   let outcome = Engine.run m in
@@ -350,8 +349,9 @@ let run_recorded ?config ?engine ?ident ?race (h : hardened) :
 
 (** Run with the flight recorder attached: the run plus the diagnostic
     bundle its ring retained — the always-on post-mortem artifact. The
-    flight hook keeps the block engine on its window fast path, so this
-    is cheap enough to leave on everywhere. *)
+    ring observes decisions and sync events only, which keeps the block
+    engine on its window fast path, so this is cheap enough to leave on
+    everywhere. *)
 let run_flight ?(config = Machine.default_config) ?(engine = Engine.Fast)
     ?meta ?cap ?reason ~ident program : run * Conair_obs.Flight.t =
   let m, outcome, bundle =
@@ -421,9 +421,10 @@ type trial = {
     like ConSeq to prune well tested potential failure sites").
 
     [profile_sites] runs the *original* program [runs] times (varying the
-    random seed when the policy is random) with per-instruction profiling
-    and returns, for each survival-mode failure site, how often its
-    instruction executed across runs where the program succeeded.
+    random seed when the policy is random) with a per-step observer
+    counting executions per instruction, and returns, for each
+    survival-mode failure site, how often its instruction executed
+    across runs where the program succeeded.
 
     [well_tested ~threshold] extracts the site iids executed at least
     [threshold] times — candidates for exclusion via
@@ -443,18 +444,26 @@ let profile_sites ?(config = Machine.default_config) ?(runs = 5)
     let config =
       {
         config with
-        profile_sites = true;
         policy =
           (match config.policy with
           | Sched.Random seed -> Sched.Random (seed + i)
           | Sched.Round_robin -> Sched.Round_robin);
       }
     in
-    let m, outcome = Machine.run_program ~config p in
-    if Outcome.is_success outcome then
+    let hits = Hashtbl.create 64 in
+    let count _ = function
+      | Event.Step { iid; _ } when iid >= 0 ->
+          Hashtbl.replace hits iid
+            (1 + Option.value ~default:0 (Hashtbl.find_opt hits iid))
+      | _ -> ()
+    in
+    let m =
+      Machine.create ~config ~observer:(Event.observer ~steps:true count) p
+    in
+    if Outcome.is_success (Machine.run m) then
       List.iter
         (fun (s : Conair_analysis.Site.t) ->
-          let n = Stats.iid_hits_of (Machine.stats m) s.iid in
+          let n = Option.value ~default:0 (Hashtbl.find_opt hits s.iid) in
           Hashtbl.replace totals s.site_id
             (n + Option.value ~default:0 (Hashtbl.find_opt totals s.site_id)))
         sites

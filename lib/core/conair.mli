@@ -63,10 +63,8 @@ module Runtime : sig
   module Compile = Conair_runtime.Compile
   module Block_machine = Conair_runtime.Block_machine
   module Engine = Conair_runtime.Engine
-  module Hooks = Conair_runtime.Hooks
+  module Event = Conair_runtime.Event
   module Trace = Conair_runtime.Trace
-  module Profile = Conair_runtime.Profile
-  module Race_probe = Conair_runtime.Race_probe
   module Flight_ring = Conair_runtime.Flight_ring
 end
 
@@ -287,21 +285,21 @@ val record_run :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
   ?ident:Replay.Log.ident ->
-  ?race:Conair_runtime.Race_probe.probe ->
+  ?race:Conair_runtime.Event.observer ->
   Conair_ir.Program.t ->
   run * Replay.Log.t
-(** {!execute} with the schedule recorder installed: the run plus a
+(** {!execute} with the schedule recorder attached: the run plus a
     self-contained schedule log (embedded program, config, decision
     stream, result trailer) that replays it bit-for-bit on any engine.
-    [race] installs an additional race probe in the same scoped hook
-    installation — e.g. an {!Obs.Coverage} collector observing schedule
-    coverage on the recorded run. *)
+    [race] attaches an additional observer next to the recorder — e.g.
+    an {!Obs.Coverage} collector observing schedule coverage on the
+    recorded run. *)
 
 val run_recorded :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
   ?ident:Replay.Log.ident ->
-  ?race:Conair_runtime.Race_probe.probe ->
+  ?race:Conair_runtime.Event.observer ->
   hardened ->
   run * Replay.Log.t
 (** {!execute_hardened} with the schedule recorder installed. The

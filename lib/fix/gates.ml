@@ -16,10 +16,10 @@
       absent from a baseline sweep of the original program).
 
    Gates 2 and 3 share one sweep per candidate, observed by exactly what
-   they read: a recorder on the flight slot (the interleaving signature)
-   and the lock-order witness graph (the cycle keys). Neither needs a
-   per-step observer, so on the block engine — the default — the sweep
-   runs on the compiled window path.
+   they read: a recorder (the interleaving signature) and the lock-order
+   witness graph (the cycle keys). Neither observes steps or accesses, so on
+   the block engine — the default — the sweep runs on the compiled
+   window path.
 
    Everything reported here is deterministic in (program, config,
    seeds): counts come from the engines' differential-guaranteed
@@ -78,7 +78,8 @@ let sweep ?(engine = Engine.Block) ?accept ~config ~seeds (p : Program.t) :
     let m =
       Engine.create
         ~config:{ config with Machine.policy }
-        ~hooks:(Hooks.bundle ~race:(Lockorder.witness_probe lo) ~flight:rc ())
+        ~observer:
+          (Event.combine [ Lockorder.witness_probe lo; Recorder.observer rc ])
         engine p
     in
     let outcome = Engine.run m in

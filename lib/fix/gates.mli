@@ -48,9 +48,9 @@ val sweep :
   seeds:int ->
   Program.t ->
   sweep
-(** One round-robin run plus [seeds] seeded random runs, each with a
-    {!Conair_replay.Recorder} on the flight slot and the
-    {!Conair_race.Lockorder.witness_probe} as the race observer. *)
+(** One round-robin run plus [seeds] seeded random runs, each observed
+    by a {!Conair_replay.Recorder} and the
+    {!Conair_race.Lockorder.witness_probe}. *)
 
 val regression_gate : sweep -> result
 (** Gate 2 over a candidate's sweep. *)

@@ -32,7 +32,7 @@ module Rewrite = Conair_transform.Rewrite
 module Region = Conair_analysis.Region
 module Site = Conair_analysis.Site
 module Report = Conair_race.Report
-module Race_probe = Conair_runtime.Race_probe
+module Event = Conair_runtime.Event
 module Label = Ident.Label
 module Reg = Ident.Reg
 
@@ -82,7 +82,7 @@ let access_iids (p : Program.t) (r : Report.race) =
   in
   let iids =
     match r.Report.rc_addr with
-    | Race_probe.A_global g ->
+    | Event.A_global g ->
         let hits = ref [] in
         Program.iter_funcs p (fun f ->
             Func.iter_instrs f (fun _ i ->
@@ -96,7 +96,7 @@ let access_iids (p : Program.t) (r : Report.race) =
                   || touches (Instr.mem_writes i.Instr.op)
                 then hits := i.Instr.iid :: !hits));
         !hits @ reported
-    | Race_probe.A_slot _ | Race_probe.A_cell _ | Race_probe.A_block _ ->
+    | Event.A_slot _ | Event.A_cell _ | Event.A_block _ ->
         reported
   in
   List.sort_uniq compare iids

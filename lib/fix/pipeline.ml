@@ -135,8 +135,7 @@ let detect_races ~(options : options) (p : Program.t) : Report.t =
       Engine.create
         ~config:{ config with Machine.policy }
         ?meta
-        ~hooks:(Hooks.bundle ~race:(Detect.probe det) ())
-        options.engine program
+        ~observer:(Detect.probe det) options.engine program
     in
     ignore (Engine.run m);
     Detect.report det

@@ -28,10 +28,10 @@ val default_options : options
 
     Block is the default because the pipeline's bulk — the failing-run
     search and the validation sweeps — carries only a schedule recorder
-    and the lock-order witness graph, neither of which is a per-step
-    observer, so those runs stay on the block engine's compiled window
-    path. Detection (the full race detector) and directed replay (a
-    feed) are per-step hooks and step generically on any engine. The
+    and the lock-order witness graph, neither of which observes steps
+    or accesses, so those runs stay on the block engine's compiled window
+    path. Detection (the full race detector, an access observer) and
+    directed replay (a feed) step generically on any engine. The
     report is byte-identical on every engine, so the choice only moves
     time. *)
 

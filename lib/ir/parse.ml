@@ -70,6 +70,20 @@ type lexer = {
 let fail_at line fmt =
   Format.kasprintf (fun message -> raise (Error { line; message })) fmt
 
+let is_digit c = c >= '0' && c <= '9'
+
+(* A decimal literal, sign included so [min_int] is writable; one that
+   does not fit an OCaml int is a parse error, not an exception. *)
+let lex_int lx ~sign =
+  let start = lx.pos in
+  while lx.pos < String.length lx.src && is_digit lx.src.[lx.pos] do
+    lx.pos <- lx.pos + 1
+  done;
+  let digits = String.sub lx.src start (lx.pos - start) in
+  match int_of_string_opt (sign ^ digits) with
+  | Some n -> n
+  | None -> fail_at lx.line "integer literal %s%s is out of range" sign digits
+
 let is_ident_char c =
   (c >= 'a' && c <= 'z')
   || (c >= 'A' && c <= 'Z')
@@ -148,20 +162,14 @@ let rec next_token lx =
     | '"' -> STRING (lex_string lx)
     | '-' ->
         lx.pos <- lx.pos + 1;
-        (match next_token lx with
-        | INT n -> INT (-n)
-        | t -> fail_at lx.line "expected a number after '-', got %s"
-                 (token_to_string t))
-    | c when c >= '0' && c <= '9' ->
-        let start = lx.pos in
-        while
-          lx.pos < String.length lx.src
-          && lx.src.[lx.pos] >= '0'
-          && lx.src.[lx.pos] <= '9'
-        do
-          lx.pos <- lx.pos + 1
-        done;
-        INT (int_of_string (String.sub lx.src start (lx.pos - start)))
+        if lx.pos < String.length lx.src && is_digit lx.src.[lx.pos] then
+          INT (lex_int lx ~sign:"-")
+        else (
+          match next_token lx with
+          | INT n -> INT (-n)
+          | t -> fail_at lx.line "expected a number after '-', got %s"
+                   (token_to_string t))
+    | c when is_digit c -> INT (lex_int lx ~sign:"")
     | c when is_ident_char c -> IDENT (lex_ident lx)
     | c -> fail_at lx.line "unexpected character '%c'" c
 

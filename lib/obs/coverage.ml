@@ -1,9 +1,10 @@
 (* Schedule-coverage observability: interleaving signatures, the
-   race-probe collector, and the per-app coverage map.
+   collector of a run's observation stream, and the per-app coverage
+   map.
 
    Determinism is the load-bearing property. The signature inputs — the
-   recorder's decision/preemption arrays and the race probe's event
-   stream — are byte-identical across the ref/fast/block engines (the
+   recorder's decision/preemption arrays and the observation stream's
+   access events — are byte-identical across the ref/fast/block engines (the
    differential guarantee of test_fast_exec), so everything derived here
    is too: the same recorded run yields the same signature no matter
    which engine executed it, which worker observed it, or how many times
@@ -12,19 +13,19 @@
 open Conair_runtime
 module SS = Set.Make (String)
 
-let addr_string : Race_probe.addr -> string = function
+let addr_string : Event.addr -> string = function
   | A_global g -> "global:" ^ g
   | A_slot (tid, s) -> Printf.sprintf "slot:%d:%s" tid s
   | A_cell (b, i) -> Printf.sprintf "cell:%d:%d" b i
   | A_block b -> Printf.sprintf "block:%d" b
 
-let addr_class : Race_probe.addr -> string = function
+let addr_class : Event.addr -> string = function
   | A_global _ -> "global"
   | A_slot _ -> "slot"
   | A_cell _ -> "cell"
   | A_block _ -> "block"
 
-let kind_char : Race_probe.kind -> char = function Read -> 'r' | Write -> 'w'
+let kind_char : Event.kind -> char = function Read -> 'r' | Write -> 'w'
 
 type observed = {
   ob_orders : (string * string) list;
@@ -91,7 +92,7 @@ let order_cap = 2048
 type per_addr = {
   mutable pa_folded : string option;  (* rolling digest of overflowed text *)
   pa_buf : Buffer.t;
-  mutable pa_last : (int * string * Race_probe.kind) option;
+  mutable pa_last : (int * string * Event.kind) option;
       (* (tid, block, kind) of the previous access *)
 }
 
@@ -128,7 +129,7 @@ let fold_if_full pa =
     Buffer.clear pa.pa_buf
   end
 
-let on_access c ~tid ~block ~(kind : Race_probe.kind) ~addr =
+let on_access c ~tid ~block ~(kind : Event.kind) ~addr =
   let a = addr_string addr in
   let cls = addr_class addr in
   let pa = per_addr c a cls in
@@ -149,23 +150,14 @@ let on_access c ~tid ~block ~(kind : Race_probe.kind) ~addr =
   | _ -> ());
   pa.pa_last <- Some (tid, block, kind)
 
-let probe (c : collector) : Race_probe.probe =
-  {
-    rp_access =
-      Some
-        (fun ~step:_ ~tid ~iid:_ ~stack:_ ~block ~kind ~addr ~locks:_ ->
-          on_access c ~tid ~block ~kind ~addr);
-    rp_acquire =
-      (fun ~step:_ ~tid:_ ~iid:_ ~lock ~locks:_ ->
-        c.cl_points <- SS.add ("lock:" ^ lock) c.cl_points);
-    rp_request =
-      (fun ~step:_ ~tid:_ ~iid:_ ~lock ~locks:_ ->
-        c.cl_points <- SS.add ("wait:" ^ lock) c.cl_points);
-    rp_release = (fun ~step:_ ~tid:_ ~lock:_ -> ());
-    rp_spawn = (fun ~step:_ ~parent:_ ~child:_ -> ());
-    rp_join = (fun ~step:_ ~tid:_ ~joined:_ -> ());
-    rp_wake = (fun ~step:_ ~waker:_ ~woken:_ -> ());
-  }
+let probe (c : collector) =
+  Event.observer ~sync:true ~accesses:true (fun (v : Event.view) ev ->
+      match (ev : Event.t) with
+      | Access { tid; kind; addr; _ } ->
+          on_access c ~tid ~block:(v.block tid) ~kind ~addr
+      | Acquire { lock; _ } -> c.cl_points <- SS.add ("lock:" ^ lock) c.cl_points
+      | Request { lock; _ } -> c.cl_points <- SS.add ("wait:" ^ lock) c.cl_points
+      | _ -> ())
 
 let order_text pa =
   match pa.pa_folded with

@@ -1,6 +1,6 @@
 (** Schedule-coverage observability: canonical interleaving signatures,
-    a race-probe-backed collector of schedulable program points, and a
-    per-app coverage map with novelty scoring.
+    a collector of schedulable program points over the observation
+    stream, and a per-app coverage map with novelty scoring.
 
     The paper's evaluation (§5) turns on how {e narrow} the buggy
     interleaving window is — how many schedules hit the bug. This module
@@ -8,14 +8,14 @@
 
     - an {b interleaving signature} ({!signature}): a digest of a run's
       preemption-point sequence (from the schedule recorder) plus its
-      per-address access-order tallies (from the race probe). Two runs
+      per-address access-order tallies (from the access events). Two runs
       with the same signature exercised the same interleaving shape, so
       campaign findings dedupe by it. Both inputs are byte-identical
       across the ref/fast/block engines, making signatures
       engine-independent and stable across coordinator restarts;
 
-    - a {b collector} ({!collector}, {!probe}): a
-      {!Conair_runtime.Race_probe.probe} that watches a run and distils
+    - a {b collector} ({!collector}, {!probe}): an
+      {!Conair_runtime.Event.observer} that watches a run and distils
       it to an {!observed} summary — which schedulable program points
       (block × access kind, lock operations) and which cross-thread
       happens-before edge shapes were exercised, plus the per-address
@@ -32,7 +32,7 @@
 
 open Conair_runtime
 
-val addr_string : Race_probe.addr -> string
+val addr_string : Event.addr -> string
 (** The stable textual form of an address ("global:x", "slot:TID:name",
     "cell:BLOCK:OFF", "block:ID") — the same vocabulary the race
     detector's reports use. *)
@@ -61,8 +61,8 @@ type collector
 
 val collector : unit -> collector
 
-val probe : collector -> Race_probe.probe
-(** Install on a machine (via [Hooks.with_installed ~race]) to build the
+val probe : collector -> Event.observer
+(** Attach to a run (it consumes access and sync events) to build the
     {!observed} summary as the run executes. *)
 
 val observed : collector -> observed

@@ -43,7 +43,6 @@ let config_json (c : Machine.config) : Json.t =
       ("verify_rollbacks", Json.Bool c.verify_rollbacks);
       ("perturb_timing", Json.Bool c.perturb_timing);
       ("spawn_jitter", Json.Int c.spawn_jitter);
-      ("profile_sites", Json.Bool c.profile_sites);
     ]
 
 let policy_of_json : Json.t -> (Sched.policy, string) result = function
@@ -56,7 +55,8 @@ let policy_of_json : Json.t -> (Sched.policy, string) result = function
 
 (* Decode a [config_json] object. Fields absent from the object (logs
    written before a knob existed) keep their [Machine.default_config]
-   value; present fields must be well-typed. *)
+   value; present fields must be well-typed. Members of retired knobs
+   (["profile_sites"]) are ignored. *)
 let config_of_json (j : Json.t) : (Machine.config, string) result =
   let ( let* ) = Result.bind in
   let field name decode default =
@@ -91,7 +91,6 @@ let config_of_json (j : Json.t) : (Machine.config, string) result =
       let* verify_rollbacks = field "verify_rollbacks" bool d.verify_rollbacks in
       let* perturb_timing = field "perturb_timing" bool d.perturb_timing in
       let* spawn_jitter = field "spawn_jitter" int d.spawn_jitter in
-      let* profile_sites = field "profile_sites" bool d.profile_sites in
       Ok
         {
           Machine.policy;
@@ -102,7 +101,6 @@ let config_of_json (j : Json.t) : (Machine.config, string) result =
           verify_rollbacks;
           perturb_timing;
           spawn_jitter;
-          profile_sites;
         }
   | _ -> Error "config: expected an object"
 

@@ -92,7 +92,7 @@ val sink :
     When [meta] is given, the header record is written immediately.
     [store] defaults to [false]: streaming does not retain events in
     memory unless asked (pass [~store:true] to also keep them for span
-    building after the run). Install with [Machine.set_trace]. *)
+    building after the run). Attach to a run with [Trace.observer]. *)
 
 val events_to_lines : ?config:Machine.config -> ?meta:run_meta ->
   Trace.event list -> string list

@@ -176,8 +176,7 @@ let measure ?(config = Machine.default_config) ?(random_runs = 5) ?detect
   let prof = Prof.create () in
   let meta = Machine.meta_of_harden h_surv in
   let m =
-    Machine.create ~config ~meta
-      ~hooks:(Hooks.bundle ~profile:(Prof.probe prof) ())
+    Machine.create ~config ~meta ~observer:(Prof.probe prof)
       h_surv.Harden.program
   in
   ignore (Machine.run m);

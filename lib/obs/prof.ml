@@ -1,5 +1,6 @@
-(* The deterministic virtual-time cost profiler: the accumulator behind
-   [Runtime.Profile.probe].
+(* The deterministic virtual-time cost profiler: a fold over the run's
+   observation stream ([Runtime.Event]) — its steps, idle ticks and
+   rollbacks.
 
    Attribution model. Every scheduler step belongs to a *context* — the
    call stack (function names, outermost first) plus the current block's
@@ -119,15 +120,15 @@ let context_key ~stack ~block =
      collapsed convention is root first with the block as leaf frame. *)
   String.concat ";" (List.rev_append stack [ block ])
 
-let on_step t ~step ~tid ~stack ~block ~cls =
+let on_step t ~step ~tid ~stack ~block ~ckpt =
   t.last_step <- step;
   let key = context_key ~stack ~block in
-  match (cls : Profile.step_class) with
-  | Profile.Normal -> bump (pending_of t tid) key 1
-  | Profile.Checkpoint ->
-      t.useful_total <- t.useful_total + flush_pending (pending_of t tid) t.useful;
-      bump t.ckpt key 1;
-      t.ckpt_total <- t.ckpt_total + 1
+  if ckpt then begin
+    t.useful_total <- t.useful_total + flush_pending (pending_of t tid) t.useful;
+    bump t.ckpt key 1;
+    t.ckpt_total <- t.ckpt_total + 1
+  end
+  else bump (pending_of t tid) key 1
 
 let on_rollback t ~step ~tid ~site_id =
   t.last_step <- step;
@@ -149,13 +150,14 @@ let on_idle t ~step =
   t.last_step <- step;
   t.idle_total <- t.idle_total + 1
 
-let probe t : Profile.probe =
-  {
-    Profile.p_step =
-      (fun ~step ~tid ~stack ~block ~cls -> on_step t ~step ~tid ~stack ~block ~cls);
-    p_rollback = (fun ~step ~tid ~site_id -> on_rollback t ~step ~tid ~site_id);
-    p_idle = (fun ~step -> on_idle t ~step);
-  }
+let probe t =
+  Event.observer ~sync:true ~steps:true (fun (v : Event.view) ev ->
+      match (ev : Event.t) with
+      | Step { step; tid; ckpt; _ } ->
+          on_step t ~step ~tid ~stack:(v.stack tid) ~block:(v.block tid) ~ckpt
+      | Rollback { step; tid; site_id; _ } -> on_rollback t ~step ~tid ~site_id
+      | Idle { step } -> on_idle t ~step
+      | _ -> ())
 
 (** Flush the remaining pending steps to useful and close the profile.
     Idempotent; call once the run has finished, before reading. *)

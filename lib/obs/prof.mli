@@ -1,8 +1,7 @@
 (** The deterministic virtual-time cost profiler.
 
-    [Prof.t] is the accumulator behind a {!Conair_runtime.Profile.probe}:
-    install [probe t] on a machine ([Machine.set_profile] /
-    [Ref_machine.set_profile]), run, then [finalize] and read. Every
+    [Prof.t] folds a run's observation stream: attach [probe t] as the
+    run's observer, run, then [finalize] and read. Every
     scheduler step is attributed to a context — the call stack plus the
     current block, rendered as a collapsed-stack frame path
     ["main;worker;loop_body"] — and classified as:
@@ -43,8 +42,9 @@ type sample = {
 
 val create : unit -> t
 
-val probe : t -> Conair_runtime.Profile.probe
-(** The callbacks to install on a machine. One [t] profiles one run. *)
+val probe : t -> Conair_runtime.Event.observer
+(** The observer to attach to a run: it consumes per-step events (steps,
+    idle ticks) and rollbacks. One [t] profiles one run. *)
 
 val finalize : t -> unit
 (** Flush steps still awaiting classification to {e useful} and close the

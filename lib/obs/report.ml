@@ -188,26 +188,33 @@ let standard_metrics ?into (s : Stats.t) : Metrics.t =
 
 (* --- live metrics from the event stream ---------------------------- *)
 
-let live_metrics (r : Metrics.t) (ev : Trace.event) =
+(* A counter per trace-event kind: a sleeper's wake counts before the
+   step it rides, exactly as the trace lists the two. *)
+let live_metrics (r : Metrics.t) =
   let bump name = Metrics.inc (Metrics.counter r name) in
-  match ev with
-  | Trace.Ev_schedule _ -> bump "conair_live_schedules_total"
-  | Trace.Ev_block _ -> bump "conair_live_blocks_total"
-  | Trace.Ev_wake _ -> bump "conair_live_wakes_total"
-  | Trace.Ev_spawn _ -> bump "conair_live_spawns_total"
-  | Trace.Ev_thread_done _ -> bump "conair_live_thread_exits_total"
-  | Trace.Ev_output _ -> bump "conair_live_outputs_total"
-  | Trace.Ev_checkpoint _ -> bump "conair_live_checkpoints_total"
-  | Trace.Ev_failure_detected { kind; _ } ->
-      Metrics.inc
-        (Metrics.counter
-           ~labels:[ ("kind", failure_kind_name kind) ]
-           r "conair_live_failures_detected_total")
-  | Trace.Ev_rollback _ -> bump "conair_live_rollbacks_total"
-  | Trace.Ev_compensate_lock _ | Trace.Ev_compensate_block _ ->
-      bump "conair_live_compensations_total"
-  | Trace.Ev_recovered _ -> bump "conair_live_recoveries_total"
-  | Trace.Ev_fail_stop _ -> bump "conair_live_fail_stops_total"
+  Event.observer ~sync:true ~steps:true (fun _ ev ->
+      match (ev : Event.t) with
+      | Step { woke; _ } ->
+          if woke then bump "conair_live_wakes_total";
+          bump "conair_live_schedules_total"
+      | Request _ | Wait _ -> bump "conair_live_blocks_total"
+      | Wake _ -> bump "conair_live_wakes_total"
+      | Spawn _ -> bump "conair_live_spawns_total"
+      | Thread_done _ -> bump "conair_live_thread_exits_total"
+      | Output _ -> bump "conair_live_outputs_total"
+      | Checkpoint _ -> bump "conair_live_checkpoints_total"
+      | Failure_detected { kind; _ } ->
+          Metrics.inc
+            (Metrics.counter
+               ~labels:[ ("kind", failure_kind_name kind) ]
+               r "conair_live_failures_detected_total")
+      | Rollback _ -> bump "conair_live_rollbacks_total"
+      | Release { forced = true; _ } | Compensate_block _ ->
+          bump "conair_live_compensations_total"
+      | Recovered _ -> bump "conair_live_recoveries_total"
+      | Failed { site_id; _ } when site_id >= 0 ->
+          bump "conair_live_fail_stops_total"
+      | _ -> ())
 
 (* --- the structured run report ------------------------------------- *)
 

@@ -33,12 +33,13 @@ val standard_metrics : ?into:Metrics.t -> Stats.t -> Metrics.t
 
     Pass [~into] to add them to an existing registry. *)
 
-val live_metrics : Metrics.t -> Trace.event -> unit
-(** A live hook for {!Trace.create}'s [emit]: maintains the
-    [conair_live_*] counter set (schedules, blocks, wakes, spawns,
-    outputs, checkpoints, failures detected, rollbacks, compensations,
-    recoveries, fail-stops) as the machine runs — telemetry that exists
-    even if the process never reaches the post-run report. *)
+val live_metrics : Metrics.t -> Event.observer
+(** An observer that maintains the [conair_live_*] counter set, one
+    counter per trace-event kind (schedules, blocks, wakes, spawns,
+    thread exits, outputs, checkpoints, failures detected, rollbacks,
+    compensations, recoveries, fail-stops) as the machine runs —
+    telemetry that exists even if the process never reaches the
+    post-run report. *)
 
 val run_json :
   ?meta:Jsonl.run_meta ->

@@ -1,9 +1,9 @@
-(** The online race/deadlock detector: one probe, three lenses.
+(** The online race/deadlock detector: one observer, three lenses.
 
-    Install [probe t] on a machine with [Machine.set_race] (or
-    [Ref_machine.set_race]), run, then [report t]. Reports are
-    deterministic in the schedule, so they are byte-identical across
-    runs with the same policy and seed and across the two engines. *)
+    Attach [probe t] to a run as its observer, run, then [report t].
+    Reports are deterministic in the schedule, so they are
+    byte-identical across runs with the same policy and seed and across
+    the engines. *)
 
 open Conair_runtime
 
@@ -20,5 +20,7 @@ type t
 val create : ?options:options -> unit -> t
 (** Default: every lens on. *)
 
-val probe : t -> Race_probe.probe
+val probe : t -> Event.observer
+(** Consumes access and sync events. *)
+
 val report : t -> Report.t

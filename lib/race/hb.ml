@@ -32,7 +32,7 @@ type var_state = {
 
 type t = {
   clocks : (int, Vclock.t) Hashtbl.t;
-  vars : (Race_probe.addr, var_state) Hashtbl.t;
+  vars : (Event.addr, var_state) Hashtbl.t;
   locks_vc : (string, Vclock.t) Hashtbl.t;
   cells_of_block : (int, (int, unit) Hashtbl.t) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;  (* race dedup: addr + iid pair *)
@@ -67,7 +67,7 @@ let var_of t addr =
       in
       Hashtbl.replace t.vars addr v;
       (match addr with
-      | Race_probe.A_cell (b, off) ->
+      | Event.A_cell (b, off) ->
           let cells =
             match Hashtbl.find_opt t.cells_of_block b with
             | Some s -> s
@@ -138,7 +138,7 @@ let on_write t (acc : Report.access) =
   (* Freeing a block conflicts with every unordered access to any of its
      cells: check (but do not update) each recorded cell. *)
   (match acc.Report.ac_addr with
-  | Race_probe.A_block b -> (
+  | Event.A_block b -> (
       match Hashtbl.find_opt t.cells_of_block b with
       | None -> ()
       | Some cells ->
@@ -146,11 +146,11 @@ let on_write t (acc : Report.access) =
           List.iter
             (fun off ->
               match
-                Hashtbl.find_opt t.vars (Race_probe.A_cell (b, off))
+                Hashtbl.find_opt t.vars (Event.A_cell (b, off))
               with
               | Some v ->
                   check_var t v
-                    { acc with Report.ac_addr = Race_probe.A_cell (b, off) }
+                    { acc with Report.ac_addr = Event.A_cell (b, off) }
                     c
               | None -> ())
             (List.sort compare offs))
@@ -165,8 +165,8 @@ let on_write t (acc : Report.access) =
 
 let on_access t (acc : Report.access) =
   match acc.Report.ac_kind with
-  | Race_probe.Read -> on_read t acc
-  | Race_probe.Write -> on_write t acc
+  | Event.Read -> on_read t acc
+  | Event.Write -> on_write t acc
 
 let on_acquire t ~tid ~lock =
   match Hashtbl.find_opt t.locks_vc lock with

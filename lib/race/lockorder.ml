@@ -168,29 +168,24 @@ let finalize t =
    which [on_request] also witnessed. So the key set needs neither the
    pending set nor the access events that clear it — only acquisitions
    and requests, which every engine emits at schedulable operations.
-   This is the fix synthesizer's deadlock-freedom lens: a probe without
-   an access callback, which keeps the block engine on its window path. *)
+   This is the fix synthesizer's deadlock-freedom lens: an observer of
+   sync events only, which keeps the block engine on its window path. *)
 
 type witness = (string * string, unit) Hashtbl.t
 
 let witness () : witness = Hashtbl.create 16
 
-let witness_probe (w : witness) : Conair_runtime.Race_probe.probe =
-  {
-    rp_access = None;
-    rp_acquire =
-      (fun ~step:_ ~tid:_ ~iid:_ ~lock ~locks ->
-        List.iter
-          (fun h -> if h <> lock then Hashtbl.replace w (h, lock) ())
-          locks);
-    rp_request =
-      (fun ~step:_ ~tid:_ ~iid:_ ~lock ~locks ->
-        List.iter (fun h -> Hashtbl.replace w (h, lock) ()) locks);
-    rp_release = (fun ~step:_ ~tid:_ ~lock:_ -> ());
-    rp_spawn = (fun ~step:_ ~parent:_ ~child:_ -> ());
-    rp_join = (fun ~step:_ ~tid:_ ~joined:_ -> ());
-    rp_wake = (fun ~step:_ ~waker:_ ~woken:_ -> ());
-  }
+let witness_probe (w : witness) =
+  Conair_runtime.Event.observer ~sync:true
+    (fun (v : Conair_runtime.Event.view) ev ->
+      match (ev : Conair_runtime.Event.t) with
+      | Acquire { tid; lock; _ } ->
+          List.iter
+            (fun h -> if h <> lock then Hashtbl.replace w (h, lock) ())
+            (v.locks tid)
+      | Request { tid; lock; _ } ->
+          List.iter (fun h -> Hashtbl.replace w (h, lock) ()) (v.locks tid)
+      | _ -> ())
 
 let cycle_keys (w : witness) =
   List.sort compare (List.map key (simple_cycles w))

@@ -37,9 +37,10 @@ type witness
 
 val witness : unit -> witness
 
-val witness_probe : witness -> Conair_runtime.Race_probe.probe
-(** A lock-event-only observer: no access callback, so it keeps the
-    block engine on its compiled window path. *)
+val witness_probe : witness -> Conair_runtime.Event.observer
+(** An observer of sync events only (it reads acquisitions and
+    requests), so it keeps the block engine on its compiled window
+    path. *)
 
 val cycle_keys : witness -> string list
 (** The canonical keys of the witnessed graph's simple cycles, sorted —

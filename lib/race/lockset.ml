@@ -25,7 +25,7 @@ type entry = {
 }
 
 type t = {
-  vars : (Conair_runtime.Race_probe.addr, entry) Hashtbl.t;
+  vars : (Conair_runtime.Event.addr, entry) Hashtbl.t;
   mutable warnings : Report.warning list;  (* newest first *)
 }
 
@@ -61,13 +61,13 @@ let on_access t (acc : Report.access) =
       e.cand <- Some locks;
       e.st <-
         (match kind with
-        | Conair_runtime.Race_probe.Read -> Shared
-        | Conair_runtime.Race_probe.Write -> Shared_modified);
+        | Conair_runtime.Event.Read -> Shared
+        | Conair_runtime.Event.Write -> Shared_modified);
       if e.st = Shared_modified && locks = [] then warn t e acc
   | Shared, kind ->
       let c = match e.cand with Some c -> inter c locks | None -> locks in
       e.cand <- Some c;
-      if kind = Conair_runtime.Race_probe.Write then begin
+      if kind = Conair_runtime.Event.Write then begin
         e.st <- Shared_modified;
         if c = [] then warn t e acc
       end

@@ -15,15 +15,15 @@ type access = {
   ac_iid : int;
   ac_stack : string list;  (* innermost first *)
   ac_block : string;
-  ac_kind : Race_probe.kind;
-  ac_addr : Race_probe.addr;
+  ac_kind : Event.kind;
+  ac_addr : Event.addr;
   ac_locks : string list;  (* sorted *)
 }
 
-type race = { rc_addr : Race_probe.addr; rc_prev : access; rc_curr : access }
+type race = { rc_addr : Event.addr; rc_prev : access; rc_curr : access }
 
 type warning = {
-  w_addr : Race_probe.addr;
+  w_addr : Event.addr;
   w_prev : access option;  (* last access under a different lockset *)
   w_curr : access;
 }
@@ -42,7 +42,7 @@ type t = { races : race list; warnings : warning list; cycles : cycle list }
 
 let empty = { races = []; warnings = []; cycles = [] }
 
-let addr_string : Race_probe.addr -> string = function
+let addr_string : Event.addr -> string = function
   | A_global g -> "global:" ^ g
   | A_slot (tid, s) -> Printf.sprintf "slot:%d:%s" tid s
   | A_cell (b, i) -> Printf.sprintf "cell:%d:%d" b i
@@ -51,7 +51,7 @@ let addr_string : Race_probe.addr -> string = function
 (* The variable name when the race is on a named global — what the
    bugbench ground truth is keyed on. *)
 let race_global r =
-  match r.rc_addr with Race_probe.A_global g -> Some g | _ -> None
+  match r.rc_addr with Event.A_global g -> Some g | _ -> None
 
 (* Canonical identity of a lock-order cycle: its lock set, which the
    detector already canonicalizes (minimum lock first). Actual and
@@ -69,7 +69,7 @@ let new_cycles ~baseline current =
   List.iter (fun c -> Hashtbl.replace seen (cycle_key c) ()) baseline.cycles;
   List.filter (fun c -> not (Hashtbl.mem seen (cycle_key c))) current.cycles
 
-let kind_string (prev : Race_probe.kind) (curr : Race_probe.kind) =
+let kind_string (prev : Event.kind) (curr : Event.kind) =
   match (prev, curr) with
   | Read, Write -> "read-write"
   | Write, Write -> "write-write"

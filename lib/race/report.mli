@@ -12,19 +12,19 @@ type access = {
   ac_iid : int;
   ac_stack : string list;  (** function names, innermost first *)
   ac_block : string;
-  ac_kind : Race_probe.kind;
-  ac_addr : Race_probe.addr;
+  ac_kind : Event.kind;
+  ac_addr : Event.addr;
   ac_locks : string list;  (** held lockset, sorted *)
 }
 
 type race = {
-  rc_addr : Race_probe.addr;
+  rc_addr : Event.addr;
   rc_prev : access;  (** earlier conflicting access *)
   rc_curr : access;  (** the write at which the race was detected *)
 }
 
 type warning = {
-  w_addr : Race_probe.addr;
+  w_addr : Event.addr;
   w_prev : access option;
   w_curr : access;  (** access at which the candidate lockset emptied *)
 }
@@ -49,11 +49,11 @@ type cycle = {
 type t = { races : race list; warnings : warning list; cycles : cycle list }
 
 val empty : t
-val addr_string : Race_probe.addr -> string
+val addr_string : Event.addr -> string
 val race_global : race -> string option
 (** The global variable name, when the race is on one. *)
 
-val kind_string : Race_probe.kind -> Race_probe.kind -> string
+val kind_string : Event.kind -> Event.kind -> string
 
 val cycle_key : cycle -> string
 (** Canonical identity of a lock-order cycle: its (already canonical)

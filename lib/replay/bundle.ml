@@ -1,6 +1,6 @@
 (* Flight-recorder bundles as replay artifacts.
 
-   [capture] runs a program with the flight hook installed and packages
+   [capture] runs a program with a flight ring attached and packages
    the ring plus the machine's post-mortem state as an
    [Conair_obs.Flight.t] diagnostic bundle.
 
@@ -46,7 +46,7 @@ let capture ?(engine = Engine.Fast) ?config ?meta ?cap ?embed_program
   let config = Option.value ~default:Machine.default_config config in
   let ring = Flight_ring.create ?cap () in
   let m =
-    Engine.create ~config ?meta ~hooks:(Hooks.bundle ~flight:ring ()) engine
+    Engine.create ~config ?meta ~observer:(Flight_ring.observer ring) engine
       program
   in
   let outcome = Engine.run m in
@@ -148,9 +148,8 @@ let recover_log ?engine (b : Flight.t) : (Log.t, string) result =
   let config = b.Flight.fb_config in
   let recorder = Recorder.create () in
   let m =
-    Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~flight:recorder ())
-      engine program
+    Engine.create ~config ?meta ~observer:(Recorder.observer recorder) engine
+      program
   in
   let outcome = Engine.run m in
   let* () = verify_against b recorder m outcome in

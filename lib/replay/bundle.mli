@@ -1,6 +1,6 @@
 (** Flight-recorder bundles as replay artifacts.
 
-    {!capture} runs a program with the flight hook installed and packages
+    {!capture} runs a program with a flight ring attached and packages
     the ring plus the machine's post-mortem state as a
     {!Conair_obs.Flight.t} diagnostic bundle. {!recover_log} re-runs a
     bundle's embedded program under its embedded config with the full
@@ -23,8 +23,8 @@ val capture :
   Program.t ->
   Engine.machine * Outcome.t * Conair_obs.Flight.t
 (** Run [program] to completion with a flight ring of [cap] decisions
-    (default {!Flight_ring.default_capacity}) attached via the flight
-    hook, and build the diagnostic bundle. [engine] defaults to [Fast],
+    (default {!Flight_ring.default_capacity}) attached as its observer,
+    and build the diagnostic bundle. [engine] defaults to [Fast],
     [config] to {!Machine.default_config}, [embed_program] to [true],
     [reason] to ["requested"]. The finished machine is returned so the
     caller can inspect further state. *)

@@ -76,9 +76,8 @@ let record ?(engine = Fast) ?config ?meta ?embed_program ~ident program =
   let config = Option.value ~default:Machine.default_config config in
   let recorder = Recorder.create () in
   let m =
-    Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~flight:recorder ())
-      engine program
+    Engine.create ~config ?meta ~observer:(Recorder.observer recorder) engine
+      program
   in
   let outcome = Engine.run m in
   let bundle =
@@ -126,9 +125,7 @@ let replay ?(engine = Fast) ?program ?meta (log : Log.t) =
       let config = log.Log.config in
       let h = Feed.strict log.Log.decisions in
       let m =
-        Engine.create ~config ?meta
-          ~hooks:(Hooks.bundle ~feed:(Feed.strict_decide h) ())
-          engine program
+        Engine.create ~config ?meta ~feed:(Feed.strict_decide h) engine program
       in
       match Engine.run m with
       | outcome ->
@@ -182,8 +179,7 @@ let replay_directed ?(engine = Fast) ?meta ~program (log : Log.t) =
   let d = Feed.directed (Feed.merge_directives fixed cand) in
   let m =
     Engine.create ~config ?meta
-      ~hooks:
-        (Hooks.bundle ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible) ())
+      ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible)
       engine program
   in
   let outcome = Engine.run m in

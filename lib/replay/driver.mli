@@ -61,7 +61,7 @@ val record :
   ident:Schedule_log.ident ->
   Program.t ->
   result_bundle * Schedule_log.t
-(** Run [program] with a {!Recorder} on its flight slot and package the
+(** Run [program] with a {!Recorder} observing it and package the
     decision stream as a self-contained schedule log. [embed_program]
     (default [true]) controls whether the program text rides in the log;
     [meta] is the recovery metadata for hardened programs and is

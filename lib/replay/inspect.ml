@@ -59,11 +59,10 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
       let h = Feed.strict log.Log.decisions in
       let ways = ref [] in
       (* the feed snapshots the machine it steers, so it can only be
-         built after [create]: install post-create via the machine's own
-         hook target *)
-      Hooks.install (Machine.hooks m)
-        (Hooks.bundle
-           ~feed:(fun ~eligible ->
+         built after [create]: set it on the machine's own scheduler *)
+      Sched.set_feed sched
+        (Some
+           (fun ~eligible ->
              if h.Feed.pos mod stride = 0 then
                ways :=
                  {
@@ -73,8 +72,7 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
                    wp_sched = Sched.save sched;
                  }
                  :: !ways;
-             Feed.strict_decide h ~eligible)
-           ());
+             Feed.strict_decide h ~eligible));
       match Machine.run m with
       | outcome ->
           Feed.detach sched;

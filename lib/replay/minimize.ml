@@ -155,10 +155,7 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
              it — it cannot leak onto a later candidate run *)
           let m =
             Machine.create ~config ?meta
-              ~hooks:
-                (Hooks.bundle
-                   ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible)
-                   ())
+              ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible)
               program
           in
           (Machine.run m, m)
@@ -181,8 +178,7 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
              the switch contexts captured as they happen. *)
           let recorder = Recorder.create () in
           let m =
-            Machine.create ~config ?meta
-              ~hooks:(Hooks.bundle ~flight:recorder ())
+            Machine.create ~config ?meta ~observer:(Recorder.observer recorder)
               program
           in
           let texts =
@@ -215,12 +211,11 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
           in
           let d = Feed.directed (merge fixed best) in
           (* the tap closure reads [m]'s state as it records, so it can
-             only be built after [create]: install post-create via the
-             machine's own target (still private to this machine) *)
-          Hooks.install (Machine.hooks m)
-            (Hooks.bundle ~tap
-               ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible)
-               ());
+             only be built after [create]: set it on the machine's own
+             scheduler (still private to this machine) *)
+          Sched.set_tap m.Machine.sched (Some tap);
+          Sched.set_feed m.Machine.sched
+            (Some (fun ~eligible -> Feed.directed_decide d ~eligible));
           let outcome = Machine.run m in
           ignore d;
           if not (same_failure log.Log.outcome outcome) then
@@ -253,11 +248,8 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
                 let h = Feed.strict mn_log.Log.decisions in
                 let dm =
                   Machine.create ~config ?meta
-                    ~hooks:
-                      (Hooks.bundle ~race:(Conair_race.Detect.probe det)
-                         ~feed:(fun ~eligible ->
-                           Feed.strict_decide h ~eligible)
-                         ())
+                    ~observer:(Conair_race.Detect.probe det)
+                    ~feed:(fun ~eligible -> Feed.strict_decide h ~eligible)
                     program
                 in
                 (match Machine.run dm with

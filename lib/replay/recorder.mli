@@ -2,10 +2,9 @@
     chosen-thread stream — and the preemptive ones among them (the
     previous thread was still eligible when another was chosen).
 
-    A recorder is an unbounded {!Conair_runtime.Flight_ring}: install it
-    as the run's [~flight] hook ({!Conair_runtime.Hooks.bundle}). It is
-    the one hook a recorded block-engine run can carry without leaving
-    the compiled window path. *)
+    A recorder is an unbounded {!Conair_runtime.Flight_ring}: attach
+    {!observer} to the run. It observes decisions and sync events only, so a recorded
+    block-engine run keeps its compiled window path. *)
 
 open Conair_runtime
 
@@ -13,6 +12,9 @@ type t = Flight_ring.t
 
 val create : unit -> t
 (** [Flight_ring.unbounded ()]. *)
+
+val observer : t -> Event.observer
+(** [Flight_ring.observer]. *)
 
 val count : t -> int
 (** Decisions recorded so far. *)

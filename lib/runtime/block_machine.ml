@@ -23,13 +23,15 @@
      events, thread statuses or the thread table. The only time-based
      wakes are bounded below by the [horizon] computed at window entry,
      and the window never runs past it.
-   - With no per-step observer installed ([hooked]), [Machine]'s
-     per-step hook work on straight-line code is a handful of matches
-     that emit nothing, so skipping it is byte-invisible in every
-     observable (traces, profiles, race reports, schedule logs, stats).
-     The flight slot is fed the window's decisions in bulk, and a race
-     observer without an access callback hears only schedulable ops,
-     which the window runs through [Machine.run_thread_step].
+   - With no observer of per-step or access events ([hooked]),
+     [Machine]'s observation work on straight-line code is a handful of
+     matches that emit nothing, so skipping it is byte-invisible in
+     every observable (traces, profiles, race reports, schedule logs,
+     stats). Sync events come from schedulable ops, which the window
+     runs through [Machine.run_thread_step], and from the shared
+     [Machine] helpers the compiled code calls; the window's decisions
+     are reported as one counted decision, flushed ahead of any event
+     emitted inside the window ([Machine.emit]).
 
    Whenever any of this fails to hold — a per-step observer is
    installed, several threads are eligible, the one eligible thread sits
@@ -46,8 +48,8 @@ type t = { m : Machine.t; code : Compile.program }
 type config = Machine.config
 type meta = Machine.meta
 
-let create ?config ?meta ?hooks prog =
-  let m = Machine.create ?config ?meta ?hooks prog in
+let create ?config ?meta ?observer ?tap ?feed prog =
+  let m = Machine.create ?config ?meta ?observer ?tap ?feed prog in
   { m; code = Compile.compile m.Machine.linked }
 
 let machine bm = bm.m
@@ -58,23 +60,17 @@ let outcome bm = bm.m.Machine.outcome
 let sched bm = bm.m.Machine.sched
 let thread bm = Machine.thread bm.m
 let live_threads bm = Machine.live_threads bm.m
-let hooks bm = Machine.hooks bm.m
 let step bm = Machine.step bm.m
 let thread_summaries bm = Machine.thread_summaries bm.m
 
-(* Is a per-step observer (or a scheduler hook) attached? Those see state
-   the window skips, so their presence sends every step down the generic
-   path. [profile_sites] counts per-instruction hits the same way. The
-   flight slot — a bounded ring or a full recording — is fed in bulk by
-   the window, and a race observer without an access callback only
-   hears schedulable operations, which the window hands to
-   [Machine.run_thread_step]; neither counts. *)
+(* Does the observer consume per-step or access events, or is a
+   scheduler hook attached? Those see state the window skips, so they
+   send every step down the generic path. Decisions and sync events do
+   not count: the window emits every one of them. *)
 let hooked (m : Machine.t) =
-  m.Machine.trace <> None || m.Machine.prof <> None
-  || (match m.Machine.race with
-     | Some { Race_probe.rp_access = Some _; _ } -> true
-     | _ -> false)
-  || m.Machine.config.Machine.profile_sites
+  (match m.Machine.obs with
+  | Some o -> o.Event.steps || o.Event.accesses
+  | None -> false)
   || m.Machine.sched.Sched.tap <> None
   || m.Machine.sched.Sched.feed <> None
 
@@ -102,7 +98,7 @@ let horizon (m : Machine.t) (active : Thread.t) =
 (* Retire compiled code of [th] until the window closes: a schedulable
    op, a thread death, a decided outcome, a fault, or the step budget
    [bound]. The caller guarantees [m.step < bound], that [th] is the
-   only eligible thread, and that no hook is installed.
+   only eligible thread, and that the run is not [hooked].
 
    The normal case dispatches a chain: [cb_chain.(idx)] retires every
    instruction from [idx] onward — chaining through jumps, branches,
@@ -120,6 +116,14 @@ let run_window bm (th : Thread.t) bound =
   let code = bm.code in
   m.Machine.wbound <- bound;
   let step0 = m.Machine.step in
+  (* The window's decisions all choose [th]; none is preemptive, since
+     [th] is the only eligible thread. They are reported lazily: by
+     [Machine.emit] ahead of any event emitted inside the window, the
+     rest below. *)
+  if Machine.decisions m then begin
+    m.Machine.chosen <- th.Thread.tid;
+    m.Machine.run_from <- step0
+  end;
   let sched_steps = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -175,19 +179,24 @@ let run_window bm (th : Thread.t) bound =
   m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + retired;
   m.Machine.stats.Stats.instrs <-
     m.Machine.stats.Stats.instrs + (retired - !sched_steps);
-  (* The flight recorder sees the window as [retired] consecutive
-     decisions for [th] — exactly what [Machine.step] would have pushed
-     one at a time — accounted in bulk so the recorder never forces the
-     window off its fast path. None is preemptive: [th] was the only
-     eligible thread for the whole window (see the invariant above). *)
-  match m.Machine.flight with
-  | None -> ()
-  | Some fl -> Flight_ring.push_run fl th.Thread.tid retired
+  let from = m.Machine.run_from in
+  if from >= 0 then begin
+    m.Machine.run_from <- -1;
+    if m.Machine.step > from then
+      Machine.emit m
+        (Event.Decide
+           {
+             step = from;
+             tid = th.Thread.tid;
+             count = m.Machine.step - from;
+             preemptive = false;
+           })
+  end
 
 (* No thread is eligible. [Machine.step] would retire idle steps one at
-   a time until the nearest time-based wake (the profiler's idle probe is
-   off by construction here); take them in bulk, or declare the hang
-   when nobody waits on time. *)
+   a time until the nearest time-based wake (idle ticks are per-step
+   events, unobserved here by construction); take them in bulk, or
+   declare the hang when nobody waits on time. *)
 let idle (m : Machine.t) =
   let wake = ref max_int in
   for i = 0 to m.Machine.live_n - 1 do
@@ -223,7 +232,7 @@ let try_window bm (th : Thread.t) =
       false
   | _ ->
       (* Runnable, or a sleeper whose deadline passed: wake it exactly
-         as [run_thread_step] would (the trace is off). *)
+         as [run_thread_step] would (its step event is unobserved). *)
       (match th.Thread.status with
       | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
       | _ -> ());
@@ -238,8 +247,8 @@ let try_window bm (th : Thread.t) =
    [m.ready], with the chosen thread's instruction dispatched through
    the compiled code instead of [exec_instr]'s interpretive match. Used
    when the window fast path does not apply (several eligible threads,
-   or the one eligible thread is blocked/at a stopper) but no hook is
-   installed — the scheduler is still consulted for every step
+   or the one eligible thread is blocked/at a stopper) but the run is
+   not [hooked] — the scheduler is still consulted for every step
    ([choose_idx] over the same candidate list, in the same order), so
    scheduling decisions, rng draws and all observables are
    byte-identical; only the opcode dispatch is cheaper. Schedulable ops
@@ -254,23 +263,7 @@ let generic_step bm rn =
       rn
   in
   let th = m.Machine.live.(m.Machine.ready.(k)) in
-  (match m.Machine.flight with
-  | None -> ()
-  | Some fl ->
-      (* same classification as [Machine.step]'s push *)
-      let tid = th.Thread.tid in
-      let p = Flight_ring.prev fl in
-      let preemptive =
-        tid <> p && p >= 0
-        &&
-        let found = ref false in
-        for j = 0 to rn - 1 do
-          if m.Machine.live.(m.Machine.ready.(j)).Thread.tid = p then
-            found := true
-        done;
-        !found
-      in
-      Flight_ring.push fl tid ~preemptive);
+  if Machine.decisions m then Machine.decide m k rn;
   let fr = Thread.top th in
   let cbv =
     bm.code.(fr.Thread.func.Link.lf_id).(fr.Thread.block.Link.lb_index)
@@ -283,7 +276,8 @@ let generic_step bm rn =
   end
   else begin
     (* [run_thread_step]'s preamble for a compiled instruction: wake a
-       chosen sleeper (the trace is off), count the instruction. *)
+       chosen sleeper (its step event is unobserved), count the
+       instruction. *)
     (match th.Thread.status with
     | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
     | _ -> ());

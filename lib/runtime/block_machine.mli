@@ -3,19 +3,18 @@
 
     The state is a plain [Machine.t]; the driver retires maximal
     straight-line runs of compiled closures in a tight loop whenever the
-    scheduler has no choice to make (exactly one eligible thread) and no
-    per-step observer is installed ({!hooked}), consulting the
-    scheduler, probes and replay tap/feed only at schedulable operations
-    — exactly where [Machine] makes visible decisions. Everything
-    observable (outcomes, outputs, step counts, stats, traces, profiles,
-    race reports, JSONL telemetry, schedule logs) is bit-for-bit
-    identical to [Machine] and [Ref_machine]. Two hooks ride the window
-    path: the flight slot, which windows feed in bulk
-    ([Flight_ring.push_run]) — a bounded ring or a full recording
-    ([Conair_replay.Recorder]) — and a race observer without an access
-    callback, which only hears schedulable operations. The three-way
-    differential suite in [test_fast_exec.ml] enforces the identity over
-    the bugbench catalog. *)
+    scheduler has no choice to make (exactly one eligible thread) and the
+    run is not {!hooked}, consulting the scheduler and replay tap/feed
+    only at schedulable operations — exactly where [Machine] makes
+    visible decisions. Everything observable (outcomes, outputs, step
+    counts, stats, traces, profiles, race reports, JSONL telemetry,
+    schedule logs) is bit-for-bit identical to [Machine] and
+    [Ref_machine]. An observer of decisions and sync events only — a flight ring, a
+    full recording ([Conair_replay.Recorder]), the lock-order witness —
+    rides the window path: the window emits every sync event, its
+    decisions as one counted {!Event.Decide}. The three-way differential
+    suite in [test_fast_exec.ml] enforces the identity over the bugbench
+    catalog. *)
 
 open Conair_ir
 
@@ -25,24 +24,23 @@ type config = Machine.config
 type meta = Machine.meta
 
 val create :
-  ?config:config -> ?meta:meta -> ?hooks:Hooks.bundle -> Program.t -> t
+  ?config:config ->
+  ?meta:meta ->
+  ?observer:Event.observer ->
+  ?tap:(chosen:int -> eligible:int list -> unit) ->
+  ?feed:(eligible:int list -> int) ->
+  Program.t ->
+  t
 (** Link and block-compile the program; the main thread is ready to
-    run. [hooks] attaches the run's observation hooks at construction,
-    same as [Machine.create]. *)
+    run. The optional arguments are [Machine.create]'s. *)
 
 val machine : t -> Machine.t
 (** The underlying machine state (shared, not a copy). *)
 
 val hooked : Machine.t -> bool
-(** Is a per-step observer or a scheduler hook attached — a trace sink,
-    a cost profiler, a race probe with an access callback,
-    [profile_sites], a scheduler tap or feed? Then every step takes
-    [Machine]'s generic path. The flight slot and an access-free race
-    observer do not count. *)
-
-val hooks : t -> Hooks.target
-(** The machine's six hook slots, bundled for [Hooks.install] and the
-    [Hooks.with_installed] compatibility shim. *)
+(** Does the observer consume per-step or access events, or is a
+    scheduler tap or feed attached? Then every step takes [Machine]'s
+    generic path. *)
 
 val outputs : t -> string list
 (** In emission order. *)
@@ -65,7 +63,7 @@ val step : t -> bool
 
 val run : t -> Outcome.t
 (** Run to completion or until the fuel runs out, using the compiled
-    fast path wherever the scheduler's choice is forced and no hook is
-    installed. *)
+    fast path wherever the scheduler's choice is forced and the run is
+    not {!hooked}. *)
 
 val run_program : ?config:config -> ?meta:meta -> Program.t -> t * Outcome.t

@@ -827,8 +827,8 @@ let compile_comp (prog : program) (f : Link.lfunc) (lp : Link.program)
                 in
                 l))
   | Link.L_output { fmt; args } ->
-      (* the trace sink is off by construction wherever compiled code
-         runs *)
+      (* per-step events (outputs among them) are unobserved by
+         construction wherever compiled code runs *)
       C_self
         (fun next ->
           let l m th fr =

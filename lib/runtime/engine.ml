@@ -22,11 +22,12 @@ type machine =
   | M_fast of Machine.t
   | M_block of Block_machine.t
 
-let create ?config ?meta ?hooks engine prog =
+let create ?config ?meta ?observer ?tap ?feed engine prog =
   match engine with
-  | Ref -> M_ref (Ref_machine.create ?config ?meta ?hooks prog)
-  | Fast -> M_fast (Machine.create ?config ?meta ?hooks prog)
-  | Block -> M_block (Block_machine.create ?config ?meta ?hooks prog)
+  | Ref -> M_ref (Ref_machine.create ?config ?meta ?observer ?tap ?feed prog)
+  | Fast -> M_fast (Machine.create ?config ?meta ?observer ?tap ?feed prog)
+  | Block ->
+      M_block (Block_machine.create ?config ?meta ?observer ?tap ?feed prog)
 
 let engine_of = function M_ref _ -> Ref | M_fast _ -> Fast | M_block _ -> Block
 
@@ -65,17 +66,12 @@ let sched = function
   | M_fast m -> m.Machine.sched
   | M_block m -> Block_machine.sched m
 
-let hooks = function
-  | M_ref m -> Ref_machine.hooks m
-  | M_fast m -> Machine.hooks m
-  | M_block m -> Block_machine.hooks m
-
 let thread_summaries = function
   | M_ref m -> Ref_machine.thread_summaries m
   | M_fast m -> Machine.thread_summaries m
   | M_block m -> Block_machine.thread_summaries m
 
-let run_program ?config ?meta ?hooks engine prog =
-  let m = create ?config ?meta ?hooks engine prog in
+let run_program ?config ?meta ?observer ?tap ?feed engine prog =
+  let m = create ?config ?meta ?observer ?tap ?feed engine prog in
   let outcome = run m in
   (m, outcome)

@@ -33,13 +33,13 @@ type machine =
 val create :
   ?config:Machine.config ->
   ?meta:Machine.meta ->
-  ?hooks:Hooks.bundle ->
+  ?observer:Event.observer ->
+  ?tap:(chosen:int -> eligible:int list -> unit) ->
+  ?feed:(eligible:int list -> int) ->
   t ->
   Program.t ->
   machine
-(** [hooks] attaches the run's observation hooks at construction — the
-    re-entrant alternative to [Hooks.with_installed]; see
-    [Machine.create]. *)
+(** The optional arguments are [Machine.create]'s. *)
 
 val engine_of : machine -> t
 val run : machine -> Outcome.t
@@ -50,10 +50,6 @@ val steps : machine -> int
 val outcome : machine -> Outcome.t option
 val sched : machine -> Sched.t
 
-val hooks : machine -> Hooks.target
-(** The machine's six hook slots, for [Hooks.install] and the
-    [Hooks.with_installed] compatibility shim. *)
-
 val thread_summaries : machine -> (int * string * string list) list
 (** [Machine.thread_summaries] on whichever engine — byte-identical
     across the three. *)
@@ -61,7 +57,9 @@ val thread_summaries : machine -> (int * string * string list) list
 val run_program :
   ?config:Machine.config ->
   ?meta:Machine.meta ->
-  ?hooks:Hooks.bundle ->
+  ?observer:Event.observer ->
+  ?tap:(chosen:int -> eligible:int list -> unit) ->
+  ?feed:(eligible:int list -> int) ->
   t ->
   Program.t ->
   machine * Outcome.t

@@ -11,26 +11,27 @@
    - the *preemption* ring holds the absolute ordinals of the most
      recent preemptive context switches (chosen <> previous while the
      previous thread was still eligible) — the one classifier of the
-     code base, applied by the engines at the push;
+     code base, applied by the engines as they report each decision;
    - the *event* ring holds the recent synchronization / recovery
      events (lock acquire/block/release, spawn, rollback, recovered,
-     failure), recorded only on paths every engine executes
-     interpretively or through the shared [Machine] helpers, so the
-     ring contents are byte-identical across ref/fast/block.
+     failure) — sync events of the observation stream, which every
+     engine emits from its interpretive paths or the shared [Machine]
+     helpers, so the ring contents are byte-identical across
+     ref/fast/block.
 
    Steady state allocates nothing: decisions and preemption ordinals are
    int stores into preallocated arrays, events mutate preallocated
    records in place (the string payloads are existing values — lock
-   names, failure messages). The block engine's window fast path records
-   a whole window with one [push_run] (an [Array.fill] RLE), which is
-   what keeps recorder-on throughput within a few percent of
-   recorder-off.
+   names, failure messages). The block engine's window fast path emits
+   a whole window as one counted decision, recorded with one
+   [Array.fill], which is what keeps recorder-on throughput within a
+   few percent of recorder-off.
 
-   The *unbounded* mode ([unbounded]) is a full recording through the
-   same slot: it keeps every decision and every preemption, so the
+   The *unbounded* mode ([unbounded]) is a full recording with the same
+   observer: it keeps every decision and every preemption, so the
    "tail" is the whole stream — what a schedule log stores. Decisions
    are run-length encoded as (tid, count) pairs, one pair per context
-   switch, so a block-engine window is still one O(1) [push_run] and a
+   switch, so a block-engine window is still one O(1) write and a
    run of N decisions costs memory in its switches, not in N. The pairs
    and the preemption ordinals grow by doubling (amortized O(1)). *)
 
@@ -42,12 +43,7 @@ type event = {
   mutable fe_detail : string;  (** lock name, failure message, ... *)
 }
 
-(* Event kinds. Only paths that are interpretive on every engine (the
-   schedulable ops) or routed through the shared [Machine] helpers
-   (set_failure / close_episode / note_branch_taken, which the compiled
-   code calls too) may record events — anything emitted from inside
-   compiled straight-line code would go missing under the block engine's
-   window fast path. *)
+(* Event kinds, stored in [fe_kind]. *)
 let k_acquire = 0
 let k_block = 1
 let k_release = 2
@@ -131,7 +127,12 @@ let extend t tid count =
     t.runs <- n + 1
   end
 
-let push t tid ~preemptive =
+(* [count] consecutive decisions for [tid], the first [preemptive]. A
+   block-engine window arrives as one such run: the window invariant
+   (its thread was the only eligible one when it opened, and
+   straight-line code cannot make another thread eligible) means none
+   of its decisions is preemptive. *)
+let push t tid count ~preemptive =
   if preemptive then begin
     if t.cap = 0 then begin
       if t.pre_total = Array.length t.pre then t.pre <- grow t.pre;
@@ -140,30 +141,17 @@ let push t tid ~preemptive =
     else t.pre.(t.pre_total mod t.cap) <- t.d_total;
     t.pre_total <- t.pre_total + 1
   end;
-  if t.cap = 0 then extend t tid 1 else t.d.(t.d_total mod t.cap) <- tid;
-  t.d_total <- t.d_total + 1;
+  if t.cap = 0 then extend t tid count
+  else if count = 1 then t.d.(t.d_total mod t.cap) <- tid
+  else if count >= t.cap then Array.fill t.d 0 t.cap tid
+  else begin
+    let start = t.d_total mod t.cap in
+    let first = min count (t.cap - start) in
+    Array.fill t.d start first tid;
+    if count > first then Array.fill t.d 0 (count - first) tid
+  end;
+  t.d_total <- t.d_total + count;
   t.prev <- tid
-
-(* A run of [count] consecutive decisions for the same thread — the
-   block engine's window. The window invariant (the thread was the only
-   eligible one when the window opened, and straight-line code cannot
-   make another thread eligible) means none of these decisions is
-   preemptive: the first cannot preempt an ineligible predecessor and
-   the rest re-choose the same thread. *)
-let push_run t tid count =
-  if count < 0 then invalid_arg "Flight_ring.push_run: negative count";
-  if count > 0 then begin
-    if t.cap = 0 then extend t tid count
-    else if count >= t.cap then Array.fill t.d 0 t.cap tid
-    else begin
-      let start = t.d_total mod t.cap in
-      let first = min count (t.cap - start) in
-      Array.fill t.d start first tid;
-      if count > first then Array.fill t.d 0 (count - first) tid
-    end;
-    t.d_total <- t.d_total + count;
-    t.prev <- tid
-  end
 
 let event t ~kind ~step ~tid ~arg ~detail =
   let e = t.evs.(t.ev_total mod Array.length t.evs) in
@@ -173,6 +161,28 @@ let event t ~kind ~step ~tid ~arg ~detail =
   e.fe_arg <- arg;
   e.fe_detail <- detail;
   t.ev_total <- t.ev_total + 1
+
+let observer t =
+  Event.observer ~decisions:true ~sync:true (fun _ ev ->
+      match (ev : Event.t) with
+      | Decide { tid; count; preemptive; _ } -> push t tid count ~preemptive
+      | Acquire { step; tid; lock; _ } ->
+          event t ~kind:k_acquire ~step ~tid ~arg:(-1) ~detail:lock
+      | Request { step; tid; lock; _ } ->
+          event t ~kind:k_block ~step ~tid ~arg:(-1) ~detail:lock
+      | Wait { step; tid; event = name } ->
+          event t ~kind:k_block ~step ~tid ~arg:1 ~detail:name
+      | Release { step; tid; lock; _ } ->
+          event t ~kind:k_release ~step ~tid ~arg:(-1) ~detail:lock
+      | Spawn { step; parent; child } ->
+          event t ~kind:k_spawn ~step ~tid:parent ~arg:child ~detail:""
+      | Rollback { step; tid; site_id; _ } ->
+          event t ~kind:k_rollback ~step ~tid ~arg:site_id ~detail:""
+      | Recovered { step; tid; site_id } ->
+          event t ~kind:k_recovered ~step ~tid ~arg:site_id ~detail:""
+      | Failed { step; tid; site_id; msg } ->
+          event t ~kind:k_fail ~step ~tid ~arg:site_id ~detail:msg
+      | _ -> ())
 
 (* --- reading the rings out (dump time; allocation is fine here) ----- *)
 

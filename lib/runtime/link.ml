@@ -82,7 +82,7 @@ type lblock = {
   lb_index : int;
   lb_label : Label.t;
   lb_label_name : string;
-      (** [Label.name lb_label], precomputed — the profiler hook reads it
+      (** [Label.name lb_label], precomputed — the observers' view reads it
           every step and must not format on the hot path *)
   lb_instrs : linstr array;
   lb_term : lterm;

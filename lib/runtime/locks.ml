@@ -52,9 +52,9 @@ let force_release t name ~tid =
       true
   | Some _ | None -> false
 
-(** The locks currently held by [tid], sorted by name — the lockset the
-    race-detection probe attaches to events. Sorting makes the result
-    independent of hash-table iteration order, so both engines report
+(** The locks currently held by [tid], sorted by name — the lockset
+    observers read through [Event.view]. Sorting makes the result
+    independent of hash-table iteration order, so every engine reports
     byte-identical locksets. *)
 let held_by (t : t) ~tid =
   Hashtbl.fold

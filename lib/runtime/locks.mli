@@ -23,7 +23,7 @@ val force_release : t -> string -> tid:int -> bool
 
 val held_by : t -> tid:int -> string list
 (** The locks currently held by [tid], sorted by name (independent of
-    hash-table iteration order) — the lockset attached to race-probe
-    events. *)
+    hash-table iteration order) — the lockset observers read through
+    [Event.view]. *)
 
 val snapshot : t -> t

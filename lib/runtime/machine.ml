@@ -65,9 +65,6 @@ type config = {
       (** max random startup delay for spawned threads when
           [perturb_timing] is on (a restarted process never reproduces the
           original thread-creation timing) *)
-  profile_sites : bool;
-      (** record per-instruction execution counts (ConSeq-style
-          well-tested-site profiling, §3.4); off by default *)
 }
 
 let default_config =
@@ -80,7 +77,6 @@ let default_config =
     verify_rollbacks = true;
     perturb_timing = false;
     spawn_jitter = 150;
-    profile_sites = false;
   }
 
 (** Metadata from the hardening pass: fail-arm labels per site, used to
@@ -113,15 +109,19 @@ type t = {
   stats : Stats.t;
   sched : Sched.t;
   mutable outcome : Outcome.t option;
-  mutable trace : Trace.sink option;
-  mutable prof : Profile.probe option;
-      (** cost-profiler probe; like [trace], one [match] per step when off *)
-  mutable race : Race_probe.probe option;
-      (** race-detector probe; one [match] per memory/sync op when off *)
-  mutable flight : Flight_ring.t option;
-      (** the flight slot — the recorder ring or a full schedule
-          recording; one [match] per decision / sync op when off, and
-          fed in bulk by the block engine's compiled windows *)
+  obs : Event.observer option;
+      (** the run's observer; one [match] per emit site when off *)
+  view : Event.view;
+  here : Thread.t option ref;
+      (** the thread [view] looked up last: observers ask about the
+          running thread, step after step *)
+  mutable chosen : int;
+      (** the previously chosen tid, kept while an observer of decisions
+          is attached: a decision that switches away from it while it is
+          still eligible is preemptive *)
+  mutable run_from : int;
+      (** inside a block-engine window: the step of the first decision
+          not yet reported, [-1] elsewhere *)
   mutable live : Thread.t array;
       (** slots [0, live_n): the live threads, ascending tid — maintained
           at spawn and death instead of folded from [threads] per step *)
@@ -172,7 +172,28 @@ let rebuild_live m =
 
 (* ------------------------------------------------------------------- *)
 
-let create ?(config = default_config) ?meta ?(hooks = Hooks.none)
+(* What an observer may ask about a thread, read off the live state. *)
+let view threads locks here =
+  let thread tid =
+    match !here with
+    | Some (th : Thread.t) when th.Thread.tid = tid -> th
+    | _ ->
+        let th = Hashtbl.find threads tid in
+        here := Some th;
+        th
+  in
+  {
+    Event.stack =
+      (fun tid ->
+        List.map
+          (fun (f : Thread.frame) -> f.Thread.func.Link.lf_qname)
+          (thread tid).Thread.stack);
+    block =
+      (fun tid -> (Thread.top (thread tid)).Thread.block.Link.lb_label_name);
+    locks = (fun tid -> Locks.held_by locks ~tid);
+  }
+
+let create ?(config = default_config) ?meta ?observer ?tap ?feed
     (prog : Program.t) =
   let linked =
     match meta with
@@ -181,6 +202,8 @@ let create ?(config = default_config) ?meta ?(hooks = Hooks.none)
   in
   let globals = Hashtbl.create 32 in
   List.iter (fun (g, v) -> Hashtbl.replace globals g v) prog.globals;
+  let locks = Locks.create prog.mutexes and threads = Hashtbl.create 8 in
+  let here = ref None in
   let m =
     {
       prog;
@@ -189,26 +212,27 @@ let create ?(config = default_config) ?meta ?(hooks = Hooks.none)
       meta;
       globals;
       heap = Heap.create ();
-      locks = Locks.create prog.mutexes;
-      threads = Hashtbl.create 8;
+      locks;
+      threads;
       next_tid = 0;
       step = 0;
       outputs = [];
       stats = Stats.create ();
       sched = Sched.create config.policy;
       outcome = None;
-      trace = hooks.Hooks.hb_trace;
-      prof = hooks.Hooks.hb_profile;
-      race = hooks.Hooks.hb_race;
-      flight = hooks.Hooks.hb_flight;
+      obs = observer;
+      view = view threads locks here;
+      here;
+      chosen = -1;
+      run_from = -1;
       live = [||];
       live_n = 0;
       ready = [||];
       wbound = 0;
     }
   in
-  Sched.set_tap m.sched hooks.Hooks.hb_tap;
-  Sched.set_feed m.sched hooks.Hooks.hb_feed;
+  Sched.set_tap m.sched tap;
+  Sched.set_feed m.sched feed;
   let main = Link.func_by_id linked linked.Link.lp_main in
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
@@ -219,25 +243,6 @@ let create ?(config = default_config) ?meta ?(hooks = Hooks.none)
 
 let outputs m = List.rev m.outputs
 let stats m = m.stats
-
-(** The machine's six hook slots, bundled for [Hooks.install] and the
-    [Hooks.with_installed] compatibility shim. *)
-let hooks m =
-  {
-    Hooks.ht_trace = (fun s -> m.trace <- s);
-    ht_profile = (fun p -> m.prof <- p);
-    ht_race = (fun p -> m.race <- p);
-    ht_flight = (fun f -> m.flight <- f);
-    ht_sched = m.sched;
-  }
-
-let flight_event m ~kind ~tid ~arg ~detail =
-  match m.flight with
-  | None -> ()
-  | Some fl -> Flight_ring.event fl ~kind ~step:m.step ~tid ~arg ~detail
-
-let trace m ev =
-  match m.trace with None -> () | Some sink -> Trace.record sink ev
 
 let thread m tid = Hashtbl.find m.threads tid
 let live_threads m = List.init m.live_n (fun i -> m.live.(i).Thread.tid)
@@ -262,75 +267,54 @@ let thread_summaries m =
     m.threads []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-(* --- race-probe emission ------------------------------------------- *)
-(* Each helper is one [match] when no probe is installed; the event
-   payloads (stacks, locksets, address values) are only built inside the
-   [Some] branch, so the uninstrumented hot path allocates nothing. An
-   observer of synchronization only ([rp_access = None]) costs the
-   memory accesses the same single match. *)
+(* --- the observation stream ----------------------------------------- *)
+(* Emit sites test the observer's class first ([sync] / [steps] /
+   [accesses]) and build the event only when it is consumed, so a bare
+   run pays one [match] per site and allocates nothing. *)
 
-let race_stack (th : Thread.t) =
-  List.map
-    (fun (f : Thread.frame) -> f.Thread.func.Link.lf_qname)
-    th.Thread.stack
+let decisions m = match m.obs with Some o -> o.Event.decisions | None -> false
+let sync m = match m.obs with Some o -> o.Event.sync | None -> false
+let steps m = match m.obs with Some o -> o.Event.steps | None -> false
+let accesses m = match m.obs with Some o -> o.Event.accesses | None -> false
 
-let race_access m (th : Thread.t) (i : Link.linstr) kind addr =
-  match m.race with
-  | Some { Race_probe.rp_access = Some access; _ } ->
-      let fr = Thread.top th in
-      access ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid
-        ~stack:(race_stack th) ~block:fr.Thread.block.Link.lb_label_name ~kind
-        ~addr
-        ~locks:(Locks.held_by m.locks ~tid:th.Thread.tid)
-  | _ -> ()
-
-let race_global m th i kind g =
-  match m.race with
-  | Some { Race_probe.rp_access = Some _; _ } ->
-      race_access m th i kind (Race_probe.A_global g)
-  | _ -> ()
-
-let race_slot m (th : Thread.t) i kind s =
-  match m.race with
-  | Some { Race_probe.rp_access = Some _; _ } ->
-      race_access m th i kind (Race_probe.A_slot (th.Thread.tid, s))
-  | _ -> ()
-
-(* Heap accesses are classified by the *attempted* cell; non-pointer
-   operands fault without designating an address and emit nothing. *)
-let race_cell m th i kind pv idx =
-  match (m.race, pv) with
-  | Some { Race_probe.rp_access = Some _; _ }, Value.Ptr { Value.block; offset }
-    ->
-      race_access m th i kind (Race_probe.A_cell (block, offset + idx))
-  | _ -> ()
-
-let race_free m th i pv =
-  match (m.race, pv) with
-  | Some { Race_probe.rp_access = Some _; _ }, Value.Ptr { Value.block; _ } ->
-      race_access m th i Race_probe.Write (Race_probe.A_block block)
-  | _ -> ()
-
-let race_acquire m (th : Thread.t) (i : Link.linstr) name =
-  match m.race with
+(* A block-engine window reports its decisions lazily ([run_from], see
+   [Block_machine]); an event emitted from inside a window first
+   reports the window's decisions through the current step, so every
+   engine's stream has the same order. *)
+let emit m ev =
+  match m.obs with
   | None -> ()
-  | Some p ->
-      p.Race_probe.rp_acquire ~step:m.step ~tid:th.Thread.tid
-        ~iid:i.Link.li_iid ~lock:name
-        ~locks:(Locks.held_by m.locks ~tid:th.Thread.tid)
+  | Some o ->
+      if m.run_from >= 0 then begin
+        let count = m.step - m.run_from + 1 in
+        if count > 0 then
+          o.Event.on m.view
+            (Event.Decide
+               { step = m.run_from; tid = m.chosen; count; preemptive = false });
+        m.run_from <- m.step + 1
+      end;
+      o.Event.on m.view ev
 
-let race_request m (th : Thread.t) (i : Link.linstr) name =
-  match m.race with
-  | None -> ()
-  | Some p ->
-      p.Race_probe.rp_request ~step:m.step ~tid:th.Thread.tid
-        ~iid:i.Link.li_iid ~lock:name
-        ~locks:(Locks.held_by m.locks ~tid:th.Thread.tid)
+(* The scheduler chose [m.ready.(k)] among the [rn] eligible threads. *)
+let decide m k rn =
+  let tid = m.live.(m.ready.(k)).Thread.tid in
+  let p = m.chosen in
+  let preemptive =
+    tid <> p && p >= 0
+    &&
+    let found = ref false in
+    for j = 0 to rn - 1 do
+      if m.live.(m.ready.(j)).Thread.tid = p then found := true
+    done;
+    !found
+  in
+  m.chosen <- tid;
+  emit m (Event.Decide { step = m.step; tid; count = 1; preemptive })
 
-let race_release m (th : Thread.t) name =
-  match m.race with
-  | None -> ()
-  | Some p -> p.Race_probe.rp_release ~step:m.step ~tid:th.Thread.tid ~lock:name
+let access m (th : Thread.t) (i : Link.linstr) kind addr =
+  emit m
+    (Event.Access
+       { step = m.step; tid = th.Thread.tid; iid = i.Link.li_iid; kind; addr })
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation helpers                                                  *)
@@ -439,9 +423,15 @@ let set_failure m ~kind ~site_id ~iid ~tid ~msg =
   | _ ->
       th.Thread.status <- Thread.Failed;
       remove_live m th);
-  flight_event m ~kind:Flight_ring.k_fail ~tid
-    ~arg:(match site_id with Some s -> s | None -> -1)
-    ~detail:msg;
+  if sync m then
+    emit m
+      (Event.Failed
+         {
+           step = m.step;
+           tid;
+           site_id = (match site_id with Some s -> s | None -> -1);
+           msg;
+         });
   m.outcome <-
     Some (Outcome.Failed { kind; site_id; iid; tid; step = m.step; msg })
 
@@ -467,11 +457,10 @@ let note_branch_taken m (th : Thread.t) (fr : Thread.frame) ~taken_idx
             }
           in
           m.stats.episodes <- ep :: m.stats.episodes;
-          trace m
-            (Trace.Ev_recovered
-               { step = m.step; tid = th.Thread.tid; site_id = site });
-          flight_event m ~kind:Flight_ring.k_recovered ~tid:th.Thread.tid
-            ~arg:site ~detail:"";
+          if sync m then
+            emit m
+              (Event.Recovered
+                 { step = m.step; tid = th.Thread.tid; site_id = site });
           th.Thread.recovering <- None
       | _ -> ())
   | _ -> ()
@@ -492,11 +481,14 @@ let close_episode m (th : Thread.t) =
         }
       in
       m.stats.episodes <- ep :: m.stats.episodes;
-      trace m
-        (Trace.Ev_recovered
-           { step = m.step; tid = th.Thread.tid; site_id = rec_.Thread.rec_site });
-      flight_event m ~kind:Flight_ring.k_recovered ~tid:th.Thread.tid
-        ~arg:rec_.Thread.rec_site ~detail:"";
+      if sync m then
+        emit m
+          (Event.Recovered
+             {
+               step = m.step;
+               tid = th.Thread.tid;
+               site_id = rec_.Thread.rec_site;
+             });
       th.Thread.recovering <- None
 
 (* ------------------------------------------------------------------ *)
@@ -511,19 +503,19 @@ let compensate m (th : Thread.t) =
       | Thread.R_lock name ->
           if Locks.force_release m.locks name ~tid:th.Thread.tid then begin
             m.stats.compensated_locks <- m.stats.compensated_locks + 1;
-            trace m
-              (Trace.Ev_compensate_lock
-                 { step = m.step; tid = th.Thread.tid; lock = name });
-            flight_event m ~kind:Flight_ring.k_release ~tid:th.Thread.tid
-              ~arg:(-1) ~detail:name;
-            race_release m th name
+            if sync m then
+              emit m
+                (Event.Release
+                   { step = m.step; tid = th.Thread.tid; lock = name;
+                     forced = true })
           end
       | Thread.R_block id ->
           if Heap.release_block m.heap id then begin
             m.stats.compensated_blocks <- m.stats.compensated_blocks + 1;
-            trace m
-              (Trace.Ev_compensate_block
-                 { step = m.step; tid = th.Thread.tid; block = id })
+            if sync m then
+              emit m
+                (Event.Compensate_block
+                   { step = m.step; tid = th.Thread.tid; block = id })
           end)
     current;
   th.Thread.acq_log <- rest
@@ -597,20 +589,15 @@ let try_recover m (th : Thread.t) ~site_id ~kind =
               rec_retries_before = Thread.retries_of th site_id;
             };
       Thread.bump_retries th site_id;
-      trace m
-        (Trace.Ev_rollback
-           {
-             step = m.step;
-             tid = th.Thread.tid;
-             site_id;
-             retry = Thread.retries_of th site_id;
-           });
-      (match m.prof with
-      | None -> ()
-      | Some p ->
-          p.Profile.p_rollback ~step:m.step ~tid:th.Thread.tid ~site_id);
-      flight_event m ~kind:Flight_ring.k_rollback ~tid:th.Thread.tid
-        ~arg:site_id ~detail:"";
+      if sync m then
+        emit m
+          (Event.Rollback
+             {
+               step = m.step;
+               tid = th.Thread.tid;
+               site_id;
+               retry = Thread.retries_of th site_id;
+             });
       compensate m th;
       rollback m th ck;
       if kind = Instr.Deadlock && m.config.deadlock_backoff > 0 then begin
@@ -652,7 +639,8 @@ let do_return m (th : Thread.t) v =
       match rest with
       | [] ->
           close_episode m th;
-          trace m (Trace.Ev_thread_done { step = m.step; tid = th.Thread.tid });
+          if sync m then
+            emit m (Event.Thread_done { step = m.step; tid = th.Thread.tid });
           th.Thread.status <- Thread.Done;
           remove_live m th
       | caller :: _ -> (
@@ -688,12 +676,8 @@ let exec_spawn m (th : Thread.t) ~reg ~fid ~fname ~args =
         (m.step + Random.State.int (Sched.rng m.sched) m.config.spawn_jitter);
   Hashtbl.replace m.threads tid th';
   add_live m th';
-  trace m (Trace.Ev_spawn { step = m.step; parent = th.Thread.tid; child = tid });
-  (match m.race with
-  | None -> ()
-  | Some p -> p.Race_probe.rp_spawn ~step:m.step ~parent:th.Thread.tid ~child:tid);
-  flight_event m ~kind:Flight_ring.k_spawn ~tid:th.Thread.tid ~arg:tid
-    ~detail:"";
+  if sync m then
+    emit m (Event.Spawn { step = m.step; parent = th.Thread.tid; child = tid });
   fr.Thread.regs.(reg) <- Value.Tid tid;
   advance fr
 
@@ -715,37 +699,43 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       regs.(r) <- eval_unop op (eval fr a);
       advance fr
   | Link.L_load_global (r, g) -> (
-      race_global m th i Race_probe.Read g;
+      if accesses m then access m th i Event.Read (Event.A_global g);
       match Hashtbl.find_opt m.globals g with
       | Some v ->
           regs.(r) <- v;
           advance fr
       | None -> raise (Fault ("load of undeclared global " ^ g)))
   | Link.L_load_stack (r, s) ->
-      race_slot m th i Race_probe.Read s;
+      if accesses m then
+        access m th i Event.Read (Event.A_slot (th.Thread.tid, s));
       regs.(r) <-
         (match fr.Thread.stack_vars with
         | None -> Value.zero
         | Some h -> Option.value ~default:Value.zero (Hashtbl.find_opt h s));
       advance fr
   | Link.L_store_global (g, a) ->
-      race_global m th i Race_probe.Write g;
+      if accesses m then access m th i Event.Write (Event.A_global g);
       if Hashtbl.mem m.globals g then begin
         Hashtbl.replace m.globals g (eval fr a);
         advance fr
       end
       else raise (Fault ("store to undeclared global " ^ g))
   | Link.L_store_stack (s, a) ->
-      race_slot m th i Race_probe.Write s;
+      if accesses m then
+        access m th i Event.Write (Event.A_slot (th.Thread.tid, s));
       Hashtbl.replace (Thread.stack_tbl fr) s (eval fr a);
       advance fr
   | Link.L_load_idx (r, p, ix) -> (
       (* operands bound right-to-left, preserving the original argument
          evaluation order; the access is reported before the heap op so
-         faulting dereferences are still seen by the detector *)
+         faulting dereferences are still seen by the detector, and only
+         for a pointer — anything else faults without an address *)
       let iv = as_int (eval fr ix) in
       let pv = eval fr p in
-      race_cell m th i Race_probe.Read pv iv;
+      (match pv with
+      | Value.Ptr { Value.block; offset } when accesses m ->
+          access m th i Event.Read (Event.A_cell (block, offset + iv))
+      | _ -> ());
       match Heap.load m.heap pv iv with
       | Ok v ->
           regs.(r) <- v;
@@ -755,7 +745,10 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       let vv = eval fr v in
       let iv = as_int (eval fr ix) in
       let pv = eval fr p in
-      race_cell m th i Race_probe.Write pv iv;
+      (match pv with
+      | Value.Ptr { Value.block; offset } when accesses m ->
+          access m th i Event.Write (Event.A_cell (block, offset + iv))
+      | _ -> ());
       match Heap.store m.heap pv iv vv with
       | Ok () -> advance fr
       | Error e -> raise (Fault e))
@@ -766,7 +759,10 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       advance fr
   | Link.L_free p -> (
       let pv = eval fr p in
-      race_free m th i pv;
+      (match pv with
+      | Value.Ptr { Value.block; _ } when accesses m ->
+          access m th i Event.Write (Event.A_block block)
+      | _ -> ());
       match Heap.free m.heap pv with
       | Ok () -> advance fr
       | Error e -> raise (Fault e))
@@ -774,9 +770,11 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       let name = as_mutex (eval fr mref) in
       if Locks.try_acquire m.locks name ~tid:th.Thread.tid then begin
         Thread.log_acquisition th (Thread.R_lock name);
-        race_acquire m th i name;
-        flight_event m ~kind:Flight_ring.k_acquire ~tid:th.Thread.tid ~arg:(-1)
-          ~detail:name;
+        if sync m then
+          emit m
+            (Event.Acquire
+               { step = m.step; tid = th.Thread.tid; iid = i.Link.li_iid;
+                 lock = name });
         th.Thread.status <- Thread.Runnable;
         advance fr
       end
@@ -784,11 +782,11 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
         match th.Thread.status with
         | Thread.Blocked_lock _ -> ()
         | _ ->
-            trace m
-              (Trace.Ev_block { step = m.step; tid = th.Thread.tid; lock = name });
-            race_request m th i name;
-            flight_event m ~kind:Flight_ring.k_block ~tid:th.Thread.tid
-              ~arg:(-1) ~detail:name;
+            if sync m then
+              emit m
+                (Event.Request
+                   { step = m.step; tid = th.Thread.tid; iid = i.Link.li_iid;
+                     lock = name });
             th.Thread.status <-
               Thread.Blocked_lock { name; since = m.step; timeout = None }
       end
@@ -796,9 +794,11 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       let name = as_mutex (eval fr mref) in
       if Locks.try_acquire m.locks name ~tid:th.Thread.tid then begin
         Thread.log_acquisition th (Thread.R_lock name);
-        race_acquire m th i name;
-        flight_event m ~kind:Flight_ring.k_acquire ~tid:th.Thread.tid ~arg:(-1)
-          ~detail:name;
+        if sync m then
+          emit m
+            (Event.Acquire
+               { step = m.step; tid = th.Thread.tid; iid = i.Link.li_iid;
+                 lock = name });
         regs.(r) <- Value.truth;
         th.Thread.status <- Thread.Runnable;
         advance fr
@@ -822,12 +822,11 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
           (match th.Thread.status with
           | Thread.Blocked_lock _ -> ()
           | _ ->
-              trace m
-                (Trace.Ev_block
-                   { step = m.step; tid = th.Thread.tid; lock = name });
-              race_request m th i name;
-              flight_event m ~kind:Flight_ring.k_block ~tid:th.Thread.tid
-                ~arg:(-1) ~detail:name);
+              if sync m then
+                emit m
+                  (Event.Request
+                     { step = m.step; tid = th.Thread.tid; iid = i.Link.li_iid;
+                       lock = name }));
           th.Thread.status <-
             Thread.Blocked_lock { name; since; timeout = Some timeout }
         end
@@ -836,9 +835,11 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       let name = as_mutex (eval fr mref) in
       match Locks.release m.locks name ~tid:th.Thread.tid with
       | Ok () ->
-          race_release m th name;
-          flight_event m ~kind:Flight_ring.k_release ~tid:th.Thread.tid
-            ~arg:(-1) ~detail:name;
+          if sync m then
+            emit m
+              (Event.Release
+                 { step = m.step; tid = th.Thread.tid; lock = name;
+                   forced = false });
           advance fr
       | Error e -> raise (Fault e))
   | Link.L_assert { cond; msg; oracle } ->
@@ -851,7 +852,8 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       let text = render_output fmt (eval_arg_list fr args) in
       m.outputs <- text :: m.outputs;
       m.stats.outputs <- m.stats.outputs + 1;
-      trace m (Trace.Ev_output { step = m.step; tid = th.Thread.tid; text });
+      if steps m then
+        emit m (Event.Output { step = m.step; tid = th.Thread.tid; text });
       advance fr
   | Link.L_call { ret; fid; fname; args } -> exec_call m th ~ret ~fid ~fname ~args
   | Link.L_spawn { reg; fid; fname; args } ->
@@ -861,11 +863,10 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       | Value.Tid tid -> (
           match (thread m tid).Thread.status with
           | Thread.Done | Thread.Failed ->
-              (match m.race with
-              | None -> ()
-              | Some p ->
-                  p.Race_probe.rp_join ~step:m.step ~tid:th.Thread.tid
-                    ~joined:tid);
+              if sync m then
+                emit m
+                  (Event.Join
+                     { step = m.step; tid = th.Thread.tid; joined = tid });
               th.Thread.status <- Thread.Runnable;
               advance fr
           | _ -> th.Thread.status <- Thread.Blocked_join tid)
@@ -883,11 +884,9 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       match th.Thread.status with
       | Thread.Blocked_event _ -> ()
       | _ ->
-          trace m
-            (Trace.Ev_block
-               { step = m.step; tid = th.Thread.tid; lock = "event:" ^ name });
-          flight_event m ~kind:Flight_ring.k_block ~tid:th.Thread.tid ~arg:1
-            ~detail:name;
+          if sync m then
+            emit m
+              (Event.Wait { step = m.step; tid = th.Thread.tid; event = name });
           th.Thread.status <-
             Thread.Blocked_event { name; since = m.step; timeout = None })
   | Link.L_timed_wait (r, name, timeout) ->
@@ -905,11 +904,10 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
         (match th.Thread.status with
         | Thread.Blocked_event _ -> ()
         | _ ->
-            trace m
-              (Trace.Ev_block
-                 { step = m.step; tid = th.Thread.tid; lock = "event:" ^ name });
-            flight_event m ~kind:Flight_ring.k_block ~tid:th.Thread.tid ~arg:1
-              ~detail:name);
+            if sync m then
+              emit m
+                (Event.Wait
+                   { step = m.step; tid = th.Thread.tid; event = name }));
         th.Thread.status <-
           Thread.Blocked_event { name; since; timeout = Some timeout }
       end
@@ -926,12 +924,14 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
               | _ -> ());
               wfr.Thread.idx <- wfr.Thread.idx + 1;
               waiter.Thread.status <- Thread.Runnable;
-              trace m (Trace.Ev_wake { step = m.step; tid = waiter.Thread.tid });
-              (match m.race with
-              | None -> ()
-              | Some p ->
-                  p.Race_probe.rp_wake ~step:m.step ~waker:th.Thread.tid
-                    ~woken:waiter.Thread.tid)
+              if sync m then
+                emit m
+                  (Event.Wake
+                     {
+                       step = m.step;
+                       waker = th.Thread.tid;
+                       woken = waiter.Thread.tid;
+                     })
           | _ -> ())
         m.threads;
       advance fr
@@ -950,19 +950,21 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
             ck_step = m.step;
           };
       Stats.hit_checkpoint m.stats id;
-      trace m
-        (Trace.Ev_checkpoint { step = m.step; tid = th.Thread.tid; ckpt_id = id })
+      if steps m then
+        emit m
+          (Event.Checkpoint
+             { step = m.step; tid = th.Thread.tid; ckpt_id = id })
   | Link.L_ptr_guard (r, p, ix) ->
       regs.(r) <- Value.Bool (Heap.valid m.heap (eval fr p) (as_int (eval fr ix)));
       advance fr
   | Link.L_try_recover { site_id; kind } ->
-      trace m
-        (Trace.Ev_failure_detected
-           { step = m.step; tid = th.Thread.tid; site_id; kind });
+      if sync m then
+        emit m
+          (Event.Failure_detected
+             { step = m.step; tid = th.Thread.tid; site_id; kind });
       if not (try_recover m th ~site_id ~kind) then advance fr
   | Link.L_fail_stop { site_id; kind; msg } ->
       close_episode m th;
-      trace m (Trace.Ev_fail_stop { step = m.step; tid = th.Thread.tid; site_id });
       set_failure m ~kind ~site_id:(Some site_id) ~iid:(Some i.Link.li_iid)
         ~tid:th.Thread.tid ~msg
 
@@ -1014,40 +1016,35 @@ let run_thread_step m (th : Thread.t) =
   (* A sleeper simply wakes; blocked threads re-execute their blocking
      instruction, which inspects and updates the status itself (notably the
      [since] timestamp of a timed lock must survive rescheduling). *)
-  (match th.Thread.status with
-  | Thread.Sleeping _ ->
-      trace m (Trace.Ev_wake { step = m.step; tid });
-      th.Thread.status <- Thread.Runnable
-  | _ -> ());
+  let woke =
+    match th.Thread.status with
+    | Thread.Sleeping _ ->
+        th.Thread.status <- Thread.Runnable;
+        true
+    | _ -> false
+  in
   m.stats.instrs <- m.stats.instrs + 1;
-  if m.trace <> None then trace m (Trace.Ev_schedule { step = m.step; tid });
   let fr = Thread.top th in
   let instrs = fr.Thread.block.Link.lb_instrs in
   let at_instr = fr.Thread.idx < Array.length instrs in
-  if m.config.profile_sites && at_instr then
-    Stats.hit_iid m.stats instrs.(fr.Thread.idx).Link.li_iid;
-  (match m.prof with
-  | None -> ()
-  | Some p ->
-      let stack =
-        List.map
-          (fun (f : Thread.frame) -> f.Thread.func.Link.lf_qname)
-          th.Thread.stack
-      in
-      let at_ckpt =
-        at_instr
-        &&
-        match instrs.(fr.Thread.idx).Link.li_op with
-        | Link.L_checkpoint _ -> true
-        | _ -> false
-      in
-      let cls = if at_ckpt then Profile.Checkpoint else Profile.Normal in
-      p.Profile.p_step ~step:m.step ~tid ~stack
-        ~block:fr.Thread.block.Link.lb_label_name ~cls);
   (* Remember where the thread stands before executing: on a fault, the
      crash report carries the faulting instruction — exactly what a user
      hands to fix mode (§3.1.2). *)
   let at_iid = if at_instr then instrs.(fr.Thread.idx).Link.li_iid else -1 in
+  if steps m then
+    emit m
+      (Event.Step
+         {
+           step = m.step;
+           tid;
+           iid = at_iid;
+           ckpt =
+             at_instr
+             && (match instrs.(fr.Thread.idx).Link.li_op with
+                | Link.L_checkpoint _ -> true
+                | _ -> false);
+           woke;
+         });
   try
     if at_instr then exec_instr m th instrs.(fr.Thread.idx)
     else exec_terminator m th
@@ -1093,9 +1090,7 @@ let step m =
            done;
            if !waiting_on_time then begin
              (* Everyone is asleep or waiting: let virtual time pass. *)
-             (match m.prof with
-             | None -> ()
-             | Some p -> p.Profile.p_idle ~step:m.step);
+             if steps m then emit m (Event.Idle { step = m.step });
              m.step <- m.step + 1;
              m.stats.idle <- m.stats.idle + 1;
              m.stats.steps <- m.stats.steps + 1
@@ -1110,23 +1105,7 @@ let step m =
                ~tid_of:(fun j -> m.live.(m.ready.(j)).Thread.tid)
                !rn
            in
-           (match m.flight with
-           | None -> ()
-           | Some fl ->
-               let tid = m.live.(m.ready.(k)).Thread.tid in
-               let p = Flight_ring.prev fl in
-               let preemptive =
-                 tid <> p && p >= 0
-                 &&
-                 (* the switch is preemptive only if the previously
-                    running thread was still eligible *)
-                 let found = ref false in
-                 for j = 0 to !rn - 1 do
-                   if m.live.(m.ready.(j)).Thread.tid = p then found := true
-                 done;
-                 !found
-               in
-               Flight_ring.push fl tid ~preemptive);
+           if decisions m then decide m k !rn;
            run_thread_step m m.live.(m.ready.(k));
            m.step <- m.step + 1;
            m.stats.steps <- m.stats.steps + 1
@@ -1222,6 +1201,7 @@ let restore m (s : snapshot) =
   m.step <- max m.step s.s_step;
   m.outputs <- s.s_outputs;
   m.outcome <- None;
+  m.here := None;
   rebuild_live m
 
 (** Swap the scheduling policy and (optionally) enable timing perturbation

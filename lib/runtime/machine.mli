@@ -49,9 +49,6 @@ type config = {
   spawn_jitter : int;
       (** max random startup delay for spawned threads under
           [perturb_timing] *)
-  profile_sites : bool;
-      (** record per-instruction execution counts (ConSeq-style
-          well-tested-site profiling, §3.4); off by default *)
 }
 
 val default_config : config
@@ -82,15 +79,18 @@ type t = {
   stats : Stats.t;
   sched : Sched.t;
   mutable outcome : Outcome.t option;
-  mutable trace : Trace.sink option;
-  mutable prof : Profile.probe option;
-      (** cost-profiler probe; like [trace], one [match] per step when off *)
-  mutable race : Race_probe.probe option;
-      (** race-detector probe; one [match] per memory/sync op when off *)
-  mutable flight : Flight_ring.t option;
-      (** the flight slot — the recorder ring or a full schedule
-          recording; one [match] per decision / sync op when off, and
-          fed in bulk by the block engine's compiled windows *)
+  obs : Event.observer option;
+      (** the run's observer; one [match] per emit site when off *)
+  view : Event.view;
+  here : Thread.t option ref;
+      (** the thread [view] looked up last: observers ask about the
+          running thread, step after step *)
+  mutable chosen : int;
+      (** the previously chosen tid, kept while an observer of decisions
+          is attached *)
+  mutable run_from : int;
+      (** inside a block-engine window: the step of the first decision
+          not yet reported ({!emit}), [-1] elsewhere *)
   mutable live : Thread.t array;
       (** slots [0, live_n): the live threads, ascending tid — maintained
           at spawn and death instead of folded from [threads] per step *)
@@ -103,13 +103,19 @@ type t = {
 }
 
 val create :
-  ?config:config -> ?meta:meta -> ?hooks:Hooks.bundle -> Program.t -> t
+  ?config:config ->
+  ?meta:meta ->
+  ?observer:Event.observer ->
+  ?tap:(chosen:int -> eligible:int list -> unit) ->
+  ?feed:(eligible:int list -> int) ->
+  Program.t ->
+  t
 (** Link the program and return a machine with the main thread ready to
-    run. [hooks] attaches the run's observation hooks (trace sink,
-    profiler probe, race probe, flight ring, sched tap/feed) at
-    construction; they are private to this machine, so concurrent
-    in-process runs never share hook state. All hooks are off by default
-    — with none installed the engine pays one [match] per step. *)
+    run. [observer] receives the run's observation stream ({!Event});
+    [tap] and [feed] go to the scheduler ({!Sched.set_tap},
+    {!Sched.set_feed}). They are private to this machine, so concurrent
+    in-process runs never share observation state. All are off by
+    default — then the engine pays one [match] per emit site. *)
 
 val outputs : t -> string list
 (** In emission order. *)
@@ -134,12 +140,6 @@ val run : t -> Outcome.t
 
 val run_program : ?config:config -> ?meta:meta -> Program.t -> t * Outcome.t
 
-val hooks : t -> Hooks.target
-(** The machine's six hook slots (trace, profile, race, flight, sched
-    tap/feed), bundled for [Hooks.install] — the escape hatch for
-    self-referential hooks — and the [Hooks.with_installed]
-    compatibility shim. *)
-
 (** {1 Engine internals}
 
     The execution helpers, exported for [Compile]/[Block_machine]: the
@@ -160,6 +160,19 @@ val eval_binop : Instr.binop -> Value.t -> Value.t -> Value.t
 val eval_unop : Instr.unop -> Value.t -> Value.t
 val render_output : string -> Value.t list -> string
 
+val decisions : t -> bool
+(** Does the observer consume scheduler decisions? *)
+
+val emit : t -> Event.t -> unit
+(** Deliver an event to the observer. Inside a block-engine window
+    ([run_from >= 0]) it first reports the window's decisions through
+    the current step as one {!Event.Decide}. *)
+
+val decide : t -> int -> int -> unit
+(** [decide m k rn]: report the scheduler's choice of [m.ready.(k)]
+    among the [rn] eligible threads listed in [m.ready], classifying it
+    preemptive against [m.chosen]. *)
+
 val set_failure :
   t ->
   kind:Instr.failure_kind ->
@@ -178,9 +191,9 @@ val eligible : t -> Thread.t -> bool
 
 val run_thread_step : t -> Thread.t -> unit
 (** Execute one instruction (or terminator) of [th], including the
-    sleeper wake and all probe emission — everything [step] does except
-    eligibility scanning, the scheduling decision and the step-counter
-    bump. *)
+    sleeper wake and every event it emits — everything [step] does
+    except eligibility scanning, the scheduling decision and the
+    step-counter bump. *)
 
 (** {1 Whole-machine snapshots}
 

@@ -145,16 +145,29 @@ type t = {
   stats : Stats.t;
   sched : Sched.t;
   mutable outcome : Outcome.t option;
-  mutable trace : Trace.sink option;
-  mutable prof : Profile.probe option;
-  mutable race : Race_probe.probe option;
-  mutable flight : Flight_ring.t option;
+  obs : Event.observer option;
+  view : Event.view;
+  mutable chosen : int;  (** previously chosen tid, under a decision observer *)
 }
 
-let create ?(config = Machine.default_config) ?meta ?(hooks = Hooks.none)
+(* Mirrors [Machine.view], on [T] threads. *)
+let view threads locks =
+  let thread tid = Hashtbl.find threads tid in
+  {
+    Event.stack =
+      (fun tid ->
+        List.map
+          (fun (f : T.frame) -> Fname.name f.T.func.Func.name)
+          (thread tid).T.stack);
+    block = (fun tid -> Label.name (T.top (thread tid)).T.block.Block.label);
+    locks = (fun tid -> Locks.held_by locks ~tid);
+  }
+
+let create ?(config = Machine.default_config) ?meta ?observer ?tap ?feed
     (prog : Program.t) =
   let globals = Hashtbl.create 32 in
   List.iter (fun (g, v) -> Hashtbl.replace globals g v) prog.globals;
+  let locks = Locks.create prog.mutexes and threads = Hashtbl.create 8 in
   let m =
     {
       prog;
@@ -162,22 +175,21 @@ let create ?(config = Machine.default_config) ?meta ?(hooks = Hooks.none)
       meta;
       globals;
       heap = Heap.create ();
-      locks = Locks.create prog.mutexes;
-      threads = Hashtbl.create 8;
+      locks;
+      threads;
       next_tid = 0;
       step = 0;
       outputs = [];
       stats = Stats.create ();
       sched = Sched.create config.policy;
       outcome = None;
-      trace = hooks.Hooks.hb_trace;
-      prof = hooks.Hooks.hb_profile;
-      race = hooks.Hooks.hb_race;
-      flight = hooks.Hooks.hb_flight;
+      obs = observer;
+      view = view threads locks;
+      chosen = -1;
     }
   in
-  Sched.set_tap m.sched hooks.Hooks.hb_tap;
-  Sched.set_feed m.sched hooks.Hooks.hb_feed;
+  Sched.set_tap m.sched tap;
+  Sched.set_feed m.sched feed;
   let main = Program.func_exn prog prog.main in
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
@@ -188,86 +200,19 @@ let outputs m = List.rev m.outputs
 let stats m = m.stats
 let sched m = m.sched
 
-let hooks m =
-  {
-    Hooks.ht_trace = (fun s -> m.trace <- s);
-    ht_profile = (fun p -> m.prof <- p);
-    ht_race = (fun p -> m.race <- p);
-    ht_flight = (fun f -> m.flight <- f);
-    ht_sched = m.sched;
-  }
+(* --- the observation stream (mirrors [Machine]'s) ------------------- *)
 
-let trace m ev =
-  match m.trace with None -> () | Some sink -> Trace.record sink ev
+let decisions m = match m.obs with Some o -> o.Event.decisions | None -> false
+let sync m = match m.obs with Some o -> o.Event.sync | None -> false
+let steps m = match m.obs with Some o -> o.Event.steps | None -> false
+let accesses m = match m.obs with Some o -> o.Event.accesses | None -> false
+let emit m ev = match m.obs with Some o -> o.Event.on m.view ev | None -> ()
 
-let flight_event m ~kind ~tid ~arg ~detail =
-  match m.flight with
-  | None -> ()
-  | Some fl -> Flight_ring.event fl ~kind ~step:m.step ~tid ~arg ~detail
+let access m (th : T.t) (i : Instr.t) kind addr =
+  emit m
+    (Event.Access { step = m.step; tid = th.T.tid; iid = i.Instr.iid; kind; addr })
 
 let thread m tid = Hashtbl.find m.threads tid
-
-(* --- race-probe emission (mirrors [Machine]'s, on [T] threads) ------ *)
-
-let race_stack (th : T.t) =
-  List.map (fun (f : T.frame) -> Fname.name f.T.func.Func.name) th.T.stack
-
-let race_access m (th : T.t) (i : Instr.t) kind addr =
-  match m.race with
-  | Some { Race_probe.rp_access = Some access; _ } ->
-      let fr = T.top th in
-      access ~step:m.step ~tid:th.T.tid ~iid:i.Instr.iid
-        ~stack:(race_stack th)
-        ~block:(Label.name fr.T.block.Block.label)
-        ~kind ~addr
-        ~locks:(Locks.held_by m.locks ~tid:th.T.tid)
-  | _ -> ()
-
-let race_global m th i kind g =
-  match m.race with
-  | Some { Race_probe.rp_access = Some _; _ } ->
-      race_access m th i kind (Race_probe.A_global g)
-  | _ -> ()
-
-let race_slot m (th : T.t) i kind s =
-  match m.race with
-  | Some { Race_probe.rp_access = Some _; _ } ->
-      race_access m th i kind (Race_probe.A_slot (th.T.tid, s))
-  | _ -> ()
-
-let race_cell m th i kind pv idx =
-  match (m.race, pv) with
-  | Some { Race_probe.rp_access = Some _; _ }, Value.Ptr { Value.block; offset }
-    ->
-      race_access m th i kind (Race_probe.A_cell (block, offset + idx))
-  | _ -> ()
-
-let race_free m th i pv =
-  match (m.race, pv) with
-  | Some { Race_probe.rp_access = Some _; _ }, Value.Ptr { Value.block; _ } ->
-      race_access m th i Race_probe.Write (Race_probe.A_block block)
-  | _ -> ()
-
-let race_acquire m (th : T.t) (i : Instr.t) name =
-  match m.race with
-  | None -> ()
-  | Some p ->
-      p.Race_probe.rp_acquire ~step:m.step ~tid:th.T.tid ~iid:i.Instr.iid
-        ~lock:name
-        ~locks:(Locks.held_by m.locks ~tid:th.T.tid)
-
-let race_request m (th : T.t) (i : Instr.t) name =
-  match m.race with
-  | None -> ()
-  | Some p ->
-      p.Race_probe.rp_request ~step:m.step ~tid:th.T.tid ~iid:i.Instr.iid
-        ~lock:name
-        ~locks:(Locks.held_by m.locks ~tid:th.T.tid)
-
-let race_release m (th : T.t) name =
-  match m.race with
-  | None -> ()
-  | Some p -> p.Race_probe.rp_release ~step:m.step ~tid:th.T.tid ~lock:name
 
 let live_threads m =
   Hashtbl.fold (fun tid th acc -> if T.is_live th then tid :: acc else acc)
@@ -354,9 +299,15 @@ let set_failure m ~kind ~site_id ~iid ~tid ~msg =
   (match (thread m tid).T.status with
   | T.Done | T.Failed -> ()
   | _ -> (thread m tid).T.status <- T.Failed);
-  flight_event m ~kind:Flight_ring.k_fail ~tid
-    ~arg:(match site_id with Some s -> s | None -> -1)
-    ~detail:msg;
+  if sync m then
+    emit m
+      (Event.Failed
+         {
+           step = m.step;
+           tid;
+           site_id = (match site_id with Some s -> s | None -> -1);
+           msg;
+         });
   m.outcome <-
     Some (Outcome.Failed { kind; site_id; iid; tid; step = m.step; msg })
 
@@ -381,10 +332,9 @@ let note_branch_taken m (th : T.t) ~taken ~other =
             }
           in
           m.stats.episodes <- ep :: m.stats.episodes;
-          trace m
-            (Trace.Ev_recovered { step = m.step; tid = th.tid; site_id = site });
-          flight_event m ~kind:Flight_ring.k_recovered ~tid:th.tid ~arg:site
-            ~detail:"";
+          if sync m then
+            emit m
+              (Event.Recovered { step = m.step; tid = th.tid; site_id = site });
           th.recovering <- None
       | _ -> ())
   | _ -> ()
@@ -403,10 +353,10 @@ let close_episode m (th : T.t) =
         }
       in
       m.stats.episodes <- ep :: m.stats.episodes;
-      trace m
-        (Trace.Ev_recovered { step = m.step; tid = th.tid; site_id = rec_.rec_site });
-      flight_event m ~kind:Flight_ring.k_recovered ~tid:th.tid
-        ~arg:rec_.rec_site ~detail:"";
+      if sync m then
+        emit m
+          (Event.Recovered
+             { step = m.step; tid = th.tid; site_id = rec_.rec_site });
       th.recovering <- None
 
 (* ------------------------------------------------------------------ *)
@@ -421,15 +371,18 @@ let compensate m (th : T.t) =
       | T.R_lock name ->
           if Locks.force_release m.locks name ~tid:th.tid then begin
             m.stats.compensated_locks <- m.stats.compensated_locks + 1;
-            trace m (Trace.Ev_compensate_lock { step = m.step; tid = th.tid; lock = name });
-            flight_event m ~kind:Flight_ring.k_release ~tid:th.tid ~arg:(-1)
-              ~detail:name;
-            race_release m th name
+            if sync m then
+              emit m
+                (Event.Release
+                   { step = m.step; tid = th.tid; lock = name; forced = true })
           end
       | T.R_block id ->
           if Heap.release_block m.heap id then begin
             m.stats.compensated_blocks <- m.stats.compensated_blocks + 1;
-            trace m (Trace.Ev_compensate_block { step = m.step; tid = th.tid; block = id })
+            if sync m then
+              emit m
+                (Event.Compensate_block
+                   { step = m.step; tid = th.tid; block = id })
           end)
     current;
   th.acq_log <- rest
@@ -475,15 +428,11 @@ let try_recover m (th : T.t) ~site_id ~kind =
               rec_retries_before = T.retries_of th site_id;
             };
       T.bump_retries th site_id;
-      trace m
-        (Trace.Ev_rollback
-           { step = m.step; tid = th.tid; site_id;
-             retry = T.retries_of th site_id });
-      (match m.prof with
-      | None -> ()
-      | Some p -> p.Profile.p_rollback ~step:m.step ~tid:th.tid ~site_id);
-      flight_event m ~kind:Flight_ring.k_rollback ~tid:th.tid ~arg:site_id
-        ~detail:"";
+      if sync m then
+        emit m
+          (Event.Rollback
+             { step = m.step; tid = th.tid; site_id;
+               retry = T.retries_of th site_id });
       compensate m th;
       rollback m th ck;
       if kind = Instr.Deadlock && m.config.deadlock_backoff > 0 then begin
@@ -522,7 +471,8 @@ let do_return m (th : T.t) v =
       match rest with
       | [] ->
           close_episode m th;
-          trace m (Trace.Ev_thread_done { step = m.step; tid = th.tid });
+          if sync m then
+            emit m (Event.Thread_done { step = m.step; tid = th.tid });
           th.status <- T.Done
       | caller :: _ -> (
           match frame.ret_reg with
@@ -561,11 +511,8 @@ let exec_spawn m (th : T.t) ~reg ~callee ~args =
       T.Sleeping
         (m.step + Random.State.int (Sched.rng m.sched) m.config.spawn_jitter);
   Hashtbl.replace m.threads tid th';
-  trace m (Trace.Ev_spawn { step = m.step; parent = th.tid; child = tid });
-  (match m.race with
-  | None -> ()
-  | Some p -> p.Race_probe.rp_spawn ~step:m.step ~parent:th.tid ~child:tid);
-  flight_event m ~kind:Flight_ring.k_spawn ~tid:th.tid ~arg:tid ~detail:"";
+  if sync m then
+    emit m (Event.Spawn { step = m.step; parent = th.tid; child = tid });
   fr.regs <- Reg.Map.add reg (Value.Tid tid) fr.regs;
   advance fr
 
@@ -586,25 +533,25 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       set r (eval_unop op (eval fr a));
       advance fr
   | Instr.Load (r, Instr.Global g) -> (
-      race_global m th i Race_probe.Read g;
+      if accesses m then access m th i Event.Read (Event.A_global g);
       match Hashtbl.find_opt m.globals g with
       | Some v ->
           set r v;
           advance fr
       | None -> raise (Fault ("load of undeclared global " ^ g)))
   | Instr.Load (r, Instr.Stack s) ->
-      race_slot m th i Race_probe.Read s;
+      if accesses m then access m th i Event.Read (Event.A_slot (th.tid, s));
       set r (Option.value ~default:Value.zero (Hashtbl.find_opt fr.stack_vars s));
       advance fr
   | Instr.Store (Instr.Global g, a) ->
-      race_global m th i Race_probe.Write g;
+      if accesses m then access m th i Event.Write (Event.A_global g);
       if Hashtbl.mem m.globals g then begin
         Hashtbl.replace m.globals g (eval fr a);
         advance fr
       end
       else raise (Fault ("store to undeclared global " ^ g))
   | Instr.Store (Instr.Stack s, a) ->
-      race_slot m th i Race_probe.Write s;
+      if accesses m then access m th i Event.Write (Event.A_slot (th.tid, s));
       Hashtbl.replace fr.stack_vars s (eval fr a);
       advance fr
   | Instr.Load_idx (r, p, ix) -> (
@@ -613,7 +560,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
          faulting dereferences are still seen by the detector *)
       let iv = as_int (eval fr ix) in
       let pv = eval fr p in
-      race_cell m th i Race_probe.Read pv iv;
+      (match pv with
+      | Value.Ptr { Value.block; offset } when accesses m ->
+          access m th i Event.Read (Event.A_cell (block, offset + iv))
+      | _ -> ());
       match Heap.load m.heap pv iv with
       | Ok v ->
           set r v;
@@ -623,7 +573,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       let vv = eval fr v in
       let iv = as_int (eval fr ix) in
       let pv = eval fr p in
-      race_cell m th i Race_probe.Write pv iv;
+      (match pv with
+      | Value.Ptr { Value.block; offset } when accesses m ->
+          access m th i Event.Write (Event.A_cell (block, offset + iv))
+      | _ -> ());
       match Heap.store m.heap pv iv vv with
       | Ok () -> advance fr
       | Error e -> raise (Fault e))
@@ -634,7 +587,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       advance fr
   | Instr.Free p -> (
       let pv = eval fr p in
-      race_free m th i pv;
+      (match pv with
+      | Value.Ptr { Value.block; _ } when accesses m ->
+          access m th i Event.Write (Event.A_block block)
+      | _ -> ());
       match Heap.free m.heap pv with
       | Ok () -> advance fr
       | Error e -> raise (Fault e))
@@ -642,9 +598,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       let name = as_mutex (eval fr mref) in
       if Locks.try_acquire m.locks name ~tid:th.tid then begin
         T.log_acquisition th (T.R_lock name);
-        race_acquire m th i name;
-        flight_event m ~kind:Flight_ring.k_acquire ~tid:th.tid ~arg:(-1)
-          ~detail:name;
+        if sync m then
+          emit m
+            (Event.Acquire
+               { step = m.step; tid = th.tid; iid = i.iid; lock = name });
         th.status <- T.Runnable;
         advance fr
       end
@@ -652,10 +609,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
         match th.status with
         | T.Blocked_lock _ -> ()
         | _ ->
-            trace m (Trace.Ev_block { step = m.step; tid = th.tid; lock = name });
-            race_request m th i name;
-            flight_event m ~kind:Flight_ring.k_block ~tid:th.tid ~arg:(-1)
-              ~detail:name;
+            if sync m then
+              emit m
+                (Event.Request
+                   { step = m.step; tid = th.tid; iid = i.iid; lock = name });
             th.status <-
               T.Blocked_lock { name; since = m.step; timeout = None }
       end
@@ -663,9 +620,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       let name = as_mutex (eval fr mref) in
       if Locks.try_acquire m.locks name ~tid:th.tid then begin
         T.log_acquisition th (T.R_lock name);
-        race_acquire m th i name;
-        flight_event m ~kind:Flight_ring.k_acquire ~tid:th.tid ~arg:(-1)
-          ~detail:name;
+        if sync m then
+          emit m
+            (Event.Acquire
+               { step = m.step; tid = th.tid; iid = i.iid; lock = name });
         set r Value.truth;
         th.status <- T.Runnable;
         advance fr
@@ -689,11 +647,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
           (match th.status with
           | T.Blocked_lock _ -> ()
           | _ ->
-              trace m
-                (Trace.Ev_block { step = m.step; tid = th.tid; lock = name });
-              race_request m th i name;
-              flight_event m ~kind:Flight_ring.k_block ~tid:th.tid ~arg:(-1)
-                ~detail:name);
+              if sync m then
+                emit m
+                  (Event.Request
+                     { step = m.step; tid = th.tid; iid = i.iid; lock = name }));
           th.status <-
             T.Blocked_lock { name; since; timeout = Some timeout }
         end
@@ -702,9 +659,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       let name = as_mutex (eval fr mref) in
       match Locks.release m.locks name ~tid:th.tid with
       | Ok () ->
-          race_release m th name;
-          flight_event m ~kind:Flight_ring.k_release ~tid:th.tid ~arg:(-1)
-            ~detail:name;
+          if sync m then
+            emit m
+              (Event.Release
+                 { step = m.step; tid = th.tid; lock = name; forced = false });
           advance fr
       | Error e -> raise (Fault e))
   | Instr.Assert { cond; msg; oracle } ->
@@ -716,7 +674,8 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       let text = render_output fmt (List.map (eval fr) args) in
       m.outputs <- text :: m.outputs;
       m.stats.outputs <- m.stats.outputs + 1;
-      trace m (Trace.Ev_output { step = m.step; tid = th.tid; text });
+      if steps m then
+        emit m (Event.Output { step = m.step; tid = th.tid; text });
       advance fr
   | Instr.Call (ret, callee, args) -> exec_call m th ~ret ~callee ~args
   | Instr.Spawn (r, callee, args) -> exec_spawn m th ~reg:r ~callee ~args
@@ -725,10 +684,9 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       | Value.Tid tid -> (
           match (thread m tid).T.status with
           | T.Done | T.Failed ->
-              (match m.race with
-              | None -> ()
-              | Some p ->
-                  p.Race_probe.rp_join ~step:m.step ~tid:th.tid ~joined:tid);
+              if sync m then
+                emit m
+                  (Event.Join { step = m.step; tid = th.tid; joined = tid });
               th.status <- T.Runnable;
               advance fr
           | _ -> th.status <- T.Blocked_join tid)
@@ -746,11 +704,8 @@ let exec_instr m (th : T.t) (i : Instr.t) =
       match th.status with
       | T.Blocked_event _ -> ()
       | _ ->
-          trace m
-            (Trace.Ev_block
-               { step = m.step; tid = th.tid; lock = "event:" ^ name });
-          flight_event m ~kind:Flight_ring.k_block ~tid:th.tid ~arg:1
-            ~detail:name;
+          if sync m then
+            emit m (Event.Wait { step = m.step; tid = th.tid; event = name });
           th.status <-
             T.Blocked_event { name; since = m.step; timeout = None })
   | Instr.Timed_wait (r, name, timeout) ->
@@ -768,11 +723,8 @@ let exec_instr m (th : T.t) (i : Instr.t) =
         (match th.status with
         | T.Blocked_event _ -> ()
         | _ ->
-            trace m
-              (Trace.Ev_block
-                 { step = m.step; tid = th.tid; lock = "event:" ^ name });
-            flight_event m ~kind:Flight_ring.k_block ~tid:th.tid ~arg:1
-              ~detail:name);
+            if sync m then
+              emit m (Event.Wait { step = m.step; tid = th.tid; event = name }));
         th.status <-
           T.Blocked_event { name; since; timeout = Some timeout }
       end
@@ -788,12 +740,10 @@ let exec_instr m (th : T.t) (i : Instr.t) =
               | _ -> ());
               wfr.idx <- wfr.idx + 1;
               waiter.status <- T.Runnable;
-              trace m (Trace.Ev_wake { step = m.step; tid = waiter.tid });
-              (match m.race with
-              | None -> ()
-              | Some p ->
-                  p.Race_probe.rp_wake ~step:m.step ~waker:th.tid
-                    ~woken:waiter.tid)
+              if sync m then
+                emit m
+                  (Event.Wake
+                     { step = m.step; waker = th.tid; woken = waiter.tid })
           | _ -> ())
         m.threads;
       advance fr
@@ -811,17 +761,19 @@ let exec_instr m (th : T.t) (i : Instr.t) =
             ck_step = m.step;
           };
       Stats.hit_checkpoint m.stats id;
-      trace m (Trace.Ev_checkpoint { step = m.step; tid = th.tid; ckpt_id = id })
+      if steps m then
+        emit m (Event.Checkpoint { step = m.step; tid = th.tid; ckpt_id = id })
   | Instr.Ptr_guard (r, p, ix) ->
       set r (Value.Bool (Heap.valid m.heap (eval fr p) (as_int (eval fr ix))));
       advance fr
   | Instr.Try_recover { site_id; kind } ->
-      trace m
-        (Trace.Ev_failure_detected { step = m.step; tid = th.tid; site_id; kind });
+      if sync m then
+        emit m
+          (Event.Failure_detected
+             { step = m.step; tid = th.tid; site_id; kind });
       if not (try_recover m th ~site_id ~kind) then advance fr
   | Instr.Fail_stop { site_id; kind; msg } ->
       close_episode m th;
-      trace m (Trace.Ev_fail_stop { step = m.step; tid = th.tid; site_id });
       set_failure m ~kind ~site_id:(Some site_id) ~iid:(Some i.iid)
         ~tid:th.tid ~msg
 
@@ -867,40 +819,38 @@ let eligible m (th : T.t) =
 
 let run_thread_step m tid =
   let th = thread m tid in
-  (match th.status with
-  | T.Sleeping _ ->
-      trace m (Trace.Ev_wake { step = m.step; tid });
-      th.status <- T.Runnable
-  | _ -> ());
+  let woke =
+    match th.status with
+    | T.Sleeping _ ->
+        th.status <- T.Runnable;
+        true
+    | _ -> false
+  in
   m.stats.instrs <- m.stats.instrs + 1;
-  trace m (Trace.Ev_schedule { step = m.step; tid });
-  (if m.config.profile_sites then
-     let fr = T.top th in
-     if fr.idx < Block.length fr.block then
-       Stats.hit_iid m.stats fr.block.instrs.(fr.idx).Instr.iid);
-  (match m.prof with
-  | None -> ()
-  | Some p ->
-      let fr = T.top th in
-      let stack =
-        List.map (fun (f : T.frame) -> Fname.name f.func.Func.name) th.stack
-      in
-      let at_ckpt =
-        fr.idx < Block.length fr.block
-        &&
-        match fr.block.instrs.(fr.idx).Instr.op with
-        | Instr.Checkpoint _ -> true
-        | _ -> false
-      in
-      let cls = if at_ckpt then Profile.Checkpoint else Profile.Normal in
-      p.Profile.p_step ~step:m.step ~tid ~stack
-        ~block:(Label.name fr.block.label) ~cls);
   let at_iid =
     match th.stack with
     | fr :: _ when fr.idx < Block.length fr.block ->
         Some fr.block.instrs.(fr.idx).Instr.iid
     | _ -> None
   in
+  (if steps m then
+     let fr = T.top th in
+     let ckpt =
+       fr.idx < Block.length fr.block
+       &&
+       match fr.block.instrs.(fr.idx).Instr.op with
+       | Instr.Checkpoint _ -> true
+       | _ -> false
+     in
+     emit m
+       (Event.Step
+          {
+            step = m.step;
+            tid;
+            iid = Option.value ~default:(-1) at_iid;
+            ckpt;
+            woke;
+          }));
   try
     let fr = T.top th in
     if fr.idx < Block.length fr.block then
@@ -935,9 +885,7 @@ let step m =
                 live
             in
             if waiting_on_time then begin
-              (match m.prof with
-              | None -> ()
-              | Some p -> p.Profile.p_idle ~step:m.step);
+              if steps m then emit m (Event.Idle { step = m.step });
               m.step <- m.step + 1;
               m.stats.idle <- m.stats.idle + 1;
               m.stats.steps <- m.stats.steps + 1
@@ -946,12 +894,18 @@ let step m =
               m.outcome <- Some (Outcome.Hang { step = m.step; blocked = live })
         | _ :: _ ->
             let tid = Sched.choose m.sched ready in
-            (match m.flight with
-            | None -> ()
-            | Some fl ->
-                let p = Flight_ring.prev fl in
-                Flight_ring.push fl tid
-                  ~preemptive:(tid <> p && p >= 0 && List.mem p ready));
+            if decisions m then begin
+              let p = m.chosen in
+              m.chosen <- tid;
+              emit m
+                (Event.Decide
+                   {
+                     step = m.step;
+                     tid;
+                     count = 1;
+                     preemptive = tid <> p && p >= 0 && List.mem p ready;
+                   })
+            end;
             run_thread_step m tid;
             m.step <- m.step + 1;
             m.stats.steps <- m.stats.steps + 1);

@@ -17,12 +17,16 @@ type meta = Machine.meta
 type t
 
 val create :
-  ?config:config -> ?meta:meta -> ?hooks:Hooks.bundle -> Program.t -> t
-(** [hooks] attaches the run's observation hooks at construction, same
-    as [Machine.create]. Probes see the same step/rollback/idle sequence
-    and the same access/synchronization event stream, with the same
-    names, as the fast engine's — traces, profiles and race reports are
-    part of the bit-for-bit differential guarantee. *)
+  ?config:config ->
+  ?meta:meta ->
+  ?observer:Event.observer ->
+  ?tap:(chosen:int -> eligible:int list -> unit) ->
+  ?feed:(eligible:int list -> int) ->
+  Program.t ->
+  t
+(** Same as [Machine.create]. The observer sees the same event stream,
+    with the same names, as the fast engine's — traces, profiles and race
+    reports are part of the bit-for-bit differential guarantee. *)
 
 val outputs : t -> string list
 (** In emission order. *)
@@ -30,10 +34,6 @@ val outputs : t -> string list
 val sched : t -> Sched.t
 (** The machine's scheduler — the attach point for the record/replay
     hooks ({!Sched.set_tap}, {!Sched.set_feed}). *)
-
-val hooks : t -> Hooks.target
-(** The machine's six hook slots, bundled for [Hooks.install] and the
-    [Hooks.with_installed] compatibility shim. *)
 
 val stats : t -> Stats.t
 val outcome : t -> Outcome.t option

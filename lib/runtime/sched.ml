@@ -23,10 +23,10 @@
 
    The scheduler is also the replay seam ([Conair_replay]): an optional
    [feed] overrides the policy's choice, and an optional [tap] observes
-   every decision with its eligible set (schedule recording itself rides
-   the machine's flight slot, not the tap). Both default to
+   every decision with its eligible set (schedule recording itself
+   observes the machine's event stream, not the tap). Both default to
    [None] and cost one match per decision when absent, the same
-   zero-cost-when-off discipline as the trace/profile/race probes. A fed
+   zero-cost-when-off discipline as the machine's observer. A fed
    decision still consumes the rng and moves the cursor exactly as the
    policy would have for the same choice, so a strict replay reproduces
    the original random stream — deadlock backoff and timing perturbation

@@ -13,10 +13,9 @@
     The scheduler doubles as the replay seam: {!set_feed} installs an
     override of the policy's choice and {!set_tap} an observer of every
     decision with its eligible set (see [Conair_replay]; recording a
-    schedule uses the machine's flight slot instead). Both are [None] by
-    default and
-    cost one match per decision when off — the same zero-cost-when-off
-    discipline as the trace/profile/race probes. *)
+    schedule observes the machine's event stream instead). Both are
+    [None] by default and cost one match per decision when off — the
+    same zero-cost-when-off discipline as the machine's observer. *)
 
 type policy =
   | Round_robin  (** strict rotation among eligible threads; rng unused *)
@@ -78,4 +77,4 @@ val save : t -> saved
 
 val restore : t -> saved -> unit
 (** Reinstate a {!save}d state (the saved copy stays intact and can be
-    restored again). Hooks are untouched. *)
+    restored again). The tap and feed are untouched. *)

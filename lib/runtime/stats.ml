@@ -24,9 +24,6 @@ type t = {
   ckpt_hits : (int, int) Hashtbl.t;
       (** executions per checkpoint id — the per-family dynamic
           reexecution-point counts of Table 6 *)
-  iid_hits : (int, int) Hashtbl.t;
-      (** executions per instruction id, populated only under
-          [Machine.config.profile_sites] — the ConSeq-style profile *)
 }
 
 let create () =
@@ -42,7 +39,6 @@ let create () =
     tracecheck_violations = 0;
     outputs = 0;
     ckpt_hits = Hashtbl.create 16;
-    iid_hits = Hashtbl.create 64;
   }
 
 let hit_checkpoint t id =
@@ -51,12 +47,6 @@ let hit_checkpoint t id =
     (1 + Option.value ~default:0 (Hashtbl.find_opt t.ckpt_hits id))
 
 let ckpt_hits_of t id = Option.value ~default:0 (Hashtbl.find_opt t.ckpt_hits id)
-
-let hit_iid t iid =
-  Hashtbl.replace t.iid_hits iid
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.iid_hits iid))
-
-let iid_hits_of t iid = Option.value ~default:0 (Hashtbl.find_opt t.iid_hits iid)
 
 (* [episodes] is an accumulation list (newest first); anything user-facing
    — pretty-printing, reports, spans — should read it in execution order. *)

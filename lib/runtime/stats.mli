@@ -25,9 +25,6 @@ type t = {
   mutable outputs : int;
   ckpt_hits : (int, int) Hashtbl.t;
       (** executions per checkpoint id — Table 6's dynamic split *)
-  iid_hits : (int, int) Hashtbl.t;
-      (** executions per instruction id, populated only under
-          [Machine.config.profile_sites] — the ConSeq-style profile *)
 }
 
 val create : unit -> t
@@ -39,8 +36,6 @@ val episodes_chronological : t -> episode list
 
 val hit_checkpoint : t -> int -> unit
 val ckpt_hits_of : t -> int -> int
-val hit_iid : t -> int -> unit
-val iid_hits_of : t -> int -> int
 val total_retries : t -> int
 
 val max_recovery_time : t -> int

@@ -1,9 +1,11 @@
 (* A structured execution trace: what the scheduler ran and what the
    recovery engine did, as typed events. Off by default (tracing costs
-   memory); when a sink is installed, the machine reports scheduling,
-   blocking, failures, checkpoints, rollbacks and compensations, giving
-   tests something to assert order on and users an audit trail of a
-   recovery ("which thread rolled back, how often, what was released"). *)
+   memory); the trace is a view of the machine's observation stream
+   ([Event]) in the vocabulary of the JSONL event-log format —
+   scheduling, blocking, failures, checkpoints, rollbacks and
+   compensations — giving tests something to assert order on and users
+   an audit trail of a recovery ("which thread rolled back, how often,
+   what was released"). *)
 
 type event =
   | Ev_schedule of { step : int; tid : int }
@@ -56,8 +58,7 @@ let pp_event ppf = function
 (** A trace sink; [record] receives the full event stream. A sink can
     retain events in memory ([store], the default), forward each event to
     a listener as it happens ([emit] — the streaming-telemetry hook), or
-    both. Machines never look inside: installing no sink keeps tracing
-    entirely free. *)
+    both. Attaching no sink keeps tracing entirely free. *)
 type sink = {
   mutable events : event list;  (** newest first; empty when not storing *)
   emit : (event -> unit) option;
@@ -71,6 +72,43 @@ let record sink ev =
   sink.count <- sink.count + 1;
   if sink.store then sink.events <- ev :: sink.events;
   match sink.emit with None -> () | Some f -> f ev
+
+(* A stream event in trace vocabulary: a sleeper's wake rides its step,
+   the compensation's forced release and a fail-stop's failure have
+   their own names, and the stream's other events (decisions,
+   acquisitions, plain releases, joins, idle ticks, accesses,
+   unhardened failures) have no trace counterpart. *)
+let observer sink =
+  let f ev = record sink ev in
+  Event.observer ~sync:true ~steps:true (fun _ ev ->
+      match (ev : Event.t) with
+      | Step { step; tid; woke; _ } ->
+          if woke then f (Ev_wake { step; tid });
+          f (Ev_schedule { step; tid })
+      | Request { step; tid; lock; _ } -> f (Ev_block { step; tid; lock })
+      | Wait { step; tid; event } ->
+          f (Ev_block { step; tid; lock = "event:" ^ event })
+      | Wake { step; woken; _ } -> f (Ev_wake { step; tid = woken })
+      | Spawn { step; parent; child } -> f (Ev_spawn { step; parent; child })
+      | Thread_done { step; tid } -> f (Ev_thread_done { step; tid })
+      | Output { step; tid; text } -> f (Ev_output { step; tid; text })
+      | Checkpoint { step; tid; ckpt_id } ->
+          f (Ev_checkpoint { step; tid; ckpt_id })
+      | Failure_detected { step; tid; site_id; kind } ->
+          f (Ev_failure_detected { step; tid; site_id; kind })
+      | Rollback { step; tid; site_id; retry } ->
+          f (Ev_rollback { step; tid; site_id; retry })
+      | Release { step; tid; lock; forced = true } ->
+          f (Ev_compensate_lock { step; tid; lock })
+      | Compensate_block { step; tid; block } ->
+          f (Ev_compensate_block { step; tid; block })
+      | Recovered { step; tid; site_id } ->
+          f (Ev_recovered { step; tid; site_id })
+      | Failed { step; tid; site_id; _ } when site_id >= 0 ->
+          f (Ev_fail_stop { step; tid; site_id })
+      | Decide _ | Acquire _ | Release _ | Join _ | Failed _ | Idle _
+      | Access _ ->
+          ())
 
 let events sink = List.rev sink.events
 let length sink = sink.count

@@ -1,7 +1,8 @@
 (** A structured execution trace: scheduling and recovery activity as
-    typed events. Opt-in (install a sink with {!Machine.set_trace});
-    used by tests to assert event ordering and by the CLI's [--trace] to
-    print a recovery audit trail. *)
+    typed events, read off the observation stream ({!Event}). Opt-in
+    (attach {!observer} to a run); used by tests to assert event
+    ordering and by the CLI's [--trace] to print a recovery audit
+    trail. *)
 
 type event =
   | Ev_schedule of { step : int; tid : int }
@@ -36,6 +37,11 @@ val create : ?emit:(event -> unit) -> ?store:bool -> unit -> sink
     event log in constant space. *)
 
 val record : sink -> event -> unit
+
+val observer : sink -> Event.observer
+(** Attach the sink to a run: the trace is a fold over the observation
+    stream, recording every trace event as it happens. Consumes per-step
+    and sync events. *)
 
 val events : sink -> event list
 (** In occurrence order. Empty when the sink was created with

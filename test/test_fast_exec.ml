@@ -23,7 +23,7 @@ open Conair.Ir
 module Machine = Conair.Runtime.Machine
 module Ref_machine = Conair.Runtime.Ref_machine
 module Engine = Conair.Runtime.Engine
-module Hooks = Conair.Runtime.Hooks
+module Event = Conair.Runtime.Event
 module Sched = Conair.Runtime.Sched
 module Stats = Conair.Runtime.Stats
 module Trace = Conair.Runtime.Trace
@@ -121,7 +121,7 @@ let observe engine ?meta config (p : Program.t) =
   let prof = Prof.create () in
   let m =
     Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~trace:sink ~profile:(Prof.probe prof) ())
+      ~observer:(Event.combine [ Trace.observer sink; Prof.probe prof ])
       engine p
   in
   let outcome = Engine.run m in
@@ -267,8 +267,8 @@ let sweep_detector_reports () =
 (* Recorded schedule logs must serialize identically across the engines
    — modulo the engine stamp itself, which names the recorder and is
    checked separately — under round-robin and several seeds. The
-   recorder rides the flight slot, so the block engine records on its
-   compiled window path. *)
+   recorder observes decisions and sync events only, so the block
+   engine records on its compiled window path. *)
 let sweep_recorded_logs () =
   let module Log = Conair.Replay.Log in
   let check_logs name log_of =
@@ -368,10 +368,10 @@ let choose_idx_agrees () =
 
 (* ---- the fast-path contract ----------------------------------------
 
-   A full recording rides the flight slot and the fix sweep's deadlock
-   lens hears only lock events, so neither may push the block engine off
-   its compiled window path — and what they observe there must be what a
-   per-step observer sees on the interpretive engines. *)
+   A full recording and the fix sweep's deadlock lens observe sync
+   events only, so neither may push the block engine off its compiled
+   window path — and what they observe there must be what the
+   interpretive engines emit. *)
 
 module Block_machine = Conair.Runtime.Block_machine
 module Recorder = Conair.Replay.Recorder
@@ -383,33 +383,53 @@ let recorder_and_witness_stay_unhooked () =
   let p =
     (List.hd Registry.all).Spec.make ~variant:Spec.Buggy ~oracle:false
   in
-  let hooked hooks =
+  let hooked ?observer ?tap ?feed () =
     Block_machine.hooked
       (Block_machine.machine
-         (Block_machine.create ~config:(config Sched.Round_robin) ~hooks
-            p.Spec.program))
+         (Block_machine.create ~config:(config Sched.Round_robin) ?observer
+            ?tap ?feed p.Spec.program))
   in
   let witness () = Lockorder.witness_probe (Lockorder.witness ()) in
+  let recorder () = Recorder.observer (Recorder.create ()) in
+  let ring () =
+    Conair.Runtime.Flight_ring.(observer (create ()))
+  in
+  let sync_only = [ recorder (); ring (); witness () ] in
   List.iter
-    (fun (label, hooks, expected) ->
-      Alcotest.(check bool) label expected (hooked hooks))
+    (fun (label, hooked, expected) ->
+      Alcotest.(check bool) label expected hooked)
     [
-      ("bare", Hooks.none, false);
-      ("recorder", Hooks.bundle ~flight:(Recorder.create ()) (), false);
-      ( "bounded ring",
-        Hooks.bundle ~flight:(Conair.Runtime.Flight_ring.create ()) (),
-        false );
-      ("lock-order witness", Hooks.bundle ~race:(witness ()) (), false);
+      ("bare", hooked (), false);
+      ("recorder", hooked ~observer:(recorder ()) (), false);
+      ("bounded ring", hooked ~observer:(ring ()) (), false);
+      ("lock-order witness", hooked ~observer:(witness ()) (), false);
       ( "recorder + witness",
-        Hooks.bundle ~flight:(Recorder.create ()) ~race:(witness ()) (),
+        hooked ~observer:(Event.combine [ recorder (); witness () ]) (),
+        false );
+      ( "ring + recorder + witness",
+        hooked ~observer:(Event.combine sync_only) (),
         false );
       ( "full detector",
-        Hooks.bundle ~race:(Detect.probe (Detect.create ())) (),
+        hooked ~observer:(Detect.probe (Detect.create ())) (),
         true );
-      ( "scheduler tap",
-        Hooks.bundle ~tap:(fun ~chosen:_ ~eligible:_ -> ()) (),
+      ("cost profiler", hooked ~observer:(Prof.probe (Prof.create ())) (), true);
+      ( "coverage collector",
+        hooked
+          ~observer:
+            Conair.Obs.Coverage.(probe (collector ()))
+          (),
         true );
-      ("trace sink", Hooks.bundle ~trace:(Trace.create ()) (), true);
+      ( "trace sink",
+        hooked ~observer:(Trace.observer (Trace.create ())) (),
+        true );
+      ( "recorder + trace sink",
+        hooked
+          ~observer:
+            (Event.combine [ recorder (); Trace.observer (Trace.create ()) ])
+          (),
+        true );
+      ("scheduler tap", hooked ~tap:(fun ~chosen:_ ~eligible:_ -> ()) (), true);
+      ("replay feed", hooked ~feed:(fun ~eligible -> List.hd eligible) (), true);
     ]
 
 (* The run-length recording, on every engine (the block engine on its
@@ -424,15 +444,13 @@ let recorder_matches_tap_oracle () =
         (fun (name, p) ->
           let oracle = Tap.create () in
           ignore
-            (Engine.run_program ~config
-               ~hooks:(Hooks.bundle ~tap:(Tap.tap oracle) ())
-               Engine.Fast p);
+            (Engine.run_program ~config ~tap:(Tap.tap oracle) Engine.Fast p);
           List.iter
             (fun engine ->
               let label = name ^ "@" ^ pname ^ "#" ^ Engine.name engine in
               let r = Recorder.create () in
               ignore
-                (Engine.run_program ~config ~hooks:(Hooks.bundle ~flight:r ())
+                (Engine.run_program ~config ~observer:(Recorder.observer r)
                    engine p);
               Alcotest.(check int) (label ^ ": count") (Tap.count oracle)
                 (Recorder.count r);
@@ -469,8 +487,7 @@ let witness_keys_match_detector () =
               let config = config policy in
               let det = Detect.create () in
               ignore
-                (Engine.run_program ~config
-                   ~hooks:(Hooks.bundle ~race:(Detect.probe det) ())
+                (Engine.run_program ~config ~observer:(Detect.probe det)
                    Engine.Fast p);
               let expected =
                 List.sort_uniq compare
@@ -481,8 +498,7 @@ let witness_keys_match_detector () =
               let w = Lockorder.witness () in
               ignore
                 (Engine.run_program ~config
-                   ~hooks:(Hooks.bundle ~race:(Lockorder.witness_probe w) ())
-                   Engine.Block p);
+                   ~observer:(Lockorder.witness_probe w) Engine.Block p);
               Alcotest.(check (list string))
                 (Printf.sprintf "%s/%s: cycle keys" s.info.name
                    (match variant with
@@ -494,6 +510,105 @@ let witness_keys_match_detector () =
     (Registry.all @ Registry.extended);
   Alcotest.(check bool) "some runs close lock-order cycles" true
     (!with_cycles > 0)
+
+(* An observer of one event class that digests every event it receives,
+   plus the view's answers for the event's thread where it has one: a
+   full-depth structural hash per item, MD5 over the sequence. Adjacent
+   decisions for one thread are merged first: the block engine reports a
+   compiled window as one counted decision. *)
+let digester (observer : (Event.view -> Event.t -> unit) -> Event.observer) =
+  let buf = Buffer.create 4096 in
+  let add x =
+    Buffer.add_int32_le buf (Int32.of_int (Hashtbl.hash_param 256 256 x))
+  in
+  let run = ref None in
+  let flush () =
+    Option.iter add !run;
+    run := None
+  in
+  let on (v : Event.view) (ev : Event.t) =
+    match (ev, !run) with
+    | Decide { tid; count; preemptive = false; _ }, Some (s, t, c, p)
+      when t = tid ->
+        run := Some (s, t, c + count, p)
+    | Decide { step; tid; count; preemptive }, _ ->
+        flush ();
+        run := Some (step, tid, count, preemptive)
+    | _ -> (
+        flush ();
+        add ev;
+        match ev with
+        | Step { tid; _ } | Access { tid; _ } ->
+            add (v.stack tid, v.block tid, v.locks tid)
+        | Acquire { tid; _ } | Request { tid; _ } -> add (v.locks tid)
+        | _ -> ())
+  in
+  ( observer on,
+    fun () ->
+      flush ();
+      Digest.to_hex (Digest.string (Buffer.contents buf)) )
+
+(* Each engine emits the same stream: per-step and access digests match
+   on ref, fast and block, and so do sync digests with the block engine
+   on its window path, under round-robin and three seeds, original and
+   hardened. *)
+let one_stream_three_engines () =
+  let classes =
+    [
+      ("sync", fun on -> Event.observer ~decisions:true ~sync:true on);
+      ("per-step", fun on -> Event.observer ~steps:true on);
+      ("access", fun on -> Event.observer ~accesses:true on);
+    ]
+  in
+  List.iter
+    (fun (pname, policy) ->
+      let config = config policy in
+      List.iter
+        (fun (name, p) ->
+          let runs =
+            (name, None, p)
+            ::
+            (match Conair.harden p Conair.Survival with
+            | Error _ -> []
+            | Ok h ->
+                [
+                  ( name ^ "/hardened",
+                    Some (Machine.meta_of_harden h.hardened),
+                    h.hardened.program );
+                ])
+          in
+          List.iter
+            (fun (name, meta, p) ->
+              List.iter
+                (fun (cname, cls) ->
+                  let label = name ^ "@" ^ pname ^ ": " ^ cname ^ " digest" in
+                  let digest engine =
+                    let observer, digest = digester cls in
+                    let m = Engine.create ~config ?meta ~observer engine p in
+                    (match m with
+                    | Engine.M_block bm ->
+                        Alcotest.(check bool) (label ^ " hooked")
+                          (cname <> "sync")
+                          (Block_machine.hooked (Block_machine.machine bm))
+                    | _ -> ());
+                    ignore (Engine.run m);
+                    digest ()
+                  in
+                  let expected = digest Engine.Ref in
+                  List.iter
+                    (fun (ename, engine) ->
+                      Alcotest.(check string) (label ^ "#" ^ ename) expected
+                        (digest engine))
+                    engines)
+                classes)
+            runs)
+        (corpus ()))
+    [
+      ("round-robin", Sched.Round_robin);
+      ("random:1", Sched.Random 1);
+      ("random:2", Sched.Random 2);
+      ("random:3", Sched.Random 3);
+    ]
 
 (* The link and compile memos never keep a program alive: once a program
    is dropped its image and code go with it, while a live program keeps
@@ -562,5 +677,7 @@ let suites =
           witness_keys_match_detector;
         Alcotest.test_case "memos follow program liveness" `Quick
           memos_follow_program_liveness;
+        Alcotest.test_case "one stream, three engines" `Quick
+          one_stream_three_engines;
       ] );
   ]

@@ -15,7 +15,7 @@
 open Test_util
 module Machine = Conair.Runtime.Machine
 module Engine = Conair.Runtime.Engine
-module Hooks = Conair.Runtime.Hooks
+module Event = Conair.Runtime.Event
 module Outcome = Conair.Runtime.Outcome
 module Flight_ring = Conair.Runtime.Flight_ring
 module Flight = Conair.Obs.Flight
@@ -54,8 +54,7 @@ let ring_vs_recorder ?cap engine p =
   let r = Recorder.create () in
   let _m, _out =
     Engine.run_program ~config
-      ~hooks:(Hooks.bundle ~flight:ring ~tap:(Recorder.tap r) ())
-      engine p
+      ~observer:(Flight_ring.observer ring) ~tap:(Recorder.tap r) engine p
   in
   (ring, r)
 
@@ -106,7 +105,7 @@ let ring_tiny () =
     (Array.length (Flight_ring.tail ring));
   check_exact_suffix ring r
 
-(* The block engine accounts compiled windows in bulk (push_run); its
+(* The block engine reports a compiled window as one counted decision; its
    ring must agree entry-for-entry with the fast engine's, which pushes
    one decision at a time. No recorder tap here — the tap would force
    the block engine off its window fast path, hiding the bulk path this
@@ -117,8 +116,7 @@ let ring_block_bulk_accounting () =
     let ring = Flight_ring.create ~cap:512 () in
     let _m, _out =
       Engine.run_program ~config
-        ~hooks:(Hooks.bundle ~flight:ring ())
-        engine inst.Spec.program
+        ~observer:(Flight_ring.observer ring) engine inst.Spec.program
     in
     ring
   in
@@ -254,8 +252,8 @@ let regeneration_rejects_tampering () =
 (* --- zero cost when off -------------------------------------------- *)
 
 (* Attaching the recorder never changes a run: outcome, outputs and
-   stats are identical with no hooks, with an empty hook bundle, and
-   with a flight ring installed — on all three engines. *)
+   stats are identical with no observer, with an empty one, and with a
+   flight ring attached — on all three engines. *)
 let recorder_never_changes_a_run () =
   List.iter
     (fun (name, variant) ->
@@ -264,12 +262,12 @@ let recorder_never_changes_a_run () =
         (fun engine ->
           let bare = Engine.run_program ~config engine inst.Spec.program in
           let empty =
-            Engine.run_program ~config ~hooks:(Hooks.bundle ()) engine
+            Engine.run_program ~config ~observer:(Event.combine []) engine
               inst.Spec.program
           in
           let flight =
             Engine.run_program ~config
-              ~hooks:(Hooks.bundle ~flight:(Flight_ring.create ()) ())
+              ~observer:(Flight_ring.observer (Flight_ring.create ()))
               engine inst.Spec.program
           in
           let obs (m, out) =
@@ -280,7 +278,7 @@ let recorder_never_changes_a_run () =
               (match variant with Spec.Buggy -> "buggy" | Spec.Clean -> "clean")
               (Engine.name engine) s
           in
-          Alcotest.(check bool) (label "empty hook bundle is a no-op") true
+          Alcotest.(check bool) (label "empty observer is a no-op") true
             (obs bare = obs empty);
           Alcotest.(check bool) (label "flight ring is invisible") true
             (obs bare = obs flight))

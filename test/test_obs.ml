@@ -17,7 +17,6 @@ module Prof = Conair.Obs.Prof
 module Overhead = Conair.Obs.Overhead
 module Aggregate = Conair.Obs.Aggregate
 module Machine = Conair.Runtime.Machine
-module Hooks = Conair.Runtime.Hooks
 module Trace = Conair.Runtime.Trace
 module Stats = Conair.Runtime.Stats
 module Spec = Conair_bugbench.Bench_spec
@@ -125,7 +124,7 @@ let jsonl_golden () =
   let meta = Jsonl.run_meta ~variant:"clean" "tiny" in
   let sink = Jsonl.sink ~meta ~store:true (Jsonl.buffer_writer b) in
   let m =
-    Machine.create ~hooks:(Hooks.bundle ~trace:sink ()) (tiny_program ())
+    Machine.create ~observer:(Trace.observer sink) (tiny_program ())
   in
   let outcome = Machine.run m in
   Alcotest.(check bool) "tiny program succeeds" true
@@ -155,7 +154,7 @@ let jsonl_stream_matches_batch () =
   let meta = Jsonl.run_meta ~variant:"buggy" "uninit-read" in
   let sink = Jsonl.sink ~config ~meta ~store:true (Jsonl.buffer_writer b) in
   let m =
-    Machine.create ~config ~hooks:(Hooks.bundle ~trace:sink ()) entry.program
+    Machine.create ~config ~observer:(Trace.observer sink) entry.program
   in
   ignore (Machine.run m);
   let events = Trace.events sink in
@@ -430,8 +429,7 @@ let prof_tiny_exact () =
   let prof = Prof.create () in
   let m =
     Machine.create
-      ~hooks:(Hooks.bundle ~profile:(Prof.probe prof) ())
-      (tiny_program ())
+      ~observer:(Prof.probe prof) (tiny_program ())
   in
   ignore (Machine.run m);
   Prof.finalize prof;

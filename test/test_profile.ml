@@ -88,8 +88,10 @@ let profiling_off_by_default () =
   let s = Option.get (Registry.find "ZSNES") in
   let inst = s.make ~variant:Spec.Clean ~oracle:false in
   let r = Conair.execute ~config inst.program in
-  Alcotest.(check int) "no iid hits recorded" 0
-    (Hashtbl.length r.stats.iid_hits)
+  Alcotest.(check bool) "no observer attached" true
+    (match r.machine with
+    | Conair.Runtime.Engine.M_fast m -> Option.is_none m.Machine.obs
+    | _ -> false)
 
 let suites =
   [

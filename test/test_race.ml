@@ -13,8 +13,7 @@ module B = Builder
 module Machine = Conair.Runtime.Machine
 module Ref_machine = Conair.Runtime.Ref_machine
 module Sched = Conair.Runtime.Sched
-module Race_probe = Conair.Runtime.Race_probe
-module Hooks = Conair.Runtime.Hooks
+module Event = Conair.Runtime.Event
 module Race = Conair.Race
 module Json = Conair.Obs.Json
 module Spec = Conair_bugbench.Bench_spec
@@ -76,14 +75,14 @@ let access ?(step = 0) ?(iid = 0) ?(locks = []) ~tid kind addr =
     ac_locks = locks;
   }
 
-let g = Race_probe.A_global "x"
+let g = Event.A_global "x"
 
 let hb_read_write_race () =
   let h = Race.Hb.create () in
   Race.Hb.on_spawn h ~parent:0 ~child:1;
   Race.Hb.on_spawn h ~parent:0 ~child:2;
-  Race.Hb.on_access h (access ~tid:1 ~iid:10 Race_probe.Read g);
-  Race.Hb.on_access h (access ~tid:2 ~iid:20 Race_probe.Write g);
+  Race.Hb.on_access h (access ~tid:1 ~iid:10 Event.Read g);
+  Race.Hb.on_access h (access ~tid:2 ~iid:20 Event.Write g);
   match Race.Hb.races h with
   | [ r ] ->
       Alcotest.(check string) "read-write" "read-write"
@@ -97,8 +96,8 @@ let hb_write_write_race () =
   let h = Race.Hb.create () in
   Race.Hb.on_spawn h ~parent:0 ~child:1;
   Race.Hb.on_spawn h ~parent:0 ~child:2;
-  Race.Hb.on_access h (access ~tid:1 Race_probe.Write g);
-  Race.Hb.on_access h (access ~tid:2 Race_probe.Write g);
+  Race.Hb.on_access h (access ~tid:1 Event.Write g);
+  Race.Hb.on_access h (access ~tid:2 Event.Write g);
   Alcotest.(check int) "one write-write race" 1
     (List.length (Race.Hb.races h))
 
@@ -110,10 +109,10 @@ let hb_reads_from_orders () =
   let h = Race.Hb.create () in
   Race.Hb.on_spawn h ~parent:0 ~child:1;
   Race.Hb.on_spawn h ~parent:0 ~child:2;
-  Race.Hb.on_access h (access ~tid:1 Race_probe.Write g);
-  Race.Hb.on_access h (access ~tid:2 Race_probe.Read g);
+  Race.Hb.on_access h (access ~tid:1 Event.Write g);
+  Race.Hb.on_access h (access ~tid:2 Event.Read g);
   (* rf edge *)
-  Race.Hb.on_access h (access ~tid:2 Race_probe.Write g);
+  Race.Hb.on_access h (access ~tid:2 Event.Write g);
   Alcotest.(check int) "read-observed hand-off is quiet" 0
     (List.length (Race.Hb.races h))
 
@@ -122,10 +121,10 @@ let hb_lock_orders () =
   Race.Hb.on_spawn h ~parent:0 ~child:1;
   Race.Hb.on_spawn h ~parent:0 ~child:2;
   Race.Hb.on_acquire h ~tid:1 ~lock:"m";
-  Race.Hb.on_access h (access ~tid:1 ~locks:[ "m" ] Race_probe.Write g);
+  Race.Hb.on_access h (access ~tid:1 ~locks:[ "m" ] Event.Write g);
   Race.Hb.on_release h ~tid:1 ~lock:"m";
   Race.Hb.on_acquire h ~tid:2 ~lock:"m";
-  Race.Hb.on_access h (access ~tid:2 ~locks:[ "m" ] Race_probe.Write g);
+  Race.Hb.on_access h (access ~tid:2 ~locks:[ "m" ] Event.Write g);
   Race.Hb.on_release h ~tid:2 ~lock:"m";
   Alcotest.(check int) "lock-ordered writes are quiet" 0
     (List.length (Race.Hb.races h))
@@ -133,9 +132,9 @@ let hb_lock_orders () =
 let hb_join_orders () =
   let h = Race.Hb.create () in
   Race.Hb.on_spawn h ~parent:0 ~child:1;
-  Race.Hb.on_access h (access ~tid:1 Race_probe.Write g);
+  Race.Hb.on_access h (access ~tid:1 Event.Write g);
   Race.Hb.on_join h ~tid:0 ~joined:1;
-  Race.Hb.on_access h (access ~tid:0 Race_probe.Write g);
+  Race.Hb.on_access h (access ~tid:0 Event.Write g);
   Alcotest.(check int) "join-ordered writes are quiet" 0
     (List.length (Race.Hb.races h))
 
@@ -144,9 +143,9 @@ let hb_free_race () =
   Race.Hb.on_spawn h ~parent:0 ~child:1;
   Race.Hb.on_spawn h ~parent:0 ~child:2;
   Race.Hb.on_access h
-    (access ~tid:1 ~iid:1 Race_probe.Write (Race_probe.A_cell (3, 0)));
+    (access ~tid:1 ~iid:1 Event.Write (Event.A_cell (3, 0)));
   Race.Hb.on_access h
-    (access ~tid:2 ~iid:2 Race_probe.Write (Race_probe.A_block 3));
+    (access ~tid:2 ~iid:2 Event.Write (Event.A_block 3));
   (* the whole-block free conflicts with the unordered cell write; the
      block address itself is fresh, so exactly one race reports *)
   Alcotest.(check int) "free races the unordered cell write" 1
@@ -156,37 +155,37 @@ let hb_dedup () =
   let h = Race.Hb.create () in
   Race.Hb.on_spawn h ~parent:0 ~child:1;
   Race.Hb.on_spawn h ~parent:0 ~child:2;
-  Race.Hb.on_access h (access ~tid:1 ~iid:10 Race_probe.Read g);
-  Race.Hb.on_access h (access ~tid:2 ~iid:20 Race_probe.Write g);
-  Race.Hb.on_access h (access ~tid:1 ~iid:10 Race_probe.Read g);
-  Race.Hb.on_access h (access ~tid:2 ~iid:20 Race_probe.Write g);
+  Race.Hb.on_access h (access ~tid:1 ~iid:10 Event.Read g);
+  Race.Hb.on_access h (access ~tid:2 ~iid:20 Event.Write g);
+  Race.Hb.on_access h (access ~tid:1 ~iid:10 Event.Read g);
+  Race.Hb.on_access h (access ~tid:2 ~iid:20 Event.Write g);
   Alcotest.(check int) "same instruction pair reported once" 1
     (List.length (Race.Hb.races h))
 
 let lockset_consistent () =
   let ls = Race.Lockset.create () in
-  Race.Lockset.on_access ls (access ~tid:1 ~locks:[ "m" ] Race_probe.Write g);
-  Race.Lockset.on_access ls (access ~tid:2 ~locks:[ "m" ] Race_probe.Write g);
-  Race.Lockset.on_access ls (access ~tid:1 ~locks:[ "m" ] Race_probe.Read g);
+  Race.Lockset.on_access ls (access ~tid:1 ~locks:[ "m" ] Event.Write g);
+  Race.Lockset.on_access ls (access ~tid:2 ~locks:[ "m" ] Event.Write g);
+  Race.Lockset.on_access ls (access ~tid:1 ~locks:[ "m" ] Event.Read g);
   Alcotest.(check int) "consistently locked: no warning" 0
     (List.length (Race.Lockset.warnings ls))
 
 let lockset_violation_once () =
   let ls = Race.Lockset.create () in
-  Race.Lockset.on_access ls (access ~tid:1 Race_probe.Write g);
-  Race.Lockset.on_access ls (access ~tid:2 ~iid:5 Race_probe.Write g);
-  Race.Lockset.on_access ls (access ~tid:1 ~iid:6 Race_probe.Write g);
+  Race.Lockset.on_access ls (access ~tid:1 Event.Write g);
+  Race.Lockset.on_access ls (access ~tid:2 ~iid:5 Event.Write g);
+  Race.Lockset.on_access ls (access ~tid:1 ~iid:6 Event.Write g);
   (match Race.Lockset.warnings ls with
   | [ w ] -> Alcotest.(check int) "warns at the emptying access" 5 w.w_curr.ac_iid
   | ws -> Alcotest.failf "expected 1 warning, got %d" (List.length ws));
   (* refinement to empty happens only once per location *)
-  Race.Lockset.on_access ls (access ~tid:2 Race_probe.Write g);
+  Race.Lockset.on_access ls (access ~tid:2 Event.Write g);
   Alcotest.(check int) "warned once" 1 (List.length (Race.Lockset.warnings ls))
 
 let lockset_exclusive_quiet () =
   let ls = Race.Lockset.create () in
   for i = 0 to 9 do
-    Race.Lockset.on_access ls (access ~tid:1 ~iid:i Race_probe.Write g)
+    Race.Lockset.on_access ls (access ~tid:1 ~iid:i Event.Write g)
   done;
   Alcotest.(check int) "single-thread access never warns" 0
     (List.length (Race.Lockset.warnings ls))
@@ -413,8 +412,7 @@ let differential_on ~policy (p : Program.t) meta name =
     let d = Race.Detect.create () in
     let m =
       Machine.create ~config ?meta
-        ~hooks:(Hooks.bundle ~race:(Race.Detect.probe d) ())
-        p
+        ~observer:(Race.Detect.probe d) p
     in
     ignore (Machine.run m);
     Json.to_string (Race.Report.to_json (Race.Detect.report d))
@@ -423,8 +421,7 @@ let differential_on ~policy (p : Program.t) meta name =
     let d = Race.Detect.create () in
     let m =
       Ref_machine.create ~config ?meta
-        ~hooks:(Hooks.bundle ~race:(Race.Detect.probe d) ())
-        p
+        ~observer:(Race.Detect.probe d) p
     in
     ignore (Ref_machine.run m);
     Json.to_string (Race.Report.to_json (Race.Detect.report d))

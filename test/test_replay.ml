@@ -12,7 +12,7 @@ open Conair.Ir
 module Machine = Conair.Runtime.Machine
 module Ref_machine = Conair.Runtime.Ref_machine
 module Engine = Conair.Runtime.Engine
-module Hooks = Conair.Runtime.Hooks
+module Event = Conair.Runtime.Event
 module Sched = Conair.Runtime.Sched
 module Trace = Conair.Runtime.Trace
 module Outcome = Conair.Runtime.Outcome
@@ -57,7 +57,7 @@ let record_traced config ?meta p =
   let r = Recorder.create () in
   let m =
     Machine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~trace:sink ~flight:r ())
+      ~observer:(Event.combine [ Trace.observer sink; Recorder.observer r ])
       p
   in
   let outcome = Machine.run m in
@@ -81,8 +81,7 @@ let replay_traced engine ?meta p (log : Log.t) =
   let h = Feed.strict log.Log.decisions in
   let m =
     Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~trace:sink ~feed:(Feed.strict_decide h) ())
-      engine p
+      ~observer:(Trace.observer sink) ~feed:(Feed.strict_decide h) engine p
   in
   let outcome = Engine.run m in
   ( {
@@ -214,6 +213,33 @@ let save_load_roundtrip () =
             && log.Log.instrs = log'.Log.instrs
             && log.Log.outcome = log'.Log.outcome
             && log.Log.outputs = log'.Log.outputs );
+          (* a log whose config still carries the retired
+             "profile_sites" member loads to the same config *)
+          let with_retired_member = function
+            | Json.Obj fields ->
+                Json.Obj
+                  (List.map
+                     (function
+                       | "config", Json.Obj c ->
+                           ( "config",
+                             Json.Obj (c @ [ ("profile_sites", Json.Bool false) ])
+                           )
+                       | f -> f)
+                     fields)
+            | j -> j
+          in
+          (match Log.to_lines log with
+          | header :: rest -> (
+              let header =
+                Json.to_string
+                  (with_retired_member (Result.get_ok (Json.of_string header)))
+              in
+              match Log.of_lines (header :: rest) with
+              | Ok legacy ->
+                  Alcotest.(check bool) "retired config member ignored" true
+                    (legacy.Log.config = log.Log.config)
+              | Error e -> Alcotest.failf "log with profile_sites: %s" e)
+          | [] -> Alcotest.fail "empty log");
           (* and the loaded log is self-contained: replayable as-is *)
           (match Conair.replay log' with
           | Error e ->

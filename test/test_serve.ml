@@ -438,7 +438,7 @@ let interleaved_runs_match_sequential () =
   let seq_b = report_of "MySQL1" 9 in
   Alcotest.(check bool) "probe observed events" true (!traced_lines > 0);
   (* same two runs concurrently, with different probe configurations —
-     per-run hook bundles mean neither observes the other *)
+     per-run observers mean neither observes the other *)
   let out_a = ref "" and out_b = ref "" in
   let ta =
     Thread.create

@@ -88,6 +88,13 @@ let parse_errors_have_lines () =
       ("main @main\nfunc @main() {\nentry:\n  store $g\n}", 4);
       ("global g = \nmain @main", 1);
       ("main @main\nfunc @main() {\n}", 3);
+      (* integer literals that do not fit an int: a global initializer,
+         an operand, a negated literal *)
+      ("global x = 99999999999999999999999\nmain @main", 1);
+      ( "main @main\nfunc @main() {\nentry:\n  %x = add 1, \
+         99999999999999999999999\n  exit\n}",
+        4 );
+      ("main @main\nglobal y = -9223372036854775809", 2);
     ]
   in
   List.iter

@@ -11,8 +11,7 @@ let traced_run ?(policy = Conair.Runtime.Sched.Round_robin) h =
   let sink = Trace.create () in
   let m =
     Machine.create ~config ~meta
-      ~hooks:(Conair.Runtime.Hooks.bundle ~trace:sink ())
-      h.Conair.hardened.program
+      ~observer:(Trace.observer sink) h.Conair.hardened.program
   in
   let outcome = Machine.run m in
   (outcome, sink)
@@ -86,8 +85,7 @@ let rollback_count_matches_stats () =
   let m =
     Machine.create ~config:{ Machine.default_config with fuel = 500_000 }
       ~meta
-      ~hooks:(Conair.Runtime.Hooks.bundle ~trace:sink ())
-      h.Conair.hardened.program
+      ~observer:(Trace.observer sink) h.Conair.hardened.program
   in
   ignore (Machine.run m);
   let rollback_events =
@@ -117,9 +115,9 @@ let no_trace_no_cost () =
   let h = Conair.harden_exn p Conair.Survival in
   let r = run_hardened h in
   expect_success r;
-  Alcotest.(check bool) "machine has no sink" true
+  Alcotest.(check bool) "machine has no observer" true
     (match r.machine with
-    | Conair.Runtime.Engine.M_fast m -> m.Machine.trace = None
+    | Conair.Runtime.Engine.M_fast m -> Option.is_none m.Machine.obs
     | _ -> Alcotest.fail "expected the fast engine")
 
 let suites =

@@ -26,8 +26,8 @@ let check_valid p =
 (* A schedule recorder built as a scheduler tap that classifies each
    decision itself: a switch is preemptive when the previously chosen
    thread is still in the eligible list. The engines classify on their
-   own as they push into the flight slot, which is where the library's
-   recorder lives; tests keep this one as the oracle for that stream. *)
+   own as they report decisions on the event stream, which the library's
+   recorder observes; tests keep this one as the oracle for that stream. *)
 module Tap_recorder = struct
   type t = {
     mutable rev : int list;  (* decisions, newest first *)
