@@ -290,27 +290,10 @@ let record_arg =
            as a self-contained schedule log (replayable with the replay \
            subcommand, shrinkable with minimize).")
 
-let mode_name = function
-  | None -> "none"
-  | Some Conair.Survival -> "survival"
-  | Some (Conair.Fix _) -> "fix"
-
 (* Record the run (deterministic, so identical to the displayed one) and
    save the schedule log. *)
-let record_schedule ~config ~engine ~app ~variant ~oracle ~mode file
-    (inst : Spec.instance) =
-  let ident =
-    Replay.Log.ident
-      ~variant:(variant_name variant)
-      ~oracle ~mode:(mode_name mode) app
-  in
-  let _, log =
-    match mode with
-    | None -> Conair.record_run ~config ~engine ~ident inst.Spec.program
-    | Some m ->
-        Conair.run_recorded ~config ~engine ~ident
-          (Conair.harden_exn inst.program m)
-  in
+let save_record ~config ~engine ~ident ~mode file program =
+  let log = Conair.record_in_mode ~config ~engine ~ident mode program in
   Replay.Log.save log file;
   Format.printf "recorded: %s (%d decisions, %d preemptions)@." file
     (Array.length log.Replay.Log.decisions)
@@ -337,34 +320,23 @@ let bundle_file_of ~dir app =
   Filename.concat dir ("flight_" ^ String.lowercase_ascii app ^ ".bundle.json")
 
 (* Capture the run with a flight ring (deterministic, so identical to
-   the displayed one) and dump the diagnostic bundle. [reason] records
+   the displayed one) and dump the diagnostic bundle. The reason records
    why: the displayed run's failure, or an explicit request. *)
-let flight_capture ~config ~engine ~app ~variant ~oracle ~mode ~dir ~reason
-    (inst : Spec.instance) =
-  let ident =
-    Replay.Log.ident
-      ~variant:(variant_name variant)
-      ~oracle ~mode:(mode_name mode) app
+let save_flight ~config ~engine ~ident ~mode ~dir outcome program =
+  let reason = if Outcome.is_success outcome then "requested" else "failure" in
+  let bundle =
+    Conair.flight_in_mode ~config ~engine ~reason ~ident mode program
   in
-  let _, bundle =
-    match mode with
-    | None -> Conair.run_flight ~config ~engine ~reason ~ident inst.Spec.program
-    | Some m ->
-        let h = Conair.harden_exn inst.Spec.program m in
-        Conair.run_flight ~config ~engine
-          ~meta:(Machine.meta_of_harden h.hardened)
-          ~reason ~ident h.hardened.program
-  in
-  let file = bundle_file_of ~dir app in
-  Obs.Flight.save bundle file;
+  let file = bundle_file_of ~dir ident.Replay.Log.id_app in
+  Replay.Bundle.save bundle file;
   Format.printf
     "flight bundle: %s (%d of %d decisions retained, %d preemptions, %d \
      events)@."
     file
-    (Array.length bundle.Obs.Flight.fb_tail)
-    bundle.Obs.Flight.fb_tail_total
-    (Array.length bundle.Obs.Flight.fb_tail_preemptions)
-    (List.length bundle.Obs.Flight.fb_events)
+    (Array.length bundle.window.decisions)
+    (Replay.Bundle.total bundle)
+    (Array.length bundle.window.preemptions)
+    (List.length bundle.events)
 
 let run_cmd =
   let no_harden_arg =
@@ -429,20 +401,19 @@ let run_cmd =
               (r, [])
             end
           in
-          (match record with
-          | Some file ->
-              record_schedule ~config ~engine ~app ~variant
-                ~oracle:(oracle || spec.Spec.info.needs_oracle)
-                ~mode file inst
-          | None -> ());
-          if flight then
-            flight_capture ~config ~engine ~app ~variant
+          let ident =
+            Replay.Log.ident
+              ~variant:(variant_name variant)
               ~oracle:(oracle || spec.Spec.info.needs_oracle)
-              ~mode ~dir:bundle_out
-              ~reason:
-                (if Outcome.is_success r.outcome then "requested"
-                 else "failure")
-              inst;
+              app
+          in
+          Option.iter
+            (fun file ->
+              save_record ~config ~engine ~ident ~mode file inst.program)
+            record;
+          if flight then
+            save_flight ~config ~engine ~ident ~mode ~dir:bundle_out r.outcome
+              inst.program;
           Format.printf "outcome:  %a@." Outcome.pp r.outcome;
           List.iter (fun o -> Format.printf "output:   %s@." o) r.outputs;
           Format.printf "accepted: %b@." (inst.accept r.outputs);
@@ -612,39 +583,17 @@ let file_cmd =
             1
         | [] ->
             let config = machine_config fuel seed max_retries in
-            let save_record mode run_recorded =
-              match record with
-              | None -> ()
-              | Some out ->
-                  let ident =
-                    Replay.Log.ident ~mode:(mode_name mode)
-                      (Filename.remove_extension (Filename.basename file))
-                  in
-                  let _, log = run_recorded ident in
-                  Replay.Log.save log out;
-                  Format.printf "recorded: %s (%d decisions, %d preemptions)@."
-                    out
-                    (Array.length log.Replay.Log.decisions)
-                    (Array.length log.Replay.Log.preemptions)
+            let ident =
+              Replay.Log.ident
+                (Filename.remove_extension (Filename.basename file))
             in
-            let save_flight mode ?meta program outcome =
-              if flight then begin
-                let app = Filename.remove_extension (Filename.basename file) in
-                let ident = Replay.Log.ident ~mode:(mode_name mode) app in
-                let reason =
-                  if Outcome.is_success outcome then "requested" else "failure"
-                in
-                let _, bundle =
-                  Conair.run_flight ~config ~engine ?meta ~reason ~ident
-                    program
-                in
-                let out = bundle_file_of ~dir:bundle_out app in
-                Obs.Flight.save bundle out;
-                Format.printf
-                  "flight bundle: %s (%d of %d decisions retained)@." out
-                  (Array.length bundle.Obs.Flight.fb_tail)
-                  bundle.Obs.Flight.fb_tail_total
-              end
+            let capture mode outcome =
+              Option.iter
+                (fun out -> save_record ~config ~engine ~ident ~mode out p)
+                record;
+              if flight then
+                save_flight ~config ~engine ~ident ~mode ~dir:bundle_out
+                  outcome p
             in
             if no_harden then begin
               if emit then begin
@@ -653,9 +602,7 @@ let file_cmd =
               end
               else begin
                 let r = Conair.execute ~config ~engine p in
-                save_record None (fun ident ->
-                    Conair.record_run ~config ~engine ~ident p);
-                save_flight None p r.outcome;
+                capture None r.outcome;
                 Format.printf "outcome: %a@." Outcome.pp r.outcome;
                 List.iter (Format.printf "output:  %s@.") r.outputs;
                 if Outcome.is_success r.outcome then 0 else 2
@@ -669,11 +616,7 @@ let file_cmd =
               end
               else begin
                 let r = Conair.execute_hardened ~config ~engine h in
-                save_record (Some Conair.Survival) (fun ident ->
-                    Conair.run_recorded ~config ~engine ~ident h);
-                save_flight (Some Conair.Survival)
-                  ~meta:(Machine.meta_of_harden h.hardened)
-                  h.hardened.program r.outcome;
+                capture (Some Conair.Survival) r.outcome;
                 Format.printf "outcome: %a@." Outcome.pp r.outcome;
                 List.iter (Format.printf "output:  %s@.") r.outputs;
                 Format.printf "stats:   %a@." Stats.pp r.stats;
@@ -1412,36 +1355,38 @@ let bundle_pos_arg =
 
 let bundle_show_cmd =
   let run file =
-    match Obs.Flight.load file with
+    match Replay.Bundle.load file with
     | Error e ->
         Printf.eprintf "%s: %s\n" file e;
         1
     | Ok b ->
-        let open Obs.Flight in
+        let open Replay.Bundle in
+        let w = b.window in
+        let id = w.ident in
         Printf.printf "app:      %s (variant %s, oracle %b, mode %s)\n"
-          b.fb_app b.fb_variant b.fb_oracle b.fb_mode;
-        Printf.printf "engine:   %s\n" b.fb_engine;
-        Printf.printf "reason:   %s\n" b.fb_reason;
-        Printf.printf "program:  md5 %s%s\n" b.fb_program_md5
-          (match b.fb_program_text with
+          id.id_app id.id_variant id.id_oracle id.id_mode;
+        Printf.printf "engine:   %s\n" w.engine;
+        Printf.printf "reason:   %s\n" b.reason;
+        Printf.printf "program:  md5 %s%s\n" w.program_md5
+          (match w.program_text with
           | Some _ -> ""
           | None -> " (text not embedded)");
-        Format.printf "outcome:  %a@." Outcome.pp b.fb_outcome;
-        Printf.printf "trailer:  %d steps, %d instrs, %d rollbacks\n"
-          b.fb_steps b.fb_instrs b.fb_rollbacks;
+        Format.printf "outcome:  %a@." Outcome.pp w.outcome;
+        Printf.printf "trailer:  %d steps, %d instrs, %d rollbacks\n" w.steps
+          w.instrs w.rollbacks;
         Printf.printf
           "tail:     decisions %d..%d of %d (%d retained, %d preemptions)\n"
-          b.fb_tail_first (b.fb_tail_total - 1) b.fb_tail_total
-          (Array.length b.fb_tail)
-          (Array.length b.fb_tail_preemptions);
+          b.first (total b - 1) (total b)
+          (Array.length w.decisions)
+          (Array.length w.preemptions);
         List.iter
           (fun (tid, status, locks) ->
             Printf.printf "thread %d: %s%s\n" tid status
               (match locks with
               | [] -> ""
               | ls -> " holding [" ^ String.concat "; " ls ^ "]"))
-          b.fb_threads;
-        (match b.fb_episodes with
+          b.threads;
+        (match b.episodes with
         | [] -> ()
         | eps ->
             Printf.printf "episodes:\n";
@@ -1451,7 +1396,7 @@ let bundle_show_cmd =
                   "  site %d tid %d: steps %d..%d (%d retries)\n" ep.be_site
                   ep.be_tid ep.be_start ep.be_end ep.be_retries)
               eps);
-        (match b.fb_events with
+        (match b.events with
         | [] -> ()
         | evs ->
             Printf.printf "events (%d retained):\n" (List.length evs);
@@ -1472,7 +1417,7 @@ let bundle_show_cmd =
 
 let bundle_replay_cmd =
   let run file =
-    match Obs.Flight.load file with
+    match Replay.Bundle.load file with
     | Error e ->
         Printf.eprintf "%s: %s\n" file e;
         1
@@ -1535,8 +1480,8 @@ let bundle_replay_cmd =
                 "faithful on all engines: %d decisions regenerated (tail \
                  %d..%d verified), %d preemptions\n"
                 (Array.length reference.Replay.Log.decisions)
-                b.Obs.Flight.fb_tail_first
-                (b.Obs.Flight.fb_tail_total - 1)
+                b.Replay.Bundle.first
+                (Replay.Bundle.total b - 1)
                 (Array.length reference.Replay.Log.preemptions);
               0
             end)
@@ -1572,7 +1517,7 @@ let bundle_minimize_cmd =
           ~doc:"Budget of candidate executions for the ddmin search.")
   in
   let run file out json max_tests =
-    match Obs.Flight.load file with
+    match Replay.Bundle.load file with
     | Error e ->
         Printf.eprintf "%s: %s\n" file e;
         1

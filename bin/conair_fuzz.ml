@@ -928,7 +928,7 @@ let run_campaign ~dir ~njobs ~lo ~hi ~eng ~minimize_corpus () =
                          from the recorded log by deterministic re-run *)
                       (match Conair.flight_of_log log with
                       | Ok bundle ->
-                          Conair.Obs.Flight.save bundle
+                          Conair.Replay.Bundle.save bundle
                             (Filename.concat dir
                                (Printf.sprintf "corpus/%s.bundle.json" stem))
                       | Error e ->

@@ -391,7 +391,7 @@ let stress_cmd =
             | Some expect ->
                 if Json.to_string doc <> Json.to_string expect then
                   fail "served bundle differs from the in-process capture");
-            match Conair.Obs.Flight.of_json doc with
+            match Conair.Replay.Bundle.of_json doc with
             | Error e -> fail "served bundle does not decode: %s" e
             | Ok b -> (
                 match Conair.Replay.Bundle.recover_log b with

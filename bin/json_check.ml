@@ -1,10 +1,13 @@
 (* json_check: validate telemetry files emitted by conair_cli.
 
    For each FILE argument:
-   - *.sched.jsonl — a schedule log: a sched_meta header first, then
-                   sched_chunk lines whose "d" members are integer
-                   lists, then exactly one sched_end trailer whose
-                   "decisions" count matches the chunk total;
+   - *.sched.jsonl, *.bundle.json — a schedule log or a flight bundle:
+                   it must load with Conair.Replay.Log.load or
+                   Conair.Replay.Bundle.load, which check every
+                   invariant of the recorded run (record order, chunk
+                   counts, the tail window, preemption ordinals inside
+                   it, the embedded program's MD5...), and the file's
+                   JSON must equal the loaded value's re-encoding;
    - *.jsonl     — every non-empty line must parse as a JSON object;
    - *.collapsed — collapsed-stack flamegraph lines: every non-empty
                    line is "frame;frame;... N" with non-empty frames
@@ -32,13 +35,6 @@
                    validation gates, and a summary whose survivor
                    count matches the table (every survivor passed all
                    gates and carries a cost);
-   - *.bundle.json — a flight-recorder diagnostic bundle: type
-                   "flight_bundle" version 1, run identity + config,
-                   an embedded program hashing to program_md5, a
-                   decision tail of sched_chunk records summing to
-                   total - first with preemption ordinals inside the
-                   window, trailer, per-thread locksets, events and
-                   episode spans;
    - *.json      — the whole file must parse; if the value carries a
                    "traceEvents" member it must be a list (Chrome trace
                    format sanity, as loaded by Perfetto).
@@ -47,8 +43,8 @@
    files are byte-identical — the @serve alias's CLI-equivalence gate.
 
    Exit 0 when every file validates, 1 otherwise. Used by the @smoke,
-   @perf, @replay, @fuzz and @serve aliases to assert the emitted
-   telemetry is well-formed. *)
+   @perf, @replay, @fuzz, @flight, @serve, @detect and @fix aliases to
+   assert the emitted artifacts are well-formed. *)
 
 module Json = Conair.Obs.Json
 
@@ -107,59 +103,41 @@ let check_collapsed file =
   if !n = 0 then fail file "no collapsed-stack lines"
   else Printf.printf "json_check: %s: %d collapsed-stack lines ok\n" file !n
 
+(* Recorded-run artifacts — *.sched.jsonl schedule logs and *.bundle.json
+   flight bundles: the library's loader checks every invariant of the
+   artifact, and the file must hold exactly the JSON its value
+   re-encodes to, document for document (a log is one document per
+   line; a bundle is one document, compact or pretty-printed). *)
+let check_artifact file ~load ~encode ~documents ~describe =
+  match load file with
+  | Error e -> fail file e
+  | Ok a ->
+      let canonical d = Result.map Json.to_string (Json.of_string d) in
+      if
+        List.map canonical (documents (read_file file))
+        <> List.map Result.ok (encode a)
+      then fail file "the file is not the re-encoding of what it loads to"
+      else Printf.printf "json_check: %s: %s ok\n" file (describe a)
+
 let check_sched file =
-  let lines =
-    List.filteri
-      (fun _ l -> String.trim l <> "")
-      (String.split_on_char '\n' (read_file file))
-  in
-  let before = !errors in
-  let bad i msg = fail file (Printf.sprintf "record %d: %s" (i + 1) msg) in
-  let decisions = ref 0 and ends = ref 0 and trailer_count = ref None in
-  List.iteri
-    (fun i line ->
-      match Json.of_string line with
-      | Error e -> bad i e
-      | Ok j -> (
-          let ty =
-            match Json.member "type" j with
-            | Some (Json.String s) -> s
-            | _ -> ""
-          in
-          match ty with
-          | "sched_meta" ->
-              if i <> 0 then bad i "sched_meta is not the first record"
-          | "sched_chunk" -> (
-              if i = 0 then bad i "schedule log does not start with sched_meta";
-              match Json.member "d" j with
-              | Some (Json.List ds)
-                when List.for_all
-                       (function Json.Int _ -> true | _ -> false)
-                       ds ->
-                  decisions := !decisions + List.length ds
-              | _ -> bad i "sched_chunk without an integer \"d\" list")
-          | "sched_end" -> (
-              incr ends;
-              match Json.member "decisions" j with
-              | Some (Json.Int n) -> trailer_count := Some n
-              | _ -> bad i "sched_end without a \"decisions\" count")
-          | other ->
-              bad i (Printf.sprintf "unexpected record type %S" other)))
-    lines;
-  if lines = [] then fail file "empty schedule log"
-  else if !ends <> 1 then
-    fail file (Printf.sprintf "%d sched_end trailers (expected 1)" !ends)
-  else begin
-    (match !trailer_count with
-    | Some n when n <> !decisions ->
-        fail file
-          (Printf.sprintf "trailer says %d decisions, chunks carry %d" n
-             !decisions)
-    | _ -> ());
-    if !errors = before then
-      Printf.printf "json_check: %s: schedule log with %d decisions ok\n"
-        file !decisions
-  end
+  check_artifact file ~load:Conair.Replay.Log.load
+    ~encode:Conair.Replay.Log.to_lines
+    ~documents:(fun text ->
+      List.filter
+        (fun l -> String.trim l <> "")
+        (String.split_on_char '\n' text))
+    ~describe:(fun (log : Conair.Replay.Log.t) ->
+      Printf.sprintf "schedule log with %d decisions"
+        (Array.length log.decisions))
+
+let check_bundle file =
+  check_artifact file ~load:Conair.Replay.Bundle.load
+    ~encode:(fun b -> [ Conair.Replay.Bundle.to_string b ])
+    ~documents:(fun text -> [ text ])
+    ~describe:(fun (b : Conair.Replay.Bundle.t) ->
+      Printf.sprintf "flight bundle (%d of %d decisions retained)"
+        (Array.length b.window.decisions)
+        (Conair.Replay.Bundle.total b))
 
 (* The micro fast-engine throughput recorded in BENCH_interp.json when
    the block-compiled engine landed. The @perf gate measures the block
@@ -596,201 +574,6 @@ let check_fix_report file =
         Printf.printf "json_check: %s: fix report ok (%d survivors)\n" file
           !survivors_seen
 
-(* Flight-recorder diagnostic bundles — *.bundle.json — as written by
-   `conair_cli run --flight` / `bundle` and the serve daemon: run
-   identity + config, an MD5-verified embedded program, the decision
-   tail as sched_chunk records summing to total - first, preemption
-   ordinals inside the tail window, the trailer, per-thread locksets,
-   the event ring and episode spans. *)
-let check_flight_bundle file =
-  let before = !errors in
-  match Json.of_string (read_file file) with
-  | Error e -> fail file e
-  | Ok j ->
-      (match Json.member "type" j with
-      | Some (Json.String "flight_bundle") -> ()
-      | _ -> fail file "\"type\" is not \"flight_bundle\"");
-      (match Json.member "version" j with
-      | Some (Json.Int 1) -> ()
-      | _ -> fail file "\"version\" is not 1");
-      List.iter
-        (fun k ->
-          match Json.member k j with
-          | Some (Json.String s) when s <> "" -> ()
-          | _ -> fail file (Printf.sprintf "%S is not a non-empty string" k))
-        [ "app"; "variant"; "mode"; "engine"; "reason" ];
-      (match Json.member "oracle" j with
-      | Some (Json.Bool _) -> ()
-      | _ -> fail file "\"oracle\" is not a boolean");
-      (match Json.member "config" j with
-      | Some (Json.Obj _ as c) -> (
-          (match Json.member "policy" c with
-          | Some (Json.String _) -> ()
-          | _ -> fail file "config.policy is not a string");
-          match Json.member "fuel" c with
-          | Some (Json.Int n) when n > 0 -> ()
-          | _ -> fail file "config.fuel is not a positive integer")
-      | _ -> fail file "\"config\" is not an object");
-      let md5 =
-        match Json.member "program_md5" j with
-        | Some (Json.String d)
-          when String.length d = 32
-               && String.for_all
-                    (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-                    d ->
-            Some d
-        | _ ->
-            fail file "\"program_md5\" is not an MD5 digest";
-            None
-      in
-      (match (Json.member "program" j, md5) with
-      | Some (Json.String src), Some d ->
-          if Digest.to_hex (Digest.string src) <> d then
-            fail file "embedded program does not hash to program_md5"
-      | Some (Json.String _), None | None, _ -> ()
-      | Some _, _ -> fail file "\"program\" is not a string");
-      let tail_first = ref 0 and tail_total = ref 0 in
-      (match Json.member "tail" j with
-      | Some (Json.Obj _ as t) -> (
-          (match (Json.member "first" t, Json.member "total" t) with
-          | Some (Json.Int f), Some (Json.Int n) when 0 <= f && f <= n ->
-              tail_first := f;
-              tail_total := n
-          | _ -> fail file "tail.first/tail.total are not 0 <= first <= total");
-          (match Json.member "chunks" t with
-          | Some (Json.List chunks) ->
-              let retained = ref 0 in
-              List.iteri
-                (fun i c ->
-                  (match Json.member "type" c with
-                  | Some (Json.String "sched_chunk") -> ()
-                  | _ ->
-                      fail file
-                        (Printf.sprintf "tail.chunks[%d] is not a sched_chunk"
-                           i));
-                  match Json.member "d" c with
-                  | Some (Json.List ds)
-                    when List.for_all
-                           (function Json.Int _ -> true | _ -> false)
-                           ds ->
-                      retained := !retained + List.length ds
-                  | _ ->
-                      fail file
-                        (Printf.sprintf
-                           "tail.chunks[%d] without an integer \"d\" list" i))
-                chunks;
-              if !retained <> !tail_total - !tail_first then
-                fail file
-                  (Printf.sprintf
-                     "tail chunks carry %d decisions, total - first says %d"
-                     !retained
-                     (!tail_total - !tail_first))
-          | _ -> fail file "tail.chunks is not a list");
-          match Json.member "preemptions" t with
-          | Some (Json.List ps) ->
-              List.iter
-                (fun p ->
-                  match p with
-                  | Json.Int ord ->
-                      if ord < !tail_first || ord >= !tail_total then
-                        fail file
-                          (Printf.sprintf
-                             "preemption ordinal %d outside the tail window \
-                              [%d, %d)"
-                             ord !tail_first !tail_total)
-                  | _ -> fail file "tail.preemptions entry is not an integer")
-                ps
-          | _ -> fail file "tail.preemptions is not a list")
-      | _ -> fail file "\"tail\" is not an object");
-      (match Json.member "trailer" j with
-      | Some (Json.Obj _ as tr) -> (
-          List.iter
-            (fun k ->
-              match Json.member k tr with
-              | Some (Json.Int n) when n >= 0 -> ()
-              | _ ->
-                  fail file
-                    (Printf.sprintf
-                       "trailer.%s is not a non-negative integer" k))
-            [ "steps"; "instrs"; "rollbacks" ];
-          (match Json.member "outcome" tr with
-          | Some (Json.Obj _ as o) -> (
-              match Json.member "result" o with
-              | Some (Json.String _) -> ()
-              | _ -> fail file "trailer.outcome.result is not a string")
-          | _ -> fail file "trailer.outcome is not an object");
-          match Json.member "outputs" tr with
-          | Some (Json.List os)
-            when List.for_all
-                   (function Json.String _ -> true | _ -> false)
-                   os ->
-              ()
-          | _ -> fail file "trailer.outputs is not a string list")
-      | _ -> fail file "\"trailer\" is not an object");
-      (match Json.member "threads" j with
-      | Some (Json.List ts) ->
-          List.iteri
-            (fun i t ->
-              let ctx = Printf.sprintf "threads[%d]." i in
-              (match Json.member "tid" t with
-              | Some (Json.Int n) when n >= 0 -> ()
-              | _ -> fail file (ctx ^ "tid is not a non-negative integer"));
-              (match Json.member "status" t with
-              | Some (Json.String s) when s <> "" -> ()
-              | _ -> fail file (ctx ^ "status is not a non-empty string"));
-              match Json.member "locks" t with
-              | Some (Json.List ls)
-                when List.for_all
-                       (function Json.String _ -> true | _ -> false)
-                       ls ->
-                  ()
-              | _ -> fail file (ctx ^ "locks is not a string list"))
-            ts
-      | _ -> fail file "\"threads\" is not a list");
-      (match Json.member "events" j with
-      | Some (Json.List evs) ->
-          List.iteri
-            (fun i e ->
-              let ctx = Printf.sprintf "events[%d]." i in
-              (match Json.member "ev" e with
-              | Some (Json.String s) when s <> "" -> ()
-              | _ -> fail file (ctx ^ "ev is not a non-empty string"));
-              List.iter
-                (fun k ->
-                  match Json.member k e with
-                  | Some (Json.Int _) -> ()
-                  | _ -> fail file (ctx ^ k ^ " is not an integer"))
-                [ "step"; "tid"; "arg" ])
-            evs
-      | _ -> fail file "\"events\" is not a list");
-      (match Json.member "episodes" j with
-      | Some (Json.List eps) ->
-          List.iteri
-            (fun i e ->
-              let ctx = Printf.sprintf "episodes[%d]." i in
-              let get k =
-                match Json.member k e with
-                | Some (Json.Int n) -> Some n
-                | _ ->
-                    fail file (ctx ^ k ^ " is not an integer");
-                    None
-              in
-              ignore (get "site");
-              ignore (get "tid");
-              ignore (get "retries");
-              match (get "start", get "end") with
-              | Some s, Some e when e < s ->
-                  fail file (ctx ^ "ends before it starts")
-              | _ -> ())
-            eps
-      | _ -> fail file "\"episodes\" is not a list");
-      if !errors = before then
-        Printf.printf
-          "json_check: %s: flight bundle ok (%d of %d decisions retained)\n"
-          file
-          (!tail_total - !tail_first)
-          !tail_total
-
 (* --same A B: byte equality, reporting the first differing line. *)
 let check_same a b =
   match (Sys.file_exists a, Sys.file_exists b) with
@@ -828,8 +611,7 @@ let check_file file =
   else if Filename.basename file = "status.json" then
     check_serve_status file
   else if Filename.check_suffix file "_fix.json" then check_fix_report file
-  else if Filename.check_suffix file ".bundle.json" then
-    check_flight_bundle file
+  else if Filename.check_suffix file ".bundle.json" then check_bundle file
   else if Filename.check_suffix file ".sched.jsonl" then check_sched file
   else if Filename.check_suffix file ".jsonl" then check_jsonl file
   else if Filename.check_suffix file ".collapsed" then check_collapsed file

@@ -88,7 +88,6 @@ module Obs = struct
   module Aggregate = Conair_obs.Aggregate
   module Coverage = Conair_obs.Coverage
   module Campaign = Conair_obs.Campaign
-  module Flight = Conair_obs.Flight
 end
 
 open Conair_ir
@@ -289,37 +288,24 @@ module Fix = struct
   module Pipeline = Conair_fix.Pipeline
 end
 
-let mode_name : mode -> string = function
-  | Survival -> "survival"
-  | Fix _ -> "fix"
+(** The schedule-log header's [mode] member for a run in [mode]:
+    ["none"] for an unhardened run, ["survival"] or ["fix"]. *)
+let mode_name : mode option -> string = function
+  | None -> "none"
+  | Some Survival -> "survival"
+  | Some (Fix _) -> "fix"
 
 (* Record while keeping the machine, so the result is a full facade
    [run] next to the schedule log. [race] observes the same run next to
    the recorder — campaign workers observe schedule coverage (the
    [Obs.Coverage] collector) on the very run they record. *)
-let record_into ?(config = Machine.default_config) ?(engine = Engine.Fast)
-    ?meta ?race ~ident program : run * Replay.Log.t =
-  let r = Conair_replay.Recorder.create () in
-  let m =
-    Engine.create ~config ?meta
-      ~observer:
-        (Event.combine
-           (Conair_replay.Recorder.observer r :: Option.to_list race))
-      engine program
+let record_into ?config ?engine ?meta ?race ~ident program :
+    run * Replay.Log.t =
+  let m, rb, log =
+    Conair_replay.Driver.run_ring ?engine ?config ?meta ?race ~ident
+      (Conair_replay.Recorder.create ()) program
   in
-  let outcome = Engine.run m in
-  let run = make_run m outcome in
-  let bundle =
-    {
-      Conair_replay.Driver.rb_outcome = outcome;
-      rb_outputs = run.outputs;
-      rb_stats = run.stats;
-      rb_steps = Engine.steps m;
-    }
-  in
-  ( run,
-    Conair_replay.Driver.log_of_run ~engine ~config ?meta ~ident ~program r
-      bundle )
+  (make_run m rb.Conair_replay.Driver.rb_outcome, log)
 
 (** [execute] with the schedule recorder installed: the run plus a
     self-contained schedule log that replays it bit-for-bit. *)
@@ -340,7 +326,8 @@ let run_recorded ?config ?engine ?ident ?race (h : hardened) :
     match ident with
     | Some i -> i
     | None ->
-        Conair_replay.Schedule_log.ident ~mode:(mode_name h.plan.Plan.mode)
+        Conair_replay.Schedule_log.ident
+          ~mode:(mode_name (Some h.plan.Plan.mode))
           "program"
   in
   record_into ?config ?engine ?race
@@ -352,29 +339,51 @@ let run_recorded ?config ?engine ?ident ?race (h : hardened) :
     ring observes decisions and sync events only, which keeps the block
     engine on its window fast path, so this is cheap enough to leave on
     everywhere. *)
-let run_flight ?(config = Machine.default_config) ?(engine = Engine.Fast)
-    ?meta ?cap ?reason ~ident program : run * Conair_obs.Flight.t =
+let run_flight ?config ?engine ?meta ?cap ?reason ~ident program :
+    run * Replay.Bundle.t =
   let m, outcome, bundle =
-    Conair_replay.Bundle.capture ~engine ~config ?meta ?cap ?reason ~ident
+    Conair_replay.Bundle.capture ?engine ?config ?meta ?cap ?reason ~ident
       program
   in
   (make_run m outcome, bundle)
+
+(* [p] as a run in [mode] executes it: hardened per mode with its
+   recovery metadata, or as written. *)
+let in_mode mode p =
+  match mode with
+  | None -> (p, None)
+  | Some mode ->
+      let h = harden_exn p mode in
+      (h.hardened.program, Some (Machine.meta_of_harden h.hardened))
+
+let with_mode mode (ident : Replay.Log.ident) =
+  { ident with Conair_replay.Schedule_log.id_mode = mode_name mode }
+
+(** The schedule log of [p] run in [mode]. *)
+let record_in_mode ~config ~engine ~ident mode p : Replay.Log.t =
+  let program, meta = in_mode mode p in
+  snd (record_into ~config ~engine ?meta ~ident:(with_mode mode ident) program)
+
+(** The flight bundle of [p] run in [mode]. *)
+let flight_in_mode ~config ~engine ~reason ~ident mode p : Replay.Bundle.t =
+  let program, meta = in_mode mode p in
+  snd
+    (run_flight ~config ~engine ?meta ~reason ~ident:(with_mode mode ident)
+       program)
 
 (** Regenerate a diagnostic bundle from a recorded schedule log by
     deterministic re-run — how the fuzzer attaches a post-mortem bundle
     to each unique finding it already holds as a log. *)
 let flight_of_log ?cap ?(reason = "finding") (log : Replay.Log.t) :
-    (Conair_obs.Flight.t, string) result =
+    (Replay.Bundle.t, string) result =
   let ( let* ) = Result.bind in
   let* program = Conair_replay.Schedule_log.program log in
-  let* engine =
-    Engine.of_string log.Conair_replay.Schedule_log.engine
-  in
-  let meta = Conair_replay.Schedule_log.machine_meta log in
+  let* engine = Engine.of_string log.Conair_replay.Schedule_log.engine in
   let _, _, bundle =
     Conair_replay.Bundle.capture ~engine
-      ~config:log.Conair_replay.Schedule_log.config ?meta ?cap ~reason
-      ~ident:log.Conair_replay.Schedule_log.ident program
+      ~config:log.Conair_replay.Schedule_log.config
+      ?meta:(Conair_replay.Schedule_log.machine_meta log)
+      ?cap ~reason ~ident:log.Conair_replay.Schedule_log.ident program
   in
   Ok bundle
 

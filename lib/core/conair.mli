@@ -98,7 +98,6 @@ module Obs : sig
   module Aggregate = Conair_obs.Aggregate
   module Coverage = Conair_obs.Coverage
   module Campaign = Conair_obs.Campaign
-  module Flight = Conair_obs.Flight
 end
 
 (** The two usage modes of §3.1: survival mode hardens every potential
@@ -250,8 +249,9 @@ val detect_hardened :
     recovery masks the symptom; detection un-masks the root cause). *)
 
 (** Schedule record-and-replay: the scheduler-decision recorder, the
-    strict/directed replay feeds, the time-travel inspector and the
-    failing-interleaving minimizer. Runs are deterministic in (program,
+    strict/directed replay feeds, the time-travel inspector, the
+    failing-interleaving minimizer and the flight bundle (a schedule
+    log's window plus post-mortem state). Runs are deterministic in (program,
     config, policy, seed), so the chosen-thread stream is a complete
     witness of an execution: recording it makes any run — in particular a
     one-in-a-thousand failing interleaving from the fuzzer —
@@ -313,26 +313,52 @@ val run_flight :
   ?reason:string ->
   ident:Replay.Log.ident ->
   Conair_ir.Program.t ->
-  run * Conair_obs.Flight.t
+  run * Replay.Bundle.t
 (** Run with the flight recorder attached: the run plus the diagnostic
-    bundle its ring retained (decision tail, preemptions, per-thread
-    locksets, sync/recovery events, episode spans, regeneration recipe —
-    see {!Obs.Flight}). [cap] sizes the decision ring (default
+    bundle its ring retained (the schedule log's window — decision tail,
+    preemptions, header and trailer — plus per-thread locksets,
+    sync/recovery events and episode spans; see {!Replay.Bundle}). [cap]
+    sizes the decision ring (default
     {!Runtime.Flight_ring.default_capacity}); [reason] defaults to
     ["requested"]. The flight recorder keeps the block engine on its
     window fast path, so this is cheap enough to leave always on (the
     [@perf] gate holds it within 5% of a bare run). *)
 
+val record_in_mode :
+  config:Conair_runtime.Machine.config ->
+  engine:Conair_runtime.Engine.t ->
+  ident:Replay.Log.ident ->
+  mode option ->
+  Conair_ir.Program.t ->
+  Replay.Log.t
+(** The schedule log of a program run in [mode]: hardened per [mode]
+    ({!run_recorded}), or as written when [None] ({!record_run}). The
+    ident's mode member is set from [mode]: ["none"], ["survival"] or
+    ["fix"]. *)
+
+val flight_in_mode :
+  config:Conair_runtime.Machine.config ->
+  engine:Conair_runtime.Engine.t ->
+  reason:string ->
+  ident:Replay.Log.ident ->
+  mode option ->
+  Conair_ir.Program.t ->
+  Replay.Bundle.t
+(** The flight bundle of a program run in [mode], like
+    {!record_in_mode}: {!run_flight} of the hardened program with its
+    recovery metadata, or of the program as written. *)
+
 val flight_of_log :
   ?cap:int ->
   ?reason:string ->
   Replay.Log.t ->
-  (Conair_obs.Flight.t, string) result
+  (Replay.Bundle.t, string) result
 (** Regenerate a diagnostic bundle from a recorded schedule log by
     deterministic re-run under the log's embedded program, config and
     engine. [reason] defaults to ["finding"] — the fuzzer uses this to
     attach a post-mortem bundle to each unique finding in its corpus.
-    Fails when the log carries no program or names an unknown engine. *)
+    Fails when the log carries no program (or one that does not hash to
+    its MD5) or names an unknown engine. *)
 
 val interleaving_signature : ?orders:(string * string) list ->
   Replay.Log.t -> string

@@ -165,41 +165,6 @@ let event_json (ev : Trace.event) : Json.t =
 
 let event_line ev = Json.to_string (event_json ev)
 
-(* --- the sched_chunk encoding ---------------------------------------
-
-   One schedule-log decision chunk: {"type":"sched_chunk","d":[tid,...]}.
-   This is the contract shared by the full recorder ([Conair_replay]'s
-   schedule logs) and the flight recorder's bundle tails — extracted here
-   so the two can never drift and every `.sched.jsonl` consumer (replay
-   feeds, checkers, the fuzz corpus) accepts either's chunks unchanged. *)
-
-let sched_chunk_size = 4096
-
-let sched_chunk_json (d : int array) ~pos ~len : Json.t =
-  Json.Obj
-    [
-      ("type", Json.String "sched_chunk");
-      ("d", Json.List (List.init len (fun i -> Json.Int d.(pos + i))));
-    ]
-
-let sched_chunks (d : int array) : Json.t list =
-  let n = Array.length d in
-  let rec go pos acc =
-    if pos >= n then List.rev acc
-    else
-      let len = min sched_chunk_size (n - pos) in
-      go (pos + len) (sched_chunk_json d ~pos ~len :: acc)
-  in
-  go 0 []
-
-let sched_chunk_decisions (j : Json.t) : (int list, string) result =
-  match Json.member "d" j with
-  | Some (Json.List l) -> (
-      try
-        Ok (List.map (function Json.Int n -> n | _ -> raise Exit) l)
-      with Exit -> Error "sched_chunk: malformed \"d\" field")
-  | _ -> Error "sched_chunk: malformed \"d\" field"
-
 type writer = { write : string -> unit }
 
 let channel_writer oc =

@@ -52,26 +52,6 @@ val event_json : Trace.event -> Json.t
 val event_line : Trace.event -> string
 (** [event_json] encoded compactly — one JSONL line, no newline. *)
 
-(** {1 Schedule-decision chunks}
-
-    The [{"type":"sched_chunk","d":[tid,...]}] record shared by the full
-    schedule logs of [Conair_replay] and the flight recorder's bundle
-    tails. One encoder, one decoder — so `.sched.jsonl` consumers accept
-    chunks from either producer unchanged. *)
-
-val sched_chunk_size : int
-(** Decisions per chunk (4096). *)
-
-val sched_chunk_json : int array -> pos:int -> len:int -> Json.t
-(** One chunk covering [d.(pos) .. d.(pos+len-1)]. *)
-
-val sched_chunks : int array -> Json.t list
-(** The whole decision array, split into [sched_chunk_size]-sized
-    chunks, in order. Empty input yields no chunks. *)
-
-val sched_chunk_decisions : Json.t -> (int list, string) result
-(** Decode one chunk object's decision list. *)
-
 (** A line-oriented writer: [write] receives complete JSON lines
     (newline excluded). Writers for channels and buffers are provided. *)
 type writer = { write : string -> unit }

@@ -1,166 +1,284 @@
-(* Flight-recorder bundles as replay artifacts.
+(* The flight bundle: a schedule log's window plus the machine's
+   post-mortem state.
 
-   [capture] runs a program with a flight ring attached and packages
-   the ring plus the machine's post-mortem state as an
-   [Conair_obs.Flight.t] diagnostic bundle.
+   [capture] runs a program with a bounded flight ring attached through
+   the one capture path ([Driver.run_ring]) — which packages the ring's
+   window as a schedule log — and adds what only a post-mortem needs:
+   the window's start, the dump reason, per-thread status and held
+   locksets, the ring's recent events and the recovery-episode spans.
+   The JSON keeps the log's header (plus "reason"), writes the window as
+   a "tail" of sched_chunk records with its absolute "first" and "total"
+   and absolute preemption ordinals, and the log's trailer as "trailer".
 
    [recover_log] is the regeneration recipe: because every run is
    deterministic from (program, seed, config, engine), re-running the
-   bundle's embedded program under its embedded config with a full
-   recording (an unbounded flight ring) reconstructs the complete
-   decision stream. The
-   recorded tail then acts as a tamper-evident check — the re-run's
-   decision suffix, preemption ordinals and trailer must all match what
-   the ring retained, or the bundle is rejected. On success the caller
-   holds an ordinary schedule log, and strict replay, directed replay
-   and minimization apply unchanged. *)
+   embedded program under the embedded config with a full recording (an
+   unbounded ring) reconstructs the complete decision stream. The window
+   then acts as a tamper-evident check — the re-run's decisions,
+   preemption ordinals and trailer must all match it, or the bundle is
+   rejected. *)
 
-open Conair_ir
 open Conair_runtime
 module Log = Schedule_log
-module Flight = Conair_obs.Flight
+module Json = Conair_obs.Json
 
 let ( let* ) = Result.bind
+
+type event = {
+  bv_kind : string;
+  bv_step : int;
+  bv_tid : int;
+  bv_arg : int;
+  bv_detail : string;
+}
+
+type episode = {
+  be_site : int;
+  be_tid : int;
+  be_start : int;
+  be_end : int;
+  be_retries : int;
+}
+
+type t = {
+  window : Log.t;
+  first : int;
+  reason : string;
+  threads : (int * string * string list) list;
+  events : event list;
+  episodes : episode list;
+}
+
+let total b = b.first + Array.length b.window.Log.decisions
 
 (* ------------------------------------------------------------------ *)
 (* Capture                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let bundle_of_machine ?(embed_program = true) ~engine ~reason ~config ~meta
-    ~(ident : Log.ident) ~program m ring outcome =
-  let stats = Engine.stats m in
-  let text = Emit.program program in
-  Flight.of_ring ~app:ident.Log.id_app ~variant:ident.Log.id_variant
-    ~oracle:ident.Log.id_oracle ~mode:ident.Log.id_mode
-    ~engine:(Engine.name engine) ~reason ~config
-    ~program_md5:(Log.digest text)
-    ~program_text:(if embed_program then Some text else None)
-    ~fail_blocks:(Log.fail_blocks_of_meta meta)
-    ~threads:(Engine.thread_summaries m)
-    ~episodes:(Stats.episodes_chronological stats)
-    ~steps:(Engine.steps m) ~instrs:stats.Stats.instrs
-    ~rollbacks:stats.Stats.rollbacks ~outcome ~outputs:(Engine.outputs m) ring
-
-let capture ?(engine = Engine.Fast) ?config ?meta ?cap ?embed_program
-    ?(reason = "requested") ~ident program =
-  let config = Option.value ~default:Machine.default_config config in
+let capture ?engine ?config ?meta ?cap ?(reason = "requested") ~ident program =
   let ring = Flight_ring.create ?cap () in
-  let m =
-    Engine.create ~config ?meta ~observer:(Flight_ring.observer ring) engine
-      program
+  let m, rb, window =
+    Driver.run_ring ?engine ?config ?meta ~ident ring program
   in
-  let outcome = Engine.run m in
   let bundle =
-    bundle_of_machine ?embed_program ~engine ~reason ~config ~meta ~ident
-      ~program m ring outcome
+    {
+      window;
+      first = Flight_ring.tail_first ring;
+      reason;
+      threads = Engine.thread_summaries m;
+      events =
+        List.map
+          (fun (e : Flight_ring.event) ->
+            {
+              bv_kind = Flight_ring.kind_name e.fe_kind;
+              bv_step = e.fe_step;
+              bv_tid = e.fe_tid;
+              bv_arg = e.fe_arg;
+              bv_detail = e.fe_detail;
+            })
+          (Flight_ring.events ring);
+      episodes =
+        List.map
+          (fun (ep : Stats.episode) ->
+            {
+              be_site = ep.ep_site_id;
+              be_tid = ep.ep_tid;
+              be_start = ep.ep_start;
+              be_end = ep.ep_end;
+              be_retries = ep.ep_retries;
+            })
+          (Stats.episodes_chronological rb.Driver.rb_stats);
+    }
   in
-  (m, outcome, bundle)
+  (m, rb.Driver.rb_outcome, bundle)
 
 (* ------------------------------------------------------------------ *)
 (* Regeneration                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let program_of (b : Flight.t) =
-  match b.Flight.fb_program_text with
-  | None -> Error "bundle: no embedded program"
-  | Some text -> (
-      let got = Log.digest text in
-      if got <> b.Flight.fb_program_md5 then
-        Error
-          (Printf.sprintf
-             "bundle: embedded program MD5 %s does not match recorded %s" got
-             b.Flight.fb_program_md5)
-      else
-        match Parse.program text with
-        | Ok p -> Ok p
-        | Error e ->
-            Error
-              (Format.asprintf "bundle: embedded program: %a" Parse.pp_error e))
-
-let ident_of (b : Flight.t) : Log.ident =
-  {
-    Log.id_app = b.Flight.fb_app;
-    id_variant = b.Flight.fb_variant;
-    id_oracle = b.Flight.fb_oracle;
-    id_mode = b.Flight.fb_mode;
-  }
-
-(* Compare the re-run's suffix/preemptions/trailer against the tail the
-   ring retained. Any disagreement means the bundle does not describe
-   this program+config (or the engines drifted) — reject it. *)
-let verify_against (b : Flight.t) recorder (m : Engine.machine) outcome =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let n = Recorder.count recorder in
-  if n <> b.Flight.fb_tail_total then
-    err "bundle: re-run made %d decisions, bundle records %d" n
-      b.Flight.fb_tail_total
+(* The re-run must reproduce the window: the same stream length, the
+   retained decisions and preemptions as its suffix, the same trailer.
+   Checked on the bundle as given, not only as loaded. *)
+let verify (b : t) (full : Log.t) rb =
+  let err fmt = Printf.ksprintf (fun s -> Error ("bundle: " ^ s)) fmt in
+  let w = b.window in
+  let n = Array.length full.Log.decisions in
+  let len = Array.length w.Log.decisions in
+  let rec diverges i =
+    if i = len then None
+    else if full.Log.decisions.(b.first + i) <> w.Log.decisions.(i) then Some i
+    else diverges (i + 1)
+  in
+  if b.first < 0 || b.first + len <> n then
+    err "re-run made %d decisions, the bundle's window is [%d, %d)" n b.first
+      (b.first + len)
   else
-    let decisions = Recorder.decisions recorder in
-    let first = b.Flight.fb_tail_first in
-    let tail = b.Flight.fb_tail in
-    let rec cmp i =
-      if i >= Array.length tail then Ok ()
-      else if decisions.(first + i) <> tail.(i) then
-        err "bundle: decision %d diverges: re-run chose tid %d, tail has %d"
-          (first + i)
-          decisions.(first + i)
-          tail.(i)
-      else cmp (i + 1)
-    in
-    let* () = cmp 0 in
-    let pre =
-      Array.of_list
-        (List.filter
-           (fun ord -> ord >= first)
-           (Array.to_list (Recorder.preemptions recorder)))
-    in
-    if pre <> b.Flight.fb_tail_preemptions then
-      err "bundle: tail preemptions diverge (re-run %d, bundle %d)"
-        (Array.length pre)
-        (Array.length b.Flight.fb_tail_preemptions)
-    else if Engine.steps m <> b.Flight.fb_steps then
-      err "bundle: step count diverges: re-run %d, bundle %d" (Engine.steps m)
-        b.Flight.fb_steps
-    else
-      let stats = Engine.stats m in
-      if stats.Stats.instrs <> b.Flight.fb_instrs then
-        err "bundle: instruction count diverges: re-run %d, bundle %d"
-          stats.Stats.instrs b.Flight.fb_instrs
-      else if stats.Stats.rollbacks <> b.Flight.fb_rollbacks then
-        err "bundle: rollback count diverges: re-run %d, bundle %d"
-          stats.Stats.rollbacks b.Flight.fb_rollbacks
-      else if outcome <> b.Flight.fb_outcome then
-        err "bundle: outcome diverges: re-run %s, bundle %s"
-          (Outcome.to_string outcome)
-          (Outcome.to_string b.Flight.fb_outcome)
-      else if Engine.outputs m <> b.Flight.fb_outputs then
-        err "bundle: outputs diverge"
-      else Ok ()
+    match diverges 0 with
+    | Some i ->
+        err "decision %d diverges: re-run chose tid %d, tail has %d"
+          (b.first + i)
+          full.Log.decisions.(b.first + i)
+          w.Log.decisions.(i)
+    | None ->
+        let pre =
+          Array.of_list
+            (List.filter
+               (fun ord -> ord >= b.first)
+               (Array.to_list full.Log.preemptions))
+        in
+        if pre <> w.Log.preemptions then
+          err "tail preemptions diverge (re-run %d, bundle %d)"
+            (Array.length pre)
+            (Array.length w.Log.preemptions)
+        else Result.map_error (( ^ ) "bundle: re-run ") (Driver.check w rb)
 
-let recover_log ?engine (b : Flight.t) : (Log.t, string) result =
+let recover_log ?engine (b : t) : (Log.t, string) result =
+  let w = b.window in
   let* engine =
-    match engine with
-    | Some e -> Ok e
-    | None -> Engine.of_string b.Flight.fb_engine
+    match engine with Some e -> Ok e | None -> Engine.of_string w.Log.engine
   in
-  let* program = program_of b in
-  let meta = Log.meta_of_fail_blocks b.Flight.fb_fail_blocks in
-  let config = b.Flight.fb_config in
-  let recorder = Recorder.create () in
-  let m =
-    Engine.create ~config ?meta ~observer:(Recorder.observer recorder) engine
-      program
+  let* program = Log.program w in
+  let _, rb, log =
+    Driver.run_ring ~engine ~config:w.Log.config ?meta:(Log.machine_meta w)
+      ~ident:w.Log.ident (Recorder.create ()) program
   in
-  let outcome = Engine.run m in
-  let* () = verify_against b recorder m outcome in
-  let rb =
-    {
-      Driver.rb_outcome = outcome;
-      rb_outputs = Engine.outputs m;
-      rb_stats = Engine.stats m;
-      rb_steps = Engine.steps m;
-    }
-  in
-  Ok
-    (Driver.log_of_run ~engine ~config ?meta ~ident:(ident_of b) ~program
-       recorder rb)
+  let* () = verify b log rb in
+  Ok log
+
+(* ------------------------------------------------------------------ *)
+(* Encoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let ints a = Json.List (Array.to_list (Array.map (fun i -> Json.Int i) a))
+
+let to_json b : Json.t =
+  let w = b.window in
+  Json.Obj
+    (Log.header_members ~ty:"flight_bundle" ~reason:(Some b.reason) w
+    @ [
+        ( "tail",
+          Json.Obj
+            [
+              ("first", Json.Int b.first);
+              ("total", Json.Int (total b));
+              ("preemptions", ints w.Log.preemptions);
+              ("chunks", Json.List (Log.chunks w.Log.decisions));
+            ] );
+        ("trailer", Json.Obj (Log.trailer_members w));
+        ( "threads",
+          Json.List
+            (List.map
+               (fun (tid, status, locks) ->
+                 Json.Obj
+                   [
+                     ("tid", Json.Int tid);
+                     ("status", Json.String status);
+                     ( "locks",
+                       Json.List (List.map (fun l -> Json.String l) locks) );
+                   ])
+               b.threads) );
+        ( "events",
+          Json.List
+            (List.map
+               (fun e ->
+                 Json.Obj
+                   [
+                     ("ev", Json.String e.bv_kind);
+                     ("step", Json.Int e.bv_step);
+                     ("tid", Json.Int e.bv_tid);
+                     ("arg", Json.Int e.bv_arg);
+                     ("detail", Json.String e.bv_detail);
+                   ])
+               b.events) );
+        ( "episodes",
+          Json.List
+            (List.map
+               (fun ep ->
+                 Json.Obj
+                   [
+                     ("site", Json.Int ep.be_site);
+                     ("tid", Json.Int ep.be_tid);
+                     ("start", Json.Int ep.be_start);
+                     ("end", Json.Int ep.be_end);
+                     ("retries", Json.Int ep.be_retries);
+                   ])
+               b.episodes) );
+      ])
+
+let to_string b = Json.to_string (to_json b)
+
+(* ------------------------------------------------------------------ *)
+(* Decoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+open Log.Decode
+
+let row decode j = Result.to_option (decode j)
+
+let thread =
+  row (fun j ->
+      let* tid = get nat "tid" j in
+      let* status = get nonempty "status" j in
+      let* locks = get (list str) "locks" j in
+      Ok (tid, status, locks))
+
+let event =
+  row (fun j ->
+      let* bv_kind = get nonempty "ev" j in
+      let* bv_step = get int "step" j in
+      let* bv_tid = get int "tid" j in
+      let* bv_arg = get int "arg" j in
+      let* bv_detail = get str "detail" j in
+      Ok { bv_kind; bv_step; bv_tid; bv_arg; bv_detail })
+
+let episode =
+  row (fun j ->
+      let* be_site = get int "site" j in
+      let* be_tid = get int "tid" j in
+      let* be_start = get int "start" j in
+      let* be_end = get int "end" j in
+      let* be_retries = get int "retries" j in
+      if be_end < be_start then Error "episode ends before it starts"
+      else Ok { be_site; be_tid; be_start; be_end; be_retries })
+
+let of_json (j : Json.t) : (t, string) result =
+  Result.map_error (( ^ ) "bundle: ")
+  @@
+  if Json.member "type" j <> Some (Json.String "flight_bundle") then
+    Error "not a flight_bundle document"
+  else
+    let* tail = member "tail" j in
+    let* first = get int "first" tail in
+    let* total = get int "total" tail in
+    let* chunks = get (list Option.some) "chunks" tail in
+    let* decisions = Log.of_chunks chunks in
+    let* preemptions = get (list int) "preemptions" tail in
+    let* trailer = member "trailer" j in
+    let* window =
+      Log.decode ~header:j ~trailer ~first ~decisions
+        ~preemptions:(Array.of_list preemptions)
+    in
+    if total <> first + Array.length decisions then
+      Error
+        (Printf.sprintf "tail carries %d decisions, total - first says %d"
+           (Array.length decisions) (total - first))
+    else
+      let* reason = get nonempty "reason" j in
+      let* threads = get (list thread) "threads" j in
+      let* events = get (list event) "events" j in
+      let* episodes = get (list episode) "episodes" j in
+      Ok { window; first; reason; threads; events; episodes }
+
+let of_string s =
+  let* j = Json.of_string s in
+  of_json j
+
+let save b file =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (to_string b);
+      output_char oc '\n')
+
+let load file =
+  match In_channel.with_open_text file In_channel.input_all with
+  | text -> of_string (String.trim text)
+  | exception Sys_error e -> Error ("bundle: " ^ e)

@@ -1,38 +1,90 @@
-(** Flight-recorder bundles as replay artifacts.
+(** The flight bundle: a schedule log's window plus the machine's
+    post-mortem state — the self-contained JSON document dumped from a
+    flight-recorder ring when a run fails, or on explicit request.
 
-    {!capture} runs a program with a flight ring attached and packages
-    the ring plus the machine's post-mortem state as a
-    {!Conair_obs.Flight.t} diagnostic bundle. {!recover_log} re-runs a
-    bundle's embedded program under its embedded config with the full
-    recorder attached, verifies the re-run against the recorded tail
-    (decision suffix, preemption ordinals, trailer — any disagreement
-    rejects the bundle) and returns an ordinary schedule log, after which
+    A bundle is a {!Schedule_log.t} whose [decisions] are the retained
+    tail of the run's decision stream and whose [preemptions] are the
+    absolute ordinals of the preemptive switches inside it, plus the
+    window's start, why it was dumped, per-thread status and held
+    locksets, the recent sync/recovery events and the recovery-episode
+    spans. Header, tail chunks and trailer go through the schedule log's
+    encoders and decoder. All three engines produce byte-identical
+    bundles on the same run, modulo the ["engine"] field itself.
+
+    Because runs are deterministic from (program, config, engine), the
+    bundle doubles as a regeneration recipe: {!recover_log} re-runs it
+    into a full schedule log verified against the window, after which
     strict replay, directed replay and minimization apply unchanged. *)
 
 open Conair_ir
 open Conair_runtime
+
+(** One retained sync/recovery event (see {!Flight_ring.event}). *)
+type event = {
+  bv_kind : string;  (** {!Flight_ring.kind_name} of the event *)
+  bv_step : int;
+  bv_tid : int;
+  bv_arg : int;  (** site id / child tid / wait flavor; [-1] unused *)
+  bv_detail : string;  (** lock/event name or failure message; may be "" *)
+}
+
+(** One recovery-episode span (from {!Stats.episode}). *)
+type episode = {
+  be_site : int;
+  be_tid : int;
+  be_start : int;
+  be_end : int;
+  be_retries : int;
+}
+
+type t = {
+  window : Schedule_log.t;
+      (** the run's header and trailer; [decisions] is the retained tail,
+          [preemptions] its preemptive switches as absolute ordinals *)
+  first : int;  (** absolute ordinal of the first retained decision *)
+  reason : string;  (** why the bundle was dumped *)
+  threads : (int * string * string list) list;
+      (** (tid, status, held locks) per thread, ascending tid *)
+  events : event list;  (** oldest first *)
+  episodes : episode list;  (** chronological *)
+}
+
+val total : t -> int
+(** Decisions in the whole run: [first] + the retained count. *)
 
 val capture :
   ?engine:Engine.t ->
   ?config:Machine.config ->
   ?meta:Machine.meta ->
   ?cap:int ->
-  ?embed_program:bool ->
   ?reason:string ->
   ident:Schedule_log.ident ->
   Program.t ->
-  Engine.machine * Outcome.t * Conair_obs.Flight.t
+  Engine.machine * Outcome.t * t
 (** Run [program] to completion with a flight ring of [cap] decisions
     (default {!Flight_ring.default_capacity}) attached as its observer,
-    and build the diagnostic bundle. [engine] defaults to [Fast],
-    [config] to {!Machine.default_config}, [embed_program] to [true],
-    [reason] to ["requested"]. The finished machine is returned so the
-    caller can inspect further state. *)
+    and build the bundle. [engine] defaults to [Fast], [config] to
+    {!Machine.default_config}, [reason] to ["requested"]. The finished
+    machine is returned so the caller can inspect further state. *)
 
-val recover_log :
-  ?engine:Engine.t -> Conair_obs.Flight.t -> (Schedule_log.t, string) result
+val recover_log : ?engine:Engine.t -> t -> (Schedule_log.t, string) result
 (** Regenerate a full schedule log from a bundle by deterministic re-run.
     [engine] defaults to the bundle's recorded engine. Fails when the
     bundle carries no program, the embedded text's MD5 mismatches, or
-    the re-run's decision suffix / tail preemptions / trailer disagree
-    with what the ring retained. *)
+    the re-run's decision stream, preemption ordinals or trailer
+    disagree with the window. *)
+
+val to_json : t -> Conair_obs.Json.t
+val to_string : t -> string
+
+val of_json : Conair_obs.Json.t -> (t, string) result
+(** Decode and check a bundle: everything {!Schedule_log.decode}
+    enforces, plus [total = first + retained], a non-empty reason and
+    well-formed thread, event and episode rows. *)
+
+val of_string : string -> (t, string) result
+
+val save : t -> string -> unit
+(** Write as a single JSON line plus newline. *)
+
+val load : string -> (t, string) result

@@ -50,21 +50,21 @@ let error_to_string = function
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Package a finished recorded run as a schedule log. Exposed so callers
-   that need to keep the machine itself (the facade's [run] type) can
-   drive the recording and still get an identical log. *)
-let log_of_run ?(engine = Fast) ~config ?meta ?(embed_program = true) ~ident
-    ~program recorder (bundle : result_bundle) =
+(* Package a finished run from the ring that observed it: the header,
+   the ring's window of the decision stream — the whole stream for an
+   unbounded ring — and the trailer. *)
+let log_of_run ?(engine = Fast) ~config ?meta ~ident ~program ring
+    (bundle : result_bundle) =
   let text = Emit.program program in
   {
     Log.ident;
     engine = engine_name engine;
     config;
     program_md5 = Log.digest text;
-    program_text = (if embed_program then Some text else None);
+    program_text = Some text;
     fail_blocks = Log.fail_blocks_of_meta meta;
-    decisions = Recorder.decisions recorder;
-    preemptions = Recorder.preemptions recorder;
+    decisions = Flight_ring.tail ring;
+    preemptions = Flight_ring.tail_preemptions ring;
     steps = bundle.rb_steps;
     instrs = bundle.rb_stats.Stats.instrs;
     rollbacks = bundle.rb_stats.Stats.rollbacks;
@@ -72,25 +72,30 @@ let log_of_run ?(engine = Fast) ~config ?meta ?(embed_program = true) ~ident
     outputs = bundle.rb_outputs;
   }
 
-let record ?(engine = Fast) ?config ?meta ?embed_program ~ident program =
-  let config = Option.value ~default:Machine.default_config config in
-  let recorder = Recorder.create () in
+let result_of m outcome =
+  {
+    rb_outcome = outcome;
+    rb_outputs = Engine.outputs m;
+    rb_stats = Engine.stats m;
+    rb_steps = Engine.steps m;
+  }
+
+let run_ring ?(engine = Fast) ?(config = Machine.default_config) ?meta ?race
+    ~ident ring program =
   let m =
-    Engine.create ~config ?meta ~observer:(Recorder.observer recorder) engine
-      program
+    Engine.create ~config ?meta
+      ~observer:
+        (Event.combine (Flight_ring.observer ring :: Option.to_list race))
+      engine program
   in
-  let outcome = Engine.run m in
-  let bundle =
-    {
-      rb_outcome = outcome;
-      rb_outputs = Engine.outputs m;
-      rb_stats = Engine.stats m;
-      rb_steps = Engine.steps m;
-    }
+  let rb = result_of m (Engine.run m) in
+  (m, rb, log_of_run ~engine ~config ?meta ~ident ~program ring rb)
+
+let record ?engine ?config ?meta ~ident program =
+  let _, rb, log =
+    run_ring ?engine ?config ?meta ~ident (Recorder.create ()) program
   in
-  ( bundle,
-    log_of_run ~engine ~config ?meta ?embed_program ~ident ~program recorder
-      bundle )
+  (rb, log)
 
 (* ------------------------------------------------------------------ *)
 (* Replaying                                                           *)
@@ -141,14 +146,7 @@ let replay ?(engine = Fast) ?program ?meta (log : Log.t) =
                      "the execution finished before consuming the recorded \
                       schedule";
                  })
-          else
-            Ok
-              {
-                rb_outcome = outcome;
-                rb_outputs = Engine.outputs m;
-                rb_stats = Engine.stats m;
-                rb_steps = Engine.steps m;
-              }
+          else Ok (result_of m outcome)
       | exception Feed.Diverged d ->
           Error
             (Diverged
@@ -182,13 +180,7 @@ let replay_directed ?(engine = Fast) ?meta ~program (log : Log.t) =
       ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible)
       engine program
   in
-  let outcome = Engine.run m in
-  {
-    rb_outcome = outcome;
-    rb_outputs = Engine.outputs m;
-    rb_stats = Engine.stats m;
-    rb_steps = Engine.steps m;
-  }
+  result_of m (Engine.run m)
 
 let check (log : Log.t) (b : result_bundle) =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in

@@ -44,28 +44,42 @@ val log_of_run :
   ?engine:engine ->
   config:Machine.config ->
   ?meta:Machine.meta ->
-  ?embed_program:bool ->
   ident:Schedule_log.ident ->
   program:Program.t ->
-  Recorder.t ->
+  Flight_ring.t ->
   result_bundle ->
   Schedule_log.t
-(** Package a finished recorded run as a schedule log — for callers that
-    drove the recording themselves (and e.g. kept the machine). *)
+(** Package a finished run from the ring that observed it: the header
+    (embedded program text included), the ring's window of the decision
+    stream with its absolute preemption ordinals — the whole stream for
+    an unbounded ring such as a {!Recorder} — and the trailer. *)
+
+val run_ring :
+  ?engine:engine ->
+  ?config:Machine.config ->
+  ?meta:Machine.meta ->
+  ?race:Event.observer ->
+  ident:Schedule_log.ident ->
+  Flight_ring.t ->
+  Program.t ->
+  Engine.machine * result_bundle * Schedule_log.t
+(** The one capture path: run [program] with [ring] attached (and
+    [race] beside it) and package the finished machine with
+    {!log_of_run}. An unbounded ring yields the full schedule log, a
+    bounded one the window a {!Bundle} wraps. [engine] defaults to
+    [Fast], [config] to {!Machine.default_config}; [meta] is the
+    recovery metadata for hardened programs, serialized into the
+    fail-block table. *)
 
 val record :
   ?engine:engine ->
   ?config:Machine.config ->
   ?meta:Machine.meta ->
-  ?embed_program:bool ->
   ident:Schedule_log.ident ->
   Program.t ->
   result_bundle * Schedule_log.t
-(** Run [program] with a {!Recorder} observing it and package the
-    decision stream as a self-contained schedule log. [embed_program]
-    (default [true]) controls whether the program text rides in the log;
-    [meta] is the recovery metadata for hardened programs and is
-    serialized into the log's fail-block table. *)
+(** {!run_ring} with a fresh {!Recorder}: the run's results and its
+    self-contained schedule log. *)
 
 val replay :
   ?engine:engine ->

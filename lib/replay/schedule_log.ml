@@ -13,7 +13,11 @@
    original registry entry — and a replay against a supplied program can
    detect a mismatch before running a single step. The fail-block table
    (label name -> site id) reconstructs the [Machine.meta] recovery
-   metadata for hardened programs. *)
+   metadata for hardened programs.
+
+   A flight bundle is the same record over a window of the decision
+   stream: its header, tail chunks and trailer go through the encoders
+   and the decoder below, so the two artifacts cannot drift. *)
 
 open Conair_ir
 open Conair_runtime
@@ -33,7 +37,7 @@ let ident ?(variant = "buggy") ?(oracle = false) ?(mode = "none") app =
 
 type t = {
   ident : ident;
-  engine : string;  (** which engine recorded it ("fast" / "ref") *)
+  engine : string;  (** which engine recorded it ("ref" / "fast" / "block") *)
   config : Machine.config;
   program_md5 : string;
   program_text : string option;
@@ -75,6 +79,11 @@ let machine_meta t : Machine.meta option = meta_of_fail_blocks t.fail_blocks
 let program t =
   match t.program_text with
   | None -> Error "schedule log: no embedded program"
+  | Some text when digest text <> t.program_md5 ->
+      Error
+        (Printf.sprintf
+           "schedule log: embedded program MD5 %s does not match recorded %s"
+           (digest text) t.program_md5)
   | Some text -> (
       match Parse.program text with
       | Ok p -> Ok p
@@ -89,57 +98,78 @@ let program t =
 
 let ints a = Json.List (Array.to_list (Array.map (fun i -> Json.Int i) a))
 
-let meta_json t =
-  Json.Obj
-    ([
-       ("type", Json.String "sched_meta");
-       ("version", Json.Int version);
-       ("app", Json.String t.ident.id_app);
-       ("variant", Json.String t.ident.id_variant);
-       ("oracle", Json.Bool t.ident.id_oracle);
-       ("mode", Json.String t.ident.id_mode);
-       ("engine", Json.String t.engine);
-       ("config", Jsonl.config_json t.config);
-       ("program_md5", Json.String t.program_md5);
-     ]
-    @ (match t.program_text with
-      | None -> []
-      | Some text -> [ ("program", Json.String text) ])
-    @
-    match t.fail_blocks with
-    | [] -> []
-    | fbs ->
-        [
-          ( "fail_blocks",
-            Json.List
-              (List.map
-                 (fun (name, site) ->
-                   Json.List [ Json.String name; Json.Int site ])
-                 fbs) );
-        ])
-
-let end_json t =
-  Json.Obj
-    [
-      ("type", Json.String "sched_end");
-      ("decisions", Json.Int (Array.length t.decisions));
-      ("preemptions", ints t.preemptions);
-      ("steps", Json.Int t.steps);
-      ("instrs", Json.Int t.instrs);
-      ("rollbacks", Json.Int t.rollbacks);
-      ("outcome", Report.outcome_json t.outcome);
-      ("outputs", Json.List (List.map (fun s -> Json.String s) t.outputs));
+let header_members ~ty ~reason t =
+  [
+    ("type", Json.String ty);
+    ("version", Json.Int version);
+    ("app", Json.String t.ident.id_app);
+    ("variant", Json.String t.ident.id_variant);
+    ("oracle", Json.Bool t.ident.id_oracle);
+    ("mode", Json.String t.ident.id_mode);
+    ("engine", Json.String t.engine);
+  ]
+  @ (match reason with None -> [] | Some r -> [ ("reason", Json.String r) ])
+  @ [
+      ("config", Jsonl.config_json t.config);
+      ("program_md5", Json.String t.program_md5);
     ]
+  @ (match t.program_text with
+    | None -> []
+    | Some text -> [ ("program", Json.String text) ])
+  @
+  match t.fail_blocks with
+  | [] -> []
+  | fbs ->
+      [
+        ( "fail_blocks",
+          Json.List
+            (List.map
+               (fun (name, site) ->
+                 Json.List [ Json.String name; Json.Int site ])
+               fbs) );
+      ]
+
+let trailer_members t =
+  [
+    ("steps", Json.Int t.steps);
+    ("instrs", Json.Int t.instrs);
+    ("rollbacks", Json.Int t.rollbacks);
+    ("outcome", Report.outcome_json t.outcome);
+    ("outputs", Json.List (List.map (fun s -> Json.String s) t.outputs));
+  ]
+
+let chunk_size = 4096
+
+let chunks d =
+  let n = Array.length d in
+  List.init
+    ((n + chunk_size - 1) / chunk_size)
+    (fun c ->
+      let pos = c * chunk_size in
+      Json.Obj
+        [
+          ("type", Json.String "sched_chunk");
+          ( "d",
+            Json.List
+              (List.init
+                 (min chunk_size (n - pos))
+                 (fun i -> Json.Int d.(pos + i))) );
+        ])
 
 let to_lines t =
   List.map Json.to_string
-    ((meta_json t :: Jsonl.sched_chunks t.decisions) @ [ end_json t ])
+    ((Json.Obj (header_members ~ty:"sched_meta" ~reason:None t)
+     :: chunks t.decisions)
+    @ [
+        Json.Obj
+          (("type", Json.String "sched_end")
+          :: ("decisions", Json.Int (Array.length t.decisions))
+          :: ("preemptions", ints t.preemptions)
+          :: trailer_members t);
+      ])
 
 let save t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Out_channel.with_open_text file (fun oc ->
       List.iter
         (fun line ->
           output_string oc line;
@@ -152,178 +182,169 @@ let save t file =
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "schedule log: missing %S field" name)
+module Decode = struct
+  type 'a decoder = Json.t -> 'a option
 
-let str name j =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
+  let str = function Json.String s -> Some s | _ -> None
+  let nonempty = function Json.String s when s <> "" -> Some s | _ -> None
+  let int = function Json.Int n -> Some n | _ -> None
+  let nat = function Json.Int n when n >= 0 -> Some n | _ -> None
+  let bool = function Json.Bool b -> Some b | _ -> None
 
-let int name j =
-  match Json.member name j with
-  | Some (Json.Int n) -> Ok n
-  | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
+  let list d = function
+    | Json.List l ->
+        let rec go acc = function
+          | [] -> Some (List.rev acc)
+          | x :: rest -> (
+              match d x with Some v -> go (v :: acc) rest | None -> None)
+        in
+        go [] l
+    | _ -> None
 
-let bool name j =
-  match Json.member name j with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
+  let member name j =
+    match Json.member name j with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "missing %S field" name)
 
-let int_list name j =
-  match Json.member name j with
-  | Some (Json.List l) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Int n :: rest -> go (n :: acc) rest
-        | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
-      in
-      go [] l
-  | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
+  let get d name j =
+    let* v = member name j in
+    match d v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "malformed %S field" name)
+end
+
+open Decode
 
 let line_type j =
   match Json.member "type" j with Some (Json.String s) -> s | _ -> ""
 
-let parse_meta j =
-  let* v = int "version" j in
-  if v > version then
-    Error (Printf.sprintf "schedule log: unsupported version %d" v)
+let of_chunks cs =
+  let chunk c =
+    if line_type c <> "sched_chunk" then None
+    else Option.map Array.of_list (Option.bind (Json.member "d" c) (list int))
+  in
+  match list chunk (Json.List cs) with
+  | Some ds -> Ok (Array.concat ds)
+  | None -> Error "malformed sched_chunk record"
+
+let md5_hex = function
+  | Json.String d
+    when String.length d = 32
+         && String.for_all
+              (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+              d ->
+      Some d
+  | _ -> None
+
+let fail_block = function
+  | Json.List [ Json.String name; Json.Int site ] -> Some (name, site)
+  | _ -> None
+
+(* Preemption ordinals strictly ascending inside [first, total). *)
+let in_window ~first ~total preemptions =
+  let rec go last i =
+    i = Array.length preemptions
+    || (let p = preemptions.(i) in
+        p > last && p < total && go p (i + 1))
+  in
+  go (first - 1) 0
+
+let decode ~header ~trailer ~first ~decisions ~preemptions =
+  let* v = get int "version" header in
+  if v < 1 || v > version then Error (Printf.sprintf "unsupported version %d" v)
   else
-    let* app = str "app" j in
-    let* variant = str "variant" j in
-    let* oracle = bool "oracle" j in
-    let* mode = str "mode" j in
-    let* engine = str "engine" j in
-    let* config_j = field "config" j in
-    let* config = Jsonl.config_of_json config_j in
-    let* program_md5 = str "program_md5" j in
-    let program_text =
-      match Json.member "program" j with
-      | Some (Json.String text) -> Some text
-      | _ -> None
+    let* app = get nonempty "app" header in
+    let* variant = get nonempty "variant" header in
+    let* oracle = get bool "oracle" header in
+    let* mode = get nonempty "mode" header in
+    let* engine = get str "engine" header in
+    let* _ = Engine.of_string engine in
+    let* config = Result.bind (member "config" header) Jsonl.config_of_json in
+    let* program_md5 = get md5_hex "program_md5" header in
+    let* program_text =
+      match Json.member "program" header with
+      | None -> Ok None
+      | Some (Json.String text) when digest text = program_md5 -> Ok (Some text)
+      | Some (Json.String _) ->
+          Error "embedded program does not hash to program_md5"
+      | Some _ -> Error "malformed \"program\" field"
     in
     let* fail_blocks =
-      match Json.member "fail_blocks" j with
-      | None -> Ok []
-      | Some (Json.List l) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | Json.List [ Json.String name; Json.Int site ] :: rest ->
-                go ((name, site) :: acc) rest
-            | _ -> Error "schedule log: malformed \"fail_blocks\" field"
-          in
-          go [] l
-      | Some _ -> Error "schedule log: malformed \"fail_blocks\" field"
+      if Json.member "fail_blocks" header = None then Ok []
+      else get (list fail_block) "fail_blocks" header
     in
-    Ok
-      ( { id_app = app; id_variant = variant; id_oracle = oracle; id_mode = mode },
-        engine,
-        config,
-        program_md5,
-        program_text,
-        fail_blocks )
+    let* steps = get nat "steps" trailer in
+    let* instrs = get nat "instrs" trailer in
+    let* rollbacks = get nat "rollbacks" trailer in
+    let* outcome =
+      Result.bind (member "outcome" trailer) Report.outcome_of_json
+    in
+    let* outputs = get (list str) "outputs" trailer in
+    let total = first + Array.length decisions in
+    if config.Machine.fuel <= 0 then Error "config: fuel is not positive"
+    else if first < 0 then
+      Error (Printf.sprintf "the window starts at negative ordinal %d" first)
+    else if not (in_window ~first ~total preemptions) then
+      Error
+        (Printf.sprintf
+           "preemption ordinals are not ascending inside the window [%d, %d)"
+           first total)
+    else
+      Ok
+        {
+          ident =
+            {
+              id_app = app;
+              id_variant = variant;
+              id_oracle = oracle;
+              id_mode = mode;
+            };
+          engine;
+          config;
+          program_md5;
+          program_text;
+          fail_blocks;
+          decisions;
+          preemptions;
+          steps;
+          instrs;
+          rollbacks;
+          outcome;
+          outputs;
+        }
 
+(* meta line, decision chunks, then exactly one trailing end record *)
 let of_lines lines =
-  match lines with
-  | [] -> Error "schedule log: empty"
-  | meta_line :: rest ->
-      let* meta_j = Json.of_string meta_line in
-      if line_type meta_j <> "sched_meta" then
-        Error "schedule log: first line is not a sched_meta record"
-      else
-        let* ident, engine, config, program_md5, program_text, fail_blocks =
-          parse_meta meta_j
-        in
-        (* decision chunks, then exactly one trailing end record *)
-        let buf = ref (Array.make 1024 0) in
-        let n = ref 0 in
-        let push tid =
-          if !n = Array.length !buf then begin
-            let bigger = Array.make (2 * !n) 0 in
-            Array.blit !buf 0 bigger 0 !n;
-            buf := bigger
-          end;
-          !buf.(!n) <- tid;
-          incr n
-        in
-        let rec walk = function
-          | [] -> Error "schedule log: missing sched_end record"
-          | line :: rest -> (
-              let* j = Json.of_string line in
-              match line_type j with
-              | "sched_chunk" ->
-                  let* d = Jsonl.sched_chunk_decisions j in
-                  List.iter push d;
-                  walk rest
-              | "sched_end" ->
-                  if rest <> [] then
-                    Error "schedule log: lines after the sched_end record"
-                  else
-                    let* count = int "decisions" j in
-                    if count <> !n then
-                      Error
-                        (Printf.sprintf
-                           "schedule log: sched_end declares %d decisions, \
-                            chunks carry %d"
-                           count !n)
-                    else
-                      let* preempts = int_list "preemptions" j in
-                      let* steps = int "steps" j in
-                      let* instrs = int "instrs" j in
-                      let* rollbacks = int "rollbacks" j in
-                      let* outcome_j = field "outcome" j in
-                      let* outcome = Report.outcome_of_json outcome_j in
-                      let* outputs =
-                        match Json.member "outputs" j with
-                        | Some (Json.List l) ->
-                            let rec go acc = function
-                              | [] -> Ok (List.rev acc)
-                              | Json.String s :: rest -> go (s :: acc) rest
-                              | _ ->
-                                  Error
-                                    "schedule log: malformed \"outputs\" field"
-                            in
-                            go [] l
-                        | _ -> Error "schedule log: malformed \"outputs\" field"
-                      in
-                      Ok
-                        {
-                          ident;
-                          engine;
-                          config;
-                          program_md5;
-                          program_text;
-                          fail_blocks;
-                          decisions = Array.sub !buf 0 !n;
-                          preemptions = Array.of_list preempts;
-                          steps;
-                          instrs;
-                          rollbacks;
-                          outcome;
-                          outputs;
-                        }
-              | other ->
-                  Error
-                    (Printf.sprintf "schedule log: unexpected %S record" other))
-        in
-        walk rest
+  Result.map_error (( ^ ) "schedule log: ")
+  @@
+  let* docs =
+    List.fold_right
+      (fun line acc ->
+        let* acc = acc in
+        let* j = Json.of_string line in
+        Ok (j :: acc))
+      lines (Ok [])
+  in
+  match docs with
+  | [] -> Error "empty"
+  | header :: _ when line_type header <> "sched_meta" ->
+      Error "first line is not a sched_meta record"
+  | header :: body -> (
+      match List.rev body with
+      | trailer :: rev_chunks when line_type trailer = "sched_end" ->
+          let* decisions = of_chunks (List.rev rev_chunks) in
+          let* count = get int "decisions" trailer in
+          if count <> Array.length decisions then
+            Error
+              (Printf.sprintf "sched_end declares %d decisions, chunks carry %d"
+                 count (Array.length decisions))
+          else
+            let* preemptions = get (list int) "preemptions" trailer in
+            decode ~header ~trailer ~first:0 ~decisions
+              ~preemptions:(Array.of_list preemptions)
+      | _ -> Error "missing sched_end record")
 
 let load file =
-  match
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then lines := line :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  with
-  | lines -> of_lines lines
+  match In_channel.with_open_text file In_channel.input_lines with
+  | lines -> of_lines (List.filter (fun l -> String.trim l <> "") lines)
   | exception Sys_error e -> Error ("schedule log: " ^ e)

@@ -1,5 +1,8 @@
 (** The schedule log: one recorded run's complete scheduling-decision
-    stream plus enough metadata to re-execute it from the file alone.
+    stream plus enough metadata to re-execute it from the file alone —
+    the one definition of a recorded run. A flight bundle ({!Bundle}) is
+    the same record over a window of the stream, and shares this
+    module's header, trailer, decision chunks and decoder.
 
     Serialized as JSONL — a ["sched_meta"] header (identification,
     execution config, embedded program text and MD5, fail-block table for
@@ -10,6 +13,7 @@
 
 open Conair_ir
 open Conair_runtime
+module Json = Conair_obs.Json
 
 (** Identification of the recorded run, mirroring the registry
     vocabulary of the bugbench catalog. *)
@@ -25,7 +29,7 @@ val ident : ?variant:string -> ?oracle:bool -> ?mode:string -> string -> ident
 
 type t = {
   ident : ident;
-  engine : string;  (** which engine recorded it ("fast" / "ref") *)
+  engine : string;  (** which engine recorded it ("ref" / "fast" / "block") *)
   config : Machine.config;
   program_md5 : string;  (** MD5 of the executed program's text *)
   program_text : string option;  (** the executed (hardened) program *)
@@ -61,12 +65,66 @@ val machine_meta : t -> Machine.meta option
     [fail_blocks]; [None] for unhardened runs. *)
 
 val program : t -> (Program.t, string) result
-(** Parse the embedded program text. *)
+(** Parse the embedded program text, after checking that it hashes to
+    [program_md5]. *)
+
+(** {1 Encoding} *)
 
 val to_lines : t -> string list
 (** The JSONL serialization, one element per line (no newlines). *)
 
-val of_lines : string list -> (t, string) result
-
 val save : t -> string -> unit
+
+val header_members :
+  ty:string -> reason:string option -> t -> (string * Json.t) list
+(** The header object's members under record type [ty]: identification,
+    engine, [reason] (a bundle's dump reason; [None] for a log), config,
+    program MD5 and text, fail blocks. *)
+
+val trailer_members : t -> (string * Json.t) list
+(** The run trailer: steps, instrs, rollbacks, outcome, outputs. *)
+
+val chunks : int array -> Json.t list
+(** Decisions as [{"type":"sched_chunk","d":[tid,...]}] records of at
+    most 4096, in order; empty input yields no chunks. *)
+
+val of_chunks : Json.t list -> (int array, string) result
+
+(** {1 Decoding} *)
+
+(** The decode-helper family of both artifacts: [get d name j] decodes
+    member [name] of object [j] with [d], failing with ["missing"] or
+    ["malformed %S field"]. *)
+module Decode : sig
+  type 'a decoder = Json.t -> 'a option
+
+  val str : string decoder
+  val nonempty : string decoder
+  val int : int decoder
+
+  val nat : int decoder
+  (** A non-negative integer. *)
+
+  val list : 'a decoder -> 'a list decoder
+  val member : string -> Json.t -> (Json.t, string) result
+  val get : 'a decoder -> string -> Json.t -> ('a, string) result
+end
+
+val decode :
+  header:Json.t ->
+  trailer:Json.t ->
+  first:int ->
+  decisions:int array ->
+  preemptions:int array ->
+  (t, string) result
+(** The shared decoder: header and trailer objects plus the window of
+    [decisions] starting at absolute ordinal [first] ([0] for a full
+    log) and its absolute preemption ordinals. Enforces the recorded
+    run's invariants: a known version and engine, non-empty
+    identification, positive fuel, an MD5 digest the embedded text
+    hashes to, non-negative counts, [first >= 0] and preemption
+    ordinals strictly ascending inside the window. Errors carry no
+    artifact prefix. *)
+
+val of_lines : string list -> (t, string) result
 val load : string -> (t, string) result

@@ -180,28 +180,11 @@ let exec_run ~telemetry ~target ~mode ~(exec : Protocol.exec) =
           let bundle =
             if Outcome.is_success rr.Conair.run.outcome then None
             else
-              let mode_name =
-                match mode with
-                | None -> "none"
-                | Some Conair.Survival -> "survival"
-                | Some (Conair.Fix _) -> "fix"
-              in
-              let ident =
-                Conair.Replay.Log.ident ~variant ~mode:mode_name app
-              in
-              let _, b =
-                match mode with
-                | None ->
-                    Conair.run_flight ~config ~engine ~reason:"failure"
-                      ~ident inst.Spec.program
-                | Some m ->
-                    let h = Conair.harden_exn inst.Spec.program m in
-                    Conair.run_flight ~config ~engine
-                      ~meta:(Machine.meta_of_harden h.Conair.hardened)
-                      ~reason:"failure" ~ident
-                      h.Conair.hardened.Conair_transform.Harden.program
-              in
-              Some (Conair.Obs.Flight.to_json b)
+              Some
+                (Conair.Replay.Bundle.to_json
+                   (Conair.flight_in_mode ~config ~engine ~reason:"failure"
+                      ~ident:(Conair.Replay.Log.ident ~variant app)
+                      mode inst.Spec.program))
           in
           {
             jr_status = "ok";

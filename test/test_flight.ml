@@ -1,5 +1,5 @@
 (* Flight recorder and post-mortem diagnostic bundles (lib/runtime
-   Flight_ring, lib/obs Flight, lib/replay Bundle, facade run_flight).
+   Flight_ring, lib/replay Bundle, facade run_flight).
 
    Four layers: ring wraparound exactness against the full recorder
    (the retained tail must be the exact suffix of the recorded decision
@@ -18,7 +18,8 @@ module Engine = Conair.Runtime.Engine
 module Event = Conair.Runtime.Event
 module Outcome = Conair.Runtime.Outcome
 module Flight_ring = Conair.Runtime.Flight_ring
-module Flight = Conair.Obs.Flight
+module Sched = Conair.Runtime.Sched
+module Json = Conair.Obs.Json
 module Replay = Conair.Replay
 module Log = Replay.Log
 module Recorder = Test_util.Tap_recorder
@@ -147,13 +148,15 @@ let bundles_cross_engine () =
         in
         b
       in
-      let normalized b = Flight.to_string { b with Flight.fb_engine = "-" } in
+      let normalized (b : Bundle.t) =
+        Bundle.to_string { b with window = { b.window with Log.engine = "-" } }
+      in
       let bundles = List.map dump Engine.all in
       (match bundles with
       | [ r; f; k ] ->
           Alcotest.(check string) (name ^ ": engine fields") "ref fast block"
             (String.concat " "
-               [ r.Flight.fb_engine; f.Flight.fb_engine; k.Flight.fb_engine ])
+               [ r.window.engine; f.window.engine; k.window.engine ])
       | _ -> Alcotest.fail "three engines expected");
       match List.map normalized bundles with
       | first :: rest ->
@@ -166,26 +169,73 @@ let bundles_cross_engine () =
       | [] -> Alcotest.fail "no bundles")
     Registry.all
 
-(* Bundles survive the JSON codec byte-for-byte, for both a fully
-   retained and a wrapped ring. *)
+(* Bundles survive the JSON codec byte-for-byte, for a fully retained, a
+   wrapped and a seeded-policy ring; tampered documents do not decode. *)
 let bundle_json_roundtrip () =
   List.iter
-    (fun name ->
+    (fun (name, config) ->
       let inst = instance name Spec.Buggy in
       let _m, _out, b =
         Bundle.capture ~config ~cap:512 ~ident:(ident name) inst.Spec.program
       in
-      match Flight.of_string (Flight.to_string b) with
+      match Bundle.of_string (Bundle.to_string b) with
       | Error e -> Alcotest.failf "%s: decode failed: %s" name e
       | Ok b' ->
           Alcotest.(check string) (name ^ ": codec round trip")
-            (Flight.to_string b) (Flight.to_string b');
+            (Bundle.to_string b) (Bundle.to_string b');
           Alcotest.(check string) (name ^ ": md5 of embedded text")
-            b.Flight.fb_program_md5
-            (match b'.Flight.fb_program_text with
+            b.window.program_md5
+            (match b'.window.program_text with
             | Some src -> Digest.to_hex (Digest.string src)
             | None -> "no embedded program"))
-    [ "HawkNL"; "MySQL1" ]
+    [
+      ("HawkNL", config);
+      ("MySQL1", config);
+      ("FFT", { config with policy = Sched.Random 7 });
+    ];
+  let inst = instance "HawkNL" Spec.Buggy in
+  let _m, _out, b =
+    Bundle.capture ~config ~ident:(ident "HawkNL") inst.Spec.program
+  in
+  (* [doc] with the member at [path] rewritten by [f] *)
+  let rec update path f (j : Json.t) =
+    match (path, j) with
+    | [], _ -> f j
+    | k :: rest, Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k', v) -> if k' = k then (k', update rest f v) else (k', v))
+             fields)
+    | _ -> j
+  in
+  let int n (_ : Json.t) = Json.Int n in
+  let append x = function Json.List l -> Json.List (l @ [ x ]) | j -> j in
+  let doc = Bundle.to_json b in
+  List.iter
+    (fun (what, tampered) ->
+      match Bundle.of_json tampered with
+      | Ok _ -> Alcotest.failf "%s: tampered bundle decoded" what
+      | Error _ -> ())
+    [
+      ( "negative first",
+        update [ "tail"; "first" ] (int (-3))
+          (update [ "tail"; "total" ] (int 9) doc) );
+      ( "extra tail decision",
+        update [ "tail"; "chunks" ]
+          (function
+            | Json.List [ chunk ] ->
+                Json.List [ update [ "d" ] (append (Json.Int 0)) chunk ]
+            | j -> j)
+          doc );
+      ( "total is not first + retained",
+        update [ "tail"; "total" ] (int 13) doc );
+      ( "preemption ordinal outside the window",
+        update [ "tail"; "preemptions" ] (append (Json.Int 12)) doc );
+      ( "embedded text does not hash to program_md5",
+        update [ "program" ]
+          (function Json.String t -> Json.String (t ^ "\n") | j -> j)
+          doc );
+    ]
 
 (* --- bundle -> regenerate -> replay -> minimize round trip --------- *)
 
@@ -242,12 +292,29 @@ let regeneration_rejects_tampering () =
     | Ok _ -> Alcotest.failf "%s: tampered bundle accepted" what
     | Error _ -> ()
   in
-  let tail = Array.copy b.Flight.fb_tail in
+  let with_window w = { b with Bundle.window = w } in
+  let tail = Array.copy b.window.decisions in
   tail.(Array.length tail - 1) <- tail.(Array.length tail - 1) + 1;
-  expect_error "flipped tail decision" { b with Flight.fb_tail = tail };
+  expect_error "flipped tail decision"
+    (with_window { b.window with decisions = tail });
   expect_error "md5 mismatch"
-    { b with Flight.fb_program_md5 = String.make 32 '0' };
-  expect_error "no embedded program" { b with Flight.fb_program_text = None }
+    (with_window { b.window with program_md5 = String.make 32 '0' });
+  expect_error "no embedded program"
+    (with_window { b.window with program_text = None });
+  expect_error "negative first" { b with first = -3 };
+  expect_error "negative first, total kept"
+    {
+      (with_window
+         {
+           b.window with
+           decisions = Array.append [| 0; 0; 0 |] b.window.decisions;
+         })
+      with
+      first = -3;
+    };
+  expect_error "extra tail decision"
+    (with_window
+       { b.window with decisions = Array.append b.window.decisions [| 0 |] })
 
 (* --- zero cost when off -------------------------------------------- *)
 
@@ -319,11 +386,11 @@ let tutorial_post_mortem_walkthrough () =
   (* the numbers the doc's transcript shows *)
   Alcotest.(check bool) "the run failed" false
     (Outcome.is_success run.Conair.outcome);
-  Alcotest.(check int) "12 decisions, all retained" 12 b.Flight.fb_tail_total;
-  Alcotest.(check int) "nothing evicted" 0 b.Flight.fb_tail_first;
+  Alcotest.(check int) "12 decisions, all retained" 12 (Bundle.total b);
+  Alcotest.(check int) "nothing evicted" 0 b.first;
   Alcotest.(check int) "4 preemptions in the tail" 4
-    (Array.length b.Flight.fb_tail_preemptions);
-  Alcotest.(check int) "6 events retained" 6 (List.length b.Flight.fb_events);
+    (Array.length b.window.preemptions);
+  Alcotest.(check int) "6 events retained" 6 (List.length b.events);
   let log =
     match Bundle.recover_log b with
     | Ok log -> log

@@ -240,6 +240,27 @@ let save_load_roundtrip () =
                     (legacy.Log.config = log.Log.config)
               | Error e -> Alcotest.failf "log with profile_sites: %s" e)
           | [] -> Alcotest.fail "empty log");
+          (* a log whose embedded text does not hash to its MD5 does
+             not load *)
+          (match Log.to_lines log with
+          | header :: rest -> (
+              let header =
+                match Json.of_string header with
+                | Ok (Json.Obj fields) ->
+                    Json.to_string
+                      (Json.Obj
+                         (List.map
+                            (function
+                              | "program", Json.String text ->
+                                  ("program", Json.String (text ^ "\n"))
+                              | f -> f)
+                            fields))
+                | _ -> header
+              in
+              match Log.of_lines (header :: rest) with
+              | Ok _ -> Alcotest.fail "log with a tampered program loaded"
+              | Error _ -> ())
+          | [] -> Alcotest.fail "empty log");
           (* and the loaded log is self-contained: replayable as-is *)
           (match Conair.replay log' with
           | Error e ->
