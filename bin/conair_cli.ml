@@ -1417,7 +1417,12 @@ let bundle_show_cmd =
 
 let bundle_replay_cmd =
   let run file =
-    match Replay.Bundle.load file with
+    (* a program that cannot run is a bad bundle (exit 1), not a
+       divergence of the regeneration (exit 4) *)
+    match
+      Result.bind (Replay.Bundle.load file) (fun b ->
+          Result.map (fun _ -> b) (Replay.Log.program b.Replay.Bundle.window))
+    with
     | Error e ->
         Printf.eprintf "%s: %s\n" file e;
         1

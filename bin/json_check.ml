@@ -6,8 +6,9 @@
                    Conair.Replay.Bundle.load, which check every
                    invariant of the recorded run (record order, chunk
                    counts, the tail window, preemption ordinals inside
-                   it, the embedded program's MD5...), and the file's
-                   JSON must equal the loaded value's re-encoding;
+                   it, the embedded program's MD5...), the file's
+                   JSON must equal the loaded value's re-encoding, and
+                   the embedded program must parse and validate;
    - *.jsonl     — every non-empty line must parse as a JSON object;
    - *.collapsed — collapsed-stack flamegraph lines: every non-empty
                    line is "frame;frame;... N" with non-empty frames
@@ -107,17 +108,22 @@ let check_collapsed file =
    flight bundles: the library's loader checks every invariant of the
    artifact, and the file must hold exactly the JSON its value
    re-encodes to, document for document (a log is one document per
-   line; a bundle is one document, compact or pretty-printed). *)
-let check_artifact file ~load ~encode ~documents ~describe =
+   line; a bundle is one document, compact or pretty-printed). The
+   embedded program, if any, must be one a replay can run. *)
+let check_artifact file ~load ~encode ~documents ~window ~describe =
   match load file with
   | Error e -> fail file e
-  | Ok a ->
+  | Ok a -> (
       let canonical d = Result.map Json.to_string (Json.of_string d) in
       if
         List.map canonical (documents (read_file file))
         <> List.map Result.ok (encode a)
       then fail file "the file is not the re-encoding of what it loads to"
-      else Printf.printf "json_check: %s: %s ok\n" file (describe a)
+      else
+        let w : Conair.Replay.Log.t = window a in
+        match Conair.Replay.Log.program w with
+        | Error e when w.program_text <> None -> fail file e
+        | _ -> Printf.printf "json_check: %s: %s ok\n" file (describe a))
 
 let check_sched file =
   check_artifact file ~load:Conair.Replay.Log.load
@@ -126,6 +132,7 @@ let check_sched file =
       List.filter
         (fun l -> String.trim l <> "")
         (String.split_on_char '\n' text))
+    ~window:Fun.id
     ~describe:(fun (log : Conair.Replay.Log.t) ->
       Printf.sprintf "schedule log with %d decisions"
         (Array.length log.decisions))
@@ -134,6 +141,7 @@ let check_bundle file =
   check_artifact file ~load:Conair.Replay.Bundle.load
     ~encode:(fun b -> [ Conair.Replay.Bundle.to_string b ])
     ~documents:(fun text -> [ text ])
+    ~window:(fun (b : Conair.Replay.Bundle.t) -> b.window)
     ~describe:(fun (b : Conair.Replay.Bundle.t) ->
       Printf.sprintf "flight bundle (%d of %d decisions retained)"
         (Array.length b.window.decisions)

@@ -8,10 +8,13 @@ type t = {
   mutexes : string list;  (** statically-declared named locks *)
   funcs : Func.t list;
   main : Fname.t;
+  stamp : int;  (** unique per [v]; [{ p with ... }] copies share it *)
 }
 
+let stamps = Atomic.make 0
+
 let v ?(globals = []) ?(mutexes = []) ~funcs ~main () =
-  { globals; mutexes; funcs; main }
+  { globals; mutexes; funcs; main; stamp = Atomic.fetch_and_add stamps 1 }
 
 let find_func p name =
   List.find_opt (fun (f : Func.t) -> Fname.equal f.name name) p.funcs

@@ -8,6 +8,11 @@ type t = {
   mutexes : string list;
   funcs : Func.t list;
   main : Fname.t;
+  stamp : int;
+      (** Drawn from a global counter by {!v}, so two programs built
+          separately never share one. A [{ p with ... }] copy keeps its
+          parent's stamp. [Link]'s cache hashes programs by it and tells
+          same-stamp programs apart by physical equality. *)
 }
 
 val v :

@@ -65,13 +65,10 @@ let fail_blocks_of_meta : Machine.meta option -> (string * int) list = function
 let meta_of_fail_blocks : (string * int) list -> Machine.meta option = function
   | [] -> None
   | fbs ->
-      let fail_index = Hashtbl.create (List.length fbs) in
-      List.iter (fun (name, site) -> Hashtbl.replace fail_index name site) fbs;
       Some
         {
           Machine.fail_blocks =
             List.map (fun (name, site) -> (Ident.Label.v name, site)) fbs;
-          fail_index;
         }
 
 let machine_meta t : Machine.meta option = meta_of_fail_blocks t.fail_blocks
@@ -85,12 +82,15 @@ let program t =
            "schedule log: embedded program MD5 %s does not match recorded %s"
            (digest text) t.program_md5)
   | Some text -> (
+      let bad pp x =
+        Error (Format.asprintf "schedule log: embedded program: %a" pp x)
+      in
       match Parse.program text with
-      | Ok p -> Ok p
-      | Error e ->
-          Error
-            (Format.asprintf "schedule log: embedded program: %a"
-               Parse.pp_error e))
+      | Error e -> bad Parse.pp_error e
+      | Ok p -> (
+          match Validate.check p with
+          | [] -> Ok p
+          | problem :: _ -> bad Validate.pp_problem problem))
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
@@ -240,6 +240,15 @@ let fail_block = function
   | Json.List [ Json.String name; Json.Int site ] -> Some (name, site)
   | _ -> None
 
+(* Producers mint a fresh label per guard, so a label that occurs twice
+   marks a doctored table. *)
+let repeated_label fail_blocks =
+  let rec go = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else go rest
+    | _ -> None
+  in
+  go (List.sort compare (List.map fst fail_blocks))
+
 (* Preemption ordinals strictly ascending inside [first, total). *)
 let in_window ~first ~total preemptions =
   let rec go last i =
@@ -272,6 +281,11 @@ let decode ~header ~trailer ~first ~decisions ~preemptions =
     let* fail_blocks =
       if Json.member "fail_blocks" header = None then Ok []
       else get (list fail_block) "fail_blocks" header
+    in
+    let* () =
+      match repeated_label fail_blocks with
+      | Some l -> Error (Printf.sprintf "fail_blocks repeats label %S" l)
+      | None -> Ok ()
     in
     let* steps = get nat "steps" trailer in
     let* instrs = get nat "instrs" trailer in

@@ -66,7 +66,8 @@ val machine_meta : t -> Machine.meta option
 
 val program : t -> (Program.t, string) result
 (** Parse the embedded program text, after checking that it hashes to
-    [program_md5]. *)
+    [program_md5], and validate it ([Validate.check]): an ill-formed
+    program is an [Error] naming its first problem. *)
 
 (** {1 Encoding} *)
 
@@ -122,9 +123,9 @@ val decode :
     log) and its absolute preemption ordinals. Enforces the recorded
     run's invariants: a known version and engine, non-empty
     identification, positive fuel, an MD5 digest the embedded text
-    hashes to, non-negative counts, [first >= 0] and preemption
-    ordinals strictly ascending inside the window. Errors carry no
-    artifact prefix. *)
+    hashes to, a fail-block table with no repeated label, non-negative
+    counts, [first >= 0] and preemption ordinals strictly ascending
+    inside the window. Errors carry no artifact prefix. *)
 
 val of_lines : string list -> (t, string) result
 val load : string -> (t, string) result

@@ -58,8 +58,6 @@ let stats bm = Machine.stats bm.m
 let steps bm = bm.m.Machine.step
 let outcome bm = bm.m.Machine.outcome
 let sched bm = bm.m.Machine.sched
-let thread bm = Machine.thread bm.m
-let live_threads bm = Machine.live_threads bm.m
 let step bm = Machine.step bm.m
 let thread_summaries bm = Machine.thread_summaries bm.m
 
@@ -341,8 +339,3 @@ let run bm =
           end
   in
   go ()
-
-let run_program ?config ?meta prog =
-  let bm = create ?config ?meta prog in
-  let outcome = run bm in
-  (bm, outcome)

@@ -46,8 +46,6 @@ val outputs : t -> string list
 (** In emission order. *)
 
 val stats : t -> Stats.t
-val thread : t -> int -> Thread.t
-val live_threads : t -> int list
 val thread_summaries : t -> (int * string * string list) list
 val sched : t -> Sched.t
 val outcome : t -> Outcome.t option
@@ -65,5 +63,3 @@ val run : t -> Outcome.t
 (** Run to completion or until the fuel runs out, using the compiled
     fast path wherever the scheduler's choice is forced and the run is
     not {!hooked}. *)
-
-val run_program : ?config:config -> ?meta:meta -> Program.t -> t * Outcome.t

@@ -1477,33 +1477,16 @@ let compile_uncached (lp : Link.program) : program =
 
 (* The compiled code is machine-independent (closures take the machine as
    an argument) and never mutated after the two-phase fill, so machines
-   over the same linked image — which [Link]'s own memo already shares —
-   reuse one code image: a code cache keyed by physical identity. Like
-   [Link.memo] it is a weak table, each entry an ephemeron on its linked
-   image, so code lives as long as its image, which lives as long as its
-   program; the same mutex discipline makes concurrent compiles safe. *)
-module Memo = Ephemeron.K1.Make (struct
-  type t = Link.program
-
-  let equal = ( == )
-
-  let hash (lp : Link.program) =
-    Array.length lp.Link.lp_funcs + (31 * lp.Link.lp_main)
-end)
-
-let memo : program Memo.t = Memo.create 64
-let memo_lock = Mutex.create ()
+   over the same linked image — which [Link]'s cache already shares —
+   reuse one code image, kept in the image's own slot: code lives as
+   long as its image, which lives as long as its program. Two racing
+   first compiles each store their own result; both are equal. *)
+type Link.code += Code of program
 
 let compile (lp : Link.program) : program =
-  Mutex.lock memo_lock;
-  match Memo.find memo lp with
-  | code ->
-      Mutex.unlock memo_lock;
-      code
-  | exception Not_found ->
-      Mutex.unlock memo_lock;
+  match lp.Link.lp_code with
+  | Some (Code code) -> code
+  | _ ->
       let code = compile_uncached lp in
-      Mutex.lock memo_lock;
-      Memo.replace memo lp code;
-      Mutex.unlock memo_lock;
+      lp.Link.lp_code <- Some (Code code);
       code

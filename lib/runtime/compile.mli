@@ -87,3 +87,7 @@ type cblock = {
 type program = cblock array array  (** indexed [lf_id].(lb_index) *)
 
 val compile : Link.program -> program
+(** The image's threaded code. The first call compiles it and stores it
+    in the image's [lp_code] slot; later calls return the stored code,
+    so machines over one image share it and it lives as long as the
+    image does. *)

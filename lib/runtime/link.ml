@@ -106,10 +106,14 @@ type lfunc = {
   lf_block_index : (string, int) Hashtbl.t;  (** label name -> block index *)
 }
 
+type code = ..
+
 type program = {
   lp_src : Program.t;
   lp_funcs : lfunc array;
   lp_main : int;
+  mutable lp_code : code option;
+      (** the image's compiled code, filled by the first [Compile.compile] *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -187,7 +191,7 @@ let link_term f blocks regs : Instr.terminator -> lterm = function
   | Instr.Return v -> L_return (Option.map (link_operand regs) v)
   | Instr.Exit -> L_exit
 
-let link_func ~fail_index funcs id (f : Func.t) : lfunc =
+let link_func ~arm_sites funcs id (f : Func.t) : lfunc =
   let universe = Func.reg_universe f in
   let nregs = List.length universe in
   let reg_names = Array.of_list universe in
@@ -217,7 +221,7 @@ let link_func ~fail_index funcs id (f : Func.t) : lfunc =
                 })
               b.instrs;
           lb_term = link_term f block_index regs b.term;
-          lb_site = Hashtbl.find_opt fail_index (Label.name b.label);
+          lb_site = Hashtbl.find_opt arm_sites (Label.name b.label);
         })
       blocks_arr
   in
@@ -240,60 +244,47 @@ let link_func ~fail_index funcs id (f : Func.t) : lfunc =
 (* Linking is deterministic and its output is never mutated, so machines
    created repeatedly over the same program — bench sweeps, schedule
    replay, fuzz loops — share one linked image instead of re-interning
-   every name. Keyed by physical identity of the inputs (the only cheap
-   equality on whole programs) in a weak table: each entry is an
-   ephemeron on its program, so the memo never keeps a program alive and
-   an image lives exactly as long as its program (or a machine running
-   it) does — fix synthesis makes a fresh program per candidate patch.
-   The table drops dead entries as it grows. A hit never restructures
-   the table: it hashes the key by its shape — a few list lengths, no
-   traversal of the code, stable since programs are immutable — and
-   reads the ephemerons of that bucket. Its data is the list of images
-   of that program, one per recovery metadata (fail-block list and
-   index, also compared by identity). Guarded by a mutex, so concurrent
-   in-process runs (the serve daemon's worker pool) can link safely. *)
-module Memo = Ephemeron.K1.Make (struct
+   every name, and block machines share the code compiled into the
+   image's [lp_code] slot. The cache is a weak table: each entry is an
+   ephemeron on its program, so it never keeps a program alive and an
+   image, with its code, lives exactly as long as its program (or a
+   machine running it) does — fix synthesis makes a fresh program per
+   candidate patch. The table drops dead entries as it grows. Keys
+   compare by physical identity (the only cheap equality on whole
+   programs) and hash by [Program.stamp], so a lookup reads only the
+   entries of one stamp: the program and its [{ p with ... }] copies,
+   such as its hardenings. Its data is the list of images of that
+   program, one per fail-block list, also compared by identity. Guarded
+   by a mutex, so concurrent in-process runs (the serve daemon's worker
+   pool) can link safely. *)
+module Cache = Ephemeron.K1.Make (struct
   type t = Program.t
 
   let equal = ( == )
-
-  let hash (p : Program.t) =
-    List.length p.funcs
-    + (31 * (List.length p.globals + (31 * List.length p.mutexes)))
+  let hash (p : Program.t) = p.stamp
 end)
 
-let memo :
-    ((Label.t * int) list * (string, int) Hashtbl.t option * program) list
-    Memo.t =
-  Memo.create 64
+let cache : ((Label.t * int) list * program) list Cache.t = Cache.create 64
+let cache_lock = Mutex.create ()
 
-let memo_lock = Mutex.create ()
-
-let link_uncached ?(fail_blocks = []) ?fail_index (p : Program.t) : program =
+let link_uncached fail_blocks (p : Program.t) : program =
   let funcs = Hashtbl.create 16 in
   List.iteri
     (fun i (f : Func.t) ->
       if not (Hashtbl.mem funcs (Fname.name f.name)) then
         Hashtbl.replace funcs (Fname.name f.name) i)
     p.funcs;
-  (* Label -> site id. Prefer a table the hardening pass already resolved;
-     otherwise build it from the list, first occurrence winning like the
-     list scan the unlinked interpreter did. *)
-  let fail_index =
-    match fail_index with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Hashtbl.create (max 8 (List.length fail_blocks)) in
-        List.iter
-          (fun (l, site) ->
-            if not (Hashtbl.mem tbl (Label.name l)) then
-              Hashtbl.replace tbl (Label.name l) site)
-          fail_blocks;
-        tbl
-  in
+  (* Label -> site id, first occurrence winning like [Ref_machine]'s list
+     scan: the runtime's one fail-arm index. *)
+  let arm_sites = Hashtbl.create (max 8 (List.length fail_blocks)) in
+  List.iter
+    (fun (l, site) ->
+      if not (Hashtbl.mem arm_sites (Label.name l)) then
+        Hashtbl.replace arm_sites (Label.name l) site)
+    fail_blocks;
   let lp_funcs =
     Array.of_list
-      (List.mapi (fun i f -> link_func ~fail_index funcs i f) p.funcs)
+      (List.mapi (fun i f -> link_func ~arm_sites funcs i f) p.funcs)
   in
   let lp_main =
     match Hashtbl.find_opt funcs (Fname.name p.main) with
@@ -302,37 +293,29 @@ let link_uncached ?(fail_blocks = []) ?fail_index (p : Program.t) : program =
         invalid_arg
           (Format.asprintf "Program.func_exn: no function %a" Fname.pp p.main)
   in
-  { lp_src = p; lp_funcs; lp_main }
+  { lp_src = p; lp_funcs; lp_main; lp_code = None }
 
-let rec memo_image fail_blocks fail_index = function
+let rec cached_image fail_blocks = function
   | [] -> raise Not_found
-  | (fb, fi, lp) :: rest ->
-      if
-        fb == fail_blocks
-        &&
-        match (fi, fail_index) with
-        | None, None -> true
-        | Some a, Some b -> a == b
-        | _ -> false
-      then lp
-      else memo_image fail_blocks fail_index rest
+  | (fb, lp) :: rest ->
+      if fb == fail_blocks then lp else cached_image fail_blocks rest
 
 (** Pre-resolve [p]. [fail_blocks] is the hardening metadata (fail-arm
     label -> site id); pass [[]] for unhardened programs. Re-linking the
-    same inputs returns the first link's image (see [memo] above). *)
-let link ?(fail_blocks = []) ?fail_index (p : Program.t) : program =
-  Mutex.lock memo_lock;
-  match memo_image fail_blocks fail_index (Memo.find memo p) with
+    same inputs returns the first link's image (see [cache] above). *)
+let link ?(fail_blocks = []) (p : Program.t) : program =
+  Mutex.lock cache_lock;
+  match cached_image fail_blocks (Cache.find cache p) with
   | lp ->
-      Mutex.unlock memo_lock;
+      Mutex.unlock cache_lock;
       lp
   | exception Not_found ->
-      Mutex.unlock memo_lock;
-      let lp = link_uncached ~fail_blocks ?fail_index p in
-      Mutex.lock memo_lock;
-      let others = Option.value ~default:[] (Memo.find_opt memo p) in
-      Memo.replace memo p ((fail_blocks, fail_index, lp) :: others);
-      Mutex.unlock memo_lock;
+      Mutex.unlock cache_lock;
+      let lp = link_uncached fail_blocks p in
+      Mutex.lock cache_lock;
+      let others = Option.value ~default:[] (Cache.find_opt cache p) in
+      Cache.replace cache p ((fail_blocks, lp) :: others);
+      Mutex.unlock cache_lock;
       lp
 
 let func_by_id lp id = lp.lp_funcs.(id)

@@ -90,21 +90,30 @@ type lfunc = {
   lf_block_index : (string, int) Hashtbl.t;  (** label name -> block index *)
 }
 
+(** Compiled code for an image, an extension point: [Compile] adds its
+    constructor, so this module need not depend on it. *)
+type code = ..
+
 type program = {
   lp_src : Program.t;
   lp_funcs : lfunc array;
   lp_main : int;
+  mutable lp_code : code option;
+      (** the image's compiled code, filled by the first
+          [Compile.compile]; two racing compiles store equal code *)
 }
 
-val link :
-  ?fail_blocks:(Label.t * int) list ->
-  ?fail_index:(string, int) Hashtbl.t ->
-  Program.t ->
-  program
+val link : ?fail_blocks:(Label.t * int) list -> Program.t -> program
 (** Pre-resolve a program. [fail_blocks] is the hardening metadata
-    (fail-arm label -> site id); omit for unhardened programs.
-    [fail_index] is the same mapping already resolved by the hardening
-    pass ([Harden.fail_block_index]) and takes precedence.
+    (fail-arm label -> site id); omit it for unhardened programs. The
+    label -> site index is built here from the list, with the first
+    occurrence of a label winning, as in [Ref_machine]'s list scan.
+
+    The result is cached: linking the same program (by physical
+    identity) with the same [fail_blocks] list (also by identity) again
+    returns the first image. The cache hashes programs by their
+    [Program.stamp] and holds them weakly, so an image and its code live
+    as long as their program does.
     @raise Invalid_argument if the program's main function is missing. *)
 
 val func_by_id : program -> int -> lfunc

@@ -81,15 +81,11 @@ let default_config =
 
 (** Metadata from the hardening pass: fail-arm labels per site, used to
     detect that a recovering thread has finally passed its failure site.
-    [fail_index] is the same mapping pre-resolved by [Harden.apply]; the
-    link pass consumes it directly. *)
-type meta = {
-  fail_blocks : (Label.t * int) list;
-  fail_index : (string, int) Hashtbl.t;
-}
+    The link pass resolves it onto the blocks it names. *)
+type meta = { fail_blocks : (Label.t * int) list }
 
 let meta_of_harden (h : Conair_transform.Harden.t) =
-  { fail_blocks = h.site_fail_blocks; fail_index = h.fail_block_index }
+  { fail_blocks = h.site_fail_blocks }
 
 exception Fault of string
 (** Internal: an unrecovered runtime fault of the current thread. *)
@@ -197,7 +193,7 @@ let create ?(config = default_config) ?meta ?observer ?tap ?feed
     (prog : Program.t) =
   let linked =
     match meta with
-    | Some mt -> Link.link ~fail_index:mt.fail_index prog
+    | Some mt -> Link.link ~fail_blocks:mt.fail_blocks prog
     | None -> Link.link prog
   in
   let globals = Hashtbl.create 32 in

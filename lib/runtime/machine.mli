@@ -54,13 +54,11 @@ type config = {
 val default_config : config
 
 (** Metadata from the hardening pass: fail-arm labels per site, used to
-    close recovery episodes when a site is finally passed. [fail_index]
-    is the same mapping pre-resolved by [Harden.apply], consumed directly
-    by the link pass. *)
-type meta = {
-  fail_blocks : (Label.t * int) list;
-  fail_index : (string, int) Hashtbl.t;
-}
+    close recovery episodes when a site is finally passed. If a label
+    repeats, its first entry counts, on every engine. [create] links
+    the program once per [fail_blocks] list: pass the same list again
+    (as {!meta_of_harden} does) and the linked image is reused. *)
+type meta = { fail_blocks : (Label.t * int) list }
 
 val meta_of_harden : Conair_transform.Harden.t -> meta
 

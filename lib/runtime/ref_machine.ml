@@ -923,11 +923,6 @@ let run m =
   in
   go ()
 
-let run_program ?config ?meta prog =
-  let m = create ?config ?meta prog in
-  let outcome = run m in
-  (m, outcome)
-
 let outcome m = m.outcome
 let steps m = m.step
 

@@ -49,4 +49,3 @@ val step : t -> bool
 (** Run one scheduler step; [false] once the program has finished. *)
 
 val run : t -> Outcome.t
-val run_program : ?config:config -> ?meta:meta -> Program.t -> t * Outcome.t

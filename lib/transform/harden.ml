@@ -24,9 +24,6 @@ type t = {
   plan : Plan.t;
   checkpoints : (Region.point * int) list;  (** point -> checkpoint id *)
   site_fail_blocks : (Label.t * int) list;
-  fail_block_index : (string, int) Hashtbl.t;
-      (** [site_fail_blocks] resolved once: fail-arm label name -> site
-          id, ready for the runtime's link pass *)
   options : options;
 }
 
@@ -71,10 +68,4 @@ let apply ?(options = default_options) (plan : Plan.t) : t =
         Rewrite.set_guard edits sp.site.iid (guard_of_site sp options))
     plan.site_plans;
   let program, site_fail_blocks = Rewrite.apply edits plan.program in
-  let fail_block_index = Hashtbl.create (max 8 (List.length site_fail_blocks)) in
-  List.iter
-    (fun (l, site) ->
-      if not (Hashtbl.mem fail_block_index (Label.name l)) then
-        Hashtbl.replace fail_block_index (Label.name l) site)
-    site_fail_blocks;
-  { program; plan; checkpoints; site_fail_blocks; fail_block_index; options }
+  { program; plan; checkpoints; site_fail_blocks; options }

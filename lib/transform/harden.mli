@@ -20,9 +20,9 @@ type t = {
   plan : Plan.t;
   checkpoints : (Region.point * int) list;  (** point → checkpoint id *)
   site_fail_blocks : (Label.t * int) list;
-  fail_block_index : (string, int) Hashtbl.t;
-      (** [site_fail_blocks] resolved once (fail-arm label name → site
-          id), consumed by the runtime's link pass *)
+      (** fail-arm label → site id, the runtime's recovery metadata
+          ([Machine.meta_of_harden]). Every guard gets a fresh label, so
+          no label repeats. *)
   options : options;
 }
 

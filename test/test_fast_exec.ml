@@ -220,7 +220,19 @@ let sweep_hardened (pname, policy) () =
           let meta = Machine.meta_of_harden h.hardened in
           check_same
             (name ^ "/hardened@" ^ pname)
-            ~meta (config policy) h.hardened.program)
+            ~meta (config policy) h.hardened.program;
+          (* metadata that names every fail arm a second time, under
+             another site: the first entry counts on every engine, so
+             recovery episodes still close at the same step *)
+          let fbs = meta.Machine.fail_blocks in
+          check_same
+            (name ^ "/repeated-labels@" ^ pname)
+            ~meta:
+              {
+                Machine.fail_blocks =
+                  fbs @ List.map (fun (l, _) -> (l, 9999)) fbs;
+              }
+            (config policy) h.hardened.program)
     (corpus ())
 
 (* The baselines' knobs exercise the remaining engine paths: timing
@@ -610,9 +622,12 @@ let one_stream_three_engines () =
       ("random:3", Sched.Random 3);
     ]
 
-(* The link and compile memos never keep a program alive: once a program
-   is dropped its image and code go with it, while a live program keeps
-   getting the same ones back. *)
+(* The link cache never keeps a program alive: once a program is dropped
+   its image and the code compiled into it go with it, while a live
+   program keeps getting the same ones back. Programs hash by their
+   stamp, so a hardening — a copy sharing its original's stamp — still
+   gets its own image, and a hit reads only its own program's entries:
+   its cost does not grow with the number of live programs. *)
 let memos_follow_program_liveness () =
   let module Link = Conair.Runtime.Link in
   let module Compile = Conair.Runtime.Compile in
@@ -638,7 +653,29 @@ let memos_follow_program_liveness () =
   Alcotest.(check bool) "live program: same image" true
     (Link.link live == image);
   Alcotest.(check bool) "live program: same code" true
-    (Compile.compile (Link.link live) == code)
+    (Compile.compile (Link.link live) == code);
+  let h = (Conair.harden_exn live Conair.Survival).hardened in
+  Alcotest.(check int) "hardened copy: same stamp" live.Program.stamp
+    h.program.Program.stamp;
+  Alcotest.(check bool) "hardened copy: its own image" false
+    (Link.link h.program == image);
+  let hardened = Link.link ~fail_blocks:h.site_fail_blocks h.program in
+  Alcotest.(check bool) "hardened copy: one image" true
+    (Link.link ~fail_blocks:h.site_fail_blocks h.program == hardened);
+  let many =
+    Array.init 1000 (fun i ->
+        fst (Gen.arith_program [ { Gen.code = i; a = i; b = i } ]))
+  in
+  Array.iter (fun p -> ignore (Link.link p)) many;
+  let words = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Link.link many.(500)))
+  done;
+  let per_hit = (Gc.minor_words () -. words) /. 100. in
+  if per_hit >= 16. then
+    Alcotest.failf "a hit with 1000 live programs allocates %.1f words"
+      per_hit;
+  ignore (Sys.opaque_identity many)
 
 let suites =
   [

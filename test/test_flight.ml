@@ -211,6 +211,14 @@ let bundle_json_roundtrip () =
   let int n (_ : Json.t) = Json.Int n in
   let append x = function Json.List l -> Json.List (l @ [ x ]) | j -> j in
   let doc = Bundle.to_json b in
+  let h = Conair.harden_exn inst.Spec.program Conair.Survival in
+  let _m, _out, hb =
+    Bundle.capture ~config
+      ~meta:(Machine.meta_of_harden h.hardened)
+      ~ident:(ident "HawkNL") h.hardened.program
+  in
+  let fbs = hb.window.fail_blocks in
+  Alcotest.(check bool) "hardened bundle has fail blocks" true (fbs <> []);
   List.iter
     (fun (what, tampered) ->
       match Bundle.of_json tampered with
@@ -235,6 +243,16 @@ let bundle_json_roundtrip () =
         update [ "program" ]
           (function Json.String t -> Json.String (t ^ "\n") | j -> j)
           doc );
+      ( "fail_blocks repeats a label",
+        Bundle.to_json
+          {
+            hb with
+            window =
+              {
+                hb.window with
+                fail_blocks = fbs @ List.map (fun (l, _) -> (l, 9999)) fbs;
+              };
+          } );
     ]
 
 (* --- bundle -> regenerate -> replay -> minimize round trip --------- *)
@@ -314,7 +332,14 @@ let regeneration_rejects_tampering () =
     };
   expect_error "extra tail decision"
     (with_window
-       { b.window with decisions = Array.append b.window.decisions [| 0 |] })
+       { b.window with decisions = Array.append b.window.decisions [| 0 |] });
+  let text =
+    Conair.Ir.Emit.program
+      { inst.Spec.program with main = Conair.Ir.Ident.Fname.v "nosuch" }
+  in
+  expect_error "main function missing"
+    (with_window
+       { b.window with program_text = Some text; program_md5 = Log.digest text })
 
 (* --- zero cost when off -------------------------------------------- *)
 

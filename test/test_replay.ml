@@ -261,6 +261,49 @@ let save_load_roundtrip () =
               | Ok _ -> Alcotest.fail "log with a tampered program loaded"
               | Error _ -> ())
           | [] -> Alcotest.fail "empty log");
+          (* nor does a hardened log whose fail-block table names a
+             fail arm twice: the engines would each be free to pick *)
+          let _, hlog =
+            Conair.run_recorded
+              ~config:(config Sched.Round_robin)
+              ~ident:(Log.ident ~oracle:true "sqlite")
+              (Conair.harden_exn inst.program Conair.Survival)
+          in
+          let fbs = hlog.Log.fail_blocks in
+          Alcotest.(check bool) "hardened log has fail blocks" true (fbs <> []);
+          (match
+             Log.of_lines
+               (Log.to_lines
+                  {
+                    hlog with
+                    Log.fail_blocks =
+                      fbs @ List.map (fun (l, _) -> (l, 9999)) fbs;
+                  })
+           with
+          | Ok _ -> Alcotest.fail "log with a repeated fail-block label loaded"
+          | Error _ -> ());
+          (* a program that fails validation loads, but it does not
+             resolve, so the log does not replay *)
+          let text =
+            Emit.program { inst.program with main = Ident.Fname.v "nosuch" }
+          in
+          (match
+             Log.of_lines
+               (Log.to_lines
+                  {
+                    log with
+                    Log.program_text = Some text;
+                    program_md5 = Log.digest text;
+                  })
+           with
+          | Error e -> Alcotest.failf "log with @nosuch: %s" e
+          | Ok nosuch -> (
+              (match Log.program nosuch with
+              | Ok _ -> Alcotest.fail "ill-formed embedded program resolved"
+              | Error _ -> ());
+              match Conair.replay nosuch with
+              | Ok _ -> Alcotest.fail "log with an ill-formed program replayed"
+              | Error _ -> ()));
           (* and the loaded log is self-contained: replayable as-is *)
           (match Conair.replay log' with
           | Error e ->
