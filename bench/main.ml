@@ -731,6 +731,61 @@ let time_best ?(repeats = 3) f =
   done;
   (Option.get !result, !best)
 
+(* The contended micro: [interp_micro]'s [mix] loop run by two spawned
+   threads at once, so two threads are eligible on nearly every step and
+   the scheduler decides each one. Under a seeded random policy the
+   choice flips between the threads, as in the catalog's contended
+   phases. *)
+let contended_micro () =
+  Builder.build ~main:"main" @@ fun b ->
+  (Builder.func b "mix" ~params:[ "x"; "k" ] @@ fun f ->
+   Builder.label f "entry";
+   Builder.mul f "a" (Builder.reg "x") (Builder.int 1103515245);
+   Builder.add f "a" (Builder.reg "a") (Builder.reg "k");
+   Builder.binop f "a" Instr.Mod (Builder.reg "a") (Builder.int 2147483647);
+   Builder.ret f (Some (Builder.reg "a")));
+  (Builder.func b "worker" ~params:[] @@ fun f ->
+   Builder.label f "entry";
+   Builder.move f "acc" (Builder.int 1);
+   Builder.move f "i" (Builder.int 0);
+   Builder.label f "loop";
+   Builder.call f ~into:"acc" "mix" [ Builder.reg "acc"; Builder.reg "i" ];
+   Builder.add f "i" (Builder.reg "i") (Builder.int 1);
+   Builder.lt f "c" (Builder.reg "i") (Builder.int 50_000);
+   Builder.branch f (Builder.reg "c") "loop" "done";
+   Builder.label f "done";
+   Builder.output f "acc=%v" [ Builder.reg "acc" ];
+   Builder.ret f None);
+  Builder.func b "main" ~params:[] @@ fun f ->
+  Builder.label f "entry";
+  Builder.spawn f "t1" "worker" [];
+  Builder.spawn f "t2" "worker" [];
+  Builder.join f (Builder.reg "t1");
+  Builder.join f (Builder.reg "t2");
+  Builder.exit_ f
+
+(* Median wall clock of [repeats] runs of each thunk, the runs of the
+   thunks alternated so a slow stretch of the host hits each alike;
+   returns each thunk's last result with its median time. *)
+let time_alternated ~repeats fs =
+  let fs = Array.of_list fs in
+  let times = Array.map (fun _ -> Array.make repeats 0.) fs in
+  let results = Array.map (fun _ -> None) fs in
+  for r = 0 to repeats - 1 do
+    Array.iteri
+      (fun i f ->
+        let t0 = Unix.gettimeofday () in
+        results.(i) <- Some (f ());
+        times.(i).(r) <- Unix.gettimeofday () -. t0)
+      fs
+  done;
+  Array.to_list
+    (Array.mapi
+       (fun i ts ->
+         Array.sort compare ts;
+         (Option.get results.(i), ts.(repeats / 2)))
+       times)
+
 (* The sweep corpus: every registry benchmark (buggy and clean), every
    taxonomy catalog entry, every micro pattern — original and, where the
    pipeline applies, hardened with recovery metadata installed. *)
@@ -822,6 +877,47 @@ let bench_interp () =
     (flight_sps /. block_sps);
   Printf.printf "  recorded/block: %.3fx (full recording vs recorder-off)\n"
     (recorded_sps /. block_sps);
+  let contended = contended_micro () in
+  let contended_config =
+    {
+      Machine.default_config with
+      policy = Conair.Runtime.Sched.Random 7;
+      fuel = 10_000_000;
+    }
+  in
+  let contended_repeats = 7 in
+  let c_runs =
+    time_alternated ~repeats:contended_repeats
+      (List.map
+         (fun engine () ->
+           Engine.run_program ~config:contended_config engine contended)
+         Engine.all)
+  in
+  let agreed what f =
+    match List.sort_uniq compare (List.map (fun (r, _) -> f r) c_runs) with
+    | [ x ] -> x
+    | _ ->
+        failwith
+          ("interp bench: contended " ^ what ^ " diverge between engines")
+  in
+  let c_steps = agreed "step counts" (fun (m, _) -> Engine.steps m) in
+  ignore (agreed "outcomes" (fun (m, o) -> (o, Engine.outputs m)));
+  let c_ref_t, c_fast_t, c_block_t =
+    match List.map snd c_runs with
+    | [ r; f; b ] -> (r, f, b)
+    | _ -> assert false
+  in
+  let c_sps t = float c_steps /. t in
+  Printf.printf "contended: %d steps, two threads, median of %d\n" c_steps
+    contended_repeats;
+  Printf.printf "  reference:      %.4fs  %12.0f steps/s\n" c_ref_t
+    (c_sps c_ref_t);
+  Printf.printf "  pre-resolved:   %.4fs  %12.0f steps/s\n" c_fast_t
+    (c_sps c_fast_t);
+  Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" c_block_t
+    (c_sps c_block_t);
+  Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
+    (c_ref_t /. c_fast_t) (c_ref_t /. c_block_t) (c_fast_t /. c_block_t);
   let corpus = interp_sweep_corpus () in
   let sweep_config = { Machine.default_config with fuel = 200_000 } in
   let sweep engine =
@@ -867,6 +963,21 @@ let bench_interp () =
               ("block_vs_fast", Float (block_sps /. fast_sps));
               ("flight_vs_block", Float (flight_sps /. block_sps));
               ("recorded_vs_block", Float (recorded_sps /. block_sps));
+            ] );
+        ( "contended",
+          Obj
+            [
+              ("steps", Int c_steps);
+              ("repeats", Int contended_repeats);
+              ("ref_seconds", Float c_ref_t);
+              ("ref_steps_per_sec", Float (c_sps c_ref_t));
+              ("fast_seconds", Float c_fast_t);
+              ("fast_steps_per_sec", Float (c_sps c_fast_t));
+              ("block_seconds", Float c_block_t);
+              ("block_steps_per_sec", Float (c_sps c_block_t));
+              ("fast_vs_ref", Float (c_ref_t /. c_fast_t));
+              ("block_vs_ref", Float (c_ref_t /. c_block_t));
+              ("block_vs_fast", Float (c_fast_t /. c_block_t));
             ] );
         ( "sweep",
           Obj

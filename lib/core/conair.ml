@@ -147,13 +147,13 @@ let make_run machine outcome =
     machine;
   }
 
-let execute ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let execute ?(config = Machine.default_config) ?(engine = Engine.default)
     (p : Program.t) : run =
   let machine, outcome = Engine.run_program ~config engine p in
   make_run machine outcome
 
 let execute_hardened ?(config = Machine.default_config)
-    ?(engine = Engine.Fast) (h : hardened) : run =
+    ?(engine = Engine.default) (h : hardened) : run =
   let meta = Machine.meta_of_harden h.hardened in
   let machine, outcome =
     Engine.run_program ~config ~meta engine h.hardened.program
@@ -208,7 +208,7 @@ let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
   in
   { run; events; spans; metrics; report }
 
-let run_observed ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let run_observed ?(config = Machine.default_config) ?(engine = Engine.default)
     ?meta_info ?trace_writer (h : hardened) : run_report =
   let meta = Machine.meta_of_harden h.hardened in
   observed_with ~config ~engine ~meta ?meta_info ?trace_writer
@@ -221,7 +221,7 @@ let run_observed ?(config = Machine.default_config) ?(engine = Engine.Fast)
     structured report. This is the single code path behind both the
     CLI's run/report subcommands and the serve daemon's run jobs, which
     is what makes their reports byte-identical. *)
-let run_report_of ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let run_report_of ?(config = Machine.default_config) ?(engine = Engine.default)
     ?meta_info ?trace_writer ~(mode : mode option) (p : Program.t) :
     run_report =
   match mode with
@@ -233,7 +233,7 @@ let run_report_of ?(config = Machine.default_config) ?(engine = Engine.Fast)
     the finalized profile next to the run: per-context useful/checkpoint/
     wasted attribution, per-site rollback waste, flamegraph and Chrome
     counter exports (see [Obs.Prof]). *)
-let run_profiled ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let run_profiled ?(config = Machine.default_config) ?(engine = Engine.default)
     (h : hardened) : run * Conair_obs.Prof.t =
   let meta = Machine.meta_of_harden h.hardened in
   let prof = Conair_obs.Prof.create () in
@@ -250,7 +250,7 @@ let run_profiled ?(config = Machine.default_config) ?(engine = Engine.Fast)
     [Machine.meta_of_harden]) to detect on a hardened program — the mode
     that matters for fail-stop bugs, where recovery keeps the run alive
     long enough for the conflicting access to execute. *)
-let run_detected ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let run_detected ?(config = Machine.default_config) ?(engine = Engine.default)
     ?options ?meta (p : Program.t) : run * Conair_race.Report.t =
   let d = Conair_race.Detect.create ?options () in
   let m =
@@ -337,7 +337,7 @@ let run_recorded ?config ?engine ?ident ?race (h : hardened) :
 (** Run with the flight recorder attached: the run plus the diagnostic
     bundle its ring retained — the always-on post-mortem artifact. The
     ring observes decisions and sync events only, which keeps the block
-    engine on its window fast path, so this is cheap enough to leave on
+    engine on its compiled phases, so this is cheap enough to leave on
     everywhere. *)
 let run_flight ?config ?engine ?meta ?cap ?reason ~ident program :
     run * Replay.Bundle.t =

@@ -134,7 +134,11 @@ val harden_exn :
 (** One program execution and everything measured about it. [machine] is
     packed per engine; use {!Runtime.Engine} accessors for
     engine-generic access, or match on the constructor for
-    engine-specific state. *)
+    engine-specific state.
+
+    Every function here that takes [?engine] runs on
+    {!Runtime.Engine.default} — the block engine — when none is given.
+    All engines produce identical runs; the choice only changes speed. *)
 type run = {
   outcome : Conair_runtime.Outcome.t;
   outputs : string list;
@@ -148,14 +152,16 @@ val execute :
   Conair_ir.Program.t ->
   run
 (** Run an (unhardened) program on the chosen engine (default
-    [Engine.Fast]). All engines produce identical runs; pick by speed. *)
+    {!Runtime.Engine.default}). *)
 
 val execute_hardened :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
   hardened ->
   run
-(** Run a hardened program with the recovery metadata installed. *)
+(** Run a hardened program with the recovery metadata installed: the
+    production run of the hardened program, on the block engine unless
+    another is named. *)
 
 (** One observed execution: the run itself plus every telemetry artifact
     the observability layer derives from it. *)
@@ -321,7 +327,7 @@ val run_flight :
     sizes the decision ring (default
     {!Runtime.Flight_ring.default_capacity}); [reason] defaults to
     ["requested"]. The flight recorder keeps the block engine on its
-    window fast path, so this is cheap enough to leave always on (the
+    compiled phases, so this is cheap enough to leave always on (the
     [@perf] gate holds it within 5% of a bare run). *)
 
 val record_in_mode :

@@ -38,7 +38,7 @@ type result = { g_gate : string; g_passed : bool; g_detail : string }
 
 (* ---- gate 1: directed replay of the failing schedule -------------- *)
 
-let replay_gate ?(engine = Engine.Block) ?accept ~log program : result =
+let replay_gate ?(engine = Engine.default) ?accept ~log program : result =
   let rb = Driver.replay_directed ~engine ~program log in
   let ok_outcome = Outcome.is_success rb.Driver.rb_outcome in
   let ok_outputs =
@@ -66,7 +66,7 @@ type sweep = {
   sw_first_failure : string option;
 }
 
-let sweep ?(engine = Engine.Block) ?accept ~config ~seeds (p : Program.t) :
+let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
     sweep =
   let failures = ref 0 and rejected = ref 0 in
   let sigs = Hashtbl.create 64 in

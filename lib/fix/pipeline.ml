@@ -35,7 +35,7 @@ type options = {
 
 let default_options =
   {
-    engine = Engine.Block;
+    engine = Engine.default;
     fuel = 8_000_000;
     max_retries = 1_000_000;
     max_candidates = 8;

@@ -53,7 +53,7 @@ let error_to_string = function
 (* Package a finished run from the ring that observed it: the header,
    the ring's window of the decision stream — the whole stream for an
    unbounded ring — and the trailer. *)
-let log_of_run ?(engine = Fast) ~config ?meta ~ident ~program ring
+let log_of_run ?(engine = Engine.default) ~config ?meta ~ident ~program ring
     (bundle : result_bundle) =
   let text = Emit.program program in
   {
@@ -80,7 +80,8 @@ let result_of m outcome =
     rb_steps = Engine.steps m;
   }
 
-let run_ring ?(engine = Fast) ?(config = Machine.default_config) ?meta ?race
+let run_ring ?(engine = Engine.default) ?(config = Machine.default_config)
+    ?meta ?race
     ~ident ring program =
   let m =
     Engine.create ~config ?meta
@@ -122,7 +123,7 @@ let exhausted_reason = function
   | None -> "the execution needs more decisions than were recorded"
   | Some _ -> "the recorded thread is not eligible"
 
-let replay ?(engine = Fast) ?program ?meta (log : Log.t) =
+let replay ?(engine = Engine.default) ?program ?meta (log : Log.t) =
   match resolve_program ?program log with
   | Error e -> Error e
   | Ok program -> (
@@ -168,7 +169,7 @@ let replay ?(engine = Fast) ?program ?meta (log : Log.t) =
    made it block on a new lock) control falls to the next eligible
    thread in round-robin order — exactly what "the recorded failing
    schedule now passes or diverges safely" means. *)
-let replay_directed ?(engine = Fast) ?meta ~program (log : Log.t) =
+let replay_directed ?(engine = Engine.default) ?meta ~program (log : Log.t) =
   let config = log.Log.config in
   let fixed, cand =
     Feed.directives_of ~decisions:log.Log.decisions

@@ -3,43 +3,53 @@
 
    The machine state IS a [Machine.t] — same linked program, same
    threads, heap, locks, scheduler and statistics — plus the compiled
-   code. What changes is the driver: where [Machine.run] pays an
-   eligibility scan, a scheduling decision and a full opcode dispatch
-   per instruction, this driver recognizes the (overwhelmingly common)
-   configuration in which the scheduler has no choice to make — exactly
-   one eligible thread, no tap or feed installed — and retires the
-   thread's current straight-line run of compiled closures in a tight
-   loop, consulting nobody.
+   code, each block compiled the first time a thread enters it. What
+   changes is the driver. [Machine.run] pays an eligibility scan, a
+   scheduling decision and a full opcode dispatch per instruction; this
+   driver scans eligibility once per *phase*, a stretch of steps over
+   which the set of eligible threads cannot change, and runs the phase
+   in a tight loop:
 
-   Correctness of the window rests on three facts, each enforced
-   elsewhere:
+   - nobody eligible: the idle ticks up to the nearest time-based wake
+     are taken in bulk ([idle]);
+   - one eligible thread: the scheduler has no choice to make, so the
+     thread's compiled code runs closure to closure without consulting
+     it ([run_window]);
+   - several eligible threads: each step still asks the scheduler —
+     the same [Sched.choose_idx] call over the same candidate list, so
+     rng draws and cursor moves are identical — and retires the chosen
+     thread's one instruction through its single-step closure
+     ([run_contended]).
 
-   - [Sched.choose_idx] with one eligible thread and no hooks returns
-     immediately: no rng draw, no cursor movement ([sched.ml]). Skipping
-     the call entirely is therefore unobservable.
-   - A straight-line (non-schedulable) instruction of the running thread
-     cannot change any *other* thread's eligibility: it touches only
-     registers, stack slots, heap cells and globals, never locks,
-     events, thread statuses or the thread table. The only time-based
-     wakes are bounded below by the [horizon] computed at window entry,
-     and the window never runs past it.
-   - With no observer of per-step or access events ([hooked]),
-     [Machine]'s observation work on straight-line code is a handful of
-     matches that emit nothing, so skipping it is byte-invisible in
-     every observable (traces, profiles, race reports, schedule logs,
-     stats). Sync events come from schedulable ops, which the window
-     runs through [Machine.run_thread_step], and from the shared
-     [Machine] helpers the compiled code calls; the window's decisions
-     are reported as one counted decision, flushed ahead of any event
-     emitted inside the window ([Machine.emit]).
+   Between two schedulable ops a step only decides which thread runs,
+   so the eligible set can be held fixed; correctness of a phase rests
+   on three facts, each enforced elsewhere:
 
-   Whenever any of this fails to hold — a per-step observer is
-   installed, several threads are eligible, the one eligible thread sits
-   at a schedulable op — the driver falls back to [Machine]'s own
-   generic path ([Machine.step] / [Machine.run_thread_step]), or to its
-   compiled-dispatch twin [generic_step], which is correct by
-   construction. [Ref_machine] remains the oracle; the three-way
-   differential suite enforces bit-for-bit identity. *)
+   - A straight-line (non-schedulable) instruction cannot change any
+     thread's eligibility: it touches only registers, stack slots, heap
+     cells and globals, never locks, events, thread statuses or the
+     thread table. An eligible thread stays eligible as time passes.
+     The only way an ineligible thread becomes eligible without a
+     schedulable op is time — a sleeper's deadline, a timed lock's or
+     timed wait's expiry — and a phase never runs past the earliest
+     such wake ([Machine.next_wake]) or the fuel.
+   - A phase ends at everything else that changes the eligible set:
+     a schedulable op (run through [Machine.run_thread_step], the same
+     code [Machine] runs), a thread death, a fault or failed assert, a
+     decided outcome.
+   - With no observer of per-step or access events and no scheduler
+     hook ([hooked]), [Machine]'s observation work on straight-line
+     code is a handful of matches that emit nothing, so skipping it is
+     byte-invisible in every observable (traces, profiles, race reports,
+     schedule logs, stats). Sync events come from schedulable ops and
+     from the shared [Machine] helpers the compiled code calls. A
+     contended phase reports each decision as [Machine.step] does; a
+     window reports its decisions as one counted decision, flushed
+     ahead of any event emitted inside it ([Machine.emit]).
+
+   A hooked run takes [Machine.step] for every step. [Ref_machine]
+   remains the oracle; the three-way differential suite enforces
+   bit-for-bit identity. *)
 
 open Conair_ir
 
@@ -62,9 +72,9 @@ let step bm = Machine.step bm.m
 let thread_summaries bm = Machine.thread_summaries bm.m
 
 (* Does the observer consume per-step or access events, or is a
-   scheduler hook attached? Those see state the window skips, so they
+   scheduler hook attached? Those see state the phases skip, so they
    send every step down the generic path. Decisions and sync events do
-   not count: the window emits every one of them. *)
+   not count: the phases emit every one of them. *)
 let hooked (m : Machine.t) =
   (match m.Machine.obs with
   | Some o -> o.Event.steps || o.Event.accesses
@@ -72,26 +82,32 @@ let hooked (m : Machine.t) =
   || m.Machine.sched.Sched.tap <> None
   || m.Machine.sched.Sched.feed <> None
 
-(* The earliest virtual time at which any thread other than [active]
-   could become eligible on its own: sleepers wake at [until], timed
-   lock/event waiters give up at [since + timeout]. Waiters without a
-   timeout need another thread's action (an unlock, a notify, a death) —
-   and the active thread's straight-line run performs none — so they
-   cannot constrain the window. Capped at the fuel budget. *)
-let horizon (m : Machine.t) (active : Thread.t) =
-  let bound = ref m.Machine.config.Machine.fuel in
-  for i = 0 to m.Machine.live_n - 1 do
-    let th = m.Machine.live.(i) in
-    if th != active then begin
-      match th.Thread.status with
-      | Thread.Sleeping until -> if until < !bound then bound := until
-      | Thread.Blocked_lock { since; timeout = Some t; _ }
-      | Thread.Blocked_event { since; timeout = Some t; _ } ->
-          if since + t < !bound then bound := since + t
-      | _ -> ()
-    end
-  done;
-  !bound
+(* The fault arm of [Machine.run_thread_step], for a compiled link.
+   Links raise before moving the program point (the one after-pop fault
+   is compiled inline), so the faulting frame is on top with [fr.idx] at
+   the faulting instruction, whose step is not yet counted. *)
+let fault bm (th : Thread.t) msg =
+  let m = bm.m in
+  Machine.close_episode m th;
+  let f = Thread.top th in
+  let iid =
+    let cbv = Compile.block bm.code f.Thread.func f.Thread.block in
+    let iids = cbv.Compile.cb_iids in
+    let idx = f.Thread.idx in
+    if idx < Array.length iids then Some iids.(idx) else None
+  in
+  Machine.set_failure m ~kind:Instr.Seg_fault ~site_id:None ~iid
+    ~tid:th.Thread.tid ~msg;
+  m.Machine.step <- m.Machine.step + 1
+
+(* [m.step] moved once per retired step (links count their own);
+   schedulable ops were counted as instructions by [run_thread_step],
+   the rest are compiled instructions. *)
+let retire (m : Machine.t) ~from ~sched_steps =
+  let retired = m.Machine.step - from in
+  m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + retired;
+  m.Machine.stats.Stats.instrs <-
+    m.Machine.stats.Stats.instrs + (retired - sched_steps)
 
 (* Retire compiled code of [th] until the window closes: a schedulable
    op, a thread death, a decided outcome, a fault, or the step budget
@@ -103,15 +119,15 @@ let horizon (m : Machine.t) (active : Thread.t) =
    calls and returns — under one call, bumping [m.step] per link as it
    goes. [cb_need.(idx)] bounds the steps the chain can consume before
    its next budget gate, and every control transfer re-checks
-   [m.wbound], so the window never runs past its horizon; when the
+   [m.wbound], so the window never runs past [bound]; when the
    budget left is smaller than the next run, the single-step closures
    ([cb_one]) retire the tail one instruction at a time (their
-   transfers gate on the same budget). The loop re-fetches the frame
-   and block from the thread on every driver round trip — chains move
-   the program point arbitrarily far. *)
+   transfers gate on the same budget). A transfer into a block not
+   compiled yet returns to this loop, whose lookup compiles it. The loop
+   re-fetches the frame and block from the thread on every driver round
+   trip — chains move the program point arbitrarily far. *)
 let run_window bm (th : Thread.t) bound =
   let m = bm.m in
-  let code = bm.code in
   m.Machine.wbound <- bound;
   let step0 = m.Machine.step in
   (* The window's decisions all choose [th]; none is preemptive, since
@@ -126,14 +142,13 @@ let run_window bm (th : Thread.t) bound =
   let continue_ = ref true in
   while !continue_ do
     let f = Thread.top th in
-    let cbv =
-      code.(f.Thread.func.Link.lf_id).(f.Thread.block.Link.lb_index)
-    in
+    let func = f.Thread.func and blk = f.Thread.block in
+    let cbv = Compile.block bm.code func blk in
     let i = f.Thread.idx in
     match
       if m.Machine.step + cbv.Compile.cb_need.(i) <= bound then
         cbv.Compile.cb_chain.(i) m th f
-      else cbv.Compile.cb_one.(i) m th f
+      else (Compile.one bm.code func blk cbv).(i) m th f
     with
     | 0 (* t_refresh *) | 4 (* t_single *) ->
         if m.Machine.step >= bound then continue_ := false
@@ -151,32 +166,10 @@ let run_window bm (th : Thread.t) bound =
         continue_ := false
     | _ (* t_failed *) -> continue_ := false
     | exception Machine.Fault msg ->
-        (* replicates [run_thread_step]'s fault arm. Links raise before
-           moving the program point (the one after-pop fault is compiled
-           inline), so the faulting frame is on top with [fr.idx] at the
-           faulting instruction, whose step is not yet counted. *)
-        Machine.close_episode m th;
-        let f = Thread.top th in
-        let iid =
-          let iids =
-            code.(f.Thread.func.Link.lf_id).(f.Thread.block.Link.lb_index)
-              .Compile.cb_iids
-          in
-          let idx = f.Thread.idx in
-          if idx < Array.length iids then Some iids.(idx) else None
-        in
-        Machine.set_failure m ~kind:Instr.Seg_fault ~site_id:None ~iid
-          ~tid:th.Thread.tid ~msg;
-        m.Machine.step <- m.Machine.step + 1;
+        fault bm th msg;
         continue_ := false
   done;
-  (* [m.step] moved once per retired step (chain links count their own);
-     schedulable ops were counted by [run_thread_step], the rest is
-     compiled instructions. *)
-  let retired = m.Machine.step - step0 in
-  m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + retired;
-  m.Machine.stats.Stats.instrs <-
-    m.Machine.stats.Stats.instrs + (retired - !sched_steps);
+  retire m ~from:step0 ~sched_steps:!sched_steps;
   let from = m.Machine.run_from in
   if from >= 0 then begin
     m.Machine.run_from <- -1;
@@ -191,115 +184,76 @@ let run_window bm (th : Thread.t) bound =
            })
   end
 
+(* Several threads — the [rn] listed in [m.ready] — are eligible, or the
+   only one stands at its blocking op. Every step makes [Machine.step]'s
+   decision over the fixed list and reports it the same way, then
+   retires one instruction of the chosen thread through its single-step
+   closure ([m.wbound] floored, so a transfer never chains past its own
+   step). The phase ends at a schedulable op (run through
+   [run_thread_step], the generic code), a thread death, a fault, a
+   failed assert, or [bound]: the fuel or the earliest time-based wake
+   of an ineligible thread, when the eligible set could grow. *)
+let run_contended bm rn =
+  let m = bm.m in
+  let bound = min m.Machine.config.Machine.fuel (Machine.next_wake m) in
+  m.Machine.wbound <- min_int;
+  let step0 = m.Machine.step in
+  let sched_steps = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    let k = Sched.choose_idx m.Machine.sched ~tid_of:Machine.ready_tid m rn in
+    if Machine.decisions m then Machine.decide m k rn;
+    let th = m.Machine.live.(m.Machine.ready.(k)) in
+    let fr = Thread.top th in
+    let func = fr.Thread.func and blk = fr.Thread.block in
+    let cbv = Compile.block bm.code func blk in
+    let i = fr.Thread.idx in
+    if cbv.Compile.cb_sched.(i) then begin
+      Machine.run_thread_step m th;
+      m.Machine.step <- m.Machine.step + 1;
+      incr sched_steps;
+      continue_ := false
+    end
+    else begin
+      (* [run_thread_step]'s preamble for a compiled instruction: wake a
+         chosen sleeper (its step event is unobserved) *)
+      (match th.Thread.status with
+      | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
+      | _ -> ());
+      match (Compile.one bm.code func blk cbv).(i) m th fr with
+      | 0 (* t_refresh *) | 4 (* t_single *) ->
+          if m.Machine.step >= bound then continue_ := false
+      | _ (* t_end, t_failed *) -> continue_ := false
+      | exception Machine.Fault msg ->
+          fault bm th msg;
+          continue_ := false
+    end
+  done;
+  retire m ~from:step0 ~sched_steps:!sched_steps
+
 (* No thread is eligible. [Machine.step] would retire idle steps one at
    a time until the nearest time-based wake (idle ticks are per-step
    events, unobserved here by construction); take them in bulk, or
    declare the hang when nobody waits on time. *)
 let idle (m : Machine.t) =
-  let wake = ref max_int in
-  for i = 0 to m.Machine.live_n - 1 do
-    match m.Machine.live.(i).Thread.status with
-    | Thread.Sleeping until -> if until < !wake then wake := until
-    | Thread.Blocked_lock { since; timeout = Some t; _ }
-    | Thread.Blocked_event { since; timeout = Some t; _ } ->
-        if since + t < !wake then wake := since + t
-    | _ -> ()
-  done;
-  if !wake = max_int then
+  let wake = Machine.next_wake m in
+  if wake = max_int then
     m.Machine.outcome <-
       Some
         (Outcome.Hang
            { step = m.Machine.step; blocked = Machine.live_threads m })
   else begin
-    (* an ineligible waiter's wake time is strictly in the future *)
-    let target = min !wake m.Machine.config.Machine.fuel in
-    let skip = target - m.Machine.step in
+    let skip = min wake m.Machine.config.Machine.fuel - m.Machine.step in
     m.Machine.step <- m.Machine.step + skip;
     m.Machine.stats.Stats.idle <- m.Machine.stats.Stats.idle + skip;
     m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + skip
   end
 
-(* The window fast path for [th], the only eligible thread. [false] when
-   it does not apply and the caller must take a generic step: [th]
-   stands at its blocking instruction (a schedulable op), or the horizon
-   leaves no room. *)
-let try_window bm (th : Thread.t) =
-  let m = bm.m in
-  match th.Thread.status with
-  | Thread.Blocked_lock _ | Thread.Blocked_event _ | Thread.Blocked_join _ ->
-      false
-  | _ ->
-      (* Runnable, or a sleeper whose deadline passed: wake it exactly
-         as [run_thread_step] would (its step event is unobserved). *)
-      (match th.Thread.status with
-      | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
-      | _ -> ());
-      let bound = horizon m th in
-      if bound <= m.Machine.step then false
-      else begin
-        run_window bm th bound;
-        true
-      end
-
-(* [Machine.step] over the [rn] eligible threads already listed in
-   [m.ready], with the chosen thread's instruction dispatched through
-   the compiled code instead of [exec_instr]'s interpretive match. Used
-   when the window fast path does not apply (several eligible threads,
-   or the one eligible thread is blocked/at a stopper) but the run is
-   not [hooked] — the scheduler is still consulted for every step
-   ([choose_idx] over the same candidate list, in the same order), so
-   scheduling decisions, rng draws and all observables are
-   byte-identical; only the opcode dispatch is cheaper. Schedulable ops
-   and [L_exit] still run through [Machine.run_thread_step], and
-   [m.wbound] is floored so a transfer link never chains past its own
-   step. *)
-let generic_step bm rn =
-  let m = bm.m in
-  let k =
-    Sched.choose_idx m.Machine.sched
-      ~tid_of:(fun j -> m.Machine.live.(m.Machine.ready.(j)).Thread.tid)
-      rn
-  in
-  let th = m.Machine.live.(m.Machine.ready.(k)) in
-  if Machine.decisions m then Machine.decide m k rn;
-  let fr = Thread.top th in
-  let cbv =
-    bm.code.(fr.Thread.func.Link.lf_id).(fr.Thread.block.Link.lb_index)
-  in
-  let i = fr.Thread.idx in
-  if cbv.Compile.cb_sched.(i) then begin
-    Machine.run_thread_step m th;
-    m.Machine.step <- m.Machine.step + 1;
-    m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + 1
-  end
-  else begin
-    (* [run_thread_step]'s preamble for a compiled instruction: wake a
-       chosen sleeper (its step event is unobserved), count the
-       instruction. *)
-    (match th.Thread.status with
-    | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
-    | _ -> ());
-    m.Machine.stats.Stats.instrs <- m.Machine.stats.Stats.instrs + 1;
-    m.Machine.wbound <- min_int;
-    (match cbv.Compile.cb_one.(i) m th fr with
-    | _ -> ()
-    | exception Machine.Fault msg ->
-        Machine.close_episode m th;
-        let iid =
-          let iids = cbv.Compile.cb_iids in
-          if i < Array.length iids then Some iids.(i) else None
-        in
-        Machine.set_failure m ~kind:Instr.Seg_fault ~site_id:None ~iid
-          ~tid:th.Thread.tid ~msg;
-        m.Machine.step <- m.Machine.step + 1);
-    m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + 1
-  end
-
-(* One step of the unhooked driver. A single eligibility scan — the one
+(* One phase of the unhooked driver. A single eligibility scan — the one
    [Machine.step] makes — fills [m.ready]; then nobody eligible idles in
-   bulk, one eligible thread runs a compiled window, and anything else
-   (or a window that does not apply) takes a compiled generic step over
-   the same list. *)
+   bulk, one eligible thread that can run (runnable, or a sleeper whose
+   deadline passed) runs a compiled window up to the next time-based
+   wake, and anything else is a contended phase over the same list. *)
 let unhooked_step bm =
   let m = bm.m in
   let rn = ref 0 in
@@ -310,8 +264,17 @@ let unhooked_step bm =
     end
   done;
   if !rn = 0 then idle m
-  else if not (!rn = 1 && try_window bm m.Machine.live.(m.Machine.ready.(0)))
-  then generic_step bm !rn
+  else
+    let th = m.Machine.live.(m.Machine.ready.(0)) in
+    match (!rn, th.Thread.status) with
+    | 1, (Thread.Runnable | Thread.Sleeping _) ->
+        (* a sleeper wakes exactly as [run_thread_step] would wake it
+           (its step event is unobserved); every other thread is
+           ineligible, so its wake lies strictly ahead *)
+        th.Thread.status <- Thread.Runnable;
+        run_window bm th
+          (min m.Machine.config.Machine.fuel (Machine.next_wake m))
+    | _ -> run_contended bm !rn
 
 let run bm =
   let m = bm.m in

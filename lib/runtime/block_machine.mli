@@ -1,20 +1,26 @@
 (** The block-compiled engine: [Machine]'s state and semantics driven
-    through [Compile]'s threaded code.
+    through [Compile]'s threaded code, each block compiled on first
+    entry.
 
-    The state is a plain [Machine.t]; the driver retires maximal
-    straight-line runs of compiled closures in a tight loop whenever the
-    scheduler has no choice to make (exactly one eligible thread) and the
-    run is not {!hooked}, consulting the scheduler and replay tap/feed
-    only at schedulable operations — exactly where [Machine] makes
-    visible decisions. Everything observable (outcomes, outputs, step
-    counts, stats, traces, profiles, race reports, JSONL telemetry,
-    schedule logs) is bit-for-bit identical to [Machine] and
-    [Ref_machine]. An observer of decisions and sync events only — a flight ring, a
-    full recording ([Conair_replay.Recorder]), the lock-order witness —
-    rides the window path: the window emits every sync event, its
-    decisions as one counted {!Event.Decide}. The three-way differential
-    suite in [test_fast_exec.ml] enforces the identity over the bugbench
-    catalog. *)
+    The state is a plain [Machine.t]. When the run is not {!hooked} the
+    driver scans eligibility once per phase — a stretch over which no
+    thread can become eligible or ineligible — instead of once per
+    step. With one eligible thread it retires maximal runs of compiled
+    closures without consulting the scheduler; with several it makes
+    [Machine]'s decision on every step over the fixed eligible list and
+    retires the chosen thread's one instruction through its compiled
+    single-step form; with none it takes the idle ticks in bulk. A phase
+    ends at a schedulable operation, a thread death, a fault, a decided
+    outcome, the fuel, or the earliest time-based wake of an ineligible
+    thread. Everything observable (outcomes, outputs, step counts,
+    stats, traces, profiles, race reports, JSONL telemetry, schedule
+    logs) is bit-for-bit identical to [Machine] and [Ref_machine]. An
+    observer of decisions and sync events only — a flight ring, a full
+    recording ([Conair_replay.Recorder]), the lock-order witness —
+    rides the phases: they emit every sync event and every decision, a
+    one-thread window's decisions as one counted {!Event.Decide}. The
+    three-way differential suite in [test_fast_exec.ml] enforces the
+    identity over the bugbench catalog. *)
 
 open Conair_ir
 
@@ -31,8 +37,9 @@ val create :
   ?feed:(eligible:int list -> int) ->
   Program.t ->
   t
-(** Link and block-compile the program; the main thread is ready to
-    run. The optional arguments are [Machine.create]'s. *)
+(** Link the program and take its image's code object (blocks compile
+    as threads first enter them); the main thread is ready to run. The
+    optional arguments are [Machine.create]'s. *)
 
 val machine : t -> Machine.t
 (** The underlying machine state (shared, not a copy). *)
@@ -40,7 +47,7 @@ val machine : t -> Machine.t
 val hooked : Machine.t -> bool
 (** Does the observer consume per-step or access events, or is a
     scheduler tap or feed attached? Then every step takes [Machine]'s
-    generic path. *)
+    generic path ([Machine.step]). *)
 
 val outputs : t -> string list
 (** In emission order. *)
@@ -60,6 +67,5 @@ val step : t -> bool
     per-step control matters more than throughput. *)
 
 val run : t -> Outcome.t
-(** Run to completion or until the fuel runs out, using the compiled
-    fast path wherever the scheduler's choice is forced and the run is
-    not {!hooked}. *)
+(** Run to completion or until the fuel runs out, phase by phase on the
+    compiled code unless the run is {!hooked}. *)

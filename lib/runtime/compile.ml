@@ -31,15 +31,32 @@
    the generic per-step path. Retiring the runs in between without
    consulting the scheduler is semantics-preserving precisely when the
    scheduler's choice over the window is forced (one eligible thread)
-   and unobserved (no tap/feed installed).
+   and unobserved (no tap/feed installed); with several threads
+   eligible the driver still decides every step, but no run in between
+   changes who is eligible.
 
-   Every instruction also gets a single-step form, [cb_one.(i)]: the
+   Every instruction also has a single-step form, [cb_one.(i)]: the
    same compiled link with the [halt] continuation in place of its
    successor. The driver uses it to retire the tail of a window one
    step at a time when the remaining budget is smaller than the chain,
-   and [Block_machine]'s compiled generic step uses it (with the budget
-   floored, so transfers never chain) to dispatch single steps in
-   multi-threaded phases without [exec_instr]'s interpretive match.
+   and [Block_machine]'s contended phases use it (with the budget
+   floored, so transfers never chain) to retire the chosen thread's
+   one instruction per scheduling decision without [exec_instr]'s
+   interpretive match. A block's single-step forms are built the first
+   time it is single-stepped ([one]); blocks that only ever run as
+   chains never pay for them.
+
+   Nothing is compiled up front. [compile] hands out the image's code
+   object with every slot holding one shared [pending] block; [block],
+   the driver's only lookup, compiles a block the first time a thread
+   stands in it and stores it in its slot. Transfer links capture their
+   target function's slot array, not a block, so they find a block
+   compiled after them in place. A link that chains into a slot still
+   pending calls the pending block's entry, which returns [t_refresh]:
+   the program point is already on the target, and the driver's next
+   lookup compiles it. Runs reach a small part of a hardened program —
+   its fail arms only when a failure is recovered — so compiling on
+   entry keeps a fraction of the code an eager pass would build.
 
    Step accounting is batched per straight-line segment. A maximal run
    of [C_line] links (plain data ops: moves, binops, loads, asserts —
@@ -77,7 +94,7 @@ module Fname = Ident.Fname
 
 (* Chain results, as unboxed ints so a run's completion allocates
    nothing. Everything retired up to the returned point has already
-   bumped [m.step]. *)
+   bumped [m.step]. [t_refresh] is also what a pending block returns. *)
 let t_refresh = 0
 let t_end = 1
 let t_sched = 2
@@ -90,9 +107,10 @@ type cblock = {
   cb_chain : chain array;
       (** indexed by [fr.idx]; slot [length lb_instrs] is the
           terminator: the fused run from that entry point *)
-  cb_one : chain array;
+  mutable cb_one : chain array;
       (** same links with the [halt] continuation: retires exactly one
-          instruction (transfers still gate on [m.wbound]) *)
+          instruction (transfers still gate on [m.wbound]); empty until
+          the block is first single-stepped ([one]) *)
   cb_iids : int array;  (** per-instruction iids, for fault reports *)
   cb_need : int array;
       (** worst-case step budget the chain at this index consumes
@@ -102,18 +120,15 @@ type cblock = {
       (** true where the slot holds a schedulable-op stopper *)
 }
 
-type program = cblock array array  (** indexed [lf_id].(lb_index) *)
+type program = {
+  image : Link.program;
+  blocks : cblock array array;
+      (** indexed [lf_id].(lb_index); a slot holds [pending] until the
+          block is first entered *)
+  pending : cblock;
+}
 
 let halt : chain = fun _ _ _ -> t_single
-
-let dummy_cblock =
-  {
-    cb_chain = [||];
-    cb_one = [||];
-    cb_iids = [||];
-    cb_need = [||];
-    cb_sched = [||];
-  }
 
 (* Operand getters: the compile-time half of [Machine.eval]. The
    undefined-register message is rendered at fault time, exactly like
@@ -293,8 +308,8 @@ let new_regs n =
   | 8 -> [| u; u; u; u; u; u; u; u |]
   | _ -> Array.make n u
 
-let compile_comp (prog : program) (f : Link.lfunc) (lp : Link.program)
-    (k : int) (i : Link.linstr) : comp =
+let compile_comp (prog : cblock array array) (f : Link.lfunc)
+    (lp : Link.program) (k : int) (i : Link.linstr) : comp =
   match i.Link.li_op with
   (* -- schedulable ops: chain stoppers, generic-path descriptors ------ *)
   | Link.L_lock _ | Link.L_timed_lock _ | Link.L_unlock _ | Link.L_spawn _
@@ -874,9 +889,9 @@ let compile_comp (prog : program) (f : Link.lfunc) (lp : Link.program)
              straight into the new frame's registers, skipping the argv
              array; the common arities are unrolled. The link then
              chains into the callee's entry block when the window budget
-             covers it: [callee_cbs] aliases the program array slot that
-             [compile] fills in, so mutual recursion needs no patching
-             pass. *)
+             covers it: [callee_cbs] aliases the callee's slot array,
+             whose blocks compile in place on first entry, so mutual
+             recursion needs no patching pass. *)
           let nregs = max 1 callee.Link.lf_nregs in
           let entry_ix = callee.Link.lf_entry in
           let entry = callee.Link.lf_blocks.(entry_ix) in
@@ -1105,8 +1120,8 @@ let compile_comp (prog : program) (f : Link.lfunc) (lp : Link.program)
    a return chains into the caller's resumption point, found
    dynamically. [L_exit] decides the program's outcome and stays a
    schedulable-op stopper. *)
-let compile_term (prog : program) (f : Link.lfunc) (blk : Link.lblock) :
-    chain option =
+let compile_term (prog : cblock array array) (f : Link.lfunc)
+    (blk : Link.lblock) : chain option =
   (* Chains leave [fr.idx] stale inside fused segments, so any fault a
      terminator can raise must park the program point on the terminator
      slot first — moving [fr.idx] on success paths is already part of
@@ -1297,8 +1312,8 @@ let compile_term (prog : program) (f : Link.lfunc) (blk : Link.lblock) :
    single-step form stays unfused so strict single-stepping retires
    exactly one instruction. The comparison's step rides the segment
    batch; the branch counts its own, exactly as unfused. *)
-let fuse_cmp_branch (prog : program) (f : Link.lfunc) (blk : Link.lblock)
-    (k : int) : (pre:int -> fix:int -> chain) option =
+let fuse_cmp_branch (prog : cblock array array) (f : Link.lfunc)
+    (blk : Link.lblock) (k : int) : (pre:int -> fix:int -> chain) option =
   match (blk.Link.lb_instrs.(k).Link.li_op, blk.Link.lb_term) with
   | ( Link.L_binop (r, ((Instr.Lt | Instr.Le | Instr.Gt | Instr.Ge) as op), a, b),
       Link.L_branch (Link.L_reg rc, t, fl) )
@@ -1377,8 +1392,8 @@ let fuse_cmp_branch (prog : program) (f : Link.lfunc) (blk : Link.lblock)
       | _ -> None)
   | _ -> None
 
-let compile_block (prog : program) (lp : Link.program) (f : Link.lfunc)
-    (blk : Link.lblock) : cblock =
+let compile_block (prog : cblock array array) (lp : Link.program)
+    (f : Link.lfunc) (blk : Link.lblock) : cblock =
   let instrs = blk.Link.lb_instrs in
   let n = Array.length instrs in
   let comps = Array.init n (fun k -> compile_comp prog f lp k instrs.(k)) in
@@ -1390,7 +1405,6 @@ let compile_block (prog : program) (lp : Link.program) (f : Link.lfunc)
     ends.(k) <- (match comps.(k) with C_line _ -> ends.(k + 1) | _ -> k)
   done;
   let chain = Array.make (n + 1) halt in
-  let one = Array.make (n + 1) halt in
   (* [inner.(k)]: the chain form entered from inside a segment — batch
      already counted, so no pre-add. Outside segments it coincides with
      [chain.(k)]. *)
@@ -1400,12 +1414,8 @@ let compile_block (prog : program) (lp : Link.program) (f : Link.lfunc)
   (match compile_term prog f blk with
   | None ->
       sched.(n) <- true;
-      let stop = stop_at n in
-      chain.(n) <- stop;
-      one.(n) <- stop
-  | Some l ->
-      chain.(n) <- l;
-      one.(n) <- l);
+      chain.(n) <- stop_at n
+  | Some l -> chain.(n) <- l);
   inner.(n) <- chain.(n);
   (* Chains are built back to front so each link captures its already-
      built successor: tails are shared, [O(n)] closures per block. *)
@@ -1416,7 +1426,6 @@ let compile_block (prog : program) (lp : Link.program) (f : Link.lfunc)
         sched.(k) <- true;
         let stop = stop_at k in
         chain.(k) <- stop;
-        one.(k) <- stop;
         inner.(k) <- stop
     | C_line mk ->
         (* never destroying: the destroying preamble reads [m.step],
@@ -1430,63 +1439,111 @@ let compile_block (prog : program) (lp : Link.program) (f : Link.lfunc)
         | None ->
             inner.(k) <- mk ~pre:0 ~fix:fx inner.(k + 1);
             chain.(k) <- mk ~pre:fx ~fix:fx inner.(k + 1));
-        one.(k) <- mk ~pre:0 ~fix:0 (one_halt (k + 1));
         need.(k) <- need.(k + 1) + 1
     | C_self mk ->
         let c = self_idx k (destroying_link i (mk chain.(k + 1))) in
         chain.(k) <- c;
         inner.(k) <- c;
-        one.(k) <- self_idx k (destroying_link i (mk halt));
         need.(k) <- need.(k + 1) + 1
     | C_halt l ->
         let l = destroying_link i l in
         chain.(k) <- l;
-        one.(k) <- l;
         inner.(k) <- l
         (* need stays 1: the link re-gates on [m.wbound] before chaining
            past its own step *)
   done;
   {
     cb_chain = chain;
-    cb_one = one;
+    cb_one = [||];
     cb_iids =
       Array.map (fun (j : Link.linstr) -> j.Link.li_iid) blk.Link.lb_instrs;
     cb_need = need;
     cb_sched = sched;
   }
 
-let compile_uncached (lp : Link.program) : program =
-  (* Two phases so transfer links can capture their target function's
-     cblock array before it is filled: the per-function arrays are
-     allocated up front and populated in place, which handles (mutual)
-     recursion with no runtime indirection beyond one array load. *)
-  let prog =
-    Array.map
-      (fun (f : Link.lfunc) ->
-        Array.make (Array.length f.Link.lf_blocks) dummy_cblock)
-      lp.Link.lp_funcs
+(* A block nobody has entered yet. Transfer links read only their
+   target's [cb_need] and [cb_chain], at the entry point (0) or, for a
+   return, at the caller's resumption point, so those two arrays span
+   the program's longest block; every entry hands back to the driver
+   with the program point already moved onto the block ([t_refresh]),
+   and the driver compiles it. *)
+let pending_block (lp : Link.program) =
+  let width =
+    Array.fold_left
+      (fun w (f : Link.lfunc) ->
+        Array.fold_left
+          (fun w (b : Link.lblock) -> max w (Array.length b.Link.lb_instrs + 1))
+          w f.Link.lf_blocks)
+      1 lp.Link.lp_funcs
   in
-  Array.iteri
-    (fun fi (f : Link.lfunc) ->
-      let fcbs = prog.(fi) in
-      Array.iteri
-        (fun bi blk -> fcbs.(bi) <- compile_block prog lp f blk)
-        f.Link.lf_blocks)
-    lp.Link.lp_funcs;
-  prog
+  let refresh : chain = fun _ _ _ -> t_refresh in
+  {
+    cb_chain = Array.make width refresh;
+    cb_one = [||];
+    cb_iids = [||];
+    cb_need = Array.make width 0;
+    cb_sched = [||];
+  }
 
-(* The compiled code is machine-independent (closures take the machine as
-   an argument) and never mutated after the two-phase fill, so machines
-   over the same linked image — which [Link]'s cache already shares —
-   reuse one code image, kept in the image's own slot: code lives as
-   long as its image, which lives as long as its program. Two racing
-   first compiles each store their own result; both are equal. *)
+(* The code is machine-independent (closures take the machine as an
+   argument), so machines over the same linked image — which [Link]'s
+   cache already shares — reuse one code object, kept in the image's
+   own slot: code lives as long as its image, which lives as long as
+   its program. Every slot starts [pending]; transfer links capture
+   their target function's slot array, so a block compiled later is
+   found in place with no patching pass, and (mutual) recursion needs
+   no indirection beyond one array load. Two racing first compiles of
+   an image or a block each store their own result; both are equal. *)
 type Link.code += Code of program
 
 let compile (lp : Link.program) : program =
   match lp.Link.lp_code with
   | Some (Code code) -> code
   | _ ->
-      let code = compile_uncached lp in
+      let pending = pending_block lp in
+      let code =
+        {
+          image = lp;
+          blocks =
+            Array.map
+              (fun (f : Link.lfunc) ->
+                Array.make (Array.length f.Link.lf_blocks) pending)
+              lp.Link.lp_funcs;
+          pending;
+        }
+      in
       lp.Link.lp_code <- Some (Code code);
       code
+
+let[@inline never] compile_slot code (f : Link.lfunc) (b : Link.lblock) =
+  let cb = compile_block code.blocks code.image f b in
+  code.blocks.(f.Link.lf_id).(b.Link.lb_index) <- cb;
+  cb
+
+let[@inline] block code (f : Link.lfunc) (b : Link.lblock) =
+  let cb = code.blocks.(f.Link.lf_id).(b.Link.lb_index) in
+  if cb != code.pending then cb else compile_slot code f b
+
+(* The single-step forms, built the first time the driver single-steps
+   the block: many blocks only ever run as chains. [C_line] and [C_self]
+   links are rebuilt with a halting continuation; stoppers, calls and
+   the terminator end the chain anyway, so their chain closures serve. *)
+let[@inline never] compile_one code (f : Link.lfunc) (blk : Link.lblock) cb =
+  let instrs = blk.Link.lb_instrs in
+  let one = Array.copy cb.cb_chain in
+  Array.iteri
+    (fun k i ->
+      match compile_comp code.blocks f code.image k i with
+      | C_line mk -> one.(k) <- mk ~pre:0 ~fix:0 (one_halt (k + 1))
+      | C_self mk -> one.(k) <- self_idx k (destroying_link i (mk halt))
+      | C_sched | C_halt _ -> ())
+    instrs;
+  cb.cb_one <- one;
+  one
+
+let[@inline] one code f b cb =
+  let o = cb.cb_one in
+  if Array.length o > 0 then o else compile_one code f b cb
+
+let is_compiled code (f : Link.lfunc) (b : Link.lblock) =
+  code.blocks.(f.Link.lf_id).(b.Link.lb_index) != code.pending

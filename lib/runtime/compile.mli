@@ -26,7 +26,16 @@
     sleep, wait/notify, recovery, fail-stop and [exit]) are stoppers
     that send the driver through the generic [Machine.run_thread_step]
     path. The runs between stoppers are what [Block_machine] retires
-    without consulting the scheduler.
+    without rescanning eligibility.
+
+    Blocks compile on first entry. The code object starts with every
+    slot holding one shared pending block, and the driver's lookup
+    ({!block}) compiles a block the first time a thread stands in it,
+    so a run pays only for the code it reaches — a clean run never
+    compiles its fail arms. A transfer link that chains into a block
+    still pending lands on the pending block's entry, which returns
+    [t_refresh] with the program point already on the target; the
+    driver's next lookup compiles it.
 
     Closures replicate [Machine.exec_instr] bit-for-bit — including
     operand evaluation order and fault-message bytes — and reuse
@@ -41,8 +50,9 @@
     chain has already counted every retired step in [m.step]. *)
 
 val t_refresh : int
-(** the program point moved and the budget gate stopped the chain:
-    re-fetch frame and block, keep going *)
+(** the program point moved and the budget gate stopped the chain, or
+    the chain reached a block not compiled yet: re-fetch frame and
+    block, keep going *)
 
 val t_end : int
 (** the window is over (thread died, or the outcome is decided) *)
@@ -70,11 +80,13 @@ type cblock = {
       (** indexed by [fr.idx]; slot [length lb_instrs] is the
           terminator: the fused run from that entry point, chaining
           through control transfers while [m.wbound] allows *)
-  cb_one : chain array;
+  mutable cb_one : chain array;
       (** the same compiled links with a halting continuation: retires
           exactly one instruction ([t_single] when the program point did
           not move); control transfers still gate on [m.wbound], so a
-          driver that wants strict single-stepping must floor it first *)
+          driver that wants strict single-stepping must floor it first.
+          Empty until the block is first single-stepped: read it through
+          {!one} *)
   cb_iids : int array;  (** per-instruction iids, for fault reports *)
   cb_need : int array;
       (** worst-case step budget the chain at this index consumes
@@ -84,10 +96,27 @@ type cblock = {
       (** true where the slot holds a schedulable-op stopper *)
 }
 
-type program = cblock array array  (** indexed [lf_id].(lb_index) *)
+type program
+(** An image's threaded code, compiled one block at a time on first
+    entry. *)
 
 val compile : Link.program -> program
-(** The image's threaded code. The first call compiles it and stores it
-    in the image's [lp_code] slot; later calls return the stored code,
-    so machines over one image share it and it lives as long as the
-    image does. *)
+(** The image's code object. The first call creates it, with every
+    block pending, and stores it in the image's [lp_code] slot; later
+    calls return the stored object, so machines over one image share it
+    and it lives as long as the image does. Nothing is compiled yet. *)
+
+val block : program -> Link.lfunc -> Link.lblock -> cblock
+(** The compiled code of a block, compiled and stored on the first
+    call. The driver's one code lookup. Transfer links that chain into a
+    block not compiled yet find a pending block instead, whose every
+    entry returns [t_refresh] with the program point already on the
+    target, so the driver's next lookup compiles it. *)
+
+val one : program -> Link.lfunc -> Link.lblock -> cblock -> chain array
+(** [one code f b cb]: the single-step forms of [cb], the compiled code
+    of [b], built on the first call. Many blocks only ever run as
+    chains, so they never pay for them. *)
+
+val is_compiled : program -> Link.lfunc -> Link.lblock -> bool
+(** Has the block been entered (and so compiled) yet? *)

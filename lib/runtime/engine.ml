@@ -7,6 +7,10 @@
 type t = Ref | Fast | Block
 
 let all = [ Ref; Fast; Block ]
+
+(* The library's engine wherever a caller names none. The binaries keep
+   their own [--engine] default. *)
+let default = Block
 let name = function Ref -> "ref" | Fast -> "fast" | Block -> "block"
 
 let of_string s =

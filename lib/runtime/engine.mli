@@ -18,6 +18,12 @@ type t = Ref | Fast | Block
 val all : t list
 (** In oracle-to-fastest order: [Ref; Fast; Block]. *)
 
+val default : t
+(** [Block]: the engine of every library entry point that takes an
+    optional [?engine] — the facade's runs, the replay driver, fix
+    synthesis. A constant, not a setting; the binaries' [--engine]
+    default is their own. *)
+
 val name : t -> string
 (** ["ref"], ["fast"], ["block"] — the names the CLI and schedule logs
     use. *)

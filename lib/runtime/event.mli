@@ -25,9 +25,9 @@
 
     Decisions are a class of their own because an interpretive engine
     makes one per step: an observer of synchronization that ignores
-    them does not pay for them. The block engine leaves its
-    compiled-window fast path only for an observer that consumes
-    per-step or access events ([Block_machine.hooked]). *)
+    them does not pay for them. The block engine leaves its compiled
+    phases only for an observer that consumes per-step or access events
+    ([Block_machine.hooked]). *)
 
 (** The address classes of the Mir memory model. *)
 type addr =

@@ -4,8 +4,8 @@
 
     A ring is attached to a run as an observer ({!observer}) of the
     machine's decisions and sync events only, so it keeps the block
-    engine on its window fast path: a compiled window's decisions arrive as one
-    counted decision, recorded in bulk, which is what keeps
+    engine on its compiled phases: a one-thread window's decisions arrive
+    as one counted decision, recorded in bulk, which is what keeps
     recorder-on throughput within a few percent of recorder-off. The
     decision stream is exactly what a schedule log records, so the tail
     can be verified against (and regenerated into) an ordinary schedule

@@ -291,6 +291,10 @@ let emit m ev =
       end;
       o.Event.on m.view ev
 
+(* The tid of the [j]th eligible thread: the closed projection every
+   engine hands [Sched.choose_idx], so a decision allocates nothing. *)
+let ready_tid m j = m.live.(m.ready.(j)).Thread.tid
+
 (* The scheduler chose [m.ready.(k)] among the [rn] eligible threads. *)
 let decide m k rn =
   let tid = m.live.(m.ready.(k)).Thread.tid in
@@ -1007,6 +1011,26 @@ let eligible m (th : Thread.t) =
       | _ -> false)
   | Thread.Done | Thread.Failed -> false
 
+(* The earliest virtual time after now at which a live thread becomes
+   eligible on its own: a sleeper's [until], a timed lock or timed
+   wait's [since + timeout]. Untimed waiters need another thread's
+   action (an unlock, a notify, a death). A thread that is eligible
+   already has no wake in the future, unless it waits on a free lock
+   with a timeout still pending. [max_int] when nobody waits on time. *)
+let next_wake m =
+  let now = m.step and wake = ref max_int in
+  for i = 0 to m.live_n - 1 do
+    match m.live.(i).Thread.status with
+    | Thread.Sleeping until ->
+        if until > now && until < !wake then wake := until
+    | Thread.Blocked_lock { since; timeout = Some t; _ }
+    | Thread.Blocked_event { since; timeout = Some t; _ } ->
+        let w = since + t in
+        if w > now && w < !wake then wake := w
+    | _ -> ()
+  done;
+  !wake
+
 let run_thread_step m (th : Thread.t) =
   let tid = th.Thread.tid in
   (* A sleeper simply wakes; blocked threads re-execute their blocking
@@ -1073,18 +1097,9 @@ let step m =
           end
         done;
         (if !rn = 0 then begin
-           (* Threads that will become eligible as virtual time passes:
-              sleepers, and lock waiters with a pending timeout. *)
-           let waiting_on_time = ref false in
-           for i = 0 to n - 1 do
-             match m.live.(i).Thread.status with
-             | Thread.Sleeping _
-             | Thread.Blocked_lock { timeout = Some _; _ }
-             | Thread.Blocked_event { timeout = Some _; _ } ->
-                 waiting_on_time := true
-             | _ -> ()
-           done;
-           if !waiting_on_time then begin
+           (* Nobody is eligible, so every sleeper and timed waiter wakes
+              strictly in the future. *)
+           if next_wake m < max_int then begin
              (* Everyone is asleep or waiting: let virtual time pass. *)
              if steps m then emit m (Event.Idle { step = m.step });
              m.step <- m.step + 1;
@@ -1096,11 +1111,7 @@ let step m =
                Some (Outcome.Hang { step = m.step; blocked = live_threads m })
          end
          else begin
-           let k =
-             Sched.choose_idx m.sched
-               ~tid_of:(fun j -> m.live.(m.ready.(j)).Thread.tid)
-               !rn
-           in
+           let k = Sched.choose_idx m.sched ~tid_of:ready_tid m !rn in
            if decisions m then decide m k !rn;
            run_thread_step m m.live.(m.ready.(k));
            m.step <- m.step + 1;

@@ -166,6 +166,11 @@ val emit : t -> Event.t -> unit
     ([run_from >= 0]) it first reports the window's decisions through
     the current step as one {!Event.Decide}. *)
 
+val ready_tid : t -> int -> int
+(** [ready_tid m j]: the tid of [m.ready.(j)], the projection the
+    engines pass {!Sched.choose_idx} (closed, so deciding allocates
+    nothing). *)
+
 val decide : t -> int -> int -> unit
 (** [decide m k rn]: report the scheduler's choice of [m.ready.(k)]
     among the [rn] eligible threads listed in [m.ready], classifying it
@@ -186,6 +191,14 @@ val note_branch_taken :
 val close_episode : t -> Thread.t -> unit
 val do_return : t -> Thread.t -> Value.t option -> unit
 val eligible : t -> Thread.t -> bool
+
+val next_wake : t -> int
+(** The earliest step after now at which a live thread becomes eligible
+    by time alone — a sleeper's deadline, a timed lock's or timed wait's
+    [since + timeout] — or [max_int] when nobody waits on time. Threads
+    that are eligible already contribute no wake, except a timed waiter
+    on a free lock. The one wake scan: [step]'s idle branch and the
+    block engine's window, idle and contended bounds all read it. *)
 
 val run_thread_step : t -> Thread.t -> unit
 (** Execute one instruction (or terminator) of [th], including the

@@ -101,9 +101,9 @@ let mirror t ~eligible chosen =
 let notify t ~chosen ~eligible =
   match t.tap with None -> () | Some f -> f ~chosen ~eligible
 
-(** Pick one of [eligible] (a non-empty list of thread ids). *)
 let hooked t = match (t.tap, t.feed) with None, None -> false | _ -> true
 
+(** Pick one of [eligible] (a non-empty list of thread ids). *)
 let choose t eligible =
   match eligible with
   | [] -> invalid_arg "Sched.choose: no eligible thread"
@@ -120,31 +120,34 @@ let choose t eligible =
       notify t ~chosen ~eligible;
       chosen
 
-(** Index-based choice for the pre-resolved engine: pick an index into an
-    eligible array of length [n] ([tid_of i] gives the thread id at slot
-    [i], ascending). Consumes the rng and moves the cursor exactly as
-    [choose] does on the equivalent list, so the two engines draw the
-    same random stream. With a tap or feed installed the eligible list is
-    materialized and the decision routed through the list path, keeping
-    the hooks' view identical across engines. *)
-let choose_idx t ~tid_of n =
+(** Index-based choice for the pre-resolved engines: pick an index into
+    an eligible array of length [n] ([tid_of env i] gives the thread id
+    at slot [i], ascending). The projection takes its environment as an
+    argument, so a caller passing a closed function and its state
+    allocates nothing per decision. Consumes the rng and moves the
+    cursor exactly as [choose] does on the equivalent list, so every
+    engine draws the same random stream. With a tap or feed installed
+    the eligible list is materialized and the decision routed through
+    the list path, keeping the hooks' view identical across engines. *)
+let choose_idx t ~tid_of env n =
   if n <= 0 then invalid_arg "Sched.choose_idx: no eligible thread"
   else if not (hooked t) then
     if n = 1 then 0
     else
       match t.policy with
       | Round_robin ->
-          let rec find i =
-            if i >= n then 0
-            else if tid_of i > t.cursor then i
-            else find (i + 1)
-          in
-          let i = find 0 in
-          t.cursor <- tid_of i;
+          (* a loop, not a local recursive function: that would be a
+             closure allocated per decision *)
+          let i = ref 0 in
+          while !i < n && tid_of env !i <= t.cursor do
+            incr i
+          done;
+          let i = if !i < n then !i else 0 in
+          t.cursor <- tid_of env i;
           i
       | Random _ -> Random.State.int t.rng n
   else begin
-    let eligible = List.init n tid_of in
+    let eligible = List.init n (tid_of env) in
     let chosen =
       match t.feed with
       | None -> decide t eligible
@@ -156,7 +159,7 @@ let choose_idx t ~tid_of n =
     notify t ~chosen ~eligible;
     let rec index i =
       if i >= n then invalid_arg "Sched.choose_idx: fed an ineligible thread"
-      else if tid_of i = chosen then i
+      else if tid_of env i = chosen then i
       else index (i + 1)
     in
     index 0

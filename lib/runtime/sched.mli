@@ -37,13 +37,15 @@ val choose : t -> int list -> int
 (** Pick one of the eligible thread ids.
     @raise Invalid_argument on an empty list. *)
 
-val choose_idx : t -> tid_of:(int -> int) -> int -> int
-(** [choose_idx t ~tid_of n] picks an index in [0, n): the array-based
-    equivalent of [choose] over the [n] eligible threads whose ids
-    [tid_of] reports in ascending order. Identical cursor movement and
-    rng consumption, so both engines see the same random stream. With a
-    tap or feed installed the eligible list is materialized and the hooks
-    see exactly what the list-based engine's hooks would see.
+val choose_idx : t -> tid_of:('a -> int -> int) -> 'a -> int -> int
+(** [choose_idx t ~tid_of env n] picks an index in [0, n): the
+    array-based equivalent of [choose] over the [n] eligible threads
+    whose ids [tid_of env] reports in ascending order. A closed
+    [tid_of] makes the decision allocation-free. Identical cursor
+    movement and rng consumption, so every engine sees the same random
+    stream. With a tap or feed installed the eligible list is
+    materialized and the hooks see exactly what the list-based engine's
+    hooks would see.
     @raise Invalid_argument when [n <= 0]. *)
 
 val rng : t -> Random.State.t

@@ -370,7 +370,7 @@ let choose_idx_agrees () =
           let arr = Array.of_list tids in
           let from_list = Sched.choose s_list tids in
           let k =
-            Sched.choose_idx s_idx ~tid_of:(fun i -> arr.(i)) (Array.length arr)
+            Sched.choose_idx s_idx ~tid_of:Array.get arr (Array.length arr)
           in
           Alcotest.(check int) "same pick" from_list arr.(k);
           Alcotest.(check int)
@@ -677,6 +677,392 @@ let memos_follow_program_liveness () =
       per_hit;
   ignore (Sys.opaque_identity many)
 
+(* ---- contended phases --------------------------------------------
+
+   With several threads eligible the block engine holds the eligible set
+   fixed and steps the chosen thread's compiled code until something can
+   change that set. These programs put each such boundary inside a
+   phase where two spinners contend: a time-based wake of a third
+   thread (sleeper, timed lock, timed wait), a death its joiner waits
+   on, a fault, a failed assert, the fuel, and a wait-graph deadlock
+   detection. Each runs on all three engines under round-robin and three
+   seeds; outcome, outputs, stats, virtual time, trace, profile and the
+   run-length recording must agree. *)
+
+let spinners =
+  {|
+func @mix(%x, %k) {
+entry:
+  %a = mul %x, 31
+  %a = add %a, %k
+  %a = mod %a, 1000003
+  return %a
+}
+
+func @spin(%n, %tag) {
+entry:
+  %i = move 0
+  %acc = move 1
+  jump loop
+loop:
+  %acc = call @mix(%acc, %i)
+  %i = add %i, 1
+  %c = lt %i, %n
+  branch %c, loop, done
+done:
+  output "spin %v: %v", %tag, %acc
+  return
+}
+|}
+
+let contended_programs () =
+  let prog name body = (name, Parse.program_exn (spinners ^ body)) in
+  [
+    prog "sleeper wakes mid-phase"
+      {|
+func @sleeper() {
+entry:
+  sleep 45
+  output "sleeper woke"
+  call @spin(5, 3)
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @spin(60, 1)
+  %t2 = spawn @spin(60, 2)
+  %t3 = spawn @sleeper()
+  join %t1
+  join %t2
+  join %t3
+  exit
+}
+main @main
+|};
+    prog "timed lock expires mid-phase"
+      {|
+mutex m
+
+func @waiter() {
+entry:
+  %ok = timedlock &m, 50
+  output "timed lock: %v", %ok
+  branch %ok, got, done
+got:
+  unlock &m
+  jump done
+done:
+  return
+}
+
+func @main() {
+entry:
+  lock &m
+  %t1 = spawn @spin(60, 1)
+  %t2 = spawn @spin(60, 2)
+  %t3 = spawn @waiter()
+  join %t1
+  join %t2
+  unlock &m
+  join %t3
+  exit
+}
+main @main
+|};
+    prog "timed wait expires mid-phase"
+      {|
+func @waiter() {
+entry:
+  %ok = timedwait ready, 50
+  output "timed wait: %v", %ok
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @spin(60, 1)
+  %t2 = spawn @spin(60, 2)
+  %t3 = spawn @waiter()
+  join %t1
+  join %t2
+  notify ready
+  join %t3
+  exit
+}
+main @main
+|};
+    prog "thread dies while its joiner waits"
+      {|
+func @main() {
+entry:
+  %t1 = spawn @spin(15, 1)
+  %t2 = spawn @spin(70, 2)
+  join %t1
+  output "joined t1"
+  join %t2
+  exit
+}
+main @main
+|};
+    prog "fault mid-phase"
+      {|
+func @faulty() {
+entry:
+  call @spin(20, 2)
+  %z = div 1, 0
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @spin(60, 1)
+  %t2 = spawn @faulty()
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|};
+    prog "failed assert mid-phase"
+      {|
+func @checker() {
+entry:
+  call @spin(20, 2)
+  %ok = eq 1, 2
+  assert %ok, "mid-phase assert"
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @spin(60, 1)
+  %t2 = spawn @checker()
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|};
+    prog "wait-graph detection mid-phase"
+      {|
+mutex a
+mutex b
+
+func @ab() {
+entry:
+  lock &a
+  sleep 3
+  %ok = timedlock &b, 5000
+  output "ab: %v", %ok
+  branch %ok, got, done
+got:
+  unlock &b
+  jump done
+done:
+  unlock &a
+  return
+}
+
+func @ba() {
+entry:
+  lock &b
+  sleep 3
+  %ok = timedlock &a, 5000
+  output "ba: %v", %ok
+  branch %ok, got, done
+got:
+  unlock &a
+  jump done
+done:
+  unlock &b
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @spin(60, 1)
+  %t2 = spawn @spin(60, 2)
+  %t3 = spawn @ab()
+  %t4 = spawn @ba()
+  join %t1
+  join %t2
+  join %t3
+  join %t4
+  exit
+}
+main @main
+|};
+  ]
+
+let contended_policies =
+  [
+    ("round-robin", Sched.Round_robin);
+    ("random:1", Sched.Random 1);
+    ("random:2", Sched.Random 2);
+    ("random:3", Sched.Random 3);
+  ]
+
+(* The run-length recording of every engine — a sync-class observer,
+   so the block engine stays on its phases — against the tap oracle. *)
+let check_recordings name config p =
+  let oracle = Tap.create () in
+  ignore (Engine.run_program ~config ~tap:(Tap.tap oracle) Engine.Ref p);
+  List.iter
+    (fun engine ->
+      let label = name ^ "#" ^ Engine.name engine in
+      let r = Recorder.create () in
+      ignore
+        (Engine.run_program ~config ~observer:(Recorder.observer r) engine p);
+      Alcotest.(check int) (label ^ ": recorded count") (Tap.count oracle)
+        (Recorder.count r);
+      Alcotest.(check (array int))
+        (label ^ ": recorded decisions") (Tap.decisions oracle)
+        (Recorder.decisions r);
+      Alcotest.(check (array int))
+        (label ^ ": recorded preemptions") (Tap.preemptions oracle)
+        (Recorder.preemptions r))
+    Engine.all
+
+let contended_boundaries () =
+  List.iter
+    (fun (pname, policy) ->
+      List.iter
+        (fun (name, p) ->
+          let name = name ^ "@" ^ pname in
+          let base = config policy in
+          let configs =
+            [
+              (name, base);
+              ( name ^ "/wait-graph",
+                { base with deadlock_detection = Machine.Wait_graph } );
+              (* fuel that runs out while the spinners contend *)
+              (name ^ "/fuel", { base with fuel = 700 });
+            ]
+          in
+          List.iter
+            (fun (name, config) ->
+              check_same name config p;
+              check_recordings name config p)
+            configs)
+        (contended_programs ()))
+    contended_policies;
+  (* the cases reach their boundary: the reference runs end as each
+     program intends *)
+  let run name config =
+    fst (Engine.run_program ~config Engine.Ref
+           (List.assoc name (contended_programs ())))
+  in
+  let outcome name config = Engine.outcome (run name config) in
+  let rr = config Sched.Round_robin in
+  List.iter
+    (fun (name, line) ->
+      Alcotest.(check bool) (name ^ ": " ^ line) true
+        (List.mem line (Engine.outputs (run name rr))))
+    [
+      ("timed lock expires mid-phase", "timed lock: false");
+      ("timed wait expires mid-phase", "timed wait: false");
+      ("thread dies while its joiner waits", "joined t1");
+    ];
+  let failed kind = function
+    | Some (Outcome.Failed f) -> f.kind = kind
+    | _ -> false
+  in
+  Alcotest.(check bool) "the fault fails the run" true
+    (failed Instr.Seg_fault (outcome "fault mid-phase" rr));
+  Alcotest.(check bool) "the assert fails the run" true
+    (failed Instr.Assert_fail (outcome "failed assert mid-phase" rr));
+  Alcotest.(check bool) "the fuel runs out" true
+    (match outcome "sleeper wakes mid-phase" { rr with fuel = 700 } with
+    | Some (Outcome.Fuel_exhausted _) -> true
+    | _ -> false);
+  Alcotest.(check bool) "the wait graph breaks the deadlock" true
+    (outcome "wait-graph detection mid-phase"
+       { rr with deadlock_detection = Machine.Wait_graph }
+    = Some Outcome.Success)
+
+(* ---- compile on entry ---------------------------------------------- *)
+
+module Link = Conair.Runtime.Link
+module Compile = Conair.Runtime.Compile
+
+(* Blocks compile the first time a thread enters them. A clean run of a
+   hardened program never takes a fail arm, so none of them is compiled;
+   the code object stays the image's one, shared by every machine. *)
+let fail_arms_stay_uncompiled () =
+  let s = Option.get (Registry.find "MySQL1") in
+  let p = (s.make ~variant:Spec.Clean ~oracle:false).program in
+  let h = (Conair.harden_exn p Conair.Survival).hardened in
+  let meta = Machine.meta_of_harden h in
+  let image = Link.link ~fail_blocks:meta.Machine.fail_blocks h.program in
+  let code = Compile.compile image in
+  let blocks =
+    List.concat_map
+      (fun (f : Link.lfunc) ->
+        List.map (fun b -> (f, b)) (Array.to_list f.Link.lf_blocks))
+      (Array.to_list image.Link.lp_funcs)
+  in
+  let compiled () =
+    List.filter (fun (f, b) -> Compile.is_compiled code f b) blocks
+  in
+  Alcotest.(check int) "nothing compiled before the first run" 0
+    (List.length (compiled ()));
+  let run () =
+    let m =
+      Engine.create ~config:(config Sched.Round_robin) ~meta Engine.Block
+        h.program
+    in
+    let o = Engine.run m in
+    Alcotest.check outcome_t "clean run succeeds" Outcome.Success o;
+    Alcotest.(check int) "no rollback" 0 (Engine.stats m).Stats.rollbacks
+  in
+  run ();
+  let after = compiled () in
+  Alcotest.(check bool) "entered blocks are compiled" true (after <> []);
+  let arms = List.filter (fun (_, b) -> b.Link.lb_site <> None) blocks in
+  Alcotest.(check bool) "the program has fail arms" true (arms <> []);
+  List.iter
+    (fun (f, b) ->
+      if Compile.is_compiled code f b then
+        Alcotest.failf "fail arm %s of %s was compiled" b.Link.lb_label_name
+          f.Link.lf_qname)
+    arms;
+  Alcotest.(check bool) "one code object per image" true
+    (Compile.compile (Link.link ~fail_blocks:meta.Machine.fail_blocks h.program)
+     == code);
+  run ();
+  Alcotest.(check int) "a second machine compiles nothing new"
+    (List.length after)
+    (List.length (compiled ()))
+
+(* ---- allocation per step ------------------------------------------- *)
+
+(* A scheduling decision allocates nothing: the engines pass
+   [Sched.choose_idx] a closed projection, and the round-robin search is
+   a loop, not a closure per decision. HawkNL's clean variant contends
+   on most of its steps; under either policy it allocates 1.47 (fast)
+   and 1.18 (block) minor words per step, and a 4-word closure per
+   decision would put both above the bound. *)
+let decisions_allocate_nothing () =
+  let s = Option.get (Registry.find "HawkNL") in
+  let p = (s.make ~variant:Spec.Clean ~oracle:false).program in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun engine ->
+          let config = config policy in
+          ignore (Engine.run_program ~config engine p);
+          let words = Gc.minor_words () in
+          let m, _ = Engine.run_program ~config engine p in
+          let per_step =
+            (Gc.minor_words () -. words) /. float_of_int (Engine.steps m)
+          in
+          if per_step >= 2. then
+            Alcotest.failf "%s allocates %.2f minor words per step (bound 2)"
+              (Engine.name engine) per_step)
+        [ Engine.Fast; Engine.Block ])
+    [ Sched.Round_robin; Sched.Random 7 ]
+
 let suites =
   [
     ( "fast-exec",
@@ -716,5 +1102,11 @@ let suites =
           memos_follow_program_liveness;
         Alcotest.test_case "one stream, three engines" `Quick
           one_stream_three_engines;
+        Alcotest.test_case "contended phases end at every boundary" `Quick
+          contended_boundaries;
+        Alcotest.test_case "fail arms stay uncompiled on a clean run" `Quick
+          fail_arms_stay_uncompiled;
+        Alcotest.test_case "decisions allocate nothing" `Quick
+          decisions_allocate_nothing;
       ] );
   ]

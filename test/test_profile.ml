@@ -89,9 +89,7 @@ let profiling_off_by_default () =
   let inst = s.make ~variant:Spec.Clean ~oracle:false in
   let r = Conair.execute ~config inst.program in
   Alcotest.(check bool) "no observer attached" true
-    (match r.machine with
-    | Conair.Runtime.Engine.M_fast m -> Option.is_none m.Machine.obs
-    | _ -> false)
+    (Option.is_none (machine_state r).Machine.obs)
 
 let suites =
   [

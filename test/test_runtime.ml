@@ -531,9 +531,7 @@ let compensation_frees_blocks () =
     (r.stats.compensated_blocks > 0);
   (* every retry allocated one block; all but the last were released *)
   Alcotest.(check int) "no leak beyond live data" 1
-    (match r.machine with
-    | Engine.M_fast m -> Heap.live_blocks m.Machine.heap
-    | _ -> Alcotest.fail "expected the fast engine")
+    (Heap.live_blocks (machine_state r).Machine.heap)
 
 let retry_counters_per_site () =
   (* Distinct sites get distinct retry budgets. *)
