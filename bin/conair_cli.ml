@@ -31,7 +31,6 @@ module Event = Conair.Runtime.Event
 module Outcome = Conair.Runtime.Outcome
 module Sched = Conair.Runtime.Sched
 module Stats = Conair.Runtime.Stats
-module Trace = Conair.Runtime.Trace
 module Plan = Conair.Analysis.Plan
 module Obs = Conair.Obs
 module Replay = Conair.Replay
@@ -243,7 +242,7 @@ let observed_run ~config ~engine ~meta_info ~mode ~trace_json ~metrics_file
   | Some file ->
       write_file file
         (Obs.Json.to_string_pretty
-           (Obs.Span.to_chrome ~events:rr.Conair.events rr.Conair.spans))
+           (Obs.Span.to_chrome rr.Conair.spans))
   | None -> ());
   rr
 
@@ -380,17 +379,17 @@ let run_cmd =
             else if fix then Some (Conair.Fix inst.fix_site_iids)
             else Some Conair.Survival
           in
-          let r, events =
+          let r, spans =
             if telemetry then begin
               let meta_info = run_meta_of app variant seed in
               let rr =
                 observed_run ~config ~engine ~meta_info ~mode ~trace_json
                   ~metrics_file ~spans_file inst
               in
-              (rr.Conair.run, rr.Conair.events)
+              (rr.Conair.run, Some rr.Conair.spans)
             end
             else begin
-              (* telemetry is opt-in: no sink, no event stream, no cost *)
+              (* telemetry is opt-in: no observer, no event stream, no cost *)
               let r =
                 match mode with
                 | None -> Conair.execute ~config ~engine inst.program
@@ -398,7 +397,7 @@ let run_cmd =
                     Conair.execute_hardened ~config ~engine
                       (Conair.harden_exn inst.program mode)
               in
-              (r, [])
+              (r, None)
             end
           in
           let ident =
@@ -423,12 +422,11 @@ let run_cmd =
               (Stats.max_recovery_time r.stats);
             Format.printf "@[<v 2>episodes:@ %a@]@." Stats.pp_episodes r.stats
           end;
-          if trace then begin
-            let sink = Trace.create () in
-            List.iter (Trace.record sink) events;
-            Format.printf "@[<v 2>recovery trace:@ %a@]@."
-              Trace.pp_recovery_summary sink
-          end;
+          if trace then
+            Option.iter
+              (Format.printf "@[<v 2>recovery trace:@ %a@]@."
+                 Obs.Span.pp_recovery_summary)
+              spans;
           if Outcome.is_success r.outcome then 0 else 2
         end
   in
@@ -768,12 +766,13 @@ let profile_cmd =
           in
           let h = Conair.harden_exn inst.program mode in
           let prof = Obs.Prof.create () in
-          let sink = Trace.create () in
+          let spans = Obs.Span.collector () in
           let _, outcome =
             Engine.run_program ~config
               ~meta:(Machine.meta_of_harden h.hardened)
               ~observer:
-                (Event.combine [ Trace.observer sink; Obs.Prof.probe prof ])
+                (Event.combine
+                   [ Obs.Span.observer spans; Obs.Prof.probe prof ])
               engine h.hardened.program
           in
           Obs.Prof.finalize prof;
@@ -819,11 +818,9 @@ let profile_cmd =
           | None -> ());
           (match chrome with
           | Some file ->
-              let events = Trace.events sink in
-              let spans = Obs.Span.of_events events in
               write_file file
                 (Obs.Json.to_string_pretty
-                   (Obs.Span.to_chrome ~events
+                   (Obs.Span.to_chrome
                       ~counters:(Obs.Prof.counter_events prof)
                       spans))
           | None -> ());
@@ -1219,7 +1216,7 @@ let replay_cmd =
                         (Array.length log.Replay.Log.decisions)
                         b.Replay.Driver.rb_steps
                         b.Replay.Driver.rb_stats.Stats.rollbacks
-                        (Replay.Driver.engine_name engine);
+                        (Engine.name engine);
                       0
                     end
                     else

@@ -74,6 +74,7 @@ module Jsonl = Conair.Obs.Jsonl
 module Coverage = Conair.Obs.Coverage
 module Campaign = Conair.Obs.Campaign
 module Metrics = Conair.Obs.Metrics
+module Aggregate = Conair.Obs.Aggregate
 module Bs = Conair_bugbench.Bench_spec
 module Registry = Conair_bugbench.Registry
 
@@ -160,15 +161,7 @@ let seed_novelty = ref 0.
    always do). *)
 let observing () = !jsonl <> None
 
-let outcome_tag (o : Outcome.t) =
-  match o with
-  | Outcome.Success -> "success"
-  | Outcome.Failed _ -> "failed"
-  | Outcome.Hang _ -> "hang"
-  | Outcome.Fuel_exhausted _ -> "fuel-exhausted"
-
-let write_jsonl j =
-  match !jsonl with Some w -> Jsonl.write_json w j | None -> ()
+let write_jsonl j = match !jsonl with Some w -> w.Jsonl.write j | None -> ()
 
 (* A failing run becomes a finding record: deduped campaign-wide by its
    interleaving signature, curve-positioned by the worker-local run
@@ -237,8 +230,9 @@ let execute_recorded ~case ~seed ?(tag = "") ~config (h : Conair.hardened) =
     | Some c ->
         let ob, nov = observe_run ~case c in
         if failing then
-          emit_finding ~case ~seed ~outcome:(outcome_tag r.outcome) ~ob
-            ~novelty:nov ~path log
+          emit_finding ~case ~seed
+            ~outcome:(Aggregate.outcome_tag r.outcome)
+            ~ob ~novelty:nov ~path log
     | None -> ());
     r
   end
@@ -274,58 +268,16 @@ let probe_unhardened ~case ~seed ?(tag = "") ?(config = config) p =
     in
     let ob, nov = observe_run ~case coll in
     if failing then
-      emit_finding ~case ~seed ~outcome:(outcome_tag r.outcome) ~ob
-        ~novelty:nov ~path log;
+      emit_finding ~case ~seed ~outcome:(Aggregate.outcome_tag r.outcome)
+        ~ob ~novelty:nov ~path log;
     r
   end
-
-(* per-site episode/retry/steps rollup of one run's recovery episodes *)
-let site_rollup (s : Stats.t) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Stats.episode) ->
-      let eps, rts, stp =
-        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl e.ep_site_id)
-      in
-      Hashtbl.replace tbl e.ep_site_id
-        (eps + 1, rts + e.ep_retries, stp + Stats.episode_duration e))
-    (Stats.episodes_chronological s);
-  Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let run_record ~case ~seed (r : Conair.run) =
-  let episodes = Stats.episodes_chronological r.stats in
-  Json.Obj
-    [
-      ("type", Json.String "run");
-      ("case", Json.String case);
-      ("seed", Json.Int seed);
-      ("outcome", Json.String (outcome_tag r.outcome));
-      ("steps", Json.Int r.stats.steps);
-      ("instrs", Json.Int r.stats.instrs);
-      ("rollbacks", Json.Int r.stats.rollbacks);
-      ("episodes", Json.Int (List.length episodes));
-      ("retries", Json.Int (Stats.total_retries r.stats));
-      ("max_episode_steps", Json.Int (Stats.max_recovery_time r.stats));
-      ( "sites",
-        Json.List
-          (List.map
-             (fun (id, (eps, rts, stp)) ->
-               Json.Obj
-                 [
-                   ("site", Json.Int id);
-                   ("episodes", Json.Int eps);
-                   ("retries", Json.Int rts);
-                   ("steps", Json.Int stp);
-                 ])
-             (site_rollup r.stats)) );
-    ]
 
 let note_run ~case ~seed (r : Conair.run) =
   incr runs;
   if r.stats.rollbacks > 0 then incr recoveries;
   max_episode := max !max_episode (Stats.max_recovery_time r.stats);
-  write_jsonl (run_record ~case ~seed r);
+  write_jsonl (Aggregate.run_record ~case ~seed r.outcome r.stats);
   r
 
 let check case ~detail ok =
@@ -611,17 +563,16 @@ let run_fuzz ~t0 ~lo ~hi ~jsonl_file =
       let w =
         {
           Jsonl.write =
-            (fun line ->
-              output_string oc line;
+            (fun j ->
+              output_string oc (Json.to_string j);
               output_char oc '\n';
               flush oc);
         }
       in
       jsonl := Some w;
-      Jsonl.write_json w
-        (Jsonl.meta_json ~config
-           (Jsonl.run_meta ~variant:"fuzz" ~seed:lo ~hardened:true
-              "conair_fuzz"))
+      w.write
+        (Jsonl.meta_json ~config ~engine:!engine ~hardened:true
+           (Jsonl.run_meta ~variant:"fuzz" ~seed:lo "conair_fuzz"))
   | None -> ());
   for i = lo to hi do
     if !apps_mode then fuzz_app i
@@ -682,7 +633,7 @@ let run_fuzz ~t0 ~lo ~hi ~jsonl_file =
   print_endline (Json.to_string summary);
   (match (!jsonl, jsonl_oc) with
   | Some w, Some oc ->
-      Jsonl.write_json w summary;
+      w.Jsonl.write summary;
       close_out oc
   | _ -> ());
   match !failures with

@@ -12,8 +12,7 @@
 
 open Conair.Ir
 module B = Builder
-module Machine = Conair.Runtime.Machine
-module Trace = Conair.Runtime.Trace
+module Span = Conair.Obs.Span
 module Outcome = Conair.Runtime.Outcome
 
 let program =
@@ -62,13 +61,8 @@ let () =
 
   print_endline "\n=== Hardened server, same schedule (with recovery trace) ===";
   let h = Conair.harden_exn program Conair.Survival in
-  let meta = Machine.meta_of_harden h.hardened in
-  let sink = Trace.create () in
-  let m =
-    Machine.create ~meta ~observer:(Trace.observer sink) h.hardened.program
-  in
-  let outcome = Machine.run m in
-  Format.printf "outcome: %a@." Outcome.pp outcome;
-  List.iter (Format.printf "served:  %s@.") (Machine.outputs m);
-  Format.printf "@[<v 2>recovery trace:@ %a@]@." Trace.pp_recovery_summary
-    sink
+  let rr = Conair.run_observed h in
+  Format.printf "outcome: %a@." Outcome.pp rr.run.outcome;
+  List.iter (Format.printf "served:  %s@.") rr.run.outputs;
+  Format.printf "@[<v 2>recovery trace:@ %a@]@." Span.pp_recovery_summary
+    rr.spans

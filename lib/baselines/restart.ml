@@ -9,6 +9,7 @@
 
 open Conair.Ir
 module Machine = Conair.Runtime.Machine
+module Engine = Conair.Runtime.Engine
 module Outcome = Conair.Runtime.Outcome
 module Sched = Conair.Runtime.Sched
 
@@ -34,9 +35,9 @@ let run ?(config = Machine.default_config) ?(max_attempts = 20)
           perturb_timing = true;
         }
     in
-    let m, outcome = Machine.run_program ~config p in
-    let stats = Machine.stats m in
-    let outputs = Machine.outputs m in
+    let m, outcome = Engine.run_program ~config Engine.default p in
+    let stats = Engine.stats m in
+    let outputs = Engine.outputs m in
     let ok = Outcome.is_success outcome && accept outputs in
     let total = total + stats.steps in
     if ok || k >= max_attempts then

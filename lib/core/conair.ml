@@ -64,7 +64,6 @@ module Runtime = struct
   module Block_machine = Conair_runtime.Block_machine
   module Engine = Conair_runtime.Engine
   module Event = Conair_runtime.Event
-  module Trace = Conair_runtime.Trace
   module Flight_ring = Conair_runtime.Flight_ring
 end
 
@@ -164,49 +163,53 @@ let execute_hardened ?(config = Machine.default_config)
     the observability layer derives from it. *)
 type run_report = {
   run : run;
-  events : Trace.event list;
-      (** the full trace, chronological (also streamed to [trace_writer]
-          as the machine ran, when one was given) *)
-  spans : Conair_obs.Span.t list;  (** recovery spans, in start order *)
+  spans : Conair_obs.Span.collector;
+      (** the run's recovery spans and the recovery events behind them *)
   metrics : Conair_obs.Metrics.t;
       (** the standard ConAir metric set plus the live event counters *)
   report : Conair_obs.Json.t;  (** the structured run report *)
 }
 
-(** Run a hardened program with the full observability layer installed:
-    live metrics fed from the event stream, optional JSONL streaming to
-    [trace_writer] (meta record first when [meta_info] is given), and a
-    post-run fold into spans, metrics and a structured JSON report. *)
+(** Run a program with the full observability layer installed, all of it
+    folding the live event stream: live metrics, the span collector, and
+    JSONL records streamed to [trace_writer] (meta record first when
+    [meta_info] is given); then the structured JSON report. The meta
+    record and the report name the engine that ran and whether [meta]
+    (a hardening) was installed. *)
 let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
     run_report =
+  let module Jsonl = Conair_obs.Jsonl in
+  let hardened = meta <> None in
   let live = Conair_obs.Metrics.create () in
-  (match (trace_writer, meta_info) with
-  | Some w, Some mi ->
-      Conair_obs.Jsonl.write_json w (Conair_obs.Jsonl.meta_json ~config mi)
-  | _ -> ());
-  let emit =
-    Option.map
-      (fun w ev -> w.Conair_obs.Jsonl.write (Conair_obs.Jsonl.event_line ev))
-      trace_writer
+  let spans = Conair_obs.Span.collector () in
+  let jsonl =
+    let meta =
+      Option.map (Jsonl.meta_json ~config ~engine ~hardened) meta_info
+    in
+    Option.map (Jsonl.observer ?meta) trace_writer
   in
-  let sink = Trace.create ?emit () in
   let m =
     Engine.create ~config ?meta
       ~observer:
         (Event.combine
-           [ Trace.observer sink; Conair_obs.Report.live_metrics live ])
+           (Option.to_list jsonl
+           @ [
+               Conair_obs.Span.observer spans;
+               Conair_obs.Report.live_metrics live;
+             ]))
       engine program
   in
   let outcome = Engine.run m in
   let run = make_run m outcome in
-  let events = Trace.events sink in
-  let spans = Conair_obs.Span.of_events events in
   let metrics = Conair_obs.Report.standard_metrics ~into:live run.stats in
   let report =
-    Conair_obs.Report.run_json ?meta:meta_info ~config ~spans ~outcome
-      ~outputs:run.outputs run.stats
+    Conair_obs.Report.run_json
+      ?meta:(Option.map (Jsonl.meta_fields ~engine ~hardened) meta_info)
+      ~config
+      ~spans:(Conair_obs.Span.spans spans) ~outcome ~outputs:run.outputs
+      run.stats
   in
-  { run; events; spans; metrics; report }
+  { run; spans; metrics; report }
 
 let run_observed ?(config = Machine.default_config) ?(engine = Engine.default)
     ?meta_info ?trace_writer (h : hardened) : run_report =
@@ -466,10 +469,11 @@ let profile_sites ?(config = Machine.default_config) ?(runs = 5)
             (1 + Option.value ~default:0 (Hashtbl.find_opt hits iid))
       | _ -> ()
     in
-    let m =
-      Machine.create ~config ~observer:(Event.observer ~steps:true count) p
+    let _, outcome =
+      Engine.run_program ~config ~observer:(Event.observer ~steps:true count)
+        Engine.default p
     in
-    if Outcome.is_success (Machine.run m) then
+    if Outcome.is_success outcome then
       List.iter
         (fun (s : Conair_analysis.Site.t) ->
           let n = Option.value ~default:0 (Hashtbl.find_opt hits s.iid) in

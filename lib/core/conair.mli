@@ -64,7 +64,6 @@ module Runtime : sig
   module Block_machine = Conair_runtime.Block_machine
   module Engine = Conair_runtime.Engine
   module Event = Conair_runtime.Event
-  module Trace = Conair_runtime.Trace
   module Flight_ring = Conair_runtime.Flight_ring
 end
 
@@ -167,8 +166,10 @@ val execute_hardened :
     the observability layer derives from it. *)
 type run_report = {
   run : run;
-  events : Conair_runtime.Trace.event list;  (** chronological *)
-  spans : Conair_obs.Span.t list;  (** recovery spans, in start order *)
+  spans : Conair_obs.Span.collector;
+      (** the run's recovery spans and the recovery events behind them:
+          read with {!Conair_obs.Span.spans}, {!Conair_obs.Span.to_chrome}
+          and {!Conair_obs.Span.pp_recovery_summary} *)
   metrics : Conair_obs.Metrics.t;
       (** the standard ConAir metric set plus the live event counters *)
   report : Conair_obs.Json.t;  (** the structured run report *)
@@ -181,12 +182,13 @@ val run_observed :
   ?trace_writer:Conair_obs.Jsonl.writer ->
   hardened ->
   run_report
-(** {!execute_hardened} with the observability layer installed: live
-    metrics are maintained from the event stream as the machine runs,
-    each event is streamed to [trace_writer] as a JSONL line (preceded by
-    a meta record when [meta_info] is given), and after the run the trace
-    is folded into recovery spans, the standard metric set, and a
-    structured JSON report. *)
+(** {!execute_hardened} with the observability layer installed, all of
+    it folding the event stream as the machine runs: live metrics, the
+    recovery-span collector, and one JSONL record per trace event
+    written to [trace_writer] (preceded by a meta record when
+    [meta_info] is given). After the run come the standard metric set
+    and a structured JSON report. The meta record and the report name
+    the engine that ran and say the program was hardened. *)
 
 val run_report_of :
   ?config:Conair_runtime.Machine.config ->
@@ -198,7 +200,8 @@ val run_report_of :
   run_report
 (** One fully-observed execution of the program — hardened per [mode]
     first when one is given, as written when [mode] is [None] — through
-    the same pipeline as {!run_observed} either way. The single code
+    the same pipeline as {!run_observed} either way; the meta record and
+    the report say [hardened] exactly when [mode] is given. The single code
     path behind both the CLI's run/report subcommands and the serve
     daemon's run jobs, which is what makes their reports
     byte-identical. *)
@@ -375,7 +378,7 @@ val interleaving_signature : ?orders:(string * string) list ->
     engines and coordinator restarts — the campaign dedupe key. *)
 
 val replay :
-  ?engine:Replay.Driver.engine ->
+  ?engine:Conair_runtime.Engine.t ->
   ?program:Conair_ir.Program.t ->
   ?meta:Conair_runtime.Machine.meta ->
   Replay.Log.t ->

@@ -16,6 +16,59 @@
    Percentiles are nearest-rank (the value at ceil(p/100 * n), 1-based)
    over the recovery runs — runs with at least one recovery episode. *)
 
+open Conair_runtime
+
+(* --- writing run records ------------------------------------------- *)
+
+let outcome_tag : Outcome.t -> string = function
+  | Outcome.Success -> "success"
+  | Outcome.Failed _ -> "failed"
+  | Outcome.Hang _ -> "hang"
+  | Outcome.Fuel_exhausted _ -> "fuel-exhausted"
+
+(* per-site (episodes, retries, recovery steps) of one run, by site id *)
+let site_rollup (s : Stats.t) =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Stats.episode) ->
+      let eps, rts, stp =
+        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl e.ep_site_id)
+      in
+      Hashtbl.replace tbl e.ep_site_id
+        (eps + 1, rts + e.ep_retries, stp + Stats.episode_duration e))
+    (Stats.episodes_chronological s);
+  Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let run_record ~case ~seed (outcome : Outcome.t) (s : Stats.t) =
+  Json.Obj
+    [
+      ("type", Json.String "run");
+      ("case", Json.String case);
+      ("seed", Json.Int seed);
+      ("outcome", Json.String (outcome_tag outcome));
+      ("steps", Json.Int s.steps);
+      ("instrs", Json.Int s.instrs);
+      ("rollbacks", Json.Int s.rollbacks);
+      ("episodes", Json.Int (List.length (Stats.episodes_chronological s)));
+      ("retries", Json.Int (Stats.total_retries s));
+      ("max_episode_steps", Json.Int (Stats.max_recovery_time s));
+      ( "sites",
+        Json.List
+          (List.map
+             (fun (id, (eps, rts, stp)) ->
+               Json.Obj
+                 [
+                   ("site", Json.Int id);
+                   ("episodes", Json.Int eps);
+                   ("retries", Json.Int rts);
+                   ("steps", Json.Int stp);
+                 ])
+             (site_rollup s)) );
+    ]
+
+(* --- folding them -------------------------------------------------- *)
+
 type site_agg = {
   g_site : int;
   g_episodes : int;

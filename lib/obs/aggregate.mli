@@ -10,6 +10,18 @@
     (runs/sec) without re-parsing logs. Lines of any other ["type"] (the
     meta header) are skipped; an unparsable line is an error. *)
 
+open Conair_runtime
+
+val outcome_tag : Outcome.t -> string
+(** ["success"], ["failed"], ["hang"] or ["fuel-exhausted"]: a run
+    record's ["outcome"]. *)
+
+val run_record : case:string -> seed:int -> Outcome.t -> Stats.t -> Json.t
+(** One run's record: its outcome tag, step/instruction/rollback
+    counts, episode and retry totals, longest episode, and the per-site
+    (episodes, retries, recovery steps) rollup — the shape the fuzzer
+    streams and {!of_records} folds. *)
+
 type site_agg = {
   g_site : int;
   g_episodes : int;

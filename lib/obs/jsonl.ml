@@ -1,24 +1,17 @@
-(* Streaming JSONL serialization of trace events.
+(* Streaming JSONL serialization of the observation stream.
 
    The encoding here is the *contract* of the event-log file format (see
    docs/OBSERVABILITY.md): stable field names, step/tid always present,
-   event-specific payload fields after them. Both interpreters emit
-   identical [Trace.event] values on identical runs, so identical logs —
-   the differential test compares the serialized bytes. *)
+   event-specific payload fields after them. Every engine emits
+   identical [Event.t] values on identical runs, so identical logs — the
+   differential test compares the serialized bytes. *)
 
 open Conair_runtime
 module Instr = Conair_ir.Instr
 
-type run_meta = {
-  app : string;
-  variant : string;
-  seed : int option;
-  engine : string;  (** "fast" ([Machine]) or "ref" ([Ref_machine]) *)
-  hardened : bool;
-}
+type run_meta = { app : string; variant : string; seed : int option }
 
-let run_meta ?(variant = "") ?seed ?(engine = "fast") ?(hardened = false) app =
-  { app; variant; seed; engine; hardened }
+let run_meta ?(variant = "") ?seed app = { app; variant; seed }
 
 let failure_kind_name (k : Instr.failure_kind) =
   Format.asprintf "%a" Instr.pp_failure_kind k
@@ -104,19 +97,19 @@ let config_of_json (j : Json.t) : (Machine.config, string) result =
         }
   | _ -> Error "config: expected an object"
 
-let meta_json ?config (meta : run_meta) : Json.t =
+let meta_fields ~engine ~hardened (meta : run_meta) =
+  (("app", Json.String meta.app)
+  :: (if meta.variant = "" then []
+      else [ ("variant", Json.String meta.variant) ]))
+  @ (match meta.seed with None -> [] | Some s -> [ ("seed", Json.Int s) ])
+  @ [
+      ("engine", Json.String (Engine.name engine));
+      ("hardened", Json.Bool hardened);
+    ]
+
+let meta_json ?config ~engine ~hardened meta : Json.t =
   Json.Obj
-    (("type", Json.String "meta")
-     :: ("app", Json.String meta.app)
-     :: (if meta.variant = "" then []
-         else [ ("variant", Json.String meta.variant) ])
-    @ (match meta.seed with
-      | None -> []
-      | Some s -> [ ("seed", Json.Int s) ])
-    @ [
-        ("engine", Json.String meta.engine);
-        ("hardened", Json.Bool meta.hardened);
-      ]
+    ((("type", Json.String "meta") :: meta_fields ~engine ~hardened meta)
     @
     (* the execution parameters (policy + seed, fuel, retry budget, ...)
        ride in the config subobject, making the log self-describing *)
@@ -124,77 +117,72 @@ let meta_json ?config (meta : run_meta) : Json.t =
     | None -> []
     | Some c -> [ ("config", config_json c) ])
 
-let event_json (ev : Trace.event) : Json.t =
-  let mk name step tid rest =
-    Json.Obj
-      (("type", Json.String "event")
-      :: ("ev", Json.String name)
-      :: ("step", Json.Int step)
-      :: ("tid", Json.Int tid)
-      :: rest)
-  in
-  match ev with
-  | Trace.Ev_schedule { step; tid } -> mk "schedule" step tid []
-  | Trace.Ev_block { step; tid; lock } ->
-      mk "block" step tid [ ("lock", Json.String lock) ]
-  | Trace.Ev_wake { step; tid } -> mk "wake" step tid []
-  | Trace.Ev_spawn { step; parent; child } ->
-      mk "spawn" step parent [ ("child", Json.Int child) ]
-  | Trace.Ev_thread_done { step; tid } -> mk "thread_done" step tid []
-  | Trace.Ev_output { step; tid; text } ->
-      mk "output" step tid [ ("text", Json.String text) ]
-  | Trace.Ev_checkpoint { step; tid; ckpt_id } ->
-      mk "checkpoint" step tid [ ("ckpt_id", Json.Int ckpt_id) ]
-  | Trace.Ev_failure_detected { step; tid; site_id; kind } ->
-      mk "failure_detected" step tid
-        [
-          ("site_id", Json.Int site_id);
-          ("kind", Json.String (failure_kind_name kind));
-        ]
-  | Trace.Ev_rollback { step; tid; site_id; retry } ->
-      mk "rollback" step tid
-        [ ("site_id", Json.Int site_id); ("retry", Json.Int retry) ]
-  | Trace.Ev_compensate_lock { step; tid; lock } ->
-      mk "compensate_lock" step tid [ ("lock", Json.String lock) ]
-  | Trace.Ev_compensate_block { step; tid; block } ->
-      mk "compensate_block" step tid [ ("block", Json.Int block) ]
-  | Trace.Ev_recovered { step; tid; site_id } ->
-      mk "recovered" step tid [ ("site_id", Json.Int site_id) ]
-  | Trace.Ev_fail_stop { step; tid; site_id } ->
-      mk "fail_stop" step tid [ ("site_id", Json.Int site_id) ]
-
-let event_line ev = Json.to_string (event_json ev)
-
-type writer = { write : string -> unit }
+type writer = { write : Json.t -> unit }
 
 let channel_writer oc =
   {
     write =
-      (fun line ->
-        output_string oc line;
+      (fun j ->
+        output_string oc (Json.to_string j);
         output_char oc '\n');
   }
 
 let buffer_writer buf =
   {
     write =
-      (fun line ->
-        Buffer.add_string buf line;
+      (fun j ->
+        Buffer.add_string buf (Json.to_string j);
         Buffer.add_char buf '\n');
   }
 
-let write_json w j = w.write (Json.to_string j)
-
-let sink ?config ?meta ?(store = false) (w : writer) : Trace.sink =
-  (match meta with
-  | Some m -> write_json w (meta_json ?config m)
-  | None -> ());
-  Trace.create ~emit:(fun ev -> w.write (event_line ev)) ~store ()
-
-let events_to_lines ?config ?meta events =
-  let header =
-    match meta with
-    | Some m -> [ Json.to_string (meta_json ?config m) ]
-    | None -> []
+(* The trace vocabulary of the stream: a sleeper's wake rides its step,
+   the compensation's forced release and a hardened site's failure have
+   their own names, and the stream's other events have no record. *)
+let observer ?meta (w : writer) =
+  Option.iter w.write meta;
+  let ev name step tid rest =
+    w.write
+      (Json.Obj
+         (("type", Json.String "event")
+         :: ("ev", Json.String name)
+         :: ("step", Json.Int step)
+         :: ("tid", Json.Int tid)
+         :: rest))
   in
-  header @ List.map event_line events
+  Event.observer ~sync:true ~steps:true (fun _ e ->
+      match (e : Event.t) with
+      | Step { step; tid; woke; _ } ->
+          if woke then ev "wake" step tid [];
+          ev "schedule" step tid []
+      | Request { step; tid; lock; _ } ->
+          ev "block" step tid [ ("lock", Json.String lock) ]
+      | Wait { step; tid; event } ->
+          ev "block" step tid [ ("lock", Json.String ("event:" ^ event)) ]
+      | Wake { step; woken; _ } -> ev "wake" step woken []
+      | Spawn { step; parent; child } ->
+          ev "spawn" step parent [ ("child", Json.Int child) ]
+      | Thread_done { step; tid } -> ev "thread_done" step tid []
+      | Output { step; tid; text } ->
+          ev "output" step tid [ ("text", Json.String text) ]
+      | Checkpoint { step; tid; ckpt_id } ->
+          ev "checkpoint" step tid [ ("ckpt_id", Json.Int ckpt_id) ]
+      | Failure_detected { step; tid; site_id; kind } ->
+          ev "failure_detected" step tid
+            [
+              ("site_id", Json.Int site_id);
+              ("kind", Json.String (failure_kind_name kind));
+            ]
+      | Rollback { step; tid; site_id; retry } ->
+          ev "rollback" step tid
+            [ ("site_id", Json.Int site_id); ("retry", Json.Int retry) ]
+      | Release { step; tid; lock; forced = true } ->
+          ev "compensate_lock" step tid [ ("lock", Json.String lock) ]
+      | Compensate_block { step; tid; block } ->
+          ev "compensate_block" step tid [ ("block", Json.Int block) ]
+      | Recovered { step; tid; site_id } ->
+          ev "recovered" step tid [ ("site_id", Json.Int site_id) ]
+      | Failed { step; tid; site_id; _ } when site_id >= 0 ->
+          ev "fail_stop" step tid [ ("site_id", Json.Int site_id) ]
+      | Decide _ | Acquire _ | Release _ | Join _ | Failed _ | Idle _
+      | Access _ ->
+          ())

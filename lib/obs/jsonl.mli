@@ -1,11 +1,10 @@
 (** Streaming JSONL (one JSON object per line) serialization of the
-    runtime's trace stream.
+    runtime's observation stream.
 
-    The event encoding is canonical: both engines ([Machine] and
-    [Ref_machine]) feed the same {!Conair_runtime.Trace.event} values
-    through {!event_json}, so the differential guarantee of
-    [test_fast_exec] extends to the serialized telemetry — byte-identical
-    event logs from byte-identical traces.
+    The event encoding is canonical: every engine feeds the same
+    {!Conair_runtime.Event.t} values to {!observer}, so the differential
+    guarantee of [test_fast_exec] extends to the serialized telemetry —
+    byte-identical event logs from identical streams.
 
     A log starts with one [meta] record (["type": "meta"]) describing the
     run, followed by one ["type": "event"] record per trace event, in
@@ -13,19 +12,18 @@
 
 open Conair_runtime
 
-(** Identification of the run being logged, written as the first line. *)
+(** The caller's identification of the run being logged. *)
 type run_meta = {
   app : string;  (** benchmark/app name, or a caller-chosen label *)
   variant : string;  (** e.g. "buggy" / "clean"; "" omits the field *)
   seed : int option;  (** random-scheduler seed, when one was used *)
-  engine : string;  (** "fast" ([Machine]) or "ref" ([Ref_machine]) *)
-  hardened : bool;  (** whether the run executes a hardened program *)
 }
 
-val run_meta :
-  ?variant:string -> ?seed:int -> ?engine:string -> ?hardened:bool ->
-  string -> run_meta
-(** [engine] defaults to ["fast"], [hardened] to [false]. *)
+val run_meta : ?variant:string -> ?seed:int -> string -> run_meta
+
+val failure_kind_name : Conair_ir.Instr.failure_kind -> string
+(** ["assert"], ["wrong-output"], ["segfault"] or ["deadlock"]: the
+    failure-kind vocabulary of every JSON document. *)
 
 val config_json : Machine.config -> Json.t
 (** The execution-affecting knobs (policy, fuel, max_retries, deadlock
@@ -39,42 +37,49 @@ val config_of_json : Json.t -> (Machine.config, string) result
     The inverse of {!config_json} — the foundation of the self-contained
     schedule logs of [Conair_replay]. *)
 
-val meta_json : ?config:Machine.config -> run_meta -> Json.t
+val meta_fields :
+  engine:Engine.t -> hardened:bool -> run_meta -> (string * Json.t) list
+(** [app], [variant] (when not [""]), [seed] (when given), [engine] and
+    [hardened]: the identification both the meta record and the run
+    report start with. [engine] is the engine the run executed on;
+    [hardened] says whether a mode hardened the program first. *)
+
+val meta_json :
+  ?config:Machine.config ->
+  engine:Engine.t ->
+  hardened:bool ->
+  run_meta ->
+  Json.t
 (** The header record: [{"type":"meta","app":...,"variant":...,"seed":...,
     "engine":...,"hardened":...,"config":{...}}]. The config subobject
     captures the remaining knobs that affect execution (scheduling policy
     and its seed, fuel, max_retries, deadlock detection...), making the
     log self-describing. *)
 
-val event_json : Trace.event -> Json.t
-(** One trace event as [{"type":"event","ev":<name>,"step":...,...}]. *)
-
-val event_line : Trace.event -> string
-(** [event_json] encoded compactly — one JSONL line, no newline. *)
-
-(** A line-oriented writer: [write] receives complete JSON lines
-    (newline excluded). Writers for channels and buffers are provided. *)
-type writer = { write : string -> unit }
+(** A record writer: [write] receives each record as it is produced.
+    The channel and buffer writers encode each one compactly as one
+    line. *)
+type writer = { write : Json.t -> unit }
 
 val channel_writer : out_channel -> writer
 val buffer_writer : Buffer.t -> writer
 
-val write_json : writer -> Json.t -> unit
-(** Encode compactly and emit as one line. *)
+val observer : ?meta:Json.t -> writer -> Event.observer
+(** Write [meta] (a {!meta_json} record) at once, when given, then
+    encode each event of the run to its records as it happens, as
+    [{"type":"event","ev":<name>,"step":...,"tid":...,...}]:
 
-val sink :
-  ?config:Machine.config ->
-  ?meta:run_meta ->
-  ?store:bool ->
-  writer ->
-  Trace.sink
-(** A trace sink that streams every event to [writer] as it is recorded.
-    When [meta] is given, the header record is written immediately.
-    [store] defaults to [false]: streaming does not retain events in
-    memory unless asked (pass [~store:true] to also keep them for span
-    building after the run). Attach to a run with [Trace.observer]. *)
+    - a {!Event.Step} is a ["schedule"], preceded by a ["wake"] when the
+      thread was a sleeper; a {!Event.Wake} is a ["wake"] of the woken
+      thread;
+    - a {!Event.Request} or {!Event.Wait} is a ["block"] (a wait's
+      ["lock"] is ["event:"] and the event name);
+    - a forced {!Event.Release} is a ["compensate_lock"];
+    - a {!Event.Failed} of a hardened site ([site_id >= 0]) is a
+      ["fail_stop"];
+    - spawns, thread exits, outputs, checkpoints, failure detections,
+      rollbacks, freed blocks and recoveries keep their own names.
 
-val events_to_lines : ?config:Machine.config -> ?meta:run_meta ->
-  Trace.event list -> string list
-(** Batch serialization of an already-collected event list — the same
-    lines [sink] would have streamed. *)
+    Decisions, acquisitions, plain releases, joins, idle ticks, accesses
+    and unhardened failures write nothing. Consumes sync and per-step
+    events. *)

@@ -90,12 +90,14 @@ let harden_exn name mode (i : inst) : Harden.t =
 
 let run_hardened ~config (h : Harden.t) =
   let meta = Machine.meta_of_harden h in
-  Machine.run_program ~config ~meta h.Harden.program
+  Engine.run_program ~config ~meta Engine.default h.Harden.program
 
 (* The bench's recovery verdict: the deterministic failure-inducing
    schedule, plus [random_runs] seeded random schedules. *)
 let verdict ~config ~random_runs (i : inst) (h : Harden.t) =
-  let ok (m, outcome) = Outcome.is_success outcome && i.accept (Machine.outputs m) in
+  let ok (m, outcome) =
+    Outcome.is_success outcome && i.accept (Engine.outputs m)
+  in
   let det_ok = ok (run_hardened ~config h) in
   let rand_ok = ref 0 in
   for k = 1 to random_runs do
@@ -109,10 +111,10 @@ let pct part whole =
   if whole = 0 then 0. else 100. *. float_of_int part /. float_of_int whole
 
 let overhead_pct ~config (base : inst) (h : Harden.t) =
-  let bm, _ = Machine.run_program ~config base.program in
+  let bm, _ = Engine.run_program ~config Engine.default base.program in
   let hm, _ = run_hardened ~config h in
-  let bi = (Machine.stats bm).Stats.instrs
-  and hi = (Machine.stats hm).Stats.instrs in
+  let bi = (Engine.stats bm).Stats.instrs
+  and hi = (Engine.stats hm).Stats.instrs in
   pct (hi - bi) bi
 
 let site_retries (stats : Stats.t) (prof : Prof.t) : site_retry list =
@@ -175,13 +177,12 @@ let measure ?(config = Machine.default_config) ?(random_runs = 5) ?detect
   (* the profiled run: deterministic buggy schedule, survival hardening *)
   let prof = Prof.create () in
   let meta = Machine.meta_of_harden h_surv in
-  let m =
-    Machine.create ~config ~meta ~observer:(Prof.probe prof)
-      h_surv.Harden.program
+  let m, _ =
+    Engine.run_program ~config ~meta ~observer:(Prof.probe prof)
+      Engine.default h_surv.Harden.program
   in
-  ignore (Machine.run m);
   Prof.finalize prof;
-  let stats = Machine.stats m in
+  let stats = Engine.stats m in
   {
     o_name = c.name;
     o_needs_oracle = c.needs_oracle;
@@ -315,10 +316,7 @@ let table_rows rows : string list =
 
 (* The fix synthesizer ranks surviving candidates by this: the
    deterministic round-robin run plus a small fixed seed sweep, totalled
-   in executed instructions and scheduler steps. Measured on the fast
-   engine regardless of the caller's engine choice — instruction and
-   step counts are part of the differential guarantee, so the numbers
-   (and any JSON derived from them) are engine-independent. *)
+   in executed instructions and scheduler steps. *)
 
 type cost = {
   k_runs : int;
@@ -331,8 +329,10 @@ let cost_of ?(config = Machine.default_config) ?meta ?(seeds = [ 1; 2; 3 ])
     (p : Program.t) : cost =
   let instrs = ref 0 and steps = ref 0 and n = ref 0 in
   let one policy =
-    let m, _ = Machine.run_program ~config:{ config with policy } ?meta p in
-    let st = Machine.stats m in
+    let m, _ =
+      Engine.run_program ~config:{ config with policy } ?meta Engine.default p
+    in
+    let st = Engine.stats m in
     instrs := !instrs + st.Stats.instrs;
     steps := !steps + st.Stats.steps;
     incr n

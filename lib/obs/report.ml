@@ -5,15 +5,13 @@
 open Conair_runtime
 module Instr = Conair_ir.Instr
 
-let failure_kind_name k = Format.asprintf "%a" Instr.pp_failure_kind k
-
 let outcome_json : Outcome.t -> Json.t = function
   | Outcome.Success -> Json.Obj [ ("result", Json.String "success") ]
   | Outcome.Failed f ->
       Json.Obj
         ([
            ("result", Json.String "failed");
-           ("kind", Json.String (failure_kind_name f.kind));
+           ("kind", Json.String (Jsonl.failure_kind_name f.kind));
          ]
         @ (match f.site_id with
           | None -> []
@@ -206,7 +204,7 @@ let live_metrics (r : Metrics.t) =
       | Failure_detected { kind; _ } ->
           Metrics.inc
             (Metrics.counter
-               ~labels:[ ("kind", failure_kind_name kind) ]
+               ~labels:[ ("kind", Jsonl.failure_kind_name kind) ]
                r "conair_live_failures_detected_total")
       | Rollback _ -> bump "conair_live_rollbacks_total"
       | Release { forced = true; _ } | Compensate_block _ ->
@@ -221,21 +219,7 @@ let live_metrics (r : Metrics.t) =
 let run_json ?meta ?config ?spans ~outcome ~outputs (s : Stats.t) : Json.t =
   let metrics = standard_metrics s in
   Json.Obj
-    ((match meta with
-     | None -> []
-     | Some m ->
-         [
-           ("app", Json.String m.Jsonl.app);
-         ]
-         @ (if m.Jsonl.variant = "" then []
-            else [ ("variant", Json.String m.Jsonl.variant) ])
-         @ (match m.Jsonl.seed with
-           | None -> []
-           | Some sd -> [ ("seed", Json.Int sd) ])
-         @ [
-             ("engine", Json.String m.Jsonl.engine);
-             ("hardened", Json.Bool m.Jsonl.hardened);
-           ])
+    (Option.value ~default:[] meta
     @ (match config with
       | None -> []
       | Some c -> [ ("config", Jsonl.config_json c) ])

@@ -1,5 +1,5 @@
 (** The glue between the runtime's measurements ({!Conair_runtime.Stats},
-    {!Conair_runtime.Outcome}, the trace stream) and the exposition
+    {!Conair_runtime.Outcome}, the observation stream) and the exposition
     formats: the standard ConAir metric set, JSON views of stats and
     outcomes, and the full structured run report the facade and the CLI
     emit. *)
@@ -42,12 +42,13 @@ val live_metrics : Metrics.t -> Event.observer
     post-run report. *)
 
 val run_json :
-  ?meta:Jsonl.run_meta ->
+  ?meta:(string * Json.t) list ->
   ?config:Machine.config ->
   ?spans:Span.t list ->
   outcome:Outcome.t ->
   outputs:string list ->
   Stats.t ->
   Json.t
-(** The full structured run report: metadata, outcome, outputs, stats,
-    spans (when supplied) and the standard metric set. *)
+(** The full structured run report: the run's identification
+    ({!Jsonl.meta_fields}, when supplied), config, outcome, outputs,
+    stats, spans (when supplied) and the standard metric set. *)

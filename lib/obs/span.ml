@@ -1,12 +1,12 @@
-(* Folding the flat trace-event stream into recovery spans.
+(* Folding the observation stream into recovery spans.
 
    The machine's episode protocol guarantees a clean nesting per thread:
-   an episode opens at the first Ev_rollback while none is open, absorbs
+   an episode opens at the first Rollback while none is open, absorbs
    further rollbacks for the same site, and closes with exactly one
-   Ev_recovered (also emitted when an episode is closed early by a
-   destroying instruction or thread exit) or Ev_fail_stop. The builder
-   mirrors that protocol, defensively treating protocol violations as
-   Unresolved instead of raising. *)
+   Recovered (also emitted when an episode is closed early by a
+   destroying instruction or thread exit) or the fail-stop of its site.
+   The fold mirrors that protocol, defensively treating protocol
+   violations as Unresolved instead of raising. *)
 
 open Conair_runtime
 module Instr = Conair_ir.Instr
@@ -30,6 +30,39 @@ let outcome_name = function
   | Fail_stopped -> "fail-stop"
   | Unresolved -> "unresolved"
 
+(* A run's recovery events, newest first, and the step of its last
+   trace event — the step an open episode's span ends at. *)
+type collector = { mutable recovery : Event.t list; mutable last : int }
+
+let collector () = { recovery = []; last = 0 }
+
+let observer c =
+  let seen step = if step > c.last then c.last <- step in
+  Event.observer ~sync:true ~steps:true (fun _ ev ->
+      match (ev : Event.t) with
+      | Failure_detected { step; _ }
+      | Rollback { step; _ }
+      | Release { step; forced = true; _ }
+      | Compensate_block { step; _ }
+      | Recovered { step; _ } ->
+          c.recovery <- ev :: c.recovery;
+          seen step
+      | Failed { step; site_id; _ } when site_id >= 0 ->
+          c.recovery <- ev :: c.recovery;
+          seen step
+      | Step { step; _ }
+      | Request { step; _ }
+      | Wait { step; _ }
+      | Wake { step; _ }
+      | Spawn { step; _ }
+      | Thread_done { step; _ }
+      | Output { step; _ }
+      | Checkpoint { step; _ } ->
+          seen step
+      | Decide _ | Acquire _ | Release _ | Join _ | Failed _ | Idle _
+      | Access _ ->
+          ())
+
 type open_span = {
   o_site : int;
   o_kind : Instr.failure_kind option;
@@ -37,13 +70,12 @@ type open_span = {
   mutable o_rollbacks : int;
 }
 
-let of_events (events : Trace.event list) : t list =
+let spans c : t list =
   let open_spans : (int, open_span) Hashtbl.t = Hashtbl.create 8 in
   let pending_kind : (int, int * Instr.failure_kind) Hashtbl.t =
     Hashtbl.create 8
   in
   let finished = ref [] in
-  let last_step = ref 0 in
   let close tid (o : open_span) ~step ~outcome =
     Hashtbl.remove open_spans tid;
     finished :=
@@ -63,53 +95,34 @@ let of_events (events : Trace.event list) : t list =
     | Some (s, k) when s = site -> Some k
     | _ -> None
   in
+  let open_at tid site_id step =
+    Hashtbl.replace open_spans tid
+      {
+        o_site = site_id;
+        o_kind = kind_for tid site_id;
+        o_start = step;
+        o_rollbacks = 1;
+      }
+  in
   List.iter
-    (fun (ev : Trace.event) ->
-      (match ev with
-      | Trace.Ev_schedule { step; _ }
-      | Trace.Ev_block { step; _ }
-      | Trace.Ev_wake { step; _ }
-      | Trace.Ev_spawn { step; _ }
-      | Trace.Ev_thread_done { step; _ }
-      | Trace.Ev_output { step; _ }
-      | Trace.Ev_checkpoint { step; _ }
-      | Trace.Ev_failure_detected { step; _ }
-      | Trace.Ev_rollback { step; _ }
-      | Trace.Ev_compensate_lock { step; _ }
-      | Trace.Ev_compensate_block { step; _ }
-      | Trace.Ev_recovered { step; _ }
-      | Trace.Ev_fail_stop { step; _ } ->
-          last_step := max !last_step step);
+    (fun (ev : Event.t) ->
       match ev with
-      | Trace.Ev_failure_detected { tid; site_id; kind; _ } ->
+      | Failure_detected { tid; site_id; kind; _ } ->
           Hashtbl.replace pending_kind tid (site_id, kind)
-      | Trace.Ev_rollback { step; tid; site_id; _ } -> (
+      | Rollback { step; tid; site_id; _ } -> (
           match Hashtbl.find_opt open_spans tid with
           | Some o when o.o_site = site_id -> o.o_rollbacks <- o.o_rollbacks + 1
           | Some o ->
               (* protocol violation: a new site rolled back with the old
                  episode still open — close it rather than miscount *)
               close tid o ~step ~outcome:Unresolved;
-              Hashtbl.replace open_spans tid
-                {
-                  o_site = site_id;
-                  o_kind = kind_for tid site_id;
-                  o_start = step;
-                  o_rollbacks = 1;
-                }
-          | None ->
-              Hashtbl.replace open_spans tid
-                {
-                  o_site = site_id;
-                  o_kind = kind_for tid site_id;
-                  o_start = step;
-                  o_rollbacks = 1;
-                })
-      | Trace.Ev_recovered { step; tid; _ } -> (
+              open_at tid site_id step
+          | None -> open_at tid site_id step)
+      | Recovered { step; tid; _ } -> (
           match Hashtbl.find_opt open_spans tid with
           | Some o -> close tid o ~step ~outcome:Recovered
           | None -> ())
-      | Trace.Ev_fail_stop { step; tid; site_id } -> (
+      | Failed { step; tid; site_id; _ } -> (
           match Hashtbl.find_opt open_spans tid with
           | Some o -> close tid o ~step ~outcome:Fail_stopped
           | None ->
@@ -126,13 +139,36 @@ let of_events (events : Trace.event list) : t list =
                 }
                 :: !finished)
       | _ -> ())
-    events;
+    (List.rev c.recovery);
   Hashtbl.iter
-    (fun tid o -> close tid o ~step:!last_step ~outcome:Unresolved)
+    (fun tid o -> close tid o ~step:c.last ~outcome:Unresolved)
     (Hashtbl.copy open_spans);
   List.stable_sort
     (fun a b -> compare (a.sp_start, a.sp_tid) (b.sp_start, b.sp_tid))
     (List.rev !finished)
+
+let pp_recovery ppf (ev : Event.t) =
+  match ev with
+  | Failure_detected { step; tid; site_id; kind } ->
+      Format.fprintf ppf "[%d] t%d detects %a at site %d" step tid
+        Instr.pp_failure_kind kind site_id
+  | Rollback { step; tid; site_id; retry } ->
+      Format.fprintf ppf "[%d] t%d rolls back for site %d (retry %d)" step tid
+        site_id retry
+  | Release { step; tid; lock; _ } ->
+      Format.fprintf ppf "[%d] t%d compensates: releases %s" step tid lock
+  | Compensate_block { step; tid; block } ->
+      Format.fprintf ppf "[%d] t%d compensates: frees block %d" step tid block
+  | Recovered { step; tid; site_id } ->
+      Format.fprintf ppf "[%d] t%d recovered from site %d" step tid site_id
+  | Failed { step; tid; site_id; _ } ->
+      Format.fprintf ppf "[%d] t%d fail-stops at site %d" step tid site_id
+  | _ -> ()
+
+let pp_recovery_summary ppf c =
+  match List.rev c.recovery with
+  | [] -> Format.fprintf ppf "no recovery activity"
+  | evs -> Format.fprintf ppf "@[<v>%a@]" (Format.pp_print_list pp_recovery) evs
 
 let to_json s =
   Json.Obj
@@ -142,11 +178,7 @@ let to_json s =
      ]
     @ (match s.sp_kind with
       | None -> []
-      | Some k ->
-          [
-            ( "kind",
-              Json.String (Format.asprintf "%a" Instr.pp_failure_kind k) );
-          ])
+      | Some k -> [ ("kind", Json.String (Jsonl.failure_kind_name k)) ])
     @ [
         ("start_step", Json.Int s.sp_start);
         ("end_step", Json.Int s.sp_end);
@@ -165,7 +197,7 @@ let span_name s =
   let kind =
     match s.sp_kind with
     | None -> ""
-    | Some k -> Format.asprintf " (%a)" Instr.pp_failure_kind k
+    | Some k -> " (" ^ Jsonl.failure_kind_name k ^ ")"
   in
   Printf.sprintf "recover site %d%s" s.sp_site_id kind
 
@@ -201,13 +233,13 @@ let instant_event ~name ~step ~tid args : Json.t =
       ("args", Json.Obj args);
     ]
 
-let to_chrome ?(events = []) ?(counters = []) (spans : t list) : Json.t =
+let to_chrome ?(counters = []) c : Json.t =
+  let spans = spans c and events = List.rev c.recovery in
   let tids = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.replace tids s.sp_tid ()) spans;
   List.iter
     (function
-      | Trace.Ev_rollback { tid; _ } -> Hashtbl.replace tids tid ()
-      | _ -> ())
+      | Event.Rollback { tid; _ } -> Hashtbl.replace tids tid () | _ -> ())
     events;
   let thread_meta =
     Hashtbl.fold (fun tid () acc -> tid :: acc) tids []
@@ -234,18 +266,16 @@ let to_chrome ?(events = []) ?(counters = []) (spans : t list) : Json.t =
   let instants =
     List.filter_map
       (function
-        | Trace.Ev_rollback { step; tid; site_id; retry } ->
+        | Event.Rollback { step; tid; site_id; retry } ->
             Some
               (instant_event ~name:"rollback" ~step ~tid
                  [ ("site_id", Json.Int site_id); ("retry", Json.Int retry) ])
-        | Trace.Ev_failure_detected { step; tid; site_id; kind } ->
+        | Event.Failure_detected { step; tid; site_id; kind } ->
             Some
               (instant_event ~name:"failure detected" ~step ~tid
                  [
                    ("site_id", Json.Int site_id);
-                   ( "kind",
-                     Json.String (Format.asprintf "%a" Instr.pp_failure_kind kind)
-                   );
+                   ("kind", Json.String (Jsonl.failure_kind_name kind));
                  ])
         | _ -> None)
       events
@@ -259,5 +289,3 @@ let to_chrome ?(events = []) ?(counters = []) (spans : t list) : Json.t =
           @ instants @ counters) );
       ("displayTimeUnit", Json.String "ms");
     ]
-
-let chrome_of_run events = to_chrome ~events (of_events events)

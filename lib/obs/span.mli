@@ -1,13 +1,18 @@
-(** Recovery spans: the trace stream folded into one interval per
+(** Recovery spans: the observation stream folded into one interval per
     recovery episode — from the first rollback for a failure until the
     thread passed the site (or fail-stopped, or the run ended). Spans are
     the unit of the Chrome trace-event export (viewable in Perfetto or
     [chrome://tracing], one track per thread).
 
-    For every completed episode in {!Conair_runtime.Stats.t} the builder
-    produces exactly one [Recovered] span whose [start_step]/[end_step]
-    equal the episode's [ep_start]/[ep_end] — asserted by the test
-    suite. *)
+    A {!collector} folds a run's live stream: it keeps the run's
+    recovery events (failure detections, rollbacks, compensations,
+    recoveries, fail-stops) and the step of its last trace event, which
+    is all that spans, the Chrome export and the recovery summary read.
+
+    For every completed episode in {!Conair_runtime.Stats.t} the
+    collector yields exactly one [Recovered] span whose
+    [start_step]/[end_step] equal the episode's [ep_start]/[ep_end] —
+    asserted by the test suite. *)
 
 open Conair_runtime
 
@@ -28,16 +33,26 @@ type t = {
 }
 
 val duration : t -> int
-
-val of_events : Trace.event list -> t list
-(** Fold a chronological event stream (as returned by
-    {!Trace.events}) into recovery spans, in order of span start. A
-    fail-stop with no preceding rollback (nothing to recover from)
-    yields a zero-length [Fail_stopped] span. *)
-
 val outcome_name : outcome -> string
-
 val to_json : t -> Json.t
+
+type collector
+
+val collector : unit -> collector
+
+val observer : collector -> Event.observer
+(** Attach the collector to a run. Consumes sync and per-step events. *)
+
+val spans : collector -> t list
+(** The recovery spans of the events collected so far, in order of span
+    start. An episode still open is an [Unresolved] span ending at the
+    last trace event's step. A fail-stop with no preceding rollback
+    (nothing to recover from) is a zero-length [Fail_stopped] span. *)
+
+val pp_recovery_summary : Format.formatter -> collector -> unit
+(** The recovery story, one line per event: detections, rollbacks,
+    compensations, recoveries and fail-stops — or
+    ["no recovery activity"]. *)
 
 (** {2 Chrome trace-event export}
 
@@ -45,13 +60,9 @@ val to_json : t -> Json.t
     trace-event specification: [{"traceEvents": [...]}], with one
     complete ("ph":"X") event per span, thread-name metadata so every
     thread gets its own track, and one instant ("ph":"i") event per
-    rollback when the full event stream is supplied. Virtual scheduler
-    steps are mapped 1:1 to microseconds. *)
+    rollback and per failure detection. Virtual scheduler steps are
+    mapped 1:1 to microseconds. *)
 
-val to_chrome :
-  ?events:Trace.event list -> ?counters:Json.t list -> t list -> Json.t
+val to_chrome : ?counters:Json.t list -> collector -> Json.t
 (** [counters] are extra trace events appended verbatim — e.g. the
     ["ph":"C"] cost track from {!Prof.counter_events}. *)
-
-val chrome_of_run : Trace.event list -> Json.t
-(** [to_chrome ~events (of_events events)] — the one-call export. *)

@@ -55,6 +55,27 @@ let total b = b.first + Array.length b.window.Log.decisions
 (* Capture                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A ring event as a bundle row: [bv_arg] carries the site id, the
+   spawned child or the wait flavor (1), [bv_detail] the lock or event
+   name or the failure message. *)
+let row (ev : Event.t) =
+  let r bv_kind bv_step bv_tid bv_arg bv_detail =
+    Some { bv_kind; bv_step; bv_tid; bv_arg; bv_detail }
+  in
+  match ev with
+  | Acquire { step; tid; lock; _ } -> r "acquire" step tid (-1) lock
+  | Request { step; tid; lock; _ } -> r "block" step tid (-1) lock
+  | Wait { step; tid; event } -> r "block" step tid 1 event
+  | Release { step; tid; lock; _ } -> r "release" step tid (-1) lock
+  | Spawn { step; parent; child } -> r "spawn" step parent child ""
+  | Rollback { step; tid; site_id; _ } -> r "rollback" step tid site_id ""
+  | Recovered { step; tid; site_id } -> r "recovered" step tid site_id ""
+  | Failed { step; tid; site_id; msg } -> r "fail" step tid site_id msg
+  | Decide _ | Wake _ | Join _ | Thread_done _ | Failure_detected _
+  | Compensate_block _ | Step _ | Idle _ | Output _ | Checkpoint _ | Access _
+    ->
+      None
+
 let capture ?engine ?config ?meta ?cap ?(reason = "requested") ~ident program =
   let ring = Flight_ring.create ?cap () in
   let m, rb, window =
@@ -66,17 +87,7 @@ let capture ?engine ?config ?meta ?cap ?(reason = "requested") ~ident program =
       first = Flight_ring.tail_first ring;
       reason;
       threads = Engine.thread_summaries m;
-      events =
-        List.map
-          (fun (e : Flight_ring.event) ->
-            {
-              bv_kind = Flight_ring.kind_name e.fe_kind;
-              bv_step = e.fe_step;
-              bv_tid = e.fe_tid;
-              bv_arg = e.fe_arg;
-              bv_detail = e.fe_detail;
-            })
-          (Flight_ring.events ring);
+      events = List.filter_map row (Flight_ring.events ring);
       episodes =
         List.map
           (fun (ep : Stats.episode) ->

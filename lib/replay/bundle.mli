@@ -19,9 +19,11 @@
 open Conair_ir
 open Conair_runtime
 
-(** One retained sync/recovery event (see {!Flight_ring.event}). *)
+(** One retained sync/recovery event of the ring ({!Flight_ring.events}). *)
 type event = {
-  bv_kind : string;  (** {!Flight_ring.kind_name} of the event *)
+  bv_kind : string;
+      (** ["acquire"], ["block"], ["release"], ["spawn"], ["rollback"],
+          ["recovered"] or ["fail"] *)
   bv_step : int;
   bv_tid : int;
   bv_arg : int;  (** site id / child tid / wait flavor; [-1] unused *)

@@ -5,11 +5,6 @@ open Conair_ir
 open Conair_runtime
 module Log = Schedule_log
 
-type engine = Engine.t = Ref | Fast | Block
-
-let engine_name = Engine.name
-let engine_of_name = Engine.of_string
-
 (** What both engines report about a finished execution. *)
 type result_bundle = {
   rb_outcome : Outcome.t;
@@ -58,7 +53,7 @@ let log_of_run ?(engine = Engine.default) ~config ?meta ~ident ~program ring
   let text = Emit.program program in
   {
     Log.ident;
-    engine = engine_name engine;
+    engine = Engine.name engine;
     config;
     program_md5 = Log.digest text;
     program_text = Some text;

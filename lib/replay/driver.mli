@@ -1,18 +1,10 @@
 (** Record a run into a {!Schedule_log}, replay a log on any engine with
     divergence detection, and verify a replay against the recorded
-    trailer. *)
+    trailer. Any engine records and any engine replays, in any
+    combination: schedule logs are engine-interchangeable. *)
 
 open Conair_ir
 open Conair_runtime
-
-(** = {!Conair_runtime.Engine.t}: any engine records, any engine replays,
-    in any combination — schedule logs are engine-interchangeable. *)
-type engine = Engine.t = Ref  (** [Ref_machine] *)
-  | Fast  (** [Machine] *)
-  | Block  (** [Block_machine] *)
-
-val engine_name : engine -> string
-val engine_of_name : string -> (engine, string) result
 
 (** What both engines report about a finished execution. *)
 type result_bundle = {
@@ -41,7 +33,7 @@ type error =
 val error_to_string : error -> string
 
 val log_of_run :
-  ?engine:engine ->
+  ?engine:Engine.t ->
   config:Machine.config ->
   ?meta:Machine.meta ->
   ident:Schedule_log.ident ->
@@ -55,7 +47,7 @@ val log_of_run :
     an unbounded ring such as a {!Recorder} — and the trailer. *)
 
 val run_ring :
-  ?engine:engine ->
+  ?engine:Engine.t ->
   ?config:Machine.config ->
   ?meta:Machine.meta ->
   ?race:Event.observer ->
@@ -72,7 +64,7 @@ val run_ring :
     fail-block table. *)
 
 val record :
-  ?engine:engine ->
+  ?engine:Engine.t ->
   ?config:Machine.config ->
   ?meta:Machine.meta ->
   ident:Schedule_log.ident ->
@@ -82,7 +74,7 @@ val record :
     self-contained schedule log. *)
 
 val replay :
-  ?engine:engine ->
+  ?engine:Engine.t ->
   ?program:Program.t ->
   ?meta:Machine.meta ->
   Schedule_log.t ->
@@ -93,7 +85,7 @@ val replay :
     cross-engine replay is part of the differential guarantee. *)
 
 val replay_directed :
-  ?engine:engine ->
+  ?engine:Engine.t ->
   ?meta:Machine.meta ->
   program:Program.t ->
   Schedule_log.t ->

@@ -13,19 +13,18 @@
      previous thread was still eligible) — the one classifier of the
      code base, applied by the engines as they report each decision;
    - the *event* ring holds the recent synchronization / recovery
-     events (lock acquire/block/release, spawn, rollback, recovered,
-     failure) — sync events of the observation stream, which every
-     engine emits from its interpretive paths or the shared [Machine]
-     helpers, so the ring contents are byte-identical across
-     ref/fast/block.
+     events (lock acquire/request/release, wait, spawn, rollback,
+     recovered, failure) — the sync events of the observation stream
+     themselves, which every engine emits from its interpretive paths or
+     the shared [Machine] helpers, so the ring contents are identical
+     across ref/fast/block.
 
    Steady state allocates nothing: decisions and preemption ordinals are
-   int stores into preallocated arrays, events mutate preallocated
-   records in place (the string payloads are existing values — lock
-   names, failure messages). The block engine's window fast path emits
-   a whole window as one counted decision, recorded with one
-   [Array.fill], which is what keeps recorder-on throughput within a
-   few percent of recorder-off.
+   int stores into preallocated arrays, and the event ring stores the
+   [Event.t] values the engines have already built. The block engine's
+   window fast path emits a whole window as one counted decision,
+   recorded with one [Array.fill], which is what keeps recorder-on
+   throughput within a few percent of recorder-off.
 
    The *unbounded* mode ([unbounded]) is a full recording with the same
    observer: it keeps every decision and every preemption, so the
@@ -34,33 +33,6 @@
    switch, so a block-engine window is still one O(1) write and a
    run of N decisions costs memory in its switches, not in N. The pairs
    and the preemption ordinals grow by doubling (amortized O(1)). *)
-
-type event = {
-  mutable fe_kind : int;
-  mutable fe_step : int;
-  mutable fe_tid : int;
-  mutable fe_arg : int;  (** site id, child tid, ... — [-1] when unused *)
-  mutable fe_detail : string;  (** lock name, failure message, ... *)
-}
-
-(* Event kinds, stored in [fe_kind]. *)
-let k_acquire = 0
-let k_block = 1
-let k_release = 2
-let k_spawn = 3
-let k_rollback = 4
-let k_recovered = 5
-let k_fail = 6
-
-let kind_name = function
-  | 0 -> "acquire"
-  | 1 -> "block"
-  | 2 -> "release"
-  | 3 -> "spawn"
-  | 4 -> "rollback"
-  | 5 -> "recovered"
-  | 6 -> "fail"
-  | k -> "unknown:" ^ string_of_int k
 
 type t = {
   cap : int;  (** ring capacity; [0] for an unbounded recording *)
@@ -74,7 +46,8 @@ type t = {
       (** preemption ordinals: a ring when bounded, every one (growing)
           when unbounded *)
   mutable pre_total : int;
-  evs : event array;
+  evs : Event.t array;
+      (** the event ring: the engines' own sync/recovery events *)
   mutable ev_total : int;
 }
 
@@ -90,9 +63,7 @@ let make ~cap ~d ~pre ~events =
     prev = -1;
     pre;
     pre_total = 0;
-    evs =
-      Array.init events (fun _ ->
-          { fe_kind = 0; fe_step = 0; fe_tid = 0; fe_arg = -1; fe_detail = "" });
+    evs = Array.make events (Event.Idle { step = 0 });
     ev_total = 0;
   }
 
@@ -153,36 +124,21 @@ let push t tid count ~preemptive =
   t.d_total <- t.d_total + count;
   t.prev <- tid
 
-let event t ~kind ~step ~tid ~arg ~detail =
-  let e = t.evs.(t.ev_total mod Array.length t.evs) in
-  e.fe_kind <- kind;
-  e.fe_step <- step;
-  e.fe_tid <- tid;
-  e.fe_arg <- arg;
-  e.fe_detail <- detail;
+let keep t ev =
+  t.evs.(t.ev_total mod Array.length t.evs) <- ev;
   t.ev_total <- t.ev_total + 1
 
 let observer t =
   Event.observer ~decisions:true ~sync:true (fun _ ev ->
       match (ev : Event.t) with
       | Decide { tid; count; preemptive; _ } -> push t tid count ~preemptive
-      | Acquire { step; tid; lock; _ } ->
-          event t ~kind:k_acquire ~step ~tid ~arg:(-1) ~detail:lock
-      | Request { step; tid; lock; _ } ->
-          event t ~kind:k_block ~step ~tid ~arg:(-1) ~detail:lock
-      | Wait { step; tid; event = name } ->
-          event t ~kind:k_block ~step ~tid ~arg:1 ~detail:name
-      | Release { step; tid; lock; _ } ->
-          event t ~kind:k_release ~step ~tid ~arg:(-1) ~detail:lock
-      | Spawn { step; parent; child } ->
-          event t ~kind:k_spawn ~step ~tid:parent ~arg:child ~detail:""
-      | Rollback { step; tid; site_id; _ } ->
-          event t ~kind:k_rollback ~step ~tid ~arg:site_id ~detail:""
-      | Recovered { step; tid; site_id } ->
-          event t ~kind:k_recovered ~step ~tid ~arg:site_id ~detail:""
-      | Failed { step; tid; site_id; msg } ->
-          event t ~kind:k_fail ~step ~tid ~arg:site_id ~detail:msg
-      | _ -> ())
+      | Acquire _ | Request _ | Wait _ | Release _ | Spawn _ | Rollback _
+      | Recovered _ | Failed _ ->
+          keep t ev
+      | Wake _ | Join _ | Thread_done _ | Failure_detected _
+      | Compensate_block _ | Step _ | Idle _ | Output _ | Checkpoint _
+      | Access _ ->
+          ())
 
 (* --- reading the rings out (dump time; allocation is fine here) ----- *)
 
@@ -226,14 +182,6 @@ let tail_preemptions t =
 let events t =
   let stored = Array.length t.evs in
   let n = min t.ev_total stored in
-  List.init n (fun i ->
-      let e = t.evs.((t.ev_total - n + i) mod stored) in
-      {
-        fe_kind = e.fe_kind;
-        fe_step = e.fe_step;
-        fe_tid = e.fe_tid;
-        fe_arg = e.fe_arg;
-        fe_detail = e.fe_detail;
-      })
+  List.init n (fun i -> t.evs.((t.ev_total - n + i) mod stored))
 
 let events_total t = t.ev_total

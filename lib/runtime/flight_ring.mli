@@ -1,6 +1,8 @@
 (** Always-on flight recorder ring: a fixed-capacity, zero-allocation
     record of the recent scheduler decisions, preemptive switches, and
-    synchronization/recovery events of one run.
+    synchronization/recovery events of one run. The events are the
+    observation stream's own {!Event.t} values, kept as the engines
+    built them.
 
     A ring is attached to a run as an observer ({!observer}) of the
     machine's decisions and sync events only, so it keeps the block
@@ -16,19 +18,6 @@
     preemption — [Conair_replay.Recorder] is a view over it. *)
 
 type t
-
-type event = {
-  mutable fe_kind : int;
-  mutable fe_step : int;
-  mutable fe_tid : int;
-  mutable fe_arg : int;
-  mutable fe_detail : string;
-}
-
-val kind_name : int -> string
-(** The name of an event kind stored in [fe_kind]: ["acquire"],
-    ["block"], ["release"], ["spawn"], ["rollback"], ["recovered"] or
-    ["fail"]. *)
 
 val default_capacity : int
 val default_event_capacity : int
@@ -57,9 +46,10 @@ val prev : t -> int
 val observer : t -> Event.observer
 (** Record a run into the ring: every {!Event.Decide} (O(1) per event,
     whatever its count; allocation-free on a bounded ring, amortized
-    O(1) growth on an unbounded one), and the acquire, block, release,
-    spawn, rollback, recovered and fail events, written in place.
-    Consumes decisions and sync events. *)
+    O(1) growth on an unbounded one), and the {!Event.Acquire},
+    {!Event.Request}, {!Event.Wait}, {!Event.Release}, {!Event.Spawn},
+    {!Event.Rollback}, {!Event.Recovered} and {!Event.Failed} events,
+    stored as they arrive. Consumes decisions and sync events. *)
 
 (** {1 Dump-time readers} *)
 
@@ -73,7 +63,7 @@ val tail_preemptions : t -> int array
 (** Absolute ordinals of the preemptive switches within {!tail},
     ascending. Complete for the retained tail. *)
 
-val events : t -> event list
-(** Retained events, oldest first (fresh copies). *)
+val events : t -> Event.t list
+(** Retained events, oldest first. *)
 
 val events_total : t -> int

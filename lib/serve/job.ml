@@ -18,7 +18,6 @@ module Jsonl = Conair_obs.Jsonl
 module Span = Conair_obs.Span
 module Aggregate = Conair_obs.Aggregate
 module Outcome = Conair_runtime.Outcome
-module Stats = Conair_runtime.Stats
 module Machine = Conair_runtime.Machine
 module Engine = Conair_runtime.Engine
 module Sched = Conair_runtime.Sched
@@ -48,8 +47,9 @@ let failed ?(exit = 1) msg =
     jr_bundle = None;
   }
 
-let engine_of_name name =
-  List.find (fun e -> Engine.name e = name) Engine.all
+(* Sequence the resolution steps of a job: the first [Error] is the
+   job's failure. *)
+let ( let* ) r k = match r with Ok x -> k x | Error e -> failed e
 
 let config_of_exec (e : Protocol.exec) =
   {
@@ -95,248 +95,168 @@ let mode_of ~(inst : Spec.instance) = function
 (* The same per-run record the fuzzer streams — [Aggregate]'s input
    vocabulary — so the daemon's per-tenant aggregates and a fuzz log
    fold identically. *)
-let outcome_tag (o : Outcome.t) =
-  match o with
-  | Outcome.Success -> "success"
-  | Outcome.Failed _ -> "failed"
-  | Outcome.Hang _ -> "hang"
-  | Outcome.Fuel_exhausted _ -> "fuel-exhausted"
-
-let site_rollup (s : Stats.t) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Stats.episode) ->
-      let eps, rts, stp =
-        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl e.ep_site_id)
-      in
-      Hashtbl.replace tbl e.ep_site_id
-        (eps + 1, rts + e.ep_retries, stp + Stats.episode_duration e))
-    (Stats.episodes_chronological s);
-  Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let run_record ~case ~seed (r : Conair.run) =
-  let episodes = Stats.episodes_chronological r.stats in
-  Json.Obj
-    [
-      ("type", Json.String "run");
-      ("case", Json.String case);
-      ("seed", Json.Int seed);
-      ("outcome", Json.String (outcome_tag r.outcome));
-      ("steps", Json.Int r.stats.steps);
-      ("instrs", Json.Int r.stats.instrs);
-      ("rollbacks", Json.Int r.stats.rollbacks);
-      ("episodes", Json.Int (List.length episodes));
-      ("retries", Json.Int (Stats.total_retries r.stats));
-      ("max_episode_steps", Json.Int (Stats.max_recovery_time r.stats));
-      ( "sites",
-        Json.List
-          (List.map
-             (fun (id, (eps, rts, stp)) ->
-               Json.Obj
-                 [
-                   ("site", Json.Int id);
-                   ("episodes", Json.Int eps);
-                   ("retries", Json.Int rts);
-                   ("steps", Json.Int stp);
-                 ])
-             (site_rollup r.stats)) );
-    ]
+  Aggregate.run_record ~case ~seed r.outcome r.stats
 
 (* --- the job kinds ------------------------------------------------- *)
 
 let exec_run ~telemetry ~target ~mode ~(exec : Protocol.exec) =
-  match resolve target with
-  | Error e -> failed e
-  | Ok (app, variant, inst) -> (
-      match mode_of ~inst mode with
-      | Error e -> failed e
-      | Ok mode ->
-          let config = config_of_exec exec in
-          let engine = engine_of_name exec.engine in
-          (* identical to the CLI: the meta line never names the engine *)
-          let meta_info =
-            Jsonl.run_meta ~variant ?seed:exec.seed app
-          in
-          let writer =
-            {
-              Jsonl.write =
-                (fun line ->
-                  match Json.of_string line with
-                  | Ok j -> telemetry j
-                  | Error _ -> ());
-            }
-          in
-          let rr =
-            Conair.run_report_of ~config ~engine ~meta_info
-              ~trace_writer:writer ~mode inst.Spec.program
-          in
-          let seed = Option.value ~default:0 exec.seed in
-          (* A failed run additionally yields a flight-recorder bundle: a
-             deterministic capture re-run under the job's exact config and
-             engine, the same post-mortem the CLI dumps under [--flight].
-             The bundle is retained by telemetry for the [bundle] fetch
-             op, so a client can pull the post-mortem after the fact. *)
-          let bundle =
-            if Outcome.is_success rr.Conair.run.outcome then None
-            else
-              Some
-                (Conair.Replay.Bundle.to_json
-                   (Conair.flight_in_mode ~config ~engine ~reason:"failure"
-                      ~ident:(Conair.Replay.Log.ident ~variant app)
-                      mode inst.Spec.program))
-          in
-          {
-            jr_status = "ok";
-            jr_exit =
-              (if Outcome.is_success rr.Conair.run.outcome then 0 else 2);
-            jr_report = rr.Conair.report;
-            jr_record = Some (run_record ~case:app ~seed rr.Conair.run);
-            jr_spans =
-              Some (Span.to_chrome ~events:rr.Conair.events rr.Conair.spans);
-            jr_bundle = bundle;
-          })
+  let* app, variant, inst = resolve target in
+  let* mode = mode_of ~inst mode in
+  let* engine = Engine.of_string exec.engine in
+  let config = config_of_exec exec in
+  (* identical to the CLI: the meta line is the one run_report_of writes *)
+  let meta_info = Jsonl.run_meta ~variant ?seed:exec.seed app in
+  let rr =
+    Conair.run_report_of ~config ~engine ~meta_info
+      ~trace_writer:{ Jsonl.write = telemetry } ~mode inst.Spec.program
+  in
+  let seed = Option.value ~default:0 exec.seed in
+  (* A failed run additionally yields a flight-recorder bundle: a
+     deterministic capture re-run under the job's exact config and
+     engine, the same post-mortem the CLI dumps under [--flight]. The
+     bundle is retained by telemetry for the [bundle] fetch op, so a
+     client can pull the post-mortem after the fact. *)
+  let bundle =
+    if Outcome.is_success rr.Conair.run.outcome then None
+    else
+      Some
+        (Conair.Replay.Bundle.to_json
+           (Conair.flight_in_mode ~config ~engine ~reason:"failure"
+              ~ident:(Conair.Replay.Log.ident ~variant app)
+              mode inst.Spec.program))
+  in
+  {
+    jr_status = "ok";
+    jr_exit = (if Outcome.is_success rr.Conair.run.outcome then 0 else 2);
+    jr_report = rr.Conair.report;
+    jr_record = Some (run_record ~case:app ~seed rr.Conair.run);
+    jr_spans = Some (Span.to_chrome rr.Conair.spans);
+    jr_bundle = bundle;
+  }
 
 let exec_harden ~target ~mode =
-  match resolve target with
-  | Error e -> failed e
-  | Ok (app, _variant, inst) -> (
-      match mode_of ~inst mode with
-      | Error e -> failed e
-      | Ok None -> failed "harden job needs mode survival or fix"
-      | Ok (Some mode) -> (
-          match Conair.harden inst.Spec.program mode with
-          | Error e -> failed e
-          | Ok h ->
-              {
-                jr_status = "ok";
-                jr_exit = 0;
-                jr_report =
-                  Json.Obj
-                    [
-                      ("type", Json.String "harden_report");
-                      ("app", Json.String app);
-                      ( "sites",
-                        Json.Int (List.length h.Conair.plan.site_plans) );
-                      ( "program",
-                        Json.String
-                          (Format.asprintf "%a@." Conair.Ir.Program.pp
-                             h.Conair.hardened.program) );
-                    ];
-                jr_record = None;
-                jr_spans = None;
-                jr_bundle = None;
-              }))
+  let* app, _variant, inst = resolve target in
+  let* mode = mode_of ~inst mode in
+  let* mode =
+    Option.to_result ~none:"harden job needs mode survival or fix" mode
+  in
+  let* h = Conair.harden inst.Spec.program mode in
+  {
+    jr_status = "ok";
+    jr_exit = 0;
+    jr_report =
+      Json.Obj
+        [
+          ("type", Json.String "harden_report");
+          ("app", Json.String app);
+          ("sites", Json.Int (List.length h.Conair.plan.site_plans));
+          ( "program",
+            Json.String
+              (Format.asprintf "%a@." Conair.Ir.Program.pp
+                 h.Conair.hardened.program) );
+        ];
+    jr_record = None;
+    jr_spans = None;
+    jr_bundle = None;
+  }
 
 let exec_detect ~target ~original ~(exec : Protocol.exec) =
-  match resolve target with
-  | Error e -> failed e
-  | Ok (_app, _variant, inst) ->
-      let config = config_of_exec exec in
-      let engine = engine_of_name exec.engine in
-      let _r, report =
-        if original then
-          Conair.run_detected ~config ~engine inst.Spec.program
-        else
-          Conair.detect_hardened ~config ~engine
-            (Conair.harden_exn inst.Spec.program Conair.Survival)
-      in
-      let actual =
-        List.filter
-          (fun c -> c.Conair.Race.Report.cy_actual)
-          report.Conair.Race.Report.cycles
-      in
-      {
-        jr_status = "ok";
-        jr_exit =
-          (* exit 3 on findings, as the races subcommand does *)
-          (if report.Conair.Race.Report.races <> [] || actual <> [] then 3
-           else 0);
-        jr_report = Conair.Race.Report.to_json report;
-        jr_record = None;
-        jr_spans = None;
-        jr_bundle = None;
-      }
+  let* _app, _variant, inst = resolve target in
+  let* engine = Engine.of_string exec.engine in
+  let config = config_of_exec exec in
+  let _r, report =
+    if original then Conair.run_detected ~config ~engine inst.Spec.program
+    else
+      Conair.detect_hardened ~config ~engine
+        (Conair.harden_exn inst.Spec.program Conair.Survival)
+  in
+  let actual =
+    List.filter
+      (fun c -> c.Conair.Race.Report.cy_actual)
+      report.Conair.Race.Report.cycles
+  in
+  {
+    jr_status = "ok";
+    jr_exit =
+      (* exit 3 on findings, as the races subcommand does *)
+      (if report.Conair.Race.Report.races <> [] || actual <> [] then 3 else 0);
+    jr_report = Conair.Race.Report.to_json report;
+    jr_record = None;
+    jr_spans = None;
+    jr_bundle = None;
+  }
 
 let exec_minimize ~log ~max_tests ~detect =
   match Conair.Replay.Log.of_lines log with
   | Error e -> failed (Printf.sprintf "bad schedule log: %s" e)
-  | Ok slog -> (
-      match Conair.minimize ~max_tests ~detect slog with
-      | Error e -> failed e
-      | Ok m ->
-          {
-            jr_status = "ok";
-            jr_exit = 0;
-            jr_report = Conair.Replay.Minimize.to_json m;
-            jr_record = None;
-            jr_spans = None;
-            jr_bundle = None;
-          })
-
-let exec_fuzz ~telemetry ~target ~runs ~base_seed ~(exec : Protocol.exec) =
-  match resolve target with
-  | Error e -> failed e
-  | Ok (app, _variant, inst) -> (
-      match Conair.harden inst.Spec.program Conair.Survival with
-      | Error e -> failed e
-      | Ok h ->
-          let engine = engine_of_name exec.engine in
-          let records = ref [] in
-          for i = 0 to runs - 1 do
-            let seed = base_seed + i in
-            let config =
-              config_of_exec { exec with Protocol.seed = Some seed }
-            in
-            let r = Conair.execute_hardened ~config ~engine h in
-            let rec_j = run_record ~case:app ~seed r in
-            records := rec_j :: !records;
-            telemetry rec_j
-          done;
-          let records = List.rev !records in
-          {
-            jr_status = "ok";
-            jr_exit = 0;
-            jr_report = Aggregate.to_json (Aggregate.of_records records);
-            jr_record =
-              (* the sweep's last record stands in for the job *)
-              (match List.rev records with last :: _ -> Some last | [] -> None);
-            jr_spans = None;
-            jr_bundle = None;
-          })
-
-let exec_fix ~target ~max_candidates ~sweep_seeds ~search_seeds
-    ~(exec : Protocol.exec) =
-  match resolve target with
-  | Error e -> failed e
-  | Ok (app, variant, inst) ->
-      let module Pipeline = Conair.Fix.Pipeline in
-      let base = config_of_exec exec in
-      let options =
-        {
-          Pipeline.default_options with
-          Pipeline.engine = engine_of_name exec.engine;
-          fuel = base.Machine.fuel;
-          max_retries = base.Machine.max_retries;
-          max_candidates;
-          sweep_seeds;
-          search_seeds;
-        }
-      in
-      let report =
-        Pipeline.run ~options ~accept:inst.Spec.accept ~app ~variant
-          inst.Spec.program
-      in
+  | Ok slog ->
+      let* m = Conair.minimize ~max_tests ~detect slog in
       {
         jr_status = "ok";
-        jr_exit =
-          (* exit 2 with no surviving candidate, as the fix subcommand *)
-          (if report.Pipeline.fx_survivors > 0 then 0 else 2);
-        jr_report = Pipeline.to_json report;
+        jr_exit = 0;
+        jr_report = Conair.Replay.Minimize.to_json m;
         jr_record = None;
         jr_spans = None;
         jr_bundle = None;
       }
+
+let exec_fuzz ~telemetry ~target ~runs ~base_seed ~(exec : Protocol.exec) =
+  let* app, _variant, inst = resolve target in
+  let* h = Conair.harden inst.Spec.program Conair.Survival in
+  let* engine = Engine.of_string exec.engine in
+  let records = ref [] in
+  for i = 0 to runs - 1 do
+    let seed = base_seed + i in
+    let config = config_of_exec { exec with Protocol.seed = Some seed } in
+    let r = Conair.execute_hardened ~config ~engine h in
+    let rec_j = run_record ~case:app ~seed r in
+    records := rec_j :: !records;
+    telemetry rec_j
+  done;
+  let records = List.rev !records in
+  {
+    jr_status = "ok";
+    jr_exit = 0;
+    jr_report = Aggregate.to_json (Aggregate.of_records records);
+    jr_record =
+      (* the sweep's last record stands in for the job *)
+      (match List.rev records with last :: _ -> Some last | [] -> None);
+    jr_spans = None;
+    jr_bundle = None;
+  }
+
+let exec_fix ~target ~max_candidates ~sweep_seeds ~search_seeds
+    ~(exec : Protocol.exec) =
+  let* app, variant, inst = resolve target in
+  let* engine = Engine.of_string exec.engine in
+  let module Pipeline = Conair.Fix.Pipeline in
+  let base = config_of_exec exec in
+  let options =
+    {
+      Pipeline.default_options with
+      Pipeline.engine;
+      fuel = base.Machine.fuel;
+      max_retries = base.Machine.max_retries;
+      max_candidates;
+      sweep_seeds;
+      search_seeds;
+    }
+  in
+  let report =
+    Pipeline.run ~options ~accept:inst.Spec.accept ~app ~variant
+      inst.Spec.program
+  in
+  {
+    jr_status = "ok";
+    jr_exit =
+      (* exit 2 with no surviving candidate, as the fix subcommand *)
+      (if report.Pipeline.fx_survivors > 0 then 0 else 2);
+    jr_report = Pipeline.to_json report;
+    jr_record = None;
+    jr_spans = None;
+    jr_bundle = None;
+  }
 
 (* Execute [spec], streaming any per-job telemetry records through
    [telemetry] as they are produced. Never raises: failures come back

@@ -8,16 +8,16 @@
    "Identical" means: outcome, final outputs, step/instruction/idle
    counts, checkpoint and rollback counts, compensation counts, the full
    recovery-episode list (per-site retry stats included), the per-id
-   checkpoint-hit table, the complete trace-event stream, and the cost
+   checkpoint-hit table, the complete JSONL event log, and the cost
    profiler's full attribution (per-context flamegraph lines, per-site
    wasted-step charges). It also extends to the serialized artifacts:
    JSONL event logs, race-detector report JSON, and recorded schedule
    logs must match byte for byte across all three engines.
 
-   Each comparison runs twice per engine: once fully hooked (trace sink
-   and cost profiler installed) and once bare. The bare pass matters for
-   the block engine, whose compiled straight-line windows only engage
-   when no hooks are installed. *)
+   Each comparison runs twice per engine: once fully hooked (JSONL
+   encoder and cost profiler installed) and once bare. The bare pass
+   matters for the block engine, whose compiled straight-line windows
+   only engage when no hooks are installed. *)
 
 open Conair.Ir
 module Machine = Conair.Runtime.Machine
@@ -26,7 +26,8 @@ module Engine = Conair.Runtime.Engine
 module Event = Conair.Runtime.Event
 module Sched = Conair.Runtime.Sched
 module Stats = Conair.Runtime.Stats
-module Trace = Conair.Runtime.Trace
+module Jsonl = Conair.Obs.Jsonl
+module Json = Conair.Obs.Json
 module Outcome = Conair.Runtime.Outcome
 module Registry = Conair_bugbench.Registry
 module Spec = Conair_bugbench.Bench_spec
@@ -43,27 +44,29 @@ let sorted_hits tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let check_traces name (ref_sink : Trace.sink) (fast_sink : Trace.sink) =
-  let ra = Trace.events ref_sink and fa = Trace.events fast_sink in
-  if ra <> fa then begin
-    let rec first_diff i a b =
-      match (a, b) with
-      | [], [] -> None
-      | x :: _, [] -> Some (i, Some x, None)
-      | [], y :: _ -> Some (i, None, Some y)
-      | x :: a', y :: b' ->
-          if x = y then first_diff (i + 1) a' b' else Some (i, Some x, Some y)
-    in
-    match first_diff 0 ra fa with
-    | None -> ()
-    | Some (i, x, y) ->
-        let pp ppf = function
-          | None -> Format.fprintf ppf "<end of trace>"
-          | Some ev -> Trace.pp_event ppf ev
-        in
-        Alcotest.failf "%s: traces diverge at event %d:@ reference: %a@ fast: %a"
-          name i pp x pp y
-  end
+(* The trace stream as the JSONL encoder writes it, one line per record
+   — the serialized event log, compared line by line so a divergence
+   names its first record. *)
+let check_traces name (ref_lines : string list) (lines : string list) =
+  let rec first_diff i a b =
+    match (a, b) with
+    | [], [] -> ()
+    | x :: a', y :: b' when x = y -> first_diff (i + 1) a' b'
+    | x, y ->
+        let first = function [] -> "<end of trace>" | l :: _ -> l in
+        Alcotest.failf
+          "%s: serialized JSONL event logs diverge at record %d:@ reference: \
+           %s@ engine: %s"
+          name i (first x) (first y)
+  in
+  first_diff 0 ref_lines lines
+
+(* A JSONL observer collecting its lines, newest first. *)
+let jsonl_lines () =
+  let lines = ref [] in
+  ( lines,
+    Jsonl.observer
+      { Jsonl.write = (fun j -> lines := Json.to_string j :: !lines) } )
 
 let check_stats name (r : Stats.t) (f : Stats.t) =
   let check what = Alcotest.(check int) (name ^ ": " ^ what) in
@@ -110,18 +113,18 @@ type observed = {
   o_outputs : string list;
   o_steps : int;
   o_stats : Stats.t;
-  o_sink : Trace.sink;
+  o_trace : string list;  (** the JSONL event log, one line per record *)
   o_prof : Prof.t;
 }
 
-(* One fully-hooked run of [p] on [engine]: trace sink and cost profiler
-   installed for the whole execution. *)
+(* One fully-hooked run of [p] on [engine]: JSONL encoder and cost
+   profiler installed for the whole execution. *)
 let observe engine ?meta config (p : Program.t) =
-  let sink = Trace.create () in
+  let lines, jsonl = jsonl_lines () in
   let prof = Prof.create () in
   let m =
     Engine.create ~config ?meta
-      ~observer:(Event.combine [ Trace.observer sink; Prof.probe prof ])
+      ~observer:(Event.combine [ jsonl; Prof.probe prof ])
       engine p
   in
   let outcome = Engine.run m in
@@ -131,7 +134,7 @@ let observe engine ?meta config (p : Program.t) =
     o_outputs = Engine.outputs m;
     o_steps = Engine.steps m;
     o_stats = Engine.stats m;
-    o_sink = sink;
+    o_trace = List.rev !lines;
     o_prof = prof;
   }
 
@@ -149,9 +152,6 @@ let engines = [ ("fast", Engine.Fast); ("block", Engine.Block) ]
    insist on identical observable behaviour, hooked and bare. *)
 let check_same name ?meta config (p : Program.t) =
   let r = observe Engine.Ref ?meta config p in
-  let jsonl sink =
-    String.concat "\n" (Conair.Obs.Jsonl.events_to_lines (Trace.events sink))
-  in
   List.iter
     (fun (ename, engine) ->
       let name = name ^ "#" ^ ename in
@@ -161,12 +161,9 @@ let check_same name ?meta config (p : Program.t) =
         (name ^ ": outputs") r.o_outputs o.o_outputs;
       Alcotest.(check int) (name ^ ": virtual time") r.o_steps o.o_steps;
       check_stats name r.o_stats o.o_stats;
-      check_traces name r.o_sink o.o_sink;
       (* the differential guarantee extends to the serialized telemetry:
          every engine must produce byte-identical JSONL event logs *)
-      Alcotest.(check string)
-        (name ^ ": serialized JSONL event log")
-        (jsonl r.o_sink) (jsonl o.o_sink);
+      check_traces name r.o_trace o.o_trace;
       (* ... and to the cost profiler: identical per-context and per-site
          attribution, down to every flamegraph line *)
       check_profiles name r.o_prof o.o_prof;
@@ -431,13 +428,13 @@ let recorder_and_witness_stay_unhooked () =
             Conair.Obs.Coverage.(probe (collector ()))
           (),
         true );
-      ( "trace sink",
-        hooked ~observer:(Trace.observer (Trace.create ())) (),
+      ("JSONL encoder", hooked ~observer:(snd (jsonl_lines ())) (), true);
+      ( "span collector",
+        hooked ~observer:Conair.Obs.Span.(observer (collector ())) (),
         true );
-      ( "recorder + trace sink",
+      ( "recorder + JSONL encoder",
         hooked
-          ~observer:
-            (Event.combine [ recorder (); Trace.observer (Trace.create ()) ])
+          ~observer:(Event.combine [ recorder (); snd (jsonl_lines ()) ])
           (),
         true );
       ("scheduler tap", hooked ~tap:(fun ~chosen:_ ~eligible:_ -> ()) (), true);

@@ -130,6 +130,8 @@ let ring_block_bulk_accounting () =
     (Flight_ring.tail block);
   Alcotest.check ints "same preemptions" (Flight_ring.tail_preemptions fast)
     (Flight_ring.tail_preemptions block);
+  (* the rings keep the engines' own [Event.t] values *)
+  Alcotest.(check bool) "events retained" true (Flight_ring.events fast <> []);
   Alcotest.(check bool) "same events" true
     (Flight_ring.events fast = Flight_ring.events block)
 

@@ -1,9 +1,11 @@
 (* The observability layer: the JSON encoder (escaping, round-trips, the
-   parser), the streaming JSONL sink (golden log for a tiny deterministic
-   program, batch/stream agreement on a catalog app), the metrics
-   registry (JSON and Prometheus exposition), and the span builder — in
-   particular the invariant that every completed [Stats.episode] yields
-   exactly one [Recovered] span with matching start/end steps. *)
+   parser), the streaming JSONL encoder (golden log for a tiny
+   deterministic program, live/stored agreement on a catalog app), the
+   metrics registry (JSON and Prometheus exposition), and the span
+   collector — in particular the invariant that every completed
+   [Stats.episode] yields exactly one [Recovered] span with matching
+   start/end steps — plus pinned digests of every observation artifact
+   over the catalog. *)
 
 open Conair.Ir
 open Test_util
@@ -17,7 +19,8 @@ module Prof = Conair.Obs.Prof
 module Overhead = Conair.Obs.Overhead
 module Aggregate = Conair.Obs.Aggregate
 module Machine = Conair.Runtime.Machine
-module Trace = Conair.Runtime.Trace
+module Event = Conair.Runtime.Event
+module Engine = Conair.Runtime.Engine
 module Stats = Conair.Runtime.Stats
 module Spec = Conair_bugbench.Bench_spec
 module Registry = Conair_bugbench.Registry
@@ -108,7 +111,7 @@ let json_parser () =
     [ ""; "{"; "[1,]"; "{\"a\":}"; "1 2"; "\"unterminated"; "nul";
       "{\"a\" 1}"; "[1] garbage" ]
 
-(* --- Jsonl: the streaming sink ------------------------------------- *)
+(* --- Jsonl: the streaming encoder ------------------------------------ *)
 
 (* A two-instruction single-threaded program: the whole event log is
    small and stable enough to pin as a golden value. *)
@@ -121,10 +124,14 @@ let tiny_program () =
 
 let jsonl_golden () =
   let b = Buffer.create 256 in
-  let meta = Jsonl.run_meta ~variant:"clean" "tiny" in
-  let sink = Jsonl.sink ~meta ~store:true (Jsonl.buffer_writer b) in
+  let meta =
+    Jsonl.meta_json ~engine:Engine.Fast ~hardened:false
+      (Jsonl.run_meta ~variant:"clean" "tiny")
+  in
   let m =
-    Machine.create ~observer:(Trace.observer sink) (tiny_program ())
+    Machine.create
+      ~observer:(Jsonl.observer ~meta (Jsonl.buffer_writer b))
+      (tiny_program ())
   in
   let outcome = Machine.run m in
   Alcotest.(check bool) "tiny program succeeds" true
@@ -141,35 +148,59 @@ let jsonl_golden () =
   in
   Alcotest.(check string) "golden JSONL log" expected (Buffer.contents b)
 
+(* A view for feeding stored events to an observer by hand. *)
+let no_view =
+  {
+    Event.stack = (fun _ -> []);
+    block = (fun _ -> "");
+    locks = (fun _ -> []);
+  }
+
 let jsonl_stream_matches_batch () =
-  (* on a real catalog app: the streamed log equals the batch
-     serialization of the retained events, every line parses, and the
-     sink's stored stream is the machine's trace *)
+  (* on a real catalog app: the log streamed as the machine ran equals
+     the encoding of the stored event stream fed through afterwards (the
+     encoder reads nothing but the events), every line parses, and the
+     meta header comes first *)
   let entry =
     List.find (fun (e : Catalog.entry) -> e.name = "uninit-read")
       (Catalog.all ())
   in
   let b = Buffer.create 4096 in
   let config = Machine.default_config in
-  let meta = Jsonl.run_meta ~variant:"buggy" "uninit-read" in
-  let sink = Jsonl.sink ~config ~meta ~store:true (Jsonl.buffer_writer b) in
+  let meta =
+    Jsonl.meta_json ~config ~engine:Engine.Fast ~hardened:false
+      (Jsonl.run_meta ~variant:"buggy" "uninit-read")
+  in
+  let events = ref [] in
+  let store =
+    Event.observer ~sync:true ~steps:true (fun _ ev -> events := ev :: !events)
+  in
   let m =
-    Machine.create ~config ~observer:(Trace.observer sink) entry.program
+    Machine.create ~config
+      ~observer:
+        (Event.combine [ Jsonl.observer ~meta (Jsonl.buffer_writer b); store ])
+      entry.program
   in
   ignore (Machine.run m);
-  let events = Trace.events sink in
+  let events = List.rev !events in
   Alcotest.(check bool) "events retained" true (events <> []);
   let streamed = Buffer.contents b in
-  let batch =
-    String.concat "\n" (Jsonl.events_to_lines ~config ~meta events) ^ "\n"
-  in
-  Alcotest.(check string) "stream equals batch" batch streamed;
+  let batch = Buffer.create 4096 in
+  let encode = Jsonl.observer ~meta (Jsonl.buffer_writer batch) in
+  List.iter (encode.Event.on no_view) events;
+  Alcotest.(check string) "stream equals batch" (Buffer.contents batch)
+    streamed;
   let lines =
     List.filter (fun l -> String.trim l <> "")
       (String.split_on_char '\n' streamed)
   in
-  Alcotest.(check int) "one line per event plus meta"
-    (List.length events + 1) (List.length lines);
+  let count p l = List.length (List.filter p l) in
+  Alcotest.(check int) "one schedule record per step"
+    (count (function Event.Step _ -> true | _ -> false) events)
+    (count
+       (fun l -> Json.member "ev" (Result.get_ok (Json.of_string l))
+                 = Some (Json.String "schedule"))
+       lines);
   List.iter
     (fun line ->
       match Json.of_string line with
@@ -208,7 +239,9 @@ let spans_match_episodes () =
       let episodes = Stats.episodes_chronological stats in
       total_episodes := !total_episodes + List.length episodes;
       let recovered =
-        List.filter (fun s -> s.Span.sp_outcome = Span.Recovered) rr.spans
+        List.filter
+          (fun s -> s.Span.sp_outcome = Span.Recovered)
+          (Span.spans rr.spans)
       in
       Alcotest.(check int)
         (app ^ ": one Recovered span per completed episode")
@@ -240,24 +273,36 @@ let spans_match_episodes () =
     (!total_episodes > 0)
 
 let spans_synthetic () =
-  (* hand-built streams pin the outcome classification *)
-  let open Trace in
-  let stream =
-    [
-      Ev_schedule { step = 0; tid = 1 };
-      Ev_failure_detected
-        { step = 5; tid = 1; site_id = 3; kind = Instr.Assert_fail };
-      Ev_rollback { step = 5; tid = 1; site_id = 3; retry = 1 };
-      Ev_rollback { step = 9; tid = 1; site_id = 3; retry = 2 };
-      Ev_recovered { step = 12; tid = 1; site_id = 3 };
-      Ev_failure_detected
-        { step = 20; tid = 2; site_id = 7; kind = Instr.Deadlock };
-      Ev_rollback { step = 20; tid = 2; site_id = 7; retry = 1 };
-      Ev_fail_stop { step = 31; tid = 2; site_id = 7 };
-    ]
-  in
-  match Span.of_events stream with
-  | [ a; b ] ->
+  (* hand-built streams pin the outcome classification, protocol
+     violations included *)
+  let c = Span.collector () in
+  let fold = (Span.observer c).Event.on no_view in
+  List.iter fold
+    Event.
+      [
+        Step { step = 0; tid = 1; iid = 0; ckpt = false; woke = false };
+        Failure_detected
+          { step = 5; tid = 1; site_id = 3; kind = Instr.Assert_fail };
+        Rollback { step = 5; tid = 1; site_id = 3; retry = 1 };
+        Rollback { step = 9; tid = 1; site_id = 3; retry = 2 };
+        Recovered { step = 12; tid = 1; site_id = 3 };
+        Failure_detected
+          { step = 20; tid = 2; site_id = 7; kind = Instr.Deadlock };
+        Rollback { step = 20; tid = 2; site_id = 7; retry = 1 };
+        Failed { step = 31; tid = 2; site_id = 7; msg = "retries exhausted" };
+        (* a second site rolls back with t3's first episode still open *)
+        Rollback { step = 40; tid = 3; site_id = 4; retry = 1 };
+        Rollback { step = 44; tid = 3; site_id = 5; retry = 1 };
+        (* a fail-stop with nothing to roll back to *)
+        Failed { step = 45; tid = 4; site_id = 9; msg = "no checkpoint" };
+        Step { step = 50; tid = 0; iid = 1; ckpt = false; woke = false };
+        (* an unhardened failure and an idle tick are not trace events:
+           the open episode still ends at step 50 *)
+        Failed { step = 60; tid = 0; site_id = -1; msg = "assert" };
+        Idle { step = 70 };
+      ];
+  match Span.spans c with
+  | [ a; b; v; o; p ] ->
       Alcotest.(check int) "span 1 start" 5 a.Span.sp_start;
       Alcotest.(check int) "span 1 end" 12 a.Span.sp_end;
       Alcotest.(check int) "span 1 rollbacks" 2 a.Span.sp_rollbacks;
@@ -268,12 +313,30 @@ let spans_synthetic () =
       Alcotest.(check int) "span 2 tid" 2 b.Span.sp_tid;
       Alcotest.(check bool) "span 2 fail-stopped" true
         (b.Span.sp_outcome = Span.Fail_stopped);
-      Alcotest.(check int) "span 2 duration" 11 (Span.duration b)
-  | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
+      Alcotest.(check int) "span 2 duration" 11 (Span.duration b);
+      Alcotest.(check (list int)) "violated span: site, start, end"
+        [ 4; 40; 44 ]
+        [ v.Span.sp_site_id; v.Span.sp_start; v.Span.sp_end ];
+      Alcotest.(check bool) "violated span unresolved" true
+        (v.Span.sp_outcome = Span.Unresolved && v.Span.sp_kind = None);
+      Alcotest.(check (list int)) "open span: site, start, end"
+        [ 5; 44; 50 ]
+        [ o.Span.sp_site_id; o.Span.sp_start; o.Span.sp_end ];
+      Alcotest.(check bool) "open span unresolved" true
+        (o.Span.sp_outcome = Span.Unresolved);
+      Alcotest.(check (list int)) "point span: tid, site, duration, rollbacks"
+        [ 4; 9; 0; 0 ]
+        [
+          p.Span.sp_tid; p.Span.sp_site_id; Span.duration p;
+          p.Span.sp_rollbacks;
+        ];
+      Alcotest.(check bool) "point span fail-stopped" true
+        (p.Span.sp_outcome = Span.Fail_stopped)
+  | spans -> Alcotest.failf "expected 5 spans, got %d" (List.length spans)
 
 let chrome_trace_shape () =
   let rr = run_observed_app "HawkNL" in
-  let doc = Span.to_chrome ~events:rr.Conair.events rr.Conair.spans in
+  let doc = Span.to_chrome rr.Conair.spans in
   (* must survive a serialization round-trip *)
   (match Json.of_string (Json.to_string_pretty doc) with
   | Error e -> Alcotest.failf "chrome doc reparse: %s" e
@@ -292,7 +355,8 @@ let chrome_trace_shape () =
         List.filter (fun ev -> phase ev = "X") evs
       in
       Alcotest.(check int) "one complete event per span"
-        (List.length rr.Conair.spans) (List.length completes);
+        (List.length (Span.spans rr.Conair.spans))
+        (List.length completes);
       List.iter
         (fun ev ->
           List.iter
@@ -302,6 +366,135 @@ let chrome_trace_shape () =
             [ "name"; "ts"; "dur"; "pid"; "tid" ])
         completes
   | _ -> Alcotest.fail "no traceEvents list"
+
+(* --- Pinned bytes of every observation artifact ------------------------ *)
+
+(* MD5 of the JSONL event lines (no meta line), the spans JSON, the
+   Chrome document and the [--trace] summary text of every Table 2 app,
+   buggy, survival-hardened, round-robin. The digests were taken from the
+   encoder and span builder that translated the stream into a stored
+   trace first; the fold over the live stream must keep every byte. *)
+let catalog_digests =
+  [
+    ( "FFT",
+      "cd4b9fc404c9b681637bd4365c7d051e",
+      "44afee00c6f2092f926ea90bb9188700",
+      "a35e5f63ce85128ef21683c503d6a393",
+      "c86e93c87f57d1f44235ee9fa9879dc3" );
+    ( "HawkNL",
+      "0e90b2d63d0fbe38207b66c3b415d869",
+      "f2d8d65cbaeb7fd8b62c6e5a3396e0a3",
+      "696d1f0a7d4ccfe5ef62afff05974695",
+      "c5e70016fae3639a17933ec4500e379e" );
+    ( "HTTrack",
+      "56fbc171b2450ebd1c8951960c202539",
+      "5b84c18bc75c1dc740f90c896ee57950",
+      "31df709486edcbe741753e0b62792e62",
+      "0f88ea7e2ce8087fb4ce1ea02b3d7a41" );
+    ( "MozillaXP",
+      "ed30fc6d07018e7b285f84791f1346fa",
+      "b3d881ed313f6866a258c725840feb21",
+      "a5dc5b825bb8007cec1d290b2f947afc",
+      "0a00e04240f6a0500971bb6b324485b6" );
+    ( "MozillaJS",
+      "88841f95559125eb5d5fad3338a29152",
+      "e9cd9c86e3a95a3acc5312c5f1438ab5",
+      "0ab805c178bf2c0bef4e4a920e3207b5",
+      "41ab8bd2f8e7b854ad86294a9acf4055" );
+    ( "MySQL1",
+      "9ee15d53fd8fcba255cb81739b35403e",
+      "476566d2ebcca6f6981880778106d518",
+      "632853cc00af8cf7e0e099f1de834298",
+      "78f6f41924520d1ea7e10ca21179355b" );
+    ( "MySQL2",
+      "307c0c3e118231200f801793cd50eee5",
+      "5bd5bfd2aafa7d7a65fc81f8d9753a30",
+      "74905ac6ad6d7d23c789a15a621343d1",
+      "47ef1bf398cf42f836391544496a9b06" );
+    ( "SQLite",
+      "8513db3d72b41b4c2300e45d586ea8fb",
+      "431cdb992d842a777e3662af459f3057",
+      "006fdc9de045d1952fac881855724b44",
+      "4c64baa468667e0258c4ccf7a5a967ce" );
+    ( "Transmission",
+      "79903e86740cd7129865e688dd22a0f1",
+      "0b2a48320d25b2beb3f774a505a99ded",
+      "91b793b17add0ce6dd169397125e6702",
+      "64d220dbdfb91080c1740f3bbb9d89e5" );
+    ( "ZSNES",
+      "39bebae1756c3204df27326c9c84f9e1",
+      "d4c4aa683461418ccedd920264f07ae2",
+      "3daba35af84260e846396e31d75c81bc",
+      "07a76b14079383a3603719d7328ae22d" );
+  ]
+
+let observation_digests () =
+  Alcotest.(check (list string))
+    "one pinned row per Table 2 app"
+    (List.map (fun (s : Spec.t) -> s.info.name) Registry.all)
+    (List.map (fun (name, _, _, _, _) -> name) catalog_digests);
+  List.iter
+    (fun (name, jsonl, spans, chrome, summary) ->
+      let spec = Option.get (Registry.find name) in
+      let inst =
+        spec.make ~variant:Spec.Buggy ~oracle:spec.info.needs_oracle
+      in
+      let b = Buffer.create 4096 in
+      let rr =
+        Conair.run_report_of ~trace_writer:(Jsonl.buffer_writer b)
+          ~mode:(Some Conair.Survival) inst.program
+      in
+      let md5 what expected text =
+        Alcotest.(check string)
+          (name ^ ": " ^ what) expected
+          (Digest.to_hex (Digest.string text))
+      in
+      md5 "JSONL event lines" jsonl (Buffer.contents b);
+      md5 "spans JSON" spans
+        (Json.to_string
+           (Json.List (List.map Span.to_json (Span.spans rr.spans))));
+      md5 "Chrome document" chrome (Json.to_string (Span.to_chrome rr.spans));
+      md5 "recovery summary" summary
+        (Format.asprintf "@[<v 2>recovery trace:@ %a@]@."
+           Span.pp_recovery_summary rr.spans))
+    catalog_digests
+
+(* The meta record and the run report name the engine the run executed
+   on and whether a mode hardened the program. *)
+let meta_names_the_run () =
+  let inst =
+    (Option.get (Registry.find "MySQL1")).make ~variant:Spec.Buggy
+      ~oracle:true
+  in
+  let meta_info = Jsonl.run_meta ~variant:"buggy" "MySQL1" in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun mode ->
+          let label =
+            Printf.sprintf "%s/%s" (Engine.name engine)
+              (if mode = None then "original" else "hardened")
+          in
+          let records = ref [] in
+          let rr =
+            Conair.run_report_of ~engine ~meta_info
+              ~trace_writer:
+                { Jsonl.write = (fun j -> records := j :: !records) }
+              ~mode inst.program
+          in
+          let meta = List.hd (List.rev !records) in
+          List.iter
+            (fun (what, doc) ->
+              Alcotest.(check bool)
+                (label ^ ": " ^ what ^ " engine") true
+                (Json.member "engine" doc
+                = Some (Json.String (Engine.name engine)));
+              Alcotest.(check bool)
+                (label ^ ": " ^ what ^ " hardened") true
+                (Json.member "hardened" doc = Some (Json.Bool (mode <> None))))
+            [ ("meta record", meta); ("run report", rr.report) ])
+        [ None; Some Conair.Survival ])
+    Engine.all
 
 (* --- Stats.episodes_chronological ---------------------------------- *)
 
@@ -675,6 +868,9 @@ let suites =
         case "one span per recovery episode" spans_match_episodes;
         case "span builder on synthetic streams" spans_synthetic;
         case "chrome trace shape" chrome_trace_shape;
+        case "observation artifacts keep their bytes" observation_digests;
+        case "meta and report name the engine and hardening"
+          meta_names_the_run;
         case "episodes are chronological" episodes_are_chronological;
         case "metrics basics" metrics_basics;
         case "metrics exposition" metrics_exposition;

@@ -14,7 +14,6 @@ module Ref_machine = Conair.Runtime.Ref_machine
 module Engine = Conair.Runtime.Engine
 module Event = Conair.Runtime.Event
 module Sched = Conair.Runtime.Sched
-module Trace = Conair.Runtime.Trace
 module Outcome = Conair.Runtime.Outcome
 module Json = Conair.Obs.Json
 module Jsonl = Conair.Obs.Jsonl
@@ -46,18 +45,21 @@ let policies =
   [ ("round-robin", Sched.Round_robin); ("random", Sched.Random 42) ]
 
 (* ------------------------------------------------------------------ *)
-(* Recording and replaying with the trace sink attached, so the        *)
+(* Recording and replaying with the JSONL encoder attached, so the     *)
 (* byte-identity check extends to the serialized telemetry             *)
 (* ------------------------------------------------------------------ *)
 
-let jsonl sink = String.concat "\n" (Jsonl.events_to_lines (Trace.events sink))
+(* A JSONL encoder writing into a buffer, and the buffer. *)
+let jsonl () =
+  let b = Buffer.create 4096 in
+  (b, Jsonl.observer (Jsonl.buffer_writer b))
 
 let record_traced config ?meta p =
-  let sink = Trace.create () in
+  let trace, jsonl = jsonl () in
   let r = Recorder.create () in
   let m =
     Machine.create ~config ?meta
-      ~observer:(Event.combine [ Trace.observer sink; Recorder.observer r ])
+      ~observer:(Event.combine [ jsonl; Recorder.observer r ])
       p
   in
   let outcome = Machine.run m in
@@ -73,15 +75,15 @@ let record_traced config ?meta p =
     Driver.log_of_run ~config ?meta ~ident:(Log.ident "test") ~program:p r
       bundle
   in
-  (log, jsonl sink)
+  (log, Buffer.contents trace)
 
 let replay_traced engine ?meta p (log : Log.t) =
   let config = log.Log.config in
-  let sink = Trace.create () in
+  let trace, jsonl = jsonl () in
   let h = Feed.strict log.Log.decisions in
   let m =
-    Engine.create ~config ?meta
-      ~observer:(Trace.observer sink) ~feed:(Feed.strict_decide h) engine p
+    Engine.create ~config ?meta ~observer:jsonl ~feed:(Feed.strict_decide h)
+      engine p
   in
   let outcome = Engine.run m in
   ( {
@@ -90,7 +92,7 @@ let replay_traced engine ?meta p (log : Log.t) =
       rb_stats = Engine.stats m;
       rb_steps = Engine.steps m;
     },
-    jsonl sink )
+    Buffer.contents trace )
 
 (* Record [p] once, then insist all three engines replay it
    byte-for-byte: trailer check plus identical serialized JSONL event
@@ -99,7 +101,7 @@ let check_roundtrip name config ?meta p =
   let log, recorded_jsonl = record_traced config ?meta p in
   List.iter
     (fun engine ->
-      let ename = Driver.engine_name engine in
+      let ename = Engine.name engine in
       let bundle, replayed_jsonl = replay_traced engine ?meta p log in
       (match Driver.check log bundle with
       | Ok () -> ()
@@ -107,7 +109,7 @@ let check_roundtrip name config ?meta p =
       Alcotest.(check string)
         (name ^ " (" ^ ename ^ " replay): JSONL telemetry")
         recorded_jsonl replayed_jsonl)
-    [ Driver.Ref; Driver.Fast; Driver.Block ]
+    Engine.all
 
 let sweep_original (pname, policy) () =
   List.iter
@@ -135,7 +137,7 @@ let cross_engine () =
   List.iter
     (fun (rec_engine, replay_engine) ->
       let pair =
-        Driver.engine_name rec_engine ^ "->" ^ Driver.engine_name replay_engine
+        Engine.name rec_engine ^ "->" ^ Engine.name replay_engine
       in
       let _, log =
         Driver.record ~engine:rec_engine
@@ -144,7 +146,7 @@ let cross_engine () =
       in
       Alcotest.(check string)
         (pair ^ ": log names the recording engine")
-        (Driver.engine_name rec_engine)
+        (Engine.name rec_engine)
         log.Log.engine;
       match Driver.replay ~engine:replay_engine ~program:inst.program log with
       | Error e ->
@@ -157,8 +159,8 @@ let cross_engine () =
     (List.concat_map
        (fun r -> List.filter_map
           (fun p -> if p <> r then Some (r, p) else None)
-          [ Driver.Ref; Driver.Fast; Driver.Block ])
-       [ Driver.Ref; Driver.Fast; Driver.Block ])
+          Engine.all)
+       Engine.all)
 
 (* ------------------------------------------------------------------ *)
 (* The facade: run_recorded on a hardened program, replay resolving    *)

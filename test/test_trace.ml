@@ -1,47 +1,61 @@
-(* Tests for the structured execution trace: event presence, ordering,
-   and the recovery summary. *)
+(* Tests for the observation stream as a trace: event presence,
+   ordering, and the recovery summary of the span collector. *)
 
 open Test_util
 module Machine = Conair.Runtime.Machine
-module Trace = Conair.Runtime.Trace
+module Event = Conair.Runtime.Event
+module Span = Conair.Obs.Span
 
-let traced_run ?(policy = Conair.Runtime.Sched.Round_robin) h =
+(* The run's sync and per-step events, chronological, next to a span
+   collector fed from the same stream. *)
+type traced = { evs : Event.t list; spans : Span.collector }
+
+let traced_machine ~config h =
   let meta = Machine.meta_of_harden h.Conair.hardened in
-  let config = { Machine.default_config with policy; fuel = 500_000 } in
-  let sink = Trace.create () in
+  let evs = ref [] in
+  let spans = Span.collector () in
+  let capture =
+    Event.observer ~sync:true ~steps:true (fun _ ev -> evs := ev :: !evs)
+  in
   let m =
     Machine.create ~config ~meta
-      ~observer:(Trace.observer sink) h.Conair.hardened.program
+      ~observer:(Event.combine [ capture; Span.observer spans ])
+      h.Conair.hardened.program
   in
   let outcome = Machine.run m in
-  (outcome, sink)
+  (m, outcome, { evs = List.rev !evs; spans })
+
+let traced_run ?(policy = Conair.Runtime.Sched.Round_robin) h =
+  let config = { Machine.default_config with policy; fuel = 500_000 } in
+  let _, outcome, t = traced_machine ~config h in
+  (outcome, t)
 
 let recovery_story_has_expected_shape () =
   let p = order_violation_program ~buggy:true () in
   let h = Conair.harden_exn p Conair.Survival in
-  let outcome, sink = traced_run h in
+  let outcome, t = traced_run h in
   Alcotest.(check bool) "run succeeded" true
     (Conair.Runtime.Outcome.is_success outcome);
-  let evs = Trace.events sink in
+  let evs = t.evs in
   let has pred = List.exists pred evs in
   Alcotest.(check bool) "spawn events" true
-    (has (function Trace.Ev_spawn _ -> true | _ -> false));
+    (has (function Event.Spawn _ -> true | _ -> false));
   Alcotest.(check bool) "checkpoint events" true
-    (has (function Trace.Ev_checkpoint _ -> true | _ -> false));
+    (has (function Event.Checkpoint _ -> true | _ -> false));
   Alcotest.(check bool) "failure detected" true
-    (has (function Trace.Ev_failure_detected _ -> true | _ -> false));
+    (has (function Event.Failure_detected _ -> true | _ -> false));
   Alcotest.(check bool) "rollback events" true
-    (has (function Trace.Ev_rollback _ -> true | _ -> false));
+    (has (function Event.Rollback _ -> true | _ -> false));
   Alcotest.(check bool) "recovered event" true
-    (has (function Trace.Ev_recovered _ -> true | _ -> false));
+    (has (function Event.Recovered _ -> true | _ -> false));
   Alcotest.(check bool) "output event" true
-    (has (function Trace.Ev_output _ -> true | _ -> false))
+    (has (function Event.Output _ -> true | _ -> false))
 
 let event_order_detect_before_recover () =
   let p = order_violation_program ~buggy:true () in
   let h = Conair.harden_exn p Conair.Survival in
-  let _, sink = traced_run h in
-  let evs = Trace.events sink in
+  let _, t = traced_run h in
+  let evs = t.evs in
   let index pred =
     let rec go i = function
       | [] -> -1
@@ -49,12 +63,12 @@ let event_order_detect_before_recover () =
     in
     go 0 evs
   in
-  let first_ckpt = index (function Trace.Ev_checkpoint _ -> true | _ -> false) in
+  let first_ckpt = index (function Event.Checkpoint _ -> true | _ -> false) in
   let first_detect =
-    index (function Trace.Ev_failure_detected _ -> true | _ -> false)
+    index (function Event.Failure_detected _ -> true | _ -> false)
   in
-  let first_rollback = index (function Trace.Ev_rollback _ -> true | _ -> false) in
-  let recovered = index (function Trace.Ev_recovered _ -> true | _ -> false) in
+  let first_rollback = index (function Event.Rollback _ -> true | _ -> false) in
+  let recovered = index (function Event.Recovered _ -> true | _ -> false) in
   Alcotest.(check bool) "checkpoint before detection" true
     (0 <= first_ckpt && first_ckpt < first_detect);
   Alcotest.(check bool) "detection before rollback" true
@@ -65,34 +79,29 @@ let event_order_detect_before_recover () =
 let compensation_events_for_deadlock () =
   let p = deadlock_program ~buggy:true () in
   let h = Conair.harden_exn p Conair.Survival in
-  let outcome, sink = traced_run h in
+  let outcome, t = traced_run h in
   Alcotest.(check bool) "recovered" true
     (Conair.Runtime.Outcome.is_success outcome);
   Alcotest.(check bool) "a lock was released by compensation" true
     (List.exists
-       (function Trace.Ev_compensate_lock _ -> true | _ -> false)
-       (Trace.events sink));
+       (function Event.Release { forced = true; _ } -> true | _ -> false)
+       t.evs);
   Alcotest.(check bool) "block events recorded" true
     (List.exists
-       (function Trace.Ev_block _ -> true | _ -> false)
-       (Trace.events sink))
+       (function Event.Request _ | Event.Wait _ -> true | _ -> false)
+       t.evs)
 
 let rollback_count_matches_stats () =
   let p = interproc_segfault_program ~buggy:true () in
   let h = Conair.harden_exn p Conair.Survival in
-  let meta = Machine.meta_of_harden h.Conair.hardened in
-  let sink = Trace.create () in
-  let m =
-    Machine.create ~config:{ Machine.default_config with fuel = 500_000 }
-      ~meta
-      ~observer:(Trace.observer sink) h.Conair.hardened.program
+  let m, _, t =
+    traced_machine ~config:{ Machine.default_config with fuel = 500_000 } h
   in
-  ignore (Machine.run m);
   let rollback_events =
     List.length
       (List.filter
-         (function Trace.Ev_rollback _ -> true | _ -> false)
-         (Trace.events sink))
+         (function Event.Rollback _ -> true | _ -> false)
+         t.evs)
   in
   Alcotest.(check int) "trace agrees with stats"
     (Machine.stats m).rollbacks rollback_events
@@ -100,17 +109,17 @@ let rollback_count_matches_stats () =
 let recovery_summary_is_compact () =
   let p = order_violation_program ~buggy:true () in
   let h = Conair.harden_exn p Conair.Survival in
-  let _, sink = traced_run h in
-  let summary = Trace.recovery_events sink in
+  let _, t = traced_run h in
+  let text = Format.asprintf "%a" Span.pp_recovery_summary t.spans in
+  let summary = String.split_on_char '\n' text in
   Alcotest.(check bool) "summary is much smaller than the full trace" true
-    (List.length summary * 2 < Trace.length sink);
+    (List.length summary * 2 < List.length t.evs);
   (* and it renders *)
-  let text = Format.asprintf "%a" Trace.pp_recovery_summary sink in
   Alcotest.(check bool) "summary text nonempty" true (String.length text > 0)
 
 let no_trace_no_cost () =
-  (* Without a sink the machine keeps no events (the sink list is the only
-     storage, so this is really an API check). *)
+  (* Without an observer the machine keeps no events (observers are the
+     only storage, so this is really an API check). *)
   let p = order_violation_program ~buggy:true () in
   let h = Conair.harden_exn p Conair.Survival in
   let r = run_hardened h in
