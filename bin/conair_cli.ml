@@ -27,7 +27,6 @@ module Spec = Conair_bugbench.Bench_spec
 module Registry = Conair_bugbench.Registry
 module Machine = Conair.Runtime.Machine
 module Engine = Conair.Runtime.Engine
-module Event = Conair.Runtime.Event
 module Outcome = Conair.Runtime.Outcome
 module Sched = Conair.Runtime.Sched
 module Stats = Conair.Runtime.Stats
@@ -107,14 +106,6 @@ let engine_arg =
   let e = Arg.enum (List.map (fun e -> (Engine.name e, e)) Engine.all) in
   Arg.(value & opt e Engine.Fast & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-let find_spec name =
-  match Registry.find name with
-  | Some s -> Ok s
-  | None ->
-      Error
-        (Printf.sprintf "unknown application %S; try: %s" name
-           (String.concat ", " Registry.names))
-
 let instance spec variant oracle =
   let oracle = oracle || spec.Spec.info.needs_oracle in
   spec.Spec.make ~variant ~oracle
@@ -153,7 +144,7 @@ let list_cmd =
 
 let show_cmd =
   let run app variant oracle =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec ->
         let inst = instance spec variant oracle in
@@ -166,7 +157,7 @@ let show_cmd =
 
 let analyze_cmd =
   let run app variant oracle no_opt no_ip depth prune =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec -> (
         let inst = instance spec variant oracle in
@@ -189,7 +180,7 @@ let analyze_cmd =
 
 let harden_cmd =
   let run app variant oracle no_opt no_ip depth prune =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec -> (
         let inst = instance spec variant oracle in
@@ -206,7 +197,7 @@ let harden_cmd =
       const run $ app_arg $ variant_arg $ oracle_arg $ no_optimize_arg
       $ no_interproc_arg $ depth_arg $ prune_arg)
 
-(* --- telemetry plumbing shared by run and report ------------------- *)
+(* --- one capture per invocation: run, report and file --------------- *)
 
 let variant_name = function Spec.Buggy -> "buggy" | Spec.Clean -> "clean"
 
@@ -215,36 +206,6 @@ let run_meta_of app variant seed =
 
 let write_file file contents =
   Out_channel.with_open_text file (fun oc -> output_string oc contents)
-
-(* Execute [inst] observed — both the hardened and the unhardened path
-   go through the facade's [run_report_of], the same code path the serve
-   daemon's run jobs use — and write whichever telemetry files were
-   requested. *)
-let observed_run ~config ~engine ~meta_info ~mode ~trace_json ~metrics_file
-    ~spans_file (inst : Spec.instance) =
-  let with_trace_writer k =
-    match trace_json with
-    | None -> k None
-    | Some file ->
-        Out_channel.with_open_text file (fun oc ->
-            k (Some (Obs.Jsonl.channel_writer oc)))
-  in
-  let rr =
-    with_trace_writer @@ fun trace_writer ->
-    Conair.run_report_of ~config ~engine ~meta_info ?trace_writer ~mode
-      inst.Spec.program
-  in
-  (match metrics_file with
-  | Some file ->
-      write_file file (Obs.Json.to_string_pretty (Obs.Metrics.to_json rr.Conair.metrics))
-  | None -> ());
-  (match spans_file with
-  | Some file ->
-      write_file file
-        (Obs.Json.to_string_pretty
-           (Obs.Span.to_chrome rr.Conair.spans))
-  | None -> ());
-  rr
 
 let hardened_arg =
   Arg.(
@@ -289,15 +250,6 @@ let record_arg =
            as a self-contained schedule log (replayable with the replay \
            subcommand, shrinkable with minimize).")
 
-(* Record the run (deterministic, so identical to the displayed one) and
-   save the schedule log. *)
-let save_record ~config ~engine ~ident ~mode file program =
-  let log = Conair.record_in_mode ~config ~engine ~ident mode program in
-  Replay.Log.save log file;
-  Format.printf "recorded: %s (%d decisions, %d preemptions)@." file
-    (Array.length log.Replay.Log.decisions)
-    (Array.length log.Replay.Log.preemptions)
-
 let flight_arg =
   Arg.(
     value & flag
@@ -315,27 +267,72 @@ let bundle_out_arg =
     & info [ "bundle-out" ] ~docv:"DIR"
         ~doc:"Directory for --flight diagnostic bundles (default: .).")
 
-let bundle_file_of ~dir app =
-  Filename.concat dir ("flight_" ^ String.lowercase_ascii app ^ ".bundle.json")
-
-(* Capture the run with a flight ring (deterministic, so identical to
-   the displayed one) and dump the diagnostic bundle. The reason records
-   why: the displayed run's failure, or an explicit request. *)
-let save_flight ~config ~engine ~ident ~mode ~dir outcome program =
-  let reason = if Outcome.is_success outcome then "requested" else "failure" in
-  let bundle =
-    Conair.flight_in_mode ~config ~engine ~reason ~ident mode program
+(* Execute [target] once with every lens the flags ask for — the report
+   lens when [telemetry] or a telemetry file is requested (JSONL streams
+   to [trace_json] as the run goes), the recorder for [record], the
+   flight ring when [flight] names a bundle directory — and write each
+   artifact. The bundle's reason is the run's own: its failure, or an
+   explicit request. *)
+let capture ~config ~engine ~ident ?meta_info ?(telemetry = false) ?trace_json
+    ?metrics_file ?spans_file ?record ?flight target =
+  let telemetry =
+    telemetry || trace_json <> None || metrics_file <> None
+    || spans_file <> None
   in
-  let file = bundle_file_of ~dir ident.Replay.Log.id_app in
-  Replay.Bundle.save bundle file;
-  Format.printf
-    "flight bundle: %s (%d of %d decisions retained, %d preemptions, %d \
-     events)@."
-    file
-    (Array.length bundle.window.decisions)
-    (Replay.Bundle.total bundle)
-    (Array.length bundle.window.preemptions)
-    (List.length bundle.events)
+  let with_trace_writer k =
+    match trace_json with
+    | None -> k None
+    | Some file ->
+        Out_channel.with_open_text file (fun oc ->
+            k (Some (Obs.Jsonl.channel_writer oc)))
+  in
+  let r, (rr, (log, bundle)) =
+    with_trace_writer @@ fun trace_writer ->
+    Conair.run ~config ~engine
+      (Conair.pair
+         (Conair.maybe telemetry (Conair.report ?meta_info ?trace_writer ()))
+         (Conair.pair
+            (Conair.maybe (record <> None) (Conair.record ~ident))
+            (Conair.maybe (flight <> None) (Conair.flight ~ident ()))))
+      target
+  in
+  let save file json =
+    Option.iter (fun f -> write_file f (Obs.Json.to_string_pretty json)) file
+  in
+  Option.iter
+    (fun (rr : Conair.run_report) ->
+      save metrics_file (Obs.Metrics.to_json rr.metrics);
+      save spans_file (Obs.Span.to_chrome rr.spans))
+    rr;
+  (match (record, log) with
+  | Some file, Some (log : Replay.Log.t) ->
+      Replay.Log.save log file;
+      Format.printf "recorded: %s (%d decisions, %d preemptions)@." file
+        (Array.length log.decisions)
+        (Array.length log.preemptions)
+  | _ -> ());
+  (match (flight, bundle) with
+  | Some dir, Some (b : Replay.Bundle.t) ->
+      let b =
+        if Outcome.is_success r.outcome then b
+        else { b with reason = "failure" }
+      in
+      let file =
+        Filename.concat dir
+          ("flight_" ^ String.lowercase_ascii ident.Replay.Log.id_app
+         ^ ".bundle.json")
+      in
+      Replay.Bundle.save b file;
+      Format.printf
+        "flight bundle: %s (%d of %d decisions retained, %d preemptions, %d \
+         events)@."
+        file
+        (Array.length b.window.decisions)
+        (Replay.Bundle.total b)
+        (Array.length b.window.preemptions)
+        (List.length b.events)
+  | _ -> ());
+  (r, rr)
 
 let run_cmd =
   let no_harden_arg =
@@ -360,7 +357,7 @@ let run_cmd =
   in
   let run app variant oracle engine hardened no_harden fix trace trace_json
       metrics_file spans_file record flight bundle_out fuel seed max_retries =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec ->
         if hardened && no_harden then begin
@@ -369,50 +366,26 @@ let run_cmd =
         end
         else begin
           let inst = instance spec variant oracle in
-          let config = machine_config fuel seed max_retries in
-          let telemetry =
-            trace || trace_json <> None || metrics_file <> None
-            || spans_file <> None
-          in
           let mode =
             if no_harden then None
             else if fix then Some (Conair.Fix inst.fix_site_iids)
             else Some Conair.Survival
           in
-          let r, spans =
-            if telemetry then begin
-              let meta_info = run_meta_of app variant seed in
-              let rr =
-                observed_run ~config ~engine ~meta_info ~mode ~trace_json
-                  ~metrics_file ~spans_file inst
-              in
-              (rr.Conair.run, Some rr.Conair.spans)
-            end
-            else begin
-              (* telemetry is opt-in: no observer, no event stream, no cost *)
-              let r =
-                match mode with
-                | None -> Conair.execute ~config ~engine inst.program
-                | Some mode ->
-                    Conair.execute_hardened ~config ~engine
-                      (Conair.harden_exn inst.program mode)
-              in
-              (r, None)
-            end
-          in
           let ident =
             Replay.Log.ident
               ~variant:(variant_name variant)
               ~oracle:(oracle || spec.Spec.info.needs_oracle)
-              app
+              ~mode:(Conair.mode_name mode) app
           in
-          Option.iter
-            (fun file ->
-              save_record ~config ~engine ~ident ~mode file inst.program)
-            record;
-          if flight then
-            save_flight ~config ~engine ~ident ~mode ~dir:bundle_out r.outcome
-              inst.program;
+          let r, rr =
+            capture
+              ~config:(machine_config fuel seed max_retries)
+              ~engine ~ident
+              ~meta_info:(run_meta_of app variant seed)
+              ~telemetry:trace ?trace_json ?metrics_file ?spans_file ?record
+              ?flight:(if flight then Some bundle_out else None)
+              (Conair.target ?mode inst.program)
+          in
           Format.printf "outcome:  %a@." Outcome.pp r.outcome;
           List.iter (fun o -> Format.printf "output:   %s@." o) r.outputs;
           Format.printf "accepted: %b@." (inst.accept r.outputs);
@@ -424,9 +397,10 @@ let run_cmd =
           end;
           if trace then
             Option.iter
-              (Format.printf "@[<v 2>recovery trace:@ %a@]@."
-                 Obs.Span.pp_recovery_summary)
-              spans;
+              (fun (rr : Conair.run_report) ->
+                Format.printf "@[<v 2>recovery trace:@ %a@]@."
+                  Obs.Span.pp_recovery_summary rr.spans)
+              rr;
           if Outcome.is_success r.outcome then 0 else 2
         end
   in
@@ -462,27 +436,30 @@ let report_cmd =
   in
   let run app variant oracle engine fix prometheus out trace_json
       metrics_file spans_file fuel seed max_retries =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec ->
         let inst = instance spec variant oracle in
-        let config = machine_config fuel seed max_retries in
-        let meta_info = run_meta_of app variant seed in
         let mode =
-          Some (if fix then Conair.Fix inst.fix_site_iids else Conair.Survival)
+          if fix then Conair.Fix inst.fix_site_iids else Conair.Survival
         in
-        let rr =
-          observed_run ~config ~engine ~meta_info ~mode ~trace_json
-            ~metrics_file ~spans_file inst
+        let r, rr =
+          capture
+            ~config:(machine_config fuel seed max_retries)
+            ~engine ~ident:(Replay.Log.ident app)
+            ~meta_info:(run_meta_of app variant seed)
+            ~telemetry:true ?trace_json ?metrics_file ?spans_file
+            (Conair.target ~mode inst.program)
         in
+        let rr = Option.get rr in
         let contents =
-          if prometheus then Obs.Metrics.to_prometheus rr.Conair.metrics
-          else Obs.Json.to_string_pretty rr.Conair.report
+          if prometheus then Obs.Metrics.to_prometheus rr.metrics
+          else Obs.Json.to_string_pretty rr.report
         in
         (match out with
         | None -> print_string contents
         | Some file -> write_file file contents);
-        if Outcome.is_success rr.Conair.run.outcome then 0 else 2
+        if Outcome.is_success r.outcome then 0 else 2
   in
   Cmd.v
     (Cmd.info "report"
@@ -496,7 +473,7 @@ let report_cmd =
 
 let restart_cmd =
   let run app variant oracle fuel =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec ->
         let inst = instance spec variant oracle in
@@ -521,7 +498,7 @@ let fullckpt_cmd =
       & info [ "interval" ] ~doc:"Steps between whole-program checkpoints.")
   in
   let run app variant oracle fuel interval =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec ->
         let inst = instance spec variant oracle in
@@ -580,46 +557,30 @@ let file_cmd =
               problems;
             1
         | [] ->
-            let config = machine_config fuel seed max_retries in
-            let ident =
-              Replay.Log.ident
-                (Filename.remove_extension (Filename.basename file))
-            in
-            let capture mode outcome =
-              Option.iter
-                (fun out -> save_record ~config ~engine ~ident ~mode out p)
-                record;
-              if flight then
-                save_flight ~config ~engine ~ident ~mode ~dir:bundle_out
-                  outcome p
-            in
-            if no_harden then begin
-              if emit then begin
-                print_string (Conair.Ir.Emit.program p);
-                0
-              end
-              else begin
-                let r = Conair.execute ~config ~engine p in
-                capture None r.outcome;
-                Format.printf "outcome: %a@." Outcome.pp r.outcome;
-                List.iter (Format.printf "output:  %s@.") r.outputs;
-                if Outcome.is_success r.outcome then 0 else 2
-              end
+            let mode = if no_harden then None else Some Conair.Survival in
+            let target = Conair.target ?mode p in
+            if emit then begin
+              print_string (Conair.Ir.Emit.program target.program);
+              0
             end
-            else
-              let h = Conair.harden_exn p Conair.Survival in
-              if emit then begin
-                print_string (Conair.Ir.Emit.program h.hardened.program);
-                0
-              end
-              else begin
-                let r = Conair.execute_hardened ~config ~engine h in
-                capture (Some Conair.Survival) r.outcome;
-                Format.printf "outcome: %a@." Outcome.pp r.outcome;
-                List.iter (Format.printf "output:  %s@.") r.outputs;
+            else begin
+              let ident =
+                Replay.Log.ident ~mode:(Conair.mode_name mode)
+                  (Filename.remove_extension (Filename.basename file))
+              in
+              let r, _ =
+                capture
+                  ~config:(machine_config fuel seed max_retries)
+                  ~engine ~ident ?record
+                  ?flight:(if flight then Some bundle_out else None)
+                  target
+              in
+              Format.printf "outcome: %a@." Outcome.pp r.outcome;
+              List.iter (Format.printf "output:  %s@.") r.outputs;
+              if mode <> None then
                 Format.printf "stats:   %a@." Stats.pp r.stats;
-                if Outcome.is_success r.outcome then 0 else 2
-              end)
+              if Outcome.is_success r.outcome then 0 else 2
+            end)
   in
   Cmd.v
     (Cmd.info "file"
@@ -642,7 +603,7 @@ let dot_cmd =
              first recoverable site).")
   in
   let run app variant oracle func =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec -> (
         let inst = instance spec variant oracle in
@@ -741,7 +702,7 @@ let profile_cmd =
   in
   let run app variant oracle engine sites fix runs collapsed wasted chrome
       json top fuel seed max_retries =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec ->
         let inst = instance spec variant oracle in
@@ -764,19 +725,15 @@ let profile_cmd =
           let mode =
             if fix then Conair.Fix inst.fix_site_iids else Conair.Survival
           in
-          let h = Conair.harden_exn inst.program mode in
-          let prof = Obs.Prof.create () in
           let spans = Obs.Span.collector () in
-          let _, outcome =
-            Engine.run_program ~config
-              ~meta:(Machine.meta_of_harden h.hardened)
-              ~observer:
-                (Event.combine
-                   [ Obs.Span.observer spans; Obs.Prof.probe prof ])
-              engine h.hardened.program
+          let r, ((), prof) =
+            Conair.run ~config ~engine
+              (Conair.pair
+                 (Conair.observer (Obs.Span.observer spans))
+                 Conair.profile)
+              (Conair.target ~mode inst.program)
           in
-          Obs.Prof.finalize prof;
-          Format.printf "outcome:    %a@." Outcome.pp outcome;
+          Format.printf "outcome:    %a@." Outcome.pp r.outcome;
           Printf.printf "useful:     %d steps\n"
             (Obs.Prof.useful_steps prof);
           Printf.printf "checkpoint: %d steps\n"
@@ -829,7 +786,7 @@ let profile_cmd =
               write_file file
                 (Obs.Json.to_string_pretty (Obs.Prof.to_json prof))
           | None -> ());
-          if Outcome.is_success outcome then 0 else 2
+          if Outcome.is_success r.outcome then 0 else 2
         end
   in
   Cmd.v
@@ -893,7 +850,7 @@ let overhead_cmd =
       | names ->
           List.fold_right
             (fun name acc ->
-              match (acc, find_spec name) with
+              match (acc, Registry.lookup name) with
               | Error e, _ -> Error e
               | _, Error e -> Error e
               | Ok specs, Ok s -> Ok (s :: specs))
@@ -1000,7 +957,7 @@ let races_cmd =
     let program =
       match (app, file) with
       | Some name, None -> (
-          match find_spec name with
+          match Registry.lookup name with
           | Error e -> Error e
           | Ok spec -> Ok (instance spec variant oracle).Spec.program)
       | None, Some f -> (
@@ -1019,11 +976,10 @@ let races_cmd =
           else Conair.Race.Detect.all
         in
         let config = machine_config fuel seed max_retries in
+        let mode = if original then None else Some Conair.Survival in
         let r, report =
-          if original then Conair.run_detected ~config ~engine ~options p
-          else
-            Conair.detect_hardened ~config ~engine ~options
-              (Conair.harden_exn p Conair.Survival)
+          Conair.run ~config ~engine (Conair.detect ~options ())
+            (Conair.target ?mode p)
         in
         Format.printf "outcome: %a@." Outcome.pp r.outcome;
         Format.printf "%a" Conair.Race.Report.pp report;
@@ -1074,7 +1030,7 @@ let log_file_arg =
 let program_for_log (log : Replay.Log.t) = function
   | None -> Ok None
   | Some name -> (
-      match find_spec name with
+      match Registry.lookup name with
       | Error e -> Error e
       | Ok spec ->
           let variant =
@@ -1263,6 +1219,22 @@ let replay_cmd =
       const run $ log_file_arg $ app_opt_arg $ engine_arg $ at_arg
       $ range_arg $ interactive_arg $ json_arg)
 
+(* Render a minimization, then write the minimized log to [out] and the
+   explanation to [json] when asked. *)
+let print_minimized ~out ~json (m : Replay.Minimize.t) =
+  print_string (Replay.Minimize.render m);
+  Option.iter
+    (fun file ->
+      Replay.Log.save m.mn_log file;
+      Printf.printf "minimized log: %s\n" file)
+    out;
+  Option.iter
+    (fun file ->
+      write_file file (Obs.Json.to_string_pretty (Replay.Minimize.to_json m));
+      Printf.printf "explanation: %s\n" file)
+    json;
+  0
+
 let minimize_cmd =
   let app_opt_arg =
     let doc =
@@ -1312,21 +1284,7 @@ let minimize_cmd =
               Conair.minimize ~max_tests ~detect:(not no_detect) ?program log
             with
             | Error e -> prerr_endline e; 1
-            | Ok m ->
-                print_string (Replay.Minimize.render m);
-                (match out with
-                | Some file ->
-                    Replay.Log.save m.Replay.Minimize.mn_log file;
-                    Printf.printf "minimized log: %s\n" file
-                | None -> ());
-                (match json with
-                | Some file ->
-                    write_file file
-                      (Obs.Json.to_string_pretty
-                         (Replay.Minimize.to_json m));
-                    Printf.printf "explanation: %s\n" file
-                | None -> ());
-                0))
+            | Ok m -> print_minimized ~out ~json m))
   in
   Cmd.v
     (Cmd.info "minimize"
@@ -1529,20 +1487,7 @@ let bundle_minimize_cmd =
         | Ok log -> (
             match Conair.minimize ~max_tests log with
             | Error e -> prerr_endline e; 1
-            | Ok m ->
-                print_string (Replay.Minimize.render m);
-                (match out with
-                | Some file ->
-                    Replay.Log.save m.Replay.Minimize.mn_log file;
-                    Printf.printf "minimized log: %s\n" file
-                | None -> ());
-                (match json with
-                | Some file ->
-                    write_file file
-                      (Obs.Json.to_string_pretty (Replay.Minimize.to_json m));
-                    Printf.printf "explanation: %s\n" file
-                | None -> ());
-                0))
+            | Ok m -> print_minimized ~out ~json m))
   in
   Cmd.v
     (Cmd.info "minimize"
@@ -1642,7 +1587,7 @@ let fix_cmd =
   in
   let run app variant oracle engine json out max_candidates sweep_seeds
       search_seeds fuel seed max_retries =
-    match find_spec app with
+    match Registry.lookup app with
     | Error e -> prerr_endline e; 1
     | Ok spec ->
         let inst = instance spec variant oracle in
@@ -1721,4 +1666,17 @@ let main_cmd =
       overhead_cmd; races_cmd; replay_cmd; minimize_cmd; bundle_cmd;
       aggregate_cmd; fix_cmd ]
 
-let () = exit (Cmd.eval' main_cmd)
+(* An output path that cannot be written is bad input, like an unknown
+   application: one line naming it, exit 1. Any other exception is an
+   internal error, as Cmdliner reports it. *)
+let () =
+  exit
+    (try Cmd.eval' ~catch:false main_cmd with
+    | Sys_error e ->
+        prerr_endline ("conair_cli: " ^ e);
+        1
+    | e ->
+        prerr_endline
+          ("conair_cli: internal error, uncaught exception: "
+         ^ Printexc.to_string e);
+        Cmd.Exit.internal_error)

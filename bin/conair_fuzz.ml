@@ -32,11 +32,11 @@
    with the worker's {"type":"coverage"} dump — the [Obs.Campaign]
    vocabulary.
 
-   With --detect, the racy cases additionally run the race detector on
-   every schedule tried, tallying per address how many schedules observed
-   a race on it — a detected_races table in the summary. A race observed
-   on some schedules but not others is the detector's view of how narrow
-   the buggy window is (cf. the schedule counts of §5).
+   With --detect, the race detector rides every hardened racy run,
+   tallying per address how many schedules observed a race on it — a
+   detected_races table in the summary. A race observed on some
+   schedules but not others is the detector's view of how narrow the
+   buggy window is (cf. the schedule counts of §5).
 
    With --record DIR, every hardened run executes with the schedule
    recorder installed, and the runs that matter — the failing ones and
@@ -96,7 +96,7 @@ let usage_lines =
     "                   (default fast)";
     "  --apps           fuzz the bugbench catalog (buggy variants, random";
     "                   schedules) instead of generated programs";
-    "  --detect         also run the race detector on every racy schedule";
+    "  --detect         run the race detector on every racy schedule";
     "  --record DIR     save failing and recovered schedule logs to DIR";
     "  --jsonl FILE     stream run/finding/coverage/summary records to FILE";
     "";
@@ -193,85 +193,82 @@ let observe_run ~case (coll : Coverage.collector) =
   Coverage.note cover ~app:case ob;
   (ob, nov)
 
-(* [execute_hardened], with the schedule recorder (and, when observing,
-   a coverage collector) installed. Recording only taps the scheduler's
-   decisions, so the run itself is unchanged. [tag] disambiguates
-   multiple schedules of the same (case, seed). *)
-let execute_recorded ~case ~seed ?(tag = "") ~config (h : Conair.hardened) =
+(* One fuzz execution of [target], every lens riding this one run. When
+   observing, a coverage collector and the schedule recorder watch it,
+   and a failure becomes a finding with a replayable log. A run that
+   fails or recovers is saved under [save] as
+   CASE-SEED[TAG][SUFFIX].sched.jsonl, its log naming [mode]. With
+   [detect], the race detector's report is tallied per address.
+   Recording and detection only observe, so the run itself is
+   unchanged. [tag] disambiguates multiple schedules of the same
+   (case, seed). *)
+let execute ~mode ~suffix ~save ~case ~seed ~tag ~detect ~config target =
   incr total_runs;
-  if (not (observing ())) && !record_dir = None then
-    Conair.execute_hardened ~config ~engine:!engine h
-  else begin
-    let coll = if observing () then Some (Coverage.collector ()) else None in
-    let ident =
-      Conair.Replay.Log.ident ~variant:case ~mode:"survival" "conair_fuzz"
-    in
-    let r, log =
-      Conair.run_recorded ~config ~engine:!engine ~ident
-        ?race:(Option.map Coverage.probe coll)
-        h
-    in
-    let failing = not (Outcome.is_success r.outcome) in
-    let recovered = r.Conair.stats.rollbacks > 0 in
-    let path =
-      match !record_dir with
-      | Some dir when failing || recovered ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "%s-%d%s.sched.jsonl" case seed tag)
+  let coll = if observing () then Some (Coverage.collector ()) else None in
+  let ident = Conair.Replay.Log.ident ~variant:case ~mode "conair_fuzz" in
+  let r, ((log, ()), report) =
+    Conair.run ~config ~engine:!engine
+      (Conair.pair
+         (Conair.pair
+            (Conair.maybe (coll <> None || save <> None)
+               (Conair.record ~ident))
+            (Option.fold ~none:Conair.none
+               ~some:(fun c -> Conair.observer (Coverage.probe c))
+               coll))
+         (Conair.maybe detect (Conair.detect ())))
+      target
+  in
+  let failing = not (Outcome.is_success r.outcome) in
+  let path =
+    match (save, log) with
+    | Some dir, Some log when failing || r.stats.rollbacks > 0 ->
+        let path =
+          Filename.concat dir
+            (Printf.sprintf "%s-%d%s%s.sched.jsonl" case seed tag suffix)
+        in
+        Conair.Replay.Log.save log path;
+        if failing then recorded_failing := path :: !recorded_failing
+        else recorded_recovered := path :: !recorded_recovered;
+        Some path
+    | _ -> None
+  in
+  (match (coll, log) with
+  | Some c, Some log ->
+      let ob, nov = observe_run ~case c in
+      if failing then
+        emit_finding ~case ~seed
+          ~outcome:(Aggregate.outcome_tag r.outcome)
+          ~ob ~novelty:nov ~path log
+  | _ -> ());
+  Option.iter
+    (fun (rep : Conair.Race.Report.t) ->
+      incr detect_schedules;
+      List.iter
+        (fun rc ->
+          let a =
+            Conair.Race.Report.addr_string rc.Conair.Race.Report.rc_addr
           in
-          Conair.Replay.Log.save log path;
-          if failing then recorded_failing := path :: !recorded_failing
-          else recorded_recovered := path :: !recorded_recovered;
-          Some path
-      | _ -> None
-    in
-    (match coll with
-    | Some c ->
-        let ob, nov = observe_run ~case c in
-        if failing then
-          emit_finding ~case ~seed
-            ~outcome:(Aggregate.outcome_tag r.outcome)
-            ~ob ~novelty:nov ~path log
-    | None -> ());
-    r
-  end
+          Hashtbl.replace detected a
+            (1 + Option.value ~default:0 (Hashtbl.find_opt detected a)))
+        (List.sort_uniq
+           (fun a b ->
+             compare a.Conair.Race.Report.rc_addr b.Conair.Race.Report.rc_addr)
+           rep.races))
+    report;
+  r
 
-(* An *unhardened* execution of the raw program — where the bugs
-   actually fire. When observing, it runs recorded with a collector so
-   a failure (assert, hang, fuel) becomes a finding with a replayable
-   log; otherwise it is a plain [Conair.execute]. *)
-let probe_unhardened ~case ~seed ?(tag = "") ?(config = config) p =
-  incr total_runs;
-  if not (observing ()) then Conair.execute ~config ~engine:!engine p
-  else begin
-    let coll = Coverage.collector () in
-    let ident =
-      Conair.Replay.Log.ident ~variant:case ~mode:"unhardened" "conair_fuzz"
-    in
-    let r, log =
-      Conair.record_run ~config ~engine:!engine ~ident
-        ~race:(Coverage.probe coll) p
-    in
-    let failing = not (Outcome.is_success r.outcome) in
-    let path =
-      match !record_dir with
-      | Some dir when failing ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "%s-%d%s-unhardened.sched.jsonl" case seed tag)
-          in
-          Conair.Replay.Log.save log path;
-          recorded_failing := path :: !recorded_failing;
-          Some path
-      | _ -> None
-    in
-    let ob, nov = observe_run ~case coll in
-    if failing then
-      emit_finding ~case ~seed ~outcome:(Aggregate.outcome_tag r.outcome)
-        ~ob ~novelty:nov ~path log;
-    r
-  end
+(* A survival-hardened run, recorded under --record when it fails or
+   recovers. *)
+let execute_recorded ~case ~seed ?(tag = "") ?(detect = false) ~config h =
+  execute ~mode:"survival" ~suffix:"" ~save:!record_dir ~case ~seed ~tag
+    ~detect ~config (Conair.hardened_target h)
+
+(* An unhardened run of the raw program, where the bugs actually fire;
+   recorded only when observing. *)
+let probe_unhardened ~case ~seed ?(tag = "") ~config p =
+  execute ~mode:"unhardened" ~suffix:"-unhardened"
+    ~save:(if observing () then !record_dir else None)
+    ~case ~seed ~tag ~detect:false ~config (Conair.target p)
 
 let note_run ~case ~seed (r : Conair.run) =
   incr runs;
@@ -323,34 +320,17 @@ let fuzz_racy seed =
     let config = { config with policy } in
     (* the unhardened probe first: this is where the race actually
        fires (the oracle assert fail-stops it), producing findings *)
+    let tag = Printf.sprintf "-p%d" pi in
     if observing () then
-      ignore
-        (probe_unhardened ~case:"racy" ~seed
-           ~tag:(Printf.sprintf "-p%d" pi)
-           ~config p);
+      ignore (probe_unhardened ~case:"racy" ~seed ~tag ~config p);
+    (* the detector, when asked, rides the hardened run *)
     let r =
       note_run ~case:"racy" ~seed
-        (execute_recorded ~case:"racy" ~seed
-           ~tag:(Printf.sprintf "-p%d" pi)
-           ~config h)
+        (execute_recorded ~case:"racy" ~seed ~tag ~detect:!detect ~config h)
     in
     check "racy: recovers" ~detail
       (Outcome.is_success r.outcome && r.outputs = [ string_of_int spec.expected ]);
-    check "racy: rollback safety" ~detail (r.stats.tracecheck_violations = 0);
-    if !detect then begin
-      (* same schedule again, this time with the detector installed *)
-      incr detect_schedules;
-      let _, rep = Conair.detect_hardened ~config ~engine:!engine h in
-      List.iter
-        (fun rc ->
-          let a = Conair.Race.Report.addr_string rc.Conair.Race.Report.rc_addr in
-          Hashtbl.replace detected a
-            (1 + Option.value ~default:0 (Hashtbl.find_opt detected a)))
-        (List.sort_uniq
-           (fun a b ->
-             compare a.Conair.Race.Report.rc_addr b.Conair.Race.Report.rc_addr)
-           rep.Conair.Race.Report.races)
-    end
+    check "racy: rollback safety" ~detail (r.stats.tracecheck_violations = 0)
   in
   List.iteri one_policy
     [ Sched.Round_robin; Sched.Random seed; Sched.Random (seed + 7919) ];
@@ -376,7 +356,7 @@ let fuzz_ring seed =
   let spec = gen_with seed Gen.ring_spec_gen in
   let detail = Gen.ring_spec_print spec in
   let p = Gen.ring_program spec in
-  let r0 = probe_unhardened ~case:"ring" ~seed p in
+  let r0 = probe_unhardened ~case:"ring" ~seed ~config p in
   check "ring: hangs unhardened" ~detail
     (match r0.outcome with Outcome.Hang _ -> true | _ -> false);
   let h = Conair.harden_exn p Conair.Survival in
@@ -395,7 +375,7 @@ let fuzz_wakeup seed =
      check recovery unconditionally and the hang only when it applies *)
   let detail = Gen.wakeup_spec_print spec in
   let p = Gen.wakeup_program spec in
-  let r0 = probe_unhardened ~case:"wakeup" ~seed p in
+  let r0 = probe_unhardened ~case:"wakeup" ~seed ~config p in
   let hung = match r0.outcome with Outcome.Hang _ -> true | _ -> false in
   let h = Conair.harden_exn p Conair.Survival in
   let r =
@@ -437,7 +417,8 @@ let fuzz_app seed =
         h
   in
   let r =
-    note_run ~case:name ~seed (execute_recorded ~case:name ~seed ~config h)
+    note_run ~case:name ~seed
+      (execute_recorded ~case:name ~seed ~config h)
   in
   check "app: rollback safety" ~detail (r.stats.tracecheck_violations = 0)
 
@@ -448,6 +429,13 @@ let seeds_range : (int * int) option ref = ref None
 let jobs = ref 0 (* 0 = not given *)
 let campaign_dir : string option ref = ref None
 let bench_file : string option ref = ref None
+
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
+  then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
 
 (* positional args plus options; cmdliner would be overkill here *)
 let parse_argv () =
@@ -470,7 +458,7 @@ let parse_argv () =
         detect := true;
         scan rest
     | "--record" :: dir :: rest ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        mkdir_p dir;
         record_dir := Some dir;
         scan rest
     | "--engine" :: name :: rest -> (
@@ -647,13 +635,6 @@ let run_fuzz ~t0 ~lo ~hi ~jsonl_file =
 
 (* ------------------------------------------------------------------ *)
 (* campaign coordinator                                               *)
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
 
 let read_lines path =
   if not (Sys.file_exists path) then []
@@ -973,13 +954,16 @@ let run_bench ~file ~lo ~hi =
   Printf.printf "wrote %s\n" file;
   exit (if all_ok && agreement then 0 else 1)
 
+(* A path that cannot be created or written is a usage error. *)
 let () =
   let t0 = Unix.gettimeofday () in
-  let jsonl_file, positional = parse_argv () in
-  let lo, hi = resolve_seed_range positional in
-  match !bench_file with
-  | Some file -> run_bench ~file ~lo ~hi
-  | None ->
-      if !worker_id = None && (!jobs > 0 || !campaign_dir <> None) then
-        run_campaign_main ~lo ~hi
-      else run_fuzz ~t0 ~lo ~hi ~jsonl_file
+  try
+    let jsonl_file, positional = parse_argv () in
+    let lo, hi = resolve_seed_range positional in
+    match !bench_file with
+    | Some file -> run_bench ~file ~lo ~hi
+    | None ->
+        if !worker_id = None && (!jobs > 0 || !campaign_dir <> None) then
+          run_campaign_main ~lo ~hi
+        else run_fuzz ~t0 ~lo ~hi ~jsonl_file
+  with Sys_error e -> usage_error e

@@ -51,9 +51,6 @@ type t = {
           deduplicated — each becomes one checkpoint *)
 }
 
-let recoverable_plans t =
-  List.filter (fun sp -> sp.verdict = Optimize.Recoverable) t.site_plans
-
 (* Points that survive: the paper keeps reexecution points only for sites
    that still carry recovery code. Undetectable wrong-output sites keep
    their points too — the paper's survival mode hardens every output

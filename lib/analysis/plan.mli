@@ -40,7 +40,6 @@ type t = {
           checkpoint *)
 }
 
-val recoverable_plans : t -> site_plan list
 val analyze : ?options:options -> Program.t -> mode -> (t, string) result
 
 val static_points : t -> int

@@ -25,4 +25,14 @@ let find name =
       String.lowercase_ascii s.info.name = String.lowercase_ascii name)
     (all @ extended)
 
-let names = List.map (fun (s : Bench_spec.t) -> s.info.name) all
+let lookup name =
+  match find name with
+  | Some s -> Ok s
+  | None ->
+      let names set =
+        String.concat ", "
+          (List.map (fun (s : Bench_spec.t) -> s.info.name) set)
+      in
+      Error
+        (Printf.sprintf "unknown application %S; try: %s (extended: %s)" name
+           (names all) (names extended))

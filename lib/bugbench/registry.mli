@@ -9,4 +9,5 @@ val extended : Bench_spec.t list
 val find : string -> Bench_spec.t option
 (** Case-insensitive lookup by name, over both sets. *)
 
-val names : string list
+val lookup : string -> (Bench_spec.t, string) result
+(** {!find}, or an error naming the unknown application and both sets. *)

@@ -6,8 +6,14 @@
 
     {[
       let hardened = Conair.harden_exn program Conair.Survival in
-      let run = Conair.execute_hardened hardened ~policy:Round_robin in
+      let run = Conair.execute_hardened hardened in
       (* run.outcome, run.stats.rollbacks, ... *)
+      let run, (rr, log) =
+        Conair.run
+          (Conair.pair (Conair.report ()) (Conair.record ~ident))
+          (Conair.hardened_target hardened)
+      in
+      (* rr.report, log: artifacts of that one run *)
     ]}
 
     Lower-level pieces are re-exported: [Conair.Ir] (the IR and builder),
@@ -128,145 +134,75 @@ let harden_exn ?analysis ?transform p mode =
   | Ok h -> h
   | Error e -> invalid_arg ("Conair.harden: " ^ e)
 
+module Capture = Conair_replay.Capture
+
 (** One program execution and everything measured about it. [machine] is
     packed per engine; use [Engine.steps] / [Engine.sched] / ... for
     engine-generic access. *)
-type run = {
+type run = Capture.run = {
   outcome : Outcome.t;
   outputs : string list;
   stats : Stats.t;
   machine : Engine.machine;
 }
 
-let make_run machine outcome =
-  {
-    outcome;
-    outputs = Engine.outputs machine;
-    stats = Engine.stats machine;
-    machine;
-  }
+(** What runs: the code and its recovery metadata. *)
+type target = Capture.target = {
+  program : Program.t;
+  meta : Machine.meta option;
+}
 
-let execute ?(config = Machine.default_config) ?(engine = Engine.default)
-    (p : Program.t) : run =
-  let machine, outcome = Engine.run_program ~config engine p in
-  make_run machine outcome
-
-let execute_hardened ?(config = Machine.default_config)
-    ?(engine = Engine.default) (h : hardened) : run =
-  let meta = Machine.meta_of_harden h.hardened in
-  let machine, outcome =
-    Engine.run_program ~config ~meta engine h.hardened.program
-  in
-  make_run machine outcome
+type 'a lens = 'a Capture.t
 
 (** One observed execution: the run itself plus every telemetry artifact
     the observability layer derives from it. *)
-type run_report = {
+type run_report = Capture.run_report = {
   run : run;
   spans : Conair_obs.Span.collector;
-      (** the run's recovery spans and the recovery events behind them *)
   metrics : Conair_obs.Metrics.t;
-      (** the standard ConAir metric set plus the live event counters *)
-  report : Conair_obs.Json.t;  (** the structured run report *)
+  report : Conair_obs.Json.t;
 }
 
-(** Run a program with the full observability layer installed, all of it
-    folding the live event stream: live metrics, the span collector, and
-    JSONL records streamed to [trace_writer] (meta record first when
-    [meta_info] is given); then the structured JSON report. The meta
-    record and the report name the engine that ran and whether [meta]
-    (a hardening) was installed. *)
-let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
-    run_report =
-  let module Jsonl = Conair_obs.Jsonl in
-  let hardened = meta <> None in
-  let live = Conair_obs.Metrics.create () in
-  let spans = Conair_obs.Span.collector () in
-  let jsonl =
-    let meta =
-      Option.map (Jsonl.meta_json ~config ~engine ~hardened) meta_info
-    in
-    Option.map (Jsonl.observer ?meta) trace_writer
-  in
-  let m =
-    Engine.create ~config ?meta
-      ~observer:
-        (Event.combine
-           (Option.to_list jsonl
-           @ [
-               Conair_obs.Span.observer spans;
-               Conair_obs.Report.live_metrics live;
-             ]))
-      engine program
-  in
-  let outcome = Engine.run m in
-  let run = make_run m outcome in
-  let metrics = Conair_obs.Report.standard_metrics ~into:live run.stats in
-  let report =
-    Conair_obs.Report.run_json
-      ?meta:(Option.map (Jsonl.meta_fields ~engine ~hardened) meta_info)
-      ~config
-      ~spans:(Conair_obs.Span.spans spans) ~outcome ~outputs:run.outputs
-      run.stats
-  in
-  { run; spans; metrics; report }
+let hardened_target h =
+  {
+    program = h.hardened.program;
+    meta = Some (Machine.meta_of_harden h.hardened);
+  }
 
-let run_observed ?(config = Machine.default_config) ?(engine = Engine.default)
-    ?meta_info ?trace_writer (h : hardened) : run_report =
-  let meta = Machine.meta_of_harden h.hardened in
-  observed_with ~config ~engine ~meta ?meta_info ?trace_writer
-    h.hardened.program
-
-(** One fully-observed execution of [p] — hardened per [mode] first when
-    one is given, as written when [mode] is [None] — with the same
-    pipeline either way: live metrics fed from the event stream,
-    optional JSONL streaming to [trace_writer], spans, and the
-    structured report. This is the single code path behind both the
-    CLI's run/report subcommands and the serve daemon's run jobs, which
-    is what makes their reports byte-identical. *)
-let run_report_of ?(config = Machine.default_config) ?(engine = Engine.default)
-    ?meta_info ?trace_writer ~(mode : mode option) (p : Program.t) :
-    run_report =
+(* [p] hardened per [mode] first when one is given, as written when not. *)
+let target ?mode p =
   match mode with
-  | Some mode ->
-      run_observed ~config ~engine ?meta_info ?trace_writer (harden_exn p mode)
-  | None -> observed_with ~config ~engine ?meta_info ?trace_writer p
+  | None -> { program = p; meta = None }
+  | Some mode -> hardened_target (harden_exn p mode)
 
-(** Run a hardened program with the cost profiler installed and return
-    the finalized profile next to the run: per-context useful/checkpoint/
-    wasted attribution, per-site rollback waste, flamegraph and Chrome
-    counter exports (see [Obs.Prof]). *)
-let run_profiled ?(config = Machine.default_config) ?(engine = Engine.default)
-    (h : hardened) : run * Conair_obs.Prof.t =
-  let meta = Machine.meta_of_harden h.hardened in
-  let prof = Conair_obs.Prof.create () in
-  let m =
-    Engine.create ~config ~meta ~observer:(Conair_obs.Prof.probe prof) engine
-      h.hardened.program
-  in
-  let outcome = Engine.run m in
-  Conair_obs.Prof.finalize prof;
-  (make_run m outcome, prof)
+let run = Capture.run
+let none = Capture.none
+let pair = Capture.pair
+let maybe = Capture.maybe
+let only_if = Capture.only_if
+let observer = Capture.observer
+let report = Capture.report
+let profile = Capture.profile
+let detect = Capture.detect
+let record = Capture.record
+let flight = Conair_replay.Bundle.flight
 
-(** Run a program with the race/deadlock detector installed and return
-    the finalized report next to the run. Pass [meta] (from
-    [Machine.meta_of_harden]) to detect on a hardened program — the mode
-    that matters for fail-stop bugs, where recovery keeps the run alive
-    long enough for the conflicting access to execute. *)
-let run_detected ?(config = Machine.default_config) ?(engine = Engine.default)
-    ?options ?meta (p : Program.t) : run * Conair_race.Report.t =
-  let d = Conair_race.Detect.create ?options () in
-  let m =
-    Engine.create ~config ?meta ~observer:(Conair_race.Detect.probe d) engine p
-  in
-  let outcome = Engine.run m in
-  (make_run m outcome, Conair_race.Detect.report d)
+let execute ?config ?engine p = fst (run ?config ?engine none (target p))
 
-(** [run_detected] on a hardened program with its recovery metadata. *)
-let detect_hardened ?config ?engine ?options (h : hardened) =
-  run_detected ?config ?engine ?options
-    ~meta:(Machine.meta_of_harden h.hardened)
-    h.hardened.program
+let execute_hardened ?config ?engine h =
+  fst (run ?config ?engine none (hardened_target h))
+
+let run_observed ?config ?engine ?meta_info ?trace_writer h =
+  snd
+    (run ?config ?engine
+       (report ?meta_info ?trace_writer ())
+       (hardened_target h))
+
+let run_profiled ?config ?engine h =
+  run ?config ?engine profile (hardened_target h)
+
+let detect_hardened ?config ?engine ?options h =
+  run ?config ?engine (detect ?options ()) (hardened_target h)
 
 (** Schedule record-and-replay: the scheduler-decision recorder, the
     strict/directed replay feeds, the time-travel inspector and the
@@ -279,6 +215,7 @@ module Replay = struct
   module Inspect = Conair_replay.Inspect
   module Minimize = Conair_replay.Minimize
   module Bundle = Conair_replay.Bundle
+  module Capture = Conair_replay.Capture
 end
 
 (** Automated fix synthesis: from a race report and a recorded failing
@@ -298,81 +235,25 @@ let mode_name : mode option -> string = function
   | Some Survival -> "survival"
   | Some (Fix _) -> "fix"
 
-(* Record while keeping the machine, so the result is a full facade
-   [run] next to the schedule log. [race] observes the same run next to
-   the recorder — campaign workers observe schedule coverage (the
-   [Obs.Coverage] collector) on the very run they record. *)
-let record_into ?config ?engine ?meta ?race ~ident program :
-    run * Replay.Log.t =
-  let m, rb, log =
-    Conair_replay.Driver.run_ring ?engine ?config ?meta ?race ~ident
-      (Conair_replay.Recorder.create ()) program
+(* The record lens with [race] observing the same run beside it. *)
+let recorded ?config ?engine ?race ~ident target =
+  let r, (log, ()) =
+    run ?config ?engine
+      (pair (record ~ident) (Option.fold ~none ~some:observer race))
+      target
   in
-  (make_run m rb.Conair_replay.Driver.rb_outcome, log)
+  (r, log)
 
-(** [execute] with the schedule recorder installed: the run plus a
-    self-contained schedule log that replays it bit-for-bit. *)
-let record_run ?config ?engine ?ident ?race (p : Program.t) :
-    run * Replay.Log.t =
-  let ident =
-    match ident with
-    | Some i -> i
-    | None -> Conair_replay.Schedule_log.ident "program"
-  in
-  record_into ?config ?engine ?race ~ident p
+let record_run ?config ?engine ?(ident = Replay.Log.ident "program") ?race p =
+  recorded ?config ?engine ?race ~ident (target p)
 
-(** [execute_hardened] with the schedule recorder installed. The default
-    ident carries the plan's mode ("survival" or "fix"). *)
-let run_recorded ?config ?engine ?ident ?race (h : hardened) :
-    run * Replay.Log.t =
-  let ident =
-    match ident with
-    | Some i -> i
-    | None ->
-        Conair_replay.Schedule_log.ident
-          ~mode:(mode_name (Some h.plan.Plan.mode))
-          "program"
-  in
-  record_into ?config ?engine ?race
-    ~meta:(Machine.meta_of_harden h.hardened)
-    ~ident h.hardened.program
+let run_recorded ?config ?engine ?ident ?race h =
+  let mode = mode_name (Some h.plan.Plan.mode) in
+  let ident = Option.value ident ~default:(Replay.Log.ident ~mode "program") in
+  recorded ?config ?engine ?race ~ident (hardened_target h)
 
-(** Run with the flight recorder attached: the run plus the diagnostic
-    bundle its ring retained — the always-on post-mortem artifact. The
-    ring observes decisions and sync events only, which keeps the block
-    engine on its compiled phases, so this is cheap enough to leave on
-    everywhere. *)
-let run_flight ?config ?engine ?meta ?cap ?reason ~ident program :
-    run * Replay.Bundle.t =
-  let m, outcome, bundle =
-    Conair_replay.Bundle.capture ?engine ?config ?meta ?cap ?reason ~ident
-      program
-  in
-  (make_run m outcome, bundle)
-
-(* [p] as a run in [mode] executes it: hardened per mode with its
-   recovery metadata, or as written. *)
-let in_mode mode p =
-  match mode with
-  | None -> (p, None)
-  | Some mode ->
-      let h = harden_exn p mode in
-      (h.hardened.program, Some (Machine.meta_of_harden h.hardened))
-
-let with_mode mode (ident : Replay.Log.ident) =
-  { ident with Conair_replay.Schedule_log.id_mode = mode_name mode }
-
-(** The schedule log of [p] run in [mode]. *)
-let record_in_mode ~config ~engine ~ident mode p : Replay.Log.t =
-  let program, meta = in_mode mode p in
-  snd (record_into ~config ~engine ?meta ~ident:(with_mode mode ident) program)
-
-(** The flight bundle of [p] run in [mode]. *)
-let flight_in_mode ~config ~engine ~reason ~ident mode p : Replay.Bundle.t =
-  let program, meta = in_mode mode p in
-  snd
-    (run_flight ~config ~engine ?meta ~reason ~ident:(with_mode mode ident)
-       program)
+let run_flight ?config ?engine ?meta ?cap ?reason ~ident program =
+  run ?config ?engine (flight ?cap ?reason ~ident ()) { program; meta }
 
 (** Regenerate a diagnostic bundle from a recorded schedule log by
     deterministic re-run — how the fuzzer attaches a post-mortem bundle
@@ -380,15 +261,13 @@ let flight_in_mode ~config ~engine ~reason ~ident mode p : Replay.Bundle.t =
 let flight_of_log ?cap ?(reason = "finding") (log : Replay.Log.t) :
     (Replay.Bundle.t, string) result =
   let ( let* ) = Result.bind in
-  let* program = Conair_replay.Schedule_log.program log in
-  let* engine = Engine.of_string log.Conair_replay.Schedule_log.engine in
-  let _, _, bundle =
-    Conair_replay.Bundle.capture ~engine
-      ~config:log.Conair_replay.Schedule_log.config
-      ?meta:(Conair_replay.Schedule_log.machine_meta log)
-      ?cap ~reason ~ident:log.Conair_replay.Schedule_log.ident program
-  in
-  Ok bundle
+  let* program = Replay.Log.program log in
+  let* engine = Engine.of_string log.Replay.Log.engine in
+  Ok
+    (snd
+       (run_flight ~engine ~config:log.Replay.Log.config
+          ?meta:(Replay.Log.machine_meta log)
+          ?cap ~reason ~ident:log.Replay.Log.ident program))
 
 (** The canonical interleaving signature of a recorded run: the
     [Obs.Coverage] digest over the log's preemption-point sequence,
@@ -469,11 +348,10 @@ let profile_sites ?(config = Machine.default_config) ?(runs = 5)
             (1 + Option.value ~default:0 (Hashtbl.find_opt hits iid))
       | _ -> ()
     in
-    let _, outcome =
-      Engine.run_program ~config ~observer:(Event.observer ~steps:true count)
-        Engine.default p
+    let r, () =
+      run ~config (observer (Event.observer ~steps:true count)) (target p)
     in
-    if Outcome.is_success outcome then
+    if Outcome.is_success r.outcome then
       List.iter
         (fun (s : Conair_analysis.Site.t) ->
           let n = Option.value ~default:0 (Hashtbl.find_opt hits s.iid) in

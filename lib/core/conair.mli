@@ -8,6 +8,12 @@
       let hardened = Conair.harden_exn program Conair.Survival in
       let run = Conair.execute_hardened hardened in
       (* run.outcome = Success; run.stats.rollbacks counts recoveries *)
+      let run, (rr, log) =
+        Conair.run
+          (Conair.pair (Conair.report ()) (Conair.record ~ident))
+          (Conair.hardened_target hardened)
+      in
+      (* one more execution, observed: its report and its schedule log *)
     ]}
 
     The four layers are re-exported below: {!Ir} (the IR, builder and text
@@ -138,33 +144,72 @@ val harden_exn :
     Every function here that takes [?engine] runs on
     {!Runtime.Engine.default} — the block engine — when none is given.
     All engines produce identical runs; the choice only changes speed. *)
-type run = {
+type run = Conair_replay.Capture.run = {
   outcome : Conair_runtime.Outcome.t;
   outputs : string list;
   stats : Conair_runtime.Stats.t;
   machine : Conair_runtime.Engine.machine;
 }
 
-val execute :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  Conair_ir.Program.t ->
-  run
-(** Run an (unhardened) program on the chosen engine (default
-    {!Runtime.Engine.default}). *)
+(** {1 One capture path}
 
-val execute_hardened :
+    Every artifact derived from a run is a fold over its one event
+    stream. A {e lens} is an observer plus the finisher that turns the
+    finished run into its artifact; {!run} executes a target once with
+    a lens attached, and {!pair} combines lenses, so any set of
+    artifacts comes out of a single execution:
+
+    {[
+      let r, (rr, log) =
+        Conair.run
+          (Conair.pair (Conair.report ()) (Conair.record ~ident))
+          (Conair.target ~mode:Conair.Survival program)
+      in
+      (* rr.report, rr.spans, log: all of the one run r *)
+    ]} *)
+
+(** What runs: the code and its recovery metadata ([None] for an
+    original program). *)
+type target = Conair_replay.Capture.target = {
+  program : Conair_ir.Program.t;
+  meta : Conair_runtime.Machine.meta option;
+}
+
+val target : ?mode:mode -> Conair_ir.Program.t -> target
+(** The program hardened per [mode] (once) when a mode is given, as
+    written when not. *)
+
+val hardened_target : hardened -> target
+(** The hardened program with its recovery metadata. *)
+
+type 'a lens = 'a Conair_replay.Capture.t
+
+val run :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
-  hardened ->
-  run
-(** Run a hardened program with the recovery metadata installed: the
-    production run of the hardened program, on the block engine unless
-    another is named. *)
+  'a lens ->
+  target ->
+  run * 'a
+(** Execute the target once with the lens attached ({!Replay.Capture.run}).
+    A lens that observes nothing ({!none}) installs no observer, so the
+    block engine keeps its compiled phases. *)
+
+val none : unit lens
+val pair : 'a lens -> 'b lens -> ('a * 'b) lens
+
+val maybe : bool -> 'a lens -> 'a option lens
+(** The lens when the flag is set, else nothing and [None]. *)
+
+val only_if : (run -> bool) -> 'a lens -> 'a option lens
+(** The lens observes the run; its artifact is made only when the
+    finished run satisfies the predicate, else [None]. *)
+
+val observer : Conair_runtime.Event.observer -> unit lens
+(** A raw observer — a coverage collector, a step counter — on the run. *)
 
 (** One observed execution: the run itself plus every telemetry artifact
     the observability layer derives from it. *)
-type run_report = {
+type run_report = Conair_replay.Capture.run_report = {
   run : run;
   spans : Conair_obs.Span.collector;
       (** the run's recovery spans and the recovery events behind them:
@@ -175,6 +220,79 @@ type run_report = {
   report : Conair_obs.Json.t;  (** the structured run report *)
 }
 
+val report :
+  ?meta_info:Conair_obs.Jsonl.run_meta ->
+  ?trace_writer:Conair_obs.Jsonl.writer ->
+  unit ->
+  run_report lens
+(** The observability layer, all of it folding the event stream as the
+    machine runs: live metrics, the recovery-span collector, and one
+    JSONL record per event written to [trace_writer] (preceded by a meta
+    record when [meta_info] is given). After the run come the standard
+    metric set and a structured JSON report. The meta record and the
+    report name the engine that ran and say [hardened] exactly when the
+    target carries recovery metadata. The CLI's run/report subcommands
+    and the serve daemon's run jobs both use this lens, which is what
+    makes their reports byte-identical. *)
+
+val profile : Conair_obs.Prof.t lens
+(** The cost profiler, finalized: per-context useful/checkpoint/wasted
+    attribution, per-site rollback waste, and the flamegraph / Chrome
+    counter exports of {!Obs.Prof}. *)
+
+val detect :
+  ?options:Conair_race.Detect.options -> unit -> Conair_race.Report.t lens
+(** The race/deadlock detector's finalized report. Reports are
+    deterministic in (program, config, policy, seed) and identical
+    across all three engines. On a hardened target — the mode that
+    matters for fail-stop bugs — recovery keeps the run alive long
+    enough for the conflicting access to execute (§6: recovery masks the
+    symptom; detection un-masks the root cause). *)
+
+val record :
+  ident:Conair_replay.Schedule_log.ident -> Conair_replay.Schedule_log.t lens
+(** The schedule recorder: a self-contained schedule log (embedded
+    program, config, decision stream, result trailer) that replays the
+    run bit-for-bit on any engine. [ident] is written as given. *)
+
+val flight :
+  ?cap:int ->
+  ?reason:string ->
+  ident:Conair_replay.Schedule_log.ident ->
+  unit ->
+  Conair_replay.Bundle.t lens
+(** The flight recorder: the diagnostic bundle its ring retained (the
+    schedule log's window — decision tail, preemptions, header and
+    trailer — plus per-thread locksets, sync/recovery events and episode
+    spans; see {!Replay.Bundle}). [cap] sizes the decision ring (default
+    {!Runtime.Flight_ring.default_capacity}); [reason] defaults to
+    ["requested"]; [ident] is written as given. The ring keeps the block
+    engine on its compiled phases, so this is cheap enough to leave
+    always on (the [@perf] gate holds it within 5% of a bare run). *)
+
+val mode_name : mode option -> string
+(** A run's [mode] as a schedule-log ident writes it: ["none"] for an
+    unhardened run, ["survival"] or ["fix"]. *)
+
+(** {2 Single-lens shorthands}
+
+    Each is one application of {!run}. *)
+
+val execute :
+  ?config:Conair_runtime.Machine.config ->
+  ?engine:Conair_runtime.Engine.t ->
+  Conair_ir.Program.t ->
+  run
+(** Run an (unhardened) program with {!none}. *)
+
+val execute_hardened :
+  ?config:Conair_runtime.Machine.config ->
+  ?engine:Conair_runtime.Engine.t ->
+  hardened ->
+  run
+(** Run a hardened program with the recovery metadata installed: the
+    production run of the hardened program. *)
+
 val run_observed :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
@@ -182,39 +300,65 @@ val run_observed :
   ?trace_writer:Conair_obs.Jsonl.writer ->
   hardened ->
   run_report
-(** {!execute_hardened} with the observability layer installed, all of
-    it folding the event stream as the machine runs: live metrics, the
-    recovery-span collector, and one JSONL record per trace event
-    written to [trace_writer] (preceded by a meta record when
-    [meta_info] is given). After the run come the standard metric set
-    and a structured JSON report. The meta record and the report name
-    the engine that ran and say the program was hardened. *)
-
-val run_report_of :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?meta_info:Conair_obs.Jsonl.run_meta ->
-  ?trace_writer:Conair_obs.Jsonl.writer ->
-  mode:mode option ->
-  Conair_ir.Program.t ->
-  run_report
-(** One fully-observed execution of the program — hardened per [mode]
-    first when one is given, as written when [mode] is [None] — through
-    the same pipeline as {!run_observed} either way; the meta record and
-    the report say [hardened] exactly when [mode] is given. The single code
-    path behind both the CLI's run/report subcommands and the serve
-    daemon's run jobs, which is what makes their reports
-    byte-identical. *)
+(** {!execute_hardened} with the {!report} lens. *)
 
 val run_profiled :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
   hardened ->
   run * Conair_obs.Prof.t
-(** {!execute_hardened} with the cost profiler installed: the returned
-    profile is finalized — per-context useful/checkpoint/wasted
-    attribution, per-site rollback waste, and the flamegraph / Chrome
-    counter exports of {!Obs.Prof}. *)
+(** {!execute_hardened} with the {!profile} lens. *)
+
+val detect_hardened :
+  ?config:Conair_runtime.Machine.config ->
+  ?engine:Conair_runtime.Engine.t ->
+  ?options:Conair_race.Detect.options ->
+  hardened ->
+  run * Conair_race.Report.t
+(** {!execute_hardened} with the {!detect} lens. *)
+
+val record_run :
+  ?config:Conair_runtime.Machine.config ->
+  ?engine:Conair_runtime.Engine.t ->
+  ?ident:Conair_replay.Schedule_log.ident ->
+  ?race:Conair_runtime.Event.observer ->
+  Conair_ir.Program.t ->
+  run * Conair_replay.Schedule_log.t
+(** {!execute} with the {!record} lens (default ident ["program"]);
+    [race] rides the same run as an {!observer}. *)
+
+val run_recorded :
+  ?config:Conair_runtime.Machine.config ->
+  ?engine:Conair_runtime.Engine.t ->
+  ?ident:Conair_replay.Schedule_log.ident ->
+  ?race:Conair_runtime.Event.observer ->
+  hardened ->
+  run * Conair_replay.Schedule_log.t
+(** {!execute_hardened} with the {!record} lens. The default ident
+    carries the plan's mode ("survival" or "fix"). *)
+
+val run_flight :
+  ?config:Conair_runtime.Machine.config ->
+  ?engine:Conair_runtime.Engine.t ->
+  ?meta:Conair_runtime.Machine.meta ->
+  ?cap:int ->
+  ?reason:string ->
+  ident:Conair_replay.Schedule_log.ident ->
+  Conair_ir.Program.t ->
+  run * Conair_replay.Bundle.t
+(** The program (with [meta], when hardened) under the {!flight} lens. *)
+
+val flight_of_log :
+  ?cap:int ->
+  ?reason:string ->
+  Conair_replay.Schedule_log.t ->
+  (Conair_replay.Bundle.t, string) result
+(** Regenerate a diagnostic bundle from a recorded schedule log by
+    deterministic re-run under the log's embedded program, config and
+    engine. [reason] defaults to ["finding"] — the fuzzer uses this to
+    attach a post-mortem bundle to each unique finding in its corpus.
+    Fails when the log carries no program (or one that does not hash to
+    its MD5) or names an unknown engine. *)
 
 (** ConSeq-style profile-based site pruning (§3.4): per-site execution
     counts over clean profiling runs of the original program. *)
@@ -234,29 +378,6 @@ val well_tested : ?threshold:int -> site_profile list -> int list
     {!Conair_analysis.Plan.options.exclude_iids}. Beware the trade-off:
     a hidden bug at a well-tested site loses its recovery. *)
 
-val run_detected :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?options:Conair_race.Detect.options ->
-  ?meta:Conair_runtime.Machine.meta ->
-  Conair_ir.Program.t ->
-  run * Conair_race.Report.t
-(** Run a program with the race/deadlock detector installed and return
-    the finalized report next to the run. Reports are deterministic in
-    (program, config, policy, seed) and identical across all three
-    engines. *)
-
-val detect_hardened :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?options:Conair_race.Detect.options ->
-  hardened ->
-  run * Conair_race.Report.t
-(** {!run_detected} on a hardened program with its recovery metadata —
-    the mode that matters for fail-stop bugs, where recovery keeps the
-    run alive long enough for the conflicting access to execute (§6:
-    recovery masks the symptom; detection un-masks the root cause). *)
-
 (** Schedule record-and-replay: the scheduler-decision recorder, the
     strict/directed replay feeds, the time-travel inspector, the
     failing-interleaving minimizer and the flight bundle (a schedule
@@ -275,6 +396,7 @@ module Replay : sig
   module Inspect = Conair_replay.Inspect
   module Minimize = Conair_replay.Minimize
   module Bundle = Conair_replay.Bundle
+  module Capture = Conair_replay.Capture
 end
 
 (** Automated fix synthesis — closing the detect → explain → repair
@@ -289,85 +411,6 @@ module Fix : sig
   module Gates = Conair_fix.Gates
   module Pipeline = Conair_fix.Pipeline
 end
-
-val record_run :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?ident:Replay.Log.ident ->
-  ?race:Conair_runtime.Event.observer ->
-  Conair_ir.Program.t ->
-  run * Replay.Log.t
-(** {!execute} with the schedule recorder attached: the run plus a
-    self-contained schedule log (embedded program, config, decision
-    stream, result trailer) that replays it bit-for-bit on any engine.
-    [race] attaches an additional observer next to the recorder — e.g.
-    an {!Obs.Coverage} collector observing schedule coverage on the
-    recorded run. *)
-
-val run_recorded :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?ident:Replay.Log.ident ->
-  ?race:Conair_runtime.Event.observer ->
-  hardened ->
-  run * Replay.Log.t
-(** {!execute_hardened} with the schedule recorder installed. The
-    default ident carries the plan's mode ("survival" or "fix"). *)
-
-val run_flight :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?meta:Conair_runtime.Machine.meta ->
-  ?cap:int ->
-  ?reason:string ->
-  ident:Replay.Log.ident ->
-  Conair_ir.Program.t ->
-  run * Replay.Bundle.t
-(** Run with the flight recorder attached: the run plus the diagnostic
-    bundle its ring retained (the schedule log's window — decision tail,
-    preemptions, header and trailer — plus per-thread locksets,
-    sync/recovery events and episode spans; see {!Replay.Bundle}). [cap]
-    sizes the decision ring (default
-    {!Runtime.Flight_ring.default_capacity}); [reason] defaults to
-    ["requested"]. The flight recorder keeps the block engine on its
-    compiled phases, so this is cheap enough to leave always on (the
-    [@perf] gate holds it within 5% of a bare run). *)
-
-val record_in_mode :
-  config:Conair_runtime.Machine.config ->
-  engine:Conair_runtime.Engine.t ->
-  ident:Replay.Log.ident ->
-  mode option ->
-  Conair_ir.Program.t ->
-  Replay.Log.t
-(** The schedule log of a program run in [mode]: hardened per [mode]
-    ({!run_recorded}), or as written when [None] ({!record_run}). The
-    ident's mode member is set from [mode]: ["none"], ["survival"] or
-    ["fix"]. *)
-
-val flight_in_mode :
-  config:Conair_runtime.Machine.config ->
-  engine:Conair_runtime.Engine.t ->
-  reason:string ->
-  ident:Replay.Log.ident ->
-  mode option ->
-  Conair_ir.Program.t ->
-  Replay.Bundle.t
-(** The flight bundle of a program run in [mode], like
-    {!record_in_mode}: {!run_flight} of the hardened program with its
-    recovery metadata, or of the program as written. *)
-
-val flight_of_log :
-  ?cap:int ->
-  ?reason:string ->
-  Replay.Log.t ->
-  (Replay.Bundle.t, string) result
-(** Regenerate a diagnostic bundle from a recorded schedule log by
-    deterministic re-run under the log's embedded program, config and
-    engine. [reason] defaults to ["finding"] — the fuzzer uses this to
-    attach a post-mortem bundle to each unique finding in its corpus.
-    Fails when the log carries no program (or one that does not hash to
-    its MD5) or names an unknown engine. *)
 
 val interleaving_signature : ?orders:(string * string) list ->
   Replay.Log.t -> string

@@ -29,6 +29,7 @@
 open Conair_ir
 open Conair_runtime
 module Driver = Conair_replay.Driver
+module Capture = Conair_replay.Capture
 module Log = Conair_replay.Schedule_log
 module Recorder = Conair_replay.Recorder
 module Lockorder = Conair_race.Lockorder
@@ -75,14 +76,14 @@ let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
   let one policy =
     let lo = Lockorder.witness () in
     let rc = Recorder.create () in
-    let m =
-      Engine.create
+    let r, _ =
+      Capture.run ~engine
         ~config:{ config with Machine.policy }
-        ~observer:
-          (Event.combine [ Lockorder.witness_probe lo; Recorder.observer rc ])
-        engine p
+        (Capture.pair
+           (Capture.observer (Lockorder.witness_probe lo))
+           (Capture.observer (Recorder.observer rc)))
+        { program = p; meta = None }
     in
-    let outcome = Engine.run m in
     let s =
       Coverage.signature ~context:"fix-sweep"
         ~decisions:(Recorder.decisions rc)
@@ -91,13 +92,13 @@ let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
     in
     Hashtbl.replace sigs s ();
     List.iter (fun k -> Hashtbl.replace cycles k ()) (Lockorder.cycle_keys lo);
-    if not (Outcome.is_success outcome) then begin
+    if not (Outcome.is_success r.outcome) then begin
       incr failures;
-      if !first = None then first := Some (Outcome.to_string outcome)
+      if !first = None then first := Some (Outcome.to_string r.outcome)
     end
     else
       match accept with
-      | Some f when not (f (Engine.outputs m)) ->
+      | Some f when not (f r.outputs) ->
           incr rejected;
           if !first = None then first := Some "outputs rejected"
       | _ -> ()

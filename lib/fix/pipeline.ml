@@ -13,9 +13,8 @@ open Conair_ir
 open Conair_runtime
 module Plan = Conair_analysis.Plan
 module Harden = Conair_transform.Harden
-module Detect = Conair_race.Detect
 module Report = Conair_race.Report
-module Driver = Conair_replay.Driver
+module Capture = Conair_replay.Capture
 module Log = Conair_replay.Schedule_log
 module Minimize = Conair_replay.Minimize
 module Overhead = Conair_obs.Overhead
@@ -130,15 +129,10 @@ let detect_races ~(options : options) (p : Program.t) : Report.t =
     | None -> (p, None)
   in
   let one policy =
-    let det = Detect.create () in
-    let m =
-      Engine.create
-        ~config:{ config with Machine.policy }
-        ?meta
-        ~observer:(Detect.probe det) options.engine program
-    in
-    ignore (Engine.run m);
-    Detect.report det
+    snd
+      (Capture.run ~engine:options.engine
+         ~config:{ config with Machine.policy }
+         (Capture.detect ()) { program; meta })
   in
   let policies =
     Sched.Round_robin
@@ -156,22 +150,22 @@ let policy_string = function
    output oracle, succeeds with rejected outputs). *)
 let find_failing ~(options : options) ?accept ~ident (p : Program.t) =
   let config = config_of options in
-  let is_failing (rb : Driver.result_bundle) =
-    match rb.Driver.rb_outcome with
+  let is_failing (r : Capture.run) =
+    match r.outcome with
     | Outcome.Failed _ | Outcome.Hang _ -> true
     | Outcome.Success -> (
-        match accept with Some f -> not (f rb.Driver.rb_outputs) | None -> false)
+        match accept with Some f -> not (f r.outputs) | None -> false)
     | Outcome.Fuel_exhausted _ -> false
   in
   let rec go = function
     | [] -> None
     | policy :: rest ->
-        let rb, log =
-          Driver.record ~engine:options.engine
+        let r, log =
+          Capture.run ~engine:options.engine
             ~config:{ config with Machine.policy }
-            ~ident p
+            (Capture.record ~ident) { program = p; meta = None }
         in
-        if is_failing rb then Some (policy, rb, log) else go rest
+        if is_failing r then Some (policy, r, log) else go rest
   in
   go
     (Sched.Round_robin
@@ -226,7 +220,7 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
         fx_candidates = [];
         fx_survivors = 0;
       }
-  | Some (policy, rb, log) ->
+  | Some (policy, r, log) ->
       (* minimize the failing schedule; keep the raw log if ddmin cannot
          reproduce (e.g. oracle-rejected successful runs) *)
       let log, minimized =
@@ -248,7 +242,7 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
          wait of twice that cannot spuriously expire — while a
          wrong-direction wait still terminates instead of hanging. *)
       let order_timeout =
-        max options.order_timeout (2 * rb.Driver.rb_steps)
+        max options.order_timeout (2 * Engine.steps r.Capture.machine)
       in
       let candidates =
         Patch.synthesize ~max_candidates:options.max_candidates
@@ -288,7 +282,7 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
         fx_app = app;
         fx_variant = variant;
         fx_detection = detection;
-        fx_failure = Some (Outcome.to_string rb.Driver.rb_outcome);
+        fx_failure = Some (Outcome.to_string r.Capture.outcome);
         fx_fail_policy = Some (policy_string policy);
         fx_fail_decisions = Some (Array.length log.Log.decisions);
         fx_minimized = minimized;

@@ -99,13 +99,3 @@ let check (p : Program.t) =
   in
   let acc = check_unique_iids p acc in
   List.rev (List.fold_left (check_func p) acc p.funcs)
-
-(** Raise [Invalid_argument] with a readable report if [p] is ill-formed. *)
-let check_exn p =
-  match check p with
-  | [] -> ()
-  | problems ->
-      invalid_arg
-        (Format.asprintf "@[<v>invalid Mir program:@ %a@]"
-           (Format.pp_print_list pp_problem)
-           problems)

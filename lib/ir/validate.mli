@@ -11,6 +11,3 @@ val pp_problem : Format.formatter -> problem -> unit
 val check : Program.t -> problem list
 (** All problems found; [[]] means well-formed. *)
 
-val check_exn : Program.t -> unit
-(** @raise Invalid_argument with a readable report if the program is
-    ill-formed. *)

@@ -33,18 +33,6 @@ type observed = {
   ob_edges : string list;
 }
 
-let observed_empty = { ob_orders = []; ob_points = []; ob_edges = [] }
-
-let observed_to_json (o : observed) : Json.t =
-  Json.Obj
-    [
-      ("type", Json.String "observed");
-      ( "orders",
-        Json.Obj (List.map (fun (a, t) -> (a, Json.String t)) o.ob_orders) );
-      ("points", Json.List (List.map (fun p -> Json.String p) o.ob_points));
-      ("edges", Json.List (List.map (fun e -> Json.String e) o.ob_edges));
-    ]
-
 let string_list_of_json name j =
   match j with
   | Json.List l ->
@@ -55,29 +43,6 @@ let string_list_of_json name j =
       in
       go [] l
   | _ -> Error (name ^ " is not a list")
-
-let observed_of_json (j : Json.t) : (observed, string) result =
-  let ( let* ) = Result.bind in
-  let* orders =
-    match Json.member "orders" j with
-    | Some (Json.Obj kvs) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | (a, Json.String t) :: rest -> go ((a, t) :: acc) rest
-          | _ -> Error "orders holds a non-string member"
-        in
-        go [] kvs
-    | Some _ -> Error "orders is not an object"
-    | None -> Ok []
-  in
-  let member_list name =
-    match Json.member name j with
-    | Some l -> string_list_of_json name l
-    | None -> Ok []
-  in
-  let* points = member_list "points" in
-  let* edges = member_list "edges" in
-  Ok { ob_orders = orders; ob_points = points; ob_edges = edges }
 
 (* --- the collector ------------------------------------------------- *)
 
@@ -252,7 +217,6 @@ let note_signature t s =
     true
   end
 
-let seen_signature t s = SS.mem s t.cov_sigs
 let signatures t = SS.cardinal t.cov_sigs
 
 let novelty t ~app (o : observed) =

@@ -52,11 +52,6 @@ type observed = {
           ["CLASS:KINDS:BLOCK->BLOCK"] — sorted, deduped *)
 }
 
-val observed_empty : observed
-
-val observed_to_json : observed -> Json.t
-val observed_of_json : Json.t -> (observed, string) result
-
 type collector
 
 val collector : unit -> collector
@@ -95,7 +90,6 @@ val note_signature : t -> string -> bool
 (** Record a signature; [true] when it was not yet known — the
     coordinator's dedupe primitive. *)
 
-val seen_signature : t -> string -> bool
 val signatures : t -> int
 
 val novelty : t -> app:string -> observed -> float

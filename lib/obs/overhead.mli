@@ -102,8 +102,8 @@ val table_rows : row list -> string list
 
     Used by the fix synthesizer to rank surviving candidates and to put
     fixed-forever cost next to ConAir-hardened cost. Always measured on
-    the fast engine: instruction and step counts are part of the
-    engines' differential guarantee, so the numbers are
+    {!Conair_runtime.Engine.default}: instruction and step counts are
+    part of the engines' differential guarantee, so the numbers are
     engine-independent. *)
 
 type cost = {

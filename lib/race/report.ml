@@ -48,26 +48,12 @@ let addr_string : Event.addr -> string = function
   | A_cell (b, i) -> Printf.sprintf "cell:%d:%d" b i
   | A_block b -> Printf.sprintf "block:%d" b
 
-(* The variable name when the race is on a named global — what the
-   bugbench ground truth is keyed on. *)
-let race_global r =
-  match r.rc_addr with Event.A_global g -> Some g | _ -> None
-
 (* Canonical identity of a lock-order cycle: its lock set, which the
    detector already canonicalizes (minimum lock first). Actual and
    potential findings share a key deliberately — a fix that demotes an
    actual deadlock to a still-possible potential one has not removed the
    inversion. *)
 let cycle_key c = String.concat "->" c.cy_locks
-
-(* The cycles of [current] whose lock sets the [baseline] report never
-   saw, in [current]'s deterministic order — the fix synthesizer's
-   deadlock-freedom gate: a candidate patch may keep the cycles the buggy
-   program already had (it is no worse), but must not mint new ones. *)
-let new_cycles ~baseline current =
-  let seen = Hashtbl.create 8 in
-  List.iter (fun c -> Hashtbl.replace seen (cycle_key c) ()) baseline.cycles;
-  List.filter (fun c -> not (Hashtbl.mem seen (cycle_key c))) current.cycles
 
 let kind_string (prev : Event.kind) (curr : Event.kind) =
   match (prev, curr) with

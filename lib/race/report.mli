@@ -50,8 +50,6 @@ type t = { races : race list; warnings : warning list; cycles : cycle list }
 
 val empty : t
 val addr_string : Event.addr -> string
-val race_global : race -> string option
-(** The global variable name, when the race is on one. *)
 
 val kind_string : Event.kind -> Event.kind -> string
 
@@ -60,12 +58,6 @@ val cycle_key : cycle -> string
     lock list joined with ["->"]. Actual and potential cycles share a
     key deliberately — demoting an actual deadlock to a potential one
     does not remove the inversion. *)
-
-val new_cycles : baseline:t -> t -> cycle list
-(** The cycles of the second report whose lock sets the [baseline] never
-    saw — the fix synthesizer's deadlock-freedom gate: a candidate may
-    keep the cycles the buggy program already had, but must not mint new
-    ones. *)
 
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

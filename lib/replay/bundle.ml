@@ -1,18 +1,18 @@
 (* The flight bundle: a schedule log's window plus the machine's
    post-mortem state.
 
-   [capture] runs a program with a bounded flight ring attached through
-   the one capture path ([Driver.run_ring]) — which packages the ring's
-   window as a schedule log — and adds what only a post-mortem needs:
-   the window's start, the dump reason, per-thread status and held
-   locksets, the ring's recent events and the recovery-episode spans.
-   The JSON keeps the log's header (plus "reason"), writes the window as
-   a "tail" of sched_chunk records with its absolute "first" and "total"
-   and absolute preemption ordinals, and the log's trailer as "trailer".
+   The [flight] lens attaches a bounded flight ring to a [Capture.run],
+   packages the ring's window as a schedule log ([Driver.log_of_run])
+   and adds what only a post-mortem needs: the window's start, the dump
+   reason, per-thread status and held locksets, the ring's recent events
+   and the recovery-episode spans. The JSON keeps the log's header (plus
+   "reason"), writes the window as a "tail" of sched_chunk records with
+   its absolute "first" and "total" and absolute preemption ordinals,
+   and the log's trailer as "trailer".
 
    [recover_log] is the regeneration recipe: because every run is
    deterministic from (program, seed, config, engine), re-running the
-   embedded program under the embedded config with a full recording (an
+   embedded program under the embedded config with the record lens (an
    unbounded ring) reconstructs the complete decision stream. The window
    then acts as a tamper-evident check — the re-run's decisions,
    preemption ordinals and trailer must all match it, or the bundle is
@@ -76,32 +76,31 @@ let row (ev : Event.t) =
     ->
       None
 
-let capture ?engine ?config ?meta ?cap ?(reason = "requested") ~ident program =
+let flight ?cap ?(reason = "requested") ~ident ()
+    ({ Capture.config; target; _ } : Capture.context) =
   let ring = Flight_ring.create ?cap () in
-  let m, rb, window =
-    Driver.run_ring ?engine ?config ?meta ~ident ring program
-  in
-  let bundle =
-    {
-      window;
-      first = Flight_ring.tail_first ring;
-      reason;
-      threads = Engine.thread_summaries m;
-      events = List.filter_map row (Flight_ring.events ring);
-      episodes =
-        List.map
-          (fun (ep : Stats.episode) ->
-            {
-              be_site = ep.ep_site_id;
-              be_tid = ep.ep_tid;
-              be_start = ep.ep_start;
-              be_end = ep.ep_end;
-              be_retries = ep.ep_retries;
-            })
-          (Stats.episodes_chronological rb.Driver.rb_stats);
-    }
-  in
-  (m, rb.Driver.rb_outcome, bundle)
+  ( [ Flight_ring.observer ring ],
+    fun (r : Capture.run) ->
+      {
+        window =
+          Driver.log_of_run ~config ?meta:target.meta ~ident
+            ~program:target.program ring r.machine r.outcome;
+        first = Flight_ring.tail_first ring;
+        reason;
+        threads = Engine.thread_summaries r.machine;
+        events = List.filter_map row (Flight_ring.events ring);
+        episodes =
+          List.map
+            (fun (ep : Stats.episode) ->
+              {
+                be_site = ep.ep_site_id;
+                be_tid = ep.ep_tid;
+                be_start = ep.ep_start;
+                be_end = ep.ep_end;
+                be_retries = ep.ep_retries;
+              })
+            (Stats.episodes_chronological r.stats);
+      } )
 
 (* ------------------------------------------------------------------ *)
 (* Regeneration                                                        *)
@@ -110,7 +109,7 @@ let capture ?engine ?config ?meta ?cap ?(reason = "requested") ~ident program =
 (* The re-run must reproduce the window: the same stream length, the
    retained decisions and preemptions as its suffix, the same trailer.
    Checked on the bundle as given, not only as loaded. *)
-let verify (b : t) (full : Log.t) rb =
+let verify (b : t) (full : Log.t) (r : Capture.run) =
   let err fmt = Printf.ksprintf (fun s -> Error ("bundle: " ^ s)) fmt in
   let w = b.window in
   let n = Array.length full.Log.decisions in
@@ -141,7 +140,9 @@ let verify (b : t) (full : Log.t) rb =
           err "tail preemptions diverge (re-run %d, bundle %d)"
             (Array.length pre)
             (Array.length w.Log.preemptions)
-        else Result.map_error (( ^ ) "bundle: re-run ") (Driver.check w rb)
+        else
+          Result.map_error (( ^ ) "bundle: re-run ")
+            (Driver.check_run w r.machine r.outcome)
 
 let recover_log ?engine (b : t) : (Log.t, string) result =
   let w = b.window in
@@ -149,11 +150,12 @@ let recover_log ?engine (b : t) : (Log.t, string) result =
     match engine with Some e -> Ok e | None -> Engine.of_string w.Log.engine
   in
   let* program = Log.program w in
-  let _, rb, log =
-    Driver.run_ring ~engine ~config:w.Log.config ?meta:(Log.machine_meta w)
-      ~ident:w.Log.ident (Recorder.create ()) program
+  let r, log =
+    Capture.run ~engine ~config:w.Log.config
+      (Capture.record ~ident:w.Log.ident)
+      { program; meta = Log.machine_meta w }
   in
-  let* () = verify b log rb in
+  let* () = verify b log r in
   Ok log
 
 (* ------------------------------------------------------------------ *)

@@ -16,7 +16,6 @@
     into a full schedule log verified against the window, after which
     strict replay, directed replay and minimization apply unchanged. *)
 
-open Conair_ir
 open Conair_runtime
 
 (** One retained sync/recovery event of the ring ({!Flight_ring.events}). *)
@@ -54,27 +53,20 @@ type t = {
 val total : t -> int
 (** Decisions in the whole run: [first] + the retained count. *)
 
-val capture :
-  ?engine:Engine.t ->
-  ?config:Machine.config ->
-  ?meta:Machine.meta ->
-  ?cap:int ->
-  ?reason:string ->
-  ident:Schedule_log.ident ->
-  Program.t ->
-  Engine.machine * Outcome.t * t
-(** Run [program] to completion with a flight ring of [cap] decisions
-    (default {!Flight_ring.default_capacity}) attached as its observer,
-    and build the bundle. [engine] defaults to [Fast], [config] to
-    {!Machine.default_config}, [reason] to ["requested"]. The finished
-    machine is returned so the caller can inspect further state. *)
+val flight :
+  ?cap:int -> ?reason:string -> ident:Schedule_log.ident -> unit -> t Capture.t
+(** The flight-recorder lens: a ring of [cap] decisions (default
+    {!Flight_ring.default_capacity}) rides the run, and the finished run
+    is packaged as a bundle under [ident], written as given. [reason]
+    defaults to ["requested"]. The ring observes decisions and sync
+    events only, which keeps the block engine on its compiled phases. *)
 
 val recover_log : ?engine:Engine.t -> t -> (Schedule_log.t, string) result
-(** Regenerate a full schedule log from a bundle by deterministic re-run.
-    [engine] defaults to the bundle's recorded engine. Fails when the
-    bundle carries no program, the embedded text's MD5 mismatches, or
-    the re-run's decision stream, preemption ordinals or trailer
-    disagree with the window. *)
+(** Regenerate a full schedule log from a bundle by deterministic re-run
+    under {!Capture.record}. [engine] defaults to the bundle's recorded
+    engine. Fails when the bundle carries no program, the embedded
+    text's MD5 mismatches, or the re-run's decision stream, preemption
+    ordinals or trailer disagree with the window. *)
 
 val to_json : t -> Conair_obs.Json.t
 val to_string : t -> string

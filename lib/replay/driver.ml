@@ -1,5 +1,6 @@
-(* Record a run into a schedule log; replay a log on any engine with
-   divergence detection; verify a replay against the recorded trailer. *)
+(* Package a recorded run into a schedule log; replay a log on any
+   engine with divergence detection; verify a replay against the
+   recorded trailer. *)
 
 open Conair_ir
 open Conair_runtime
@@ -47,24 +48,24 @@ let error_to_string = function
 
 (* Package a finished run from the ring that observed it: the header,
    the ring's window of the decision stream — the whole stream for an
-   unbounded ring — and the trailer. *)
-let log_of_run ?(engine = Engine.default) ~config ?meta ~ident ~program ring
-    (bundle : result_bundle) =
+   unbounded ring — and the trailer, read off the finished machine. *)
+let log_of_run ~config ?meta ~ident ~program ring m outcome =
   let text = Emit.program program in
+  let stats = Engine.stats m in
   {
     Log.ident;
-    engine = Engine.name engine;
+    engine = Engine.name (Engine.engine_of m);
     config;
     program_md5 = Log.digest text;
     program_text = Some text;
     fail_blocks = Log.fail_blocks_of_meta meta;
     decisions = Flight_ring.tail ring;
     preemptions = Flight_ring.tail_preemptions ring;
-    steps = bundle.rb_steps;
-    instrs = bundle.rb_stats.Stats.instrs;
-    rollbacks = bundle.rb_stats.Stats.rollbacks;
-    outcome = bundle.rb_outcome;
-    outputs = bundle.rb_outputs;
+    steps = Engine.steps m;
+    instrs = stats.Stats.instrs;
+    rollbacks = stats.Stats.rollbacks;
+    outcome;
+    outputs = Engine.outputs m;
   }
 
 let result_of m outcome =
@@ -74,24 +75,6 @@ let result_of m outcome =
     rb_stats = Engine.stats m;
     rb_steps = Engine.steps m;
   }
-
-let run_ring ?(engine = Engine.default) ?(config = Machine.default_config)
-    ?meta ?race
-    ~ident ring program =
-  let m =
-    Engine.create ~config ?meta
-      ~observer:
-        (Event.combine (Flight_ring.observer ring :: Option.to_list race))
-      engine program
-  in
-  let rb = result_of m (Engine.run m) in
-  (m, rb, log_of_run ~engine ~config ?meta ~ident ~program ring rb)
-
-let record ?engine ?config ?meta ~ident program =
-  let _, rb, log =
-    run_ring ?engine ?config ?meta ~ident (Recorder.create ()) program
-  in
-  (rb, log)
 
 (* ------------------------------------------------------------------ *)
 (* Replaying                                                           *)
@@ -195,3 +178,5 @@ let check (log : Log.t) (b : result_bundle) =
     err "rollback-count mismatch: recorded %d, replayed %d" log.Log.rollbacks
       b.rb_stats.Stats.rollbacks
   else Ok ()
+
+let check_run log m outcome = check log (result_of m outcome)

@@ -1,12 +1,14 @@
-(** Record a run into a {!Schedule_log}, replay a log on any engine with
-    divergence detection, and verify a replay against the recorded
-    trailer. Any engine records and any engine replays, in any
-    combination: schedule logs are engine-interchangeable. *)
+(** Package a recorded run into a {!Schedule_log} (the recording itself
+    rides a {!Capture.run}), replay a log on any engine with divergence
+    detection, and verify a replay against the recorded trailer. Any
+    engine records and any engine replays, in any combination: schedule
+    logs are engine-interchangeable. *)
 
 open Conair_ir
 open Conair_runtime
 
-(** What both engines report about a finished execution. *)
+(** What a replay reports about its finished execution (a captured run
+    is a {!Capture.run}). *)
 type result_bundle = {
   rb_outcome : Outcome.t;
   rb_outputs : string list;
@@ -33,45 +35,19 @@ type error =
 val error_to_string : error -> string
 
 val log_of_run :
-  ?engine:Engine.t ->
   config:Machine.config ->
   ?meta:Machine.meta ->
   ident:Schedule_log.ident ->
   program:Program.t ->
   Flight_ring.t ->
-  result_bundle ->
+  Engine.machine ->
+  Outcome.t ->
   Schedule_log.t
 (** Package a finished run from the ring that observed it: the header
-    (embedded program text included), the ring's window of the decision
-    stream with its absolute preemption ordinals — the whole stream for
-    an unbounded ring such as a {!Recorder} — and the trailer. *)
-
-val run_ring :
-  ?engine:Engine.t ->
-  ?config:Machine.config ->
-  ?meta:Machine.meta ->
-  ?race:Event.observer ->
-  ident:Schedule_log.ident ->
-  Flight_ring.t ->
-  Program.t ->
-  Engine.machine * result_bundle * Schedule_log.t
-(** The one capture path: run [program] with [ring] attached (and
-    [race] beside it) and package the finished machine with
-    {!log_of_run}. An unbounded ring yields the full schedule log, a
-    bounded one the window a {!Bundle} wraps. [engine] defaults to
-    [Fast], [config] to {!Machine.default_config}; [meta] is the
-    recovery metadata for hardened programs, serialized into the
-    fail-block table. *)
-
-val record :
-  ?engine:Engine.t ->
-  ?config:Machine.config ->
-  ?meta:Machine.meta ->
-  ident:Schedule_log.ident ->
-  Program.t ->
-  result_bundle * Schedule_log.t
-(** {!run_ring} with a fresh {!Recorder}: the run's results and its
-    self-contained schedule log. *)
+    (embedded program text included, the machine's engine), the ring's
+    window of the decision stream with its absolute preemption ordinals
+    — the whole stream for an unbounded ring such as a {!Recorder} —
+    and the trailer, read off the finished machine and its outcome. *)
 
 val replay :
   ?engine:Engine.t ->
@@ -102,6 +78,11 @@ val replay_directed :
 val check : Schedule_log.t -> result_bundle -> (unit, string) result
 (** Compare a replay's results against the log's recorded trailer
     (outcome, outputs, steps, instruction and rollback counts). *)
+
+val check_run :
+  Schedule_log.t -> Engine.machine -> Outcome.t -> (unit, string) result
+(** {!check} for a finished machine and its outcome, such as a captured
+    run that should have reproduced the log. *)
 
 (** {1 Shared resolution helpers} (used by the inspector and minimizer) *)
 

@@ -184,4 +184,3 @@ let events t =
   let n = min t.ev_total stored in
   List.init n (fun i -> t.evs.((t.ev_total - n + i) mod stored))
 
-let events_total t = t.ev_total

@@ -66,4 +66,3 @@ val tail_preemptions : t -> int array
 val events : t -> Event.t list
 (** Retained events, oldest first. *)
 
-val events_total : t -> int

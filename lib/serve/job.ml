@@ -2,9 +2,9 @@
    same code path as the corresponding CLI subcommand so that a served
    report is byte-identical to the CLI's output for the same inputs:
 
-   - run      = [Conair.run_report_of]   (conair_cli run / report)
+   - run      = [Conair.run] with the report lens  (conair_cli run / report)
    - harden   = [Conair.harden_exn]      (conair_cli harden)
-   - detect   = [Conair.run_detected] / [detect_hardened]  (conair_cli races)
+   - detect   = [Conair.run] with the detect lens  (conair_cli races)
    - minimize = [Conair.minimize]        (conair_cli minimize)
    - fuzz     = hardened seed sweep folding fuzz-style run records into
                 an [Obs.Aggregate] (conair_cli aggregate over a fuzz log)
@@ -67,16 +67,13 @@ let config_of_exec (e : Protocol.exec) =
    labelled "source" in telemetry. *)
 let resolve (target : Protocol.target) =
   match target with
-  | Protocol.Bench { app; variant; oracle } -> (
-      match Registry.find app with
-      | None ->
-          Error
-            (Printf.sprintf "unknown application %S; try: %s" app
-               (String.concat ", " Registry.names))
-      | Some spec ->
+  | Protocol.Bench { app; variant; oracle } ->
+      Result.map
+        (fun (spec : Spec.t) ->
           let v = if variant = "clean" then Spec.Clean else Spec.Buggy in
-          let oracle = oracle || spec.Spec.info.needs_oracle in
-          Ok (app, variant, spec.Spec.make ~variant:v ~oracle))
+          let oracle = oracle || spec.info.needs_oracle in
+          (app, variant, spec.make ~variant:v ~oracle))
+        (Registry.lookup app)
   | Protocol.Source src -> (
       match Conair.Ir.Parse.program src with
       | Error e ->
@@ -105,34 +102,31 @@ let exec_run ~telemetry ~target ~mode ~(exec : Protocol.exec) =
   let* mode = mode_of ~inst mode in
   let* engine = Engine.of_string exec.engine in
   let config = config_of_exec exec in
-  (* identical to the CLI: the meta line is the one run_report_of writes *)
+  (* identical to the CLI: the same report lens and meta line *)
   let meta_info = Jsonl.run_meta ~variant ?seed:exec.seed app in
-  let rr =
-    Conair.run_report_of ~config ~engine ~meta_info
-      ~trace_writer:{ Jsonl.write = telemetry } ~mode inst.Spec.program
+  (* The flight recorder rides the same run; only a failed run packages
+     its bundle — the post-mortem the CLI dumps under [--flight] — which
+     telemetry retains for the [bundle] fetch op, so a client can pull
+     it after the fact. *)
+  let ident =
+    Conair.Replay.Log.ident ~variant ~mode:(Conair.mode_name mode) app
+  in
+  let failed (r : Conair.run) = not (Outcome.is_success r.outcome) in
+  let r, (rr, bundle) =
+    Conair.run ~config ~engine
+      (Conair.pair
+         (Conair.report ~meta_info ~trace_writer:{ Jsonl.write = telemetry } ())
+         (Conair.only_if failed (Conair.flight ~reason:"failure" ~ident ())))
+      (Conair.target ?mode inst.Spec.program)
   in
   let seed = Option.value ~default:0 exec.seed in
-  (* A failed run additionally yields a flight-recorder bundle: a
-     deterministic capture re-run under the job's exact config and
-     engine, the same post-mortem the CLI dumps under [--flight]. The
-     bundle is retained by telemetry for the [bundle] fetch op, so a
-     client can pull the post-mortem after the fact. *)
-  let bundle =
-    if Outcome.is_success rr.Conair.run.outcome then None
-    else
-      Some
-        (Conair.Replay.Bundle.to_json
-           (Conair.flight_in_mode ~config ~engine ~reason:"failure"
-              ~ident:(Conair.Replay.Log.ident ~variant app)
-              mode inst.Spec.program))
-  in
   {
     jr_status = "ok";
-    jr_exit = (if Outcome.is_success rr.Conair.run.outcome then 0 else 2);
+    jr_exit = (if failed r then 2 else 0);
     jr_report = rr.Conair.report;
-    jr_record = Some (run_record ~case:app ~seed rr.Conair.run);
+    jr_record = Some (run_record ~case:app ~seed r);
     jr_spans = Some (Span.to_chrome rr.Conair.spans);
-    jr_bundle = bundle;
+    jr_bundle = Option.map Conair.Replay.Bundle.to_json bundle;
   }
 
 let exec_harden ~target ~mode =
@@ -165,11 +159,10 @@ let exec_detect ~target ~original ~(exec : Protocol.exec) =
   let* _app, _variant, inst = resolve target in
   let* engine = Engine.of_string exec.engine in
   let config = config_of_exec exec in
-  let _r, report =
-    if original then Conair.run_detected ~config ~engine inst.Spec.program
-    else
-      Conair.detect_hardened ~config ~engine
-        (Conair.harden_exn inst.Spec.program Conair.Survival)
+  let mode = if original then None else Some Conair.Survival in
+  let _, report =
+    Conair.run ~config ~engine (Conair.detect ())
+      (Conair.target ?mode inst.Spec.program)
   in
   let actual =
     List.filter

@@ -1,10 +1,11 @@
 (** Job execution — one function per protocol job kind, each sharing
     its code path with the corresponding CLI subcommand so that served
     reports are byte-identical to CLI output for the same inputs (run
-    jobs go through {!Conair.run_report_of}, detection through
-    {!Conair.run_detected}/{!Conair.detect_hardened}, minimization
-    through {!Conair.minimize}). Exit codes mirror the CLI: 0 ok, 2
-    failed run, 3 detector findings. *)
+    jobs go through {!Conair.run} with the {!Conair.report} lens, and a
+    failed run's flight bundle rides the same execution; detection goes through
+    {!Conair.run} with the {!Conair.detect} lens, minimization through
+    {!Conair.minimize}). Exit codes mirror the CLI: 0 ok, 2 failed run,
+    3 detector findings. *)
 
 module Json = Conair_obs.Json
 

@@ -10,7 +10,8 @@
 
      conair_cli report APP --seed N
 
-   byte for byte, because both sides call [Conair.run_report_of]. *)
+   byte for byte, because both sides run [Conair.run] with the report
+   lens. *)
 
 module Json = Conair_obs.Json
 

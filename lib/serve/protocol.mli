@@ -6,7 +6,8 @@
 
     Job payloads mirror the CLI's vocabulary — a run job with default
     knobs yields the same report bytes as [conair_cli report], because
-    both call {!Conair.run_report_of}. See [docs/SERVER.md]. *)
+    both run {!Conair.run} with the {!Conair.report} lens. See
+    [docs/SERVER.md]. *)
 
 module Json = Conair_obs.Json
 

@@ -209,7 +209,6 @@ let note_finished t ~tenant ~id ~kind ~status ~exit ~elapsed ?record ?spans
 (* --- read endpoints ------------------------------------------------ *)
 
 let prometheus t = locked t (fun () -> Metrics.to_prometheus t.metrics)
-let metrics_json t = locked t (fun () -> Metrics.to_json t.metrics)
 
 let spans_of t ~tenant ~id =
   locked t (fun () -> Hashtbl.find_opt t.spans (tenant, id))

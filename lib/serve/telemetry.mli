@@ -46,7 +46,6 @@ val note_finished :
 val prometheus : t -> string
 (** The registry in Prometheus text exposition format. *)
 
-val metrics_json : t -> Json.t
 val spans_of : t -> tenant:string -> id:string -> Json.t option
 
 val bundle_of : t -> tenant:string -> id:string -> Json.t option

@@ -261,7 +261,9 @@ let sweep_detector_reports () =
   List.iter
     (fun (name, p) ->
       let report engine =
-        let _, rep = Conair.run_detected ~config ~engine p in
+        let _, rep =
+          Conair.run ~config ~engine (Conair.detect ()) (Conair.target p)
+        in
         Conair.Obs.Json.to_string (Conair.Race.Report.to_json rep)
       in
       let ref_report = report Engine.Ref in

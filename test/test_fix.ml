@@ -186,16 +186,20 @@ let gate_config = { Machine.default_config with fuel = 500_000 }
 let replay_gate_rejects_unpatched () =
   let p = deadlock_program ~buggy:true () in
   let ident = Log.ident ~variant:"buggy" ~mode:"none" "deadlock-fixture" in
-  let rb, log = Driver.record ~config:gate_config ~ident p in
+  let r, log =
+    Conair.run ~config:gate_config (Conair.record ~ident) (Conair.target p)
+  in
   Alcotest.(check bool) "recorded run fails" false
-    (Outcome.is_success rb.Driver.rb_outcome);
+    (Outcome.is_success r.outcome);
   let g = Gates.replay_gate ~log p in
   Alcotest.(check bool) "unpatched program fails gate 1" false g.Gates.g_passed
 
 let replay_gate_accepts_fused () =
   let p = deadlock_program ~buggy:true () in
   let ident = Log.ident ~variant:"buggy" ~mode:"none" "deadlock-fixture" in
-  let _, log = Driver.record ~config:gate_config ~ident p in
+  let _, log =
+    Conair.run ~config:gate_config (Conair.record ~ident) (Conair.target p)
+  in
   let fuse =
     List.find
       (fun c -> c.Patch.p_strategy = Patch.Fuse)
@@ -363,6 +367,64 @@ let clean_variant_quiet () =
   Alcotest.(check int) "no candidates" 0 (List.length t.Pipeline.fx_candidates);
   Alcotest.(check int) "no survivors" 0 t.Pipeline.fx_survivors
 
+(* The order candidates' wait budget is twice the recorded failing run,
+   not the minimized schedule's re-execution: FFT fails under
+   round-robin after more than 15k steps (so twice its length beats the
+   30_000 default) and ddmin changes that length. *)
+let order_timeout_follows_recorded_run () =
+  let inst = instance "FFT" Spec.Buggy in
+  let options =
+    {
+      Pipeline.default_options with
+      sweep_seeds = 2;
+      search_seeds = 2;
+      cost_seeds = [ 1 ];
+    }
+  in
+  let t =
+    Pipeline.run ~options ~accept:inst.Spec.accept ~app:"FFT" ~variant:"buggy"
+      inst.Spec.program
+  in
+  Alcotest.(check (option string)) "round-robin found the failure"
+    (Some "round-robin") t.Pipeline.fx_fail_policy;
+  let config =
+    {
+      Machine.default_config with
+      fuel = options.fuel;
+      max_retries = options.max_retries;
+    }
+  in
+  let r, log =
+    Conair.record_run ~config
+      ~ident:(Log.ident ~variant:"buggy" ~mode:"none" "FFT")
+      inst.Spec.program
+  in
+  let recorded = r.Conair.stats.steps in
+  (match
+     Conair.Replay.Minimize.minimize ~max_tests:options.minimize_budget
+       ~detect:false ~program:inst.Spec.program log
+   with
+  | Ok mn ->
+      Alcotest.(check bool) "minimization changes the run's length" true
+        (mn.Conair.Replay.Minimize.mn_log.Log.steps <> recorded)
+  | Error e -> Alcotest.failf "minimize: %s" e);
+  Alcotest.(check bool) "twice the recorded run beats the default" true
+    (2 * recorded > options.order_timeout);
+  let waits =
+    List.concat_map
+      (fun (c : Pipeline.candidate) ->
+        if c.c_patch.Patch.p_strategy = Patch.Order then c.c_patch.Patch.p_edits
+        else [])
+      t.Pipeline.fx_candidates
+    |> List.filter (String.starts_with ~prefix:"timed-wait")
+  in
+  Alcotest.(check bool) "order candidates were synthesized" true (waits <> []);
+  List.iter
+    (fun e ->
+      Alcotest.(check int) e (2 * recorded)
+        (Scanf.sscanf e "timed-wait %s (timeout %d)" (fun _ n -> n)))
+    waits
+
 (* --- report determinism -------------------------------------------- *)
 
 let json_engine_identity () =
@@ -465,6 +527,8 @@ let suites =
         slow_case "MySQL1 end to end (100 seeds)" mysql1_end_to_end;
         slow_case "catalog sweep" catalog_sweep;
         case "clean variant stays quiet" clean_variant_quiet;
+        case "order timeout follows the recorded run"
+          order_timeout_follows_recorded_run;
       ] );
     ( "fix.guarantees",
       [ slow_case "engines agree on the report" json_engine_identity ] );

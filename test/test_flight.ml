@@ -1,5 +1,6 @@
 (* Flight recorder and post-mortem diagnostic bundles (lib/runtime
-   Flight_ring, lib/replay Bundle, facade run_flight).
+   Flight_ring, lib/replay Bundle and its flight lens, facade
+   run_flight).
 
    Four layers: ring wraparound exactness against the full recorder
    (the retained tail must be the exact suffix of the recorded decision
@@ -145,10 +146,10 @@ let bundles_cross_engine () =
       let name = s.Spec.info.name in
       let inst = s.Spec.make ~variant:Spec.Buggy ~oracle:s.Spec.info.needs_oracle in
       let dump engine =
-        let _m, _out, b =
-          Bundle.capture ~engine ~config ~ident:(ident name) inst.Spec.program
-        in
-        b
+        snd
+          (Conair.run ~engine ~config
+             (Bundle.flight ~ident:(ident name) ())
+             (Conair.target inst.Spec.program))
       in
       let normalized (b : Bundle.t) =
         Bundle.to_string { b with window = { b.window with Log.engine = "-" } }
@@ -177,8 +178,10 @@ let bundle_json_roundtrip () =
   List.iter
     (fun (name, config) ->
       let inst = instance name Spec.Buggy in
-      let _m, _out, b =
-        Bundle.capture ~config ~cap:512 ~ident:(ident name) inst.Spec.program
+      let _, b =
+        Conair.run ~config
+          (Bundle.flight ~cap:512 ~ident:(ident name) ())
+          (Conair.target inst.Spec.program)
       in
       match Bundle.of_string (Bundle.to_string b) with
       | Error e -> Alcotest.failf "%s: decode failed: %s" name e
@@ -196,8 +199,10 @@ let bundle_json_roundtrip () =
       ("FFT", { config with policy = Sched.Random 7 });
     ];
   let inst = instance "HawkNL" Spec.Buggy in
-  let _m, _out, b =
-    Bundle.capture ~config ~ident:(ident "HawkNL") inst.Spec.program
+  let _, b =
+    Conair.run ~config
+      (Bundle.flight ~ident:(ident "HawkNL") ())
+      (Conair.target inst.Spec.program)
   in
   (* [doc] with the member at [path] rewritten by [f] *)
   let rec update path f (j : Json.t) =
@@ -214,10 +219,10 @@ let bundle_json_roundtrip () =
   let append x = function Json.List l -> Json.List (l @ [ x ]) | j -> j in
   let doc = Bundle.to_json b in
   let h = Conair.harden_exn inst.Spec.program Conair.Survival in
-  let _m, _out, hb =
-    Bundle.capture ~config
-      ~meta:(Machine.meta_of_harden h.hardened)
-      ~ident:(ident "HawkNL") h.hardened.program
+  let _, hb =
+    Conair.run ~config
+      (Bundle.flight ~ident:(ident "HawkNL") ())
+      (Conair.hardened_target h)
   in
   let fbs = hb.window.fail_blocks in
   Alcotest.(check bool) "hardened bundle has fail blocks" true (fbs <> []);
@@ -265,8 +270,10 @@ let bundle_json_roundtrip () =
 let roundtrip name expect_minimized =
   let inst = instance name Spec.Buggy in
   (* post-mortem path: flight bundle with a wrapped-or-not 512 ring *)
-  let _m, _out, b =
-    Bundle.capture ~config ~cap:512 ~ident:(ident name) inst.Spec.program
+  let _, b =
+    Conair.run ~config
+      (Bundle.flight ~cap:512 ~ident:(ident name) ())
+      (Conair.target inst.Spec.program)
   in
   let log =
     match Bundle.recover_log b with
@@ -304,8 +311,10 @@ let roundtrip_wrapped () = roundtrip "MySQL1" 2
 (* Tampering with the recipe must be rejected, not silently replayed. *)
 let regeneration_rejects_tampering () =
   let inst = instance "HawkNL" Spec.Buggy in
-  let _m, _out, b =
-    Bundle.capture ~config ~ident:(ident "HawkNL") inst.Spec.program
+  let _, b =
+    Conair.run ~config
+      (Bundle.flight ~ident:(ident "HawkNL") ())
+      (Conair.target inst.Spec.program)
   in
   let expect_error what b =
     match Bundle.recover_log b with

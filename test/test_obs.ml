@@ -440,9 +440,10 @@ let observation_digests () =
         spec.make ~variant:Spec.Buggy ~oracle:spec.info.needs_oracle
       in
       let b = Buffer.create 4096 in
-      let rr =
-        Conair.run_report_of ~trace_writer:(Jsonl.buffer_writer b)
-          ~mode:(Some Conair.Survival) inst.program
+      let _, rr =
+        Conair.run
+          (Conair.report ~trace_writer:(Jsonl.buffer_writer b) ())
+          (Conair.target ~mode:Conair.Survival inst.program)
       in
       let md5 what expected text =
         Alcotest.(check string)
@@ -476,11 +477,13 @@ let meta_names_the_run () =
               (if mode = None then "original" else "hardened")
           in
           let records = ref [] in
-          let rr =
-            Conair.run_report_of ~engine ~meta_info
-              ~trace_writer:
-                { Jsonl.write = (fun j -> records := j :: !records) }
-              ~mode inst.program
+          let _, rr =
+            Conair.run ~engine
+              (Conair.report ~meta_info
+                 ~trace_writer:
+                   { Jsonl.write = (fun j -> records := j :: !records) }
+                 ())
+              (Conair.target ?mode inst.program)
           in
           let meta = List.hd (List.rev !records) in
           List.iter

@@ -309,11 +309,12 @@ let drf_quiet () =
         (List.length report.Race.Report.cycles))
     [
       detect_hardened p;
-      snd (Conair.run_detected ~config:detect_config p);
       snd
-        (Conair.run_detected
+        (Conair.run ~config:detect_config (Conair.detect ()) (Conair.target p));
+      snd
+        (Conair.run
            ~config:{ detect_config with policy = Sched.Random 3 }
-           p);
+           (Conair.detect ()) (Conair.target p));
     ]
 
 (* Catalog patterns: the unrecoverable ones (self-deadlock) retry until

@@ -58,22 +58,14 @@ let record_traced config ?meta p =
   let trace, jsonl = jsonl () in
   let r = Recorder.create () in
   let m =
-    Machine.create ~config ?meta
+    Engine.create ~config ?meta
       ~observer:(Event.combine [ jsonl; Recorder.observer r ])
-      p
+      Engine.Fast p
   in
-  let outcome = Machine.run m in
-  let bundle =
-    {
-      Driver.rb_outcome = outcome;
-      rb_outputs = Machine.outputs m;
-      rb_stats = Machine.stats m;
-      rb_steps = m.Machine.step;
-    }
-  in
+  let outcome = Engine.run m in
   let log =
-    Driver.log_of_run ~config ?meta ~ident:(Log.ident "test") ~program:p r
-      bundle
+    Driver.log_of_run ~config ?meta ~ident:(Log.ident "test") ~program:p r m
+      outcome
   in
   (log, Buffer.contents trace)
 
@@ -140,9 +132,10 @@ let cross_engine () =
         Engine.name rec_engine ^ "->" ^ Engine.name replay_engine
       in
       let _, log =
-        Driver.record ~engine:rec_engine
+        Conair.run ~engine:rec_engine
           ~config:(config Sched.Round_robin)
-          ~ident:(Log.ident "hawknl") inst.program
+          (Conair.record ~ident:(Log.ident "hawknl"))
+          (Conair.target inst.program)
       in
       Alcotest.(check string)
         (pair ^ ": log names the recording engine")

@@ -424,9 +424,10 @@ let report_of ?trace_writer app seed =
   let config =
     { Machine.default_config with fuel = 400_000; policy = Sched.Random seed }
   in
-  let rr =
-    Conair.run_report_of ~config ~mode:(Some Conair.Survival) ?trace_writer
-      inst.Spec.program
+  let _, rr =
+    Conair.run ~config
+      (Conair.report ?trace_writer ())
+      (Conair.target ~mode:Conair.Survival inst.Spec.program)
   in
   Json.to_string rr.Conair.report
 
