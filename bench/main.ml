@@ -918,6 +918,46 @@ let bench_interp () =
     (c_sps c_block_t);
   Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
     (c_ref_t /. c_fast_t) (c_ref_t /. c_block_t) (c_fast_t /. c_block_t);
+  (* The fed window: the micro's schedule recorded once and strictly
+     replayed through [Driver.replay]. One thread, so the block engine
+     replays it as one window that the strict feed bounds and counts;
+     the fast engine asks the feed at every step. *)
+  let _, micro_log =
+    Conair.record_run ~config:micro_config
+      ~ident:(Conair.Replay.Log.ident "interp-micro")
+      micro
+  in
+  let replay_repeats = 7 in
+  let r_runs =
+    time_alternated ~repeats:replay_repeats
+      (List.map
+         (fun engine () ->
+           match Conair.Replay.Driver.replay ~engine micro_log with
+           | Ok rb -> rb
+           | Error e ->
+               failwith
+                 ("interp bench: micro replay: "
+                 ^ Conair.Replay.Driver.error_to_string e))
+         [ Engine.Fast; Engine.Block ])
+  in
+  List.iter
+    (fun (rb, _) ->
+      match Conair.Replay.Driver.check micro_log rb with
+      | Ok () -> ()
+      | Error e -> failwith ("interp bench: micro replay: " ^ e))
+    r_runs;
+  let r_steps = micro_log.Conair.Replay.Log.steps in
+  let r_fast_t, r_block_t =
+    match List.map snd r_runs with [ f; b ] -> (f, b) | _ -> assert false
+  in
+  let r_sps t = float r_steps /. t in
+  Printf.printf "replay: %d steps, the micro's schedule, median of %d\n"
+    r_steps replay_repeats;
+  Printf.printf "  pre-resolved:   %.4fs  %12.0f steps/s\n" r_fast_t
+    (r_sps r_fast_t);
+  Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" r_block_t
+    (r_sps r_block_t);
+  Printf.printf "  block/fast: %.2fx\n" (r_fast_t /. r_block_t);
   let corpus = interp_sweep_corpus () in
   let sweep_config = { Machine.default_config with fuel = 200_000 } in
   let sweep engine =
@@ -978,6 +1018,17 @@ let bench_interp () =
               ("fast_vs_ref", Float (c_ref_t /. c_fast_t));
               ("block_vs_ref", Float (c_ref_t /. c_block_t));
               ("block_vs_fast", Float (c_fast_t /. c_block_t));
+            ] );
+        ( "replay",
+          Obj
+            [
+              ("steps", Int r_steps);
+              ("repeats", Int replay_repeats);
+              ("fast_seconds", Float r_fast_t);
+              ("fast_steps_per_sec", Float (r_sps r_fast_t));
+              ("block_seconds", Float r_block_t);
+              ("block_steps_per_sec", Float (r_sps r_block_t));
+              ("block_vs_fast", Float (r_fast_t /. r_block_t));
             ] );
         ( "sweep",
           Obj

@@ -14,15 +14,16 @@
                    line is "frame;frame;... N" with non-empty frames
                    and a positive count, and there is at least one;
    - BENCH_interp.json — the interpreter bench document: "micro",
-                   "contended" and "sweep" sections with per-engine
-                   timing columns and cross-engine ratios, all positive
-                   and mutually consistent; additionally three
-                   performance gates — the block engine's micro steps/s
-                   must be at least 3x the committed fast-engine
+                   "contended", "replay" and "sweep" sections with
+                   per-engine timing columns and cross-engine ratios,
+                   all positive and mutually consistent; additionally
+                   four performance gates — the block engine's micro
+                   steps/s must be at least 3x the committed fast-engine
                    baseline, the recorder-on (flight) micro must be
                    within 5% of recorder-off, and on the contended
-                   micro the block engine must be at least as fast as
-                   the fast engine of the same run;
+                   micro and the strict replay of the micro's schedule
+                   the block engine must be at least as fast as the
+                   fast engine of the same run;
    - BENCH_fuzz.json — the campaign bench document written by
                    `conair_fuzz --bench`: per-engine runs/sec, signature
                    digests and growth curves, with the differential gate
@@ -214,41 +215,55 @@ let check_bench_interp file =
           @ per_engine)
       in
       ignore (check_section "sweep" ("runs" :: per_engine));
-      (* the contended micro: two threads eligible on nearly every step.
-         Same-run medians; the block engine's contended phases must not
-         lose to the fast engine's per-step loop. *)
-      (match
-         check_section "contended"
-           ([
-              "steps";
-              "repeats";
-              "ref_steps_per_sec";
-              "fast_steps_per_sec";
-              "block_steps_per_sec";
-            ]
-           @ per_engine)
-       with
-      | Some sec -> (
-          match
-            ( number "contended" sec "fast_steps_per_sec",
-              number "contended" sec "block_steps_per_sec",
-              number "contended" sec "block_vs_fast" )
-          with
-          | Some fast, Some block, Some ratio ->
-              if abs_float ((block /. fast /. ratio) -. 1.) > 1e-6 then
-                fail file
-                  (Printf.sprintf
-                     "contended.block_vs_fast %.4f disagrees with \
-                      block/fast steps/s %.4f"
-                     ratio (block /. fast));
-              if block < fast then
-                fail file
-                  (Printf.sprintf
-                     "contended phases regressed: block %.0f steps/s is \
-                      below fast %.0f"
-                     block fast)
-          | _ -> ())
-      | None -> ());
+      (* A same-run gate on medians of alternated repeats: the block
+         engine must not lose to the fast engine's per-step loop. *)
+      let block_not_below_fast name fields what =
+        match check_section name fields with
+        | Some sec -> (
+            match
+              ( number name sec "fast_steps_per_sec",
+                number name sec "block_steps_per_sec",
+                number name sec "block_vs_fast" )
+            with
+            | Some fast, Some block, Some ratio ->
+                if abs_float ((block /. fast /. ratio) -. 1.) > 1e-6 then
+                  fail file
+                    (Printf.sprintf
+                       "%s.block_vs_fast %.4f disagrees with block/fast \
+                        steps/s %.4f"
+                       name ratio (block /. fast));
+                if block < fast then
+                  fail file
+                    (Printf.sprintf
+                       "%s regressed: block %.0f steps/s is below fast %.0f"
+                       what block fast)
+            | _ -> ())
+        | None -> ()
+      in
+      (* the contended micro: two threads eligible on nearly every step *)
+      block_not_below_fast "contended"
+        ([
+           "steps";
+           "repeats";
+           "ref_steps_per_sec";
+           "fast_steps_per_sec";
+           "block_steps_per_sec";
+         ]
+        @ per_engine)
+        "contended phases";
+      (* the micro's schedule strictly replayed: one thread, so one fed
+         window on the block engine *)
+      block_not_below_fast "replay"
+        [
+          "steps";
+          "repeats";
+          "fast_seconds";
+          "fast_steps_per_sec";
+          "block_seconds";
+          "block_steps_per_sec";
+          "block_vs_fast";
+        ]
+        "fed windows";
       (match micro with
       | Some sec -> (
           (match
@@ -306,7 +321,7 @@ let check_bench_interp file =
         Printf.printf
           "json_check: %s: interp bench ok (block micro >= 3x committed fast \
            baseline; flight ring and full recording within 5%% of \
-           recorder-off; contended block >= fast)\n"
+           recorder-off; contended and replayed block >= fast)\n"
           file
 
 (* BENCH_fuzz.json: the campaign bench document written by

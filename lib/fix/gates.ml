@@ -84,12 +84,7 @@ let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
            (Capture.observer (Recorder.observer rc)))
         { program = p; meta = None }
     in
-    let s =
-      Coverage.signature ~context:"fix-sweep"
-        ~decisions:(Recorder.decisions rc)
-        ~preemptions:(Recorder.preemptions rc)
-        ()
-    in
+    let s = Coverage.ring_signature ~context:"fix-sweep" rc in
     Hashtbl.replace sigs s ();
     List.iter (fun k -> Hashtbl.replace cycles k ()) (Lockorder.cycle_keys lo);
     if not (Outcome.is_success r.outcome) then begin

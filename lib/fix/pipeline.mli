@@ -30,10 +30,11 @@ val default_options : options
     search and the validation sweeps — carries only a schedule recorder
     and the lock-order witness graph, neither of which observes steps
     or accesses, so those runs stay on the block engine's compiled window
-    path. Detection (the full race detector, an access observer) and
-    directed replay (a feed) step generically on any engine. The
-    report is byte-identical on every engine, so the choice only moves
-    time. *)
+    path, as do the directed replays of gate 1 and of minimization,
+    whose feeds take a window's decisions as one count. Detection (the
+    full race detector, an access observer) steps generically on any
+    engine. The report is byte-identical on every engine, so the choice
+    only moves time. *)
 
 type candidate = {
   c_patch : Patch.t;

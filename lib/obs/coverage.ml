@@ -159,11 +159,11 @@ let add_int b n =
    "conair-sig-v1|c:<context>|n:<decisions>" then "|p:<ordinal>:<from>><to>"
    per preemption ([-1] where the ordinal's neighbour is out of range)
    then "|a:<addr>=<order>" per sorted order entry; test_campaign pins
-   it with golden digests. *)
-let signature ?(context = "") ?(orders = []) ~(decisions : int array)
-    ~(preemptions : int array) () : string =
+   it with golden digests. [decision i] is the [i]th of the [n]
+   decisions, asked in the order the preemptions list them, which is
+   non-decreasing when they ascend. *)
+let sign ~context ~orders ~n ~preemptions decision =
   let b = Buffer.create 256 in
-  let n = Array.length decisions in
   Buffer.add_string b "conair-sig-v1|c:";
   Buffer.add_string b context;
   Buffer.add_string b "|n:";
@@ -173,9 +173,9 @@ let signature ?(context = "") ?(orders = []) ~(decisions : int array)
       Buffer.add_string b "|p:";
       add_int b p;
       Buffer.add_char b ':';
-      add_int b (if p > 0 && p <= n then decisions.(p - 1) else -1);
+      add_int b (if p > 0 && p <= n then decision (p - 1) else -1);
       Buffer.add_char b '>';
-      add_int b (if p >= 0 && p < n then decisions.(p) else -1))
+      add_int b (if p >= 0 && p < n then decision p else -1))
     preemptions;
   List.iter
     (fun (a, t) ->
@@ -185,6 +185,19 @@ let signature ?(context = "") ?(orders = []) ~(decisions : int array)
       Buffer.add_string b t)
     (List.sort compare orders);
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let signature ?(context = "") ?(orders = []) ~(decisions : int array)
+    ~(preemptions : int array) () : string =
+  sign ~context ~orders ~n:(Array.length decisions) ~preemptions
+    (Array.get decisions)
+
+(* A recording's preemption ordinals ascend, so its decisions around
+   them are read in one forward walk instead of expanded. *)
+let ring_signature ~context ring =
+  sign ~context ~orders:[]
+    ~n:(Flight_ring.total ring - Flight_ring.tail_first ring)
+    ~preemptions:(Flight_ring.tail_preemptions ring)
+    (Flight_ring.tail_reader ring)
 
 (* --- the coverage map ---------------------------------------------- *)
 

@@ -77,6 +77,12 @@ val signature :
     in verbatim — pass the app/case name or program MD5 so identical
     interleaving shapes of different programs do not collide. *)
 
+val ring_signature : context:string -> Flight_ring.t -> string
+(** {!signature} of a ring's decision tail and its preemptions
+    ([Flight_ring.tail], [Flight_ring.tail_preemptions]), with no access
+    orders — the same digest, read off the ring without expanding a
+    recording's run-length pairs. *)
+
 (** {1 The coverage map} *)
 
 type t

@@ -109,17 +109,18 @@ let replay ?(engine = Engine.default) ?program ?meta (log : Log.t) =
       let config = log.Log.config in
       let h = Feed.strict log.Log.decisions in
       let m =
-        Engine.create ~config ?meta ~feed:(Feed.strict_decide h) engine program
+        Engine.create ~config ?meta ~feed:(Feed.strict_feed h) engine program
       in
       match Engine.run m with
       | outcome ->
-          if h.Feed.pos < Array.length log.Log.decisions then
+          let pos = Feed.position h in
+          if pos < Array.length log.Log.decisions then
             Error
               (Diverged
                  {
-                   dv_decision = h.Feed.pos;
+                   dv_decision = pos;
                    dv_step = Engine.steps m;
-                   dv_expected = Some log.Log.decisions.(h.Feed.pos);
+                   dv_expected = Some log.Log.decisions.(pos);
                    dv_actual = [];
                    dv_reason =
                      "the execution finished before consuming the recorded \
@@ -153,10 +154,9 @@ let replay_directed ?(engine = Engine.default) ?meta ~program (log : Log.t) =
     Feed.directives_of ~decisions:log.Log.decisions
       ~preemptions:log.Log.preemptions
   in
-  let d = Feed.directed (Feed.merge_directives fixed cand) in
   let m =
     Engine.create ~config ?meta
-      ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible)
+      ~feed:(Feed.directed (Feed.merge_directives fixed cand))
       engine program
   in
   result_of m (Engine.run m)

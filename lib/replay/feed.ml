@@ -6,7 +6,11 @@
    asks for more decisions than were recorded. [Sched] mirrors the
    policy's rng/cursor side effects for every fed decision, so a strict
    replay of a log against the same program and config reproduces the
-   original run bit for bit, downstream random draws included.
+   original run bit for bit, downstream random draws included. A
+   one-thread window of the block engine takes at most the recorded run
+   of its thread at the log position; past it, the next decision is
+   asked one at a time, so a divergence surfaces at the same decision
+   on every engine.
 
    [directed] executes a *sparse* schedule: an ordered list of context
    switch directives ("once thread FROM has run COUNT decisions, switch
@@ -14,7 +18,11 @@
    back to round-robin order (first eligible tid after the current one,
    wrapping) when the current thread cannot run. Feeding every switch of
    a recorded run reproduces it exactly; feeding a subset is how the
-   minimizer probes which preemptions a failure actually needs. *)
+   minimizer probes which preemptions a failure actually needs. A
+   window accepts any number of decisions: only its first can fire a
+   directive (one into the window's thread), and the rest continue that
+   thread, which no directive's target can preempt while it is the only
+   eligible one. *)
 
 open Conair_runtime
 
@@ -22,9 +30,16 @@ type divergence_info = { at : int; expected : int option; eligible : int list }
 
 exception Diverged of divergence_info
 
-type strict = { decisions : int array; mutable pos : int }
+type strict = {
+  decisions : int array;
+  mutable pos : int;
+  mutable run_end : int;
+      (** when past [pos]: the end of the run of equal decisions that
+          holds [pos], so each position is scanned once *)
+}
 
-let strict ?(start = 0) decisions = { decisions; pos = start }
+let strict ?(start = 0) decisions = { decisions; pos = start; run_end = start }
+let position h = h.pos
 
 let strict_decide h ~eligible =
   let k = h.pos in
@@ -36,10 +51,29 @@ let strict_decide h ~eligible =
   h.pos <- k + 1;
   tid
 
-let attach_strict ?start sched decisions =
-  let h = strict ?start decisions in
-  Sched.set_feed sched (Some (fun ~eligible -> strict_decide h ~eligible));
-  h
+(* The recorded run of [tid] at the log position; [0] when the log is
+   exhausted or records another thread there, so [strict_decide] gets
+   to raise. *)
+let strict_window h tid =
+  let k = h.pos and n = Array.length h.decisions in
+  if k >= n || h.decisions.(k) <> tid then 0
+  else begin
+    if h.run_end <= k then begin
+      let e = ref (k + 1) in
+      while !e < n && h.decisions.(!e) = tid do
+        incr e
+      done;
+      h.run_end <- !e
+    end;
+    h.run_end - k
+  end
+
+let strict_feed h =
+  {
+    Sched.decide = strict_decide h;
+    window = strict_window h;
+    took = (fun n -> h.pos <- h.pos + n);
+  }
 
 (* ------------------------------------------------------------------ *)
 
@@ -49,19 +83,20 @@ type directed = {
   mutable queue : directive list;
   mutable cur : int;
   counts : (int, int) Hashtbl.t;  (** tid -> decisions it has run *)
-  mutable fired : int;
 }
 
-let directed_decide d ~eligible =
-  let local tid = Option.value ~default:0 (Hashtbl.find_opt d.counts tid) in
+let local d tid = Option.value ~default:0 (Hashtbl.find_opt d.counts tid)
+
+(* Pick the next thread among [eligible], firing the head directive if
+   it is due; the decision is counted by the caller. *)
+let pick d ~eligible =
   let tid =
     match d.queue with
     | dr :: rest
       when dr.dr_from = d.cur
-           && local dr.dr_from >= dr.dr_count
+           && local d dr.dr_from >= dr.dr_count
            && List.mem dr.dr_to eligible ->
         d.queue <- rest;
-        d.fired <- d.fired + 1;
         dr.dr_to
     | _ ->
         if d.cur >= 0 && List.mem d.cur eligible then d.cur
@@ -74,34 +109,51 @@ let directed_decide d ~eligible =
           | None -> List.hd eligible)
   in
   d.cur <- tid;
-  Hashtbl.replace d.counts tid (local tid + 1);
   tid
 
+let ran d n = Hashtbl.replace d.counts d.cur (local d d.cur + n)
+
 let directed directives =
-  { queue = directives; cur = -1; counts = Hashtbl.create 16; fired = 0 }
+  let d = { queue = directives; cur = -1; counts = Hashtbl.create 16 } in
+  {
+    Sched.decide =
+      (fun ~eligible ->
+        let tid = pick d ~eligible in
+        ran d 1;
+        tid);
+    window =
+      (fun tid ->
+        ignore (pick d ~eligible:[ tid ]);
+        max_int);
+    took = ran d;
+  }
 
 (* Recast a recorded decision stream as context-switch directives: every
    change of chosen thread is a switch; the preemption ordinals recorded
    next to the stream tell which were preemptive (the outgoing thread was
    still eligible). [dr_count] is how many decisions the outgoing thread
    had run when the switch fired. Feeding [merge_directives fixed cand]
-   back through [directed] reproduces the recording exactly. *)
+   back through [directed] reproduces the recording exactly. A thread's
+   count grows by whole runs at the switches, so the table is touched
+   per switch, not per decision. *)
 let directives_of ~decisions ~preemptions =
   let preemptive = Hashtbl.create 64 in
   Array.iter (fun k -> Hashtbl.replace preemptive k ()) preemptions;
   let counts = Hashtbl.create 16 in
   let local tid = Option.value ~default:0 (Hashtbl.find_opt counts tid) in
   let fixed = ref [] and cand = ref [] in
+  let start = ref 0 (* the ordinal where the current run began *) in
   Array.iteri
     (fun k tid ->
-      (if k > 0 then
-         let prev = decisions.(k - 1) in
-         if tid <> prev then begin
-           let dr = (k, { dr_from = prev; dr_count = local prev; dr_to = tid }) in
-           if Hashtbl.mem preemptive k then cand := dr :: !cand
-           else fixed := dr :: !fixed
-         end);
-      Hashtbl.replace counts tid (local tid + 1))
+      if k > 0 then
+        let prev = decisions.(k - 1) in
+        if tid <> prev then begin
+          Hashtbl.replace counts prev (local prev + k - !start);
+          start := k;
+          let dr = (k, { dr_from = prev; dr_count = local prev; dr_to = tid }) in
+          if Hashtbl.mem preemptive k then cand := dr :: !cand
+          else fixed := dr :: !fixed
+        end)
     decisions;
   (List.rev !fixed, List.rev !cand)
 
@@ -109,10 +161,3 @@ let directives_of ~decisions ~preemptions =
    original decision ordinal. *)
 let merge_directives fixed subset =
   List.merge (fun (a, _) (b, _) -> compare a b) fixed subset |> List.map snd
-
-let attach_directed sched directives =
-  let d = directed directives in
-  Sched.set_feed sched (Some (fun ~eligible -> directed_decide d ~eligible));
-  d
-
-let detach sched = Sched.set_feed sched None

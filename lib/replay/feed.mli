@@ -1,5 +1,7 @@
-(** Scheduler feeds ({!Conair_runtime.Sched.set_feed}): force a machine
-    through a recorded or synthesized schedule. *)
+(** Scheduler feeds ({!Conair_runtime.Sched.feed}): force a machine
+    through a recorded or synthesized schedule. Both feeds answer the
+    block engine's one-thread windows in counts, so a fed block run
+    keeps its compiled phases. *)
 
 open Conair_runtime
 
@@ -14,15 +16,20 @@ exception Diverged of divergence_info
 
 (** {1 Strict replay} *)
 
-type strict = { decisions : int array; mutable pos : int }
+type strict
+(** A position in a recorded decision stream. *)
 
 val strict : ?start:int -> int array -> strict
+(** Replay [decisions] from ordinal [start] (default [0]). *)
 
-val strict_decide : strict -> eligible:int list -> int
-(** The feed function: returns the next recorded decision.
-    @raise Diverged when it is not eligible or the log is exhausted. *)
+val position : strict -> int
+(** The ordinal of the next decision to feed. *)
 
-val attach_strict : ?start:int -> Sched.t -> int array -> strict
+val strict_feed : strict -> Sched.feed
+(** The feed: each decision is the next recorded one, and a window of
+    [tid] takes at most the recorded run of [tid] at the position.
+    @raise Diverged when the recorded thread is not eligible or the log
+    is exhausted — at the same decision ordinal on every engine. *)
 
 (** {1 Directed execution}
 
@@ -39,19 +46,10 @@ type directive = {
   dr_to : int;  (** the thread taking over *)
 }
 
-type directed = {
-  mutable queue : directive list;
-  mutable cur : int;
-  counts : (int, int) Hashtbl.t;
-  mutable fired : int;  (** directives consumed so far *)
-}
-
-val directed : directive list -> directed
-(** Fresh feed state without touching any scheduler — pass
-    [directed_decide] as a machine's [~feed] at creation. *)
-
-val directed_decide : directed -> eligible:int list -> int
-val attach_directed : Sched.t -> directive list -> directed
+val directed : directive list -> Sched.feed
+(** A fresh feed executing [directives] in order; it never raises. A
+    window accepts any number of decisions: only its first can fire a
+    directive, one into the window's thread. *)
 
 val directives_of :
   decisions:int array ->
@@ -69,5 +67,3 @@ val merge_directives :
   (int * directive) list -> (int * directive) list -> directive list
 (** Merge forced directives with a preemptive subset by original
     ordinal, dropping the keys. *)
-
-val detach : Sched.t -> unit

@@ -14,8 +14,9 @@
    are keyed to: the feed consumes the policy's rng draw for every
    decision, so snapshotting after it would double-consume the draw on
    resume and silently skew deadlock backoff and perturbed timing. The
-   capture therefore lives in the feed wrapper, ahead of
-   [Feed.strict_decide]. *)
+   capture therefore lives in the feed wrapper, ahead of the strict
+   feed's [decide]. The inspector steps [Machine] itself, which asks
+   for every decision one at a time. *)
 
 open Conair_ir
 open Conair_runtime
@@ -57,25 +58,30 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
       let m = Machine.create ~config ?meta program in
       let sched = m.Machine.sched in
       let h = Feed.strict log.Log.decisions in
+      let strict = Feed.strict_feed h in
       let ways = ref [] in
       (* the feed snapshots the machine it steers, so it can only be
          built after [create]: set it on the machine's own scheduler *)
       Sched.set_feed sched
         (Some
-           (fun ~eligible ->
-             if h.Feed.pos mod stride = 0 then
-               ways :=
-                 {
-                   wp_decision = h.Feed.pos;
-                   wp_step = m.Machine.step;
-                   wp_snap = Machine.snapshot m;
-                   wp_sched = Sched.save sched;
-                 }
-                 :: !ways;
-             Feed.strict_decide h ~eligible));
+           {
+             strict with
+             Sched.decide =
+               (fun ~eligible ->
+                 let pos = Feed.position h in
+                 if pos mod stride = 0 then
+                   ways :=
+                     {
+                       wp_decision = pos;
+                       wp_step = m.Machine.step;
+                       wp_snap = Machine.snapshot m;
+                       wp_sched = Sched.save sched;
+                     }
+                     :: !ways;
+                 strict.Sched.decide ~eligible);
+           });
       match Machine.run m with
       | outcome ->
-          Feed.detach sched;
           Ok
             {
               program;
@@ -92,7 +98,6 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
               instr_texts = instr_texts program;
             }
       | exception Feed.Diverged d ->
-          Feed.detach sched;
           Error
             (Printf.sprintf
                "inspect: the log does not replay against this program \
@@ -276,17 +281,15 @@ let state_at t target =
           wp.wp_decision
       | None -> 0
     in
-    let _h = Feed.attach_strict ~start sched t.log.Log.decisions in
+    Sched.set_feed sched
+      (Some (Feed.strict_feed (Feed.strict ~start t.log.Log.decisions)));
     match
       while m.Machine.step < target && Machine.step m do
         ()
       done
     with
-    | () ->
-        Feed.detach sched;
-        Ok (state_json t m)
+    | () -> Ok (state_json t m)
     | exception Feed.Diverged d ->
-        Feed.detach sched;
         Error
           (Printf.sprintf "inspect: schedule diverged while seeking (decision %d)"
              d.Feed.at)

@@ -6,7 +6,7 @@
    kept unconditionally — any executor must make them, and keeping the
    recorded target preserves exact reproduction. The *preemptive*
    switches (the previous thread was still eligible) are the search
-   space: running the full directive set through [Feed.attach_directed]
+   space: running the full directive set through [Feed.directed]
    reproduces the recorded run exactly, so Zeller-style delta debugging
    (ddmin) over the preemptive subset finds a locally minimal set of
    preemptions that still produces the recorded failure.
@@ -15,7 +15,12 @@
    strict-replayable minimized log, a switch-by-switch explanation of
    where each remaining preemption lands in the program, and — when the
    detector fires on the minimized schedule — the race report that names
-   the root cause the interleaving exposes. *)
+   the root cause the interleaving exposes.
+
+   Every run goes through [Engine] on [Engine.default]. The block
+   engine keeps its compiled phases under a feed, so the candidates and
+   the re-recording run compiled; the detector's replay observes
+   accesses and steps generically. *)
 
 open Conair_ir
 open Conair_runtime
@@ -119,6 +124,13 @@ let same_failure (recorded : Outcome.t) (candidate : Outcome.t) =
 (* Minimization                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [Engine.default]'s state, which [locate] reads: a [Machine.t] on the
+   fast and block engines. *)
+let machine_state = function
+  | Engine.M_fast m -> m
+  | Engine.M_block bm -> Block_machine.machine bm
+  | Engine.M_ref _ -> invalid_arg "Minimize: the reference engine is the oracle"
+
 let locate texts (m : Machine.t) tid =
   match Hashtbl.find_opt m.Machine.threads tid with
   | None -> "<gone>"
@@ -149,22 +161,17 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
         let config = log.Log.config in
         let fixed, cand = directives_of_log log in
         let tests = ref 0 in
-        let run_directed directives =
-          let d = Feed.directed directives in
-          (* the feed is part of this candidate machine and dies with
-             it — it cannot leak onto a later candidate run *)
-          let m =
-            Machine.create ~config ?meta
-              ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible)
-              program
-          in
-          (Machine.run m, m)
-        in
         let test subset =
           !tests < max_tests
           && begin
                incr tests;
-               let outcome, _ = run_directed (merge fixed subset) in
+               (* the feed is part of this candidate machine and dies
+                  with it — it cannot leak onto a later candidate run *)
+               let _, outcome =
+                 Engine.run_program ~config ?meta
+                   ~feed:(Feed.directed (merge fixed subset))
+                   Engine.default program
+               in
                same_failure log.Log.outcome outcome
              end
         in
@@ -177,10 +184,11 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
           (* Final run: directed by the winning set, re-recorded, with
              the switch contexts captured as they happen. *)
           let recorder = Recorder.create () in
-          let m =
-            Machine.create ~config ?meta ~observer:(Recorder.observer recorder)
-              program
+          let em =
+            Engine.create ~config ?meta ~observer:(Recorder.observer recorder)
+              Engine.default program
           in
+          let m = machine_state em in
           let texts =
             let tbl = Hashtbl.create 256 in
             Program.iter_funcs program (fun f ->
@@ -189,12 +197,14 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
                       (Format.asprintf "%a" Instr.pp i)));
             tbl
           in
-          (* The tap sees each decision before the recorder does, so the
-             recorder's [prev] is still the thread being switched away
-             from and its [count] is this decision's ordinal. Whether a
-             switch was preemptive is read back from the recording. *)
+          (* The feed hears each decision — a window's first one when it
+             opens — before its thread runs and before the recorder
+             sees it, so the recorder's [prev] is still the thread being
+             switched away from and its [count] is this decision's
+             ordinal. Whether a switch was preemptive is read back from
+             the recording. *)
           let switches = ref [] in
-          let tap ~chosen ~eligible:_ =
+          let switch chosen =
             let prev = Flight_ring.prev recorder in
             if prev >= 0 && chosen <> prev then
               switches :=
@@ -209,19 +219,30 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
                 }
                 :: !switches
           in
-          let d = Feed.directed (merge fixed best) in
-          (* the tap closure reads [m]'s state as it records, so it can
-             only be built after [create]: set it on the machine's own
-             scheduler (still private to this machine) *)
-          Sched.set_tap m.Machine.sched (Some tap);
-          Sched.set_feed m.Machine.sched
-            (Some (fun ~eligible -> Feed.directed_decide d ~eligible));
-          let outcome = Machine.run m in
-          ignore d;
+          let directed = Feed.directed (merge fixed best) in
+          (* the feed reads [m]'s state as it records, so it can only be
+             built after [create]: set it on the machine's own scheduler
+             (still private to this machine) *)
+          Sched.set_feed (Engine.sched em)
+            (Some
+               {
+                 Sched.decide =
+                   (fun ~eligible ->
+                     let chosen = directed.Sched.decide ~eligible in
+                     switch chosen;
+                     chosen);
+                 window =
+                   (fun tid ->
+                     let accepted = directed.Sched.window tid in
+                     if accepted > 0 then switch tid;
+                     accepted);
+                 took = directed.Sched.took;
+               });
+          let outcome = Engine.run em in
           if not (same_failure log.Log.outcome outcome) then
             Error "the minimized schedule stopped failing on re-execution"
           else
-            let stats = Machine.stats m in
+            let stats = Engine.stats em in
             let preemptions = Recorder.preemptions recorder in
             let preempted = Hashtbl.create 16 in
             Array.iter
@@ -230,14 +251,14 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
             let mn_log =
               {
                 log with
-                Log.engine = "fast";
+                Log.engine = Engine.name (Engine.engine_of em);
                 decisions = Recorder.decisions recorder;
                 preemptions;
-                steps = m.Machine.step;
+                steps = Engine.steps em;
                 instrs = stats.Stats.instrs;
                 rollbacks = stats.Stats.rollbacks;
                 outcome;
-                outputs = Machine.outputs m;
+                outputs = Engine.outputs em;
               }
             in
             let mn_races =
@@ -245,14 +266,12 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
               else begin
                 (* replay the minimized schedule with the detector on *)
                 let det = Conair_race.Detect.create () in
-                let h = Feed.strict mn_log.Log.decisions in
-                let dm =
-                  Machine.create ~config ?meta
-                    ~observer:(Conair_race.Detect.probe det)
-                    ~feed:(fun ~eligible -> Feed.strict_decide h ~eligible)
-                    program
-                in
-                (match Machine.run dm with
+                (match
+                   Engine.run_program ~config ?meta
+                     ~observer:(Conair_race.Detect.probe det)
+                     ~feed:(Feed.strict_feed (Feed.strict mn_log.Log.decisions))
+                     Engine.default program
+                 with
                 | _ -> ()
                 | exception Feed.Diverged _ -> ());
                 Some (Conair_race.Detect.report det)

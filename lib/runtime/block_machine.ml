@@ -14,12 +14,14 @@
      are taken in bulk ([idle]);
    - one eligible thread: the scheduler has no choice to make, so the
      thread's compiled code runs closure to closure without consulting
-     it ([run_window]);
+     it ([run_window]); an installed feed is asked once, up front, how
+     many of these forced decisions it accepts, and told once, at the
+     end, how many the window took;
    - several eligible threads: each step still asks the scheduler —
      the same [Sched.choose_idx] call over the same candidate list, so
-     rng draws and cursor moves are identical — and retires the chosen
-     thread's one instruction through its single-step closure
-     ([run_contended]).
+     rng draws and cursor moves are identical, and a feed decides each
+     step — and retires the chosen thread's one instruction through
+     its single-step closure ([run_contended]).
 
    Between two schedulable ops a step only decides which thread runs,
    so the eligible set can be held fixed; correctness of a phase rests
@@ -38,7 +40,7 @@
      code [Machine] runs), a thread death, a fault or failed assert, a
      decided outcome.
    - With no observer of per-step or access events and no scheduler
-     hook ([hooked]), [Machine]'s observation work on straight-line
+     tap ([hooked]), [Machine]'s observation work on straight-line
      code is a handful of matches that emit nothing, so skipping it is
      byte-invisible in every observable (traces, profiles, race reports,
      schedule logs, stats). Sync events come from schedulable ops and
@@ -46,6 +48,15 @@
      contended phase reports each decision as [Machine.step] does; a
      window reports its decisions as one counted decision, flushed
      ahead of any event emitted inside it ([Machine.emit]).
+   - A feed sees the same decisions in the same order. Every step of
+     a window is one forced decision of its thread, so a window bounded
+     by the feed's answer ([Sched.feed]'s [window]) takes exactly the
+     decisions the feed accepted; an answer of [0] sends that step
+     through [Machine.step], whose [decide] call raises the strict
+     feed's divergence at the same decision and step as on the other
+     engines. A divergence raised in a contended phase retires the
+     phase's steps first, so the counters read what [Machine.step]
+     leaves.
 
    A hooked run takes [Machine.step] for every step. [Ref_machine]
    remains the oracle; the three-way differential suite enforces
@@ -72,15 +83,15 @@ let step bm = Machine.step bm.m
 let thread_summaries bm = Machine.thread_summaries bm.m
 
 (* Does the observer consume per-step or access events, or is a
-   scheduler hook attached? Those see state the phases skip, so they
-   send every step down the generic path. Decisions and sync events do
-   not count: the phases emit every one of them. *)
+   scheduler tap attached? Those see state the phases skip, so they
+   send every step down the generic path. Decisions, sync events and
+   feeds do not count: the phases emit every decision and event, and
+   hand a feed every decision, a window's as one count. *)
 let hooked (m : Machine.t) =
   (match m.Machine.obs with
   | Some o -> o.Event.steps || o.Event.accesses
   | None -> false)
   || m.Machine.sched.Sched.tap <> None
-  || m.Machine.sched.Sched.feed <> None
 
 (* The fault arm of [Machine.run_thread_step], for a compiled link.
    Links raise before moving the program point (the one after-pop fault
@@ -186,13 +197,14 @@ let run_window bm (th : Thread.t) bound =
 
 (* Several threads — the [rn] listed in [m.ready] — are eligible, or the
    only one stands at its blocking op. Every step makes [Machine.step]'s
-   decision over the fixed list and reports it the same way, then
-   retires one instruction of the chosen thread through its single-step
-   closure ([m.wbound] floored, so a transfer never chains past its own
-   step). The phase ends at a schedulable op (run through
-   [run_thread_step], the generic code), a thread death, a fault, a
-   failed assert, or [bound]: the fuel or the earliest time-based wake
-   of an ineligible thread, when the eligible set could grow. *)
+   decision over the fixed list (a feed's [decide] included) and reports
+   it the same way, then retires one instruction of the chosen thread
+   through its single-step closure ([m.wbound] floored, so a transfer
+   never chains past its own step). The phase ends at a schedulable op
+   (run through [run_thread_step], the generic code), a thread death, a
+   fault, a failed assert, or [bound]: the fuel or the earliest
+   time-based wake of an ineligible thread, when the eligible set could
+   grow. *)
 let run_contended bm rn =
   let m = bm.m in
   let bound = min m.Machine.config.Machine.fuel (Machine.next_wake m) in
@@ -200,36 +212,43 @@ let run_contended bm rn =
   let step0 = m.Machine.step in
   let sched_steps = ref 0 in
   let continue_ = ref true in
-  while !continue_ do
-    let k = Sched.choose_idx m.Machine.sched ~tid_of:Machine.ready_tid m rn in
-    if Machine.decisions m then Machine.decide m k rn;
-    let th = m.Machine.live.(m.Machine.ready.(k)) in
-    let fr = Thread.top th in
-    let func = fr.Thread.func and blk = fr.Thread.block in
-    let cbv = Compile.block bm.code func blk in
-    let i = fr.Thread.idx in
-    if cbv.Compile.cb_sched.(i) then begin
-      Machine.run_thread_step m th;
-      m.Machine.step <- m.Machine.step + 1;
-      incr sched_steps;
-      continue_ := false
-    end
-    else begin
-      (* [run_thread_step]'s preamble for a compiled instruction: wake a
-         chosen sleeper (its step event is unobserved) *)
-      (match th.Thread.status with
-      | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
-      | _ -> ());
-      match (Compile.one bm.code func blk cbv).(i) m th fr with
-      | 0 (* t_refresh *) | 4 (* t_single *) ->
-          if m.Machine.step >= bound then continue_ := false
-      | _ (* t_end, t_failed *) -> continue_ := false
-      | exception Machine.Fault msg ->
-          fault bm th msg;
-          continue_ := false
-    end
-  done;
-  retire m ~from:step0 ~sched_steps:!sched_steps
+  match
+    while !continue_ do
+      let k = Sched.choose_idx m.Machine.sched ~tid_of:Machine.ready_tid m rn in
+      if Machine.decisions m then Machine.decide m k rn;
+      let th = m.Machine.live.(m.Machine.ready.(k)) in
+      let fr = Thread.top th in
+      let func = fr.Thread.func and blk = fr.Thread.block in
+      let cbv = Compile.block bm.code func blk in
+      let i = fr.Thread.idx in
+      if cbv.Compile.cb_sched.(i) then begin
+        Machine.run_thread_step m th;
+        m.Machine.step <- m.Machine.step + 1;
+        incr sched_steps;
+        continue_ := false
+      end
+      else begin
+        (* [run_thread_step]'s preamble for a compiled instruction: wake a
+           chosen sleeper (its step event is unobserved) *)
+        (match th.Thread.status with
+        | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
+        | _ -> ());
+        match (Compile.one bm.code func blk cbv).(i) m th fr with
+        | 0 (* t_refresh *) | 4 (* t_single *) ->
+            if m.Machine.step >= bound then continue_ := false
+        | _ (* t_end, t_failed *) -> continue_ := false
+        | exception Machine.Fault msg ->
+            fault bm th msg;
+            continue_ := false
+      end
+    done
+  with
+  | () -> retire m ~from:step0 ~sched_steps:!sched_steps
+  | exception e ->
+      (* a feed aborting the run ([decide] raised): [Machine.step] would
+         have counted every step before this decision *)
+      retire m ~from:step0 ~sched_steps:!sched_steps;
+      raise e
 
 (* No thread is eligible. [Machine.step] would retire idle steps one at
    a time until the nearest time-based wake (idle ticks are per-step
@@ -253,7 +272,10 @@ let idle (m : Machine.t) =
    [Machine.step] makes — fills [m.ready]; then nobody eligible idles in
    bulk, one eligible thread that can run (runnable, or a sleeper whose
    deadline passed) runs a compiled window up to the next time-based
-   wake, and anything else is a contended phase over the same list. *)
+   wake, and anything else is a contended phase over the same list.
+   A feed bounds the window by the decisions it accepts and hears how
+   many the window took; when it accepts none, the step is
+   [Machine.step]'s, asked before the sleeper wakes. *)
 let unhooked_step bm =
   let m = bm.m in
   let rn = ref 0 in
@@ -267,13 +289,25 @@ let unhooked_step bm =
   else
     let th = m.Machine.live.(m.Machine.ready.(0)) in
     match (!rn, th.Thread.status) with
-    | 1, (Thread.Runnable | Thread.Sleeping _) ->
+    | 1, (Thread.Runnable | Thread.Sleeping _) -> (
         (* a sleeper wakes exactly as [run_thread_step] would wake it
            (its step event is unobserved); every other thread is
            ineligible, so its wake lies strictly ahead *)
-        th.Thread.status <- Thread.Runnable;
-        run_window bm th
-          (min m.Machine.config.Machine.fuel (Machine.next_wake m))
+        let bound = min m.Machine.config.Machine.fuel (Machine.next_wake m) in
+        match m.Machine.sched.Sched.feed with
+        | None ->
+            th.Thread.status <- Thread.Runnable;
+            run_window bm th bound
+        | Some f ->
+            let step0 = m.Machine.step in
+            let accepted = f.Sched.window th.Thread.tid in
+            if accepted <= 0 then ignore (Machine.step m)
+            else begin
+              th.Thread.status <- Thread.Runnable;
+              run_window bm th
+                (if accepted < bound - step0 then step0 + accepted else bound);
+              f.Sched.took (m.Machine.step - step0)
+            end)
     | _ -> run_contended bm !rn
 
 let run bm =

@@ -18,9 +18,12 @@
     observer of decisions and sync events only — a flight ring, a full
     recording ([Conair_replay.Recorder]), the lock-order witness —
     rides the phases: they emit every sync event and every decision, a
-    one-thread window's decisions as one counted {!Event.Decide}. The
-    three-way differential suite in [test_fast_exec.ml] enforces the
-    identity over the bugbench catalog. *)
+    one-thread window's decisions as one counted {!Event.Decide}. A
+    feed ({!Sched.feed}) rides them too: a contended phase asks it for
+    every decision, and a window asks it once how many decisions it
+    accepts and tells it once how many were taken. The three-way
+    differential suite in [test_fast_exec.ml] enforces the identity
+    over the bugbench catalog. *)
 
 open Conair_ir
 
@@ -34,7 +37,7 @@ val create :
   ?meta:meta ->
   ?observer:Event.observer ->
   ?tap:(chosen:int -> eligible:int list -> unit) ->
-  ?feed:(eligible:int list -> int) ->
+  ?feed:Sched.feed ->
   Program.t ->
   t
 (** Link the program and take its image's code object (blocks compile
@@ -46,8 +49,8 @@ val machine : t -> Machine.t
 
 val hooked : Machine.t -> bool
 (** Does the observer consume per-step or access events, or is a
-    scheduler tap or feed attached? Then every step takes [Machine]'s
-    generic path ([Machine.step]). *)
+    scheduler tap attached? Then every step takes [Machine]'s generic
+    path ([Machine.step]). A feed alone never hooks a run. *)
 
 val outputs : t -> string list
 (** In emission order. *)
@@ -68,4 +71,6 @@ val step : t -> bool
 
 val run : t -> Outcome.t
 (** Run to completion or until the fuel runs out, phase by phase on the
-    compiled code unless the run is {!hooked}. *)
+    compiled code unless the run is {!hooked}. An exception a feed
+    raises ([Conair_replay.Feed.Diverged]) propagates with the steps
+    before it counted, as [Machine.run] leaves them. *)

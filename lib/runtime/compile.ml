@@ -31,7 +31,8 @@
    the generic per-step path. Retiring the runs in between without
    consulting the scheduler is semantics-preserving precisely when the
    scheduler's choice over the window is forced (one eligible thread)
-   and unobserved (no tap/feed installed); with several threads
+   and unobserved (no tap installed; a feed is told the window's
+   decisions as one count); with several threads
    eligible the driver still decides every step, but no run in between
    changes who is eligible.
 

@@ -41,7 +41,7 @@ val create :
   ?meta:Machine.meta ->
   ?observer:Event.observer ->
   ?tap:(chosen:int -> eligible:int list -> unit) ->
-  ?feed:(eligible:int list -> int) ->
+  ?feed:Sched.feed ->
   t ->
   Program.t ->
   machine
@@ -65,7 +65,7 @@ val run_program :
   ?meta:Machine.meta ->
   ?observer:Event.observer ->
   ?tap:(chosen:int -> eligible:int list -> unit) ->
-  ?feed:(eligible:int list -> int) ->
+  ?feed:Sched.feed ->
   t ->
   Program.t ->
   machine * Outcome.t

@@ -160,6 +160,24 @@ let tail t =
     let first = t.d_total - n in
     Array.init n (fun i -> t.d.((first + i) mod t.cap))
 
+(* [tail t] read in place. An unbounded recording is walked forward
+   over its (tid, count) pairs: [run] is the pair holding the last index
+   asked for and [next] the index just past it, so asking in
+   non-decreasing order visits each pair once. *)
+let tail_reader t =
+  if t.cap = 0 then begin
+    let run = ref 0 and next = ref (if t.runs > 0 then t.d.(1) else 0) in
+    fun i ->
+      while i >= !next do
+        incr run;
+        next := !next + t.d.((2 * !run) + 1)
+      done;
+      t.d.(2 * !run)
+  end
+  else
+    let first = tail_first t in
+    fun i -> t.d.((first + i) mod t.cap)
+
 (* Absolute ordinals of the preemptive switches inside the decision
    tail, ascending. The preemption ring stores the most recent [cap]
    preemptions; preemptions are at most one per decision, so every

@@ -59,6 +59,12 @@ val tail_first : t -> int
 val tail : t -> int array
 (** The retained decision tail, oldest first. *)
 
+val tail_reader : t -> int -> int
+(** [tail_reader t i] is [(tail t).(i)] without building the array, for
+    [0 <= i < total t - tail_first t]. Ask in non-decreasing [i]: on an
+    unbounded recording the reader walks the run-length pairs forward
+    once. *)
+
 val tail_preemptions : t -> int array
 (** Absolute ordinals of the preemptive switches within {!tail},
     ascending. Complete for the retained tail. *)

@@ -105,7 +105,7 @@ val create :
   ?meta:meta ->
   ?observer:Event.observer ->
   ?tap:(chosen:int -> eligible:int list -> unit) ->
-  ?feed:(eligible:int list -> int) ->
+  ?feed:Sched.feed ->
   Program.t ->
   t
 (** Link the program and return a machine with the main thread ready to

@@ -21,7 +21,7 @@ val create :
   ?meta:meta ->
   ?observer:Event.observer ->
   ?tap:(chosen:int -> eligible:int list -> unit) ->
-  ?feed:(eligible:int list -> int) ->
+  ?feed:Sched.feed ->
   Program.t ->
   t
 (** Same as [Machine.create]. The observer sees the same event stream,

@@ -30,18 +30,30 @@
    decision still consumes the rng and moves the cursor exactly as the
    policy would have for the same choice, so a strict replay reproduces
    the original random stream — deadlock backoff and timing perturbation
-   draws included. *)
+   draws included.
+
+   A feed also answers in counts: the block engine's one-thread windows
+   ask it how many consecutive decisions it accepts for the window's
+   thread and report the decisions they took as one number ([window],
+   [took]). Those decisions are forced — one eligible thread — so the
+   policy would draw nothing for them and [mirror] has nothing to do. *)
 
 type policy =
   | Round_robin  (** strict rotation among eligible threads; rng unused *)
   | Random of int  (** uniform choice, seeded LXM ([Random.State]) *)
+
+type feed = {
+  decide : eligible:int list -> int;
+  window : int -> int;
+  took : int -> unit;
+}
 
 type t = {
   policy : policy;
   mutable rng : Random.State.t;
   mutable cursor : int;
   mutable tap : (chosen:int -> eligible:int list -> unit) option;
-  mutable feed : (eligible:int list -> int) option;
+  mutable feed : feed option;
 }
 
 let create policy =
@@ -113,7 +125,7 @@ let choose t eligible =
         match t.feed with
         | None -> decide t eligible
         | Some f ->
-            let chosen = f ~eligible in
+            let chosen = f.decide ~eligible in
             mirror t ~eligible chosen;
             chosen
       in
@@ -152,7 +164,7 @@ let choose_idx t ~tid_of env n =
       match t.feed with
       | None -> decide t eligible
       | Some f ->
-          let chosen = f ~eligible in
+          let chosen = f.decide ~eligible in
           mirror t ~eligible chosen;
           chosen
     in

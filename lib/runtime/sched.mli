@@ -17,6 +17,28 @@
     [None] by default and cost one match per decision when off — the
     same zero-cost-when-off discipline as the machine's observer. *)
 
+(** A schedule override ({!set_feed}). Every engine asks [decide] for
+    each decision it makes one at a time; the block engine's one-thread
+    windows take their forced decisions in bulk instead:
+
+    - [window tid]: a window of [tid] — the only eligible thread — is
+      about to open, before any of its code runs. The answer is how
+      many consecutive decisions for [tid] the feed accepts ([max_int]
+      for no limit); the window runs at most that many steps, one
+      decision each. An answer of [0] sends that one step through
+      [decide] instead.
+    - [took n]: the window closed after [n] decisions, all of [tid].
+
+    A window is therefore one counted call where the other engines make
+    [n] calls to [decide] with [~eligible:[tid]]; a feed must treat the
+    two alike. *)
+type feed = {
+  decide : eligible:int list -> int;
+      (** one decision: a member of [eligible] (or raise to abort) *)
+  window : int -> int;
+  took : int -> unit;
+}
+
 type policy =
   | Round_robin  (** strict rotation among eligible threads; rng unused *)
   | Random of int  (** uniform choice, seeded LXM ([Random.State]) *)
@@ -27,7 +49,7 @@ type t = {
   mutable cursor : int;
   mutable tap : (chosen:int -> eligible:int list -> unit) option;
       (** observes every decision; install via {!set_tap} *)
-  mutable feed : (eligible:int list -> int) option;
+  mutable feed : feed option;
       (** overrides every decision; install via {!set_feed} *)
 }
 
@@ -56,15 +78,16 @@ val rng : t -> Random.State.t
 
     A [tap] observes every scheduling decision — including the
     single-eligible fast path — with the eligible tids in ascending
-    order. A [feed] replaces the policy's decision; it must return a
-    member of [eligible] (or raise to abort the run). A fed decision
-    still consumes the policy's rng draw and cursor movement for the
-    chosen thread, so the downstream random stream (deadlock backoff,
-    perturbed timing) stays aligned with the original run during
-    replay. *)
+    order; it sends every step of a block run down the generic path,
+    so only the tests' oracle recorder uses it. A [feed] replaces the
+    policy's decision. A fed decision still consumes the policy's rng
+    draw and cursor movement for the chosen thread, so the downstream
+    random stream (deadlock backoff, perturbed timing) stays aligned
+    with the original run during replay; a window's forced decisions
+    draw nothing under any policy. *)
 
 val set_tap : t -> (chosen:int -> eligible:int list -> unit) option -> unit
-val set_feed : t -> (eligible:int list -> int) option -> unit
+val set_feed : t -> feed option -> unit
 
 (** {1 Saved scheduler state}
 

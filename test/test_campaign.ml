@@ -56,6 +56,38 @@ let signature_golden () =
     (Coverage.signature ~context:"fix-sweep"
        ~decisions:[| 12; 3; 12; 12; 1234567 |] ~preemptions:[| 1; 2; 4 |] ())
 
+(* The fix sweep signs its recordings in place: a ring's signature must
+   be the one of its expanded tail, for a full recording and for a small
+   bounded ring that wraps, over the catalog's buggy apps under
+   round-robin and seeded schedules. *)
+let ring_signature_matches_tail () =
+  let module Ring = Conair.Runtime.Flight_ring in
+  let module Spec = Conair_bugbench.Bench_spec in
+  List.iter
+    (fun (s : Spec.t) ->
+      let p = (s.make ~variant:Spec.Buggy ~oracle:false).program in
+      List.iter
+        (fun policy ->
+          let full = Ring.unbounded () and small = Ring.create ~cap:7 () in
+          ignore
+            (Conair.Runtime.Engine.run_program
+               ~config:{ config with policy }
+               ~observer:
+                 (Conair.Runtime.Event.combine
+                    [ Ring.observer full; Ring.observer small ])
+               Conair.Runtime.Engine.default p);
+          List.iter
+            (fun (what, ring) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %s" s.info.name what)
+                (Coverage.signature ~context:"fix-sweep"
+                   ~decisions:(Ring.tail ring)
+                   ~preemptions:(Ring.tail_preemptions ring) ())
+                (Coverage.ring_signature ~context:"fix-sweep" ring))
+            [ ("full recording", full); ("wrapped ring", small) ])
+        [ Sched.Round_robin; Sched.Random 1; Sched.Random 2 ])
+    Conair_bugbench.Registry.all
+
 (* The facade signature of a real recorded run is stable across repeated
    recordings — the restart-determinism property at the single-run
    level. *)
@@ -280,6 +312,8 @@ let suites =
       [
         Alcotest.test_case "signature properties" `Quick signature_properties;
         Alcotest.test_case "signature golden encoding" `Quick signature_golden;
+        Alcotest.test_case "ring signature matches its tail" `Quick
+          ring_signature_matches_tail;
         Alcotest.test_case "signature stable across recordings" `Quick
           signature_stable_across_recordings;
         Alcotest.test_case "coverage map" `Quick coverage_map;

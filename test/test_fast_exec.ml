@@ -380,9 +380,10 @@ let choose_idx_agrees () =
 (* ---- the fast-path contract ----------------------------------------
 
    A full recording and the fix sweep's deadlock lens observe sync
-   events only, so neither may push the block engine off its compiled
-   window path — and what they observe there must be what the
-   interpretive engines emit. *)
+   events only, and a replay feed answers windows in counts, so none of
+   them may push the block engine off its compiled window path — and
+   what they observe or decide there must be what the interpretive
+   engines do. *)
 
 module Block_machine = Conair.Runtime.Block_machine
 module Recorder = Conair.Replay.Recorder
@@ -440,8 +441,75 @@ let recorder_and_witness_stay_unhooked () =
           (),
         true );
       ("scheduler tap", hooked ~tap:(fun ~chosen:_ ~eligible:_ -> ()) (), true);
-      ("replay feed", hooked ~feed:(fun ~eligible -> List.hd eligible) (), true);
+      ( "replay feed",
+        hooked ~feed:Conair.Replay.Feed.(strict_feed (strict [||])) (),
+        false );
+      ( "directed feed",
+        hooked ~feed:(Conair.Replay.Feed.directed []) (),
+        false );
     ]
+
+(* Directed replay — the fix pipeline's replay gate — of each buggy
+   catalog app's recorded failing schedule, against the recorded program
+   (where it reproduces the recording) and against its survival-hardened
+   form, a different program where directives may no longer fire and
+   control falls back to round-robin order. The block engine's windows
+   take the directed feed's decisions as counts; every engine must end
+   in the same state. *)
+let directed_replay_agrees () =
+  let config = config Sched.Round_robin in
+  let replayed = ref 0 in
+  List.iter
+    (fun (s : Spec.t) ->
+      let p = (s.make ~variant:Spec.Buggy ~oracle:true).program in
+      let _, log =
+        Conair.record_run ~config ~ident:(Conair.Replay.Log.ident s.info.name)
+          p
+      in
+      if not (Outcome.is_success log.Conair.Replay.Log.outcome) then begin
+        incr replayed;
+        let hardened =
+          match Conair.harden p Conair.Survival with
+          | Ok h ->
+              [
+                ( s.info.name ^ "/hardened",
+                  Some (Machine.meta_of_harden h.Conair.hardened),
+                  h.Conair.hardened.program );
+              ]
+          | Error _ -> []
+        in
+        List.iter
+          (fun (name, meta, program) ->
+            let replay engine =
+              Conair.Replay.Driver.replay_directed ~engine ?meta ~program log
+            in
+            let r = replay Engine.Ref in
+            (* every recorded switch fed back reproduces the recording *)
+            (if meta = None then
+               match Conair.Replay.Driver.check log r with
+               | Ok () -> ()
+               | Error e -> Alcotest.failf "%s directed#ref: %s" name e);
+            List.iter
+              (fun (ename, engine) ->
+                let name = name ^ " directed#" ^ ename in
+                let b = replay engine in
+                Alcotest.check outcome_t (name ^ ": outcome")
+                  r.Conair.Replay.Driver.rb_outcome
+                  b.Conair.Replay.Driver.rb_outcome;
+                Alcotest.(check (list string))
+                  (name ^ ": outputs") r.Conair.Replay.Driver.rb_outputs
+                  b.Conair.Replay.Driver.rb_outputs;
+                Alcotest.(check int)
+                  (name ^ ": virtual time") r.Conair.Replay.Driver.rb_steps
+                  b.Conair.Replay.Driver.rb_steps;
+                check_stats name r.Conair.Replay.Driver.rb_stats
+                  b.Conair.Replay.Driver.rb_stats)
+              engines)
+          ((s.info.name, None, p) :: hardened)
+      end)
+    Registry.all;
+  Alcotest.(check bool) "some buggy app fails under round-robin" true
+    (!replayed > 0)
 
 (* The run-length recording, on every engine (the block engine on its
    window path), expands to exactly the decisions and preemptions an
@@ -1093,6 +1161,8 @@ let suites =
       [
         Alcotest.test_case "recorder and witness keep block unhooked" `Quick
           recorder_and_witness_stay_unhooked;
+        Alcotest.test_case "directed replay agrees on every engine" `Quick
+          directed_replay_agrees;
         Alcotest.test_case "run-length recording matches the tap oracle"
           `Quick recorder_matches_tap_oracle;
         Alcotest.test_case "witness cycle keys match the detector" `Quick

@@ -72,9 +72,9 @@ let record_traced config ?meta p =
 let replay_traced engine ?meta p (log : Log.t) =
   let config = log.Log.config in
   let trace, jsonl = jsonl () in
-  let h = Feed.strict log.Log.decisions in
   let m =
-    Engine.create ~config ?meta ~observer:jsonl ~feed:(Feed.strict_decide h)
+    Engine.create ~config ?meta ~observer:jsonl
+      ~feed:(Feed.strict_feed (Feed.strict log.Log.decisions))
       engine p
   in
   let outcome = Engine.run m in
@@ -334,44 +334,141 @@ let recorded_tutorial () =
   in
   (p, log)
 
-let divergence_tampered () =
-  let p, log = recorded_tutorial () in
-  let k = Array.length log.Log.decisions / 2 in
+(* Replay a log that cannot be followed on every engine: each must
+   report the divergence, and all must agree on where — the decision
+   ordinal, the machine step, the recorded tid and the eligible set —
+   and leave the same step and instruction counts behind. *)
+let diverge_everywhere name p (log : Log.t) =
+  let divergence engine =
+    match Driver.replay ~engine ~program:p log with
+    | Ok _ ->
+        Alcotest.failf "%s: %s log replayed cleanly" (Engine.name engine) name
+    | Error (Driver.Diverged d) -> d
+    | Error e ->
+        Alcotest.failf "%s: %s: wrong error: %s" (Engine.name engine) name
+          (Driver.error_to_string e)
+  in
+  let counters engine =
+    let m =
+      Engine.create ~config:log.Log.config
+        ~feed:(Feed.strict_feed (Feed.strict log.Log.decisions))
+        engine p
+    in
+    (match Engine.run m with _ -> () | exception Feed.Diverged _ -> ());
+    let st = Engine.stats m in
+    [ Engine.steps m; st.Conair.Runtime.Stats.steps; st.instrs ]
+  in
+  let d = divergence Engine.Ref and c = counters Engine.Ref in
+  List.iter
+    (fun engine ->
+      let e = divergence engine in
+      let label what =
+        Printf.sprintf "%s (%s vs ref): %s" name (Engine.name engine) what
+      in
+      Alcotest.(check int) (label "decision") d.Driver.dv_decision
+        e.Driver.dv_decision;
+      Alcotest.(check int) (label "step") d.Driver.dv_step e.Driver.dv_step;
+      Alcotest.(check (option int))
+        (label "expected") d.Driver.dv_expected e.Driver.dv_expected;
+      Alcotest.(check (list int))
+        (label "eligible") d.Driver.dv_actual e.Driver.dv_actual;
+      Alcotest.(check (list int))
+        (label "virtual time, steps and instructions")
+        c (counters engine))
+    [ Engine.Fast; Engine.Block ];
+  d
+
+(* A one-thread window of the block engine's run of [p]: the ordinal of
+   its first decision and its length. Under an observer of decisions
+   only, a window reports its decisions as one counted decision and a
+   contended or generic step as a count of 1, so the first count of at
+   least 3 is a whole window with room inside it. *)
+let block_window config p =
+  let decides = ref [] in
+  let observer =
+    Event.observer ~decisions:true (fun _ ev ->
+        match ev with
+        | Event.Decide { count; _ } -> decides := count :: !decides
+        | _ -> ())
+  in
+  ignore (Engine.run_program ~config ~observer Engine.Block p);
+  let rec find ord = function
+    | [] -> Alcotest.fail "the block engine ran no window of 3 decisions"
+    | count :: _ when count >= 3 -> (ord, count)
+    | count :: rest -> find (ord + count) rest
+  in
+  find 0 (List.rev !decides)
+
+(* The first decision that follows another with several threads
+   eligible at both: on the block engine, the second decision of a
+   contended phase, whose divergence must count the phase's first step. *)
+let contended_decision config p =
+  let sizes = ref [] in
+  let tap ~chosen:_ ~eligible = sizes := List.length eligible :: !sizes in
+  ignore (Engine.run_program ~config ~tap Engine.Ref p);
+  let rec find k = function
+    | a :: (b :: _ as rest) ->
+        if a >= 2 && b >= 2 then k + 1 else find (k + 1) rest
+    | _ -> Alcotest.fail "no two consecutive contended decisions"
+  in
+  find 0 (List.rev !sizes)
+
+let tamper (log : Log.t) k =
   let decisions = Array.copy log.Log.decisions in
   decisions.(k) <- 999 (* never an eligible tid *);
-  match Conair.replay ~program:p { log with Log.decisions } with
-  | Ok _ -> Alcotest.fail "tampered log replayed cleanly"
-  | Error (Driver.Diverged d) ->
-      Alcotest.(check int) "divergence names the decision" k d.Driver.dv_decision;
-      Alcotest.(check (option int)) "and the recorded tid" (Some 999)
-        d.Driver.dv_expected;
-      Alcotest.(check bool) "and the eligible set" true
-        (d.Driver.dv_actual <> [])
-  | Error e -> Alcotest.failf "wrong error: %s" (Driver.error_to_string e)
+  { log with Log.decisions }
+
+(* A recorded thread that is not eligible, in the middle of the log,
+   around one of the block engine's windows — at its first decision,
+   inside it, and right after it closes — and inside a contended
+   phase. *)
+let divergence_tampered () =
+  let p, log = recorded_tutorial () in
+  let first, len = block_window log.Log.config p in
+  Alcotest.(check bool) "the window ends before the log does" true
+    (first + len < Array.length log.Log.decisions);
+  List.iter
+    (fun (where, k) ->
+      let d = diverge_everywhere ("tampered " ^ where) p (tamper log k) in
+      Alcotest.(check int) (where ^ ": divergence names the decision") k
+        d.Driver.dv_decision;
+      Alcotest.(check (option int))
+        (where ^ ": and the recorded tid") (Some 999) d.Driver.dv_expected;
+      Alcotest.(check bool) (where ^ ": and the eligible set") true
+        (d.Driver.dv_actual <> []))
+    [
+      ("mid-log", Array.length log.Log.decisions / 2);
+      ("at a window's first decision", first);
+      ("inside a window", first + 1);
+      ("right after a window", first + len);
+      ("inside a contended phase", contended_decision log.Log.config p);
+    ]
 
 let divergence_truncated () =
   let p, log = recorded_tutorial () in
-  let k = Array.length log.Log.decisions / 2 in
-  let decisions = Array.sub log.Log.decisions 0 k in
-  match Conair.replay ~program:p { log with Log.decisions } with
-  | Ok _ -> Alcotest.fail "truncated log replayed cleanly"
-  | Error (Driver.Diverged d) ->
-      Alcotest.(check int) "exhausted exactly at the cut" k
+  let first, len = block_window log.Log.config p in
+  List.iter
+    (fun (where, k) ->
+      let decisions = Array.sub log.Log.decisions 0 k in
+      let d =
+        diverge_everywhere ("truncated " ^ where) p { log with Log.decisions }
+      in
+      Alcotest.(check int) (where ^ ": exhausted exactly at the cut") k
         d.Driver.dv_decision;
-      Alcotest.(check (option int)) "log-exhausted is expected=None" None
-        d.Driver.dv_expected
-  | Error e -> Alcotest.failf "wrong error: %s" (Driver.error_to_string e)
+      Alcotest.(check (option int))
+        (where ^ ": log-exhausted is expected=None") None d.Driver.dv_expected)
+    [
+      ("mid-log", Array.length log.Log.decisions / 2);
+      ("inside a window", first + (len / 2));
+    ]
 
 let divergence_leftover () =
   let p, log = recorded_tutorial () in
   let decisions = Array.append log.Log.decisions [| 0; 0; 0 |] in
-  match Conair.replay ~program:p { log with Log.decisions } with
-  | Ok _ -> Alcotest.fail "padded log replayed cleanly"
-  | Error (Driver.Diverged d) ->
-      Alcotest.(check int) "leftover decisions detected"
-        (Array.length log.Log.decisions)
-        d.Driver.dv_decision
-  | Error e -> Alcotest.failf "wrong error: %s" (Driver.error_to_string e)
+  let d = diverge_everywhere "padded" p { log with Log.decisions } in
+  Alcotest.(check int) "leftover decisions detected"
+    (Array.length log.Log.decisions)
+    d.Driver.dv_decision
 
 let wrong_program () =
   let _, log = recorded_tutorial () in
