@@ -886,12 +886,33 @@ let bench_interp () =
     }
   in
   let contended_repeats = 7 in
+  (* The fix sweep's observers on the block engine: the lock-order
+     witness and the schedule fingerprint, key taken — what each of a
+     validation sweep's runs carries. The micro decides every step, as
+     the sweeps of a fully contended candidate do. *)
+  let swept () =
+    let module Coverage = Conair.Obs.Coverage in
+    let fp = Coverage.fingerprint () in
+    let r =
+      Engine.run_program ~config:contended_config
+        ~observer:
+          (Conair.Runtime.Event.combine
+             [
+               Conair.Race.Lockorder.(witness_probe (witness ()));
+               Coverage.fingerprint_probe fp;
+             ])
+        Engine.Block contended
+    in
+    ignore (Sys.opaque_identity (Coverage.key fp));
+    r
+  in
   let c_runs =
     time_alternated ~repeats:contended_repeats
       (List.map
          (fun engine () ->
            Engine.run_program ~config:contended_config engine contended)
-         Engine.all)
+         Engine.all
+      @ [ swept ])
   in
   let agreed what f =
     match List.sort_uniq compare (List.map (fun (r, _) -> f r) c_runs) with
@@ -902,9 +923,9 @@ let bench_interp () =
   in
   let c_steps = agreed "step counts" (fun (m, _) -> Engine.steps m) in
   ignore (agreed "outcomes" (fun (m, o) -> (o, Engine.outputs m)));
-  let c_ref_t, c_fast_t, c_block_t =
+  let c_ref_t, c_fast_t, c_block_t, c_swept_t =
     match List.map snd c_runs with
-    | [ r; f; b ] -> (r, f, b)
+    | [ r; f; b; s ] -> (r, f, b, s)
     | _ -> assert false
   in
   let c_sps t = float c_steps /. t in
@@ -916,8 +937,12 @@ let bench_interp () =
     (c_sps c_fast_t);
   Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" c_block_t
     (c_sps c_block_t);
+  Printf.printf "  block + sweep:  %.4fs  %12.0f steps/s\n" c_swept_t
+    (c_sps c_swept_t);
   Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
     (c_ref_t /. c_fast_t) (c_ref_t /. c_block_t) (c_fast_t /. c_block_t);
+  Printf.printf "  swept/block: %.3fx (the fix sweep's observers vs none)\n"
+    (c_block_t /. c_swept_t);
   (* The fed window: the micro's schedule recorded once and strictly
      replayed through [Driver.replay]. One thread, so the block engine
      replays it as one window that the strict feed bounds and counts;
@@ -1018,6 +1043,8 @@ let bench_interp () =
               ("fast_vs_ref", Float (c_ref_t /. c_fast_t));
               ("block_vs_ref", Float (c_ref_t /. c_block_t));
               ("block_vs_fast", Float (c_fast_t /. c_block_t));
+              ("block_swept_seconds", Float c_swept_t);
+              ("swept_vs_block", Float (c_block_t /. c_swept_t));
             ] );
         ( "replay",
           Obj

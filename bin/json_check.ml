@@ -17,13 +17,15 @@
                    "contended", "replay" and "sweep" sections with
                    per-engine timing columns and cross-engine ratios,
                    all positive and mutually consistent; additionally
-                   four performance gates — the block engine's micro
+                   five performance gates — the block engine's micro
                    steps/s must be at least 3x the committed fast-engine
                    baseline, the recorder-on (flight) micro must be
-                   within 5% of recorder-off, and on the contended
+                   within 5% of recorder-off, on the contended
                    micro and the strict replay of the micro's schedule
                    the block engine must be at least as fast as the
-                   fast engine of the same run;
+                   fast engine of the same run, and the contended micro
+                   under the fix sweep's observers must keep at least
+                   0.6 of the bare block engine's throughput;
    - BENCH_fuzz.json — the campaign bench document written by
                    `conair_fuzz --bench`: per-engine runs/sec, signature
                    digests and growth curves, with the differential gate
@@ -251,6 +253,32 @@ let check_bench_interp file =
          ]
         @ per_engine)
         "contended phases";
+      (* the fix sweep's observers (lock-order witness and schedule
+         fingerprint) on the contended micro, which decides every step:
+         a same-run ratio of medians of alternated repeats *)
+      (match section "contended" with
+      | Some (Json.Obj _ as sec) -> (
+          match
+            ( number "contended" sec "block_seconds",
+              number "contended" sec "block_swept_seconds",
+              number "contended" sec "swept_vs_block" )
+          with
+          | Some block, Some swept, Some ratio ->
+              if abs_float ((block /. swept /. ratio) -. 1.) > 1e-6 then
+                fail file
+                  (Printf.sprintf
+                     "contended.swept_vs_block %.4f disagrees with \
+                      block/swept seconds %.4f"
+                     ratio (block /. swept));
+              if ratio < 0.6 then
+                fail file
+                  (Printf.sprintf
+                     "fix sweep observers regressed: the contended micro \
+                      under them runs at %.3f of the bare block engine's \
+                      throughput, below 0.6"
+                     ratio)
+          | _ -> ())
+      | _ -> ());
       (* the micro's schedule strictly replayed: one thread, so one fed
          window on the block engine *)
       block_not_below_fast "replay"
@@ -321,7 +349,8 @@ let check_bench_interp file =
         Printf.printf
           "json_check: %s: interp bench ok (block micro >= 3x committed fast \
            baseline; flight ring and full recording within 5%% of \
-           recorder-off; contended and replayed block >= fast)\n"
+           recorder-off; contended and replayed block >= fast; swept \
+           contended block >= 0.6 of bare)\n"
           file
 
 (* BENCH_fuzz.json: the campaign bench document written by

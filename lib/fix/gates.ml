@@ -16,14 +16,15 @@
       absent from a baseline sweep of the original program).
 
    Gates 2 and 3 share one sweep per candidate, observed by exactly what
-   they read: a recorder (the interleaving signature) and the lock-order
-   witness graph (the cycle keys). Neither observes steps or accesses, so on
-   the block engine — the default — the sweep runs on the compiled
-   window path.
+   they read: the schedule fingerprint (Obs.Coverage's, folded from the
+   decisions as they are made — the sweep counts distinct schedules and
+   keeps no recording) and the lock-order witness graph (the cycle
+   keys). Neither observes steps or accesses, so on the block engine —
+   the default — the sweep runs on the compiled window path.
 
    Everything reported here is deterministic in (program, config,
    seeds): counts come from the engines' differential-guaranteed
-   statistics and signatures from Obs.Coverage, so gate results are
+   statistics and schedule keys from Obs.Coverage, so gate results are
    byte-identical across the ref/fast/block engines. *)
 
 open Conair_ir
@@ -31,7 +32,6 @@ open Conair_runtime
 module Driver = Conair_replay.Driver
 module Capture = Conair_replay.Capture
 module Log = Conair_replay.Schedule_log
-module Recorder = Conair_replay.Recorder
 module Lockorder = Conair_race.Lockorder
 module Coverage = Conair_obs.Coverage
 
@@ -62,7 +62,7 @@ type sweep = {
   sw_runs : int;
   sw_failures : int;  (* failed / hung / fuel-exhausted runs *)
   sw_rejected : int;  (* successful runs whose outputs the oracle rejects *)
-  sw_signatures : int;  (* distinct interleaving signatures exercised *)
+  sw_signatures : int;  (* distinct schedules exercised *)
   sw_cycle_keys : string list;  (* union of lock-order cycle keys, sorted *)
   sw_first_failure : string option;
 }
@@ -70,22 +70,21 @@ type sweep = {
 let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
     sweep =
   let failures = ref 0 and rejected = ref 0 in
-  let sigs = Hashtbl.create 64 in
+  let keys = Hashtbl.create 64 in
   let cycles = Hashtbl.create 8 in
   let first = ref None in
   let one policy =
     let lo = Lockorder.witness () in
-    let rc = Recorder.create () in
+    let fp = Coverage.fingerprint () in
     let r, _ =
       Capture.run ~engine
         ~config:{ config with Machine.policy }
         (Capture.pair
            (Capture.observer (Lockorder.witness_probe lo))
-           (Capture.observer (Recorder.observer rc)))
+           (Capture.observer (Coverage.fingerprint_probe fp)))
         { program = p; meta = None }
     in
-    let s = Coverage.ring_signature ~context:"fix-sweep" rc in
-    Hashtbl.replace sigs s ();
+    Hashtbl.replace keys (Coverage.key fp) ();
     List.iter (fun k -> Hashtbl.replace cycles k ()) (Lockorder.cycle_keys lo);
     if not (Outcome.is_success r.outcome) then begin
       incr failures;
@@ -106,7 +105,7 @@ let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
     sw_runs = seeds + 1;
     sw_failures = !failures;
     sw_rejected = !rejected;
-    sw_signatures = Hashtbl.length sigs;
+    sw_signatures = Hashtbl.length keys;
     sw_cycle_keys = Hashtbl.fold (fun k () acc -> k :: acc) cycles [] |> List.sort compare;
     sw_first_failure = !first;
   }

@@ -9,10 +9,10 @@
        detector's lock-order lens, must mint no lock-order cycle the
        unpatched baseline did not already have.
 
-    Gates 2 and 3 share one {!sweep} per candidate, watched only by a
-    schedule recorder and the lock-order witness graph — neither a
-    per-step observer, so a block-engine sweep keeps its compiled window
-    path. Every [?engine] defaults to [Engine.Block]. All results are
+    Gates 2 and 3 share one {!sweep} per candidate, watched only by the
+    schedule fingerprint ({!Conair_obs.Coverage.fingerprint_probe}) and
+    the lock-order witness graph — neither a per-step observer, so a
+    block-engine sweep keeps its compiled window path. Every [?engine] defaults to [Engine.Block]. All results are
     deterministic in (program, config, seeds) and byte-identical across
     the ref/fast/block engines. *)
 
@@ -35,7 +35,9 @@ type sweep = {
   sw_runs : int;
   sw_failures : int;  (** failed / hung / fuel-exhausted runs *)
   sw_rejected : int;  (** successful runs with oracle-rejected outputs *)
-  sw_signatures : int;  (** distinct interleaving signatures exercised *)
+  sw_signatures : int;
+      (** distinct schedules exercised: runs whose interleaving
+          signatures differ ({!Conair_obs.Coverage.key}) *)
   sw_cycle_keys : string list;
       (** union of lock-order cycle keys seen, sorted *)
   sw_first_failure : string option;
@@ -49,7 +51,7 @@ val sweep :
   Program.t ->
   sweep
 (** One round-robin run plus [seeds] seeded random runs, each observed
-    by a {!Conair_replay.Recorder} and the
+    by a {!Conair_obs.Coverage.fingerprint} and the
     {!Conair_race.Lockorder.witness_probe}. *)
 
 val regression_gate : sweep -> result

@@ -28,9 +28,9 @@ val default_options : options
 
     Block is the default because the pipeline's bulk — the failing-run
     search and the validation sweeps — carries only a schedule recorder
-    and the lock-order witness graph, neither of which observes steps
-    or accesses, so those runs stay on the block engine's compiled window
-    path, as do the directed replays of gate 1 and of minimization,
+    (the search) or the schedule fingerprint and the lock-order witness
+    graph (the sweeps), none of which observes steps or accesses, so
+    those runs stay on the block engine's compiled window path, as do the directed replays of gate 1 and of minimization,
     whose feeds take a window's decisions as one count. Detection (the
     full race detector, an access observer) steps generically on any
     engine. The report is byte-identical on every engine, so the choice

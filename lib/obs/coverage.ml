@@ -6,9 +6,10 @@
    recorder's decision/preemption arrays and the observation stream's
    access events — are byte-identical across the ref/fast/block engines (the
    differential guarantee of test_fast_exec), so everything derived here
-   is too: the same recorded run yields the same signature no matter
-   which engine executed it, which worker observed it, or how many times
-   the coordinator restarted. All sets are rendered sorted. *)
+   is too: the same recorded run yields the same signature (and the
+   same sweep fingerprint) no matter which engine executed it, which
+   worker observed it, or how many times the coordinator restarted. All
+   sets are rendered sorted. *)
 
 open Conair_runtime
 module SS = Set.Make (String)
@@ -140,9 +141,9 @@ let observed (c : collector) : observed =
 
 (* --- the signature ------------------------------------------------- *)
 
-(* [%d] of [n], written digit by digit: a sweep signs hundreds of
-   thousands of preemptions, and a formatted string per integer cost
-   more than the runs being signed. *)
+(* [%d] of [n], written digit by digit: a signature may cover many
+   thousands of preemptions, and a formatted string per integer would
+   cost more than the run being signed. *)
 let rec add_digits b n =
   if n >= 10 then add_digits b (n / 10);
   Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
@@ -159,10 +160,10 @@ let add_int b n =
    "conair-sig-v1|c:<context>|n:<decisions>" then "|p:<ordinal>:<from>><to>"
    per preemption ([-1] where the ordinal's neighbour is out of range)
    then "|a:<addr>=<order>" per sorted order entry; test_campaign pins
-   it with golden digests. [decision i] is the [i]th of the [n]
-   decisions, asked in the order the preemptions list them, which is
-   non-decreasing when they ascend. *)
-let sign ~context ~orders ~n ~preemptions decision =
+   it with golden digests. *)
+let signature ?(context = "") ?(orders = []) ~(decisions : int array)
+    ~(preemptions : int array) () : string =
+  let n = Array.length decisions in
   let b = Buffer.create 256 in
   Buffer.add_string b "conair-sig-v1|c:";
   Buffer.add_string b context;
@@ -173,9 +174,9 @@ let sign ~context ~orders ~n ~preemptions decision =
       Buffer.add_string b "|p:";
       add_int b p;
       Buffer.add_char b ':';
-      add_int b (if p > 0 && p <= n then decision (p - 1) else -1);
+      add_int b (if p > 0 && p <= n then decisions.(p - 1) else -1);
       Buffer.add_char b '>';
-      add_int b (if p >= 0 && p < n then decision p else -1))
+      add_int b (if p >= 0 && p < n then decisions.(p) else -1))
     preemptions;
   List.iter
     (fun (a, t) ->
@@ -186,18 +187,62 @@ let sign ~context ~orders ~n ~preemptions decision =
     (List.sort compare orders);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let signature ?(context = "") ?(orders = []) ~(decisions : int array)
-    ~(preemptions : int array) () : string =
-  sign ~context ~orders ~n:(Array.length decisions) ~preemptions
-    (Array.get decisions)
+(* --- the sweep fingerprint ------------------------------------------ *)
 
-(* A recording's preemption ordinals ascend, so its decisions around
-   them are read in one forward walk instead of expanded. *)
-let ring_signature ~context ring =
-  sign ~context ~orders:[]
-    ~n:(Flight_ring.total ring - Flight_ring.tail_first ring)
-    ~preemptions:(Flight_ring.tail_preemptions ring)
-    (Flight_ring.tail_reader ring)
+(* The signature's inputs for a run without access orders — each
+   preemption's (ordinal, from, to) and the decision count — folded as
+   the decisions arrive. A preemption's [from] is the previous
+   decision's tid, and its ordinal the number of decisions before it,
+   so the fold keeps those two and nothing else of the run. An engine
+   may report a stretch of decisions as one counted [Decide] or as
+   several (the block engine's windows, which [Machine.emit] may split):
+   none but the first can be preemptive and the counts add, so every
+   engine's report folds to the same key.
+
+   Each value goes through splitmix64's finalizer, on OCaml's 63-bit
+   ints: two xorshift-multiply rounds and a final xorshift, each a
+   bijection (the multipliers are odd), so one value never collides
+   with another and every input bit reaches every output bit. A
+   polynomial hash would not do: Thue-Morse-shaped sequences collide
+   under it. Two chains with different seeds and combining steps make
+   the key's hash part 126 bits. *)
+let[@inline] mix z =
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
+
+let gamma = 0x1e3779b97f4a7c15
+
+(* One value into each chain. *)
+let[@inline] chain1 h v = mix (h lxor v)
+let[@inline] chain2 h v = mix (h + v + gamma)
+
+type fingerprint = {
+  mutable fp_n : int;  (* decisions so far *)
+  mutable fp_prev : int;  (* the last decision's tid, [-1] before the first *)
+  mutable fp_h1 : int;
+  mutable fp_h2 : int;
+}
+
+type key = { k_decisions : int; k_h1 : int; k_h2 : int }
+
+let fingerprint () =
+  { fp_n = 0; fp_prev = -1; fp_h1 = 0x2545f4914f6cdd1d; fp_h2 = gamma }
+
+let fingerprint_probe fp =
+  Event.observer ~decisions:true (fun _ ev ->
+      match (ev : Event.t) with
+      | Decide { tid; count; preemptive; _ } ->
+          if preemptive then begin
+            let n = fp.fp_n and prev = fp.fp_prev in
+            fp.fp_h1 <- chain1 (chain1 (chain1 fp.fp_h1 n) prev) tid;
+            fp.fp_h2 <- chain2 (chain2 (chain2 fp.fp_h2 n) prev) tid
+          end;
+          fp.fp_n <- fp.fp_n + count;
+          fp.fp_prev <- tid
+      | _ -> ())
+
+let key fp = { k_decisions = fp.fp_n; k_h1 = fp.fp_h1; k_h2 = fp.fp_h2 }
 
 (* --- the coverage map ---------------------------------------------- *)
 

@@ -77,11 +77,31 @@ val signature :
     in verbatim — pass the app/case name or program MD5 so identical
     interleaving shapes of different programs do not collide. *)
 
-val ring_signature : context:string -> Flight_ring.t -> string
-(** {!signature} of a ring's decision tail and its preemptions
-    ([Flight_ring.tail], [Flight_ring.tail_preemptions]), with no access
-    orders — the same digest, read off the ring without expanding a
-    recording's run-length pairs. *)
+(** {1 The sweep fingerprint}
+
+    A schedule's identity, folded as the run goes: what {!signature}
+    digests for a run without access orders (each preemption's
+    [(ordinal, from, to)] and the decision count), kept in a fixed-size
+    key instead of a recording. Two runs of one program have equal keys
+    exactly when their signatures are equal, up to a 2{^-126} chance of
+    a hash collision. The key is the same whichever engine ran the
+    schedule and however it grouped the decisions it reported. It never
+    leaves the process, so it is not a digest of any on-disk text:
+    campaign findings keep {!signature}. *)
+
+type fingerprint
+
+type key
+(** Compare with [=], hash with [Hashtbl.hash]. *)
+
+val fingerprint : unit -> fingerprint
+
+val fingerprint_probe : fingerprint -> Event.observer
+(** Fold a run's decisions into the fingerprint. Consumes decisions
+    only, so a block-engine run keeps its compiled phases. *)
+
+val key : fingerprint -> key
+(** The key of the decisions folded so far. *)
 
 (** {1 The coverage map} *)
 

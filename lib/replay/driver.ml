@@ -48,25 +48,30 @@ let error_to_string = function
 
 (* Package a finished run from the ring that observed it: the header,
    the ring's window of the decision stream — the whole stream for an
-   unbounded ring — and the trailer, read off the finished machine. *)
+   unbounded ring — and the trailer, read off the finished machine. The
+   log's replays in this process run the recorded program itself. *)
 let log_of_run ~config ?meta ~ident ~program ring m outcome =
   let text = Emit.program program in
   let stats = Engine.stats m in
-  {
-    Log.ident;
-    engine = Engine.name (Engine.engine_of m);
-    config;
-    program_md5 = Log.digest text;
-    program_text = Some text;
-    fail_blocks = Log.fail_blocks_of_meta meta;
-    decisions = Flight_ring.tail ring;
-    preemptions = Flight_ring.tail_preemptions ring;
-    steps = Engine.steps m;
-    instrs = stats.Stats.instrs;
-    rollbacks = stats.Stats.rollbacks;
-    outcome;
-    outputs = Engine.outputs m;
-  }
+  let log =
+    {
+      Log.ident;
+      engine = Engine.name (Engine.engine_of m);
+      config;
+      program_md5 = Log.digest text;
+      program_text = Some text;
+      fail_blocks = Log.fail_blocks_of_meta meta;
+      decisions = Flight_ring.tail ring;
+      preemptions = Flight_ring.tail_preemptions ring;
+      steps = Engine.steps m;
+      instrs = stats.Stats.instrs;
+      rollbacks = stats.Stats.rollbacks;
+      outcome;
+      outputs = Engine.outputs m;
+    }
+  in
+  Log.remember_program log program;
+  log
 
 let result_of m outcome =
   {
@@ -81,7 +86,7 @@ let result_of m outcome =
 (* ------------------------------------------------------------------ *)
 
 (* Resolve the program to execute: the supplied one (verified against the
-   recorded MD5) or the log's embedded text. *)
+   recorded MD5) or the log's embedded one. *)
 let resolve_program ?program (log : Log.t) =
   match program with
   | Some p ->

@@ -47,7 +47,10 @@ val log_of_run :
     (embedded program text included, the machine's engine), the ring's
     window of the decision stream with its absolute preemption ordinals
     — the whole stream for an unbounded ring such as a {!Recorder} —
-    and the trailer, read off the finished machine and its outcome. *)
+    and the trailer, read off the finished machine and its outcome.
+    The program is remembered for the log ({!Schedule_log.remember_program}),
+    so replaying the log in this process runs it rather than a parse of
+    its text. *)
 
 val replay :
   ?engine:Engine.t ->
@@ -56,8 +59,8 @@ val replay :
   Schedule_log.t ->
   (result_bundle, error) result
 (** Re-execute a recorded schedule. The program defaults to the log's
-    embedded text; a supplied program is verified against the recorded
-    MD5 first. The replaying engine is independent of the recording one —
+    embedded one ({!Schedule_log.program}); a supplied program is
+    verified against the recorded MD5 first. The replaying engine is independent of the recording one —
     cross-engine replay is part of the differential guarantee. *)
 
 val replay_directed :

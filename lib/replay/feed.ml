@@ -41,15 +41,27 @@ type strict = {
 let strict ?(start = 0) decisions = { decisions; pos = start; run_end = start }
 let position h = h.pos
 
-let strict_decide h ~eligible =
+(* The index of [tid] among the [n] eligible threads, [n] when it is not
+   one of them. *)
+let index ~tid_of env n tid =
+  let i = ref 0 in
+  while !i < n && tid_of env !i <> tid do
+    incr i
+  done;
+  !i
+
+(* The eligible set is listed only for the report. *)
+let diverged ~tid_of env n at expected =
+  Diverged { at; expected; eligible = List.init n (tid_of env) }
+
+let strict_decide h ~tid_of env n =
   let k = h.pos in
-  if k >= Array.length h.decisions then
-    raise (Diverged { at = k; expected = None; eligible });
+  if k >= Array.length h.decisions then raise (diverged ~tid_of env n k None);
   let tid = h.decisions.(k) in
-  if not (List.mem tid eligible) then
-    raise (Diverged { at = k; expected = Some tid; eligible });
+  let i = index ~tid_of env n tid in
+  if i = n then raise (diverged ~tid_of env n k (Some tid));
   h.pos <- k + 1;
-  tid
+  i
 
 (* The recorded run of [tid] at the log position; [0] when the log is
    exhausted or records another thread there, so [strict_decide] gets
@@ -70,7 +82,7 @@ let strict_window h tid =
 
 let strict_feed h =
   {
-    Sched.decide = strict_decide h;
+    Sched.decide = (fun ~tid_of env n -> strict_decide h ~tid_of env n);
     window = strict_window h;
     took = (fun n -> h.pos <- h.pos + n);
   }
@@ -79,53 +91,70 @@ let strict_feed h =
 
 type directive = { dr_from : int; dr_count : int; dr_to : int }
 
+(* A thread's decisions are added to its count when it gives up the
+   CPU: the current thread's count is [base] plus the [run] it has made
+   since it took over, so a decision touches no table. *)
 type directed = {
   mutable queue : directive list;
   mutable cur : int;
+  mutable base : int;  (** decisions [cur] had run when it took over *)
+  mutable run : int;  (** decisions [cur] has run since *)
   counts : (int, int) Hashtbl.t;  (** tid -> decisions it has run *)
 }
 
-let local d tid = Option.value ~default:0 (Hashtbl.find_opt d.counts tid)
+let switch d tid =
+  if tid <> d.cur then begin
+    if d.cur >= 0 then Hashtbl.replace d.counts d.cur (d.base + d.run);
+    d.base <- Option.value ~default:0 (Hashtbl.find_opt d.counts tid);
+    d.run <- 0;
+    d.cur <- tid
+  end
 
-(* Pick the next thread among [eligible], firing the head directive if
-   it is due; the decision is counted by the caller. *)
-let pick d ~eligible =
-  let tid =
+(* Pick the next thread among the [n] eligible ones, firing the head
+   directive if it is due; the decision is counted by the caller. *)
+let pick d ~tid_of env n =
+  let due =
     match d.queue with
-    | dr :: rest
-      when dr.dr_from = d.cur
-           && local d dr.dr_from >= dr.dr_count
-           && List.mem dr.dr_to eligible ->
-        d.queue <- rest;
-        dr.dr_to
-    | _ ->
-        if d.cur >= 0 && List.mem d.cur eligible then d.cur
-        else (
-          (* round-robin order: first eligible tid after the current one,
-             wrapping — exactly the forced-switch choice the recording
-             policy would make *)
-          match List.find_opt (fun t -> t > d.cur) eligible with
-          | Some t -> t
-          | None -> List.hd eligible)
+    | dr :: rest when dr.dr_from = d.cur && d.base + d.run >= dr.dr_count ->
+        let i = index ~tid_of env n dr.dr_to in
+        if i < n then d.queue <- rest;
+        i
+    | _ -> n
   in
-  d.cur <- tid;
-  tid
-
-let ran d n = Hashtbl.replace d.counts d.cur (local d d.cur + n)
+  let i =
+    if due < n then due
+    else
+      let i = index ~tid_of env n d.cur in
+      if i < n then i
+      else begin
+        (* round-robin order: first eligible tid after the current one,
+           wrapping — exactly the forced-switch choice the recording
+           policy would make *)
+        let j = ref 0 in
+        while !j < n && tid_of env !j <= d.cur do
+          incr j
+        done;
+        if !j < n then !j else 0
+      end
+  in
+  switch d (tid_of env i);
+  i
 
 let directed directives =
-  let d = { queue = directives; cur = -1; counts = Hashtbl.create 16 } in
+  let d =
+    { queue = directives; cur = -1; base = 0; run = 0; counts = Hashtbl.create 16 }
+  in
   {
     Sched.decide =
-      (fun ~eligible ->
-        let tid = pick d ~eligible in
-        ran d 1;
-        tid);
+      (fun ~tid_of env n ->
+        let i = pick d ~tid_of env n in
+        d.run <- d.run + 1;
+        i);
     window =
       (fun tid ->
-        ignore (pick d ~eligible:[ tid ]);
+        ignore (pick d ~tid_of:(fun tid _ -> tid) tid 1);
         max_int);
-    took = ran d;
+    took = (fun n -> d.run <- d.run + n);
   }
 
 (* Recast a recorded decision stream as context-switch directives: every

@@ -67,7 +67,7 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
            {
              strict with
              Sched.decide =
-               (fun ~eligible ->
+               (fun ~tid_of env n ->
                  let pos = Feed.position h in
                  if pos mod stride = 0 then
                    ways :=
@@ -78,7 +78,7 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
                        wp_sched = Sched.save sched;
                      }
                      :: !ways;
-                 strict.Sched.decide ~eligible);
+                 strict.Sched.decide ~tid_of env n);
            });
       match Machine.run m with
       | outcome ->

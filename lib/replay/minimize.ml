@@ -227,10 +227,10 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
             (Some
                {
                  Sched.decide =
-                   (fun ~eligible ->
-                     let chosen = directed.Sched.decide ~eligible in
-                     switch chosen;
-                     chosen);
+                   (fun ~tid_of env n ->
+                     let i = directed.Sched.decide ~tid_of env n in
+                     switch (tid_of env i);
+                     i);
                  window =
                    (fun tid ->
                      let accepted = directed.Sched.window tid in

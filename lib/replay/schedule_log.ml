@@ -73,6 +73,30 @@ let meta_of_fail_blocks : (string * int) list -> Machine.meta option = function
 
 let machine_meta t : Machine.meta option = meta_of_fail_blocks t.fail_blocks
 
+(* The programs behind the logs of this process, by MD5: the one a log
+   was recorded from, or the first parse of a log's text. A log then
+   replays on that program, which is linked and compiled once
+   ([Link.cache] keys on the program itself), instead of on a fresh
+   parse per replay. Like [Link.cache] the table is weak: an entry is
+   an ephemeron on the MD5 string of the log that made it, so it lives
+   exactly as long as that log (or a copy of it) does. Guarded by a
+   mutex for the serve daemon's in-process workers. *)
+module Programs = Ephemeron.K1.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let programs : Program.t Programs.t = Programs.create 16
+let programs_lock = Mutex.create ()
+
+let remember_program t p =
+  Mutex.lock programs_lock;
+  if not (Programs.mem programs t.program_md5) then
+    Programs.add programs t.program_md5 p;
+  Mutex.unlock programs_lock
+
 let program t =
   match t.program_text with
   | None -> Error "schedule log: no embedded program"
@@ -82,15 +106,23 @@ let program t =
            "schedule log: embedded program MD5 %s does not match recorded %s"
            (digest text) t.program_md5)
   | Some text -> (
-      let bad pp x =
-        Error (Format.asprintf "schedule log: embedded program: %a" pp x)
-      in
-      match Parse.program text with
-      | Error e -> bad Parse.pp_error e
-      | Ok p -> (
-          match Validate.check p with
-          | [] -> Ok p
-          | problem :: _ -> bad Validate.pp_problem problem))
+      Mutex.lock programs_lock;
+      let known = Programs.find_opt programs t.program_md5 in
+      Mutex.unlock programs_lock;
+      match known with
+      | Some p -> Ok p
+      | None -> (
+          let bad pp x =
+            Error (Format.asprintf "schedule log: embedded program: %a" pp x)
+          in
+          match Parse.program text with
+          | Error e -> bad Parse.pp_error e
+          | Ok p -> (
+              match Validate.check p with
+              | [] ->
+                  remember_program t p;
+                  Ok p
+              | problem :: _ -> bad Validate.pp_problem problem)))
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)

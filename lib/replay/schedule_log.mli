@@ -65,9 +65,18 @@ val machine_meta : t -> Machine.meta option
     [fail_blocks]; [None] for unhardened runs. *)
 
 val program : t -> (Program.t, string) result
-(** Parse the embedded program text, after checking that it hashes to
-    [program_md5], and validate it ([Validate.check]): an ill-formed
-    program is an [Error] naming its first problem. *)
+(** The embedded program, after checking that its text hashes to
+    [program_md5]: the program the log was recorded from when it was
+    recorded in this process ({!remember_program}), else the text parsed
+    and validated ([Validate.check]) — an ill-formed program is an
+    [Error] naming its first problem. A parsed program is remembered
+    too, so every log of one text returns one program, linked and
+    compiled once, while a log of that text lives. *)
+
+val remember_program : t -> Program.t -> unit
+(** [remember_program log p]: [p] is the program [log] records (its
+    text hashes to [program_md5]), for {!program} to return. A program
+    already known for that MD5 is kept. *)
 
 (** {1 Encoding} *)
 

@@ -61,12 +61,15 @@ let observer ?(decisions = false) ?(sync = false) ?(steps = false)
   { decisions; sync; steps; accesses; on }
 
 (* Each event goes only to the observers of its class: the split is
-   made once, when the observers are combined. *)
-let rec deliver v ev = function
+   made once, when the observers are combined, and a class with one
+   observer calls it directly. *)
+let rec deliver_all v ev = function
   | [] -> ()
   | o :: os ->
       o.on v ev;
-      deliver v ev os
+      deliver_all v ev os
+
+let deliver = function [ o ] -> o.on | os -> fun v ev -> deliver_all v ev os
 
 let combine = function
   | [ o ] -> o
@@ -76,6 +79,10 @@ let combine = function
       and sync = taking (fun o -> o.sync)
       and steps = taking (fun o -> o.steps)
       and accesses = taking (fun o -> o.accesses) in
+      let on_decisions = deliver decisions
+      and on_sync = deliver sync
+      and on_steps = deliver steps
+      and on_accesses = deliver accesses in
       {
         decisions = decisions <> [];
         sync = sync <> [];
@@ -83,13 +90,12 @@ let combine = function
         accesses = accesses <> [];
         on =
           (fun v ev ->
-            deliver v ev
-              (match ev with
-              | Decide _ -> decisions
-              | Step _ | Idle _ | Output _ | Checkpoint _ -> steps
-              | Access _ -> accesses
-              | Acquire _ | Request _ | Release _ | Wait _ | Wake _ | Spawn _
-              | Join _ | Thread_done _ | Failure_detected _ | Rollback _
-              | Compensate_block _ | Recovered _ | Failed _ ->
-                  sync));
+            match ev with
+            | Decide _ -> on_decisions v ev
+            | Step _ | Idle _ | Output _ | Checkpoint _ -> on_steps v ev
+            | Access _ -> on_accesses v ev
+            | Acquire _ | Request _ | Release _ | Wait _ | Wake _ | Spawn _
+            | Join _ | Thread_done _ | Failure_detected _ | Rollback _
+            | Compensate_block _ | Recovered _ | Failed _ ->
+                on_sync v ev);
       }

@@ -8,7 +8,10 @@
     machine's decisions and sync events only, so it keeps the block
     engine on its compiled phases: a one-thread window's decisions arrive
     as one counted decision, recorded in bulk, which is what keeps
-    recorder-on throughput within a few percent of recorder-off. The
+    recorder-on throughput within a few percent of recorder-off on a run
+    made of windows. Where threads contend at every step, each decision
+    is one event (and, in an {!unbounded} recording, often one run-length
+    pair), and recording can double a run's time. The
     decision stream is exactly what a schedule log records, so the tail
     can be verified against (and regenerated into) an ordinary schedule
     log.
@@ -58,12 +61,6 @@ val tail_first : t -> int
 
 val tail : t -> int array
 (** The retained decision tail, oldest first. *)
-
-val tail_reader : t -> int -> int
-(** [tail_reader t i] is [(tail t).(i)] without building the array, for
-    [0 <= i < total t - tail_first t]. Ask in non-decreasing [i]: on an
-    unbounded recording the reader walks the run-length pairs forward
-    once. *)
 
 val tail_preemptions : t -> int array
 (** Absolute ordinals of the preemptive switches within {!tail},

@@ -32,18 +32,21 @@
    the original random stream — deadlock backoff and timing perturbation
    draws included.
 
-   A feed also answers in counts: the block engine's one-thread windows
-   ask it how many consecutive decisions it accepts for the window's
-   thread and report the decisions they took as one number ([window],
-   [took]). Those decisions are forced — one eligible thread — so the
-   policy would draw nothing for them and [mirror] has nothing to do. *)
+   A feed decides over what the unfed path reads: the count of eligible
+   threads and the closed projection to their tids, so a fed decision
+   builds no list either; it answers with an index. A feed also answers
+   in counts: the block engine's one-thread windows ask it how many
+   consecutive decisions it accepts for the window's thread and report
+   the decisions they took as one number ([window], [took]). Those
+   decisions are forced — one eligible thread — so the policy would
+   draw nothing for them and [mirror] has nothing to do. *)
 
 type policy =
   | Round_robin  (** strict rotation among eligible threads; rng unused *)
   | Random of int  (** uniform choice, seeded LXM ([Random.State]) *)
 
 type feed = {
-  decide : eligible:int list -> int;
+  decide : 'a. tid_of:('a -> int -> int) -> 'a -> int -> int;
   window : int -> int;
   took : int -> unit;
 }
@@ -97,40 +100,49 @@ let decide t eligible =
       | Random _ ->
           List.nth eligible (Random.State.int t.rng (List.length eligible)))
 
-(* Replicate the policy's side effects for a decision made by a feed:
-   consume the same rng draw and move the cursor to the chosen thread, so
-   replayed and directed runs keep the downstream random stream (deadlock
-   backoff, perturbed timing) aligned with policy-driven runs. *)
-let mirror t ~eligible chosen =
-  match eligible with
-  | [ _ ] -> ()
-  | _ -> (
-      match t.policy with
-      | Round_robin -> t.cursor <- chosen
-      | Random _ ->
-          ignore (Random.State.int t.rng (List.length eligible)))
+(* Replicate the policy's side effects for a decision made by a feed
+   among [n] eligible threads: consume the same rng draw and move the
+   cursor to the chosen thread, so replayed and directed runs keep the
+   downstream random stream (deadlock backoff, perturbed timing) aligned
+   with policy-driven runs. *)
+let mirror t n chosen =
+  if n > 1 then
+    match t.policy with
+    | Round_robin -> t.cursor <- chosen
+    | Random _ -> ignore (Random.State.int t.rng n)
 
 let notify t ~chosen ~eligible =
   match t.tap with None -> () | Some f -> f ~chosen ~eligible
 
 let hooked t = match (t.tap, t.feed) with None, None -> false | _ -> true
 
+(* A fed decision: the feed's index among the [n] eligible threads, with
+   the policy's side effects mirrored and the tap told. Only the tap
+   gets a list. *)
+let fed t f ~tid_of env n =
+  let i = f.decide ~tid_of env n in
+  if i < 0 || i >= n then invalid_arg "Sched: fed an ineligible thread";
+  let chosen = tid_of env i in
+  mirror t n chosen;
+  (match t.tap with
+  | None -> ()
+  | Some tap -> tap ~chosen ~eligible:(List.init n (tid_of env)));
+  i
+
 (** Pick one of [eligible] (a non-empty list of thread ids). *)
 let choose t eligible =
   match eligible with
   | [] -> invalid_arg "Sched.choose: no eligible thread"
   | [ tid ] when not (hooked t) -> tid
-  | _ ->
-      let chosen =
-        match t.feed with
-        | None -> decide t eligible
-        | Some f ->
-            let chosen = f.decide ~eligible in
-            mirror t ~eligible chosen;
-            chosen
-      in
-      notify t ~chosen ~eligible;
-      chosen
+  | _ -> (
+      match t.feed with
+      | Some f ->
+          let a = Array.of_list eligible in
+          a.(fed t f ~tid_of:Array.get a (Array.length a))
+      | None ->
+          let chosen = decide t eligible in
+          notify t ~chosen ~eligible;
+          chosen)
 
 (** Index-based choice for the pre-resolved engines: pick an index into
     an eligible array of length [n] ([tid_of env i] gives the thread id
@@ -138,9 +150,10 @@ let choose t eligible =
     argument, so a caller passing a closed function and its state
     allocates nothing per decision. Consumes the rng and moves the
     cursor exactly as [choose] does on the equivalent list, so every
-    engine draws the same random stream. With a tap or feed installed
-    the eligible list is materialized and the decision routed through
-    the list path, keeping the hooks' view identical across engines. *)
+    engine draws the same random stream. A feed decides over the same
+    count and projection; only a tap has the eligible list
+    materialized, and without a feed the decision goes through the list
+    path, keeping the hooks' view identical across engines. *)
 let choose_idx t ~tid_of env n =
   if n <= 0 then invalid_arg "Sched.choose_idx: no eligible thread"
   else if not (hooked t) then
@@ -158,24 +171,15 @@ let choose_idx t ~tid_of env n =
           t.cursor <- tid_of env i;
           i
       | Random _ -> Random.State.int t.rng n
-  else begin
-    let eligible = List.init n (tid_of env) in
-    let chosen =
-      match t.feed with
-      | None -> decide t eligible
-      | Some f ->
-          let chosen = f.decide ~eligible in
-          mirror t ~eligible chosen;
-          chosen
-    in
-    notify t ~chosen ~eligible;
-    let rec index i =
-      if i >= n then invalid_arg "Sched.choose_idx: fed an ineligible thread"
-      else if tid_of env i = chosen then i
-      else index (i + 1)
-    in
-    index 0
-  end
+  else
+    match t.feed with
+    | Some f -> fed t f ~tid_of env n
+    | None ->
+        let eligible = List.init n (tid_of env) in
+        let chosen = decide t eligible in
+        notify t ~chosen ~eligible;
+        let rec index i = if tid_of env i = chosen then i else index (i + 1) in
+        index 0
 
 (** The runtime's randomness source (deadlock-recovery backoff). *)
 let rng t = t.rng

@@ -18,7 +18,11 @@
     same zero-cost-when-off discipline as the machine's observer. *)
 
 (** A schedule override ({!set_feed}). Every engine asks [decide] for
-    each decision it makes one at a time; the block engine's one-thread
+    each decision it makes one at a time: [decide ~tid_of env n] picks
+    an index in [0, n) among the [n] eligible threads, whose ids
+    [tid_of env] reports in ascending order — the projection
+    {!choose_idx} reads, so deciding builds no list (the reference
+    engine's list is passed as an array). The block engine's one-thread
     windows take their forced decisions in bulk instead:
 
     - [window tid]: a window of [tid] — the only eligible thread — is
@@ -30,11 +34,12 @@
     - [took n]: the window closed after [n] decisions, all of [tid].
 
     A window is therefore one counted call where the other engines make
-    [n] calls to [decide] with [~eligible:[tid]]; a feed must treat the
-    two alike. *)
+    [n] calls to [decide] over the one eligible [tid]; a feed must treat
+    the two alike. *)
 type feed = {
-  decide : eligible:int list -> int;
-      (** one decision: a member of [eligible] (or raise to abort) *)
+  decide : 'a. tid_of:('a -> int -> int) -> 'a -> int -> int;
+      (** one decision: the index of an eligible thread (or raise to
+          abort) *)
   window : int -> int;
   took : int -> unit;
 }
@@ -65,10 +70,11 @@ val choose_idx : t -> tid_of:('a -> int -> int) -> 'a -> int -> int
     whose ids [tid_of env] reports in ascending order. A closed
     [tid_of] makes the decision allocation-free. Identical cursor
     movement and rng consumption, so every engine sees the same random
-    stream. With a tap or feed installed the eligible list is
-    materialized and the hooks see exactly what the list-based engine's
-    hooks would see.
-    @raise Invalid_argument when [n <= 0]. *)
+    stream. A feed decides over the same count and projection; only a
+    tap has the eligible list materialized, and the hooks see exactly
+    what the list-based engine's hooks would see.
+    @raise Invalid_argument when [n <= 0], or when a feed answers an
+    index outside [0, n). *)
 
 val rng : t -> Random.State.t
 (** The runtime's randomness source (deadlock-recovery backoff, timing

@@ -56,37 +56,124 @@ let signature_golden () =
     (Coverage.signature ~context:"fix-sweep"
        ~decisions:[| 12; 3; 12; 12; 1234567 |] ~preemptions:[| 1; 2; 4 |] ())
 
-(* The fix sweep signs its recordings in place: a ring's signature must
-   be the one of its expanded tail, for a full recording and for a small
-   bounded ring that wraps, over the catalog's buggy apps under
-   round-robin and seeded schedules. *)
-let ring_signature_matches_tail () =
+(* The fix sweep counts distinct schedules by [Coverage.key]. The key
+   must be the same on every engine, and two runs of one program must
+   have equal keys exactly when the signatures of their full recordings
+   are equal. Inputs: every registry app, buggy and clean, and the fix
+   candidates of the three triage apps (HawkNL's fused-lock candidate
+   is contended at every step), each under round-robin and seeds 1-8,
+   at the sweep's fuel. *)
+let fingerprint_separates_like_signature () =
   let module Ring = Conair.Runtime.Flight_ring in
+  let module Engine = Conair.Runtime.Engine in
   let module Spec = Conair_bugbench.Bench_spec in
+  let module Registry = Conair_bugbench.Registry in
+  let module Pipeline = Conair.Fix.Pipeline in
+  let module Event = Conair.Runtime.Event in
+  (* hand-built decision streams: a forced switch before a preemption
+     changes the thread it preempts, and a window keys alike however
+     it is split *)
+  let key_of decides =
+    let fp = Coverage.fingerprint () in
+    let probe = Coverage.fingerprint_probe fp in
+    let view =
+      { Event.stack = (fun _ -> []); block = (fun _ -> ""); locks = (fun _ -> []) }
+    in
+    List.iter
+      (fun (tid, count, preemptive) ->
+        probe.on view (Event.Decide { step = 0; tid; count; preemptive }))
+      decides;
+    Coverage.key fp
+  in
+  Alcotest.(check bool)
+    "the preempted thread separates" false
+    (key_of [ (0, 1, false); (1, 1, false); (2, 1, true) ]
+    = key_of [ (0, 1, false); (0, 1, false); (2, 1, true) ]);
+  Alcotest.(check bool)
+    "as it separates signatures" false
+    (Coverage.signature ~decisions:[| 0; 1; 2 |] ~preemptions:[| 2 |] ()
+    = Coverage.signature ~decisions:[| 0; 0; 2 |] ~preemptions:[| 2 |] ());
+  Alcotest.(check bool)
+    "a split window keys alike" true
+    (key_of [ (0, 3, false); (1, 1, true) ]
+    = key_of [ (0, 1, false); (0, 2, false); (1, 1, true) ]);
+  let registry =
+    List.concat_map
+      (fun (s : Spec.t) ->
+        [
+          (s.info.name ^ "/buggy", (s.make ~variant:Spec.Buggy ~oracle:false).program);
+          (s.info.name ^ "/clean", (s.make ~variant:Spec.Clean ~oracle:false).program);
+        ])
+      (Registry.all @ Registry.extended)
+  in
+  let candidates =
+    List.concat_map
+      (fun app ->
+        let s = Option.get (Registry.find app) in
+        let inst = s.make ~variant:Spec.Buggy ~oracle:s.info.needs_oracle in
+        let fx =
+          Pipeline.run
+            ~options:
+              { Pipeline.default_options with sweep_seeds = 25; search_seeds = 10 }
+            ~accept:inst.accept ~app ~variant:"buggy" inst.program
+        in
+        List.map
+          (fun (c : Pipeline.candidate) ->
+            (app ^ " " ^ c.c_patch.p_id, c.c_patch.p_program))
+          fx.fx_candidates)
+      [ "HawkNL"; "MySQL1"; "MozillaXP" ]
+  in
+  Alcotest.(check bool)
+    "HawkNL's fused-lock candidate is an input" true
+    (List.mem_assoc "HawkNL fuse-locks:nlock->slock" candidates);
+  let config = { config with fuel = Pipeline.default_options.fuel } in
+  let policies = Sched.Round_robin :: List.init 8 (fun i -> Sched.Random (i + 1)) in
+  let separated = ref 0 in
   List.iter
-    (fun (s : Spec.t) ->
-      let p = (s.make ~variant:Spec.Buggy ~oracle:false).program in
-      List.iter
-        (fun policy ->
-          let full = Ring.unbounded () and small = Ring.create ~cap:7 () in
-          ignore
-            (Conair.Runtime.Engine.run_program
-               ~config:{ config with policy }
-               ~observer:
-                 (Conair.Runtime.Event.combine
-                    [ Ring.observer full; Ring.observer small ])
-               Conair.Runtime.Engine.default p);
-          List.iter
-            (fun (what, ring) ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s, %s" s.info.name what)
-                (Coverage.signature ~context:"fix-sweep"
-                   ~decisions:(Ring.tail ring)
-                   ~preemptions:(Ring.tail_preemptions ring) ())
-                (Coverage.ring_signature ~context:"fix-sweep" ring))
-            [ ("full recording", full); ("wrapped ring", small) ])
-        [ Sched.Round_robin; Sched.Random 1; Sched.Random 2 ])
-    Conair_bugbench.Registry.all
+    (fun (name, p) ->
+      let runs =
+        List.map
+          (fun policy ->
+            let observed engine =
+              let ring = Ring.unbounded () and fp = Coverage.fingerprint () in
+              ignore
+                (Engine.run_program ~config:{ config with policy }
+                   ~observer:
+                     (Event.combine
+                        [ Ring.observer ring; Coverage.fingerprint_probe fp ])
+                   engine p);
+              ( Coverage.key fp,
+                Coverage.signature ~decisions:(Ring.tail ring)
+                  ~preemptions:(Ring.tail_preemptions ring) () )
+            in
+            let k, s = observed Engine.Ref in
+            List.iter
+              (fun engine ->
+                let k', s' = observed engine in
+                let what = Printf.sprintf "%s, %s" name (Engine.name engine) in
+                Alcotest.(check string) (what ^ ": signature") s s';
+                Alcotest.(check bool) (what ^ ": key as on ref") true (k = k'))
+              [ Engine.Fast; Engine.Block ];
+            (k, s))
+          policies
+      in
+      separated := !separated + List.length (List.sort_uniq compare (List.map snd runs));
+      List.iteri
+        (fun i (k, s) ->
+          List.iteri
+            (fun j (k', s') ->
+              if i < j then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s, policies %d and %d: equal keys iff equal \
+                                   signatures" name i j)
+                  (s = s') (k = k'))
+            runs)
+        runs)
+    (registry @ candidates);
+  (* the inputs do tell schedules apart, so "exactly when" is not vacuous *)
+  Alcotest.(check bool)
+    "some programs run distinct schedules" true
+    (!separated > List.length registry + List.length candidates)
 
 (* The facade signature of a real recorded run is stable across repeated
    recordings — the restart-determinism property at the single-run
@@ -312,8 +399,8 @@ let suites =
       [
         Alcotest.test_case "signature properties" `Quick signature_properties;
         Alcotest.test_case "signature golden encoding" `Quick signature_golden;
-        Alcotest.test_case "ring signature matches its tail" `Quick
-          ring_signature_matches_tail;
+        Alcotest.test_case "sweep fingerprint separates what the signature separates" `Quick
+          fingerprint_separates_like_signature;
         Alcotest.test_case "signature stable across recordings" `Quick
           signature_stable_across_recordings;
         Alcotest.test_case "coverage map" `Quick coverage_map;

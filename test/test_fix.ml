@@ -427,6 +427,46 @@ let order_timeout_follows_recorded_run () =
 
 (* --- report determinism -------------------------------------------- *)
 
+(* The fix report of every buggy registry app at the triage options
+   (25 sweep seeds, 10 search seeds), pinned by the MD5 of its JSON.
+   The digests were taken while the sweeps still counted schedules by
+   signing a full recording of each run; the fingerprint that replaced
+   it must count the same schedules, so no report moves a byte. *)
+let pinned_reports () =
+  let pinned =
+    [
+      ("FFT", "2ee280d67d4e57bbbe44133d06640e61");
+      ("HawkNL", "da9f586ca4a26623850aa19434d4e2b2");
+      ("HTTrack", "878904a7c5219633d1abf9c2013f0dd2");
+      ("MozillaXP", "31525910c0ce09fa57281a6b8331daed");
+      ("MozillaJS", "797047d27851c753ea1176e2df899bfe");
+      ("MySQL1", "4647bdac0ef7eac2890c3d90de0a1db2");
+      ("MySQL2", "dc67dd4a1e05e36b94ef8574939dc410");
+      ("SQLite", "f3f1ea7792ecd71f5a36dabf7e29df61");
+      ("Transmission", "bf199ce07c6c302e9f23575da0c0561f");
+      ("ZSNES", "64789eef511062c6fd9218779610d17c");
+      ("PBZIP2", "54fac63351e790a4790536ab76401286");
+      ("Apache", "06b74fe7fc040de4a6a84f47d160e19f");
+    ]
+  in
+  Alcotest.(check int)
+    "every buggy registry app is pinned"
+    (List.length (Registry.all @ Registry.extended))
+    (List.length pinned);
+  let options =
+    { Pipeline.default_options with sweep_seeds = 25; search_seeds = 10 }
+  in
+  List.iter
+    (fun (app, md5) ->
+      let inst = instance app Spec.Buggy in
+      let t =
+        Pipeline.run ~options ~accept:inst.Spec.accept ~app ~variant:"buggy"
+          inst.Spec.program
+      in
+      Alcotest.(check string) app md5
+        (Digest.to_hex (Digest.string (Json.to_string (Pipeline.to_json t)))))
+    pinned
+
 let json_engine_identity () =
   let inst = instance "HawkNL" Spec.Buggy in
   let report_on engine =
@@ -531,6 +571,9 @@ let suites =
           order_timeout_follows_recorded_run;
       ] );
     ( "fix.guarantees",
-      [ slow_case "engines agree on the report" json_engine_identity ] );
+      [
+        slow_case "engines agree on the report" json_engine_identity;
+        case "reports pinned at the triage options" pinned_reports;
+      ] );
     ("fix.docs", [ slow_case "FIXING.md walkthrough" fixing_doc_walkthrough ]);
   ]

@@ -479,6 +479,40 @@ let wrong_program () =
   | Error e -> Alcotest.failf "wrong error: %s" (Driver.error_to_string e)
   | Ok _ -> Alcotest.fail "mismatched program replayed"
 
+(* A log recorded in this process replays on the program it recorded,
+   and logs of one text share one program, so each is linked and
+   compiled once. A tampered text is still checked first (see
+   [save_load_roundtrip]). *)
+let log_program_shared () =
+  let p, log = recorded_tutorial () in
+  let program what l =
+    match Log.program l with
+    | Ok q -> q
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  Alcotest.(check bool) "the recorded log returns its program" true
+    (program "recorded" log == p);
+  (match Log.of_lines (Log.to_lines log) with
+  | Ok loaded ->
+      Alcotest.(check bool) "so does its reloaded copy" true
+        (program "reloaded" loaded == p)
+  | Error e -> Alcotest.failf "reload: %s" e);
+  (* a text no run of this process recorded, in two logs with MD5
+     strings of their own *)
+  let text =
+    Emit.program
+      { p with globals = ("shared_program_test", Value.Int 1) :: p.globals }
+  in
+  let log_of_text () =
+    { log with Log.program_text = Some text; program_md5 = Log.digest text }
+  in
+  let a = log_of_text () and b = log_of_text () in
+  let pa = program "first parse" a in
+  Alcotest.(check bool) "a parse is a fresh program" false (pa == p);
+  Alcotest.(check bool) "two logs of one text share one program" true
+    (program "second log" b == pa);
+  ignore (Sys.opaque_identity (log, a))
+
 (* ------------------------------------------------------------------ *)
 (* Time-travel inspection                                              *)
 (* ------------------------------------------------------------------ *)
@@ -664,6 +698,7 @@ let suites =
           case "facade: hardened record, self-contained replay"
             facade_self_contained;
           case "save/load round trip" save_load_roundtrip;
+          case "logs share their program" log_program_shared;
         ] );
     ( "replay.divergence",
       [
