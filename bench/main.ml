@@ -1005,6 +1005,71 @@ let bench_interp () =
     (sweep_ref_t /. sweep_fast_t)
     (sweep_ref_t /. sweep_block_t)
     (sweep_fast_t /. sweep_block_t);
+  (* The same corpus observed, each run with fresh observers: the full
+     race detector (sync and access events) and the report lens's span
+     collector and live metrics (sync and per-step events). Block takes
+     access events from its compiled links and per-step events from its
+     driver, so both stay on its phases. *)
+  let observed_repeats = 7 in
+  let observe make engine () =
+    List.fold_left
+      (fun steps (p, meta) ->
+        let m, _ =
+          Engine.run_program ~config:sweep_config ?meta ~observer:(make ())
+            engine p
+        in
+        steps + Engine.steps m)
+      0 corpus
+  in
+  let detect () = Conair.Race.Detect.(probe (create ())) in
+  let report () =
+    Conair.Runtime.Event.combine
+      [
+        Conair.Obs.Span.(observer (collector ()));
+        Conair.Obs.Report.live_metrics (Conair.Obs.Metrics.create ());
+      ]
+  in
+  let o_runs =
+    time_alternated ~repeats:observed_repeats
+      [
+        observe detect Engine.Fast;
+        observe detect Engine.Block;
+        observe report Engine.Fast;
+        observe report Engine.Block;
+      ]
+  in
+  let o_steps =
+    match List.sort_uniq compare (List.map fst o_runs) with
+    | [ n ] -> n
+    | _ -> failwith "interp bench: observed step counts diverge"
+  in
+  let o_detect_fast_t, o_detect_block_t, o_report_fast_t, o_report_block_t =
+    match List.map snd o_runs with
+    | [ a; b; c; d ] -> (a, b, c, d)
+    | _ -> assert false
+  in
+  let o_sps t = float o_steps /. t in
+  Printf.printf "observed: the sweep corpus, %d steps, median of %d\n" o_steps
+    observed_repeats;
+  List.iter
+    (fun (what, fast_t, block_t) ->
+      Printf.printf "  %-7s fast %.4fs  block %.4fs  block/fast: %.2fx\n" what
+        fast_t block_t (fast_t /. block_t))
+    [
+      ("detect", o_detect_fast_t, o_detect_block_t);
+      ("report", o_report_fast_t, o_report_block_t);
+    ];
+  let observed_json fast_t block_t =
+    let open Conair.Obs.Json in
+    Obj
+      [
+        ("fast_seconds", Float fast_t);
+        ("fast_steps_per_sec", Float (o_sps fast_t));
+        ("block_seconds", Float block_t);
+        ("block_steps_per_sec", Float (o_sps block_t));
+        ("block_vs_fast", Float (fast_t /. block_t));
+      ]
+  in
   let json =
     let open Conair.Obs.Json in
     Obj
@@ -1067,6 +1132,15 @@ let bench_interp () =
               ("fast_vs_ref", Float (sweep_ref_t /. sweep_fast_t));
               ("block_vs_ref", Float (sweep_ref_t /. sweep_block_t));
               ("block_vs_fast", Float (sweep_fast_t /. sweep_block_t));
+            ] );
+        ( "observed",
+          Obj
+            [
+              ("runs", Int (List.length corpus));
+              ("steps", Int o_steps);
+              ("repeats", Int observed_repeats);
+              ("detect", observed_json o_detect_fast_t o_detect_block_t);
+              ("report", observed_json o_report_fast_t o_report_block_t);
             ] );
       ]
   in

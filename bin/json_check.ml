@@ -14,10 +14,11 @@
                    line is "frame;frame;... N" with non-empty frames
                    and a positive count, and there is at least one;
    - BENCH_interp.json — the interpreter bench document: "micro",
-                   "contended", "replay" and "sweep" sections with
-                   per-engine timing columns and cross-engine ratios,
-                   all positive and mutually consistent; additionally
-                   five performance gates — the block engine's micro
+                   "contended", "replay", "sweep" and "observed"
+                   sections with per-engine timing columns and
+                   cross-engine ratios, all positive and mutually
+                   consistent; additionally these performance gates —
+                   the block engine's micro
                    steps/s must be at least 3x the committed fast-engine
                    baseline, the recorder-on (flight) micro must be
                    within 5% of recorder-off, on the contended
@@ -25,7 +26,10 @@
                    the block engine must be at least as fast as the
                    fast engine of the same run, and the contended micro
                    under the fix sweep's observers must keep at least
-                   0.6 of the bare block engine's throughput;
+                   0.6 of the bare block engine's throughput; the
+                   "observed" section's two runs of the sweep corpus,
+                   under the race detector and under the report lens,
+                   must each be at least as fast on block as on fast;
    - BENCH_fuzz.json — the campaign bench document written by
                    `conair_fuzz --bench`: per-engine runs/sec, signature
                    digests and growth curves, with the differential gate
@@ -178,8 +182,8 @@ let check_bench_interp file =
             fail file (Printf.sprintf "%s.%s is missing" sec_name field);
             None
       in
-      let check_section name fields =
-        match section name with
+      let check_obj name v fields =
+        match v with
         | Some (Json.Obj _ as sec) ->
             List.iter (fun f -> ignore (number name sec f)) fields;
             Some sec
@@ -190,6 +194,7 @@ let check_bench_interp file =
             fail file (Printf.sprintf "%S section is missing" name);
             None
       in
+      let check_section name fields = check_obj name (section name) fields in
       let per_engine =
         [
           "ref_seconds";
@@ -219,8 +224,8 @@ let check_bench_interp file =
       ignore (check_section "sweep" ("runs" :: per_engine));
       (* A same-run gate on medians of alternated repeats: the block
          engine must not lose to the fast engine's per-step loop. *)
-      let block_not_below_fast name fields what =
-        match check_section name fields with
+      let block_not_below_fast name sec what =
+        match sec with
         | Some sec -> (
             match
               ( number name sec "fast_steps_per_sec",
@@ -244,14 +249,15 @@ let check_bench_interp file =
       in
       (* the contended micro: two threads eligible on nearly every step *)
       block_not_below_fast "contended"
-        ([
-           "steps";
-           "repeats";
-           "ref_steps_per_sec";
-           "fast_steps_per_sec";
-           "block_steps_per_sec";
-         ]
-        @ per_engine)
+        (check_section "contended"
+           ([
+              "steps";
+              "repeats";
+              "ref_steps_per_sec";
+              "fast_steps_per_sec";
+              "block_steps_per_sec";
+            ]
+           @ per_engine))
         "contended phases";
       (* the fix sweep's observers (lock-order witness and schedule
          fingerprint) on the contended micro, which decides every step:
@@ -282,16 +288,40 @@ let check_bench_interp file =
       (* the micro's schedule strictly replayed: one thread, so one fed
          window on the block engine *)
       block_not_below_fast "replay"
-        [
-          "steps";
-          "repeats";
-          "fast_seconds";
-          "fast_steps_per_sec";
-          "block_seconds";
-          "block_steps_per_sec";
-          "block_vs_fast";
-        ]
+        (check_section "replay"
+           [
+             "steps";
+             "repeats";
+             "fast_seconds";
+             "fast_steps_per_sec";
+             "block_seconds";
+             "block_steps_per_sec";
+             "block_vs_fast";
+           ])
         "fed windows";
+      (* the sweep corpus under the race detector and under the report
+         lens's observers: access and per-step events from compiled
+         code *)
+      (match check_section "observed" [ "runs"; "steps"; "repeats" ] with
+      | Some obs ->
+          List.iter
+            (fun (sub, what) ->
+              let name = "observed." ^ sub in
+              block_not_below_fast name
+                (check_obj name (Json.member sub obs)
+                   [
+                     "fast_seconds";
+                     "fast_steps_per_sec";
+                     "block_seconds";
+                     "block_steps_per_sec";
+                     "block_vs_fast";
+                   ])
+                what)
+            [
+              ("detect", "runs under the race detector");
+              ("report", "runs under the report lens");
+            ]
+      | None -> ());
       (match micro with
       | Some sec -> (
           (match
@@ -349,8 +379,8 @@ let check_bench_interp file =
         Printf.printf
           "json_check: %s: interp bench ok (block micro >= 3x committed fast \
            baseline; flight ring and full recording within 5%% of \
-           recorder-off; contended and replayed block >= fast; swept \
-           contended block >= 0.6 of bare)\n"
+           recorder-off; contended, replayed and observed block >= fast; \
+           swept contended block >= 0.6 of bare)\n"
           file
 
 (* BENCH_fuzz.json: the campaign bench document written by

@@ -65,6 +65,8 @@ type sweep = {
   sw_signatures : int;  (* distinct schedules exercised *)
   sw_cycle_keys : string list;  (* union of lock-order cycle keys, sorted *)
   sw_first_failure : string option;
+  sw_costs : (Sched.policy * int * int) list;
+      (* each run's policy, instructions and steps, in run order *)
 }
 
 let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
@@ -73,6 +75,7 @@ let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
   let keys = Hashtbl.create 64 in
   let cycles = Hashtbl.create 8 in
   let first = ref None in
+  let costs = ref [] in
   let one policy =
     let lo = Lockorder.witness () in
     let fp = Coverage.fingerprint () in
@@ -84,6 +87,7 @@ let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
            (Capture.observer (Coverage.fingerprint_probe fp)))
         { program = p; meta = None }
     in
+    costs := (policy, r.stats.Stats.instrs, r.stats.Stats.steps) :: !costs;
     Hashtbl.replace keys (Coverage.key fp) ();
     List.iter (fun k -> Hashtbl.replace cycles k ()) (Lockorder.cycle_keys lo);
     if not (Outcome.is_success r.outcome) then begin
@@ -108,6 +112,7 @@ let sweep ?(engine = Engine.default) ?accept ~config ~seeds (p : Program.t) :
     sw_signatures = Hashtbl.length keys;
     sw_cycle_keys = Hashtbl.fold (fun k () acc -> k :: acc) cycles [] |> List.sort compare;
     sw_first_failure = !first;
+    sw_costs = List.rev !costs;
   }
 
 (* ---- gate 2: no regression across the sweep ----------------------- *)

@@ -41,6 +41,9 @@ type sweep = {
   sw_cycle_keys : string list;
       (** union of lock-order cycle keys seen, sorted *)
   sw_first_failure : string option;
+  sw_costs : (Sched.policy * int * int) list;
+      (** each run's policy, executed instructions and scheduler steps,
+          in run order: the fix pipeline costs survivors off them *)
 }
 
 val sweep :

@@ -120,19 +120,25 @@ let merge_reports (reports : Report.t list) : Report.t =
    (recovery keeps runs alive long enough to see more of the schedule),
    falling back to the original program otherwise. A handful of seeds:
    the HB lens does not need the bad interleaving to manifest, but some
-   findings (actual deadlocks) are schedule-dependent. *)
-let detect_races ~(options : options) (p : Program.t) : Report.t =
+   findings (actual deadlocks) are schedule-dependent. Each run's cost
+   goes into [ledger]. *)
+let detect_races ~(options : options) ~ledger ~hardened (p : Program.t) :
+    Report.t =
   let config = config_of options in
   let program, meta =
-    match survival_harden p with
+    match hardened with
     | Some h -> (h.Harden.program, Some (Machine.meta_of_harden h))
     | None -> (p, None)
   in
   let one policy =
-    snd
-      (Capture.run ~engine:options.engine
-         ~config:{ config with Machine.policy }
-         (Capture.detect ()) { program; meta })
+    let r, report =
+      Capture.run ~engine:options.engine
+        ~config:{ config with Machine.policy }
+        (Capture.detect ()) { program; meta }
+    in
+    Overhead.note ledger program policy ~instrs:r.stats.Stats.instrs
+      ~steps:r.stats.Stats.steps;
+    report
   in
   let policies =
     Sched.Round_robin
@@ -147,8 +153,9 @@ let policy_string = function
   | Sched.Random s -> Printf.sprintf "random:%d" s
 
 (* Record runs of the *original* program until one fails (or, under an
-   output oracle, succeeds with rejected outputs). *)
-let find_failing ~(options : options) ?accept ~ident (p : Program.t) =
+   output oracle, succeeds with rejected outputs), noting each run's
+   cost in [ledger]. *)
+let find_failing ~(options : options) ~ledger ?accept ~ident (p : Program.t) =
   let config = config_of options in
   let is_failing (r : Capture.run) =
     match r.outcome with
@@ -165,6 +172,8 @@ let find_failing ~(options : options) ?accept ~ident (p : Program.t) =
             ~config:{ config with Machine.policy }
             (Capture.record ~ident) { program = p; meta = None }
         in
+        Overhead.note ledger p policy ~instrs:r.stats.Stats.instrs
+          ~steps:r.stats.Stats.steps;
         if is_failing r then Some (policy, r, log) else go rest
   in
   go
@@ -184,27 +193,36 @@ let rank_candidates cands =
   in
   List.stable_sort by_cost survivors @ rest
 
+(* The stages run no (program, policy) twice: detection, the
+   failing-run search and every sweep note their runs' costs in one
+   ledger, and each cost reads them, running only the policies no stage
+   ran. The program is hardened once. *)
 let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
     t =
   let config = config_of options in
-  let detection = detect_races ~options p in
-  let base_cost =
-    Overhead.cost_of ~config ~seeds:options.cost_seeds p
+  let ledger = Overhead.ledger () in
+  let cost meta program =
+    Overhead.cost_in ledger ~config ~meta ~seeds:options.cost_seeds program
   in
-  let hardened_overhead_pct =
-    match survival_harden p with
-    | None -> None
-    | Some h ->
-        let c =
-          Overhead.cost_of ~config
-            ~meta:(Machine.meta_of_harden h)
-            ~seeds:options.cost_seeds h.Harden.program
-        in
-        Some (Overhead.cost_overhead_pct ~base:base_cost c)
+  let note_sweep program (sw : Gates.sweep) =
+    List.iter
+      (fun (policy, instrs, steps) ->
+        Overhead.note ledger program policy ~instrs ~steps)
+      sw.Gates.sw_costs
+  in
+  let hardened = survival_harden p in
+  let detection = detect_races ~options ~ledger ~hardened p in
+  let hardened_overhead_pct base_cost =
+    Option.map
+      (fun h ->
+        Overhead.cost_overhead_pct ~base:base_cost
+          (cost (Some (Machine.meta_of_harden h)) h.Harden.program))
+      hardened
   in
   let ident = Log.ident ~variant ~mode:"none" app in
-  match find_failing ~options ?accept ~ident p with
+  match find_failing ~options ~ledger ?accept ~ident p with
   | None ->
+      let base_cost = cost None p in
       {
         fx_app = app;
         fx_variant = variant;
@@ -216,7 +234,7 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
         fx_sweep_seeds = options.sweep_seeds;
         fx_baseline = None;
         fx_base_cost = base_cost;
-        fx_hardened_overhead_pct = hardened_overhead_pct;
+        fx_hardened_overhead_pct = hardened_overhead_pct base_cost;
         fx_candidates = [];
         fx_survivors = 0;
       }
@@ -236,6 +254,8 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
         Gates.sweep ~engine:options.engine ?accept ~config
           ~seeds:options.sweep_seeds p
       in
+      note_sweep p baseline;
+      let base_cost = cost None p in
       (* Adaptive order-candidate timeout: the recorded failing run's
          length bounds how long the enforced ordering can take to become
          available (it contains every sleep on the way to the bug), so a
@@ -257,24 +277,21 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
           Gates.sweep ~engine:options.engine ?accept ~config
             ~seeds:options.sweep_seeds patch.Patch.p_program
         in
+        note_sweep patch.Patch.p_program sw;
         let g2 = Gates.regression_gate sw in
         let g3 = Gates.deadlock_gate ~baseline sw in
         let survived = g1.Gates.g_passed && g2.Gates.g_passed && g3.Gates.g_passed in
-        let cost =
-          if survived then
-            Some
-              (Overhead.cost_of ~config ~seeds:options.cost_seeds
-                 patch.Patch.p_program)
-          else None
+        let c_cost =
+          if survived then Some (cost None patch.Patch.p_program) else None
         in
         {
           c_patch = patch;
           c_gates = [ g1; g2; g3 ];
           c_survived = survived;
           c_schedules = sw.Gates.sw_signatures;
-          c_cost = cost;
+          c_cost;
           c_overhead_pct =
-            Option.map (Overhead.cost_overhead_pct ~base:base_cost) cost;
+            Option.map (Overhead.cost_overhead_pct ~base:base_cost) c_cost;
         }
       in
       let cands = rank_candidates (List.map evaluate candidates) in
@@ -289,7 +306,7 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
         fx_sweep_seeds = options.sweep_seeds;
         fx_baseline = Some baseline;
         fx_base_cost = base_cost;
-        fx_hardened_overhead_pct = hardened_overhead_pct;
+        fx_hardened_overhead_pct = hardened_overhead_pct base_cost;
         fx_candidates = cands;
         fx_survivors = List.length (List.filter (fun c -> c.c_survived) cands);
       }

@@ -26,15 +26,14 @@ val default_options : options
 (** Block engine, fuel 8_000_000, 8 candidates, 100-seed sweeps, 50
     search seeds, 2000 ddmin tests, 30_000-step order timeout.
 
-    Block is the default because the pipeline's bulk — the failing-run
-    search and the validation sweeps — carries only a schedule recorder
-    (the search) or the schedule fingerprint and the lock-order witness
-    graph (the sweeps), none of which observes steps or accesses, so
-    those runs stay on the block engine's compiled window path, as do the directed replays of gate 1 and of minimization,
-    whose feeds take a window's decisions as one count. Detection (the
-    full race detector, an access observer) steps generically on any
-    engine. The report is byte-identical on every engine, so the choice
-    only moves time. *)
+    Block is the default because every run of the pipeline stays on its
+    compiled phases: detection (the full race detector, whose access
+    events come from the compiled memory links), the failing-run search
+    (a schedule recorder), the validation sweeps (the schedule
+    fingerprint and the lock-order witness graph), and the directed
+    replays of gate 1 and of minimization, whose feeds take a window's
+    decisions as one count. The report is byte-identical on every
+    engine, so the choice only moves time. *)
 
 type candidate = {
   c_patch : Patch.t;

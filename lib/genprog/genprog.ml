@@ -363,3 +363,60 @@ let heap_ops_print ops =
          | H_store (i, o, v) -> Printf.sprintf "#%d[%d]:=%d" i o v
          | H_load (i, o) -> Printf.sprintf "#%d[%d]" i o)
        ops)
+
+(* Two threads run the same sequence on blocks of their own, publishing
+   each fresh block through the global [shared]; an op that names a
+   block before its thread allocated any goes through [shared], so the
+   threads touch each other's cells and may free what the other still
+   uses (a use-after-free faults). Offsets stay inside the block. A
+   stack slot sums every loaded value, printed at the end. The second
+   thread starts a few steps late, so the first runs alone a while. *)
+let heap_program (ops : heap_op list) : Program.t =
+  B.build ~main:"main" @@ fun b ->
+  B.global b "shared" Value.Null;
+  for k = 0 to 1 do
+    B.func b (Printf.sprintf "heap%d" k) ~params:[] @@ fun f ->
+    B.label f "entry";
+    if k > 0 then B.sleep f (3 * k);
+    B.store f (Instr.Stack "acc") (B.int 0);
+    let blocks = ref [] in
+    (* [(register, size)] of this thread's blocks, oldest first *)
+    let target j i =
+      match !blocks with
+      | [] ->
+          let r = Printf.sprintf "s%d" j in
+          B.load f r (Instr.Global "shared");
+          (r, 1)
+      | l -> List.nth l (i mod List.length l)
+    in
+    List.iteri
+      (fun j op ->
+        match op with
+        | H_alloc n ->
+            let r = Printf.sprintf "b%d" j in
+            B.alloc f r (B.int n);
+            B.store f (Instr.Global "shared") (B.reg r);
+            blocks := !blocks @ [ (r, n) ]
+        | H_free i -> B.free f (B.reg (fst (target j i)))
+        | H_store (i, o, v) ->
+            let r, n = target j i in
+            B.store_idx f (B.reg r) (B.int (o mod n)) (B.int v)
+        | H_load (i, o) ->
+            let r, n = target j i in
+            let v = Printf.sprintf "v%d" j and a = Printf.sprintf "a%d" j in
+            B.load_idx f v (B.reg r) (B.int (o mod n));
+            B.load f a (Instr.Stack "acc");
+            B.add f a (B.reg a) (B.reg v);
+            B.store f (Instr.Stack "acc") (B.reg a))
+      ops;
+    B.load f "sum" (Instr.Stack "acc");
+    B.output f "%v" [ B.reg "sum" ];
+    B.ret f None
+  done;
+  B.func b "main" ~params:[] @@ fun f ->
+  B.label f "entry";
+  B.spawn f "t0" "heap0" [];
+  B.spawn f "t1" "heap1" [];
+  B.join f (B.reg "t0");
+  B.join f (B.reg "t1");
+  B.exit_ f

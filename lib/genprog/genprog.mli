@@ -78,3 +78,10 @@ type heap_op =
 
 val heap_ops_gen : heap_op list QCheck.Gen.t
 val heap_ops_print : heap_op list -> string
+
+val heap_program : heap_op list -> Program.t
+(** Two threads run the sequence over their own blocks and one shared
+    global pointer (an op naming a block before its thread allocated
+    one goes through it), so their accesses to cells, blocks, globals
+    and stack slots interleave; a use-after-free faults. Outputs each
+    thread's sum of loaded values. *)

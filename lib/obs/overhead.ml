@@ -325,16 +325,46 @@ type cost = {
   k_mean_instrs : float;
 }
 
-let cost_of ?(config = Machine.default_config) ?meta ?(seeds = [ 1; 2; 3 ])
-    (p : Program.t) : cost =
+(* Runs already made, by program (physical identity: a hardening is a
+   copy of its original) and policy: their instruction and step counts.
+   Runs are deterministic and their counts engine-independent, so a
+   noted run stands for a fresh one made under the same configuration
+   and metadata. *)
+type ledger = {
+  mutable programs : (Program.t * (Sched.policy, int * int) Hashtbl.t) list;
+}
+
+let ledger () = { programs = [] }
+
+let runs_of l p =
+  match List.assq_opt p l.programs with
+  | Some t -> t
+  | None ->
+      let t = Hashtbl.create 32 in
+      l.programs <- (p, t) :: l.programs;
+      t
+
+let note l p policy ~instrs ~steps =
+  Hashtbl.replace (runs_of l p) policy (instrs, steps)
+
+let cost_in l ~config ~meta ~seeds (p : Program.t) : cost =
+  let runs = runs_of l p in
   let instrs = ref 0 and steps = ref 0 and n = ref 0 in
   let one policy =
-    let m, _ =
-      Engine.run_program ~config:{ config with policy } ?meta Engine.default p
+    let i, s =
+      match Hashtbl.find_opt runs policy with
+      | Some c -> c
+      | None ->
+          let m, _ =
+            Engine.run_program ~config:{ config with policy } ?meta
+              Engine.default p
+          in
+          let st = Engine.stats m in
+          Hashtbl.replace runs policy (st.Stats.instrs, st.Stats.steps);
+          (st.Stats.instrs, st.Stats.steps)
     in
-    let st = Engine.stats m in
-    instrs := !instrs + st.Stats.instrs;
-    steps := !steps + st.Stats.steps;
+    instrs := !instrs + i;
+    steps := !steps + s;
     incr n
   in
   one Sched.Round_robin;
@@ -345,6 +375,10 @@ let cost_of ?(config = Machine.default_config) ?meta ?(seeds = [ 1; 2; 3 ])
     k_steps = !steps;
     k_mean_instrs = float_of_int !instrs /. float_of_int (max 1 !n);
   }
+
+let cost_of ?(config = Machine.default_config) ?meta ?(seeds = [ 1; 2; 3 ])
+    p =
+  cost_in (ledger ()) ~config ~meta ~seeds p
 
 let cost_overhead_pct ~base (c : cost) =
   if base.k_instrs = 0 then 0.

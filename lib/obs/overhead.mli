@@ -123,6 +123,36 @@ val cost_of :
     entry of [seeds] (default [[1; 2; 3]]), totalled. [meta] carries the
     recovery metadata when costing a hardened program. *)
 
+type ledger
+(** The runs a caller has already made, by program and policy: each
+    run's instruction and step counts. Programs are told apart by
+    physical identity. *)
+
+val ledger : unit -> ledger
+
+val note :
+  ledger ->
+  Program.t ->
+  Conair_runtime.Sched.policy ->
+  instrs:int ->
+  steps:int ->
+  unit
+(** Record a finished run of the program under the policy: its
+    executed instructions and scheduler steps. *)
+
+val cost_in :
+  ledger ->
+  config:Conair_runtime.Machine.config ->
+  meta:Conair_runtime.Machine.meta option ->
+  seeds:int list ->
+  Program.t ->
+  cost
+(** {!cost_of}, reading each run the ledger holds for the program
+    instead of making it again, and noting the runs it makes. The noted
+    runs must have been made under [config] (its policy aside) and
+    [meta]: runs are deterministic and their counts engine-independent,
+    so a noted run's counts are those a fresh run would give. *)
+
 val cost_overhead_pct : base:cost -> cost -> float
 (** Mean-instruction overhead of a measured program relative to [base],
     in percent (negative = cheaper than base). *)

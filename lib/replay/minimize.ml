@@ -18,9 +18,9 @@
    the root cause the interleaving exposes.
 
    Every run goes through [Engine] on [Engine.default]. The block
-   engine keeps its compiled phases under a feed, so the candidates and
-   the re-recording run compiled; the detector's replay observes
-   accesses and steps generically. *)
+   engine keeps its compiled phases under a feed and under any
+   observer, so the candidates, the re-recording and the detector's
+   replay all run compiled. *)
 
 open Conair_ir
 open Conair_runtime

@@ -39,15 +39,20 @@
      a schedulable op (run through [Machine.run_thread_step], the same
      code [Machine] runs), a thread death, a fault or failed assert, a
      decided outcome.
-   - With no observer of per-step or access events and no scheduler
-     tap ([hooked]), [Machine]'s observation work on straight-line
-     code is a handful of matches that emit nothing, so skipping it is
-     byte-invisible in every observable (traces, profiles, race reports,
-     schedule logs, stats). Sync events come from schedulable ops and
-     from the shared [Machine] helpers the compiled code calls. A
-     contended phase reports each decision as [Machine.step] does; a
-     window reports its decisions as one counted decision, flushed
-     ahead of any event emitted inside it ([Machine.emit]).
+   - Every event [Machine] emits, the phases emit too, at the same
+     step and in the same order. Sync events come from schedulable ops
+     and from the shared [Machine] helpers the compiled code calls.
+     Access events come from the compiled memory links themselves,
+     where [Machine.exec_instr] emits them; inside a batched segment a
+     link passes its own step, [m.step - fix] ([Compile]). Per-step
+     events come from this driver: with an observer of them, windows
+     and contended phases retire every instruction through its
+     single-step form and announce it first ([Machine.emit_step]), and
+     idle ticks in bulk are announced one by one. A contended phase
+     reports each decision as [Machine.step] does; a window reports its
+     decisions as one counted decision, flushed through the step of any
+     event emitted inside it ([Machine.emit]), so under a per-step
+     observer every decision is flushed alone, as on the other engines.
    - A feed sees the same decisions in the same order. Every step of
      a window is one forced decision of its thread, so a window bounded
      by the feed's answer ([Sched.feed]'s [window]) takes exactly the
@@ -58,7 +63,9 @@
      phase's steps first, so the counters read what [Machine.step]
      leaves.
 
-   A hooked run takes [Machine.step] for every step. [Ref_machine]
+   Only a scheduler tap, which must hear every decision with its
+   eligible list, sends a run down [Machine.step] for every step
+   ([hooked]); observers and feeds keep the phases. [Ref_machine]
    remains the oracle; the three-way differential suite enforces
    bit-for-bit identity. *)
 
@@ -82,16 +89,12 @@ let sched bm = bm.m.Machine.sched
 let step bm = Machine.step bm.m
 let thread_summaries bm = Machine.thread_summaries bm.m
 
-(* Does the observer consume per-step or access events, or is a
-   scheduler tap attached? Those see state the phases skip, so they
-   send every step down the generic path. Decisions, sync events and
-   feeds do not count: the phases emit every decision and event, and
-   hand a feed every decision, a window's as one count. *)
-let hooked (m : Machine.t) =
-  (match m.Machine.obs with
-  | Some o -> o.Event.steps || o.Event.accesses
-  | None -> false)
-  || m.Machine.sched.Sched.tap <> None
+(* Is a scheduler tap attached? It takes every decision with the
+   eligible set as a list, which a window never builds, so it sends
+   every step down the generic path. Observers and feeds do not count:
+   the phases emit every event and hand a feed every decision, a
+   window's as one count. *)
+let hooked (m : Machine.t) = m.Machine.sched.Sched.tap <> None
 
 (* The fault arm of [Machine.run_thread_step], for a compiled link.
    Links raise before moving the program point (the one after-pop fault
@@ -120,12 +123,56 @@ let retire (m : Machine.t) ~from ~sched_steps =
   m.Machine.stats.Stats.instrs <-
     m.Machine.stats.Stats.instrs + (retired - sched_steps)
 
+(* Retire one step of [th], the thread the scheduler chose, as
+   [Machine.run_thread_step] does: a schedulable op through it (it wakes
+   a sleeper and announces the step itself), anything else through its
+   single-step closure after its preamble — wake a chosen sleeper and,
+   under an observer of per-step events, announce the step. The caller
+   floors [m.wbound], so a transfer never chains past its own step.
+   [0] while the phase may go on: the step was not schedulable, ended
+   nothing, and left [m.step] below [bound]; otherwise the phase ends,
+   [2] after a schedulable op (an instruction [run_thread_step] counted
+   already), [1] after anything else. The callers keep their count of
+   schedulable steps in a local, so a phase allocates nothing. *)
+let[@inline] step_one bm (th : Thread.t) bound =
+  let m = bm.m in
+  let fr = Thread.top th in
+  let func = fr.Thread.func and blk = fr.Thread.block in
+  let cbv = Compile.block bm.code func blk in
+  let i = fr.Thread.idx in
+  if cbv.Compile.cb_sched.(i) then begin
+    Machine.run_thread_step m th;
+    m.Machine.step <- m.Machine.step + 1;
+    2
+  end
+  else begin
+    let woke =
+      match th.Thread.status with
+      | Thread.Sleeping _ ->
+          th.Thread.status <- Thread.Runnable;
+          true
+      | _ -> false
+    in
+    (match m.Machine.obs with
+    | Some o when o.Event.steps -> Machine.emit_step m th ~woke
+    | _ -> ());
+    match (Compile.one bm.code func blk cbv).(i) m th fr with
+    | 0 (* t_refresh *) | 4 (* t_single *) ->
+        if m.Machine.step < bound then 0 else 1
+    | _ (* t_end, t_failed *) -> 1
+    | exception Machine.Fault msg ->
+        fault bm th msg;
+        1
+  end
+
 (* Retire compiled code of [th] until the window closes: a schedulable
    op, a thread death, a decided outcome, a fault, or the step budget
-   [bound]. The caller guarantees [m.step < bound], that [th] is the
-   only eligible thread, and that the run is not [hooked].
+   [bound]. The caller guarantees [m.step < bound] and that [th] is the
+   only eligible thread (runnable, or a sleeper whose deadline passed).
 
-   The normal case dispatches a chain: [cb_chain.(idx)] retires every
+   Under an observer of per-step events every step is announced, so the
+   window retires one instruction at a time ([step_one]). Otherwise the
+   normal case dispatches a chain: [cb_chain.(idx)] retires every
    instruction from [idx] onward — chaining through jumps, branches,
    calls and returns — under one call, bumping [m.step] per link as it
    goes. [cb_need.(idx)] bounds the steps the chain can consume before
@@ -139,7 +186,6 @@ let retire (m : Machine.t) ~from ~sched_steps =
    trip — chains move the program point arbitrarily far. *)
 let run_window bm (th : Thread.t) bound =
   let m = bm.m in
-  m.Machine.wbound <- bound;
   let step0 = m.Machine.step in
   (* The window's decisions all choose [th]; none is preemptive, since
      [th] is the only eligible thread. They are reported lazily: by
@@ -150,36 +196,55 @@ let run_window bm (th : Thread.t) bound =
     m.Machine.run_from <- step0
   end;
   let sched_steps = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let f = Thread.top th in
-    let func = f.Thread.func and blk = f.Thread.block in
-    let cbv = Compile.block bm.code func blk in
-    let i = f.Thread.idx in
-    match
-      if m.Machine.step + cbv.Compile.cb_need.(i) <= bound then
-        cbv.Compile.cb_chain.(i) m th f
-      else (Compile.one bm.code func blk cbv).(i) m th f
-    with
-    | 0 (* t_refresh *) | 4 (* t_single *) ->
-        if m.Machine.step >= bound then continue_ := false
-    | 1 (* t_end *) -> continue_ := false
-    | 2 (* t_sched *) ->
-        (* A schedulable op at [fr.idx]: one generic step. The
-           scheduler's choice is still forced (the window invariant
-           holds until the op runs), so skipping [choose_idx] remains
-           unobservable; the op itself may wake, block, spawn or kill
-           threads, which ends the window. [run_thread_step] counts
-           the instruction; the step counters are ours. *)
-        Machine.run_thread_step m th;
-        m.Machine.step <- m.Machine.step + 1;
-        incr sched_steps;
-        continue_ := false
-    | _ (* t_failed *) -> continue_ := false
-    | exception Machine.Fault msg ->
-        fault bm th msg;
-        continue_ := false
-  done;
+  if Machine.steps m then begin
+    m.Machine.wbound <- min_int;
+    while
+      match step_one bm th bound with
+      | 0 -> true
+      | 2 ->
+          incr sched_steps;
+          false
+      | _ -> false
+    do
+      ()
+    done
+  end
+  else begin
+    (* a sleeper wakes exactly as [run_thread_step] would wake it (its
+       step event is unobserved) *)
+    th.Thread.status <- Thread.Runnable;
+    m.Machine.wbound <- bound;
+    let continue_ = ref true in
+    while !continue_ do
+      let f = Thread.top th in
+      let func = f.Thread.func and blk = f.Thread.block in
+      let cbv = Compile.block bm.code func blk in
+      let i = f.Thread.idx in
+      match
+        if m.Machine.step + cbv.Compile.cb_need.(i) <= bound then
+          cbv.Compile.cb_chain.(i) m th f
+        else (Compile.one bm.code func blk cbv).(i) m th f
+      with
+      | 0 (* t_refresh *) | 4 (* t_single *) ->
+          if m.Machine.step >= bound then continue_ := false
+      | 1 (* t_end *) -> continue_ := false
+      | 2 (* t_sched *) ->
+          (* A schedulable op at [fr.idx]: one generic step. The
+             scheduler's choice is still forced (the window invariant
+             holds until the op runs), so skipping [choose_idx] remains
+             unobservable; the op itself may wake, block, spawn or kill
+             threads, which ends the window. [run_thread_step] counts
+             the instruction; the step counters are ours. *)
+          Machine.run_thread_step m th;
+          m.Machine.step <- m.Machine.step + 1;
+          incr sched_steps;
+          continue_ := false
+      | _ (* t_failed *) -> continue_ := false
+      | exception Machine.Fault msg ->
+          fault bm th msg;
+          continue_ := false
+    done
+  end;
   retire m ~from:step0 ~sched_steps:!sched_steps;
   let from = m.Machine.run_from in
   if from >= 0 then begin
@@ -197,50 +262,29 @@ let run_window bm (th : Thread.t) bound =
 
 (* Several threads — the [rn] listed in [m.ready] — are eligible, or the
    only one stands at its blocking op. Every step makes [Machine.step]'s
-   decision over the fixed list (a feed's [decide] included) and reports
-   it the same way, then retires one instruction of the chosen thread
-   through its single-step closure ([m.wbound] floored, so a transfer
-   never chains past its own step). The phase ends at a schedulable op
-   (run through [run_thread_step], the generic code), a thread death, a
-   fault, a failed assert, or [bound]: the fuel or the earliest
-   time-based wake of an ineligible thread, when the eligible set could
-   grow. *)
+   decision over the fixed list (a feed's [decide] included), reports
+   it the same way, and retires the chosen thread's step ([step_one]).
+   The phase ends at a schedulable op, a thread death, a fault, a
+   failed assert, or [bound]: the fuel or the earliest time-based wake
+   of an ineligible thread, when the eligible set could grow. *)
 let run_contended bm rn =
   let m = bm.m in
   let bound = min m.Machine.config.Machine.fuel (Machine.next_wake m) in
   m.Machine.wbound <- min_int;
   let step0 = m.Machine.step in
   let sched_steps = ref 0 in
-  let continue_ = ref true in
   match
-    while !continue_ do
+    while
       let k = Sched.choose_idx m.Machine.sched ~tid_of:Machine.ready_tid m rn in
       if Machine.decisions m then Machine.decide m k rn;
-      let th = m.Machine.live.(m.Machine.ready.(k)) in
-      let fr = Thread.top th in
-      let func = fr.Thread.func and blk = fr.Thread.block in
-      let cbv = Compile.block bm.code func blk in
-      let i = fr.Thread.idx in
-      if cbv.Compile.cb_sched.(i) then begin
-        Machine.run_thread_step m th;
-        m.Machine.step <- m.Machine.step + 1;
-        incr sched_steps;
-        continue_ := false
-      end
-      else begin
-        (* [run_thread_step]'s preamble for a compiled instruction: wake a
-           chosen sleeper (its step event is unobserved) *)
-        (match th.Thread.status with
-        | Thread.Sleeping _ -> th.Thread.status <- Thread.Runnable
-        | _ -> ());
-        match (Compile.one bm.code func blk cbv).(i) m th fr with
-        | 0 (* t_refresh *) | 4 (* t_single *) ->
-            if m.Machine.step >= bound then continue_ := false
-        | _ (* t_end, t_failed *) -> continue_ := false
-        | exception Machine.Fault msg ->
-            fault bm th msg;
-            continue_ := false
-      end
+      match step_one bm m.Machine.live.(m.Machine.ready.(k)) bound with
+      | 0 -> true
+      | 2 ->
+          incr sched_steps;
+          false
+      | _ -> false
+    do
+      ()
     done
   with
   | () -> retire m ~from:step0 ~sched_steps:!sched_steps
@@ -251,8 +295,8 @@ let run_contended bm rn =
       raise e
 
 (* No thread is eligible. [Machine.step] would retire idle steps one at
-   a time until the nearest time-based wake (idle ticks are per-step
-   events, unobserved here by construction); take them in bulk, or
+   a time until the nearest time-based wake; take them in bulk (an
+   observer of per-step events still hears one [Idle] per tick), or
    declare the hang when nobody waits on time. *)
 let idle (m : Machine.t) =
   let wake = Machine.next_wake m in
@@ -263,6 +307,10 @@ let idle (m : Machine.t) =
            { step = m.Machine.step; blocked = Machine.live_threads m })
   else begin
     let skip = min wake m.Machine.config.Machine.fuel - m.Machine.step in
+    if Machine.steps m then
+      for step = m.Machine.step to m.Machine.step + skip - 1 do
+        Machine.emit m (Event.Idle { step })
+      done;
     m.Machine.step <- m.Machine.step + skip;
     m.Machine.stats.Stats.idle <- m.Machine.stats.Stats.idle + skip;
     m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + skip
@@ -275,7 +323,7 @@ let idle (m : Machine.t) =
    wake, and anything else is a contended phase over the same list.
    A feed bounds the window by the decisions it accepts and hears how
    many the window took; when it accepts none, the step is
-   [Machine.step]'s, asked before the sleeper wakes. *)
+   [Machine.step]'s. *)
 let unhooked_step bm =
   let m = bm.m in
   let rn = ref 0 in
@@ -290,20 +338,16 @@ let unhooked_step bm =
     let th = m.Machine.live.(m.Machine.ready.(0)) in
     match (!rn, th.Thread.status) with
     | 1, (Thread.Runnable | Thread.Sleeping _) -> (
-        (* a sleeper wakes exactly as [run_thread_step] would wake it
-           (its step event is unobserved); every other thread is
-           ineligible, so its wake lies strictly ahead *)
+        (* every other thread is ineligible, so its wake lies strictly
+           ahead *)
         let bound = min m.Machine.config.Machine.fuel (Machine.next_wake m) in
         match m.Machine.sched.Sched.feed with
-        | None ->
-            th.Thread.status <- Thread.Runnable;
-            run_window bm th bound
+        | None -> run_window bm th bound
         | Some f ->
             let step0 = m.Machine.step in
             let accepted = f.Sched.window th.Thread.tid in
             if accepted <= 0 then ignore (Machine.step m)
             else begin
-              th.Thread.status <- Thread.Runnable;
               run_window bm th
                 (if accepted < bound - step0 then step0 + accepted else bound);
               f.Sched.took (m.Machine.step - step0)

@@ -14,12 +14,14 @@
     outcome, the fuel, or the earliest time-based wake of an ineligible
     thread. Everything observable (outcomes, outputs, step counts,
     stats, traces, profiles, race reports, JSONL telemetry, schedule
-    logs) is bit-for-bit identical to [Machine] and [Ref_machine]. An
-    observer of decisions and sync events only — a flight ring, a full
-    recording ([Conair_replay.Recorder]), the lock-order witness —
-    rides the phases: they emit every sync event and every decision, a
-    one-thread window's decisions as one counted {!Event.Decide}. A
-    feed ({!Sched.feed}) rides them too: a contended phase asks it for
+    logs) is bit-for-bit identical to [Machine] and [Ref_machine].
+    Every observer rides the phases: they emit every sync event and
+    every decision, a one-thread window's decisions as one counted
+    {!Event.Decide}; the compiled memory links emit every access; and
+    under an observer of per-step events a phase retires one
+    instruction at a time through its single-step form, announcing
+    each with its {!Event.Step}. A feed ({!Sched.feed}) rides them
+    too: a contended phase asks it for
     every decision, and a window asks it once how many decisions it
     accepts and tells it once how many were taken. The three-way
     differential suite in [test_fast_exec.ml] enforces the identity
@@ -48,9 +50,9 @@ val machine : t -> Machine.t
 (** The underlying machine state (shared, not a copy). *)
 
 val hooked : Machine.t -> bool
-(** Does the observer consume per-step or access events, or is a
-    scheduler tap attached? Then every step takes [Machine]'s generic
-    path ([Machine.step]). A feed alone never hooks a run. *)
+(** Is a scheduler tap attached? Then every step takes [Machine]'s
+    generic path ([Machine.step]). Observers and feeds never hook a
+    run. *)
 
 val outputs : t -> string list
 (** In emission order. *)

@@ -31,10 +31,22 @@
    the generic per-step path. Retiring the runs in between without
    consulting the scheduler is semantics-preserving precisely when the
    scheduler's choice over the window is forced (one eligible thread)
-   and unobserved (no tap installed; a feed is told the window's
-   decisions as one count); with several threads
-   eligible the driver still decides every step, but no run in between
-   changes who is eligible.
+   and no tap must hear it (a feed is told the window's decisions as
+   one count); with several threads eligible the driver still decides
+   every step, but no run in between changes who is eligible.
+
+   Links emit what [Machine.exec_instr] emits for their opcode. The
+   seven memory links emit [Access] when the observer takes accesses
+   ([Machine.access]), before the memory operation like the
+   interpreter — global and stack ones before it, indexed ones after
+   operand evaluation and only for a pointer, [free] as a whole block;
+   a bare run pays one [match] per memory op. A link inside a batched
+   segment passes its own step, [m.step - fix], since [m.step] already
+   counts the rest of its segment, and a window's lazy decisions are
+   reported through that step. The output and checkpoint links emit
+   [Output] and [Checkpoint] to an observer of per-step events; the
+   [Step] events themselves come from [Block_machine], which under such
+   an observer retires every instruction through its single-step form.
 
    Every instruction also has a single-step form, [cb_one.(i)]: the
    same compiled link with the [halt] continuation in place of its
@@ -311,6 +323,7 @@ let new_regs n =
 
 let compile_comp (prog : cblock array array) (f : Link.lfunc)
     (lp : Link.program) (k : int) (i : Link.linstr) : comp =
+  let iid = i.Link.li_iid in
   match i.Link.li_op with
   (* -- schedulable ops: chain stoppers, generic-path descriptors ------ *)
   | Link.L_lock _ | Link.L_timed_lock _ | Link.L_unlock _ | Link.L_spawn _
@@ -687,10 +700,16 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
               l))
   | Link.L_load_global (r, g) ->
       let msg = "load of undeclared global " ^ g in
+      let addr = Event.A_global g in
       C_line
         (fun ~pre ~fix next ->
           let l m th fr =
             if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
+            (match m.Machine.obs with
+            | Some o when o.Event.accesses ->
+                Machine.access m ~step:(m.Machine.step - fix)
+                  ~tid:th.Thread.tid ~iid Event.Read addr
+            | _ -> ());
             (match Hashtbl.find_opt m.Machine.globals g with
             | Some v -> fr.Thread.regs.(r) <- v
             | None -> seg_fault k fix m fr msg);
@@ -699,9 +718,15 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
           l)
   | Link.L_load_stack (r, s) ->
       C_line
-        (fun ~pre ~fix:_ next ->
+        (fun ~pre ~fix next ->
           let l m th fr =
             if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
+            (match m.Machine.obs with
+            | Some o when o.Event.accesses ->
+                Machine.access m ~step:(m.Machine.step - fix)
+                  ~tid:th.Thread.tid ~iid Event.Read
+                  (Event.A_slot (th.Thread.tid, s))
+            | _ -> ());
             fr.Thread.regs.(r) <-
               (match fr.Thread.stack_vars with
               | None -> Value.zero
@@ -713,9 +738,15 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
   | Link.L_store_global (g, a) ->
       let ga = getter f a in
       let msg = "store to undeclared global " ^ g in
+      let addr = Event.A_global g in
       C_self
         (fun next ->
           let l m th fr =
+            (match m.Machine.obs with
+            | Some o when o.Event.accesses ->
+                Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid ~iid
+                  Event.Write addr
+            | _ -> ());
             if Hashtbl.mem m.Machine.globals g then begin
               Hashtbl.replace m.Machine.globals g (ga fr);
               fr.Thread.idx <- fr.Thread.idx + 1;
@@ -730,6 +761,12 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
       C_self
         (fun next ->
           let l m th fr =
+            (match m.Machine.obs with
+            | Some o when o.Event.accesses ->
+                Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid ~iid
+                  Event.Write
+                  (Event.A_slot (th.Thread.tid, s))
+            | _ -> ());
             Hashtbl.replace (Thread.stack_tbl fr) s (ga fr);
             fr.Thread.idx <- fr.Thread.idx + 1;
             m.Machine.step <- m.Machine.step + 1;
@@ -743,6 +780,15 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
           let l m th fr =
             let iv = Machine.as_int (gix fr) in
             let pv = gp fr in
+            (match m.Machine.obs with
+            | Some o when o.Event.accesses -> (
+                match pv with
+                | Value.Ptr { Value.block; offset } ->
+                    Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid
+                      ~iid Event.Read
+                      (Event.A_cell (block, offset + iv))
+                | _ -> ())
+            | _ -> ());
             match Heap.load m.Machine.heap pv iv with
             | Ok v ->
                 fr.Thread.regs.(r) <- v;
@@ -760,6 +806,15 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
             let vv = gv fr in
             let iv = Machine.as_int (gix fr) in
             let pv = gp fr in
+            (match m.Machine.obs with
+            | Some o when o.Event.accesses -> (
+                match pv with
+                | Value.Ptr { Value.block; offset } ->
+                    Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid
+                      ~iid Event.Write
+                      (Event.A_cell (block, offset + iv))
+                | _ -> ())
+            | _ -> ());
             match Heap.store m.Machine.heap pv iv vv with
             | Ok () ->
                 fr.Thread.idx <- fr.Thread.idx + 1;
@@ -787,6 +842,14 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
         (fun next ->
           let l m th fr =
             let pv = gp fr in
+            (match m.Machine.obs with
+            | Some o when o.Event.accesses -> (
+                match pv with
+                | Value.Ptr { Value.block; _ } ->
+                    Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid
+                      ~iid Event.Write (Event.A_block block)
+                | _ -> ())
+            | _ -> ());
             match Heap.free m.Machine.heap pv with
             | Ok () ->
                 fr.Thread.idx <- fr.Thread.idx + 1;
@@ -797,7 +860,6 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
           l)
   | Link.L_assert { cond; msg; oracle } -> (
       let kind = if oracle then Instr.Wrong_output else Instr.Assert_fail in
-      let iid = i.Link.li_iid in
       (* the failure arm parks [fr.idx] on the assert and rolls the
          batch back before [set_failure] reads [m.step], then counts the
          assert's own step — the per-step engines' exact ordering *)
@@ -843,8 +905,6 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
                 in
                 l))
   | Link.L_output { fmt; args } ->
-      (* per-step events (outputs among them) are unobserved by
-         construction wherever compiled code runs *)
       C_self
         (fun next ->
           let l m th fr =
@@ -853,6 +913,12 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
             in
             m.Machine.outputs <- text :: m.Machine.outputs;
             m.Machine.stats.Stats.outputs <- m.Machine.stats.Stats.outputs + 1;
+            (match m.Machine.obs with
+            | Some o when o.Event.steps ->
+                Machine.emit m
+                  (Event.Output
+                     { step = m.Machine.step; tid = th.Thread.tid; text })
+            | _ -> ());
             fr.Thread.idx <- fr.Thread.idx + 1;
             m.Machine.step <- m.Machine.step + 1;
             next m th fr
@@ -1098,6 +1164,16 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
                   ck_step = m.Machine.step;
                 };
             Stats.hit_checkpoint m.Machine.stats id;
+            (match m.Machine.obs with
+            | Some o when o.Event.steps ->
+                Machine.emit m
+                  (Event.Checkpoint
+                     {
+                       step = m.Machine.step;
+                       tid = th.Thread.tid;
+                       ckpt_id = id;
+                     })
+            | _ -> ());
             m.Machine.step <- m.Machine.step + 1;
             next m th fr
           in

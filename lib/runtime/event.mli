@@ -25,9 +25,10 @@
 
     Decisions are a class of their own because an interpretive engine
     makes one per step: an observer of synchronization that ignores
-    them does not pay for them. The block engine leaves its compiled
-    phases only for an observer that consumes per-step or access events
-    ([Block_machine.hooked]). *)
+    them does not pay for them. The block engine emits every class from
+    its compiled phases: access events from its memory links, per-step
+    events from its driver, which then retires one instruction at a
+    time. *)
 
 (** The address classes of the Mir memory model. *)
 type addr =

@@ -254,7 +254,7 @@ let link_func ~arm_sites funcs id (f : Func.t) : lfunc =
    programs) and hash by [Program.stamp], so a lookup reads only the
    entries of one stamp: the program and its [{ p with ... }] copies,
    such as its hardenings. Its data is the list of images of that
-   program, one per fail-block list, also compared by identity. Guarded
+   program, one per fail-block list, compared by content. Guarded
    by a mutex, so concurrent in-process runs (the serve daemon's worker
    pool) can link safely. *)
 module Cache = Ephemeron.K1.Make (struct
@@ -295,10 +295,23 @@ let link_uncached fail_blocks (p : Program.t) : program =
   in
   { lp_src = p; lp_funcs; lp_main; lp_code = None }
 
+(* Fail-block lists compare by content: callers that rebuild the list
+   for every run, such as a schedule log's metadata, still find the
+   image the first link made. *)
+let rec same_fail_blocks a b =
+  a == b
+  ||
+  match (a, b) with
+  | [], [] -> true
+  | (la, sa) :: a', (lb, sb) :: b' ->
+      sa = sb && Label.equal la lb && same_fail_blocks a' b'
+  | _ -> false
+
 let rec cached_image fail_blocks = function
   | [] -> raise Not_found
   | (fb, lp) :: rest ->
-      if fb == fail_blocks then lp else cached_image fail_blocks rest
+      if same_fail_blocks fb fail_blocks then lp
+      else cached_image fail_blocks rest
 
 (** Pre-resolve [p]. [fail_blocks] is the hardening metadata (fail-arm
     label -> site id); pass [[]] for unhardened programs. Re-linking the

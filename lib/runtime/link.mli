@@ -110,7 +110,7 @@ val link : ?fail_blocks:(Label.t * int) list -> Program.t -> program
     occurrence of a label winning, as in [Ref_machine]'s list scan.
 
     The result is cached: linking the same program (by physical
-    identity) with the same [fail_blocks] list (also by identity) again
+    identity) with an equal [fail_blocks] list (by content) again
     returns the first image. The cache hashes programs by their
     [Program.stamp] and holds them weakly, so an image and its code live
     as long as their program does.

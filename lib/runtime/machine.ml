@@ -275,21 +275,25 @@ let accesses m = match m.obs with Some o -> o.Event.accesses | None -> false
 
 (* A block-engine window reports its decisions lazily ([run_from], see
    [Block_machine]); an event emitted from inside a window first
-   reports the window's decisions through the current step, so every
-   engine's stream has the same order. *)
-let emit m ev =
+   reports the window's decisions through the event's step, so every
+   engine's stream has the same order. That step is [m.step] everywhere
+   but inside a batched segment of compiled code, whose accesses pass
+   their own ([Compile]). *)
+let emit_at m step ev =
   match m.obs with
   | None -> ()
   | Some o ->
       if m.run_from >= 0 then begin
-        let count = m.step - m.run_from + 1 in
+        let count = step - m.run_from + 1 in
         if count > 0 then
           o.Event.on m.view
             (Event.Decide
                { step = m.run_from; tid = m.chosen; count; preemptive = false });
-        m.run_from <- m.step + 1
+        m.run_from <- step + 1
       end;
       o.Event.on m.view ev
+
+let emit m ev = emit_at m m.step ev
 
 (* The tid of the [j]th eligible thread: the closed projection every
    engine hands [Sched.choose_idx], so a decision allocates nothing. *)
@@ -311,10 +315,28 @@ let decide m k rn =
   m.chosen <- tid;
   emit m (Event.Decide { step = m.step; tid; count = 1; preemptive })
 
-let access m (th : Thread.t) (i : Link.linstr) kind addr =
+let access m ~step ~tid ~iid kind addr =
+  emit_at m step (Event.Access { step; tid; iid; kind; addr })
+
+(* [th] is about to execute its current instruction (or terminator). *)
+let emit_step m (th : Thread.t) ~woke =
+  let fr = Thread.top th in
+  let instrs = fr.Thread.block.Link.lb_instrs in
+  let idx = fr.Thread.idx in
+  let at_instr = idx < Array.length instrs in
   emit m
-    (Event.Access
-       { step = m.step; tid = th.Thread.tid; iid = i.Link.li_iid; kind; addr })
+    (Event.Step
+       {
+         step = m.step;
+         tid = th.Thread.tid;
+         iid = (if at_instr then instrs.(idx).Link.li_iid else -1);
+         ckpt =
+           at_instr
+           && (match instrs.(idx).Link.li_op with
+              | Link.L_checkpoint _ -> true
+              | _ -> false);
+         woke;
+       })
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation helpers                                                  *)
@@ -699,7 +721,9 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       regs.(r) <- eval_unop op (eval fr a);
       advance fr
   | Link.L_load_global (r, g) -> (
-      if accesses m then access m th i Event.Read (Event.A_global g);
+      if accesses m then
+        access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Read
+          (Event.A_global g);
       match Hashtbl.find_opt m.globals g with
       | Some v ->
           regs.(r) <- v;
@@ -707,14 +731,17 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       | None -> raise (Fault ("load of undeclared global " ^ g)))
   | Link.L_load_stack (r, s) ->
       if accesses m then
-        access m th i Event.Read (Event.A_slot (th.Thread.tid, s));
+        access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Read
+          (Event.A_slot (th.Thread.tid, s));
       regs.(r) <-
         (match fr.Thread.stack_vars with
         | None -> Value.zero
         | Some h -> Option.value ~default:Value.zero (Hashtbl.find_opt h s));
       advance fr
   | Link.L_store_global (g, a) ->
-      if accesses m then access m th i Event.Write (Event.A_global g);
+      if accesses m then
+        access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Write
+          (Event.A_global g);
       if Hashtbl.mem m.globals g then begin
         Hashtbl.replace m.globals g (eval fr a);
         advance fr
@@ -722,7 +749,8 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       else raise (Fault ("store to undeclared global " ^ g))
   | Link.L_store_stack (s, a) ->
       if accesses m then
-        access m th i Event.Write (Event.A_slot (th.Thread.tid, s));
+        access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Write
+          (Event.A_slot (th.Thread.tid, s));
       Hashtbl.replace (Thread.stack_tbl fr) s (eval fr a);
       advance fr
   | Link.L_load_idx (r, p, ix) -> (
@@ -734,7 +762,8 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       let pv = eval fr p in
       (match pv with
       | Value.Ptr { Value.block; offset } when accesses m ->
-          access m th i Event.Read (Event.A_cell (block, offset + iv))
+          access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Read
+            (Event.A_cell (block, offset + iv))
       | _ -> ());
       match Heap.load m.heap pv iv with
       | Ok v ->
@@ -747,7 +776,8 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       let pv = eval fr p in
       (match pv with
       | Value.Ptr { Value.block; offset } when accesses m ->
-          access m th i Event.Write (Event.A_cell (block, offset + iv))
+          access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid
+            Event.Write (Event.A_cell (block, offset + iv))
       | _ -> ());
       match Heap.store m.heap pv iv vv with
       | Ok () -> advance fr
@@ -761,7 +791,8 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       let pv = eval fr p in
       (match pv with
       | Value.Ptr { Value.block; _ } when accesses m ->
-          access m th i Event.Write (Event.A_block block)
+          access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid
+            Event.Write (Event.A_block block)
       | _ -> ());
       match Heap.free m.heap pv with
       | Ok () -> advance fr
@@ -1051,20 +1082,7 @@ let run_thread_step m (th : Thread.t) =
      crash report carries the faulting instruction — exactly what a user
      hands to fix mode (§3.1.2). *)
   let at_iid = if at_instr then instrs.(fr.Thread.idx).Link.li_iid else -1 in
-  if steps m then
-    emit m
-      (Event.Step
-         {
-           step = m.step;
-           tid;
-           iid = at_iid;
-           ckpt =
-             at_instr
-             && (match instrs.(fr.Thread.idx).Link.li_op with
-                | Link.L_checkpoint _ -> true
-                | _ -> false);
-           woke;
-         });
+  if steps m then emit_step m th ~woke;
   try
     if at_instr then exec_instr m th instrs.(fr.Thread.idx)
     else exec_terminator m th

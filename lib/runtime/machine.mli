@@ -56,8 +56,8 @@ val default_config : config
 (** Metadata from the hardening pass: fail-arm labels per site, used to
     close recovery episodes when a site is finally passed. If a label
     repeats, its first entry counts, on every engine. [create] links
-    the program once per [fail_blocks] list: pass the same list again
-    (as {!meta_of_harden} does) and the linked image is reused. *)
+    the program once per [fail_blocks] list: pass an equal list again
+    and the linked image is reused. *)
 type meta = { fail_blocks : (Label.t * int) list }
 
 val meta_of_harden : Conair_transform.Harden.t -> meta
@@ -161,10 +161,28 @@ val render_output : string -> Value.t list -> string
 val decisions : t -> bool
 (** Does the observer consume scheduler decisions? *)
 
+val steps : t -> bool
+(** Does the observer consume per-step events? *)
+
+val accesses : t -> bool
+(** Does the observer consume access events? *)
+
 val emit : t -> Event.t -> unit
 (** Deliver an event to the observer. Inside a block-engine window
     ([run_from >= 0]) it first reports the window's decisions through
     the current step as one {!Event.Decide}. *)
+
+val access :
+  t -> step:int -> tid:int -> iid:int -> Event.kind -> Event.addr -> unit
+(** Emit an {!Event.Access} at virtual time [step], reporting a window's
+    decisions through [step] first: inside a batched segment of compiled
+    code [m.step] already counts the rest of the segment, and [step] is
+    the access's own time. *)
+
+val emit_step : t -> Thread.t -> woke:bool -> unit
+(** Emit the {!Event.Step} of the thread's current instruction (or
+    terminator) at [m.step], as {!run_thread_step} does before executing
+    it. *)
 
 val ready_tid : t -> int -> int
 (** [ready_tid m j]: the tid of [m.ready.(j)], the projection the

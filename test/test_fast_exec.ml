@@ -15,9 +15,10 @@
    logs must match byte for byte across all three engines.
 
    Each comparison runs twice per engine: once fully hooked (JSONL
-   encoder and cost profiler installed) and once bare. The bare pass
-   matters for the block engine, whose compiled straight-line windows
-   only engage when no hooks are installed. *)
+   encoder and cost profiler installed) and once bare. Both passes run
+   the block engine's compiled phases: the hooked one retires every
+   instruction through its single-step form and announces it, the bare
+   one runs fused chains. *)
 
 open Conair.Ir
 module Machine = Conair.Runtime.Machine
@@ -379,11 +380,12 @@ let choose_idx_agrees () =
 
 (* ---- the fast-path contract ----------------------------------------
 
-   A full recording and the fix sweep's deadlock lens observe sync
-   events only, and a replay feed answers windows in counts, so none of
-   them may push the block engine off its compiled window path — and
-   what they observe or decide there must be what the interpretive
-   engines do. *)
+   Observers take their events from compiled code — sync events from
+   the shared helpers, access events from the memory links, per-step
+   events from the driver — and a replay feed answers windows in
+   counts, so none of them may push the block engine off its compiled
+   phases; only a scheduler tap does. What they observe or decide there
+   must be what the interpretive engines do. *)
 
 module Block_machine = Conair.Runtime.Block_machine
 module Recorder = Conair.Replay.Recorder
@@ -391,7 +393,7 @@ module Lockorder = Conair.Race.Lockorder
 module Detect = Conair.Race.Detect
 module Tap = Test_util.Tap_recorder
 
-let recorder_and_witness_stay_unhooked () =
+let observers_stay_unhooked () =
   let p =
     (List.hd Registry.all).Spec.make ~variant:Spec.Buggy ~oracle:false
   in
@@ -423,23 +425,25 @@ let recorder_and_witness_stay_unhooked () =
         false );
       ( "full detector",
         hooked ~observer:(Detect.probe (Detect.create ())) (),
-        true );
-      ("cost profiler", hooked ~observer:(Prof.probe (Prof.create ())) (), true);
+        false );
+      ( "cost profiler",
+        hooked ~observer:(Prof.probe (Prof.create ())) (),
+        false );
       ( "coverage collector",
         hooked
           ~observer:
             Conair.Obs.Coverage.(probe (collector ()))
           (),
-        true );
-      ("JSONL encoder", hooked ~observer:(snd (jsonl_lines ())) (), true);
+        false );
+      ("JSONL encoder", hooked ~observer:(snd (jsonl_lines ())) (), false);
       ( "span collector",
         hooked ~observer:Conair.Obs.Span.(observer (collector ())) (),
-        true );
+        false );
       ( "recorder + JSONL encoder",
         hooked
           ~observer:(Event.combine [ recorder (); snd (jsonl_lines ()) ])
           (),
-        true );
+        false );
       ("scheduler tap", hooked ~tap:(fun ~chosen:_ ~eligible:_ -> ()) (), true);
       ( "replay feed",
         hooked ~feed:Conair.Replay.Feed.(strict_feed (strict [||])) (),
@@ -627,18 +631,25 @@ let digester (observer : (Event.view -> Event.t -> unit) -> Event.observer) =
       flush ();
       Digest.to_hex (Digest.string (Buffer.contents buf)) )
 
-(* Each engine emits the same stream: per-step and access digests match
-   on ref, fast and block, and so do sync digests with the block engine
-   on its window path, under round-robin and three seeds, original and
+(* The event classes an observer may take, alone or as the fuzz
+   campaign and the fix pipeline combine them: decisions with accesses
+   is the one where a window's lazily reported decisions meet the
+   accesses inside its batched segments. *)
+let event_classes =
+  [
+    ("sync", fun on -> Event.observer ~decisions:true ~sync:true on);
+    ("per-step", fun on -> Event.observer ~steps:true on);
+    ("access", fun on -> Event.observer ~accesses:true on);
+    ( "decisions+access",
+      fun on -> Event.observer ~decisions:true ~accesses:true on );
+  ]
+
+(* Each engine emits the same stream: every class's digest matches on
+   ref, fast and block, with the block engine on its compiled phases
+   for every class, under round-robin and three seeds, original and
    hardened. *)
 let one_stream_three_engines () =
-  let classes =
-    [
-      ("sync", fun on -> Event.observer ~decisions:true ~sync:true on);
-      ("per-step", fun on -> Event.observer ~steps:true on);
-      ("access", fun on -> Event.observer ~accesses:true on);
-    ]
-  in
+  let classes = event_classes in
   List.iter
     (fun (pname, policy) ->
       let config = config policy in
@@ -666,8 +677,7 @@ let one_stream_three_engines () =
                     let m = Engine.create ~config ?meta ~observer engine p in
                     (match m with
                     | Engine.M_block bm ->
-                        Alcotest.(check bool) (label ^ " hooked")
-                          (cname <> "sync")
+                        Alcotest.(check bool) (label ^ " hooked") false
                           (Block_machine.hooked (Block_machine.machine bm))
                     | _ -> ());
                     ignore (Engine.run m);
@@ -688,6 +698,83 @@ let one_stream_three_engines () =
       ("random:2", Sched.Random 2);
       ("random:3", Sched.Random 3);
     ]
+
+(* The same over generated programs: racy readers, lock rings, lost
+   wakeups and two-thread heap-op sequences, original and (where the
+   analysis accepts them) survival-hardened, under round-robin and one
+   random seed. Every class's digest on block equals ref's. A hardened
+   use-after-free retries until its budget runs out, so the budget is
+   small and the runs stay short. *)
+type generated =
+  | Racy of Gen.racy_spec
+  | Ring of Gen.ring_spec
+  | Wakeup of Gen.wakeup_spec
+  | Heap of Gen.heap_op list
+
+let generated_gen =
+  QCheck.Gen.(
+    pair
+      (oneof
+         [
+           map (fun s -> Racy s) Gen.racy_spec_gen;
+           map (fun s -> Ring s) Gen.ring_spec_gen;
+           map (fun s -> Wakeup s) Gen.wakeup_spec_gen;
+           map (fun ops -> Heap ops) Gen.heap_ops_gen;
+         ])
+      (int_range 1 10_000))
+
+let generated_print (g, seed) =
+  (match g with
+  | Racy s -> "racy " ^ Gen.racy_spec_print s
+  | Ring s -> "ring " ^ Gen.ring_spec_print s
+  | Wakeup s -> "wakeup " ^ Gen.wakeup_spec_print s
+  | Heap ops -> "heap " ^ Gen.heap_ops_print ops)
+  ^ Printf.sprintf " @ random:%d" seed
+
+let generated_streams_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000
+       ~name:"generated programs: one stream on ref and block"
+       (QCheck.make ~print:generated_print generated_gen)
+       (fun (g, seed) ->
+         let p =
+           match g with
+           | Racy s -> Gen.racy_program s
+           | Ring s -> Gen.ring_program s
+           | Wakeup s -> Gen.wakeup_program s
+           | Heap ops -> Gen.heap_program ops
+         in
+         let runs =
+           (None, p)
+           ::
+           (match Conair.harden p Conair.Survival with
+           | Error _ -> []
+           | Ok h ->
+               [
+                 ( Some (Machine.meta_of_harden h.hardened),
+                   h.hardened.program );
+               ])
+         in
+         List.for_all
+           (fun (meta, p) ->
+             List.for_all
+               (fun policy ->
+                 let config =
+                   { (config policy) with fuel = 20_000; max_retries = 16 }
+                 in
+                 List.for_all
+                   (fun (_, cls) ->
+                     let digest engine =
+                       let observer, digest = digester cls in
+                       ignore
+                         (Engine.run
+                            (Engine.create ~config ?meta ~observer engine p));
+                       digest ()
+                     in
+                     digest Engine.Ref = digest Engine.Block)
+                   event_classes)
+               [ Sched.Round_robin; Sched.Random seed ])
+           runs))
 
 (* The link cache never keeps a program alive: once a program is dropped
    its image and the code compiled into it go with it, while a live
@@ -743,6 +830,37 @@ let memos_follow_program_liveness () =
     Alcotest.failf "a hit with 1000 live programs allocates %.1f words"
       per_hit;
   ignore (Sys.opaque_identity many)
+
+(* The link cache tells fail-block lists apart by content: a hardened
+   log's metadata, rebuilt on every call, links its program once, and
+   so do two equal lists built apart; a list that differs gets its own
+   image. *)
+let equal_fail_blocks_share_an_image () =
+  let module Link = Conair.Runtime.Link in
+  let module Log = Conair.Replay.Log in
+  let module Label = Conair.Ir.Ident.Label in
+  let p =
+    ((Option.get (Registry.find "MySQL1")).Spec.make ~variant:Spec.Buggy
+       ~oracle:false)
+      .Spec.program
+  in
+  let h = Conair.harden_exn p Conair.Survival in
+  let _, log = Conair.run_recorded ~ident:(Log.ident "MySQL1") h in
+  let prog = Result.get_ok (Log.program log) in
+  let image () =
+    let meta = Option.get (Log.machine_meta log) in
+    Link.link ~fail_blocks:meta.Machine.fail_blocks prog
+  in
+  let first = image () in
+  Alcotest.(check bool) "a log's metadata: one image" true (image () == first);
+  let fbs = h.hardened.site_fail_blocks in
+  let copy = List.map (fun (l, s) -> (Label.v (Label.name l), s)) fbs in
+  Alcotest.(check bool) "distinct lists" false (copy == fbs);
+  let image = Link.link ~fail_blocks:fbs h.hardened.program in
+  Alcotest.(check bool) "equal lists: one image" true
+    (Link.link ~fail_blocks:copy h.hardened.program == image);
+  Alcotest.(check bool) "a different list: its own image" false
+    (Link.link ~fail_blocks:(List.tl fbs) h.hardened.program == image)
 
 (* ---- contended phases --------------------------------------------
 
@@ -1159,8 +1277,8 @@ let suites =
         ] );
     ( "fast-path",
       [
-        Alcotest.test_case "recorder and witness keep block unhooked" `Quick
-          recorder_and_witness_stay_unhooked;
+        Alcotest.test_case "observers keep block unhooked" `Quick
+          observers_stay_unhooked;
         Alcotest.test_case "directed replay agrees on every engine" `Quick
           directed_replay_agrees;
         Alcotest.test_case "run-length recording matches the tap oracle"
@@ -1169,8 +1287,11 @@ let suites =
           witness_keys_match_detector;
         Alcotest.test_case "memos follow program liveness" `Quick
           memos_follow_program_liveness;
+        Alcotest.test_case "equal fail-block lists share an image" `Quick
+          equal_fail_blocks_share_an_image;
         Alcotest.test_case "one stream, three engines" `Quick
           one_stream_three_engines;
+        generated_streams_agree;
         Alcotest.test_case "contended phases end at every boundary" `Quick
           contended_boundaries;
         Alcotest.test_case "fail arms stay uncompiled on a clean run" `Quick
