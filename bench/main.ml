@@ -764,6 +764,38 @@ let contended_micro () =
   Builder.join f (Builder.reg "t2");
   Builder.exit_ f
 
+(* The register-only contended micro: the shape of HawkNL's,
+   MozillaJS's and SQLite's contended phases, where two threads run
+   [compute_kernel]'s loop at once. The loop is inlined, so no call
+   interrupts the register-only code the block engine runs ahead of the
+   clock; the scheduler still decides every step. *)
+let contended_local_micro () =
+  Builder.build ~main:"main" @@ fun b ->
+  (Builder.func b "worker" ~params:[] @@ fun f ->
+   Builder.label f "entry";
+   Builder.move f "acc" (Builder.int 0);
+   Builder.move f "i" (Builder.int 0);
+   Builder.jump f "loop";
+   Builder.label f "loop";
+   Builder.lt f "c" (Builder.reg "i") (Builder.int 50_000);
+   Builder.branch f (Builder.reg "c") "body" "done";
+   Builder.label f "body";
+   Builder.mul f "sq" (Builder.reg "i") (Builder.reg "i");
+   Builder.binop f "sq" Instr.Mod (Builder.reg "sq") (Builder.int 9973);
+   Builder.add f "acc" (Builder.reg "acc") (Builder.reg "sq");
+   Builder.add f "i" (Builder.reg "i") (Builder.int 1);
+   Builder.jump f "loop";
+   Builder.label f "done";
+   Builder.output f "acc=%v" [ Builder.reg "acc" ];
+   Builder.ret f None);
+  Builder.func b "main" ~params:[] @@ fun f ->
+  Builder.label f "entry";
+  Builder.spawn f "t1" "worker" [];
+  Builder.spawn f "t2" "worker" [];
+  Builder.join f (Builder.reg "t1");
+  Builder.join f (Builder.reg "t2");
+  Builder.exit_ f
+
 (* Median wall clock of [repeats] runs of each thunk, the runs of the
    thunks alternated so a slow stretch of the host hits each alike;
    returns each thunk's last result with its median time. *)
@@ -914,15 +946,15 @@ let bench_interp () =
          Engine.all
       @ [ swept ])
   in
-  let agreed what f =
-    match List.sort_uniq compare (List.map (fun (r, _) -> f r) c_runs) with
+  let agreed runs what f =
+    match List.sort_uniq compare (List.map (fun (r, _) -> f r) runs) with
     | [ x ] -> x
     | _ ->
         failwith
           ("interp bench: contended " ^ what ^ " diverge between engines")
   in
-  let c_steps = agreed "step counts" (fun (m, _) -> Engine.steps m) in
-  ignore (agreed "outcomes" (fun (m, o) -> (o, Engine.outputs m)));
+  let c_steps = agreed c_runs "step counts" (fun (m, _) -> Engine.steps m) in
+  ignore (agreed c_runs "outcomes" (fun (m, o) -> (o, Engine.outputs m)));
   let c_ref_t, c_fast_t, c_block_t, c_swept_t =
     match List.map snd c_runs with
     | [ r; f; b; s ] -> (r, f, b, s)
@@ -943,6 +975,38 @@ let bench_interp () =
     (c_ref_t /. c_fast_t) (c_ref_t /. c_block_t) (c_fast_t /. c_block_t);
   Printf.printf "  swept/block: %.3fx (the fix sweep's observers vs none)\n"
     (c_block_t /. c_swept_t);
+  (* the register-only contended micro, same config and repeats *)
+  let local = contended_local_micro () in
+  let l_runs =
+    time_alternated ~repeats:contended_repeats
+      (List.map
+         (fun engine () ->
+           Engine.run_program ~config:contended_config engine local)
+         Engine.all)
+  in
+  let l_steps =
+    agreed l_runs "register-only step counts" (fun (m, _) -> Engine.steps m)
+  in
+  ignore
+    (agreed l_runs "register-only outcomes" (fun (m, o) ->
+         (o, Engine.outputs m)));
+  let l_ref_t, l_fast_t, l_block_t =
+    match List.map snd l_runs with
+    | [ r; f; b ] -> (r, f, b)
+    | _ -> assert false
+  in
+  let l_sps t = float l_steps /. t in
+  Printf.printf
+    "contended, register-only: %d steps, two threads, median of %d\n" l_steps
+    contended_repeats;
+  Printf.printf "  reference:      %.4fs  %12.0f steps/s\n" l_ref_t
+    (l_sps l_ref_t);
+  Printf.printf "  pre-resolved:   %.4fs  %12.0f steps/s\n" l_fast_t
+    (l_sps l_fast_t);
+  Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" l_block_t
+    (l_sps l_block_t);
+  Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
+    (l_ref_t /. l_fast_t) (l_ref_t /. l_block_t) (l_fast_t /. l_block_t);
   (* The fed window: the micro's schedule recorded once and strictly
      replayed through [Driver.replay]. One thread, so the block engine
      replays it as one window that the strict feed bounds and counts;
@@ -1110,6 +1174,21 @@ let bench_interp () =
               ("block_vs_fast", Float (c_fast_t /. c_block_t));
               ("block_swept_seconds", Float c_swept_t);
               ("swept_vs_block", Float (c_block_t /. c_swept_t));
+              ( "local",
+                Obj
+                  [
+                    ("steps", Int l_steps);
+                    ("repeats", Int contended_repeats);
+                    ("ref_seconds", Float l_ref_t);
+                    ("ref_steps_per_sec", Float (l_sps l_ref_t));
+                    ("fast_seconds", Float l_fast_t);
+                    ("fast_steps_per_sec", Float (l_sps l_fast_t));
+                    ("block_seconds", Float l_block_t);
+                    ("block_steps_per_sec", Float (l_sps l_block_t));
+                    ("fast_vs_ref", Float (l_ref_t /. l_fast_t));
+                    ("block_vs_ref", Float (l_ref_t /. l_block_t));
+                    ("block_vs_fast", Float (l_fast_t /. l_block_t));
+                  ] );
             ] );
         ( "replay",
           Obj

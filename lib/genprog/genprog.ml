@@ -420,3 +420,144 @@ let heap_program (ops : heap_op list) : Program.t =
   B.join f (B.reg "t0");
   B.join f (B.reg "t1");
   B.exit_ f
+
+(* ------------------------------------------------------------------ *)
+(* Contended register-only loops                                       *)
+(* ------------------------------------------------------------------ *)
+
+type shared_op = S_load | S_store | S_output
+
+type spinner_spec = {
+  rounds : int;
+  body : int list;
+  fault_round : int option;
+  shared : shared_op option;
+}
+
+let spinner_spec_gen =
+  QCheck.Gen.(
+    map4
+      (fun rounds body fault_round shared ->
+        { rounds; body; fault_round; shared })
+      (int_range 1 40)
+      (list_size (int_range 1 8) (int_range 0 8))
+      (frequency [ (3, return None); (1, map Option.some (int_range 0 50)) ])
+      (frequency
+         [
+           (2, return None);
+           (1, return (Some S_load));
+           (1, return (Some S_store));
+           (1, return (Some S_output));
+         ]))
+
+let contended_spec_gen =
+  QCheck.Gen.list_size (QCheck.Gen.int_range 2 4) spinner_spec_gen
+
+let contended_spec_print specs =
+  String.concat " | "
+    (List.map
+       (fun s ->
+         Printf.sprintf "{rounds=%d; body=[%s]; fault=%s; shared=%s}" s.rounds
+           (String.concat ";" (List.map string_of_int s.body))
+           (match s.fault_round with
+           | None -> "-"
+           | Some r -> string_of_int r)
+           (match s.shared with
+           | None -> "-"
+           | Some S_load -> "load"
+           | Some S_store -> "store"
+           | Some S_output -> "output"))
+       specs)
+
+(* Each thread runs its own loop: the round guard and the generated body
+   are register-only blocks (moves, binops, unops, nops, a stack-slot
+   load, and [8] a branch diamond), so every round is local code but
+   for the optional per-round access to the global [shared] (or an
+   output) in a block of its own. A faulting round divides by a register
+   that reaches 0 there. Afterwards the thread outputs its registers and
+   adds them to [shared] under a lock: a site hardening guards. *)
+let contended_program (specs : spinner_spec list) : Program.t =
+  B.build ~main:"main" @@ fun b ->
+  B.global b "shared" (Value.Int 0);
+  B.mutex b "m";
+  List.iteri
+    (fun k (s : spinner_spec) ->
+      B.func b (Printf.sprintf "spin%d" k) ~params:[ "n" ] @@ fun f ->
+      B.label f "entry";
+      B.store f (Instr.Stack "seed") (B.int (k + 3));
+      B.move f "i" (B.int 0);
+      B.move f "a" (B.int (k + 1));
+      B.move f "b" (B.int 7);
+      B.jump f "loop";
+      B.label f "loop";
+      B.lt f "c" (B.reg "i") (B.reg "n");
+      B.branch f (B.reg "c") "body" "done";
+      B.label f "body";
+      List.iteri
+        (fun j code ->
+          match code with
+          | 0 -> B.add f "a" (B.reg "a") (B.reg "b")
+          | 1 -> B.mul f "b" (B.reg "b") (B.int 3)
+          | 2 -> B.binop f "a" Instr.Mod (B.reg "a") (B.int 10007)
+          | 3 -> B.sub f "b" (B.reg "b") (B.reg "i")
+          | 4 -> B.unop f "a" Instr.Neg (B.reg "a")
+          | 5 ->
+              B.load f "t" (Instr.Stack "seed");
+              B.add f "a" (B.reg "a") (B.reg "t")
+          | 6 -> B.nop f
+          | 7 -> B.binop f "b" Instr.Mod (B.reg "b") (B.int 101)
+          | _ ->
+              let lo = Printf.sprintf "lo%d" j
+              and hi = Printf.sprintf "hi%d" j
+              and join = Printf.sprintf "join%d" j in
+              B.lt f "p" (B.reg "a") (B.reg "b");
+              B.branch f (B.reg "p") lo hi;
+              B.label f lo;
+              B.add f "a" (B.reg "a") (B.int 1);
+              B.jump f join;
+              B.label f hi;
+              B.add f "b" (B.reg "b") (B.int 1);
+              B.jump f join;
+              B.label f join)
+        s.body;
+      (match s.fault_round with
+      | None -> ()
+      | Some r ->
+          B.sub f "d" (B.int r) (B.reg "i");
+          B.binop f "z" Instr.Div (B.reg "a") (B.reg "d");
+          B.add f "a" (B.reg "a") (B.reg "z"));
+      B.add f "i" (B.reg "i") (B.int 1);
+      (match s.shared with
+      | None -> B.jump f "loop"
+      | Some op ->
+          B.jump f "share";
+          B.label f "share";
+          (match op with
+          | S_load ->
+              B.load f "g" (Instr.Global "shared");
+              B.add f "b" (B.reg "b") (B.reg "g")
+          | S_store -> B.store f (Instr.Global "shared") (B.reg "a")
+          | S_output -> B.output f (Printf.sprintf "t%d %%v" k) [ B.reg "a" ]);
+          B.jump f "loop");
+      B.label f "done";
+      B.output f (Printf.sprintf "t%d: %%v %%v" k) [ B.reg "a"; B.reg "b" ];
+      B.lock f (B.mutex_ref "m");
+      B.load f "s" (Instr.Global "shared");
+      B.add f "s" (B.reg "s") (B.reg "a");
+      B.store f (Instr.Global "shared") (B.reg "s");
+      B.unlock f (B.mutex_ref "m");
+      B.ret f None)
+    specs;
+  B.func b "main" ~params:[] @@ fun f ->
+  B.label f "entry";
+  List.iteri
+    (fun k (s : spinner_spec) ->
+      B.spawn f (Printf.sprintf "t%d" k) (Printf.sprintf "spin%d" k)
+        [ B.int s.rounds ])
+    specs;
+  List.iteri
+    (fun k _ -> B.join f (B.reg (Printf.sprintf "t%d" k)))
+    specs;
+  B.load f "s" (Instr.Global "shared");
+  B.output f "shared %v" [ B.reg "s" ];
+  B.exit_ f

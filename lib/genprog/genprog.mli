@@ -85,3 +85,29 @@ val heap_program : heap_op list -> Program.t
     one goes through it), so their accesses to cells, blocks, globals
     and stack slots interleave; a use-after-free faults. Outputs each
     thread's sum of loaded values. *)
+
+(** {1 Contended register-only loops} *)
+
+type shared_op = S_load | S_store | S_output
+
+type spinner_spec = {
+  rounds : int;
+  body : int list;  (** the loop body's register-only ops, by code *)
+  fault_round : int option;
+      (** a division whose divisor reaches 0 in this round, if it comes *)
+  shared : shared_op option;
+      (** one access to a shared global, or an output, per round *)
+}
+
+val contended_spec_gen : spinner_spec list QCheck.Gen.t
+(** Two to four threads. *)
+
+val contended_spec_print : spinner_spec list -> string
+
+val contended_program : spinner_spec list -> Program.t
+(** One thread per spec, all spawned at once, each running its loop of
+    register-only blocks (moves, binops, unops, nops, a stack-slot load,
+    branch diamonds) — the code the block engine runs ahead of the clock
+    in a contended phase — with the optional per-round shared access in
+    a block of its own, then outputting its registers and adding one to
+    a shared global under a lock. *)

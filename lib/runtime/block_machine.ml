@@ -20,12 +20,15 @@
    - several eligible threads: each step still asks the scheduler —
      the same [Sched.choose_idx] call over the same candidate list, so
      rng draws and cursor moves are identical, and a feed decides each
-     step — and retires the chosen thread's one instruction through
-     its single-step closure ([run_contended]).
+     step — and then ([run_contended]) settles one step the chosen
+     thread already ran ahead of the clock, or runs its register-only
+     code ahead as fused chains ([run_ahead]) and keeps all but this
+     step as credit, or else retires its one instruction through its
+     single-step closure.
 
    Between two schedulable ops a step only decides which thread runs,
    so the eligible set can be held fixed; correctness of a phase rests
-   on three facts, each enforced elsewhere:
+   on the facts below, each enforced elsewhere:
 
    - A straight-line (non-schedulable) instruction cannot change any
      thread's eligibility: it touches only registers, stack slots, heap
@@ -62,6 +65,25 @@
      engines. A divergence raised in a contended phase retires the
      phase's steps first, so the counters read what [Machine.step]
      leaves.
+   - Code run ahead cannot be seen early. A register-only step
+     ([Compile]'s [cb_local]: moves, binops, unops, nops, stack-slot
+     loads, jumps and branches) reads and writes only its thread's
+     registers and program point and reads no clock, so it commutes
+     with every step of every other thread: only its place on the
+     clock is observable, and that place is the decision that settles
+     it. Every decision, every other instruction and every counter stay
+     at their step: counters count a step when its credit is settled,
+     a thread runs no other code while it holds credit, and a window
+     settles its thread's credit before its code runs. A fault stops a
+     run-ahead just before the faulting instruction, which faults at its
+     own step later. Running ahead is off where the early steps could
+     be seen: under an observer of per-step or access events, under a
+     feed and under a tap. A run may end, through another thread or
+     the fuel, while a thread holds credit; then only that thread's
+     registers and program point are ahead, which nothing reads after
+     the outcome ([thread_summaries] reports statuses and locks). An
+     observer's [Event.view] can show them during the run, as the
+     [stack] and [block] of a thread that is not a sync event's own.
 
    Only a scheduler tap, which must hear every decision with its
    eligible list, sends a run down [Machine.step] for every step
@@ -195,8 +217,14 @@ let run_window bm (th : Thread.t) bound =
     m.Machine.chosen <- th.Thread.tid;
     m.Machine.run_from <- step0
   end;
+  (* the steps [th] ran ahead in a contended phase come first: settling
+     them runs no code *)
+  let settled = min th.Thread.ahead (bound - step0) in
+  th.Thread.ahead <- th.Thread.ahead - settled;
+  m.Machine.step <- step0 + settled;
   let sched_steps = ref 0 in
-  if Machine.steps m then begin
+  if m.Machine.step >= bound then ()
+  else if Machine.steps m then begin
     m.Machine.wbound <- min_int;
     while
       match step_one bm th bound with
@@ -260,29 +288,96 @@ let run_window bm (th : Thread.t) bound =
            })
   end
 
+(* The longest stretch one run-ahead retires, give or take a block: it
+   bounds the work a run that ends through another thread throws
+   away. *)
+let ahead_chunk = 256
+
+(* Retire [th]'s register-only code ahead of the clock ([Compile]'s
+   [cb_local]): whole block remainders, each one chain call that the
+   floored [m.wbound] stops at its terminator, until [ahead_chunk] steps
+   or a block that is not register-only from the program point. Only
+   a runnable thread that is not recovering runs ahead: a recovering
+   thread's branch may close its episode, which reads the clock. Such
+   code reads no clock, so [m.step] runs along and is put back; a fault
+   stops the run just before the faulting instruction (links raise
+   before moving the program point, segments roll their batch back),
+   which then faults at its own step. Returns the number of steps
+   retired. *)
+let run_ahead bm (th : Thread.t) =
+  match (th.Thread.status, th.Thread.recovering) with
+  | Thread.Runnable, None ->
+      let m = bm.m in
+      let step0 = m.Machine.step in
+      let limit = step0 + ahead_chunk in
+      (try
+         while
+           let f = Thread.top th in
+           let cbv = Compile.block bm.code f.Thread.func f.Thread.block in
+           let i = f.Thread.idx in
+           cbv.Compile.cb_local.(i) > 0
+           && begin
+                ignore (cbv.Compile.cb_chain.(i) m th f);
+                m.Machine.step < limit
+              end
+         do
+           ()
+         done
+       with Machine.Fault _ -> ());
+      let n = m.Machine.step - step0 in
+      m.Machine.step <- step0;
+      n
+  | _ -> 0
+
 (* Several threads — the [rn] listed in [m.ready] — are eligible, or the
    only one stands at its blocking op. Every step makes [Machine.step]'s
-   decision over the fixed list (a feed's [decide] included), reports
-   it the same way, and retires the chosen thread's step ([step_one]).
-   The phase ends at a schedulable op, a thread death, a fault, a
-   failed assert, or [bound]: the fuel or the earliest time-based wake
-   of an ineligible thread, when the eligible set could grow. *)
+   decision over the fixed list (a feed's [decide] included) and reports
+   it the same way. Then a chosen thread with credit settles one step it
+   already executed; one without runs its register-only code ahead
+   ([run_ahead]), the first step retired being this decision's and the
+   rest credit; anything else retires through [step_one]. A local step
+   commutes with every step of every other thread, so only its place on
+   the clock can be observed, and settling keeps that place. Running
+   ahead is off where it could be seen: under an observer of per-step
+   or access events, and under a feed, whose windows step through
+   [Machine.step] when it accepts no decision of theirs. The phase
+   ends at a schedulable op, a thread death, a fault, a failed assert,
+   or [bound]: the fuel or the earliest time-based wake of an
+   ineligible thread, when the eligible set could grow. *)
 let run_contended bm rn =
   let m = bm.m in
   let bound = min m.Machine.config.Machine.fuel (Machine.next_wake m) in
   m.Machine.wbound <- min_int;
   let step0 = m.Machine.step in
   let sched_steps = ref 0 in
+  let ahead =
+    Option.is_none m.Machine.sched.Sched.feed
+    && not (Machine.steps m || Machine.accesses m)
+  in
   match
     while
       let k = Sched.choose_idx m.Machine.sched ~tid_of:Machine.ready_tid m rn in
       if Machine.decisions m then Machine.decide m k rn;
-      match step_one bm m.Machine.live.(m.Machine.ready.(k)) bound with
-      | 0 -> true
-      | 2 ->
-          incr sched_steps;
-          false
-      | _ -> false
+      let th = m.Machine.live.(m.Machine.ready.(k)) in
+      if th.Thread.ahead > 0 then begin
+        th.Thread.ahead <- th.Thread.ahead - 1;
+        m.Machine.step <- m.Machine.step + 1;
+        m.Machine.step < bound
+      end
+      else
+        let n = if ahead then run_ahead bm th else 0 in
+        if n > 0 then begin
+          th.Thread.ahead <- n - 1;
+          m.Machine.step <- m.Machine.step + 1;
+          m.Machine.step < bound
+        end
+        else
+          match step_one bm th bound with
+          | 0 -> true
+          | 2 ->
+              incr sched_steps;
+              false
+          | _ -> false
     do
       ()
     done

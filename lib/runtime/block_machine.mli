@@ -8,7 +8,9 @@
     step. With one eligible thread it retires maximal runs of compiled
     closures without consulting the scheduler; with several it makes
     [Machine]'s decision on every step over the fixed eligible list and
-    retires the chosen thread's one instruction through its compiled
+    retires the chosen thread's step: a step its register-only code
+    already ran ahead of the clock, as fused chains, is settled without
+    running code, and anything else runs through its compiled
     single-step form; with none it takes the idle ticks in bulk. A phase
     ends at a schedulable operation, a thread death, a fault, a decided
     outcome, the fuel, or the earliest time-based wake of an ineligible
@@ -21,9 +23,10 @@
     under an observer of per-step events a phase retires one
     instruction at a time through its single-step form, announcing
     each with its {!Event.Step}. A feed ({!Sched.feed}) rides them
-    too: a contended phase asks it for
-    every decision, and a window asks it once how many decisions it
-    accepts and tells it once how many were taken. The three-way
+    too: a contended phase asks it for every decision, and a window
+    asks it once how many decisions it accepts and tells it once how
+    many were taken. Under a feed, a tap, or an observer of per-step or
+    access events, no code runs ahead of the clock. The three-way
     differential suite in [test_fast_exec.ml] enforces the identity
     over the bugbench catalog. *)
 

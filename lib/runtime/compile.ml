@@ -59,6 +59,15 @@
    time it is single-stepped ([one]); blocks that only ever run as
    chains never pay for them.
 
+   Every index also carries [cb_local], the length of the
+   register-only run from it through the block's terminator ([local]:
+   moves, binops, unops, nops and stack-slot loads, ended by a jump or
+   a branch), [0] where anything else lies on the way. A contended
+   phase runs such code ahead of the clock ([Block_machine]): with
+   [m.wbound] floored, the chain at a positive index retires exactly
+   that run, or raises before its faulting instruction, and touches
+   nothing another thread can see.
+
    Nothing is compiled up front. [compile] hands out the image's code
    object with every slot holding one shared [pending] block; [block],
    the driver's only lookup, compiles a block the first time a thread
@@ -131,6 +140,9 @@ type cblock = {
           a stopping schedulable op *)
   cb_sched : bool array;
       (** true where the slot holds a schedulable-op stopper *)
+  cb_local : int array;
+      (** steps from this index through a jump or branch terminator
+          when all of them are register-only ([local]), else [0] *)
 }
 
 type program = {
@@ -1469,11 +1481,38 @@ let fuse_cmp_branch (prog : cblock array array) (f : Link.lfunc)
       | _ -> None)
   | _ -> None
 
+(* Register-only: reads and writes nothing but the executing frame's
+   registers and program point (a stack-slot load reads the frame's own
+   slots, which no other thread can write), reads no clock ([m.step],
+   [last_destroy_step]), and emits nothing to an observer of neither
+   per-step nor access events. Such a step commutes with every step of
+   every other thread, so [Block_machine] may retire it ahead of the
+   clock. *)
+let local (i : Link.linstr) =
+  (not i.Link.li_destroying)
+  &&
+  match i.Link.li_op with
+  | Link.L_move _ | Link.L_binop _ | Link.L_unop _ | Link.L_nop
+  | Link.L_load_stack _ ->
+      true
+  | _ -> false
+
 let compile_block (prog : cblock array array) (lp : Link.program)
     (f : Link.lfunc) (blk : Link.lblock) : cblock =
   let instrs = blk.Link.lb_instrs in
   let n = Array.length instrs in
   let comps = Array.init n (fun k -> compile_comp prog f lp k instrs.(k)) in
+  (* [locals.(k)]: the register-only run from [k] through a jump or
+     branch, which the chain at [k] retires whole when [m.wbound] stops
+     the terminator from chaining on *)
+  let locals = Array.make (n + 1) 0 in
+  (match blk.Link.lb_term with
+  | Link.L_jump _ | Link.L_branch _ -> locals.(n) <- 1
+  | Link.L_return _ | Link.L_exit -> ());
+  for k = n - 1 downto 0 do
+    if locals.(k + 1) > 0 && local instrs.(k) then
+      locals.(k) <- locals.(k + 1) + 1
+  done;
   (* [ends.(k)]: index of the segment end from [k] — the first slot at or
      after [k] that is not [C_line]. The run [k .. ends.(k) - 1] is the
      batch a segment entry at [k] pre-counts. *)
@@ -1536,6 +1575,7 @@ let compile_block (prog : cblock array array) (lp : Link.program)
       Array.map (fun (j : Link.linstr) -> j.Link.li_iid) blk.Link.lb_instrs;
     cb_need = need;
     cb_sched = sched;
+    cb_local = locals;
   }
 
 (* A block nobody has entered yet. Transfer links read only their
@@ -1560,6 +1600,7 @@ let pending_block (lp : Link.program) =
     cb_iids = [||];
     cb_need = Array.make width 0;
     cb_sched = [||];
+    cb_local = [||];
   }
 
 (* The code is machine-independent (closures take the machine as an

@@ -21,6 +21,11 @@
     frame an observer sees are bit-identical to one-at-a-time
     counting. Terminators count their own single step as they execute.
 
+    Each index also records the length of the register-only run from
+    it through a jump or branch terminator ([cb_local]): code that
+    touches only its thread's registers and program point, which
+    [Block_machine]'s contended phases run ahead of the clock.
+
     Instructions that can never affect another thread's eligibility
     compile to real code; schedulable ones (lock/unlock, spawn/join,
     sleep, wait/notify, recovery, fail-stop and [exit]) are stoppers
@@ -94,6 +99,16 @@ type cblock = {
           a stopping schedulable op *)
   cb_sched : bool array;
       (** true where the slot holds a schedulable-op stopper *)
+  cb_local : int array;
+      (** the number of steps from this index through the block's
+          terminator when every one of them is register-only — moves,
+          binops, unops, nops and stack-slot loads, none destroying,
+          ended by a jump or a branch — else [0]. Such steps read and
+          write only the thread's own registers and program point, read
+          no clock, and emit nothing to an observer of neither per-step
+          nor access events; with [m.wbound] floored, [cb_chain] at a
+          positive index retires exactly that many steps (or raises
+          before a faulting one) *)
 }
 
 type program

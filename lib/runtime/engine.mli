@@ -6,8 +6,10 @@
     - [Fast] — the pre-resolved engine ([Machine]): dense register
       arrays, linked jump/call targets.
     - [Block] — the block-compiled engine ([Block_machine]): threaded
-      code over the linked program, scheduler consulted only at
-      schedulable ops; the fastest.
+      code over the linked program, run phase by phase. A thread alone
+      runs without the scheduler until a schedulable op; with several
+      eligible the scheduler decides every step, and a thread's
+      register-only code runs ahead of those decisions. The fastest.
 
     All three agree bit-for-bit on every observable; pick by speed. *)
 

@@ -96,7 +96,13 @@ type t =
           operation, so faulting accesses are seen too *)
 
 (** What an observer may ask the machine about a thread at the moment
-    of an event — built only when asked. *)
+    of an event — built only when asked. Under an observer of neither
+    per-step nor access events, the block engine's contended phases run
+    a thread's register-only code ahead of the clock, so [stack] and
+    [block] are exact only for the thread of a sync event (which holds
+    no steps run ahead); for any other thread, and at a {!Decide}, they
+    may show a later position. [locks], which such code never changes,
+    is exact for every thread. *)
 type view = {
   stack : int -> string list;
       (** the thread's call stack as function names, innermost first *)

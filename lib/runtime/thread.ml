@@ -74,6 +74,9 @@ type t = {
   mutable last_pruned_region : int;  (** region tag the log was last pruned to *)
   mutable last_destroy_step : int;
   mutable recovering : recovering option;
+  mutable ahead : int;
+      (** steps of its own register-only code the thread has executed
+          beyond the machine's clock ([Block_machine]'s run-ahead) *)
 }
 
 let make_frame (func : Link.lfunc) ~args ~ret_reg =
@@ -116,6 +119,7 @@ let create ~tid (func : Link.lfunc) ~args =
     last_pruned_region = 0;
     last_destroy_step = -1;
     recovering = None;
+    ahead = 0;
   }
 
 let top t =

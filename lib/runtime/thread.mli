@@ -69,6 +69,17 @@ type t = {
   mutable last_pruned_region : int;  (** region tag the log was last pruned to *)
   mutable last_destroy_step : int;
   mutable recovering : recovering option;
+  mutable ahead : int;
+      (** Credit: the number of steps of its own code the thread has
+          executed beyond the machine's clock. Only the block engine's
+          contended phases run a thread ahead, and only through
+          register-only code ([Compile]'s [cb_local]), so while it is
+          positive the thread's registers and program point are that
+          many steps ahead of every other observable and nothing else
+          about it is: each later step the scheduler gives the thread
+          consumes one credit instead of running code. Always [0] on the
+          other engines, and whenever the thread runs anything that is
+          not register-only. *)
 }
 
 val make_frame :

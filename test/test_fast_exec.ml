@@ -776,6 +776,64 @@ let generated_streams_agree =
                [ Sched.Round_robin; Sched.Random seed ])
            runs))
 
+(* Generated contended loops: two to four threads, each running a
+   register-only loop, some with a faulting round or a per-round shared
+   access, original and survival-hardened, under round-robin, one seed,
+   and that seed with fuel that runs out mid-run. The block engine runs
+   the loops ahead of the clock in its contended phases; its bare run
+   must end as the reference's does: outcome and its step, outputs,
+   virtual time and every statistic. *)
+let generated_loops_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000
+       ~name:"generated contended loops: block runs ahead exactly"
+       (QCheck.make
+          ~print:(fun (spec, seed) ->
+            Gen.contended_spec_print spec ^ Printf.sprintf " @ random:%d" seed)
+          QCheck.Gen.(pair Gen.contended_spec_gen (int_range 1 10_000)))
+       (fun (spec, seed) ->
+         let p = Gen.contended_program spec in
+         let runs =
+           (None, p)
+           ::
+           (match Conair.harden p Conair.Survival with
+           | Error _ -> []
+           | Ok h ->
+               [
+                 ( Some (Machine.meta_of_harden h.hardened),
+                   h.hardened.program );
+               ])
+         in
+         let base = { (config Sched.Round_robin) with fuel = 20_000 } in
+         let configs =
+           [
+             base;
+             { base with policy = Sched.Random seed };
+             {
+               base with
+               policy = Sched.Random seed;
+               fuel = 50 + (seed mod 500);
+             };
+           ]
+         in
+         List.iter
+           (fun (meta, p) ->
+             List.iter
+               (fun config ->
+                 let r_outcome, r_outputs, r_steps, r_stats =
+                   bare Engine.Ref ?meta config p
+                 in
+                 let outcome, outputs, steps, stats =
+                   bare Engine.Block ?meta config p
+                 in
+                 Alcotest.check outcome_t "outcome" r_outcome outcome;
+                 Alcotest.(check (list string)) "outputs" r_outputs outputs;
+                 Alcotest.(check int) "virtual time" r_steps steps;
+                 check_stats "block" r_stats stats)
+               configs)
+           runs;
+         true))
+
 (* The link cache never keeps a program alive: once a program is dropped
    its image and the code compiled into it go with it, while a live
    program keeps getting the same ones back. Programs hash by their
@@ -870,9 +928,14 @@ let equal_fail_blocks_share_an_image () =
    phase where two spinners contend: a time-based wake of a third
    thread (sleeper, timed lock, timed wait), a death its joiner waits
    on, a fault, a failed assert, the fuel, and a wait-graph deadlock
-   detection. Each runs on all three engines under round-robin and three
-   seeds; outcome, outputs, stats, virtual time, trace, profile and the
-   run-length recording must agree. *)
+   detection. Register-only spinners, which the block engine runs ahead
+   of the clock, add the boundaries of that: a fault and an undefined
+   branch inside code run ahead, local stretches that end at a store, an
+   output or (hardened) a checkpoint, credit carried into a window, and
+   the fuel running out while threads hold credit. Each runs, original
+   and hardened, on all three engines under round-robin and three
+   seeds; outcome, outputs, stats, virtual time, trace, profile, the
+   run-length recording and the fix sweep's keys must agree. *)
 
 let spinners =
   {|
@@ -900,8 +963,35 @@ done:
 }
 |}
 
+(* A call-free spinner whose loop is register-only end to end: in a
+   contended phase the block engine runs it ahead of the clock, and the
+   steps it retires early are settled one decision at a time. *)
+let local_spinner =
+  {|
+func @lspin(%n, %tag) {
+entry:
+  %i = move 0
+  %acc = move 1
+  jump loop
+loop:
+  %c = lt %i, %n
+  branch %c, body, done
+body:
+  %a = mul %acc, 31
+  %a = add %a, %i
+  %acc = mod %a, 1000003
+  %i = add %i, 1
+  jump loop
+done:
+  output "lspin %v: %v", %tag, %acc
+  return
+}
+|}
+
 let contended_programs () =
-  let prog name body = (name, Parse.program_exn (spinners ^ body)) in
+  let prog name body =
+    (name, Parse.program_exn (spinners ^ local_spinner ^ body))
+  in
   [
     prog "sleeper wakes mid-phase"
       {|
@@ -1078,6 +1168,207 @@ entry:
 }
 main @main
 |};
+    (* the divisor reaches 0 on the 40th round, inside code the block
+       engine has run ahead, after the other thread has output *)
+    prog "fault inside run-ahead code"
+      {|
+func @modzero(%d) {
+entry:
+  %acc = move 1
+  jump loop
+loop:
+  %acc = mul %acc, 7
+  %acc = mod %acc, %d
+  %acc = add %acc, 1
+  %d = sub %d, 1
+  jump loop
+}
+
+func @main() {
+entry:
+  %t1 = spawn @lspin(12, 1)
+  %t2 = spawn @modzero(40)
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|};
+    prog "undefined branch inside a local loop"
+      {|
+func @undefined(%n) {
+entry:
+  %i = move 0
+  jump loop
+loop:
+  %i = add %i, 1
+  %c = lt %i, %n
+  branch %c, loop, tail
+tail:
+  %i = add %i, 1
+  branch %never, loop, tail
+}
+
+func @main() {
+entry:
+  %t1 = spawn @lspin(20, 1)
+  %t2 = spawn @undefined(30)
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|};
+    (* local stretches that end at a global store (two publishers race
+       on a read-modify-write) and at an output *)
+    prog "local stretches end at a store and an output"
+      {|
+global shared = 0
+
+func @publisher(%rounds) {
+entry:
+  %r = move 0
+  jump outer
+outer:
+  %i = move 0
+  jump inner
+inner:
+  %i = add %i, 1
+  %c = lt %i, 9
+  branch %c, inner, publish
+publish:
+  %v = load $shared
+  %v = add %v, %i
+  store $shared, %v
+  %r = add %r, 1
+  %c = lt %r, %rounds
+  branch %c, outer, done
+done:
+  output "published %v", %v
+  return
+}
+
+func @talker(%rounds) {
+entry:
+  %r = move 0
+  jump outer
+outer:
+  %i = move 0
+  jump inner
+inner:
+  %i = add %i, 1
+  %c = lt %i, 7
+  branch %c, inner, talk
+talk:
+  output "talk %v: %v", %r, %i
+  %r = add %r, 1
+  %c = lt %r, %rounds
+  branch %c, outer, done
+done:
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @publisher(6)
+  %t2 = spawn @publisher(5)
+  %t3 = spawn @talker(6)
+  join %t1
+  join %t2
+  join %t3
+  %v = load $shared
+  output "shared %v", %v
+  exit
+}
+main @main
+|};
+    (* hardened, the assert's checkpoint lands at the loop head (the
+       function's entry block), so each round's local stretch ends at a
+       checkpoint *)
+    prog "local stretches end at a checkpoint"
+      {|
+global flag = 0
+
+func @ckloop(%n) {
+entry:
+  %n = sub %n, 1
+  %c = gt %n, 0
+  branch %c, entry, done
+done:
+  %v = load $flag
+  %ok = eq %v, 0
+  assert %ok, "flag is clear"
+  output "ckloop done"
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @ckloop(300)
+  %t2 = spawn @lspin(90, 2)
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|};
+    (* the partner blocks on a lock main holds: the spinner runs on in a
+       window, which settles its credit first *)
+    prog "credit carried into a window: the partner blocks"
+      {|
+mutex m
+
+func @blocker(%n) {
+entry:
+  %i = move 0
+  jump loop
+loop:
+  %i = add %i, 1
+  %c = lt %i, %n
+  branch %c, loop, take
+take:
+  lock &m
+  output "blocker got the lock"
+  unlock &m
+  return
+}
+
+func @main() {
+entry:
+  lock &m
+  %t1 = spawn @lspin(40, 1)
+  %t2 = spawn @blocker(10)
+  join %t1
+  unlock &m
+  join %t2
+  exit
+}
+main @main
+|};
+    prog "credit carried into a window: the partner dies"
+      {|
+func @main() {
+entry:
+  %t1 = spawn @lspin(40, 1)
+  %t2 = spawn @lspin(5, 2)
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|};
+    prog "fuel runs out while both threads hold credit"
+      {|
+func @main() {
+entry:
+  %t1 = spawn @lspin(300, 1)
+  %t2 = spawn @lspin(300, 2)
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|};
   ]
 
 let contended_policies =
@@ -1090,15 +1381,16 @@ let contended_policies =
 
 (* The run-length recording of every engine — a sync-class observer,
    so the block engine stays on its phases — against the tap oracle. *)
-let check_recordings name config p =
+let check_recordings name ?meta config p =
   let oracle = Tap.create () in
-  ignore (Engine.run_program ~config ~tap:(Tap.tap oracle) Engine.Ref p);
+  ignore (Engine.run_program ~config ?meta ~tap:(Tap.tap oracle) Engine.Ref p);
   List.iter
     (fun engine ->
       let label = name ^ "#" ^ Engine.name engine in
       let r = Recorder.create () in
       ignore
-        (Engine.run_program ~config ~observer:(Recorder.observer r) engine p);
+        (Engine.run_program ~config ?meta ~observer:(Recorder.observer r)
+           engine p);
       Alcotest.(check int) (label ^ ": recorded count") (Tap.count oracle)
         (Recorder.count r);
       Alcotest.(check (array int))
@@ -1109,11 +1401,66 @@ let check_recordings name config p =
         (Recorder.preemptions r))
     Engine.all
 
+module Coverage = Conair.Obs.Coverage
+
+(* The fix sweep's observers — the lock-order witness and the schedule
+   fingerprint, observers of decisions and sync events, under which the
+   block engine runs local code ahead — on every engine against the
+   reference: the same run, schedule key and cycle keys. *)
+let check_swept name ?meta config p =
+  let run engine =
+    let lo = Lockorder.witness () and fp = Coverage.fingerprint () in
+    let m, outcome =
+      Engine.run_program ~config ?meta
+        ~observer:
+          (Event.combine
+             [ Lockorder.witness_probe lo; Coverage.fingerprint_probe fp ])
+        engine p
+    in
+    ( outcome,
+      Engine.outputs m,
+      Engine.steps m,
+      Engine.stats m,
+      Coverage.key fp,
+      Lockorder.cycle_keys lo )
+  in
+  let r_outcome, r_outputs, r_steps, r_stats, r_key, r_cycles =
+    run Engine.Ref
+  in
+  List.iter
+    (fun (ename, engine) ->
+      let name = name ^ "/swept#" ^ ename in
+      let outcome, outputs, steps, stats, key, cycles = run engine in
+      Alcotest.check outcome_t (name ^ ": outcome") r_outcome outcome;
+      Alcotest.(check (list string)) (name ^ ": outputs") r_outputs outputs;
+      Alcotest.(check int) (name ^ ": virtual time") r_steps steps;
+      check_stats name r_stats stats;
+      Alcotest.(check bool)
+        (name ^ ": schedule fingerprint")
+        true (key = r_key);
+      Alcotest.(check (list string)) (name ^ ": cycle keys") r_cycles cycles)
+    engines
+
 let contended_boundaries () =
+  let runs =
+    List.concat_map
+      (fun (name, p) ->
+        (name, None, p)
+        ::
+        (match Conair.harden p Conair.Survival with
+        | Error _ -> []
+        | Ok h ->
+            [
+              ( name ^ "/hardened",
+                Some (Machine.meta_of_harden h.hardened),
+                h.hardened.program );
+            ]))
+      (contended_programs ())
+  in
   List.iter
     (fun (pname, policy) ->
       List.iter
-        (fun (name, p) ->
+        (fun (name, meta, p) ->
           let name = name ^ "@" ^ pname in
           let base = config policy in
           let configs =
@@ -1127,10 +1474,11 @@ let contended_boundaries () =
           in
           List.iter
             (fun (name, config) ->
-              check_same name config p;
-              check_recordings name config p)
+              check_same name ?meta config p;
+              check_recordings name ?meta config p;
+              check_swept name ?meta config p)
             configs)
-        (contended_programs ()))
+        runs)
     contended_policies;
   (* the cases reach their boundary: the reference runs end as each
      program intends *)
@@ -1164,7 +1512,56 @@ let contended_boundaries () =
   Alcotest.(check bool) "the wait graph breaks the deadlock" true
     (outcome "wait-graph detection mid-phase"
        { rr with deadlock_detection = Machine.Wait_graph }
-    = Some Outcome.Success)
+    = Some Outcome.Success);
+  Alcotest.(check bool) "the run-ahead fault fails the run" true
+    (failed Instr.Seg_fault (outcome "fault inside run-ahead code" rr));
+  Alcotest.(check bool) "... after the other thread's output" true
+    (List.exists
+       (fun o -> String.starts_with ~prefix:"lspin 1:" o)
+       (Engine.outputs (run "fault inside run-ahead code" rr)));
+  Alcotest.(check bool) "the undefined branch fails the run" true
+    (failed Instr.Seg_fault
+       (outcome "undefined branch inside a local loop" rr));
+  Alcotest.(check bool) "the blocked partner gets its lock" true
+    (List.mem "blocker got the lock"
+       (Engine.outputs
+          (run "credit carried into a window: the partner blocks" rr)));
+  (* hardening puts a checkpoint at the head of the local loop *)
+  (match
+     Conair.harden
+       (List.assoc "local stretches end at a checkpoint"
+          (contended_programs ()))
+       Conair.Survival
+   with
+  | Error _ -> Alcotest.fail "the checkpoint case does not harden"
+  | Ok h ->
+      let meta = Machine.meta_of_harden h.hardened in
+      let m, _ =
+        Engine.run_program ~config:rr ~meta Engine.Ref h.hardened.program
+      in
+      Alcotest.(check bool) "a checkpoint every round" true
+        ((Engine.stats m).Stats.checkpoints >= 300));
+  (* the block engine really holds credit: when the fuel runs out, both
+     spinners have run ahead of the clock *)
+  let name = "fuel runs out while both threads hold credit" in
+  List.iter
+    (fun (pname, policy) ->
+      let config = { (config policy) with fuel = 700 } in
+      match
+        Engine.run_program ~config Engine.Block
+          (List.assoc name (contended_programs ()))
+      with
+      | Engine.M_block bm, Outcome.Fuel_exhausted _ ->
+          let m = Block_machine.machine bm in
+          List.iter
+            (fun tid ->
+              let ahead = (Machine.thread m tid).Conair.Runtime.Thread.ahead in
+              if ahead <= 0 then
+                Alcotest.failf "%s@%s: thread %d holds no credit" name pname
+                  tid)
+            [ 1; 2 ]
+      | _ -> Alcotest.failf "%s@%s: the fuel does not run out" name pname)
+    contended_policies
 
 (* ---- compile on entry ---------------------------------------------- *)
 
@@ -1220,6 +1617,79 @@ let fail_arms_stay_uncompiled () =
     (List.length after)
     (List.length (compiled ()))
 
+(* [cb_local] counts exactly the register-only runs that end at a jump or
+   a branch: moves, binops, unops, nops and stack-slot loads; a store of
+   any kind, a global load, an output or a checkpoint ends a run before
+   it, and a return ends none. *)
+let local_runs_are_register_only () =
+  let p =
+    Parse.program_exn
+      {|
+global g = 0
+
+func @f(%x) {
+entry:
+  %a = move %x
+  %b = add %a, 1
+  %c = neg %b
+  nop
+  %d = load ~slot
+  jump next
+next:
+  %e = add %d, 1
+  store ~slot, %e
+  %f = move 1
+  branch %f, entry, ck
+ck:
+  %h = move 1
+  checkpoint 0
+  jump glob
+glob:
+  %i = load $g
+  %j = move %i
+  branch %j, out, last
+out:
+  output "%v", %j
+  jump last
+last:
+  %k = add %f, 1
+  return %k
+}
+
+func @main() {
+entry:
+  %r = call @f(1)
+  exit
+}
+main @main
+|}
+  in
+  let image = Link.link p in
+  let code = Compile.compile image in
+  let f =
+    List.find
+      (fun (f : Link.lfunc) -> f.Link.lf_qname = "f")
+      (Array.to_list image.Link.lp_funcs)
+  in
+  List.iter
+    (fun (label, expected) ->
+      let b =
+        List.find
+          (fun (b : Link.lblock) -> b.Link.lb_label_name = label)
+          (Array.to_list f.Link.lf_blocks)
+      in
+      Alcotest.(check (array int))
+        ("cb_local of " ^ label) expected
+        (Compile.block code f b).Compile.cb_local)
+    [
+      ("entry", [| 6; 5; 4; 3; 2; 1 |]);
+      ("next", [| 0; 0; 2; 1 |]);
+      ("ck", [| 0; 0; 1 |]);
+      ("glob", [| 0; 2; 1 |]);
+      ("out", [| 0; 1 |]);
+      ("last", [| 0; 0 |]);
+    ]
+
 (* ---- allocation per step ------------------------------------------- *)
 
 (* A scheduling decision allocates nothing: the engines pass
@@ -1230,23 +1700,44 @@ let fail_arms_stay_uncompiled () =
    decision would put both above the bound. *)
 let decisions_allocate_nothing () =
   let s = Option.get (Registry.find "HawkNL") in
-  let p = (s.make ~variant:Spec.Clean ~oracle:false).program in
+  let hawknl = (s.make ~variant:Spec.Clean ~oracle:false).program in
+  (* two register-only spinners: block runs them ahead and settles each
+     decision from credit *)
+  let spinners =
+    Parse.program_exn
+      (local_spinner
+      ^ {|
+func @main() {
+entry:
+  %t1 = spawn @lspin(3000, 1)
+  %t2 = spawn @lspin(3000, 2)
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|})
+  in
   List.iter
-    (fun policy ->
+    (fun (name, p) ->
       List.iter
-        (fun engine ->
-          let config = config policy in
-          ignore (Engine.run_program ~config engine p);
-          let words = Gc.minor_words () in
-          let m, _ = Engine.run_program ~config engine p in
-          let per_step =
-            (Gc.minor_words () -. words) /. float_of_int (Engine.steps m)
-          in
-          if per_step >= 2. then
-            Alcotest.failf "%s allocates %.2f minor words per step (bound 2)"
-              (Engine.name engine) per_step)
-        [ Engine.Fast; Engine.Block ])
-    [ Sched.Round_robin; Sched.Random 7 ]
+        (fun policy ->
+          List.iter
+            (fun engine ->
+              let config = config policy in
+              ignore (Engine.run_program ~config engine p);
+              let words = Gc.minor_words () in
+              let m, _ = Engine.run_program ~config engine p in
+              let per_step =
+                (Gc.minor_words () -. words) /. float_of_int (Engine.steps m)
+              in
+              if per_step >= 2. then
+                Alcotest.failf
+                  "%s: %s allocates %.2f minor words per step (bound 2)" name
+                  (Engine.name engine) per_step)
+            [ Engine.Fast; Engine.Block ])
+        [ Sched.Round_robin; Sched.Random 7 ])
+    [ ("HawkNL/clean", hawknl); ("local spinners", spinners) ]
 
 let suites =
   [
@@ -1292,8 +1783,11 @@ let suites =
         Alcotest.test_case "one stream, three engines" `Quick
           one_stream_three_engines;
         generated_streams_agree;
+        generated_loops_agree;
         Alcotest.test_case "contended phases end at every boundary" `Quick
           contended_boundaries;
+        Alcotest.test_case "local runs are register-only" `Quick
+          local_runs_are_register_only;
         Alcotest.test_case "fail arms stay uncompiled on a clean run" `Quick
           fail_arms_stay_uncompiled;
         Alcotest.test_case "decisions allocate nothing" `Quick
