@@ -505,14 +505,19 @@ let ablation_lowering () =
         { config with Machine.verify_rollbacks = false }
       in
       let meta = Machine.meta_of_harden h.Conair.hardened in
-      let m, outcome = Machine.run_program ~config ~meta lowered in
+      let m, outcome =
+        Conair.Runtime.Engine.(run_program ~config ~meta Block lowered)
+      in
+      let stats = Conair.Runtime.Engine.stats m in
       let base = run_hardened h in
       Printf.printf "%-13s %12s %13.2fx %16d\n" name
-        (if Outcome.is_success outcome && inst.accept (Machine.outputs m)
+        (if
+           Outcome.is_success outcome
+           && inst.accept (Conair.Runtime.Engine.outputs m)
          then "yes"
          else "NO")
-        (float (Machine.stats m).instrs /. float base.stats.instrs)
-        (Machine.stats m).rollbacks)
+        (float stats.instrs /. float base.stats.instrs)
+        stats.rollbacks)
     (* the deadlock and RAR benchmarks: their buggy interleavings are
        robust to the ~2.5x slowdown lowering adds, so the recovery path is
        genuinely exercised (rollbacks > 0) *)
@@ -849,62 +854,58 @@ let interp_sweep_corpus () =
 let bench_interp () =
   let micro = interp_micro () in
   let micro_config = { Machine.default_config with fuel = 10_000_000 } in
-  (* Best-of-12: the micro run is short enough (tens of ms) that a single
-     sample is dominated by scheduling jitter; the minimum over a dozen
-     runs is the stable throughput figure. All engines get the same
-     treatment, so the ratios are jitter-free too. *)
-  let time_engine engine =
-    time_best ~repeats:12 (fun () ->
-        Engine.run_program ~config:micro_config engine micro)
+  (* Medians of alternated repeats: the micro run is short enough (tens
+     of ms on block) that a single sample is dominated by scheduling
+     jitter, and alternating the configurations spreads a slow stretch
+     of the host over all of them, so the same-run ratios the gates read
+     are stable. The recorder-on columns: the block engine with a flight
+     ring attached (ring creation included — that is what `--flight`
+     pays per run), and with a schedule recorder attached (recorder
+     creation included, log extraction excluded, as the flight column
+     excludes the dump). The @perf gate holds each within 5% of
+     recorder-off. *)
+  let micro_repeats = 21 in
+  let micro_runs =
+    time_alternated ~repeats:micro_repeats
+      [
+        (fun () -> Engine.run_program ~config:micro_config Engine.Ref micro);
+        (fun () -> Engine.run_program ~config:micro_config Engine.Block micro);
+        (fun () ->
+          let ring = Conair.Runtime.Flight_ring.create () in
+          Engine.run_program ~config:micro_config
+            ~observer:(Conair.Runtime.Flight_ring.observer ring)
+            Engine.Block micro);
+        (fun () ->
+          Engine.run_program ~config:micro_config
+            ~observer:Conair.Replay.Recorder.(observer (create ()))
+            Engine.Block micro);
+      ]
   in
-  let (ref_m, ref_out), ref_t = time_engine Engine.Ref in
-  let (fast_m, fast_out), fast_t = time_engine Engine.Fast in
-  let (block_m, block_out), block_t = time_engine Engine.Block in
-  (* The recorder-on column: the block engine with a flight ring
-     attached (ring creation included — that is what `--flight` pays
-     per run). The @perf gate holds this within 5% of recorder-off. *)
-  let (flight_m, flight_out), flight_t =
-    time_best ~repeats:12 (fun () ->
-        let ring = Conair.Runtime.Flight_ring.create () in
-        Engine.run_program ~config:micro_config
-          ~observer:(Conair.Runtime.Flight_ring.observer ring)
-          Engine.Block micro)
+  let agreed runs what f =
+    match List.sort_uniq compare (List.map (fun (r, _) -> f r) runs) with
+    | [ x ] -> x
+    | _ -> failwith ("interp bench: " ^ what ^ " diverge between engines")
   in
-  (* The full-recording column: the block engine with a schedule
-     recorder attached (recorder creation included, log extraction
-     excluded, as the flight column excludes the dump). The @perf gate
-     holds this within 5% of recorder-off too. *)
-  let (recorded_m, recorded_out), recorded_t =
-    time_best ~repeats:12 (fun () ->
-        Engine.run_program ~config:micro_config
-          ~observer:(Conair.Replay.Recorder.(observer (create ())))
-          Engine.Block micro)
+  let steps =
+    agreed micro_runs "micro step counts" (fun (m, _) -> Engine.steps m)
   in
-  if
-    fast_out <> ref_out || block_out <> ref_out || flight_out <> ref_out
-    || recorded_out <> ref_out
-  then failwith "interp bench: micro outcomes diverge between engines";
-  let steps = Engine.steps fast_m in
-  if
-    steps <> Engine.steps ref_m
-    || steps <> Engine.steps block_m
-    || steps <> Engine.steps flight_m
-    || steps <> Engine.steps recorded_m
-  then failwith "interp bench: micro step counts diverge between engines";
+  ignore (agreed micro_runs "micro outcomes" (fun (m, o) -> (o, Engine.outputs m)));
+  let ref_t, block_t, flight_t, recorded_t =
+    match List.map snd micro_runs with
+    | [ r; b; f; c ] -> (r, b, f, c)
+    | _ -> assert false
+  in
   let ref_sps = float steps /. ref_t
-  and fast_sps = float steps /. fast_t
   and block_sps = float steps /. block_t
   and flight_sps = float steps /. flight_t
   and recorded_sps = float steps /. recorded_t in
-  Printf.printf "micro: %d steps\n" steps;
+  Printf.printf "micro: %d steps, median of %d\n" steps micro_repeats;
   Printf.printf "  reference:      %.4fs  %12.0f steps/s\n" ref_t ref_sps;
-  Printf.printf "  pre-resolved:   %.4fs  %12.0f steps/s\n" fast_t fast_sps;
   Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" block_t block_sps;
   Printf.printf "  block + flight: %.4fs  %12.0f steps/s\n" flight_t flight_sps;
   Printf.printf "  block + record: %.4fs  %12.0f steps/s\n" recorded_t
     recorded_sps;
-  Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
-    (fast_sps /. ref_sps) (block_sps /. ref_sps) (block_sps /. fast_sps);
+  Printf.printf "  block/ref: %.2fx\n" (block_sps /. ref_sps);
   Printf.printf "  flight/block: %.3fx (recorder-on vs recorder-off)\n"
     (flight_sps /. block_sps);
   Printf.printf "  recorded/block: %.3fx (full recording vs recorder-off)\n"
@@ -940,24 +941,22 @@ let bench_interp () =
   in
   let c_runs =
     time_alternated ~repeats:contended_repeats
-      (List.map
-         (fun engine () ->
-           Engine.run_program ~config:contended_config engine contended)
-         Engine.all
-      @ [ swept ])
+      [
+        (fun () ->
+          Engine.run_program ~config:contended_config Engine.Ref contended);
+        (fun () ->
+          Engine.run_program ~config:contended_config Engine.Block contended);
+        swept;
+      ]
   in
-  let agreed runs what f =
-    match List.sort_uniq compare (List.map (fun (r, _) -> f r) runs) with
-    | [ x ] -> x
-    | _ ->
-        failwith
-          ("interp bench: contended " ^ what ^ " diverge between engines")
+  let c_steps =
+    agreed c_runs "contended step counts" (fun (m, _) -> Engine.steps m)
   in
-  let c_steps = agreed c_runs "step counts" (fun (m, _) -> Engine.steps m) in
-  ignore (agreed c_runs "outcomes" (fun (m, o) -> (o, Engine.outputs m)));
-  let c_ref_t, c_fast_t, c_block_t, c_swept_t =
+  ignore
+    (agreed c_runs "contended outcomes" (fun (m, o) -> (o, Engine.outputs m)));
+  let c_ref_t, c_block_t, c_swept_t =
     match List.map snd c_runs with
-    | [ r; f; b; s ] -> (r, f, b, s)
+    | [ r; b; s ] -> (r, b, s)
     | _ -> assert false
   in
   let c_sps t = float c_steps /. t in
@@ -965,14 +964,11 @@ let bench_interp () =
     contended_repeats;
   Printf.printf "  reference:      %.4fs  %12.0f steps/s\n" c_ref_t
     (c_sps c_ref_t);
-  Printf.printf "  pre-resolved:   %.4fs  %12.0f steps/s\n" c_fast_t
-    (c_sps c_fast_t);
   Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" c_block_t
     (c_sps c_block_t);
   Printf.printf "  block + sweep:  %.4fs  %12.0f steps/s\n" c_swept_t
     (c_sps c_swept_t);
-  Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
-    (c_ref_t /. c_fast_t) (c_ref_t /. c_block_t) (c_fast_t /. c_block_t);
+  Printf.printf "  block/ref: %.2fx\n" (c_ref_t /. c_block_t);
   Printf.printf "  swept/block: %.3fx (the fix sweep's observers vs none)\n"
     (c_block_t /. c_swept_t);
   (* the register-only contended micro, same config and repeats *)
@@ -982,7 +978,7 @@ let bench_interp () =
       (List.map
          (fun engine () ->
            Engine.run_program ~config:contended_config engine local)
-         Engine.all)
+         [ Engine.Ref; Engine.Block ])
   in
   let l_steps =
     agreed l_runs "register-only step counts" (fun (m, _) -> Engine.steps m)
@@ -990,10 +986,8 @@ let bench_interp () =
   ignore
     (agreed l_runs "register-only outcomes" (fun (m, o) ->
          (o, Engine.outputs m)));
-  let l_ref_t, l_fast_t, l_block_t =
-    match List.map snd l_runs with
-    | [ r; f; b ] -> (r, f, b)
-    | _ -> assert false
+  let l_ref_t, l_block_t =
+    match List.map snd l_runs with [ r; b ] -> (r, b) | _ -> assert false
   in
   let l_sps t = float l_steps /. t in
   Printf.printf
@@ -1001,16 +995,13 @@ let bench_interp () =
     contended_repeats;
   Printf.printf "  reference:      %.4fs  %12.0f steps/s\n" l_ref_t
     (l_sps l_ref_t);
-  Printf.printf "  pre-resolved:   %.4fs  %12.0f steps/s\n" l_fast_t
-    (l_sps l_fast_t);
   Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" l_block_t
     (l_sps l_block_t);
-  Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
-    (l_ref_t /. l_fast_t) (l_ref_t /. l_block_t) (l_fast_t /. l_block_t);
+  Printf.printf "  block/ref: %.2fx\n" (l_ref_t /. l_block_t);
   (* The fed window: the micro's schedule recorded once and strictly
      replayed through [Driver.replay]. One thread, so the block engine
      replays it as one window that the strict feed bounds and counts;
-     the fast engine asks the feed at every step. *)
+     the reference asks the feed at every step. *)
   let _, micro_log =
     Conair.record_run ~config:micro_config
       ~ident:(Conair.Replay.Log.ident "interp-micro")
@@ -1027,7 +1018,7 @@ let bench_interp () =
                failwith
                  ("interp bench: micro replay: "
                  ^ Conair.Replay.Driver.error_to_string e))
-         [ Engine.Fast; Engine.Block ])
+         [ Engine.Ref; Engine.Block ])
   in
   List.iter
     (fun (rb, _) ->
@@ -1036,17 +1027,17 @@ let bench_interp () =
       | Error e -> failwith ("interp bench: micro replay: " ^ e))
     r_runs;
   let r_steps = micro_log.Conair.Replay.Log.steps in
-  let r_fast_t, r_block_t =
-    match List.map snd r_runs with [ f; b ] -> (f, b) | _ -> assert false
+  let r_ref_t, r_block_t =
+    match List.map snd r_runs with [ r; b ] -> (r, b) | _ -> assert false
   in
   let r_sps t = float r_steps /. t in
   Printf.printf "replay: %d steps, the micro's schedule, median of %d\n"
     r_steps replay_repeats;
-  Printf.printf "  pre-resolved:   %.4fs  %12.0f steps/s\n" r_fast_t
-    (r_sps r_fast_t);
+  Printf.printf "  reference:      %.4fs  %12.0f steps/s\n" r_ref_t
+    (r_sps r_ref_t);
   Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" r_block_t
     (r_sps r_block_t);
-  Printf.printf "  block/fast: %.2fx\n" (r_fast_t /. r_block_t);
+  Printf.printf "  block/ref: %.2fx\n" (r_ref_t /. r_block_t);
   let corpus = interp_sweep_corpus () in
   let sweep_config = { Machine.default_config with fuel = 200_000 } in
   let sweep engine =
@@ -1058,17 +1049,12 @@ let bench_interp () =
              corpus))
   in
   let sweep_ref_t = sweep Engine.Ref in
-  let sweep_fast_t = sweep Engine.Fast in
   let sweep_block_t = sweep Engine.Block in
   Printf.printf "sweep: %d runs over the bugbench catalog\n"
     (List.length corpus);
   Printf.printf "  reference:      %.4fs\n" sweep_ref_t;
-  Printf.printf "  pre-resolved:   %.4fs\n" sweep_fast_t;
   Printf.printf "  block-compiled: %.4fs\n" sweep_block_t;
-  Printf.printf "  fast/ref: %.2fx   block/ref: %.2fx   block/fast: %.2fx\n"
-    (sweep_ref_t /. sweep_fast_t)
-    (sweep_ref_t /. sweep_block_t)
-    (sweep_fast_t /. sweep_block_t);
+  Printf.printf "  block/ref: %.2fx\n" (sweep_ref_t /. sweep_block_t);
   (* The same corpus observed, each run with fresh observers: the full
      race detector (sync and access events) and the report lens's span
      collector and live metrics (sync and per-step events). Block takes
@@ -1096,9 +1082,9 @@ let bench_interp () =
   let o_runs =
     time_alternated ~repeats:observed_repeats
       [
-        observe detect Engine.Fast;
+        observe detect Engine.Ref;
         observe detect Engine.Block;
-        observe report Engine.Fast;
+        observe report Engine.Ref;
         observe report Engine.Block;
       ]
   in
@@ -1107,110 +1093,73 @@ let bench_interp () =
     | [ n ] -> n
     | _ -> failwith "interp bench: observed step counts diverge"
   in
-  let o_detect_fast_t, o_detect_block_t, o_report_fast_t, o_report_block_t =
+  let o_detect_ref_t, o_detect_block_t, o_report_ref_t, o_report_block_t =
     match List.map snd o_runs with
     | [ a; b; c; d ] -> (a, b, c, d)
     | _ -> assert false
   in
-  let o_sps t = float o_steps /. t in
   Printf.printf "observed: the sweep corpus, %d steps, median of %d\n" o_steps
     observed_repeats;
   List.iter
-    (fun (what, fast_t, block_t) ->
-      Printf.printf "  %-7s fast %.4fs  block %.4fs  block/fast: %.2fx\n" what
-        fast_t block_t (fast_t /. block_t))
+    (fun (what, ref_t, block_t) ->
+      Printf.printf "  %-7s ref %.4fs  block %.4fs  block/ref: %.2fx\n" what
+        ref_t block_t (ref_t /. block_t))
     [
-      ("detect", o_detect_fast_t, o_detect_block_t);
-      ("report", o_report_fast_t, o_report_block_t);
+      ("detect", o_detect_ref_t, o_detect_block_t);
+      ("report", o_report_ref_t, o_report_block_t);
     ];
-  let observed_json fast_t block_t =
-    let open Conair.Obs.Json in
-    Obj
-      [
-        ("fast_seconds", Float fast_t);
-        ("fast_steps_per_sec", Float (o_sps fast_t));
-        ("block_seconds", Float block_t);
-        ("block_steps_per_sec", Float (o_sps block_t));
-        ("block_vs_fast", Float (fast_t /. block_t));
-      ]
+  let open Conair.Obs.Json in
+  (* a section's ref and block columns, seconds for [steps] steps each *)
+  let columns steps ref_t block_t =
+    [
+      ("ref_seconds", Float ref_t);
+      ("ref_steps_per_sec", Float (float steps /. ref_t));
+      ("block_seconds", Float block_t);
+      ("block_steps_per_sec", Float (float steps /. block_t));
+      ("block_vs_ref", Float (ref_t /. block_t));
+    ]
   in
   let json =
-    let open Conair.Obs.Json in
     Obj
       [
         ( "micro",
           Obj
-            [
-              ("steps", Int steps);
-              ("ref_seconds", Float ref_t);
-              ("ref_steps_per_sec", Float ref_sps);
-              ("fast_seconds", Float fast_t);
-              ("fast_steps_per_sec", Float fast_sps);
-              ("block_seconds", Float block_t);
-              ("block_steps_per_sec", Float block_sps);
-              ("block_flight_seconds", Float flight_t);
-              ("block_flight_steps_per_sec", Float flight_sps);
-              ("block_recorded_seconds", Float recorded_t);
-              ("block_recorded_steps_per_sec", Float recorded_sps);
-              ("fast_vs_ref", Float (fast_sps /. ref_sps));
-              ("block_vs_ref", Float (block_sps /. ref_sps));
-              ("block_vs_fast", Float (block_sps /. fast_sps));
-              ("flight_vs_block", Float (flight_sps /. block_sps));
-              ("recorded_vs_block", Float (recorded_sps /. block_sps));
-            ] );
+            ([ ("steps", Int steps); ("repeats", Int micro_repeats) ]
+            @ columns steps ref_t block_t
+            @ [
+                ("block_flight_seconds", Float flight_t);
+                ("block_flight_steps_per_sec", Float flight_sps);
+                ("block_recorded_seconds", Float recorded_t);
+                ("block_recorded_steps_per_sec", Float recorded_sps);
+                ("flight_vs_block", Float (flight_sps /. block_sps));
+                ("recorded_vs_block", Float (recorded_sps /. block_sps));
+              ]) );
         ( "contended",
           Obj
-            [
-              ("steps", Int c_steps);
-              ("repeats", Int contended_repeats);
-              ("ref_seconds", Float c_ref_t);
-              ("ref_steps_per_sec", Float (c_sps c_ref_t));
-              ("fast_seconds", Float c_fast_t);
-              ("fast_steps_per_sec", Float (c_sps c_fast_t));
-              ("block_seconds", Float c_block_t);
-              ("block_steps_per_sec", Float (c_sps c_block_t));
-              ("fast_vs_ref", Float (c_ref_t /. c_fast_t));
-              ("block_vs_ref", Float (c_ref_t /. c_block_t));
-              ("block_vs_fast", Float (c_fast_t /. c_block_t));
-              ("block_swept_seconds", Float c_swept_t);
-              ("swept_vs_block", Float (c_block_t /. c_swept_t));
-              ( "local",
-                Obj
-                  [
-                    ("steps", Int l_steps);
-                    ("repeats", Int contended_repeats);
-                    ("ref_seconds", Float l_ref_t);
-                    ("ref_steps_per_sec", Float (l_sps l_ref_t));
-                    ("fast_seconds", Float l_fast_t);
-                    ("fast_steps_per_sec", Float (l_sps l_fast_t));
-                    ("block_seconds", Float l_block_t);
-                    ("block_steps_per_sec", Float (l_sps l_block_t));
-                    ("fast_vs_ref", Float (l_ref_t /. l_fast_t));
-                    ("block_vs_ref", Float (l_ref_t /. l_block_t));
-                    ("block_vs_fast", Float (l_fast_t /. l_block_t));
-                  ] );
-            ] );
+            ([ ("steps", Int c_steps); ("repeats", Int contended_repeats) ]
+            @ columns c_steps c_ref_t c_block_t
+            @ [
+                ("block_swept_seconds", Float c_swept_t);
+                ("swept_vs_block", Float (c_block_t /. c_swept_t));
+                ( "local",
+                  Obj
+                    ([
+                       ("steps", Int l_steps);
+                       ("repeats", Int contended_repeats);
+                     ]
+                    @ columns l_steps l_ref_t l_block_t) );
+              ]) );
         ( "replay",
           Obj
-            [
-              ("steps", Int r_steps);
-              ("repeats", Int replay_repeats);
-              ("fast_seconds", Float r_fast_t);
-              ("fast_steps_per_sec", Float (r_sps r_fast_t));
-              ("block_seconds", Float r_block_t);
-              ("block_steps_per_sec", Float (r_sps r_block_t));
-              ("block_vs_fast", Float (r_fast_t /. r_block_t));
-            ] );
+            ([ ("steps", Int r_steps); ("repeats", Int replay_repeats) ]
+            @ columns r_steps r_ref_t r_block_t) );
         ( "sweep",
           Obj
             [
               ("runs", Int (List.length corpus));
               ("ref_seconds", Float sweep_ref_t);
-              ("fast_seconds", Float sweep_fast_t);
               ("block_seconds", Float sweep_block_t);
-              ("fast_vs_ref", Float (sweep_ref_t /. sweep_fast_t));
               ("block_vs_ref", Float (sweep_ref_t /. sweep_block_t));
-              ("block_vs_fast", Float (sweep_fast_t /. sweep_block_t));
             ] );
         ( "observed",
           Obj
@@ -1218,13 +1167,13 @@ let bench_interp () =
               ("runs", Int (List.length corpus));
               ("steps", Int o_steps);
               ("repeats", Int observed_repeats);
-              ("detect", observed_json o_detect_fast_t o_detect_block_t);
-              ("report", observed_json o_report_fast_t o_report_block_t);
+              ("detect", Obj (columns o_steps o_detect_ref_t o_detect_block_t));
+              ("report", Obj (columns o_steps o_report_ref_t o_report_block_t));
             ] );
       ]
   in
   let oc = open_out "BENCH_interp.json" in
-  output_string oc (Conair.Obs.Json.to_string_pretty json);
+  output_string oc (to_string_pretty json);
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote BENCH_interp.json\n"

@@ -99,12 +99,16 @@ let depth_arg =
 
 let engine_arg =
   let doc =
-    "Execution engine: the reference interpreter (ref), the pre-resolved \
-     interpreter (fast) or the block-compiled interpreter (block). All \
-     three agree bit-for-bit on every observable; pick by speed."
+    "Execution engine: the reference interpreter (ref) or the \
+     block-compiled engine (block, the default). The two agree \
+     bit-for-bit on every observable; ref is the oracle."
   in
-  let e = Arg.enum (List.map (fun e -> (Engine.name e, e)) Engine.all) in
-  Arg.(value & opt e Engine.Fast & info [ "engine" ] ~docv:"ENGINE" ~doc)
+  let e =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Engine.of_string s)),
+        fun ppf e -> Format.pp_print_string ppf (Engine.name e) )
+  in
+  Arg.(value & opt e Engine.default & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let instance spec variant oracle =
   let oracle = oracle || spec.Spec.info.needs_oracle in
@@ -1176,7 +1180,7 @@ let replay_cmd =
                       0
                     end
                     else
-                      (* the inspector replays on the fast engine; the
+                      (* the inspector replays on the block engine; the
                          validation above already proved fidelity *)
                       match Replay.Inspect.create ?program log with
                       | Error e -> prerr_endline e; 1
@@ -1451,7 +1455,7 @@ let bundle_replay_cmd =
        ~doc:
          "Regenerate a bundle's full schedule by deterministic re-run, \
           verify the re-run against the recorded tail and strict-replay \
-          the regenerated log — on all three engines. Exits 4 on any \
+          the regenerated log — on both engines. Exits 4 on any \
           divergence.")
     Term.(const run $ bundle_pos_arg)
 

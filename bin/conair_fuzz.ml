@@ -15,7 +15,7 @@
    Usage:  conair_fuzz [OPTIONS] [ITERATIONS] [BASE_SEED]
                        (defaults 500 0; see [usage] below)
 
-   With --engine (ref, fast or block; default fast), every execution —
+   With --engine (ref or block; default block), every execution —
    reference, hardened, recorded and detected — runs on the named
    engine. All engines agree bit-for-bit, so the checks and the summary
    are engine-independent; running the fuzzer under each engine is
@@ -92,8 +92,8 @@ let usage_lines =
     "                        exclusive with the positionals)";
     "";
     "Workload and execution:";
-    "  --engine NAME    interpreter for every run: ref, fast or block";
-    "                   (default fast)";
+    "  --engine NAME    engine for every run: ref or block";
+    "                   (default block)";
     "  --apps           fuzz the bugbench catalog (buggy variants, random";
     "                   schedules) instead of generated programs";
     "  --detect         run the race detector on every racy schedule";
@@ -117,8 +117,8 @@ let usage_error msg =
   prerr_endline "conair_fuzz: try --help for usage";
   exit 2
 
-(* --engine: which interpreter runs everything (default: fast) *)
-let engine = ref Engine.Fast
+(* --engine: which engine runs everything *)
+let engine = ref Engine.default
 
 type failure_report = { case : string; detail : string }
 

@@ -12,6 +12,7 @@
 
 open Conair.Ir
 module Machine = Conair.Runtime.Machine
+module Block_machine = Conair.Runtime.Block_machine
 module Outcome = Conair.Runtime.Outcome
 module Sched = Conair.Runtime.Sched
 module Heap = Conair.Runtime.Heap
@@ -47,8 +48,9 @@ type result = {
 }
 
 let run ?(config = default_config) (p : Program.t) : result =
-  let m = ref (Machine.create ~config:config.machine p) in
-  let snap = ref (Machine.snapshot !m) in
+  let bm = ref (Block_machine.create ~config:config.machine p) in
+  let m () = Block_machine.machine !bm in
+  let snap = ref (Machine.snapshot (m ())) in
   let snapshots = ref 1 in
   let restores = ref 0 in
   let overhead = ref (config.snapshot_cost_fixed) in
@@ -59,24 +61,24 @@ let run ?(config = default_config) (p : Program.t) : result =
     incr snapshots;
     overhead :=
       !overhead + config.snapshot_cost_fixed
-      + (config.snapshot_cost_per_block * Heap.live_blocks (!m).Machine.heap)
+      + (config.snapshot_cost_per_block * Heap.live_blocks (m ()).Machine.heap)
   in
   let rec loop () =
-    if (!m).Machine.step >= config.machine.fuel then
-      Outcome.Fuel_exhausted (!m).Machine.step
+    if (m ()).Machine.step >= config.machine.fuel then
+      Outcome.Fuel_exhausted (m ()).Machine.step
     else begin
-      if Machine.step !m then begin
+      if Block_machine.step !bm then begin
         incr since_snapshot;
         if !since_snapshot >= config.interval then begin
           since_snapshot := 0;
-          snap := Machine.snapshot !m;
+          snap := Machine.snapshot (m ());
           charge_snapshot ()
         end;
         loop ()
       end
       else
         let outcome =
-          Option.value ~default:Outcome.Success (!m).Machine.outcome
+          Option.value ~default:Outcome.Success (m ()).Machine.outcome
         in
         match outcome with
         | Outcome.Success -> outcome
@@ -85,13 +87,13 @@ let run ?(config = default_config) (p : Program.t) : result =
             if !restores >= config.max_restores then outcome
             else begin
               if !first_failure_step = None then
-                first_failure_step := Some (!m).Machine.step;
+                first_failure_step := Some (m ()).Machine.step;
               incr restores;
-              Machine.restore !m !snap;
+              Machine.restore (m ()) !snap;
               (* Explore a different interleaving on the retried epoch,
                  with perturbed timing — the Rx-style environment change. *)
-              m :=
-                Machine.reseed ~perturb:true !m
+              bm :=
+                Block_machine.reseed ~perturb:true !bm
                   (Sched.Random (0xcafe + !restores));
               since_snapshot := 0;
               loop ()
@@ -99,8 +101,8 @@ let run ?(config = default_config) (p : Program.t) : result =
     end
   in
   let outcome = loop () in
-  last_step := (!m).Machine.step;
-  let stats = Machine.stats !m in
+  last_step := (m ()).Machine.step;
+  let stats = Machine.stats (m ()) in
   let recovery_steps =
     match !first_failure_step with
     | Some s when Outcome.is_success outcome -> stats.steps - s
@@ -108,7 +110,7 @@ let run ?(config = default_config) (p : Program.t) : result =
   in
   {
     outcome;
-    outputs = Machine.outputs !m;
+    outputs = Machine.outputs (m ());
     snapshots_taken = !snapshots;
     restores = !restores;
     run_steps = stats.steps;

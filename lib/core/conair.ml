@@ -276,7 +276,7 @@ let flight_of_log ?cap ?(reason = "finding") (log : Replay.Log.t) :
     access orders of an [Obs.Coverage] collector that watched the run to
     sharpen the signature with data-access ordering. Engine-independent:
     the log's decision stream and the collector's event stream are
-    byte-identical across ref/fast/block. *)
+    byte-identical across ref and block. *)
 let interleaving_signature ?orders (log : Replay.Log.t) : string =
   let ident = log.Conair_replay.Schedule_log.ident in
   Conair_obs.Coverage.signature

@@ -244,7 +244,7 @@ val detect :
   ?options:Conair_race.Detect.options -> unit -> Conair_race.Report.t lens
 (** The race/deadlock detector's finalized report. Reports are
     deterministic in (program, config, policy, seed) and identical
-    across all three engines. On a hardened target — the mode that
+    across both engines. On a hardened target — the mode that
     matters for fail-stop bugs — recovery keeps the run alive long
     enough for the conflicting access to execute (§6: recovery masks the
     symptom; detection un-masks the root cause). *)

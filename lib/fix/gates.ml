@@ -25,7 +25,7 @@
    Everything reported here is deterministic in (program, config,
    seeds): counts come from the engines' differential-guaranteed
    statistics and schedule keys from Obs.Coverage, so gate results are
-   byte-identical across the ref/fast/block engines. *)
+   byte-identical across the ref and block engines. *)
 
 open Conair_ir
 open Conair_runtime

@@ -14,7 +14,7 @@
     the lock-order witness graph — neither a per-step observer, so a
     block-engine sweep keeps its compiled window path. Every [?engine] defaults to [Engine.Block]. All results are
     deterministic in (program, config, seeds) and byte-identical across
-    the ref/fast/block engines. *)
+    the ref and block engines. *)
 
 open Conair_ir
 open Conair_runtime

@@ -6,7 +6,7 @@
    differential-guaranteed statistics (instruction/step counts), from
    deterministic schedules (round-robin plus seeded random), or from
    canonical detector output — no wall-clock time, no engine names. The
-   JSON is therefore byte-identical across the ref/fast/block engines
+   JSON is therefore byte-identical across the ref and block engines
    for a given (program, options). *)
 
 open Conair_ir

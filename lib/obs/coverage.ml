@@ -4,7 +4,7 @@
 
    Determinism is the load-bearing property. The signature inputs — the
    recorder's decision/preemption arrays and the observation stream's
-   access events — are byte-identical across the ref/fast/block engines (the
+   access events — are byte-identical across the ref and block engines (the
    differential guarantee of test_fast_exec), so everything derived here
    is too: the same recorded run yields the same signature (and the
    same sweep fingerprint) no matter which engine executed it, which

@@ -11,7 +11,7 @@
       per-address access-order tallies (from the access events). Two runs
       with the same signature exercised the same interleaving shape, so
       campaign findings dedupe by it. Both inputs are byte-identical
-      across the ref/fast/block engines, making signatures
+      across the ref and block engines, making signatures
       engine-independent and stable across coordinator restarts;
 
     - a {b collector} ({!collector}, {!probe}): an

@@ -8,7 +8,7 @@
     window's start, why it was dumped, per-thread status and held
     locksets, the recent sync/recovery events and the recovery-episode
     spans. Header, tail chunks and trailer go through the schedule log's
-    encoders and decoder. All three engines produce byte-identical
+    encoders and decoder. Both engines produce byte-identical
     bundles on the same run, modulo the ["engine"] field itself.
 
     Because runs are deterministic from (program, config, engine), the

@@ -15,8 +15,9 @@
    decision, so snapshotting after it would double-consume the draw on
    resume and silently skew deadlock backoff and perturbed timing. The
    capture therefore lives in the feed wrapper, ahead of the strict
-   feed's [decide]. The inspector steps [Machine] itself, which asks
-   for every decision one at a time. *)
+   feed's [decide]; the forward pass single-steps the block engine so
+   that it sees every decision ([Block_machine.run] would answer a
+   window's in one count). *)
 
 open Conair_ir
 open Conair_runtime
@@ -48,6 +49,16 @@ let instr_texts p =
 
 let default_stride = 512
 
+(* [Block_machine.run]'s fuel check around single steps. *)
+let rec forward bm =
+  let m = Block_machine.machine bm in
+  if m.Machine.step >= m.Machine.config.Machine.fuel then begin
+    m.Machine.outcome <- Some (Outcome.Fuel_exhausted m.Machine.step);
+    Outcome.Fuel_exhausted m.Machine.step
+  end
+  else if Block_machine.step bm then forward bm
+  else Option.value ~default:Outcome.Success m.Machine.outcome
+
 let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
   if stride <= 0 then invalid_arg "Inspect.create: stride must be positive";
   match Driver.resolve_program ?program log with
@@ -55,7 +66,8 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
   | Ok program -> (
       let meta = Driver.resolve_meta ?meta log in
       let config = log.Log.config in
-      let m = Machine.create ~config ?meta program in
+      let bm = Block_machine.create ~config ?meta program in
+      let m = Block_machine.machine bm in
       let sched = m.Machine.sched in
       let h = Feed.strict log.Log.decisions in
       let strict = Feed.strict_feed h in
@@ -80,7 +92,7 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
                      :: !ways;
                  strict.Sched.decide ~tid_of env n);
            });
-      match Machine.run m with
+      match forward bm with
       | outcome ->
           Ok
             {
@@ -106,6 +118,9 @@ let create ?(stride = default_stride) ?program ?meta (log : Log.t) =
 
 let final_step t = t.final.Driver.rb_steps
 let outcome t = t.final.Driver.rb_outcome
+
+let waypoints t =
+  Array.to_list (Array.map (fun wp -> wp.wp_decision) t.waypoints)
 
 (* ------------------------------------------------------------------ *)
 (* State rendering                                                     *)
@@ -271,7 +286,8 @@ let state_at t target =
          target (final_step t))
   else begin
     let config = t.log.Log.config in
-    let m = Machine.create ~config ?meta:t.meta t.program in
+    let bm = Block_machine.create ~config ?meta:t.meta t.program in
+    let m = Block_machine.machine bm in
     let sched = m.Machine.sched in
     let start =
       match waypoint_for t target with
@@ -284,7 +300,7 @@ let state_at t target =
     Sched.set_feed sched
       (Some (Feed.strict_feed (Feed.strict ~start t.log.Log.decisions)));
     match
-      while m.Machine.step < target && Machine.step m do
+      while m.Machine.step < target && Block_machine.step bm do
         ()
       done
     with

@@ -30,6 +30,10 @@ val final_step : t -> int
 
 val outcome : t -> Outcome.t
 
+val waypoints : t -> int list
+(** The decision ordinals the forward pass dropped a waypoint at,
+    ascending: every [stride]th decision from 0. *)
+
 val state_at : t -> int -> (Json.t, string) result
 (** The machine state before step N: per-thread status, stacks with
     named registers, held locks, checkpoints and recovery state, plus

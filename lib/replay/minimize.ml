@@ -124,10 +124,9 @@ let same_failure (recorded : Outcome.t) (candidate : Outcome.t) =
 (* Minimization                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* [Engine.default]'s state, which [locate] reads: a [Machine.t] on the
-   fast and block engines. *)
+(* [Engine.default]'s state, which [locate] reads: the block engine's
+   [Machine.t]. *)
 let machine_state = function
-  | Engine.M_fast m -> m
   | Engine.M_block bm -> Block_machine.machine bm
   | Engine.M_ref _ -> invalid_arg "Minimize: the reference engine is the oracle"
 

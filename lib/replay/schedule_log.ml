@@ -37,7 +37,7 @@ let ident ?(variant = "buggy") ?(oracle = false) ?(mode = "none") app =
 
 type t = {
   ident : ident;
-  engine : string;  (** which engine recorded it ("ref" / "fast" / "block") *)
+  engine : string;  (** which engine recorded it: "ref" or "block" *)
   config : Machine.config;
   program_md5 : string;
   program_text : string option;

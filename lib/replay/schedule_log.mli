@@ -29,7 +29,7 @@ val ident : ?variant:string -> ?oracle:bool -> ?mode:string -> string -> ident
 
 type t = {
   ident : ident;
-  engine : string;  (** which engine recorded it ("ref" / "fast" / "block") *)
+  engine : string;  (** which engine recorded it: "ref" or "block" *)
   config : Machine.config;
   program_md5 : string;  (** MD5 of the executed program's text *)
   program_text : string option;  (** the executed (hardened) program *)

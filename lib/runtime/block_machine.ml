@@ -1,14 +1,14 @@
-(* The block-compiled engine: [Machine]'s state and semantics, driven
-   through [Compile]'s threaded code.
+(* The block-compiled engine: [Machine]'s state and runtime, driven
+   through [Compile]'s threaded code. It runs every execution but the
+   reference's.
 
-   The machine state IS a [Machine.t] — same linked program, same
-   threads, heap, locks, scheduler and statistics — plus the compiled
-   code, each block compiled the first time a thread enters it. What
-   changes is the driver. [Machine.run] pays an eligibility scan, a
-   scheduling decision and a full opcode dispatch per instruction; this
-   driver scans eligibility once per *phase*, a stretch of steps over
-   which the set of eligible threads cannot change, and runs the phase
-   in a tight loop:
+   The machine state IS a [Machine.t] — linked program, threads, heap,
+   locks, scheduler and statistics — plus the compiled code, each block
+   compiled the first time a thread enters it. A per-step loop would
+   pay an eligibility scan, a scheduling decision and a dispatch per
+   instruction; this driver scans eligibility once per *phase*, a
+   stretch of steps over which the set of eligible threads cannot
+   change, and runs the phase in a tight loop:
 
    - nobody eligible: the idle ticks up to the nearest time-based wake
      are taken in bulk ([idle]);
@@ -39,32 +39,30 @@
      timed wait's expiry — and a phase never runs past the earliest
      such wake ([Machine.next_wake]) or the fuel.
    - A phase ends at everything else that changes the eligible set:
-     a schedulable op (run through [Machine.run_thread_step], the same
-     code [Machine] runs), a thread death, a fault or failed assert, a
-     decided outcome.
-   - Every event [Machine] emits, the phases emit too, at the same
+     a schedulable op (run through [Machine.run_thread_step]), a thread
+     death, a fault or failed assert, a decided outcome.
+   - Every event [Ref_machine] emits, the phases emit too, at the same
      step and in the same order. Sync events come from schedulable ops
      and from the shared [Machine] helpers the compiled code calls.
      Access events come from the compiled memory links themselves,
-     where [Machine.exec_instr] emits them; inside a batched segment a
+     where the reference emits them; inside a batched segment a
      link passes its own step, [m.step - fix] ([Compile]). Per-step
      events come from this driver: with an observer of them, windows
      and contended phases retire every instruction through its
      single-step form and announce it first ([Machine.emit_step]), and
      idle ticks in bulk are announced one by one. A contended phase
-     reports each decision as [Machine.step] does; a window reports its
+     reports each decision as [step] does; a window reports its
      decisions as one counted decision, flushed through the step of any
      event emitted inside it ([Machine.emit]), so under a per-step
-     observer every decision is flushed alone, as on the other engines.
+     observer every decision is flushed alone, as on the reference.
    - A feed sees the same decisions in the same order. Every step of
      a window is one forced decision of its thread, so a window bounded
      by the feed's answer ([Sched.feed]'s [window]) takes exactly the
      decisions the feed accepted; an answer of [0] sends that step
-     through [Machine.step], whose [decide] call raises the strict
-     feed's divergence at the same decision and step as on the other
-     engines. A divergence raised in a contended phase retires the
-     phase's steps first, so the counters read what [Machine.step]
-     leaves.
+     through [step], whose [decide] call raises the strict feed's
+     divergence at the same decision and step as on the reference. A
+     divergence raised in a contended phase retires the phase's steps
+     first, so the counters read what the reference leaves.
    - Code run ahead cannot be seen early. A register-only step
      ([Compile]'s [cb_local]: moves, binops, unops, nops, stack-slot
      loads, jumps and branches) reads and writes only its thread's
@@ -85,11 +83,12 @@
      observer's [Event.view] can show them during the run, as the
      [stack] and [block] of a thread that is not a sync event's own.
 
-   Only a scheduler tap, which must hear every decision with its
-   eligible list, sends a run down [Machine.step] for every step
-   ([hooked]); observers and feeds keep the phases. [Ref_machine]
-   remains the oracle; the three-way differential suite enforces
-   bit-for-bit identity. *)
+   A single step ([step]) is built from the same pieces: one scan, one
+   decision, then one settled credit or one [step_one]. Only a
+   scheduler tap, which must hear every decision with its eligible
+   list, sends every step of a run through it ([hooked]); observers
+   and feeds keep the phases. [Ref_machine] remains the oracle; the
+   differential suite enforces bit-for-bit identity. *)
 
 open Conair_ir
 
@@ -108,14 +107,14 @@ let stats bm = Machine.stats bm.m
 let steps bm = bm.m.Machine.step
 let outcome bm = bm.m.Machine.outcome
 let sched bm = bm.m.Machine.sched
-let step bm = Machine.step bm.m
 let thread_summaries bm = Machine.thread_summaries bm.m
+let reseed ?perturb bm policy = { bm with m = Machine.reseed ?perturb bm.m policy }
 
 (* Is a scheduler tap attached? It takes every decision with the
-   eligible set as a list, which a window never builds, so it sends
-   every step down the generic path. Observers and feeds do not count:
-   the phases emit every event and hand a feed every decision, a
-   window's as one count. *)
+   eligible set as a list, which a window never builds, so a tap sends
+   every step through [step]. Observers and feeds do not count: the
+   phases emit every event and hand a feed every decision, a window's
+   as one count. *)
 let hooked (m : Machine.t) = m.Machine.sched.Sched.tap <> None
 
 (* The fault arm of [Machine.run_thread_step], for a compiled link.
@@ -145,8 +144,8 @@ let retire (m : Machine.t) ~from ~sched_steps =
   m.Machine.stats.Stats.instrs <-
     m.Machine.stats.Stats.instrs + (retired - sched_steps)
 
-(* Retire one step of [th], the thread the scheduler chose, as
-   [Machine.run_thread_step] does: a schedulable op through it (it wakes
+(* Retire one step of [th], the thread the scheduler chose: a
+   schedulable op through [Machine.run_thread_step] (it wakes
    a sleeper and announces the step itself), anything else through its
    single-step closure after its preamble — wake a chosen sleeper and,
    under an observer of per-step events, announce the step. The caller
@@ -330,30 +329,26 @@ let run_ahead bm (th : Thread.t) =
   | _ -> 0
 
 (* Several threads — the [rn] listed in [m.ready] — are eligible, or the
-   only one stands at its blocking op. Every step makes [Machine.step]'s
-   decision over the fixed list (a feed's [decide] included) and reports
-   it the same way. Then a chosen thread with credit settles one step it
+   only one stands at its blocking op, or [step] asked for one decision.
+   Every step makes the scheduler's decision over the fixed list (a
+   tap hears it, a feed makes it) and reports it to an observer of
+   decisions. Then a chosen thread with credit settles one step it
    already executed; one without runs its register-only code ahead
    ([run_ahead]), the first step retired being this decision's and the
    rest credit; anything else retires through [step_one]. A local step
    commutes with every step of every other thread, so only its place on
    the clock can be observed, and settling keeps that place. Running
-   ahead is off where it could be seen: under an observer of per-step
-   or access events, and under a feed, whose windows step through
-   [Machine.step] when it accepts no decision of theirs. The phase
-   ends at a schedulable op, a thread death, a fault, a failed assert,
-   or [bound]: the fuel or the earliest time-based wake of an
-   ineligible thread, when the eligible set could grow. *)
-let run_contended bm rn =
+   ahead ([ahead]) is off where it could be seen: under an observer of
+   per-step or access events, a feed or a tap, and in a single [step].
+   The phase ends at a schedulable op, a thread death, a fault, a
+   failed assert, or [bound]: the fuel or the earliest time-based wake
+   of an ineligible thread, when the eligible set could grow, or the
+   next step for [step]. *)
+let run_contended bm rn ~bound ~ahead =
   let m = bm.m in
-  let bound = min m.Machine.config.Machine.fuel (Machine.next_wake m) in
   m.Machine.wbound <- min_int;
   let step0 = m.Machine.step in
   let sched_steps = ref 0 in
-  let ahead =
-    Option.is_none m.Machine.sched.Sched.feed
-    && not (Machine.steps m || Machine.accesses m)
-  in
   match
     while
       let k = Sched.choose_idx m.Machine.sched ~tid_of:Machine.ready_tid m rn in
@@ -384,16 +379,17 @@ let run_contended bm rn =
   with
   | () -> retire m ~from:step0 ~sched_steps:!sched_steps
   | exception e ->
-      (* a feed aborting the run ([decide] raised): [Machine.step] would
+      (* a feed aborting the run ([decide] raised): single steps would
          have counted every step before this decision *)
       retire m ~from:step0 ~sched_steps:!sched_steps;
       raise e
 
-(* No thread is eligible. [Machine.step] would retire idle steps one at
-   a time until the nearest time-based wake; take them in bulk (an
-   observer of per-step events still hears one [Idle] per tick), or
-   declare the hang when nobody waits on time. *)
-let idle (m : Machine.t) =
+(* No thread is eligible. Take the idle ticks up to the nearest
+   time-based wake or [bound], whichever comes first: in bulk from
+   [unhooked_step], one from [step]. An observer of per-step events
+   hears one [Idle] per tick. With nobody waiting on time, declare the
+   hang. Every wake lies strictly ahead, so at least one tick passes. *)
+let idle (m : Machine.t) ~bound =
   let wake = Machine.next_wake m in
   if wake = max_int then
     m.Machine.outcome <-
@@ -401,7 +397,7 @@ let idle (m : Machine.t) =
         (Outcome.Hang
            { step = m.Machine.step; blocked = Machine.live_threads m })
   else begin
-    let skip = min wake m.Machine.config.Machine.fuel - m.Machine.step in
+    let skip = min wake bound - m.Machine.step in
     if Machine.steps m then
       for step = m.Machine.step to m.Machine.step + skip - 1 do
         Machine.emit m (Event.Idle { step })
@@ -411,16 +407,9 @@ let idle (m : Machine.t) =
     m.Machine.stats.Stats.steps <- m.Machine.stats.Stats.steps + skip
   end
 
-(* One phase of the unhooked driver. A single eligibility scan — the one
-   [Machine.step] makes — fills [m.ready]; then nobody eligible idles in
-   bulk, one eligible thread that can run (runnable, or a sleeper whose
-   deadline passed) runs a compiled window up to the next time-based
-   wake, and anything else is a contended phase over the same list.
-   A feed bounds the window by the decisions it accepts and hears how
-   many the window took; when it accepts none, the step is
-   [Machine.step]'s. *)
-let unhooked_step bm =
-  let m = bm.m in
+(* Fill [m.ready] with the indices into [m.live] of the eligible
+   threads, ascending tid; returns how many there are. *)
+let scan (m : Machine.t) =
   let rn = ref 0 in
   for i = 0 to m.Machine.live_n - 1 do
     if Machine.eligible m m.Machine.live.(i) then begin
@@ -428,10 +417,40 @@ let unhooked_step bm =
       incr rn
     end
   done;
-  if !rn = 0 then idle m
+  !rn
+
+(* One scheduler step: every step of a hooked run, the step of a feed's
+   window that accepts none of its decisions, and [Engine.step]. One
+   eligibility scan, then one idle tick (or the hang) or a contended
+   phase of one decision, which runs nothing ahead. It leaves the fuel
+   to its caller. [false] once the program has finished. *)
+let step bm =
+  let m = bm.m in
+  match m.Machine.outcome with
+  | Some _ -> false
+  | None when m.Machine.live_n = 0 ->
+      m.Machine.outcome <- Some Outcome.Success;
+      false
+  | None ->
+      let rn = scan m and bound = m.Machine.step + 1 in
+      if rn = 0 then idle m ~bound
+      else run_contended bm rn ~bound ~ahead:false;
+      m.Machine.outcome = None
+
+(* One phase of the unhooked driver. A single eligibility scan fills
+   [m.ready]; then nobody eligible idles in bulk, one eligible thread
+   that can run (runnable, or a sleeper whose deadline passed) runs a
+   compiled window up to the next time-based wake, and anything else is
+   a contended phase over the same list. A feed bounds the window by
+   the decisions it accepts and hears how many the window took; when it
+   accepts none, the step is [step]'s. *)
+let unhooked_step bm =
+  let m = bm.m in
+  let rn = scan m in
+  if rn = 0 then idle m ~bound:m.Machine.config.Machine.fuel
   else
     let th = m.Machine.live.(m.Machine.ready.(0)) in
-    match (!rn, th.Thread.status) with
+    match (rn, th.Thread.status) with
     | 1, (Thread.Runnable | Thread.Sleeping _) -> (
         (* every other thread is ineligible, so its wake lies strictly
            ahead *)
@@ -441,13 +460,18 @@ let unhooked_step bm =
         | Some f ->
             let step0 = m.Machine.step in
             let accepted = f.Sched.window th.Thread.tid in
-            if accepted <= 0 then ignore (Machine.step m)
+            if accepted <= 0 then ignore (step bm)
             else begin
               run_window bm th
                 (if accepted < bound - step0 then step0 + accepted else bound);
               f.Sched.took (m.Machine.step - step0)
             end)
-    | _ -> run_contended bm !rn
+    | _ ->
+        run_contended bm rn
+          ~bound:(min m.Machine.config.Machine.fuel (Machine.next_wake m))
+          ~ahead:
+            (Option.is_none m.Machine.sched.Sched.feed
+            && not (Machine.steps m || Machine.accesses m))
 
 let run bm =
   let m = bm.m in
@@ -464,13 +488,10 @@ let run bm =
             m.Machine.outcome <- Some Outcome.Success;
             Outcome.Success
           end
-          else if hooked m then
-            if Machine.step m then go ()
-            else Option.value ~default:Outcome.Success m.Machine.outcome
           else begin
-            unhooked_step bm;
-            (* like [Machine.run]: an outcome decided by this step stands,
-               even if the step also used up the fuel *)
+            if hooked m then ignore (step bm) else unhooked_step bm;
+            (* an outcome decided by this step or phase stands, even if
+               it also used up the fuel *)
             match m.Machine.outcome with Some o -> o | None -> go ()
           end
   in

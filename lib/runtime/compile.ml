@@ -26,19 +26,20 @@
    slots, heap cells or globals — and can therefore never change another
    thread's eligibility — compile to real code; the schedulable ones
    (lock/unlock, spawn/join, sleep, wait/notify, recovery and fail-stop,
-   i.e. exactly the points where [Machine]'s scheduler makes visible
-   decisions) are chain stoppers that tell the driver to fall back to
-   the generic per-step path. Retiring the runs in between without
+   i.e. exactly the points where the scheduler makes visible
+   decisions) are chain stoppers that hand the op back to the driver,
+   which runs it through [Machine.run_thread_step]. Retiring the runs
+   in between without
    consulting the scheduler is semantics-preserving precisely when the
    scheduler's choice over the window is forced (one eligible thread)
    and no tap must hear it (a feed is told the window's decisions as
    one count); with several threads eligible the driver still decides
    every step, but no run in between changes who is eligible.
 
-   Links emit what [Machine.exec_instr] emits for their opcode. The
+   Links emit what [Ref_machine] emits for their opcode. The
    seven memory links emit [Access] when the observer takes accesses
    ([Machine.access]), before the memory operation like the
-   interpreter — global and stack ones before it, indexed ones after
+   reference — global and stack ones before it, indexed ones after
    operand evaluation and only for a pointer, [free] as a whole block;
    a bare run pays one [match] per memory op. A link inside a batched
    segment passes its own step, [m.step - fix], since [m.step] already
@@ -52,10 +53,10 @@
    same compiled link with the [halt] continuation in place of its
    successor. The driver uses it to retire the tail of a window one
    step at a time when the remaining budget is smaller than the chain,
-   and [Block_machine]'s contended phases use it (with the budget
-   floored, so transfers never chain) to retire the chosen thread's
-   one instruction per scheduling decision without [exec_instr]'s
-   interpretive match. A block's single-step forms are built the first
+   and [Block_machine]'s contended phases and its single step use it
+   (with the budget floored, so transfers never chain) to retire the
+   chosen thread's one instruction per scheduling decision. A block's
+   single-step forms are built the first
    time it is single-stepped ([one]); blocks that only ever run as
    chains never pay for them.
 
@@ -101,14 +102,14 @@
    sites; the one fault that historically fired after a frame pop
    (return-with-no-value) is compiled inline instead of raised.
 
-   Every closure replicates [Machine.exec_instr]'s behaviour for its
-   opcode *including evaluation order* (binop operands bind
-   right-to-left, call arguments left-to-right, like the interpreter)
-   and fault messages, and reuses [Machine]'s own helpers
-   ([eval_binop], [do_return], [set_failure], ...) off the hot paths so
-   the engines cannot drift. The differential suite in
-   [test_fast_exec.ml] enforces bit-for-bit identity over the bugbench
-   catalog. *)
+   The spec of every closure is [Ref_machine]'s semantics for its
+   opcode, *including evaluation order* (binop operands bind
+   right-to-left, call arguments left-to-right) and fault messages.
+   Off the hot paths closures call [Machine]'s shared runtime
+   ([eval_binop], [do_return], [set_failure], ...), the code the
+   schedulable ops run too. The differential suite in
+   [test_fast_exec.ml] enforces bit-for-bit identity with [Ref_machine]
+   over the bugbench catalog and generated programs. *)
 
 open Conair_ir
 module Reg = Ident.Reg
@@ -178,7 +179,7 @@ let vfalse = Value.Bool false
 (* Compile-time specialization of [Machine.eval_binop] for the operand
    shapes the fully-inlined arms below don't cover: the all-integer arms
    run inline; anything else (mixed types, division by zero) delegates
-   to the interpreter's own [eval_binop], so coercion faults and their
+   to the shared [Machine.eval_binop], so coercion faults and their
    messages stay byte-identical. *)
 let binop_fn (op : Instr.binop) : Value.t -> Value.t -> Value.t =
   match op with
@@ -241,7 +242,7 @@ let binop_fn (op : Instr.binop) : Value.t -> Value.t -> Value.t =
    segment's end; a fault site rolls the batch back by its static
    distance to the segment end ([fix], counting itself) and parks
    [fr.idx] on the faulting instruction, restoring exactly the state
-   the per-step engines would show. A [C_line] op must never be
+   the reference would show. A [C_line] op must never be
    dynamically destroying: the destroying preamble reads [m.step]
    mid-segment, where the batch has it ahead of time.
 
@@ -280,7 +281,7 @@ let seg_binop k fix op m fr va vb =
   with Machine.Fault msg -> seg_fault k fix m fr msg
 
 (* The single-step continuation of a [C_line] body: retire exactly this
-   instruction, exactly as the per-step engines account it. *)
+   instruction, exactly as the reference accounts it. *)
 let one_halt j : chain =
  fun m _ fr ->
   fr.Thread.idx <- j;
@@ -296,17 +297,16 @@ let stop_at k : chain =
 
 (* [C_self]/[C_halt] prologue: re-park [fr.idx] on the op so bodies that
    advance it relatively, read it (checkpoints) or fault through getters
-   see exactly the per-step engines' value. *)
+   see exactly the reference's value. *)
 let self_idx k (body : chain) : chain =
  fun m th fr ->
   fr.Thread.idx <- k;
   body m th fr
 
-(* [exec_instr]'s destroying preamble, compiled in only where the static
-   flag is set. Applied to inline ops only: descriptor ops run the
-   preamble inside [Machine.exec_instr] itself. Links bump [m.step]
-   after it runs, so [last_destroy_step] matches the per-step engines
-   exactly. *)
+(* The destroying preamble, compiled in only where the static flag is
+   set. Applied to inline ops only: schedulable ops run the preamble
+   inside [Machine.run_thread_step]. Links bump [m.step] after it runs,
+   so [last_destroy_step] matches the reference exactly. *)
 let destroying_link (i : Link.linstr) (body : chain) : chain =
   if not i.Link.li_destroying then body
   else
@@ -337,7 +337,7 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
     (lp : Link.program) (k : int) (i : Link.linstr) : comp =
   let iid = i.Link.li_iid in
   match i.Link.li_op with
-  (* -- schedulable ops: chain stoppers, generic-path descriptors ------ *)
+  (* -- schedulable ops: chain stoppers, run by [run_thread_step] ------ *)
   | Link.L_lock _ | Link.L_timed_lock _ | Link.L_unlock _ | Link.L_spawn _
   | Link.L_join _ | Link.L_sleep _ | Link.L_wait _ | Link.L_timed_wait _
   | Link.L_notify _ | Link.L_try_recover _ | Link.L_fail_stop _ ->
@@ -367,7 +367,7 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
               l))
   | Link.L_binop (r, op, a, b) -> (
       (* operands bind right-to-left, like [eval_binop op (eval fr a)
-         (eval fr b)] in the interpreter; every specialization below
+         (eval fr b)] in the reference; every specialization below
          keeps that order (b's undefined-register fault wins over a's).
          The arithmetic/comparison ops on the two hot operand shapes are
          inlined outright — non-[Int] operands and division by zero

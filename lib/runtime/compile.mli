@@ -29,8 +29,8 @@
     Instructions that can never affect another thread's eligibility
     compile to real code; schedulable ones (lock/unlock, spawn/join,
     sleep, wait/notify, recovery, fail-stop and [exit]) are stoppers
-    that send the driver through the generic [Machine.run_thread_step]
-    path. The runs between stoppers are what [Block_machine] retires
+    that send the driver through [Machine.run_thread_step]. The runs
+    between stoppers are what [Block_machine] retires
     without rescanning eligibility.
 
     Blocks compile on first entry. The code object starts with every
@@ -42,10 +42,10 @@
     [t_refresh] with the program point already on the target; the
     driver's next lookup compiles it.
 
-    Closures replicate [Machine.exec_instr] bit-for-bit — including
-    operand evaluation order and fault-message bytes — and reuse
-    [Machine]'s own helpers off the hot paths so the engines cannot
-    drift. Faults are raised with the program point parked at the
+    Closures implement [Ref_machine]'s semantics bit-for-bit —
+    including operand evaluation order and fault-message bytes — and
+    call [Machine]'s shared runtime off the hot paths. Faults are
+    raised with the program point parked at the
     faulting instruction and that instruction's step not counted
     (segment batches having been rolled back as above), so the
     driver's fault arm finds the faulting frame on top with [fr.idx]
@@ -64,7 +64,7 @@ val t_end : int
 
 val t_sched : int
 (** stopped at an unexecuted schedulable op at [fr.idx]: run it through
-    the generic path *)
+    [Machine.run_thread_step] *)
 
 val t_failed : int
 (** an assertion (or inline-compiled fault) failed mid-run; its step is

@@ -3,7 +3,7 @@
 
     Every engine emits each occurrence once, at the point it happens,
     carrying names (lock names, virtual time, thread ids, instruction
-    ids), never link-time indices, so the three engines feed
+    ids), never link-time indices, so the two engines feed
     byte-identical streams. Context that costs something to build — the
     call stack, the current block label, the held lockset — is not in
     the event: an observer asks the machine's {!view} for it, and only

@@ -15,9 +15,9 @@
    - the *event* ring holds the recent synchronization / recovery
      events (lock acquire/request/release, wait, spawn, rollback,
      recovered, failure) — the sync events of the observation stream
-     themselves, which every engine emits from its interpretive paths or
-     the shared [Machine] helpers, so the ring contents are identical
-     across ref/fast/block.
+     themselves, which both engines emit, the block engine from its
+     schedulable ops and the shared [Machine] helpers, so the ring
+     contents are identical across ref and block.
 
    Steady state allocates nothing: decisions and preemption ordinals are
    int stores into preallocated arrays, and the event ring stores the

@@ -1,38 +1,8 @@
-(* The Mir interpreter with the ConAir recovery runtime built in — the
-   *pre-resolved* engine.
-
-   [create] runs the [Link] pass once: register names become dense indices
-   into a per-frame [Value.t array], jump labels and call targets become
-   array indices, and the hardening metadata's fail-arm labels are
-   annotations on the blocks themselves. The step loop then never looks a
-   name up: no [Func.find_block], no [Program.find_func], no
-   [Reg.Map.find_opt], and no per-step fold over the thread table — the
-   scheduler keeps a dense array of live threads, maintained at spawn and
-   death.
-
-   One scheduler step executes one instruction (or terminator) of one
-   thread. The recovery pseudo-instructions inserted by the transformation
-   are interpreted here:
-
-   - [Checkpoint]: bump the region counter and save the register image +
-     program point into the thread's single checkpoint slot (an
-     [Array.copy] blit);
-   - [Try_recover]: if a checkpoint exists and the per-site retry budget is
-     not exhausted, compensate (release locks / free blocks acquired in the
-     current region, §4.1), verify the rollback-safety invariant if asked,
-     restore the register image and jump back — otherwise fall through to
-     the [Fail_stop];
-   - [Timed_lock]: block with a timeout measured in scheduler steps and
-     report success/timeout in a register.
-
-   Unhardened programs fail exactly where hardened ones would recover:
-   asserts stop the program, invalid dereferences are segmentation faults,
-   and a configuration where every live thread is blocked is a hang.
-
-   Semantics are bit-for-bit those of the original map-based interpreter,
-   which survives as [Ref_machine]: same outcomes, outputs, step counts,
-   traces, statistics and random-stream consumption, enforced by the
-   differential test over the bugbench catalog. *)
+(* The machine state and the ConAir recovery runtime the block-compiled
+   engine runs on; machine.mli describes both. There is no step loop
+   here: [Compile]'s closures run straight-line code and control
+   transfers, whose spec is [Ref_machine], and [run_thread_step] runs
+   the schedulable ops, the one piece of interpretation left. *)
 
 open Conair_ir
 module Reg = Ident.Reg
@@ -674,15 +644,6 @@ let do_return m (th : Thread.t) v =
               | None ->
                   raise (Fault "function returned no value but one was expected"))))
 
-let exec_call m (th : Thread.t) ~ret ~fid ~fname ~args =
-  let fr = Thread.top th in
-  let argv = eval_args fr args in
-  advance fr;
-  if fid < 0 then
-    raise (Fault (Format.asprintf "call to unknown %a" Fname.pp fname));
-  let f = m.linked.Link.lp_funcs.(fid) in
-  Thread.push_frame th (Thread.make_frame f ~args:argv ~ret_reg:ret)
-
 let exec_spawn m (th : Thread.t) ~reg ~fid ~fname ~args =
   let fr = Thread.top th in
   let argv = eval_args fr args in
@@ -703,6 +664,9 @@ let exec_spawn m (th : Thread.t) ~reg ~fid ~fname ~args =
   fr.Thread.regs.(reg) <- Value.Tid tid;
   advance fr
 
+(* The schedulable ops, [Compile]'s [C_sched] stoppers: the only
+   instructions [run_thread_step] executes. Everything else runs as
+   compiled code, whose spec is [Ref_machine]. *)
 let exec_instr m (th : Thread.t) (i : Link.linstr) =
   let fr = Thread.top th in
   let regs = fr.Thread.regs in
@@ -711,92 +675,6 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
     if th.Thread.recovering <> None then close_episode m th
   end;
   match i.Link.li_op with
-  | Link.L_move (r, a) ->
-      regs.(r) <- eval fr a;
-      advance fr
-  | Link.L_binop (r, op, a, b) ->
-      regs.(r) <- eval_binop op (eval fr a) (eval fr b);
-      advance fr
-  | Link.L_unop (r, op, a) ->
-      regs.(r) <- eval_unop op (eval fr a);
-      advance fr
-  | Link.L_load_global (r, g) -> (
-      if accesses m then
-        access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Read
-          (Event.A_global g);
-      match Hashtbl.find_opt m.globals g with
-      | Some v ->
-          regs.(r) <- v;
-          advance fr
-      | None -> raise (Fault ("load of undeclared global " ^ g)))
-  | Link.L_load_stack (r, s) ->
-      if accesses m then
-        access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Read
-          (Event.A_slot (th.Thread.tid, s));
-      regs.(r) <-
-        (match fr.Thread.stack_vars with
-        | None -> Value.zero
-        | Some h -> Option.value ~default:Value.zero (Hashtbl.find_opt h s));
-      advance fr
-  | Link.L_store_global (g, a) ->
-      if accesses m then
-        access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Write
-          (Event.A_global g);
-      if Hashtbl.mem m.globals g then begin
-        Hashtbl.replace m.globals g (eval fr a);
-        advance fr
-      end
-      else raise (Fault ("store to undeclared global " ^ g))
-  | Link.L_store_stack (s, a) ->
-      if accesses m then
-        access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Write
-          (Event.A_slot (th.Thread.tid, s));
-      Hashtbl.replace (Thread.stack_tbl fr) s (eval fr a);
-      advance fr
-  | Link.L_load_idx (r, p, ix) -> (
-      (* operands bound right-to-left, preserving the original argument
-         evaluation order; the access is reported before the heap op so
-         faulting dereferences are still seen by the detector, and only
-         for a pointer — anything else faults without an address *)
-      let iv = as_int (eval fr ix) in
-      let pv = eval fr p in
-      (match pv with
-      | Value.Ptr { Value.block; offset } when accesses m ->
-          access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid Event.Read
-            (Event.A_cell (block, offset + iv))
-      | _ -> ());
-      match Heap.load m.heap pv iv with
-      | Ok v ->
-          regs.(r) <- v;
-          advance fr
-      | Error e -> raise (Fault e))
-  | Link.L_store_idx (p, ix, v) -> (
-      let vv = eval fr v in
-      let iv = as_int (eval fr ix) in
-      let pv = eval fr p in
-      (match pv with
-      | Value.Ptr { Value.block; offset } when accesses m ->
-          access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid
-            Event.Write (Event.A_cell (block, offset + iv))
-      | _ -> ());
-      match Heap.store m.heap pv iv vv with
-      | Ok () -> advance fr
-      | Error e -> raise (Fault e))
-  | Link.L_alloc (r, n) ->
-      let ptr = Heap.alloc m.heap (as_int (eval fr n)) in
-      Thread.log_acquisition th (Thread.R_block ptr.Value.block);
-      regs.(r) <- Value.Ptr ptr;
-      advance fr
-  | Link.L_free p -> (
-      let pv = eval fr p in
-      (match pv with
-      | Value.Ptr { Value.block; _ } when accesses m ->
-          access m ~step:m.step ~tid:th.Thread.tid ~iid:i.Link.li_iid
-            Event.Write (Event.A_block block)
-      | _ -> ());
-      match Heap.free m.heap pv with
-      | Ok () -> advance fr
-      | Error e -> raise (Fault e))
   | Link.L_lock mref ->
       let name = as_mutex (eval fr mref) in
       if Locks.try_acquire m.locks name ~tid:th.Thread.tid then begin
@@ -873,20 +751,6 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
                    forced = false });
           advance fr
       | Error e -> raise (Fault e))
-  | Link.L_assert { cond; msg; oracle } ->
-      if Value.is_true (eval fr cond) then advance fr
-      else
-        let kind = if oracle then Instr.Wrong_output else Instr.Assert_fail in
-        set_failure m ~kind ~site_id:None ~iid:(Some i.Link.li_iid)
-          ~tid:th.Thread.tid ~msg
-  | Link.L_output { fmt; args } ->
-      let text = render_output fmt (eval_arg_list fr args) in
-      m.outputs <- text :: m.outputs;
-      m.stats.outputs <- m.stats.outputs + 1;
-      if steps m then
-        emit m (Event.Output { step = m.step; tid = th.Thread.tid; text });
-      advance fr
-  | Link.L_call { ret; fid; fname; args } -> exec_call m th ~ret ~fid ~fname ~args
   | Link.L_spawn { reg; fid; fname; args } ->
       exec_spawn m th ~reg ~fid ~fname ~args
   | Link.L_join t -> (
@@ -910,7 +774,6 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       in
       th.Thread.status <- Thread.Sleeping (m.step + n);
       advance fr
-  | Link.L_nop -> advance fr
   | Link.L_wait name -> (
       match th.Thread.status with
       | Thread.Blocked_event _ -> ()
@@ -966,28 +829,6 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
           | _ -> ())
         m.threads;
       advance fr
-  | Link.L_checkpoint id ->
-      th.Thread.region_counter <- th.Thread.region_counter + 1;
-      advance fr;
-      th.Thread.checkpoint <-
-        Some
-          {
-            Thread.ck_depth = Thread.depth th;
-            ck_func = fr.Thread.func;
-            ck_block = fr.Thread.block.Link.lb_label;
-            ck_idx = fr.Thread.idx;
-            ck_regs = Array.copy fr.Thread.regs;
-            ck_counter = th.Thread.region_counter;
-            ck_step = m.step;
-          };
-      Stats.hit_checkpoint m.stats id;
-      if steps m then
-        emit m
-          (Event.Checkpoint
-             { step = m.step; tid = th.Thread.tid; ckpt_id = id })
-  | Link.L_ptr_guard (r, p, ix) ->
-      regs.(r) <- Value.Bool (Heap.valid m.heap (eval fr p) (as_int (eval fr ix)));
-      advance fr
   | Link.L_try_recover { site_id; kind } ->
       if sync m then
         emit m
@@ -998,29 +839,19 @@ let exec_instr m (th : Thread.t) (i : Link.linstr) =
       close_episode m th;
       set_failure m ~kind ~site_id:(Some site_id) ~iid:(Some i.Link.li_iid)
         ~tid:th.Thread.tid ~msg
+  | _ -> invalid_arg "Machine.exec_instr: not a schedulable op"
 
+(* [L_exit], the one terminator [Compile] leaves a stopper. *)
 let exec_terminator m (th : Thread.t) =
-  let fr = Thread.top th in
-  match fr.Thread.block.Link.lb_term with
-  | Link.L_jump i ->
-      fr.Thread.block <- fr.Thread.func.Link.lf_blocks.(i);
-      fr.Thread.idx <- 0
-  | Link.L_branch (c, t, f) ->
-      let taken, other = if Value.is_true (eval fr c) then (t, f) else (f, t) in
-      if th.Thread.recovering <> None then
-        note_branch_taken m th fr ~taken_idx:taken ~other_idx:other;
-      fr.Thread.block <- fr.Thread.func.Link.lf_blocks.(taken);
-      fr.Thread.idx <- 0
-  | Link.L_return v ->
-      let value = Option.map (eval fr) v in
-      do_return m th value
+  match (Thread.top th).Thread.block.Link.lb_term with
   | Link.L_exit ->
       th.Thread.status <- Thread.Done;
       remove_live m th;
       m.outcome <- Some Outcome.Success
+  | _ -> invalid_arg "Machine.exec_terminator: not a schedulable terminator"
 
 (* ------------------------------------------------------------------ *)
-(* The scheduler loop                                                  *)
+(* Eligibility and the schedulable step                                *)
 (* ------------------------------------------------------------------ *)
 
 let eligible m (th : Thread.t) =
@@ -1062,6 +893,9 @@ let next_wake m =
   done;
   !wake
 
+(* One schedulable op of [th], the thread [Block_machine.step] or a
+   block-engine phase chose: everything a step does but the eligibility
+   scan, the decision and the step counter. *)
 let run_thread_step m (th : Thread.t) =
   let tid = th.Thread.tid in
   (* A sleeper simply wakes; blocked threads re-execute their blocking
@@ -1094,67 +928,6 @@ let run_thread_step m (th : Thread.t) =
     set_failure m ~kind:Instr.Seg_fault ~site_id:None
       ~iid:(if at_iid < 0 then None else Some at_iid)
       ~tid ~msg
-
-(** Run one scheduler step. Returns [false] when the program has finished
-    (successfully or not). *)
-let step m =
-  match m.outcome with
-  | Some _ -> false
-  | None ->
-      if m.live_n = 0 then begin
-        m.outcome <- Some Outcome.Success;
-        false
-      end
-      else begin
-        let n = m.live_n in
-        let rn = ref 0 in
-        for i = 0 to n - 1 do
-          if eligible m m.live.(i) then begin
-            m.ready.(!rn) <- i;
-            incr rn
-          end
-        done;
-        (if !rn = 0 then begin
-           (* Nobody is eligible, so every sleeper and timed waiter wakes
-              strictly in the future. *)
-           if next_wake m < max_int then begin
-             (* Everyone is asleep or waiting: let virtual time pass. *)
-             if steps m then emit m (Event.Idle { step = m.step });
-             m.step <- m.step + 1;
-             m.stats.idle <- m.stats.idle + 1;
-             m.stats.steps <- m.stats.steps + 1
-           end
-           else
-             m.outcome <-
-               Some (Outcome.Hang { step = m.step; blocked = live_threads m })
-         end
-         else begin
-           let k = Sched.choose_idx m.sched ~tid_of:ready_tid m !rn in
-           if decisions m then decide m k !rn;
-           run_thread_step m m.live.(m.ready.(k));
-           m.step <- m.step + 1;
-           m.stats.steps <- m.stats.steps + 1
-         end);
-        m.outcome = None
-      end
-
-(** Run to completion (or until the fuel runs out). *)
-let run m =
-  let rec go () =
-    if m.step >= m.config.fuel then begin
-      m.outcome <- Some (Outcome.Fuel_exhausted m.step);
-      Outcome.Fuel_exhausted m.step
-    end
-    else if step m then go ()
-    else Option.value ~default:Outcome.Success m.outcome
-  in
-  go ()
-
-(** Convenience: build a machine and run it. *)
-let run_program ?config ?meta prog =
-  let m = create ?config ?meta prog in
-  let outcome = run m in
-  (m, outcome)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-machine snapshots                                             *)

@@ -1,14 +1,16 @@
-(** The Mir interpreter with the ConAir recovery runtime built in.
+(** The machine state and the ConAir recovery runtime the block-compiled
+    engine ([Block_machine]) runs on. It has no step loop: [Compile]'s
+    closures run straight-line code and control transfers, calling the
+    helpers below, and the schedulable ops (lock/unlock, spawn/join,
+    sleep, wait/notify, recovery, fail-stop, [exit]) run through
+    {!run_thread_step}.
 
     [create] pre-resolves the program once through [Link] — register
     names interned to dense indices (frames hold a flat [Value.t array]),
     labels and call targets resolved to array indices, fail-arm labels
-    annotated onto their blocks — and the step loop runs without any name
-    lookups; the scheduler keeps a dense live-thread array instead of
-    folding the thread table every step.
+    annotated onto their blocks — and the scheduler keeps a dense
+    live-thread array instead of folding the thread table.
 
-    One scheduler step executes one instruction (or terminator) of one
-    thread. The recovery pseudo-instructions are interpreted here:
     [Checkpoint] saves the register image into the thread's single
     checkpoint slot (an [Array.copy]), [Try_recover] compensates
     (releases locks / frees blocks acquired in the current region, §4.1)
@@ -16,11 +18,8 @@
     with a step timeout. Unhardened programs fail where hardened ones
     recover: asserts stop the program, invalid dereferences are
     segmentation faults, and a configuration with every live thread
-    blocked is a hang.
-
-    Semantics are bit-for-bit those of the original map-based
-    interpreter, kept as [Ref_machine]: same outcomes, outputs, step
-    counts, traces, statistics and random-stream consumption. *)
+    blocked is a hang. Semantics are bit-for-bit those of the map-based
+    reference interpreter, [Ref_machine]. *)
 
 open Conair_ir
 module Label = Ident.Label
@@ -130,20 +129,11 @@ val thread_summaries : t -> (int * string * string list) list
     [blocked_lock:NAME], [blocked_event:NAME], [blocked_join:TID],
     [done], [failed]). *)
 
-val step : t -> bool
-(** Run one scheduler step; [false] once the program has finished. *)
-
-val run : t -> Outcome.t
-(** Run to completion or until the fuel runs out. *)
-
-val run_program : ?config:config -> ?meta:meta -> Program.t -> t * Outcome.t
-
 (** {1 Engine internals}
 
-    The execution helpers, exported for [Compile]/[Block_machine]: the
-    block-compiled engine reuses [Machine]'s own evaluation, failure and
-    recovery paths verbatim so the two engines cannot drift. Not intended
-    for other callers. *)
+    The shared runtime, exported for [Compile]/[Block_machine]: compiled
+    code and the driver share one set of evaluation, failure and
+    recovery paths. Not intended for other callers. *)
 
 exception Fault of string
 (** An unrecovered runtime fault of the current thread. *)
@@ -182,7 +172,7 @@ val access :
 val emit_step : t -> Thread.t -> woke:bool -> unit
 (** Emit the {!Event.Step} of the thread's current instruction (or
     terminator) at [m.step], as {!run_thread_step} does before executing
-    it. *)
+    it and [Block_machine] before a compiled step. *)
 
 val ready_tid : t -> int -> int
 (** [ready_tid m j]: the tid of [m.ready.(j)], the projection the
@@ -215,14 +205,14 @@ val next_wake : t -> int
     by time alone — a sleeper's deadline, a timed lock's or timed wait's
     [since + timeout] — or [max_int] when nobody waits on time. Threads
     that are eligible already contribute no wake, except a timed waiter
-    on a free lock. The one wake scan: [step]'s idle branch and the
-    block engine's window, idle and contended bounds all read it. *)
+    on a free lock. The one wake scan: the block engine's idle ticks and
+    its window and contended bounds all read it. *)
 
 val run_thread_step : t -> Thread.t -> unit
-(** Execute one instruction (or terminator) of [th], including the
-    sleeper wake and every event it emits — everything [step] does
-    except eligibility scanning, the scheduling decision and the
-    step-counter bump. *)
+(** Execute the schedulable op (or [exit]) [th] stands at, including the
+    sleeper wake and every event it emits; not the eligibility scan, the
+    decision or the step counters. Handed a compiled instruction, it
+    raises [Invalid_argument]. *)
 
 (** {1 Whole-machine snapshots}
 

@@ -1,8 +1,9 @@
 (* The *reference* Mir interpreter: the original map-based implementation,
    kept verbatim as a semantic oracle.
 
-   [Machine] runs pre-resolved ([Link]ed) programs with array registers
-   and index-resolved control flow; this module still walks the source
+   [Block_machine] runs pre-resolved ([Link]ed), block-compiled programs
+   with array registers and index-resolved control flow; this module
+   still walks the source
    [Program.t] directly — persistent register maps, label lookups by list
    scan, a thread-table fold per scheduler step. It is several times
    slower, and that is the point: the two engines must agree bit-for-bit

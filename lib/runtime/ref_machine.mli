@@ -1,12 +1,14 @@
 (** The reference Mir interpreter: the original map-based implementation,
-    kept as a semantic oracle for the pre-resolved engine in [Machine].
+    kept as the semantic oracle for the block-compiled engine
+    ([Block_machine]).
 
     It interprets the source [Program.t] directly (persistent register
     maps, label lookups, a thread-table fold per step) and must agree
-    bit-for-bit with [Machine] — same outcomes, outputs, step counts,
-    traces and statistics on every program and every scheduling policy.
-    The differential test enforces this across the bugbench catalog; the
-    bench's interp mode measures the speedup of [Machine] over it.
+    bit-for-bit with [Block_machine] — same outcomes, outputs, step
+    counts, traces and statistics on every program and every scheduling
+    policy. The differential test enforces this across the bugbench
+    catalog and generated programs; the bench's interp mode measures
+    the block engine's speedup over it.
 
     Deliberately slow — do not optimize. *)
 
@@ -25,7 +27,7 @@ val create :
   Program.t ->
   t
 (** Same as [Machine.create]. The observer sees the same event stream,
-    with the same names, as the fast engine's — traces, profiles and race
+    with the same names, as the block engine's — traces, profiles and race
     reports are part of the bit-for-bit differential guarantee. *)
 
 val outputs : t -> string list

@@ -144,7 +144,7 @@ let choose t eligible =
           notify t ~chosen ~eligible;
           chosen)
 
-(** Index-based choice for the pre-resolved engines: pick an index into
+(** Index-based choice for the block engine: pick an index into
     an eligible array of length [n] ([tid_of env i] gives the thread id
     at slot [i], ascending). The projection takes its environment as an
     argument, so a caller passing a closed function and its state

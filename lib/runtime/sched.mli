@@ -84,8 +84,9 @@ val rng : t -> Random.State.t
 
     A [tap] observes every scheduling decision — including the
     single-eligible fast path — with the eligible tids in ascending
-    order; it sends every step of a block run down the generic path,
-    so only the tests' oracle recorder uses it. A [feed] replaces the
+    order; it sends every step of a block run through
+    [Block_machine.step], so only the tests' oracle recorder uses it. A
+    [feed] replaces the
     policy's decision. A fed decision still consumes the policy's rng
     draw and cursor movement for the chosen thread, so the downstream
     random stream (deadlock backoff, perturbed timing) stays aligned

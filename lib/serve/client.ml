@@ -72,9 +72,18 @@ let recv_until ?(other = fun (_ : Json.t) -> ()) t pred =
   in
   go ()
 
+let set_receive_timeout t seconds =
+  Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO seconds
+
+let error_message j =
+  match Json.member "message" j with
+  | Some (Json.String m) -> m
+  | _ -> "job error"
+
 (* Submit a job and collect its full frame sequence: the ack, every
-   telemetry line, and the result. Frames for other (tenant, id) pairs
-   — there are none when the connection is used by a single tenant
+   telemetry line, and the result — or the error frame of a job the
+   daemon rejected or failed. Frames for other (tenant, id) pairs —
+   there are none when the connection is used by a single tenant
    thread — are passed to [other]. *)
 let submit ?(other = fun (_ : Json.t) -> ()) t ~tenant ~id job =
   send t (Protocol.Submit { tenant; id; job });
@@ -86,8 +95,12 @@ let submit ?(other = fun (_ : Json.t) -> ()) t ~tenant ~id job =
        | Some (Json.String i) -> i = id
        | _ -> false
   in
-  match recv_until ~other t (fun j -> mine j && frame_type j = "ack") with
+  match
+    recv_until ~other t (fun j ->
+        mine j && (frame_type j = "ack" || frame_type j = "error"))
+  with
   | None -> Error "eof before ack"
+  | Some j when frame_type j = "error" -> Error (error_message j)
   | Some _ack ->
       let telemetry = ref [] in
       let rec go () =
@@ -103,10 +116,7 @@ let submit ?(other = fun (_ : Json.t) -> ()) t ~tenant ~id job =
             else if mine j && frame_type j = "result" then
               Ok (j, List.rev !telemetry)
             else if mine j && frame_type j = "error" then
-              Error
-                (match Json.member "message" j with
-                | Some (Json.String m) -> m
-                | _ -> "job error")
+              Error (error_message j)
             else begin
               other j;
               go ()

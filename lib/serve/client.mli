@@ -13,6 +13,10 @@ val connect : ?timeout:float -> Server.address -> t
 
 val send : t -> Protocol.request -> unit
 
+val set_receive_timeout : t -> float -> unit
+(** Bound every later receive to [seconds] (0: no bound, the default);
+    a receive that waits longer raises [Sys_error]. *)
+
 val recv : t -> Json.t option
 (** Next response frame; [None] on EOF. An unparsable frame decodes as
     an error frame rather than raising. *)
@@ -34,6 +38,8 @@ val submit :
   (Json.t * Json.t list, string) result
 (** Submit one job and collect its frames: waits for the ack, gathers
     the telemetry lines, returns [(result_frame, telemetry_lines)].
-    Frames belonging to other jobs go to [other]. *)
+    [Error] carries the message of the job's error frame: a request
+    the daemon rejected, or a job that failed. Frames belonging to other
+    jobs go to [other]. *)
 
 val close : t -> unit

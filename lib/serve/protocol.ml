@@ -27,14 +27,19 @@ type target =
 
 (* Execution knobs, defaulting exactly as the CLI's flags do. *)
 type exec = {
-  engine : string;  (** "ref" | "fast" | "block" *)
+  engine : string;  (** an [Engine.of_string] name *)
   fuel : int;
   seed : int option;  (** random-scheduler seed; [None] = round-robin *)
   max_retries : int;
 }
 
 let default_exec =
-  { engine = "fast"; fuel = 8_000_000; seed = None; max_retries = 1_000_000 }
+  {
+    engine = Conair.Runtime.Engine.(name default);
+    fuel = 8_000_000;
+    seed = None;
+    max_retries = 1_000_000;
+  }
 
 type spec =
   | Run of { target : target; mode : string; exec : exec }
@@ -188,10 +193,8 @@ let exec_of_json j =
     | Some (Json.Int n) -> Ok (Some n)
     | Some _ -> Error "expected int member \"seed\""
   in
-  if not (List.exists (fun e -> Conair.Runtime.Engine.name e = engine)
-            Conair.Runtime.Engine.all)
-  then Error (Printf.sprintf "unknown engine %S" engine)
-  else Ok { engine; fuel; seed; max_retries }
+  let* (_ : Conair.Runtime.Engine.t) = Conair.Runtime.Engine.of_string engine in
+  Ok { engine; fuel; seed; max_retries }
 
 (* [max_program_bytes] bounds inline payloads (program text, embedded
    schedule logs) so one client cannot balloon the server's memory. *)
@@ -284,7 +287,7 @@ let spec_of_json ~max_program_bytes j =
       else Ok (Fix { target; max_candidates; sweep_seeds; search_seeds; exec })
   | k -> Error (Printf.sprintf "unknown job kind %S" k)
 
-let request_of_json ~max_program_bytes j =
+let parse_request ~max_program_bytes j =
   let* op = string_mem "op" j in
   match op with
   | "submit" ->
@@ -309,9 +312,21 @@ let request_of_json ~max_program_bytes j =
   | "shutdown" -> Ok Shutdown
   | op -> Error (Printf.sprintf "unknown op %S" op)
 
+(* A submit that names its tenant and id gets its error frame tagged
+   with them: the client waits for a frame of its job, not for any
+   error. *)
+let request_of_json ~max_program_bytes j =
+  let frame =
+    match (string_mem "op" j, string_mem "tenant" j, string_mem "id" j) with
+    | Ok "submit", Ok tenant, Ok id when tenant <> "" && id <> "" ->
+        error ~tenant ~id
+    | _ -> error ?tenant:None ?id:None
+  in
+  Result.map_error frame (parse_request ~max_program_bytes j)
+
 let request_of_line ~max_program_bytes line =
   match Json.of_string line with
-  | Error e -> Error (Printf.sprintf "bad json: %s" e)
+  | Error e -> Error (error (Printf.sprintf "bad json: %s" e))
   | Ok j -> request_of_json ~max_program_bytes j
 
 (* ------------------------------------------------------------------ *)

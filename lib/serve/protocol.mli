@@ -83,12 +83,15 @@ val bye : draining:int -> Json.t
 val spec_of_json : max_program_bytes:int -> Json.t -> (spec, string) result
 
 val request_of_json :
-  max_program_bytes:int -> Json.t -> (request, string) result
+  max_program_bytes:int -> Json.t -> (request, Json.t) result
 
 val request_of_line :
-  max_program_bytes:int -> string -> (request, string) result
+  max_program_bytes:int -> string -> (request, Json.t) result
 (** Parse one request line. [Error] on malformed JSON, unknown ops or
-    kinds, bad members, or an inline payload over [max_program_bytes]. *)
+    kinds, bad members (an engine name [Engine.of_string] rejects
+    included), or an inline payload over [max_program_bytes]; it carries
+    the {!error} frame that answers the line, tagged with the tenant and
+    id of a submit that names both, so the submitting client sees it. *)
 
 val request_json : request -> Json.t
 val request_to_line : request -> string

@@ -161,7 +161,7 @@ let connection_loop t ~conn_id fd =
                Protocol.request_of_line
                  ~max_program_bytes:t.cfg.max_program_bytes line
              with
-             | Error e -> Outbox.send_json out (Protocol.error e)
+             | Error frame -> Outbox.send_json out frame
              | Ok req -> handle_request t out req
            end;
            if not (stopping t) then loop ()

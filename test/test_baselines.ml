@@ -89,6 +89,53 @@ let full_checkpoint_no_restores_on_clean_run () =
   Alcotest.(check int) "no restores" 0 r.restores;
   Alcotest.(check int) "no recovery" 0 r.recovery_steps
 
+(* The whole run of the baseline on every buggy registry app — outcome,
+   an MD5 of the outputs, snapshots, restores, and run, total and
+   recovery steps — pinned. It steps the block engine one decision at a
+   time, snapshotting between steps. *)
+let full_checkpoint_pinned () =
+  let pinned =
+    [
+      ("FFT", "7fdef20d2ddf2e131dcba480b065b7e4", 225, 59, 57028, 61528, 1011);
+      ("HawkNL", "14f8284505690ce8fe6ec159701a6098", 85, 1, 21151, 22851, 21086);
+      ("HTTrack", "e2e71bcdb2342ac3fdf1b1b3bd8aa284", 100, 22, 26309, 28525, 3742);
+      ("MozillaXP", "aa2e0fa33d7d865329c74390d8bf6e5d", 35, 109, 12095, 12863, 3563);
+      ("MozillaJS", "24bd15eb65f05bd7a02d1f790b445c87", 86, 1, 21527, 23247, 21442);
+      ("MySQL1", "3bb1433b9fab01155a9f7784d309022c", 71, 92, 20020, 21440, 2493);
+      ("MySQL2", "932dcdc76802c3a031c764e844267cea", 144, 1, 35935, 39101, 35918);
+      ("SQLite", "098fe279904104e6ecc701e2a40020b7", 85, 1, 21158, 22858, 21083);
+      ("Transmission", "706fbce49fdbc092bb22220c54abb53e", 34, 7, 9689, 10435, 1261);
+      ("ZSNES", "8e4fc095a17f30d10f2a58c83859d3ae", 35, 7, 9743, 10511, 1320);
+      ("PBZIP2", "08cdcf5bfb5e75ccbeec48b962b83a47", 3, 1, 832, 896, 130);
+      ("Apache", "b838a45802cbad0c1bf8c7ab34ec0ba7", 6, 24, 1760, 1890, 740);
+    ]
+  in
+  Alcotest.(check (list string)) "every buggy app is pinned"
+    (List.map
+       (fun (s : Spec.t) -> s.info.name)
+       (Registry.all @ Registry.extended))
+    (List.map (fun (name, _, _, _, _, _, _) -> name) pinned);
+  List.iter
+    (fun (name, outputs, snapshots, restores, run, total, recovery) ->
+      let s = Option.get (Registry.find name) in
+      let inst = s.make ~variant:Spec.Buggy ~oracle:s.info.needs_oracle in
+      let r =
+        Full_checkpoint.run
+          ~config:{ Full_checkpoint.default_config with machine = config }
+          inst.program
+      in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      Alcotest.(check bool) (name ^ ": success") true
+        (Outcome.is_success r.outcome);
+      Alcotest.(check string) (name ^ ": outputs") outputs
+        (Digest.to_hex (Digest.string (String.concat "\n" r.outputs)));
+      check "snapshots" snapshots r.snapshots_taken;
+      check "restores" restores r.restores;
+      check "run steps" run r.run_steps;
+      check "total steps" total r.total_steps;
+      check "recovery steps" recovery r.recovery_steps)
+    pinned
+
 (* --- Fig 2 micro patterns ----------------------------------------------- *)
 
 let micro_expectations () =
@@ -146,6 +193,8 @@ let suites =
         case "full checkpoint pays overhead" full_checkpoint_pays_overhead;
         case "full checkpoint: clean run has no restores"
           full_checkpoint_no_restores_on_clean_run;
+        Alcotest.test_case "full checkpoint results pinned" `Quick
+          full_checkpoint_pinned;
       ] );
     ( "micro-patterns",
       [

@@ -153,7 +153,7 @@ let fingerprint_separates_like_signature () =
                 let what = Printf.sprintf "%s, %s" name (Engine.name engine) in
                 Alcotest.(check string) (what ^ ": signature") s s';
                 Alcotest.(check bool) (what ^ ": key as on ref") true (k = k'))
-              [ Engine.Fast; Engine.Block ];
+              [ Engine.Block ];
             (k, s))
           policies
       in
@@ -251,7 +251,7 @@ let finding_line ~signature ~case ~seed ~run_index ~log =
 
 let summary_line ~worker ~runs ~findings =
   Printf.sprintf
-    "{\"type\":\"fuzz_summary\",\"worker\":%d,\"engine\":\"fast\",\"elapsed_sec\":2.0,\"checks\":12,\"failures\":0,\"hardened_runs\":%d,\"total_runs\":%d,\"findings\":%d}"
+    "{\"type\":\"fuzz_summary\",\"worker\":%d,\"engine\":\"block\",\"elapsed_sec\":2.0,\"checks\":12,\"failures\":0,\"hardened_runs\":%d,\"total_runs\":%d,\"findings\":%d}"
     worker (runs / 2) runs findings
 
 let coverage_line () =
@@ -291,7 +291,7 @@ let campaign_fold () =
   Alcotest.(check int) "workers" 2 (List.length c.Campaign.c_workers);
   Alcotest.(check int) "unique findings" 3 (List.length c.Campaign.c_findings);
   Alcotest.(check int) "duplicates" 1 c.Campaign.c_duplicates;
-  Alcotest.(check (list string)) "engines" [ "fast" ] c.Campaign.c_engines;
+  Alcotest.(check (list string)) "engines" [ "block" ] c.Campaign.c_engines;
   Alcotest.(check (float 1e-9)) "elapsed override" 2.5 c.Campaign.c_elapsed;
   Alcotest.(check (float 1e-9)) "runs/sec" 4. c.Campaign.c_runs_per_sec;
   (* deterministic discovery order: ascending (run_index, case, seed) *)
@@ -387,11 +387,11 @@ let bench_document () =
   in
   Alcotest.(check bool)
     "same streams agree" true
-    (agree [ ("ref", c); ("fast", c); ("block", c) ]);
+    (agree [ ("ref", c); ("block", c) ]);
   let divergent = fold [ (0, worker0) ] in
   Alcotest.(check bool)
     "different signature sets disagree" false
-    (agree [ ("ref", c); ("fast", divergent) ])
+    (agree [ ("ref", c); ("block", divergent) ])
 
 let suites =
   [

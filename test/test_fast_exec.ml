@@ -1,6 +1,6 @@
-(* The pre-resolved engine ([Machine]) and the block-compiled engine
-   ([Block_machine]) against the reference interpreter ([Ref_machine]):
-   bit-for-bit semantic identity over the whole bugbench catalog — every
+(* The block-compiled engine ([Block_machine]) against the reference
+   interpreter ([Ref_machine]): bit-for-bit semantic identity over the
+   whole bugbench catalog — every
    Table 2 benchmark (buggy and clean), every taxonomy catalog entry,
    every Fig 2 micro pattern — under both scheduling policies, original
    and hardened.
@@ -12,13 +12,15 @@
    profiler's full attribution (per-context flamegraph lines, per-site
    wasted-step charges). It also extends to the serialized artifacts:
    JSONL event logs, race-detector report JSON, and recorded schedule
-   logs must match byte for byte across all three engines.
+   logs must match byte for byte across the two engines.
 
    Each comparison runs twice per engine: once fully hooked (JSONL
    encoder and cost profiler installed) and once bare. Both passes run
    the block engine's compiled phases: the hooked one retires every
    instruction through its single-step form and announces it, the bare
-   one runs fused chains. *)
+   one runs fused chains. A third family single-steps the block engine
+   ([Engine.step], the path of a scheduler tap and of the inspector) and
+   holds it to the same identity. *)
 
 open Conair.Ir
 module Machine = Conair.Runtime.Machine
@@ -118,9 +120,30 @@ type observed = {
   o_prof : Prof.t;
 }
 
+(* [Engine.run] spelled as single steps: the run's fuel check around
+   [Engine.step], as [Replay.Inspect]'s forward pass drives the block
+   engine. A step that leaves the program running moves the clock by
+   exactly one: one idle tick or one decision. *)
+let run_stepped (config : Machine.config) m =
+  let rec go () =
+    let steps = Engine.steps m in
+    if steps >= config.fuel then Outcome.Fuel_exhausted steps
+    else if Engine.step m then begin
+      if Engine.steps m <> steps + 1 then
+        Alcotest.failf "a single step moved the clock from %d to %d" steps
+          (Engine.steps m);
+      go ()
+    end
+    else Option.value ~default:Outcome.Success (Engine.outcome m)
+  in
+  go ()
+
+let drive ~stepped config m =
+  if stepped then run_stepped config m else Engine.run m
+
 (* One fully-hooked run of [p] on [engine]: JSONL encoder and cost
    profiler installed for the whole execution. *)
-let observe engine ?meta config (p : Program.t) =
+let observe ?(stepped = false) engine ?meta config (p : Program.t) =
   let lines, jsonl = jsonl_lines () in
   let prof = Prof.create () in
   let m =
@@ -128,7 +151,7 @@ let observe engine ?meta config (p : Program.t) =
       ~observer:(Event.combine [ jsonl; Prof.probe prof ])
       engine p
   in
-  let outcome = Engine.run m in
+  let outcome = drive ~stepped config m in
   Prof.finalize prof;
   {
     o_outcome = outcome;
@@ -141,44 +164,83 @@ let observe engine ?meta config (p : Program.t) =
 
 (* One bare run: no hooks at all. On the block engine this is the path
    that actually retires compiled straight-line windows. *)
-let bare engine ?meta config (p : Program.t) =
+let bare ?(stepped = false) engine ?meta config (p : Program.t) =
   let m = Engine.create ~config ?meta engine p in
-  let outcome = Engine.run m in
+  let outcome = drive ~stepped config m in
   (outcome, Engine.outputs m, Engine.steps m, Engine.stats m)
 
-(* The engines measured against the reference interpreter. *)
-let engines = [ ("fast", Engine.Fast); ("block", Engine.Block) ]
+(* The engine measured against the reference interpreter. *)
+let engines = [ ("block", Engine.Block) ]
 
-(* Run [p] through all three engines under identical configuration and
-   insist on identical observable behaviour, hooked and bare. *)
+(* [o] ran as the hooked reference run [r] did: the differential
+   guarantee extends to the serialized telemetry (byte-identical JSONL
+   event logs) and to the cost profiler (identical per-context and
+   per-site attribution, down to every flamegraph line). *)
+let check_observed name r o =
+  Alcotest.check outcome_t (name ^ ": outcome") r.o_outcome o.o_outcome;
+  Alcotest.(check (list string)) (name ^ ": outputs") r.o_outputs o.o_outputs;
+  Alcotest.(check int) (name ^ ": virtual time") r.o_steps o.o_steps;
+  check_stats name r.o_stats o.o_stats;
+  check_traces name r.o_trace o.o_trace;
+  check_profiles name r.o_prof o.o_prof
+
+(* A run without telemetry ended as the hooked reference run [r] did:
+   telemetry is observation, never behaviour. *)
+let check_ended name r (outcome, outputs, steps, stats) =
+  Alcotest.check outcome_t (name ^ ": outcome") r.o_outcome outcome;
+  Alcotest.(check (list string)) (name ^ ": outputs") r.o_outputs outputs;
+  Alcotest.(check int) (name ^ ": virtual time") r.o_steps steps;
+  check_stats name r.o_stats stats
+
+(* Run [p] on both engines under identical configuration and insist on
+   identical observable behaviour, hooked and bare. *)
 let check_same name ?meta config (p : Program.t) =
   let r = observe Engine.Ref ?meta config p in
   List.iter
     (fun (ename, engine) ->
       let name = name ^ "#" ^ ename in
-      let o = observe engine ?meta config p in
-      Alcotest.check outcome_t (name ^ ": outcome") r.o_outcome o.o_outcome;
-      Alcotest.(check (list string))
-        (name ^ ": outputs") r.o_outputs o.o_outputs;
-      Alcotest.(check int) (name ^ ": virtual time") r.o_steps o.o_steps;
-      check_stats name r.o_stats o.o_stats;
-      (* the differential guarantee extends to the serialized telemetry:
-         every engine must produce byte-identical JSONL event logs *)
-      check_traces name r.o_trace o.o_trace;
-      (* ... and to the cost profiler: identical per-context and per-site
-         attribution, down to every flamegraph line *)
-      check_profiles name r.o_prof o.o_prof;
-      (* the bare run must agree with the hooked reference run too:
-         telemetry is observation, never behaviour *)
-      let b_outcome, b_outputs, b_steps, b_stats =
-        bare engine ?meta config p
-      in
-      Alcotest.check outcome_t (name ^ ": bare outcome") r.o_outcome b_outcome;
-      Alcotest.(check (list string))
-        (name ^ ": bare outputs") r.o_outputs b_outputs;
-      Alcotest.(check int) (name ^ ": bare virtual time") r.o_steps b_steps;
-      check_stats (name ^ "/bare") r.o_stats b_stats)
+      check_observed name r (observe engine ?meta config p);
+      check_ended (name ^ "/bare") r (bare engine ?meta config p))
     engines
+
+(* The block engine single-stepped ([Engine.step]) is the reference's
+   run: bare, under the JSONL encoder and the cost profiler, and under a
+   scheduler tap, which sends [Engine.run] itself through
+   [Block_machine.step] and must hear the reference's decisions. [k]
+   single steps followed by [Engine.run] end as a plain run does. *)
+let check_stepped name ?meta config (p : Program.t) =
+  let r = observe Engine.Ref ?meta config p in
+  let name = name ^ "#stepped" in
+  check_observed name r (observe ~stepped:true Engine.Block ?meta config p);
+  check_ended (name ^ "/bare") r (bare ~stepped:true Engine.Block ?meta config p);
+  let tapped engine =
+    let module Tap = Test_util.Tap_recorder in
+    let t = Tap.create () in
+    let m, outcome =
+      Engine.run_program ~config ?meta ~tap:(Tap.tap t) engine p
+    in
+    ( (outcome, Engine.outputs m, Engine.steps m, Engine.stats m),
+      (Tap.decisions t, Tap.preemptions t) )
+  in
+  let _, (r_decisions, r_preemptions) = tapped Engine.Ref in
+  let ended, (decisions, preemptions) = tapped Engine.Block in
+  check_ended (name ^ "/tap") r ended;
+  Alcotest.(check (array int)) (name ^ "/tap: decisions") r_decisions decisions;
+  Alcotest.(check (array int))
+    (name ^ "/tap: preemptions") r_preemptions preemptions;
+  List.iter
+    (fun k ->
+      let m = Engine.create ~config ?meta Engine.Block p in
+      let i = ref 0 in
+      while !i < k && Engine.steps m < config.Machine.fuel && Engine.step m do
+        incr i
+      done;
+      let outcome = Engine.run m in
+      check_ended
+        (Printf.sprintf "%s/%d steps, then run" name k)
+        r
+        (outcome, Engine.outputs m, Engine.steps m, Engine.stats m))
+    [ 1; 7; 64; 513 ]
 
 (* ------------------------------------------------------------------ *)
 (* The program corpus: the full bugbench catalog                       *)
@@ -289,7 +351,7 @@ let sweep_recorded_logs () =
       Alcotest.(check string)
         (name ^ ": engine stamp")
         (Engine.name engine) log.Log.engine;
-      Log.to_lines { log with Log.engine = "fast" }
+      Log.to_lines { log with Log.engine = "-" }
     in
     let ref_lines = log_lines Engine.Ref in
     List.iter
@@ -517,7 +579,7 @@ let directed_replay_agrees () =
 
 (* The run-length recording, on every engine (the block engine on its
    window path), expands to exactly the decisions and preemptions an
-   independent tap recorder classifies on the fast engine, under
+   independent tap recorder classifies on the reference, under
    round-robin and three seeds. *)
 let recorder_matches_tap_oracle () =
   List.iter
@@ -527,7 +589,7 @@ let recorder_matches_tap_oracle () =
         (fun (name, p) ->
           let oracle = Tap.create () in
           ignore
-            (Engine.run_program ~config ~tap:(Tap.tap oracle) Engine.Fast p);
+            (Engine.run_program ~config ~tap:(Tap.tap oracle) Engine.Ref p);
           List.iter
             (fun engine ->
               let label = name ^ "@" ^ pname ^ "#" ^ Engine.name engine in
@@ -553,7 +615,7 @@ let recorder_matches_tap_oracle () =
     ]
 
 (* The lock-event-only witness (block engine, window path) yields the
-   cycle keys of the full detector (fast engine, every event) on every
+   cycle keys of the full detector (the reference, every event) on every
    catalog app, buggy and clean, at every seed of a triage-sized sweep. *)
 let witness_keys_match_detector () =
   let policies =
@@ -571,7 +633,7 @@ let witness_keys_match_detector () =
               let det = Detect.create () in
               ignore
                 (Engine.run_program ~config ~observer:(Detect.probe det)
-                   Engine.Fast p);
+                   Engine.Ref p);
               let expected =
                 List.sort_uniq compare
                   (List.map Conair.Race.Report.cycle_key
@@ -645,10 +707,10 @@ let event_classes =
   ]
 
 (* Each engine emits the same stream: every class's digest matches on
-   ref, fast and block, with the block engine on its compiled phases
-   for every class, under round-robin and three seeds, original and
+   ref and block, with the block engine on its compiled phases for
+   every class, under round-robin and three seeds, original and
    hardened. *)
-let one_stream_three_engines () =
+let one_stream_two_engines () =
   let classes = event_classes in
   List.iter
     (fun (pname, policy) ->
@@ -933,7 +995,7 @@ let equal_fail_blocks_share_an_image () =
    branch inside code run ahead, local stretches that end at a store, an
    output or (hardened) a checkpoint, credit carried into a window, and
    the fuel running out while threads hold credit. Each runs, original
-   and hardened, on all three engines under round-robin and three
+   and hardened, on both engines under round-robin and three
    seeds; outcome, outputs, stats, virtual time, trace, profile, the
    run-length recording and the fix sweep's keys must agree. *)
 
@@ -1690,14 +1752,84 @@ main @main
       ("last", [| 0; 0 |]);
     ]
 
+(* ---- single steps --------------------------------------------------- *)
+
+(* [check_stepped] over the catalog, original and survival-hardened,
+   under round-robin and one seed. *)
+let stepped_catalog () =
+  List.iter
+    (fun (pname, policy) ->
+      let config = config policy in
+      List.iter
+        (fun (name, p) ->
+          let name = name ^ "@" ^ pname in
+          check_stepped name config p;
+          match Conair.harden p Conair.Survival with
+          | Error _ -> ()
+          | Ok h ->
+              check_stepped (name ^ "/hardened")
+                ~meta:(Machine.meta_of_harden h.hardened)
+                config h.hardened.program)
+        (corpus ()))
+    [ ("round-robin", Sched.Round_robin); ("random:7", Sched.Random 7) ]
+
+(* ... and over generated racy programs and contended loops, original
+   and hardened, under round-robin and one seed. *)
+let generated_stepped =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"generated programs: single-stepped block equals ref"
+       (QCheck.make
+          ~print:(fun (g, seed) ->
+            (match g with
+            | `Racy s -> "racy " ^ Gen.racy_spec_print s
+            | `Contended s -> "contended " ^ Gen.contended_spec_print s)
+            ^ Printf.sprintf " @ random:%d" seed)
+          QCheck.Gen.(
+            pair
+              (oneof
+                 [
+                   map (fun s -> `Racy s) Gen.racy_spec_gen;
+                   map (fun s -> `Contended s) Gen.contended_spec_gen;
+                 ])
+              (int_range 1 10_000)))
+       (fun (g, seed) ->
+         let p =
+           match g with
+           | `Racy s -> Gen.racy_program s
+           | `Contended s -> Gen.contended_program s
+         in
+         let runs =
+           (None, p)
+           ::
+           (match Conair.harden p Conair.Survival with
+           | Error _ -> []
+           | Ok h ->
+               [
+                 ( Some (Machine.meta_of_harden h.hardened),
+                   h.hardened.program );
+               ])
+         in
+         List.iter
+           (fun (meta, p) ->
+             List.iter
+               (fun policy ->
+                 check_stepped "generated" ?meta
+                   { (config policy) with fuel = 20_000; max_retries = 16 }
+                   p)
+               [ Sched.Round_robin; Sched.Random seed ])
+           runs;
+         true))
+
 (* ---- allocation per step ------------------------------------------- *)
 
 (* A scheduling decision allocates nothing: the engines pass
    [Sched.choose_idx] a closed projection, and the round-robin search is
    a loop, not a closure per decision. HawkNL's clean variant contends
-   on most of its steps; under either policy it allocates 1.47 (fast)
-   and 1.18 (block) minor words per step, and a 4-word closure per
-   decision would put both above the bound. *)
+   on most of its steps; under either policy a block run allocates 1.18
+   minor words per step, and a 4-word closure per decision would put it
+   above the bound. The same holds single-stepped ([Engine.step]), where
+   every step makes its own decision. *)
 let decisions_allocate_nothing () =
   let s = Option.get (Registry.find "HawkNL") in
   let hawknl = (s.make ~variant:Spec.Clean ~oracle:false).program in
@@ -1723,19 +1855,24 @@ main @main
       List.iter
         (fun policy ->
           List.iter
-            (fun engine ->
+            (fun (how, stepped) ->
               let config = config policy in
-              ignore (Engine.run_program ~config engine p);
+              let run () =
+                let m = Engine.create ~config Engine.Block p in
+                ignore (drive ~stepped config m);
+                m
+              in
+              ignore (run ());
               let words = Gc.minor_words () in
-              let m, _ = Engine.run_program ~config engine p in
+              let m = run () in
               let per_step =
                 (Gc.minor_words () -. words) /. float_of_int (Engine.steps m)
               in
               if per_step >= 2. then
                 Alcotest.failf
                   "%s: %s allocates %.2f minor words per step (bound 2)" name
-                  (Engine.name engine) per_step)
-            [ Engine.Fast; Engine.Block ])
+                  how per_step)
+            [ ("block", false); ("block single-stepped", true) ])
         [ Sched.Round_robin; Sched.Random 7 ])
     [ ("HawkNL/clean", hawknl); ("local spinners", spinners) ]
 
@@ -1780,8 +1917,8 @@ let suites =
           memos_follow_program_liveness;
         Alcotest.test_case "equal fail-block lists share an image" `Quick
           equal_fail_blocks_share_an_image;
-        Alcotest.test_case "one stream, three engines" `Quick
-          one_stream_three_engines;
+        Alcotest.test_case "one stream, two engines" `Quick
+          one_stream_two_engines;
         generated_streams_agree;
         generated_loops_agree;
         Alcotest.test_case "contended phases end at every boundary" `Quick
@@ -1792,5 +1929,8 @@ let suites =
           fail_arms_stay_uncompiled;
         Alcotest.test_case "decisions allocate nothing" `Quick
           decisions_allocate_nothing;
+        Alcotest.test_case "single-stepped block equals ref" `Quick
+          stepped_catalog;
+        generated_stepped;
       ] );
   ]

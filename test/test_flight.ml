@@ -4,8 +4,9 @@
 
    Four layers: ring wraparound exactness against the full recorder
    (the retained tail must be the exact suffix of the recorded decision
-   stream — on both the fast and block engines, holding the block
-   engine's bulk window accounting to the same stream); cross-engine
+   stream — on both engines, the tap single-stepping the block engine,
+   and holding the block engine's bulk window accounting to the
+   reference's stream); cross-engine
    byte-identity of dumped bundles over the bugbench catalog; the
    bundle -> regenerate -> replay -> minimize round trip, including a
    wrapped ring and tamper rejection; and the zero-cost-when-off
@@ -82,36 +83,48 @@ let check_exact_suffix ring r =
 
 (* --- ring wraparound exactness ------------------------------------- *)
 
+(* The ring against the tap on each engine; the tap single-steps the
+   block engine ([Block_machine.step]). *)
+
 (* HawkNL's deadlock takes 12 decisions: everything is retained and the
    tail must equal the whole recorded stream. *)
 let ring_full_retention () =
   let inst = instance "HawkNL" Spec.Buggy in
-  let ring, r = ring_vs_recorder Engine.Fast inst.Spec.program in
-  Alcotest.(check int) "nothing evicted" 0 (Flight_ring.tail_first ring);
-  check_exact_suffix ring r
+  List.iter
+    (fun engine ->
+      let ring, r = ring_vs_recorder engine inst.Spec.program in
+      Alcotest.(check int) "nothing evicted" 0 (Flight_ring.tail_first ring);
+      check_exact_suffix ring r)
+    Engine.all
 
 (* MySQL1's wrong-output needs 17527 decisions; with a 512-entry ring
    the tail wraps ~34 times and must still be the exact suffix. *)
 let ring_wraparound () =
   let inst = instance "MySQL1" Spec.Buggy in
-  let ring, r = ring_vs_recorder ~cap:512 Engine.Fast inst.Spec.program in
-  Alcotest.(check bool) "ring actually wrapped" true
-    (Flight_ring.tail_first ring > 0);
-  check_exact_suffix ring r
+  List.iter
+    (fun engine ->
+      let ring, r = ring_vs_recorder ~cap:512 engine inst.Spec.program in
+      Alcotest.(check bool) "ring actually wrapped" true
+        (Flight_ring.tail_first ring > 0);
+      check_exact_suffix ring r)
+    Engine.all
 
 (* A pathologically small ring still retains an exact (tiny) suffix. *)
 let ring_tiny () =
   let inst = instance "HawkNL" Spec.Buggy in
-  let ring, r = ring_vs_recorder ~cap:5 Engine.Fast inst.Spec.program in
-  Alcotest.(check int) "five retained" 5
-    (Array.length (Flight_ring.tail ring));
-  check_exact_suffix ring r
+  List.iter
+    (fun engine ->
+      let ring, r = ring_vs_recorder ~cap:5 engine inst.Spec.program in
+      Alcotest.(check int) "five retained" 5
+        (Array.length (Flight_ring.tail ring));
+      check_exact_suffix ring r)
+    Engine.all
 
 (* The block engine reports a compiled window as one counted decision; its
-   ring must agree entry-for-entry with the fast engine's, which pushes
-   one decision at a time. No recorder tap here — the tap would force
-   the block engine off its window fast path, hiding the bulk path this
-   test exists to check. *)
+   ring must agree entry-for-entry with the reference's, which pushes
+   one decision at a time. No recorder tap here — the tap would
+   single-step the block engine, hiding the bulk path this test exists
+   to check. *)
 let ring_block_bulk_accounting () =
   let inst = instance "MySQL1" Spec.Buggy in
   let run engine =
@@ -122,23 +135,23 @@ let ring_block_bulk_accounting () =
     in
     ring
   in
-  let fast = run Engine.Fast and block = run Engine.Block in
-  Alcotest.(check int) "same total" (Flight_ring.total fast)
+  let ref_ = run Engine.Ref and block = run Engine.Block in
+  Alcotest.(check int) "same total" (Flight_ring.total ref_)
     (Flight_ring.total block);
-  Alcotest.(check int) "same tail_first" (Flight_ring.tail_first fast)
+  Alcotest.(check int) "same tail_first" (Flight_ring.tail_first ref_)
     (Flight_ring.tail_first block);
-  Alcotest.check ints "same tail" (Flight_ring.tail fast)
+  Alcotest.check ints "same tail" (Flight_ring.tail ref_)
     (Flight_ring.tail block);
-  Alcotest.check ints "same preemptions" (Flight_ring.tail_preemptions fast)
+  Alcotest.check ints "same preemptions" (Flight_ring.tail_preemptions ref_)
     (Flight_ring.tail_preemptions block);
   (* the rings keep the engines' own [Event.t] values *)
-  Alcotest.(check bool) "events retained" true (Flight_ring.events fast <> []);
+  Alcotest.(check bool) "events retained" true (Flight_ring.events ref_ <> []);
   Alcotest.(check bool) "same events" true
-    (Flight_ring.events fast = Flight_ring.events block)
+    (Flight_ring.events ref_ = Flight_ring.events block)
 
 (* --- cross-engine byte-identity over the catalog ------------------- *)
 
-(* Every buggy catalog app must dump byte-identical bundles on all three
+(* Every buggy catalog app must dump byte-identical bundles on both
    engines, modulo the "engine" field itself. *)
 let bundles_cross_engine () =
   List.iter
@@ -156,11 +169,10 @@ let bundles_cross_engine () =
       in
       let bundles = List.map dump Engine.all in
       (match bundles with
-      | [ r; f; k ] ->
-          Alcotest.(check string) (name ^ ": engine fields") "ref fast block"
-            (String.concat " "
-               [ r.window.engine; f.window.engine; k.window.engine ])
-      | _ -> Alcotest.fail "three engines expected");
+      | [ r; k ] ->
+          Alcotest.(check string) (name ^ ": engine fields") "ref block"
+            (String.concat " " [ r.window.engine; k.window.engine ])
+      | _ -> Alcotest.fail "two engines expected");
       match List.map normalized bundles with
       | first :: rest ->
           List.iteri
@@ -356,7 +368,7 @@ let regeneration_rejects_tampering () =
 
 (* Attaching the recorder never changes a run: outcome, outputs and
    stats are identical with no observer, with an empty one, and with a
-   flight ring attached — on all three engines. *)
+   flight ring attached — on both engines. *)
 let recorder_never_changes_a_run () =
   List.iter
     (fun (name, variant) ->
@@ -455,7 +467,7 @@ let suites =
         case "full retention matches the recorder" ring_full_retention;
         case "wraparound retains the exact suffix" ring_wraparound;
         case "tiny ring retains the exact suffix" ring_tiny;
-        case "block bulk accounting matches fast" ring_block_bulk_accounting;
+        case "block bulk accounting matches ref" ring_block_bulk_accounting;
       ] );
     ( "flight.bundle",
       [

@@ -8,6 +8,7 @@ open Test_util
 module B = Builder
 module Lower = Conair.Transform.Lower
 module Machine = Conair.Runtime.Machine
+module Engine = Conair.Runtime.Engine
 module Outcome = Conair.Runtime.Outcome
 
 (* Run without the rollback verifier: lowered programs legitimately write
@@ -88,12 +89,12 @@ let own_slots_recover_correctly () =
     { Machine.default_config with fuel = 500_000; verify_rollbacks = false }
   in
   let meta = Machine.meta_of_harden h.hardened in
-  let m, outcome = Machine.run_program ~config ~meta lowered in
+  let m, outcome = Engine.run_program ~config ~meta Engine.Block lowered in
   Alcotest.(check bool) "recovers" true (Outcome.is_success outcome);
   Alcotest.(check (list string)) "correct result (10*3+5)" [ "sum=35" ]
-    (Machine.outputs m);
+    (Engine.outputs m);
   Alcotest.(check bool) "rollbacks happened" true
-    ((Machine.stats m).rollbacks > 0)
+    ((Engine.stats m).rollbacks > 0)
 
 let shared_slots_corrupt_reexecution () =
   (* Identical pipeline, but r0 and sum share a slot: sequentially legal
@@ -120,10 +121,10 @@ let shared_slots_corrupt_reexecution () =
     { Machine.default_config with fuel = 500_000; verify_rollbacks = false }
   in
   let meta = Machine.meta_of_harden h.hardened in
-  let m, outcome = Machine.run_program ~config ~meta lowered in
+  let m, outcome = Engine.run_program ~config ~meta Engine.Block lowered in
   Alcotest.(check bool) "run completes" true (Outcome.is_success outcome);
   Alcotest.(check bool) "result is corrupted" true
-    (Machine.outputs m <> [ "sum=35" ])
+    (Engine.outputs m <> [ "sum=35" ])
 
 let lowering_preserves_iids () =
   let p, _ = slot_demo_program () in

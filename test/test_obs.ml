@@ -125,21 +125,20 @@ let tiny_program () =
 let jsonl_golden () =
   let b = Buffer.create 256 in
   let meta =
-    Jsonl.meta_json ~engine:Engine.Fast ~hardened:false
+    Jsonl.meta_json ~engine:Engine.Block ~hardened:false
       (Jsonl.run_meta ~variant:"clean" "tiny")
   in
-  let m =
-    Machine.create
+  let _, outcome =
+    Engine.run_program
       ~observer:(Jsonl.observer ~meta (Jsonl.buffer_writer b))
-      (tiny_program ())
+      Engine.Block (tiny_program ())
   in
-  let outcome = Machine.run m in
   Alcotest.(check bool) "tiny program succeeds" true
     (Conair.Runtime.Outcome.is_success outcome);
   let expected =
     String.concat "\n"
       [
-        {|{"type":"meta","app":"tiny","variant":"clean","engine":"fast","hardened":false}|};
+        {|{"type":"meta","app":"tiny","variant":"clean","engine":"block","hardened":false}|};
         {|{"type":"event","ev":"schedule","step":0,"tid":0}|};
         {|{"type":"event","ev":"output","step":0,"tid":0,"text":"hi"}|};
         {|{"type":"event","ev":"schedule","step":1,"tid":0}|};
@@ -168,20 +167,18 @@ let jsonl_stream_matches_batch () =
   let b = Buffer.create 4096 in
   let config = Machine.default_config in
   let meta =
-    Jsonl.meta_json ~config ~engine:Engine.Fast ~hardened:false
+    Jsonl.meta_json ~config ~engine:Engine.Block ~hardened:false
       (Jsonl.run_meta ~variant:"buggy" "uninit-read")
   in
   let events = ref [] in
   let store =
     Event.observer ~sync:true ~steps:true (fun _ ev -> events := ev :: !events)
   in
-  let m =
-    Machine.create ~config
-      ~observer:
-        (Event.combine [ Jsonl.observer ~meta (Jsonl.buffer_writer b); store ])
-      entry.program
-  in
-  ignore (Machine.run m);
+  ignore
+    (Engine.run_program ~config
+       ~observer:
+         (Event.combine [ Jsonl.observer ~meta (Jsonl.buffer_writer b); store ])
+       Engine.Block entry.program);
   let events = List.rev !events in
   Alcotest.(check bool) "events retained" true (events <> []);
   let streamed = Buffer.contents b in
@@ -623,11 +620,9 @@ let prof_tiny_exact () =
   (* the two-instruction program pins the attribution exactly: two useful
      steps, both in main/entry, nothing else *)
   let prof = Prof.create () in
-  let m =
-    Machine.create
-      ~observer:(Prof.probe prof) (tiny_program ())
-  in
-  ignore (Machine.run m);
+  ignore
+    (Engine.run_program ~observer:(Prof.probe prof) Engine.Block
+       (tiny_program ()));
   Prof.finalize prof;
   Alcotest.(check int) "useful" 2 (Prof.useful_steps prof);
   Alcotest.(check int) "checkpoint" 0 (Prof.checkpoint_steps prof);

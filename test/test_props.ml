@@ -17,6 +17,7 @@ open Conair.Ir
 open Conair.Analysis
 module Outcome = Conair.Runtime.Outcome
 module Machine = Conair.Runtime.Machine
+module Engine = Conair.Runtime.Engine
 module Sched = Conair.Runtime.Sched
 module Heap = Conair.Runtime.Heap
 
@@ -304,15 +305,10 @@ let hardened_roundtrip_behaves =
       | Ok p2 ->
           let meta = Conair.Runtime.Machine.meta_of_harden h.hardened in
           let m1, o1 =
-            Conair.Runtime.Machine.run_program ~config ~meta
-              h.hardened.program
+            Engine.run_program ~config ~meta Engine.Block h.hardened.program
           in
-          let m2, o2 =
-            Conair.Runtime.Machine.run_program ~config ~meta p2
-          in
-          o1 = o2
-          && Conair.Runtime.Machine.outputs m1
-             = Conair.Runtime.Machine.outputs m2)
+          let m2, o2 = Engine.run_program ~config ~meta Engine.Block p2 in
+          o1 = o2 && Engine.outputs m1 = Engine.outputs m2)
 
 (* --- extension properties ------------------------------------------------ *)
 
@@ -376,9 +372,9 @@ let lowered_hardened_still_recovers =
       let lowered = Conair.Transform.Lower.spill h.hardened.program in
       let config = { config with Machine.verify_rollbacks = false } in
       let meta = Machine.meta_of_harden h.Conair.hardened in
-      let m, outcome = Machine.run_program ~config ~meta lowered in
+      let m, outcome = Engine.run_program ~config ~meta Engine.Block lowered in
       Outcome.is_success outcome
-      && Machine.outputs m = [ string_of_int s.expected ])
+      && Engine.outputs m = [ string_of_int s.expected ])
 
 let suites =
   [

@@ -409,13 +409,13 @@ let clean_zero_false_positives () =
 
 let differential_on ~policy (p : Program.t) meta name =
   let config = { Machine.default_config with policy; fuel = 8_000_000 } in
-  let fast =
+  let block =
     let d = Race.Detect.create () in
     let m =
-      Machine.create ~config ?meta
+      Conair.Runtime.Block_machine.create ~config ?meta
         ~observer:(Race.Detect.probe d) p
     in
-    ignore (Machine.run m);
+    ignore (Conair.Runtime.Block_machine.run m);
     Json.to_string (Race.Report.to_json (Race.Detect.report d))
   in
   let slow =
@@ -427,7 +427,7 @@ let differential_on ~policy (p : Program.t) meta name =
     ignore (Ref_machine.run m);
     Json.to_string (Race.Report.to_json (Race.Detect.report d))
   in
-  Alcotest.(check string) (name ^ ": engines agree byte-for-byte") fast slow
+  Alcotest.(check string) (name ^ ": engines agree byte-for-byte") block slow
 
 let differential_corpus () =
   let hardened_of p =

@@ -1,6 +1,6 @@
 (* Schedule record-and-replay: a recorded decision stream must replay
    bit-for-bit — same outcome, outputs, step/instruction/rollback counts
-   and serialized JSONL telemetry — on all three engines, over the whole
+   and serialized JSONL telemetry — on both engines, over the whole
    bugbench catalog (both variants), original and hardened, under both
    scheduling policies. Logs are engine-interchangeable: record on any
    engine, replay on any other, zero divergence. Divergence must surface
@@ -60,7 +60,7 @@ let record_traced config ?meta p =
   let m =
     Engine.create ~config ?meta
       ~observer:(Event.combine [ jsonl; Recorder.observer r ])
-      Engine.Fast p
+      Engine.Ref p
   in
   let outcome = Engine.run m in
   let log =
@@ -86,7 +86,7 @@ let replay_traced engine ?meta p (log : Log.t) =
     },
     Buffer.contents trace )
 
-(* Record [p] once, then insist all three engines replay it
+(* Record [p] once on the reference, then insist both engines replay it
    byte-for-byte: trailer check plus identical serialized JSONL event
    logs. *)
 let check_roundtrip name config ?meta p =
@@ -121,8 +121,8 @@ let sweep_hardened (pname, policy) () =
     (corpus ())
 
 (* Recording on any engine and replaying on any other must agree: the
-   log is engine-independent. Every ordered pair of distinct engines —
-   notably record-on-block replayed on fast/ref and vice versa. *)
+   log is engine-independent: record on block and replay on ref, and
+   the other way round. *)
 let cross_engine () =
   let spec = Option.get (Registry.find "HawkNL") in
   let inst = spec.make ~variant:Spec.Buggy ~oracle:true in
@@ -375,7 +375,7 @@ let diverge_everywhere name p (log : Log.t) =
       Alcotest.(check (list int))
         (label "virtual time, steps and instructions")
         c (counters engine))
-    [ Engine.Fast; Engine.Block ];
+    [ Engine.Block ];
   d
 
 (* A one-thread window of the block engine's run of [p]: the ordinal of
@@ -546,6 +546,74 @@ let inspector_states () =
   Alcotest.(check string) "re-seek forward" late (state coarse final);
   Alcotest.(check string) "re-seek backward" early (state coarse 1)
 
+(* The inspector's states around its first waypoint (stride 512) and
+   at the end of seed-7 recordings of three buggy apps — a deadlock
+   after 64 steps, a wrong output after 17527 and a 56017-step run —
+   pinned as MD5s of their JSON. The forward pass and every seek
+   single-step the block engine. *)
+let inspector_pinned () =
+  let pinned =
+    [
+      ( "HawkNL",
+        [
+          (0, "357d5161376ddd2ced98017663808a01");
+          (1, "cb9414946d1067c41c03c92898763b62");
+          (64, "3a930049955d55da1627bdcd6a0fce07");
+        ] );
+      ( "MySQL1",
+        [
+          (0, "e24a0e9221521602f47b04a217addd6e");
+          (1, "456903160fe15bb2ab18204f02b15aa1");
+          (511, "0b69f828cd6c2ef778751c1dbf58d693");
+          (512, "e66eaa0507077fd728f0d4b408834c83");
+          (513, "ad4aa23a0cd851da162c03d3b283ffc7");
+          (17527, "90d1e2abdb6209341b4d3c0c2c4aa9c2");
+        ] );
+      ( "FFT",
+        [
+          (0, "54d4fe9e560f54d49f552fe07f59d3d7");
+          (1, "f1d18a169292fb45873ff908b3819cd0");
+          (511, "ca429f5e1dce770d9e95a2a92e13c8ef");
+          (512, "f1d54091417ba1a2494d654d2412196f");
+          (513, "2e8f69b2c22f180d3a235e398f216220");
+          (56017, "1615a04d1a10b9b98a2bb3d543488642");
+        ] );
+    ]
+  in
+  List.iter
+    (fun (name, states) ->
+      let s = Option.get (Registry.find name) in
+      let inst = s.make ~variant:Spec.Buggy ~oracle:s.info.needs_oracle in
+      let config = { Machine.default_config with policy = Sched.Random 7 } in
+      let _, log =
+        Conair.record_run ~config ~ident:(Log.ident name) inst.program
+      in
+      let t =
+        match Inspect.create log with
+        | Ok t -> t
+        | Error e -> Alcotest.failf "%s: inspect: %s" name e
+      in
+      Alcotest.(check int) (name ^ ": final step")
+        (fst (List.nth states (List.length states - 1)))
+        (Inspect.final_step t);
+      (* the forward pass saw every decision, one at a time *)
+      let n = Array.length log.Log.decisions in
+      Alcotest.(check (list int))
+        (name ^ ": a waypoint every 512 decisions")
+        (List.init ((n + 511) / 512) (fun i -> i * 512))
+        (Inspect.waypoints t);
+      List.iter
+        (fun (step, md5) ->
+          match Inspect.state_at t step with
+          | Ok j ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: state at step %d" name step)
+                md5
+                (Digest.to_hex (Digest.string (Json.to_string j)))
+          | Error e -> Alcotest.failf "%s: state at %d: %s" name step e)
+        states)
+    pinned
+
 (* ------------------------------------------------------------------ *)
 (* Minimization                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -707,7 +775,11 @@ let suites =
         case "leftover decisions" divergence_leftover;
         case "wrong program" wrong_program;
       ] );
-    ("replay.inspect", [ case "stride-independent states" inspector_states ]);
+    ( "replay.inspect",
+      [
+        case "stride-independent states" inspector_states;
+        case "states pinned" inspector_pinned;
+      ] );
     ( "replay.minimize",
       [
         case "tutorial golden" minimize_tutorial;

@@ -31,7 +31,7 @@ let mb = 1_000_000
 let roundtrip (r : Protocol.request) =
   let line = Protocol.request_to_line r in
   match Protocol.request_of_line ~max_program_bytes:mb line with
-  | Error e -> Alcotest.failf "decode of %s: %s" line e
+  | Error e -> Alcotest.failf "decode of %s: %s" line (Json.to_string e)
   | Ok r' ->
       Alcotest.(check string) "round-trips" line (Protocol.request_to_line r')
 
@@ -113,6 +113,27 @@ let protocol_malformed () =
   rejects
     {|{"op":"submit","tenant":"","id":"j","kind":"run","app":"HawkNL"}|}
     "empty tenant";
+  (* a submit rejected after its tenant and id parsed answers with an
+     error frame tagged with both; anything earlier, untagged *)
+  let frame line =
+    match Protocol.request_of_line ~max_program_bytes:mb line with
+    | Error f -> Json.to_string f
+    | Ok _ -> Alcotest.failf "accepted %s" line
+  in
+  Alcotest.(check string) "a rejected submit's frame names its job"
+    {|{"type":"error","tenant":"t","id":"j","message":"unknown engine \"warp9\" (expected ref or block)"}|}
+    (frame
+       {|{"op":"submit","tenant":"t","id":"j","kind":"run","app":"HawkNL","engine":"warp9"}|});
+  Alcotest.(check string) "an unnamed submit's frame is untagged"
+    {|{"type":"error","message":"expected string member \"tenant\""}|}
+    (frame {|{"op":"submit","id":"j","kind":"run","app":"HawkNL"}|});
+  (* the removed engine's name still parses, as the block engine *)
+  (match
+     Protocol.request_of_line ~max_program_bytes:mb
+       {|{"op":"submit","tenant":"t","id":"j","kind":"run","app":"HawkNL","engine":"fast"}|}
+   with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "engine fast rejected: %s" (Json.to_string f));
   (* well-formed requests still decode after the failures above *)
   match Protocol.request_of_line ~max_program_bytes:mb {|{"op":"ping"}|} with
   | Ok Protocol.Ping -> ()
@@ -130,7 +151,8 @@ let protocol_oversized () =
   | Ok _ -> Alcotest.fail "oversized inline source accepted");
   (match Protocol.request_of_line ~max_program_bytes:1_000 line with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "within-budget source rejected: %s" e);
+  | Error e ->
+      Alcotest.failf "within-budget source rejected: %s" (Json.to_string e));
   let log_line = String.make 60 'y' in
   let min_line =
     Printf.sprintf
@@ -146,7 +168,8 @@ let protocol_oversized () =
   | Ok (Protocol.Submit { job = Protocol.Minimize { log; _ }; _ }) ->
       Alcotest.(check int) "log lines survive decoding" 3 (List.length log)
   | Ok _ -> Alcotest.fail "decoded to the wrong request"
-  | Error e -> Alcotest.failf "within-budget log rejected: %s" e
+  | Error e ->
+      Alcotest.failf "within-budget log rejected: %s" (Json.to_string e)
 
 (* --- the worker pool ------------------------------------------------ *)
 
@@ -397,6 +420,31 @@ let serve_malformed_line_keeps_connection () =
     (read_type ());
   Unix.close fd
 
+(* A job the daemon rejects comes back as an [Error] of [Client.submit],
+   not as a wait for an ack that never comes: the receive timeout turns
+   such a wait into a failure. *)
+let serve_rejected_submit_returns () =
+  with_server @@ fun address ->
+  let c = Client.connect address in
+  Client.set_receive_timeout c 20.;
+  let bogus =
+    match run_spec with
+    | Protocol.Run r ->
+        Protocol.Run { r with exec = { r.exec with engine = "bogus" } }
+    | _ -> assert false
+  in
+  (match Client.submit c ~tenant:"acme" ~id:"bad" bogus with
+  | Error e ->
+      Alcotest.(check string) "the rejection's message"
+        {|unknown engine "bogus" (expected ref or block)|} e
+  | Ok _ -> Alcotest.fail "a submit naming engine bogus was accepted");
+  (* the connection goes on serving *)
+  Client.send c Protocol.Ping;
+  (match Client.recv c with
+  | Some f when Client.frame_type f = "pong" -> ()
+  | _ -> Alcotest.fail "no pong after the rejection");
+  Client.close c
+
 let serve_survives_disconnect () =
   with_server @@ fun address ->
   (* first client submits a job and vanishes without reading frames *)
@@ -490,7 +538,7 @@ let aggregate_throughput_guards () =
     Json.Obj
       [
         ("type", Json.String "fuzz_summary");
-        ("engine", Json.String "fast");
+        ("engine", Json.String "block");
         ("elapsed_sec", elapsed);
       ]
   in
@@ -540,6 +588,8 @@ let suites =
         Alcotest.test_case "end to end" `Quick serve_end_to_end;
         Alcotest.test_case "malformed line keeps connection" `Quick
           serve_malformed_line_keeps_connection;
+        Alcotest.test_case "rejected submit returns an error" `Quick
+          serve_rejected_submit_returns;
         Alcotest.test_case "survives client disconnect" `Quick
           serve_survives_disconnect;
       ] );

@@ -5,6 +5,7 @@ open Conair.Ir
 open Test_util
 module B = Builder
 module Machine = Conair.Runtime.Machine
+module Block_machine = Conair.Runtime.Block_machine
 module Sched = Conair.Runtime.Sched
 module Outcome = Conair.Runtime.Outcome
 
@@ -27,30 +28,32 @@ let counting_program () =
   B.exit_ f
 
 let snapshot_restores_globals_and_position () =
-  let m = Machine.create (counting_program ()) in
+  let bm = Block_machine.create (counting_program ()) in
+  let m = Block_machine.machine bm in
   (* run a few steps, snapshot, run to completion, restore, complete again *)
   for _ = 1 to 12 do
-    ignore (Machine.step m)
+    ignore (Block_machine.step bm)
   done;
   let snap = Machine.snapshot m in
-  let outcome1 = Machine.run m in
+  let outcome1 = Block_machine.run bm in
   Alcotest.(check bool) "first completion" true (Outcome.is_success outcome1);
   let out1 = Machine.outputs m in
   Machine.restore m snap;
   Alcotest.(check bool) "outcome cleared" true (m.Machine.outcome = None);
-  let outcome2 = Machine.run m in
+  let outcome2 = Block_machine.run bm in
   Alcotest.(check bool) "second completion" true (Outcome.is_success outcome2);
   Alcotest.(check (list string)) "same result after restore" out1
     (Machine.outputs m)
 
 let snapshot_is_isolated_from_later_mutation () =
-  let m = Machine.create (counting_program ()) in
+  let bm = Block_machine.create (counting_program ()) in
+  let m = Block_machine.machine bm in
   for _ = 1 to 12 do
-    ignore (Machine.step m)
+    ignore (Block_machine.step bm)
   done;
   let snap = Machine.snapshot m in
   let n_at_snap = Hashtbl.find m.Machine.globals "n" in
-  ignore (Machine.run m);
+  ignore (Block_machine.run bm);
   (* the machine's global moved on; restoring brings the old value back *)
   Alcotest.(check bool) "global advanced" false
     (Value.equal n_at_snap (Hashtbl.find m.Machine.globals "n"));
@@ -59,13 +62,14 @@ let snapshot_is_isolated_from_later_mutation () =
     (Hashtbl.find m.Machine.globals "n")
 
 let snapshot_restorable_many_times () =
-  let m = Machine.create (counting_program ()) in
+  let bm = Block_machine.create (counting_program ()) in
+  let m = Block_machine.machine bm in
   for _ = 1 to 12 do
-    ignore (Machine.step m)
+    ignore (Block_machine.step bm)
   done;
   let snap = Machine.snapshot m in
   let finish () =
-    ignore (Machine.run m);
+    ignore (Block_machine.run bm);
     Machine.outputs m
   in
   let a = finish () in
@@ -76,12 +80,13 @@ let snapshot_restorable_many_times () =
   Alcotest.(check bool) "all three runs equal" true (a = b && b = c)
 
 let restore_keeps_time_monotonic () =
-  let m = Machine.create (counting_program ()) in
+  let bm = Block_machine.create (counting_program ()) in
+  let m = Block_machine.machine bm in
   for _ = 1 to 12 do
-    ignore (Machine.step m)
+    ignore (Block_machine.step bm)
   done;
   let snap = Machine.snapshot m in
-  ignore (Machine.run m);
+  ignore (Block_machine.run bm);
   let t_end = m.Machine.step in
   Machine.restore m snap;
   Alcotest.(check bool) "virtual time does not rewind" true

@@ -3,6 +3,7 @@
 
 open Test_util
 module Machine = Conair.Runtime.Machine
+module Engine = Conair.Runtime.Engine
 module Event = Conair.Runtime.Event
 module Span = Conair.Obs.Span
 
@@ -17,12 +18,11 @@ let traced_machine ~config h =
   let capture =
     Event.observer ~sync:true ~steps:true (fun _ ev -> evs := ev :: !evs)
   in
-  let m =
-    Machine.create ~config ~meta
+  let m, outcome =
+    Engine.run_program ~config ~meta
       ~observer:(Event.combine [ capture; Span.observer spans ])
-      h.Conair.hardened.program
+      Engine.Block h.Conair.hardened.program
   in
-  let outcome = Machine.run m in
   (m, outcome, { evs = List.rev !evs; spans })
 
 let traced_run ?(policy = Conair.Runtime.Sched.Round_robin) h =
@@ -104,7 +104,7 @@ let rollback_count_matches_stats () =
          t.evs)
   in
   Alcotest.(check int) "trace agrees with stats"
-    (Machine.stats m).rollbacks rollback_events
+    (Engine.stats m).rollbacks rollback_events
 
 let recovery_summary_is_compact () =
   let p = order_violation_program ~buggy:true () in

@@ -63,14 +63,11 @@ let run_hardened ?(policy = Conair.Runtime.Sched.Round_robin)
   in
   Conair.execute_hardened ~config h
 
-(* The [Machine.t] state of a run on either pre-resolved engine: the
-   fast engine's machine, or the one the block engine drives. *)
+(* The [Machine.t] state the block engine drives. *)
 let machine_state (r : Conair.run) =
   match r.machine with
-  | Conair.Runtime.Engine.M_fast m -> m
   | Conair.Runtime.Engine.M_block bm -> Conair.Runtime.Block_machine.machine bm
-  | Conair.Runtime.Engine.M_ref _ ->
-      Alcotest.fail "expected the fast or the block engine"
+  | Conair.Runtime.Engine.M_ref _ -> Alcotest.fail "expected the block engine"
 
 let expect_success (r : Conair.run) =
   match r.outcome with
