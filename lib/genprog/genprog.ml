@@ -470,12 +470,13 @@ let contended_spec_print specs =
        specs)
 
 (* Each thread runs its own loop: the round guard and the generated body
-   are register-only blocks (moves, binops, unops, nops, a stack-slot
-   load, and [8] a branch diamond), so every round is local code but
-   for the optional per-round access to the global [shared] (or an
-   output) in a block of its own. A faulting round divides by a register
-   that reaches 0 there. Afterwards the thread outputs its registers and
-   adds them to [shared] under a lock: a site hardening guards. *)
+   are register-only blocks (moves, binops, unops, nops, and [8] a
+   branch diamond), so every round is local code but for a stack-slot
+   load ([5]), which ends a register-only run, and the optional
+   per-round access to the global [shared] (or an output) in a block of
+   its own. A faulting round divides by a register that reaches 0
+   there. Afterwards the thread outputs its registers and adds them to
+   [shared] under a lock: a site hardening guards. *)
 let contended_program (specs : spinner_spec list) : Program.t =
   B.build ~main:"main" @@ fun b ->
   B.global b "shared" (Value.Int 0);
@@ -560,4 +561,126 @@ let contended_program (specs : spinner_spec list) : Program.t =
     specs;
   B.load f "s" (Instr.Global "shared");
   B.output f "shared %v" [ B.reg "s" ];
+  B.exit_ f
+
+(* ------------------------------------------------------------------ *)
+(* Register-only loops over ints and bools                             *)
+(* ------------------------------------------------------------------ *)
+
+type init = I_int of int | I_bool of bool | I_undef | I_ptr | I_str
+
+type rloop_spec = {
+  rl_rounds : int;
+  rl_init : init list;
+  rl_body : int list;
+}
+
+let init_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun k -> I_int k) (int_range (-20) 20));
+        (3, map (fun b -> I_bool b) bool);
+        (1, return I_undef);
+        (1, return I_ptr);
+        (1, return I_str);
+      ])
+
+let rloop_spec_gen =
+  QCheck.Gen.(
+    map3
+      (fun rl_rounds rl_init rl_body -> { rl_rounds; rl_init; rl_body })
+      (int_range 0 12)
+      (list_repeat 5 init_gen)
+      (list_size (int_range 1 8) (int_range 0 16)))
+
+let init_print = function
+  | I_int k -> string_of_int k
+  | I_bool b -> string_of_bool b
+  | I_undef -> "undef"
+  | I_ptr -> "ptr"
+  | I_str -> "str"
+
+let rloop_spec_print s =
+  Printf.sprintf "{rounds=%d; init=[%s]; body=[%s]}" s.rl_rounds
+    (String.concat ";" (List.map init_print s.rl_init))
+    (String.concat ";" (List.map string_of_int s.rl_body))
+
+(* One function: the registers [a], [b] (written as ints), [p], [q]
+   (written as bools) and [n] start from the spec's values — a kind the
+   loop does not write, undefined, a pointer or a string among them —
+   then a loop of register-only blocks runs [rounds] times: int and
+   bool arithmetic, comparisons of like and unlike kinds, branch
+   diamonds on a bool and on a comparison, a register written on one
+   path only, and a division by a constant. Afterwards a block that is
+   not register-only outputs every register; a register the loop never
+   defined faults there, as a value the loop cannot use faults inside
+   it. *)
+let rloop_program (s : rloop_spec) : Program.t =
+  B.build ~main:"main" @@ fun b ->
+  B.func b "main" ~params:[] @@ fun f ->
+  B.label f "entry";
+  List.iteri
+    (fun k init ->
+      let r = List.nth [ "a"; "b"; "p"; "q"; "n" ] k in
+      match init with
+      | I_int v -> B.move f r (B.int v)
+      | I_bool v -> B.move f r (B.bool v)
+      | I_undef -> ()
+      | I_ptr -> B.alloc f r (B.int 1)
+      | I_str -> B.move f r (B.str "s"))
+    s.rl_init;
+  B.move f "i" (B.int 0);
+  B.jump f "loop";
+  B.label f "loop";
+  B.lt f "c" (B.reg "i") (B.int s.rl_rounds);
+  B.branch f (B.reg "c") "body" "done";
+  B.label f "body";
+  List.iteri
+    (fun j code ->
+      let fresh l = Printf.sprintf "%s%d" l j in
+      let diamond cond lo hi =
+        B.branch f cond (fresh "lo") (fresh "hi");
+        B.label f (fresh "lo");
+        lo ();
+        B.jump f (fresh "join");
+        B.label f (fresh "hi");
+        hi ();
+        B.jump f (fresh "join");
+        B.label f (fresh "join")
+      in
+      match code with
+      | 0 -> B.add f "a" (B.reg "a") (B.reg "b")
+      | 1 -> B.mul f "b" (B.reg "b") (B.int 3)
+      | 2 -> B.binop f "a" Instr.Mod (B.reg "a") (B.int 101)
+      | 3 -> B.sub f "b" (B.reg "b") (B.reg "i")
+      | 4 -> B.unop f "a" Instr.Neg (B.reg "a")
+      | 5 -> B.lt f "p" (B.reg "a") (B.reg "b")
+      | 6 -> B.eq f "q" (B.reg "a") (B.reg "n")
+      | 7 -> B.ne f "p" (B.reg "p") (B.reg "q")
+      | 8 -> B.unop f "q" Instr.Not (B.reg "p")
+      | 9 -> B.binop f "p" Instr.And (B.reg "p") (B.reg "q")
+      | 10 -> B.binop f "q" Instr.Or (B.reg "p") (B.reg "c")
+      | 11 -> B.binop f "b" Instr.Div (B.reg "b") (B.int (-7))
+      | 12 ->
+          diamond (B.reg "p")
+            (fun () -> B.add f "a" (B.reg "a") (B.int 1))
+            (fun () ->
+              B.add f "b" (B.reg "b") (B.int 1);
+              B.move f "w" (B.reg "i"))
+      | 13 -> B.nop f
+      | 14 -> B.move f "b" (B.reg "a")
+      | 15 ->
+          B.gt f "g" (B.reg "a") (B.reg "b");
+          diamond (B.reg "g")
+            (fun () -> B.sub f "a" (B.reg "a") (B.reg "b"))
+            (fun () -> B.move f "q" (B.bool true))
+      | _ -> B.eq f "q" (B.reg "a") (B.reg "p"))
+    s.rl_body;
+  B.add f "i" (B.reg "i") (B.int 1);
+  B.jump f "loop";
+  B.label f "done";
+  B.output f "a=%v b=%v p=%v q=%v"
+    [ B.reg "a"; B.reg "b"; B.reg "p"; B.reg "q" ];
+  B.output f "w=%v" [ B.reg "w" ];
   B.exit_ f

@@ -106,8 +106,29 @@ val contended_spec_print : spinner_spec list -> string
 
 val contended_program : spinner_spec list -> Program.t
 (** One thread per spec, all spawned at once, each running its loop of
-    register-only blocks (moves, binops, unops, nops, a stack-slot load,
-    branch diamonds) — the code the block engine runs ahead of the clock
-    in a contended phase — with the optional per-round shared access in
-    a block of its own, then outputting its registers and adding one to
-    a shared global under a lock. *)
+    register-only blocks (moves, binops, unops, nops, branch diamonds)
+    — the code the block engine runs ahead of the clock in a contended
+    phase — broken by any stack-slot load, with the optional per-round
+    shared access in a block of its own, then outputting its registers
+    and adding one to a shared global under a lock. *)
+
+(** {1 Register-only loops over ints and bools} *)
+
+(** A register's value before the loop. *)
+type init = I_int of int | I_bool of bool | I_undef | I_ptr | I_str
+
+type rloop_spec = {
+  rl_rounds : int;
+  rl_init : init list;  (** the values of [a], [b], [p], [q] and [n] *)
+  rl_body : int list;  (** the loop body's ops, by code *)
+}
+
+val rloop_spec_gen : rloop_spec QCheck.Gen.t
+val rloop_spec_print : rloop_spec -> string
+
+val rloop_program : rloop_spec -> Program.t
+(** One thread: the five registers set from the spec (some of a kind the
+    loop does not write, undefined, a pointer or a string), a loop of
+    register-only blocks over ints and bools (the code the block engine
+    runs unboxed), then outputs of every register, one of them written
+    on one path only. *)

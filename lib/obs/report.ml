@@ -93,10 +93,6 @@ let episode_json (e : Stats.episode) : Json.t =
       ("retries", Json.Int e.ep_retries);
     ]
 
-let sorted_hits tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let stats_json (s : Stats.t) : Json.t =
   Json.Obj
     [
@@ -117,7 +113,7 @@ let stats_json (s : Stats.t) : Json.t =
         Json.Obj
           (List.map
              (fun (id, n) -> (string_of_int id, Json.Int n))
-             (sorted_hits s.ckpt_hits)) );
+             (Stats.ckpt_hits s)) );
     ]
 
 (* --- the standard metric set --------------------------------------- *)
@@ -173,7 +169,7 @@ let standard_metrics ?into (s : Stats.t) : Metrics.t =
            ~help:"Executions per static reexecution point"
            ~labels:[ ("ckpt", string_of_int id) ]
            r "conair_checkpoint_executions_total"))
-    (sorted_hits s.ckpt_hits);
+    (Stats.ckpt_hits s);
   let between =
     Metrics.gauge
       ~help:"Mean instructions executed between checkpoint executions"

@@ -64,24 +64,31 @@
      divergence raised in a contended phase retires the phase's steps
      first, so the counters read what the reference leaves.
    - Code run ahead cannot be seen early. A register-only step
-     ([Compile]'s [cb_local]: moves, binops, unops, nops, stack-slot
-     loads, jumps and branches) reads and writes only its thread's
-     registers and program point and reads no clock, so it commutes
-     with every step of every other thread: only its place on the
-     clock is observable, and that place is the decision that settles
-     it. Every decision, every other instruction and every counter stay
-     at their step: counters count a step when its credit is settled,
-     a thread runs no other code while it holds credit, and a window
-     settles its thread's credit before its code runs. A fault stops a
-     run-ahead just before the faulting instruction, which faults at its
-     own step later. Running ahead is off where the early steps could
-     be seen: under an observer of per-step or access events, under a
-     feed and under a tap. A run may end, through another thread or
-     the fuel, while a thread holds credit; then only that thread's
-     registers and program point are ahead, which nothing reads after
-     the outcome ([thread_summaries] reports statuses and locks). An
-     observer's [Event.view] can show them during the run, as the
-     [stack] and [block] of a thread that is not a sync event's own.
+     ([Compile]'s [cb_local]: moves, binops, unops, nops, jumps and
+     branches) reads and writes only its thread's registers and program
+     point, reads no clock and emits no event but its [Step], so it
+     commutes with every step of every other thread: only its place on
+     the clock is observable, and that place is the decision that
+     settles it. Every decision, every other instruction and every
+     counter stay at their step: counters count a step when its credit
+     is settled, a thread runs no other code while it holds credit, and
+     a window settles its thread's credit before its code runs. A run
+     ahead that enters an unboxed loop ([Compile]) runs it whole blocks
+     at a time up to the run's limit and stops where the loop exits,
+     which is a register-only step too. A fault stops a run-ahead just
+     before the faulting instruction, which faults at its own step
+     later. A feed decides every step of a contended phase and is told
+     nothing else, and an observer of accesses hears none from such
+     code, so both see the reference's stream; running ahead is off
+     only where the early steps themselves could be heard: under an
+     observer of per-step events and under a tap (whose runs take
+     every step through [step]). A run may end, through another thread,
+     the fuel or a feed's divergence, while a thread holds credit; then
+     only that thread's registers and program point are ahead, which
+     nothing reads after the outcome ([thread_summaries] reports
+     statuses and locks). An observer's [Event.view] can show them
+     during the run, as the [stack] and [block] of a thread that is not
+     the one of a sync or access event.
 
    A single step ([step]) is built from the same pieces: one scan, one
    decision, then one settled credit or one [step_one]. Only a
@@ -295,20 +302,22 @@ let ahead_chunk = 256
 (* Retire [th]'s register-only code ahead of the clock ([Compile]'s
    [cb_local]): whole block remainders, each one chain call that the
    floored [m.wbound] stops at its terminator, until [ahead_chunk] steps
-   or a block that is not register-only from the program point. Only
-   a runnable thread that is not recovering runs ahead: a recovering
-   thread's branch may close its episode, which reads the clock. Such
-   code reads no clock, so [m.step] runs along and is put back; a fault
-   stops the run just before the faulting instruction (links raise
-   before moving the program point, segments roll their batch back),
-   which then faults at its own step. Returns the number of steps
-   retired. *)
+   or a block that is not register-only from the program point. A chain
+   that enters an unboxed loop runs it up to the limit, passed in
+   [m.abound], and leaves it without chaining on. Only a runnable
+   thread that is not recovering runs ahead: a recovering thread's
+   branch may close its episode, which reads the clock. Such code reads
+   no clock, so [m.step] runs along and is put back; a fault stops the
+   run just before the faulting instruction (links raise before moving
+   the program point, segments roll their batch back), which then
+   faults at its own step. Returns the number of steps retired. *)
 let run_ahead bm (th : Thread.t) =
   match (th.Thread.status, th.Thread.recovering) with
   | Thread.Runnable, None ->
       let m = bm.m in
       let step0 = m.Machine.step in
       let limit = step0 + ahead_chunk in
+      m.Machine.abound <- limit;
       (try
          while
            let f = Thread.top th in
@@ -323,6 +332,7 @@ let run_ahead bm (th : Thread.t) =
            ()
          done
        with Machine.Fault _ -> ());
+      m.Machine.abound <- min_int;
       let n = m.Machine.step - step0 in
       m.Machine.step <- step0;
       n
@@ -339,7 +349,8 @@ let run_ahead bm (th : Thread.t) =
    commutes with every step of every other thread, so only its place on
    the clock can be observed, and settling keeps that place. Running
    ahead ([ahead]) is off where it could be seen: under an observer of
-   per-step or access events, a feed or a tap, and in a single [step].
+   per-step events, and in a single [step] (a tap's runs take every
+   step there).
    The phase ends at a schedulable op, a thread death, a fault, a
    failed assert, or [bound]: the fuel or the earliest time-based wake
    of an ineligible thread, when the eligible set could grow, or the
@@ -469,9 +480,7 @@ let unhooked_step bm =
     | _ ->
         run_contended bm rn
           ~bound:(min m.Machine.config.Machine.fuel (Machine.next_wake m))
-          ~ahead:
-            (Option.is_none m.Machine.sched.Sched.feed
-            && not (Machine.steps m || Machine.accesses m))
+          ~ahead:(not (Machine.steps m))
 
 let run bm =
   let m = bm.m in

@@ -62,12 +62,25 @@
 
    Every index also carries [cb_local], the length of the
    register-only run from it through the block's terminator ([local]:
-   moves, binops, unops, nops and stack-slot loads, ended by a jump or
-   a branch), [0] where anything else lies on the way. A contended
-   phase runs such code ahead of the clock ([Block_machine]): with
-   [m.wbound] floored, the chain at a positive index retires exactly
-   that run, or raises before its faulting instruction, and touches
-   nothing another thread can see.
+   moves, binops, unops and nops, ended by a jump or a branch), [0]
+   where anything else lies on the way. A contended phase runs such
+   code ahead of the clock ([Block_machine]): with [m.wbound] floored,
+   the chain at a positive index retires exactly that run, or raises
+   before its faulting instruction, and touches nothing another thread
+   can see.
+
+   Loops of register-only blocks over ints and bools — the arithmetic
+   kernels most steps of a run are spent in — run one tier further
+   down, unboxed: each block of such a loop has, at index 0, an entry
+   link that checks the registers live into the loop hold the kinds
+   the loop gives them, copies them into a scratch [int array], runs
+   whole blocks there while the budget allows, and writes back only
+   what the executed blocks wrote, leaving the step count and the
+   program point where the boxed chain would. It is exact because the
+   checks make every read in the loop see a value of its kind, on
+   which the unboxed arithmetic is the boxed one, and because such code
+   reads no clock and emits nothing; what fails a check runs the boxed
+   chain. The section before [compile_block] has the argument.
 
    Nothing is compiled up front. [compile] hands out the image's code
    object with every slot holding one shared [pending] block; [block],
@@ -144,14 +157,6 @@ type cblock = {
   cb_local : int array;
       (** steps from this index through a jump or branch terminator
           when all of them are register-only ([local]), else [0] *)
-}
-
-type program = {
-  image : Link.program;
-  blocks : cblock array array;
-      (** indexed [lf_id].(lb_index); a slot holds [pending] until the
-          block is first entered *)
-  pending : cblock;
 }
 
 let halt : chain = fun _ _ _ -> t_single
@@ -1391,114 +1396,567 @@ let compile_term (prog : cblock array array) (f : Link.lfunc)
                       | _ -> t_refresh))))
   | Link.L_exit -> None
 
-(* Compare-and-branch fusion: a block whose last instruction is an
-   integer comparison feeding straight into the branch condition — the
-   universal loop-guard shape — executes both in one closure, skipping
-   the inter-link dispatch, the condition register's re-load and its
-   truthiness test. The comparison result is still written to its
-   register (it is observable), operand faults still park the program
-   point on the comparison with the batch rolled back, and the
-   single-step form stays unfused so strict single-stepping retires
-   exactly one instruction. The comparison's step rides the segment
-   batch; the branch counts its own, exactly as unfused. *)
-let fuse_cmp_branch (prog : cblock array array) (f : Link.lfunc)
-    (blk : Link.lblock) (k : int) : (pre:int -> fix:int -> chain) option =
-  match (blk.Link.lb_instrs.(k).Link.li_op, blk.Link.lb_term) with
-  | ( Link.L_binop (r, ((Instr.Lt | Instr.Le | Instr.Gt | Instr.Ge) as op), a, b),
-      Link.L_branch (Link.L_reg rc, t, fl) )
-    when rc = r ->
-      let bt = f.Link.lf_blocks.(t) and bf = f.Link.lf_blocks.(fl) in
-      let fcbs = prog.(f.Link.lf_id) in
-      (* the op is a compile-time constant per closure, so the dispatch
-         below is a perfectly predicted jump, not an indirect call *)
-      let finish m th (fr : Thread.frame) cond =
-        fr.Thread.regs.(r) <- (if cond then vtrue else vfalse);
-        (match th.Thread.recovering with
-        | None -> ()
-        | Some _ ->
-            if cond then
-              Machine.note_branch_taken m th fr ~taken_idx:t ~other_idx:fl
-            else Machine.note_branch_taken m th fr ~taken_idx:fl ~other_idx:t);
-        if cond then begin
-          fr.Thread.block <- bt;
+(* Register-only: reads and writes nothing but the executing frame's
+   registers and program point, reads no clock ([m.step],
+   [last_destroy_step]), and emits nothing to any observer but one of
+   per-step events. Such a step commutes with every step of every other
+   thread, so [Block_machine] may retire it ahead of the clock. *)
+let local (i : Link.linstr) =
+  (not i.Link.li_destroying)
+  &&
+  match i.Link.li_op with
+  | Link.L_move _ | Link.L_binop _ | Link.L_unop _ | Link.L_nop -> true
+  | _ -> false
+
+(* ---- the unboxed tier -------------------------------------------------
+
+   A loop whose blocks are all register-only over ints and bools runs on
+   a scratch [int array] ([m.uregs]) instead of the frame's boxed
+   registers: one closure per instruction, no [Value.Int] allocated and
+   no write barrier paid until the loop exits. A tier block holds only
+   moves, binops, unops and nops over registers and [Int]/[Bool]
+   constants (a division or modulo only by a nonzero constant), none
+   destroying, and ends in a jump or a branch; a tier loop is a strongly
+   connected set of them. [find_loops] works a function's loops out
+   once, when its first block compiles, with one kind per register
+   (Int or Bool) inferred from the loop's writes.
+
+   Every block of a tier loop gets an entry link at index 0
+   ([entry_link]). It runs the boxed chain instead unless the thread is
+   not recovering and every register live into the block holds its
+   kind, never [Thread.undef]. From there the loop's code is exact:
+
+   - every register the loop reads holds its kind when read (written
+     earlier on the path by an instruction of that result kind, or live
+     in and checked), so no read faults and no division faults;
+   - an Int [x] stands for [Int x] and a Bool for [0]/[1], under which
+     [Machine.as_int], [Value.is_true] and the arithmetic agree with the
+     boxed ones, and [Eq]/[Ne] of two kinds that differ are constant,
+     as [Value.equal] never equates an [Int] with a [Bool];
+   - it reads no clock, emits nothing and touches no other state, and
+     a branch of a thread not recovering (which nothing in the loop can
+     start) notes nothing.
+
+   The loop runs whole blocks: the caller's gate covers the first one,
+   and each later block runs only while [m.step] plus its length stays
+   within the larger of [m.wbound] and [m.abound] ([Block_machine]'s
+   window budget, or the limit of a run ahead of the clock). On exit
+   the link boxes back the registers the executed blocks wrote, leaves
+   [m.step], [fr.block] and [fr.idx] where the boxed chain would, and
+   goes on as the boxed terminator would. The single-step forms never
+   reach it. *)
+
+type ucode = int array -> int
+(** a tier block's code over the scratch file: the loop index of the
+    successor, or [lnot] the function's index of a block off the loop *)
+
+type uloop = {
+  ul_blocks : int array;  (** loop index -> the function's block index *)
+  ul_index : int array;
+      (** the function's block index -> loop index, or [-1] *)
+  ul_bool : bool array;  (** per register: is its kind Bool (else Int)? *)
+  ul_live : int array array;
+      (** per loop index: the registers the loop may read from that
+          block before writing them *)
+  ul_wregs : int array;  (** the registers the loop writes *)
+  ul_wmask : int array;
+      (** per [ul_wregs] entry: the loop's blocks that write it, one bit
+          per loop index *)
+  ul_len : int array;  (** per loop index: the block's steps *)
+  ul_run : ucode array;  (** per loop index: the block's code *)
+}
+
+let uint = function
+  | Value.Int x -> Some x
+  | Value.Bool b -> Some (Bool.to_int b)
+  | _ -> None
+
+let tier_arg = function
+  | Link.L_reg _ -> true
+  | Link.L_const v -> uint v <> None
+
+let tier_instr (i : Link.linstr) =
+  (not i.Link.li_destroying)
+  &&
+  match i.Link.li_op with
+  | Link.L_nop -> true
+  | Link.L_move (_, a) | Link.L_unop (_, _, a) -> tier_arg a
+  | Link.L_binop (_, (Instr.Div | Instr.Mod), a, Link.L_const d) ->
+      tier_arg a && (match uint d with Some y -> y <> 0 | None -> false)
+  | Link.L_binop (_, (Instr.Div | Instr.Mod), _, _) -> false
+  | Link.L_binop (_, _, a, b) -> tier_arg a && tier_arg b
+  | _ -> false
+
+(* The blocks a tier block can transfer to. *)
+let tier_succs (b : Link.lblock) =
+  match b.Link.lb_term with
+  | Link.L_jump t -> [ t ]
+  | Link.L_branch (Link.L_reg _, t, fl) -> [ t; fl ]
+  | Link.L_branch (Link.L_const v, t, fl) ->
+      [ (if Value.is_true v then t else fl) ]
+  | Link.L_return _ | Link.L_exit -> []
+
+let tier_block (b : Link.lblock) =
+  tier_succs b <> [] && Array.for_all tier_instr b.Link.lb_instrs
+
+(* Strongly connected components of the subgraph of [ok] blocks
+   (Tarjan): the component of each block, [-1] off the subgraph. *)
+let components (blocks : Link.lblock array) ok =
+  let n = Array.length blocks in
+  let comp = Array.make n (-1) and index = Array.make n (-1) in
+  let low = Array.make n 0 and on_stack = Array.make n false in
+  let stack = ref [] and next = ref 0 and ncomp = ref 0 in
+  let rec visit v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    List.iter
+      (fun w ->
+        if ok.(w) then
+          if index.(w) < 0 then begin
+            visit w;
+            low.(v) <- min low.(v) low.(w)
+          end
+          else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
+      (tier_succs blocks.(v));
+    if low.(v) = index.(v) then begin
+      let rec pop () =
+        match !stack with
+        | w :: rest ->
+            stack := rest;
+            on_stack.(w) <- false;
+            comp.(w) <- !ncomp;
+            if w <> v then pop ()
+        | [] -> ()
+      in
+      pop ();
+      incr ncomp
+    end
+  in
+  Array.iteri (fun v o -> if o && index.(v) < 0 then visit v) ok;
+  comp
+
+(* One kind per register over the loop's instructions: a move unites
+   its two registers, every other write fixes its register's kind by
+   its result ([Add]..[Mod] and [Neg] give Int, the rest Bool). [None]
+   when two writes disagree; a register only read is Int. *)
+let infer_kinds nregs (instrs : Link.linstr list) =
+  let parent = Array.init nregs Fun.id and kind = Array.make nregs None in
+  let rec find r =
+    let p = parent.(r) in
+    if p = r then r
+    else
+      let q = find p in
+      parent.(r) <- q;
+      q
+  in
+  List.iter
+    (fun (i : Link.linstr) ->
+      match i.Link.li_op with
+      | Link.L_move (r, Link.L_reg a) -> parent.(find r) <- find a
+      | _ -> ())
+    instrs;
+  let agree = ref true in
+  let set r b =
+    let r = find r in
+    match kind.(r) with
+    | None -> kind.(r) <- Some b
+    | Some b' -> if b <> b' then agree := false
+  in
+  List.iter
+    (fun (i : Link.linstr) ->
+      match i.Link.li_op with
+      | Link.L_move (r, Link.L_const v) ->
+          set r (match v with Value.Bool _ -> true | _ -> false)
+      | Link.L_binop (r, op, _, _) ->
+          set r
+            (match op with
+            | Instr.Add | Instr.Sub | Instr.Mul | Instr.Div | Instr.Mod ->
+                false
+            | _ -> true)
+      | Link.L_unop (r, op, _) -> set r (op <> Instr.Neg)
+      | _ -> ())
+    instrs;
+  if !agree then Some (Array.init nregs (fun r -> kind.(find r) = Some true))
+  else None
+
+(* The registers a block reads before writing them, and those it
+   writes. *)
+let reads_writes nregs (b : Link.lblock) =
+  let use = Array.make nregs false and def = Array.make nregs false in
+  let read = function
+    | Link.L_reg r -> if not def.(r) then use.(r) <- true
+    | Link.L_const _ -> ()
+  in
+  Array.iter
+    (fun (i : Link.linstr) ->
+      match i.Link.li_op with
+      | Link.L_move (r, a) | Link.L_unop (r, _, a) ->
+          read a;
+          def.(r) <- true
+      | Link.L_binop (r, _, a, b) ->
+          read a;
+          read b;
+          def.(r) <- true
+      | _ -> ())
+    b.Link.lb_instrs;
+  (match b.Link.lb_term with Link.L_branch (c, _, _) -> read c | _ -> ());
+  (use, def)
+
+let[@inline] rd (r : int array) i = Array.unsafe_get r i
+let[@inline] wr (r : int array) i (x : int) = Array.unsafe_set r i x
+
+(* [Machine.eval_binop] over the tier's representation, for the operand
+   shapes [ubinop] does not spell out. *)
+let uarith (op : Instr.binop) : int -> int -> int =
+  match op with
+  | Instr.Add -> ( + )
+  | Instr.Sub -> ( - )
+  | Instr.Mul -> ( * )
+  | Instr.Div -> ( / )
+  | Instr.Mod -> ( mod )
+  | Instr.Lt -> fun (x : int) y -> Bool.to_int (x < y)
+  | Instr.Le -> fun (x : int) y -> Bool.to_int (x <= y)
+  | Instr.Gt -> fun (x : int) y -> Bool.to_int (x > y)
+  | Instr.Ge -> fun (x : int) y -> Bool.to_int (x >= y)
+  | Instr.Eq -> fun (x : int) y -> Bool.to_int (x = y)
+  | Instr.Ne -> fun (x : int) y -> Bool.to_int (x <> y)
+  | Instr.And -> fun x y -> Bool.to_int (x <> 0 && y <> 0)
+  | Instr.Or -> fun x y -> Bool.to_int (x <> 0 || y <> 0)
+
+let ubinop (bool : bool array) d op a b (next : ucode) : ucode =
+  let is_bool = function
+    | Link.L_reg x -> bool.(x)
+    | Link.L_const v -> ( match v with Value.Bool _ -> true | _ -> false)
+  in
+  match (op, a, b) with
+  | (Instr.Eq | Instr.Ne), _, _ when is_bool a <> is_bool b ->
+      let c = Bool.to_int (op = Instr.Ne) in
+      fun r ->
+        wr r d c;
+        next r
+  | Instr.Add, Link.L_reg x, Link.L_reg y ->
+      fun r ->
+        wr r d (rd r x + rd r y);
+        next r
+  | Instr.Sub, Link.L_reg x, Link.L_reg y ->
+      fun r ->
+        wr r d (rd r x - rd r y);
+        next r
+  | Instr.Mul, Link.L_reg x, Link.L_reg y ->
+      fun r ->
+        wr r d (rd r x * rd r y);
+        next r
+  | Instr.Lt, Link.L_reg x, Link.L_reg y ->
+      fun r ->
+        wr r d (Bool.to_int (rd r x < rd r y));
+        next r
+  | Instr.Le, Link.L_reg x, Link.L_reg y ->
+      fun r ->
+        wr r d (Bool.to_int (rd r x <= rd r y));
+        next r
+  | Instr.Gt, Link.L_reg x, Link.L_reg y ->
+      fun r ->
+        wr r d (Bool.to_int (rd r x > rd r y));
+        next r
+  | Instr.Ge, Link.L_reg x, Link.L_reg y ->
+      fun r ->
+        wr r d (Bool.to_int (rd r x >= rd r y));
+        next r
+  | Instr.Add, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (rd r x + c);
+        next r
+  | Instr.Sub, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (rd r x - c);
+        next r
+  | Instr.Mul, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (rd r x * c);
+        next r
+  | Instr.Div, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (rd r x / c);
+        next r
+  | Instr.Mod, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (rd r x mod c);
+        next r
+  | Instr.Lt, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (Bool.to_int (rd r x < c));
+        next r
+  | Instr.Le, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (Bool.to_int (rd r x <= c));
+        next r
+  | Instr.Gt, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (Bool.to_int (rd r x > c));
+        next r
+  | Instr.Ge, Link.L_reg x, Link.L_const c ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d (Bool.to_int (rd r x >= c));
+        next r
+  | _ -> (
+      let fn = uarith op in
+      match (a, b) with
+      | Link.L_reg x, Link.L_reg y ->
+          fun r ->
+            wr r d (fn (rd r x) (rd r y));
+            next r
+      | Link.L_reg x, Link.L_const c ->
+          let c = Option.get (uint c) in
+          fun r ->
+            wr r d (fn (rd r x) c);
+            next r
+      | Link.L_const c, Link.L_reg y ->
+          let c = Option.get (uint c) in
+          fun r ->
+            wr r d (fn c (rd r y));
+            next r
+      | Link.L_const c, Link.L_const c' ->
+          let v = fn (Option.get (uint c)) (Option.get (uint c')) in
+          fun r ->
+            wr r d v;
+            next r)
+
+let uinstr (bool : bool array) (i : Link.linstr) (next : ucode) : ucode =
+  match i.Link.li_op with
+  | Link.L_nop -> next
+  | Link.L_move (d, Link.L_reg x) ->
+      fun r ->
+        wr r d (rd r x);
+        next r
+  | Link.L_move (d, Link.L_const c) ->
+      let c = Option.get (uint c) in
+      fun r ->
+        wr r d c;
+        next r
+  | Link.L_unop (d, Instr.Is_null, _) ->
+      fun r ->
+        wr r d 0;
+        next r
+  | Link.L_unop (d, Instr.Neg, Link.L_reg x) ->
+      fun r ->
+        wr r d (- rd r x);
+        next r
+  | Link.L_unop (d, Instr.Not, Link.L_reg x) ->
+      fun r ->
+        wr r d (Bool.to_int (rd r x = 0));
+        next r
+  | Link.L_unop (d, op, Link.L_const c) ->
+      let c = Option.get (uint c) in
+      let v = if op = Instr.Neg then -c else Bool.to_int (c = 0) in
+      fun r ->
+        wr r d v;
+        next r
+  | Link.L_binop (d, op, a, b) -> ubinop bool d op a b next
+  | _ -> invalid_arg "Compile.uinstr: not a tier instruction"
+
+let uterm (index : int array) (b : Link.lblock) : ucode =
+  let succ t = if index.(t) >= 0 then index.(t) else lnot t in
+  match b.Link.lb_term with
+  | Link.L_jump t ->
+      let s = succ t in
+      fun _ -> s
+  | Link.L_branch (Link.L_reg c, t, fl) ->
+      let st = succ t and sf = succ fl in
+      fun r -> if rd r c <> 0 then st else sf
+  | Link.L_branch (Link.L_const v, t, fl) ->
+      let s = succ (if Value.is_true v then t else fl) in
+      fun _ -> s
+  | Link.L_return _ | Link.L_exit ->
+      invalid_arg "Compile.uterm: not a tier block"
+
+(* The loop of a component's blocks [members], or [None] when it is no loop
+   (one block without a self edge), has more blocks than a mask has
+   bits, or its writes disagree on a register's kind. *)
+let make_loop (f : Link.lfunc) (members : int list) =
+  let blocks = Array.of_list members in
+  let nb = Array.length blocks in
+  let self_edge b = List.mem b (tier_succs f.Link.lf_blocks.(b)) in
+  if nb > Sys.int_size || (nb = 1 && not (self_edge blocks.(0))) then None
+  else
+    let nregs = max 1 f.Link.lf_nregs in
+    let lblocks = Array.map (fun b -> f.Link.lf_blocks.(b)) blocks in
+    let instrs =
+      List.concat_map (fun (b : Link.lblock) -> Array.to_list b.Link.lb_instrs)
+        (Array.to_list lblocks)
+    in
+    match infer_kinds nregs instrs with
+    | None -> None
+    | Some bool ->
+        let index = Array.make (Array.length f.Link.lf_blocks) (-1) in
+        Array.iteri (fun j b -> index.(b) <- j) blocks;
+        let rw = Array.map (reads_writes nregs) lblocks in
+        (* live in: read before written on some path inside the loop *)
+        let live = Array.map (fun (use, _) -> Array.copy use) rw in
+        let changed = ref true in
+        while !changed do
+          changed := false;
+          Array.iteri
+            (fun j (b : Link.lblock) ->
+              let _, def = rw.(j) in
+              List.iter
+                (fun s ->
+                  let k = index.(s) in
+                  if k >= 0 then
+                    Array.iteri
+                      (fun r l ->
+                        if l && (not def.(r)) && not live.(j).(r) then begin
+                          live.(j).(r) <- true;
+                          changed := true
+                        end)
+                      live.(k))
+                (tier_succs b))
+            lblocks
+        done;
+        let regs_where p =
+          Array.of_list (List.filter p (List.init nregs Fun.id))
+        in
+        let wmask r =
+          let m = ref 0 in
+          Array.iteri
+            (fun j (_, def) -> if def.(r) then m := !m lor (1 lsl j))
+            rw;
+          !m
+        in
+        let wregs = regs_where (fun r -> wmask r <> 0) in
+        Some
+          {
+            ul_blocks = blocks;
+            ul_index = index;
+            ul_bool = bool;
+            ul_live = Array.map (fun l -> regs_where (fun r -> l.(r))) live;
+            ul_wregs = wregs;
+            ul_wmask = Array.map wmask wregs;
+            ul_len =
+              Array.map
+                (fun (b : Link.lblock) -> Array.length b.Link.lb_instrs + 1)
+                lblocks;
+            ul_run =
+              Array.map
+                (fun (b : Link.lblock) ->
+                  Array.fold_right (uinstr bool) b.Link.lb_instrs
+                    (uterm index b))
+                lblocks;
+          }
+
+(* Per block of [f]: the tier loop it belongs to, if any. *)
+let find_loops (f : Link.lfunc) : uloop option array =
+  let blocks = f.Link.lf_blocks in
+  let comp = components blocks (Array.map tier_block blocks) in
+  let ncomp = Array.fold_left max (-1) comp + 1 in
+  let members = Array.make ncomp [] in
+  for b = Array.length blocks - 1 downto 0 do
+    if comp.(b) >= 0 then members.(comp.(b)) <- b :: members.(comp.(b))
+  done;
+  let loops = Array.map (make_loop f) members in
+  Array.map (fun c -> if c >= 0 then loops.(c) else None) comp
+
+(* Unbox the live registers [live.(0..k)] of kind [bool] into [s];
+   [false] at the first that does not hold that kind. *)
+let rec unbox (live : int array) (bool : bool array) (regs : Value.t array)
+    (s : int array) k =
+  k < 0
+  ||
+  let reg = Array.unsafe_get live k in
+  match Array.unsafe_get regs reg with
+  | Value.Int x as v ->
+      v != Thread.undef
+      && (not (Array.unsafe_get bool reg))
+      && begin
+           wr s reg x;
+           unbox live bool regs s (k - 1)
+         end
+  | Value.Bool b ->
+      Array.unsafe_get bool reg
+      && begin
+           wr s reg (Bool.to_int b);
+           unbox live bool regs s (k - 1)
+         end
+  | _ -> false
+
+let box_back (l : uloop) (regs : Value.t array) (s : int array) mask =
+  let wregs = l.ul_wregs and wmask = l.ul_wmask and bool = l.ul_bool in
+  for k = 0 to Array.length wregs - 1 do
+    if Array.unsafe_get wmask k land mask <> 0 then begin
+      let reg = Array.unsafe_get wregs k in
+      let x = rd s reg in
+      regs.(reg) <-
+        (if Array.unsafe_get bool reg then if x <> 0 then vtrue else vfalse
+         else Value.Int x)
+    end
+  done
+
+let[@inline never] grow_uregs (m : Machine.t) n =
+  let u = Array.make n 0 in
+  m.Machine.uregs <- u;
+  u
+
+(* The entry link of loop block [j]; [boxed] is the block's boxed chain
+   at index 0. *)
+let entry_link (l : uloop) (f : Link.lfunc) (fcbs : cblock array) j
+    (boxed : chain) : chain =
+  let live = l.ul_live.(j) and bool = l.ul_bool in
+  let last = Array.length live - 1 in
+  let nregs = Array.length bool in
+  let lens = l.ul_len and runs = l.ul_run in
+  let len0 = lens.(j) and run0 = runs.(j) and bit0 = 1 lsl j in
+  fun m th fr ->
+    match th.Thread.recovering with
+    | Some _ -> boxed m th fr
+    | None ->
+        let s =
+          let u = m.Machine.uregs in
+          if Array.length u >= nregs then u else grow_uregs m nregs
+        in
+        let regs = fr.Thread.regs in
+        if not (unbox live bool regs s last) then boxed m th fr
+        else begin
+          let bound =
+            let a = m.Machine.abound and w = m.Machine.wbound in
+            if a > w then a else w
+          in
+          let step = ref (m.Machine.step + len0) in
+          let mask = ref bit0 in
+          let next = ref (run0 s) in
+          while !next >= 0 && !step + Array.unsafe_get lens !next <= bound do
+            let k = !next in
+            step := !step + Array.unsafe_get lens k;
+            mask := !mask lor (1 lsl k);
+            next := (Array.unsafe_get runs k) s
+          done;
+          m.Machine.step <- !step;
+          box_back l regs s !mask;
+          let t =
+            let k = !next in
+            if k >= 0 then l.ul_blocks.(k) else lnot k
+          in
+          fr.Thread.block <- f.Link.lf_blocks.(t);
           fr.Thread.idx <- 0;
-          m.Machine.step <- m.Machine.step + 1;
           let cb = fcbs.(t) in
           if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
             cb.cb_chain.(0) m th fr
           else t_refresh
         end
-        else begin
-          fr.Thread.block <- bf;
-          fr.Thread.idx <- 0;
-          m.Machine.step <- m.Machine.step + 1;
-          let cb = fcbs.(fl) in
-          if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
-            cb.cb_chain.(0) m th fr
-          else t_refresh
-        end
-      in
-      let icmp x y =
-        match op with
-        | Instr.Lt -> x < y
-        | Instr.Le -> x <= y
-        | Instr.Gt -> x > y
-        | _ -> x >= y
-      in
-      (match (a, b) with
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb) ->
-          Some
-            (fun ~pre ~fix ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                let cond =
-                  match va with
-                  | Value.Int x -> icmp x y
-                  | _ -> Value.is_true (seg_binop k fix op m fr va vb)
-                in
-                finish m th fr cond
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib ->
-          Some
-            (fun ~pre ~fix ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                let cond =
-                  match (va, vb) with
-                  | Value.Int x, Value.Int y -> icmp x y
-                  | _ -> Value.is_true (seg_binop k fix op m fr va vb)
-                in
-                finish m th fr cond
-              in
-              l)
-      | _ -> None)
-  | _ -> None
-
-(* Register-only: reads and writes nothing but the executing frame's
-   registers and program point (a stack-slot load reads the frame's own
-   slots, which no other thread can write), reads no clock ([m.step],
-   [last_destroy_step]), and emits nothing to an observer of neither
-   per-step nor access events. Such a step commutes with every step of
-   every other thread, so [Block_machine] may retire it ahead of the
-   clock. *)
-let local (i : Link.linstr) =
-  (not i.Link.li_destroying)
-  &&
-  match i.Link.li_op with
-  | Link.L_move _ | Link.L_binop _ | Link.L_unop _ | Link.L_nop
-  | Link.L_load_stack _ ->
-      true
-  | _ -> false
 
 let compile_block (prog : cblock array array) (lp : Link.program)
-    (f : Link.lfunc) (blk : Link.lblock) : cblock =
+    (loops : uloop option array) (f : Link.lfunc) (blk : Link.lblock) :
+    cblock =
   let instrs = blk.Link.lb_instrs in
   let n = Array.length instrs in
   let comps = Array.init n (fun k -> compile_comp prog f lp k instrs.(k)) in
@@ -1548,13 +2006,8 @@ let compile_block (prog : cblock array array) (lp : Link.program)
            which is ahead of retirement inside a segment *)
         assert (not i.Link.li_destroying);
         let fx = ends.(k) - k in
-        (match if k = n - 1 then fuse_cmp_branch prog f blk k else None with
-        | Some fmk ->
-            inner.(k) <- fmk ~pre:0 ~fix:fx;
-            chain.(k) <- fmk ~pre:fx ~fix:fx
-        | None ->
-            inner.(k) <- mk ~pre:0 ~fix:fx inner.(k + 1);
-            chain.(k) <- mk ~pre:fx ~fix:fx inner.(k + 1));
+        inner.(k) <- mk ~pre:0 ~fix:fx inner.(k + 1);
+        chain.(k) <- mk ~pre:fx ~fix:fx inner.(k + 1);
         need.(k) <- need.(k + 1) + 1
     | C_self mk ->
         let c = self_idx k (destroying_link i (mk chain.(k + 1))) in
@@ -1568,6 +2021,12 @@ let compile_block (prog : cblock array array) (lp : Link.program)
         (* need stays 1: the link re-gates on [m.wbound] before chaining
            past its own step *)
   done;
+  (match loops.(blk.Link.lb_index) with
+  | Some l ->
+      chain.(0) <-
+        entry_link l f prog.(f.Link.lf_id) l.ul_index.(blk.Link.lb_index)
+          chain.(0)
+  | None -> ());
   {
     cb_chain = chain;
     cb_one = [||];
@@ -1577,6 +2036,18 @@ let compile_block (prog : cblock array array) (lp : Link.program)
     cb_sched = sched;
     cb_local = locals;
   }
+
+type program = {
+  image : Link.program;
+  blocks : cblock array array;
+      (** indexed [lf_id].(lb_index); a slot holds [pending] until the
+          block is first entered *)
+  pending : cblock;
+  loops : uloop option array array;
+      (** indexed [lf_id].(lb_index): the unboxed loop of the block, if
+          any; a function's array is empty until its first block
+          compiles *)
+}
 
 (* A block nobody has entered yet. Transfer links read only their
    target's [cb_need] and [cb_chain], at the entry point (0) or, for a
@@ -1628,13 +2099,24 @@ let compile (lp : Link.program) : program =
                 Array.make (Array.length f.Link.lf_blocks) pending)
               lp.Link.lp_funcs;
           pending;
+          loops = Array.map (fun _ -> [||]) lp.Link.lp_funcs;
         }
       in
       lp.Link.lp_code <- Some (Code code);
       code
 
+(* A function's loops are worked out when its first block compiles. *)
+let loops_of code (f : Link.lfunc) =
+  let l = code.loops.(f.Link.lf_id) in
+  if Array.length l > 0 then l
+  else begin
+    let l = find_loops f in
+    code.loops.(f.Link.lf_id) <- l;
+    l
+  end
+
 let[@inline never] compile_slot code (f : Link.lfunc) (b : Link.lblock) =
-  let cb = compile_block code.blocks code.image f b in
+  let cb = compile_block code.blocks code.image (loops_of code f) f b in
   code.blocks.(f.Link.lf_id).(b.Link.lb_index) <- cb;
   cb
 
@@ -1644,11 +2126,16 @@ let[@inline] block code (f : Link.lfunc) (b : Link.lblock) =
 
 (* The single-step forms, built the first time the driver single-steps
    the block: many blocks only ever run as chains. [C_line] and [C_self]
-   links are rebuilt with a halting continuation; stoppers, calls and
-   the terminator end the chain anyway, so their chain closures serve. *)
+   links are rebuilt with a halting continuation; stoppers and calls end
+   the chain anyway, so their chain closures serve. The terminator's
+   link is rebuilt too: slot 0 of an empty loop block holds the tier's
+   entry link. *)
 let[@inline never] compile_one code (f : Link.lfunc) (blk : Link.lblock) cb =
   let instrs = blk.Link.lb_instrs in
   let one = Array.copy cb.cb_chain in
+  Option.iter
+    (fun l -> one.(Array.length instrs) <- l)
+    (compile_term code.blocks f blk);
   Array.iteri
     (fun k i ->
       match compile_comp code.blocks f code.image k i with

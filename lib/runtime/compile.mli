@@ -26,6 +26,28 @@
     touches only its thread's registers and program point, which
     [Block_machine]'s contended phases run ahead of the clock.
 
+    A loop of register-only blocks over ints and bools (moves, binops,
+    unops and nops over registers and [Int]/[Bool] constants, a division
+    or modulo only by a nonzero constant, none destroying, each block
+    ended by a jump or a branch) runs unboxed. The loops of a function
+    are found when its first block compiles, with one kind, Int or
+    Bool, inferred per register. At index 0 of each of its blocks the
+    chain is an entry link: when the thread is not recovering and every
+    register live into the block holds its kind (never the undefined
+    sentinel), it copies them into a scratch [int array] (the machine's
+    [uregs]) and runs whole blocks there — the caller's budget gate
+    covers the first, and each later one runs only while [m.step] plus
+    its length stays within the larger of [wbound] and [abound] — then
+    writes back, freshly boxed, the registers the executed blocks
+    wrote, leaves [m.step], [fr.block] and [fr.idx] exactly where the
+    boxed chain would, and goes on as the boxed terminator would. It is
+    exact: the checks make every read in the loop see a value of its
+    kind, under which the unboxed arithmetic, comparisons and
+    truthiness are the boxed ones and nothing can fault; the code reads
+    no clock, emits nothing, and a thread that is not recovering notes
+    no branch. Anything that fails a check runs the boxed chain. The
+    single-step forms never reach the tier.
+
     Instructions that can never affect another thread's eligibility
     compile to real code; schedulable ones (lock/unlock, spawn/join,
     sleep, wait/notify, recovery, fail-stop and [exit]) are stoppers
@@ -102,13 +124,14 @@ type cblock = {
   cb_local : int array;
       (** the number of steps from this index through the block's
           terminator when every one of them is register-only — moves,
-          binops, unops, nops and stack-slot loads, none destroying,
-          ended by a jump or a branch — else [0]. Such steps read and
-          write only the thread's own registers and program point, read
-          no clock, and emit nothing to an observer of neither per-step
-          nor access events; with [m.wbound] floored, [cb_chain] at a
-          positive index retires exactly that many steps (or raises
-          before a faulting one) *)
+          binops, unops and nops, none destroying, ended by a jump or a
+          branch — else [0]. Such steps read and write only the thread's
+          own registers and program point, read no clock, and emit
+          nothing to any observer but one of per-step events; with
+          [m.wbound] floored, [cb_chain] at a positive index retires
+          exactly that many steps (or raises before a faulting one), or,
+          at index 0 of an unboxed loop's block, the loop's blocks up to
+          [m.abound] *)
 }
 
 type program

@@ -97,6 +97,13 @@ type t = {
       (** the running window's step budget, consulted by compiled
           control-transfer links ([Compile]) before chaining into their
           target block; owned by [Block_machine], unused here *)
+  mutable abound : int;
+      (** while [Block_machine] runs a thread ahead of the clock, the
+          step limit of that run, [min_int] elsewhere: [Compile]'s
+          unboxed loops run up to the larger of [wbound] and [abound] *)
+  mutable uregs : int array;
+      (** the unboxed loops' scratch register file ([Compile]), grown
+          to the largest function that enters one *)
 }
 
 (* --- the live-thread array ----------------------------------------- *)
@@ -195,6 +202,8 @@ let create ?(config = default_config) ?meta ?observer ?tap ?feed
       live_n = 0;
       ready = [||];
       wbound = 0;
+      abound = min_int;
+      uregs = [||];
     }
   in
   Sched.set_tap m.sched tap;
@@ -241,7 +250,6 @@ let thread_summaries m =
 let decisions m = match m.obs with Some o -> o.Event.decisions | None -> false
 let sync m = match m.obs with Some o -> o.Event.sync | None -> false
 let steps m = match m.obs with Some o -> o.Event.steps | None -> false
-let accesses m = match m.obs with Some o -> o.Event.accesses | None -> false
 
 (* A block-engine window reports its decisions lazily ([run_from], see
    [Block_machine]); an event emitted from inside a window first

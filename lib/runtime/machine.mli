@@ -97,6 +97,13 @@ type t = {
       (** the running window's step budget, consulted by compiled
           control-transfer links ([Compile]) before chaining into their
           target block; owned by [Block_machine], unused here *)
+  mutable abound : int;
+      (** while [Block_machine] runs a thread ahead of the clock, the
+          step limit of that run, [min_int] elsewhere: [Compile]'s
+          unboxed loops run up to the larger of [wbound] and [abound] *)
+  mutable uregs : int array;
+      (** the unboxed loops' scratch register file ([Compile]), grown
+          to the largest function that enters one *)
 }
 
 val create :
@@ -153,9 +160,6 @@ val decisions : t -> bool
 
 val steps : t -> bool
 (** Does the observer consume per-step events? *)
-
-val accesses : t -> bool
-(** Does the observer consume access events? *)
 
 val emit : t -> Event.t -> unit
 (** Deliver an event to the observer. Inside a block-engine window

@@ -21,10 +21,18 @@ type t = {
   mutable episodes : episode list;  (** completed recovery episodes, newest first *)
   mutable tracecheck_violations : int;
   mutable outputs : int;
-  ckpt_hits : (int, int) Hashtbl.t;
-      (** executions per checkpoint id — the per-family dynamic
-          reexecution-point counts of Table 6 *)
+  mutable ckpt_dense : int array;
+      (** executions per checkpoint id below [dense_ids] — the
+          per-family dynamic reexecution-point counts of Table 6 —
+          grown on demand *)
+  ckpt_far : (int, int) Hashtbl.t;  (** the same, for any other id *)
 }
+
+(* Hardening numbers its checkpoints from 0, so an array indexed by id
+   counts a hit with one increment. A hand-written program may name any
+   id; those past [dense_ids] go to a table instead of growing the
+   array without bound. *)
+let dense_ids = 1 lsl 16
 
 let create () =
   {
@@ -38,15 +46,40 @@ let create () =
     episodes = [];
     tracecheck_violations = 0;
     outputs = 0;
-    ckpt_hits = Hashtbl.create 16;
+    ckpt_dense = [||];
+    ckpt_far = Hashtbl.create 1;
   }
+
+let[@inline never] hit_slow t id =
+  if id >= 0 && id < dense_ids then begin
+    let n = Array.length t.ckpt_dense in
+    let a = Array.make (min dense_ids (max (id + 1) (2 * n))) 0 in
+    Array.blit t.ckpt_dense 0 a 0 n;
+    a.(id) <- 1;
+    t.ckpt_dense <- a
+  end
+  else
+    Hashtbl.replace t.ckpt_far id
+      (1 + Option.value ~default:0 (Hashtbl.find_opt t.ckpt_far id))
 
 let hit_checkpoint t id =
   t.checkpoints <- t.checkpoints + 1;
-  Hashtbl.replace t.ckpt_hits id
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.ckpt_hits id))
+  let a = t.ckpt_dense in
+  if id >= 0 && id < Array.length a then a.(id) <- a.(id) + 1
+  else hit_slow t id
 
-let ckpt_hits_of t id = Option.value ~default:0 (Hashtbl.find_opt t.ckpt_hits id)
+let ckpt_hits_of t id =
+  if id >= 0 && id < Array.length t.ckpt_dense then t.ckpt_dense.(id)
+  else Option.value ~default:0 (Hashtbl.find_opt t.ckpt_far id)
+
+let ckpt_hits t =
+  let dense = ref [] in
+  for id = Array.length t.ckpt_dense - 1 downto 0 do
+    let n = t.ckpt_dense.(id) in
+    if n > 0 then dense := (id, n) :: !dense
+  done;
+  Hashtbl.fold (fun id n acc -> (id, n) :: acc) t.ckpt_far !dense
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* [episodes] is an accumulation list (newest first); anything user-facing
    — pretty-printing, reports, spans — should read it in execution order. *)

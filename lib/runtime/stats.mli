@@ -23,8 +23,11 @@ type t = {
   mutable episodes : episode list;  (** newest first *)
   mutable tracecheck_violations : int;
   mutable outputs : int;
-  ckpt_hits : (int, int) Hashtbl.t;
-      (** executions per checkpoint id — Table 6's dynamic split *)
+  mutable ckpt_dense : int array;
+      (** executions per checkpoint id, for the ids below a cap that
+          hardening's never reach — Table 6's dynamic split; read it
+          through {!ckpt_hits} *)
+  ckpt_far : (int, int) Hashtbl.t;  (** the same, for any other id *)
 }
 
 val create : unit -> t
@@ -36,6 +39,11 @@ val episodes_chronological : t -> episode list
 
 val hit_checkpoint : t -> int -> unit
 val ckpt_hits_of : t -> int -> int
+
+val ckpt_hits : t -> (int * int) list
+(** Every checkpoint id hit at least once with its count, ascending
+    id. *)
+
 val total_retries : t -> int
 
 val max_recovery_time : t -> int

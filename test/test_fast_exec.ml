@@ -43,10 +43,6 @@ let config policy = { Machine.default_config with policy; fuel = 200_000 }
 
 let outcome_t = Alcotest.testable Outcome.pp ( = )
 
-let sorted_hits tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* The trace stream as the JSONL encoder writes it, one line per record
    — the serialized event log, compared line by line so a divergence
    names its first record. *)
@@ -85,7 +81,7 @@ let check_stats name (r : Stats.t) (f : Stats.t) =
   if r.episodes <> f.episodes then
     Alcotest.failf "%s: recovery episodes differ (%d vs %d, or per-site stats)"
       name (List.length r.episodes) (List.length f.episodes);
-  if sorted_hits r.ckpt_hits <> sorted_hits f.ckpt_hits then
+  if Stats.ckpt_hits r <> Stats.ckpt_hits f then
     Alcotest.failf "%s: per-checkpoint hit counts differ" name
 
 module Prof = Conair.Obs.Prof
@@ -1680,9 +1676,9 @@ let fail_arms_stay_uncompiled () =
     (List.length (compiled ()))
 
 (* [cb_local] counts exactly the register-only runs that end at a jump or
-   a branch: moves, binops, unops, nops and stack-slot loads; a store of
-   any kind, a global load, an output or a checkpoint ends a run before
-   it, and a return ends none. *)
+   a branch: moves, binops, unops and nops; a load or a store of any kind
+   (a stack-slot load emits an access), an output or a checkpoint ends a
+   run before it, and a return ends none. *)
 let local_runs_are_register_only () =
   let p =
     Parse.program_exn
@@ -1691,11 +1687,11 @@ global g = 0
 
 func @f(%x) {
 entry:
+  %d = load ~slot
   %a = move %x
   %b = add %a, 1
   %c = neg %b
   nop
-  %d = load ~slot
   jump next
 next:
   %e = add %d, 1
@@ -1744,13 +1740,558 @@ main @main
         ("cb_local of " ^ label) expected
         (Compile.block code f b).Compile.cb_local)
     [
-      ("entry", [| 6; 5; 4; 3; 2; 1 |]);
+      ("entry", [| 0; 5; 4; 3; 2; 1 |]);
       ("next", [| 0; 0; 2; 1 |]);
       ("ck", [| 0; 0; 1 |]);
       ("glob", [| 0; 2; 1 |]);
       ("out", [| 0; 1 |]);
       ("last", [| 0; 0 |]);
     ]
+
+(* ---- unboxed loops ------------------------------------------------
+
+   [Compile]'s tier runs loops of register-only blocks over ints and
+   bools on a scratch int file. These cases put every boundary of it
+   next to the reference: window budgets (the fuel, a sleeper's wake)
+   that land on and inside every block of a loop, entries whose live
+   registers hold a pointer, a string, a bool where an int is expected
+   or nothing, the loop shapes it compiles, a recovering thread, two
+   threads contending in the loop, and a hardened loop that holds a
+   checkpoint. A single-threaded block run also ends with the frames of
+   the single-stepped block run, which never enters the tier. *)
+
+module Thread = Conair.Runtime.Thread
+
+let show_value (v : Value.t) =
+  if v == Thread.undef then "undef"
+  else
+    (match v with
+    | Value.Int _ -> "i:"
+    | Value.Bool _ -> "b:"
+    | _ -> "o:")
+    ^ Value.to_string v
+
+(* Every thread's frames on a block machine: function, block, index and
+   registers, innermost first. *)
+let frames = function
+  | Engine.M_block bm ->
+      let m = Block_machine.machine bm in
+      Hashtbl.fold
+        (fun tid (th : Thread.t) acc ->
+          ( tid,
+            List.map
+              (fun (fr : Thread.frame) ->
+                Printf.sprintf "%s/%s/%d [%s]" fr.Thread.func.Link.lf_qname
+                  fr.Thread.block.Link.lb_label_name fr.Thread.idx
+                  (String.concat " "
+                     (Array.to_list (Array.map show_value fr.Thread.regs))))
+              th.Thread.stack )
+          :: acc)
+        m.Machine.threads []
+      |> List.sort compare
+  | Engine.M_ref _ -> []
+
+(* [p] bare on block ends as on ref; with [~frames_too], the block
+   run's frames are the single-stepped block run's. *)
+let check_tier ?(frames_too = false) name ?meta config p =
+  let ended engine ~stepped =
+    let m = Engine.create ~config ?meta engine p in
+    let outcome = drive ~stepped config m in
+    (outcome, Engine.outputs m, Engine.steps m, Engine.stats m, frames m)
+  in
+  let r_outcome, r_outputs, r_steps, r_stats, _ =
+    ended Engine.Ref ~stepped:false
+  in
+  let outcome, outputs, steps, stats, fr = ended Engine.Block ~stepped:false in
+  Alcotest.check outcome_t (name ^ ": outcome") r_outcome outcome;
+  Alcotest.(check (list string)) (name ^ ": outputs") r_outputs outputs;
+  Alcotest.(check int) (name ^ ": virtual time") r_steps steps;
+  check_stats name r_stats stats;
+  if frames_too then begin
+    let _, _, _, _, stepped = ended Engine.Block ~stepped:true in
+    Alcotest.(check (list (pair int (list string))))
+      (name ^ ": frames") stepped fr
+  end
+
+let tier_shapes =
+  {|
+func @main() {
+entry:
+  %i = move 0
+  %a = move 5
+  %b = move 2
+  %f = move false
+  jump loop
+loop:
+  %c = lt %i, 12
+  branch %c, body, done
+body:
+  %p = gt %a, %b
+  branch %p, big, small
+big:
+  %a = sub %a, %b
+  %e = eq %a, %b
+  %f = or %f, %e
+  jump join
+small:
+  %b = mul %b, 3
+  %w = move %i
+  %a = neg %a
+  %f = and %f, %p
+  jump join
+join:
+  %a = mod %a, 97
+  %n = ne %a, %b
+  %f = not %n
+  %i = add %i, 1
+  branch %f, loop, odd
+odd:
+  %b = div %b, 2
+  nop
+  jump loop
+done:
+  output "a=%v b=%v f=%v w=%v", %a, %b, %f, %w
+  exit
+}
+main @main
+|}
+
+(* a register the loop writes on a path it never takes *)
+let tier_one_path =
+  {|
+func @main() {
+entry:
+  %i = move 0
+  %k = move false
+  jump loop
+loop:
+  %c = lt %i, 9
+  branch %c, body, done
+body:
+  branch %k, rare, join
+rare:
+  %w = move 1
+  jump join
+join:
+  %i = add %i, 1
+  jump loop
+done:
+  output "i=%v", %i
+  output "w=%v", %w
+  exit
+}
+main @main
+|}
+
+(* [@run]'s loop reads [%x] and [%s] live; [main] hands it [arg] and
+   sets [%s] from [init] *)
+let tier_entry ~arg ~init =
+  Printf.sprintf
+    {|
+func @run(%%x) {
+entry:
+  %%i = move 0
+  %s
+  jump loop
+loop:
+  %%c = lt %%i, 6
+  branch %%c, body, done
+body:
+  %%e = eq %%x, 1
+  branch %%e, one, other
+one:
+  %%s = add %%s, 10
+  jump next
+other:
+  %%s = add %%s, %%x
+  jump next
+next:
+  %%i = add %%i, 1
+  jump loop
+done:
+  return %%s
+}
+
+func @main() {
+entry:
+  %%p = alloc 2
+  %%r = call @run(%s)
+  output "r=%%v", %%r
+  exit
+}
+main @main
+|}
+    init arg
+
+(* the loop of [compute_kernel] in a single step's reach: [main] calls
+   it through a block that is not register-only *)
+let tier_kernel n =
+  Printf.sprintf
+    {|
+func @kernel(%%n) {
+entry:
+  %%acc = move 0
+  %%i = move 0
+  jump loop
+loop:
+  %%c = lt %%i, %%n
+  branch %%c, body, done
+body:
+  %%sq = mul %%i, %%i
+  %%sq = mod %%sq, 9973
+  %%acc = add %%acc, %%sq
+  %%i = add %%i, 1
+  jump loop
+done:
+  return %%acc
+}
+
+func @main() {
+entry:
+  %%w = call @kernel(%d)
+  output "w=%%v", %%w
+  exit
+}
+main @main
+|}
+    n
+
+let tier_programs () =
+  [
+    ("shapes", Parse.program_exn tier_shapes);
+    ("one-path write", Parse.program_exn tier_one_path);
+    ("kernel", Parse.program_exn (tier_kernel 7));
+  ]
+
+(* The fuel lands on and inside every block of each loop, and the
+   single-stepped run stops at each of the first steps before a plain
+   run takes over, entering the loop mid-block. *)
+let tier_fuel_sweep () =
+  let rr = config Sched.Round_robin in
+  List.iter
+    (fun (name, p) ->
+      let total =
+        Engine.steps (fst (Engine.run_program ~config:rr Engine.Ref p))
+      in
+      for fuel = 1 to total + 1 do
+        check_tier ~frames_too:true
+          (Printf.sprintf "%s/fuel %d" name fuel)
+          { rr with fuel } p
+      done;
+      let r = observe Engine.Ref rr p in
+      for k = 1 to min total 40 do
+        let m = Engine.create ~config:rr Engine.Block p in
+        for _ = 1 to k do
+          ignore (Engine.step m)
+        done;
+        let outcome = Engine.run m in
+        check_ended
+          (Printf.sprintf "%s/%d single steps, then run" name k)
+          r
+          (outcome, Engine.outputs m, Engine.steps m, Engine.stats m)
+      done)
+    (tier_programs ())
+
+(* A sleeper wakes at every step of the loop's run, so a window's bound
+   lands on and inside each block; from there the two threads contend
+   and the loop runs ahead of the clock. *)
+let tier_wake_sweep () =
+  for d = 1 to 90 do
+    let p =
+      Parse.program_exn
+        ("func @sleeper() {\nentry:\n  sleep " ^ string_of_int d
+       ^ "\n  output \"woke\"\n  return\n}\n"
+        ^ {|
+func @kernel(%n) {
+entry:
+  %acc = move 0
+  %i = move 0
+  jump loop
+loop:
+  %c = lt %i, %n
+  branch %c, body, done
+body:
+  %sq = mul %i, %i
+  %sq = mod %sq, 9973
+  %acc = add %acc, %sq
+  %i = add %i, 1
+  jump loop
+done:
+  return %acc
+}
+
+func @main() {
+entry:
+  %t = spawn @sleeper()
+  %w = call @kernel(9)
+  output "w=%v", %w
+  join %t
+  exit
+}
+main @main
+|})
+    in
+    List.iter
+      (fun (pname, policy) ->
+        let label = Printf.sprintf "wake %d@%s" d pname in
+        check_tier label (config policy) p;
+        check_recordings label (config policy) p)
+      [ ("round-robin", Sched.Round_robin); ("random:5", Sched.Random 5) ]
+  done
+
+(* A live register that does not hold its kind sends the entry to the
+   boxed chain, which runs (a bool where an int is expected, whose
+   [eq] with an int is false) or faults (a pointer, a string, nothing)
+   exactly as the reference does. *)
+let tier_entry_checks () =
+  List.iter
+    (fun (name, arg, init, expect) ->
+      let p = Parse.program_exn (tier_entry ~arg ~init) in
+      List.iter
+        (fun fuel ->
+          check_tier ~frames_too:true
+            (Printf.sprintf "%s/fuel %d" name fuel)
+            { (config Sched.Round_robin) with fuel }
+            p)
+        [ 3; 9; 17; 40; 200_000 ];
+      let m, outcome =
+        Engine.run_program ~config:(config Sched.Round_robin) Engine.Ref p
+      in
+      match (expect, outcome) with
+      | `Out o, Outcome.Success ->
+          Alcotest.(check (list string)) (name ^ ": ref output") [ o ]
+            (Engine.outputs m)
+      | `Fault, Outcome.Failed f when f.kind = Instr.Seg_fault -> ()
+      | _ ->
+          Alcotest.failf "%s: ref ends as %s" name (Outcome.to_string outcome))
+    [
+      ("int", "1", "%s = move 0", `Out "r=60");
+      ("bool for an int", "true", "%s = move 0", `Out "r=6");
+      ("pointer", "%p", "%s = move 0", `Fault);
+      ("string", "\"s\"", "%s = move 0", `Fault);
+      ("undefined", "2", "nop", `Fault);
+    ]
+
+(* A recovering thread's branches note where it goes, so the tier leaves
+   its loop to the boxed chain until the episode closes: the hardened
+   reader below rolls back while the writer sleeps, then passes the
+   assert inside its loop. *)
+let tier_recovering =
+  {|
+global g = 0
+
+func @reader() {
+entry:
+  %v = load $g
+  %i = move 0
+  %s = move 0
+  jump loop
+loop:
+  %c = lt %i, 20
+  branch %c, body, done
+body:
+  %ok = gt %v, 0
+  assert %ok, "g not ready"
+  %s = add %s, %v
+  %i = add %i, 1
+  jump loop
+done:
+  output "sum %v", %s
+  return
+}
+
+func @writer() {
+entry:
+  sleep 30
+  store $g, 3
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @reader()
+  %t2 = spawn @writer()
+  join %t1
+  join %t2
+  exit
+}
+main @main
+|}
+
+(* Two threads in one tier loop contend; each leaves it into a block
+   that stores to a shared global and outputs, which run ahead of the
+   clock must not reach. *)
+let tier_contended =
+  {|
+global g = 0
+
+func @work(%n, %tag) {
+entry:
+  %i = move 0
+  %a = move 1
+  %f = move true
+  jump loop
+loop:
+  %c = lt %i, %n
+  branch %c, body, done
+body:
+  %a = mul %a, 31
+  %a = mod %a, 1009
+  %e = eq %a, 7
+  %f = ne %f, %e
+  branch %f, even, odd
+even:
+  %a = add %a, %i
+  jump next
+odd:
+  %a = sub %a, 1
+  jump next
+next:
+  %i = add %i, 1
+  jump loop
+done:
+  %s = load $g
+  %s = add %s, %a
+  store $g, %s
+  output "t%v: %v %v", %tag, %a, %s
+  return
+}
+
+func @main() {
+entry:
+  %t1 = spawn @work(40, 1)
+  %t2 = spawn @work(35, 2)
+  join %t1
+  join %t2
+  %s = load $g
+  output "g %v", %s
+  exit
+}
+main @main
+|}
+
+(* A store inside the loop puts hardening's checkpoint there, so no
+   block of it is register-only and the tier skips it. *)
+let tier_checkpointed =
+  {|
+global g = 5
+global h = 0
+
+func @main() {
+entry:
+  %i = move 0
+  %a = move 0
+  jump loop
+loop:
+  %c = lt %i, 30
+  branch %c, body, done
+body:
+  store $h, %i
+  %v = load $g
+  %ok = ge %v, 0
+  assert %ok, "negative"
+  %a = add %a, %v
+  %i = add %i, 1
+  jump loop
+done:
+  output "a=%v", %a
+  exit
+}
+main @main
+|}
+
+let tier_threads () =
+  let runs name src =
+    let p = Parse.program_exn src in
+    (name, None, p)
+    ::
+    (match Conair.harden p Conair.Survival with
+    | Error _ -> []
+    | Ok h ->
+        [
+          ( name ^ "/hardened",
+            Some (Machine.meta_of_harden h.hardened),
+            h.hardened.program );
+        ])
+  in
+  List.iter
+    (fun (name, meta, p) ->
+      List.iter
+        (fun (pname, policy) ->
+          let base = config policy in
+          List.iter
+            (fun (fname, config) ->
+              let name = name ^ "@" ^ pname ^ fname in
+              check_same name ?meta config p;
+              check_tier name ?meta config p;
+              check_swept name ?meta config p)
+            [ ("", base); ("/fuel 150", { base with fuel = 150 }) ])
+        contended_policies)
+    (runs "recovering" tier_recovering
+    @ runs "contended" tier_contended
+    @ runs "checkpointed" tier_checkpointed);
+  (* the cases reach what they are for *)
+  let hardened src =
+    let h = Conair.harden_exn (Parse.program_exn src) Conair.Survival in
+    (Machine.meta_of_harden h.hardened, h.hardened.program)
+  in
+  let meta, p = hardened tier_recovering in
+  let m, outcome =
+    Engine.run_program ~config:(config Sched.Round_robin) ~meta Engine.Ref p
+  in
+  Alcotest.check outcome_t "the reader recovers" Outcome.Success outcome;
+  Alcotest.(check bool) "it rolled back" true
+    ((Engine.stats m).Stats.rollbacks > 0);
+  let meta, p = hardened tier_checkpointed in
+  let m, _ =
+    Engine.run_program ~config:(config Sched.Round_robin) ~meta Engine.Ref p
+  in
+  Alcotest.(check bool) "a checkpoint every round" true
+    ((Engine.stats m).Stats.checkpoints >= 30)
+
+(* The tier engages on [compute_kernel]'s loop: after a first run has
+   compiled the code, a run that spends nearly all its steps there
+   allocates next to nothing per step, where the boxed chain allocates
+   a [Value.Int] (two words) per binop. *)
+let tier_engages_on_compute_kernel () =
+  let p =
+    Builder.build ~main:"main" @@ fun b ->
+    Conair_bugbench.Mirlib.add_compute_kernel b;
+    Builder.func b "main" ~params:[] @@ fun f ->
+    Builder.label f "entry";
+    Builder.call f ~into:"w" "compute_kernel" [ Builder.int 50_000 ];
+    Builder.output f "w=%v" [ Builder.reg "w" ];
+    Builder.exit_ f
+  in
+  let config = { (config Sched.Round_robin) with fuel = 1_000_000 } in
+  check_tier "compute_kernel" config p;
+  ignore (Engine.run_program ~config Engine.Block p);
+  let words = Gc.minor_words () in
+  let m, _ = Engine.run_program ~config Engine.Block p in
+  let per_step = (Gc.minor_words () -. words) /. float (Engine.steps m) in
+  if per_step >= 0.01 then
+    Alcotest.failf "compute_kernel allocates %.3f minor words per step" per_step
+
+(* Generated register-only loops, bare on ref and on block, with the
+   fuel swept over the whole run; block's frames are the single-stepped
+   block run's. *)
+let generated_rloops_agree =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"generated register-only loops: block runs them unboxed exactly"
+       (QCheck.make ~print:Gen.rloop_spec_print Gen.rloop_spec_gen)
+       (fun spec ->
+         let p = Gen.rloop_program spec in
+         let base = config Sched.Round_robin in
+         let total =
+           Engine.steps (fst (Engine.run_program ~config:base Engine.Ref p))
+         in
+         for fuel = 1 to total + 1 do
+           check_tier ~frames_too:true
+             (Printf.sprintf "fuel %d" fuel)
+             { base with fuel } p
+         done;
+         true))
 
 (* ---- single steps --------------------------------------------------- *)
 
@@ -1932,5 +2473,18 @@ let suites =
         Alcotest.test_case "single-stepped block equals ref" `Quick
           stepped_catalog;
         generated_stepped;
+      ] );
+    ( "unboxed-loops",
+      [
+        Alcotest.test_case "fuel lands in every block" `Quick tier_fuel_sweep;
+        Alcotest.test_case "a wake lands in every block" `Quick
+          tier_wake_sweep;
+        Alcotest.test_case "entries that do not hold their kinds" `Quick
+          tier_entry_checks;
+        Alcotest.test_case "recovering, contended and checkpointed threads"
+          `Quick tier_threads;
+        Alcotest.test_case "the tier engages on compute_kernel" `Quick
+          tier_engages_on_compute_kernel;
+        generated_rloops_agree;
       ] );
   ]

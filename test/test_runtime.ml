@@ -650,8 +650,25 @@ let stats_consistency () =
   Alcotest.(check bool) "recovery time positive" true
     (Stats.max_recovery_time s > 0);
   (* per-checkpoint hit counts sum to the total *)
-  let sum = Hashtbl.fold (fun _ n acc -> n + acc) s.ckpt_hits 0 in
+  let sum = List.fold_left (fun acc (_, n) -> n + acc) 0 (Stats.ckpt_hits s) in
   Alcotest.(check int) "ckpt hits sum" s.checkpoints sum
+
+(* Checkpoint hits: hardening's dense ids count in the array, and an id
+   a hand-written program may name anywhere else (negative, or past the
+   array's cap) in the table, without growing the array past it. *)
+let checkpoint_hits_any_id () =
+  let s = Stats.create () in
+  List.iter (Stats.hit_checkpoint s) [ 3; 0; 3; -7; max_int; 3; 1 lsl 20 ];
+  Alcotest.(check (list (pair int int)))
+    "hits by id"
+    [ (-7, 1); (0, 1); (3, 3); (1 lsl 20, 1); (max_int, 1) ]
+    (Stats.ckpt_hits s);
+  Alcotest.(check int) "one id" 3 (Stats.ckpt_hits_of s 3);
+  Alcotest.(check int) "a far id" 1 (Stats.ckpt_hits_of s max_int);
+  Alcotest.(check int) "an id never hit" 0 (Stats.ckpt_hits_of s 2);
+  Alcotest.(check int) "total" 7 s.checkpoints;
+  Alcotest.(check bool) "the array stays small" true
+    (Array.length s.ckpt_dense <= 8)
 
 let suites =
   [
@@ -702,5 +719,6 @@ let suites =
           deadlock_backoff_avoids_livelock;
         case "rollback targets the latest checkpoint" checkpoint_keeps_latest;
         case "stats are consistent" stats_consistency;
+        case "checkpoint hits count under any id" checkpoint_hits_any_id;
       ] );
   ]
