@@ -723,35 +723,6 @@ let interp_micro () =
   Builder.output f "acc=%v" [ Builder.reg "acc" ];
   Builder.exit_ f
 
-(* The boxed-chain micro: a single-threaded loop whose body loads a
-   global, so one block of the loop is not register-only and the block
-   engine runs all of it on its boxed chains, with no call in the way
-   (the micro's loop spends its steps on [mix]'s call and return). The
-   register-only contended micro runs on the unboxed tier; this one
-   times the boxed links and the loop guard, a comparison feeding the
-   branch. *)
-let boxed_micro () =
-  Builder.build ~main:"main" @@ fun b ->
-  Builder.global b "k" (Value.Int 7);
-  Builder.func b "main" ~params:[] @@ fun f ->
-  Builder.label f "entry";
-  Builder.move f "acc" (Builder.int 1);
-  Builder.move f "i" (Builder.int 0);
-  Builder.jump f "loop";
-  Builder.label f "loop";
-  Builder.lt f "c" (Builder.reg "i") (Builder.int 150_000);
-  Builder.branch f (Builder.reg "c") "body" "done";
-  Builder.label f "body";
-  Builder.load f "k" (Instr.Global "k");
-  Builder.mul f "acc" (Builder.reg "acc") (Builder.int 31);
-  Builder.add f "acc" (Builder.reg "acc") (Builder.reg "k");
-  Builder.binop f "acc" Instr.Mod (Builder.reg "acc") (Builder.int 1000003);
-  Builder.add f "i" (Builder.reg "i") (Builder.int 1);
-  Builder.jump f "loop";
-  Builder.label f "done";
-  Builder.output f "acc=%v" [ Builder.reg "acc" ];
-  Builder.exit_ f
-
 (* Best-of-n wall clock; returns the last result and the fastest time. *)
 let time_best ?(repeats = 3) f =
   let best = ref infinity in
@@ -939,31 +910,6 @@ let bench_interp () =
     (flight_sps /. block_sps);
   Printf.printf "  recorded/block: %.3fx (full recording vs recorder-off)\n"
     (recorded_sps /. block_sps);
-  (* the boxed-chain micro, same config, alternated like the micro *)
-  let boxed = boxed_micro () in
-  let boxed_repeats = 11 in
-  let b_runs =
-    time_alternated ~repeats:boxed_repeats
-      (List.map
-         (fun engine () -> Engine.run_program ~config:micro_config engine boxed)
-         [ Engine.Ref; Engine.Block ])
-  in
-  let b_steps =
-    agreed b_runs "boxed-chain step counts" (fun (m, _) -> Engine.steps m)
-  in
-  ignore
-    (agreed b_runs "boxed-chain outcomes" (fun (m, o) ->
-         (o, Engine.outputs m)));
-  let b_ref_t, b_block_t =
-    match List.map snd b_runs with [ r; b ] -> (r, b) | _ -> assert false
-  in
-  let b_sps t = float b_steps /. t in
-  Printf.printf "boxed chains: %d steps, median of %d\n" b_steps boxed_repeats;
-  Printf.printf "  reference:      %.4fs  %12.0f steps/s\n" b_ref_t
-    (b_sps b_ref_t);
-  Printf.printf "  block-compiled: %.4fs  %12.0f steps/s\n" b_block_t
-    (b_sps b_block_t);
-  Printf.printf "  block/ref: %.2fx\n" (b_ref_t /. b_block_t);
   let contended = contended_micro () in
   let contended_config =
     {
@@ -1188,10 +1134,6 @@ let bench_interp () =
                 ("flight_vs_block", Float (flight_sps /. block_sps));
                 ("recorded_vs_block", Float (recorded_sps /. block_sps));
               ]) );
-        ( "boxed",
-          Obj
-            ([ ("steps", Int b_steps); ("repeats", Int boxed_repeats) ]
-            @ columns b_steps b_ref_t b_block_t) );
         ( "contended",
           Obj
             ([ ("steps", Int c_steps); ("repeats", Int contended_repeats) ]

@@ -14,22 +14,21 @@
                    line is "frame;frame;... N" with non-empty frames
                    and a positive count, and there is at least one;
    - BENCH_interp.json — the interpreter bench document: "micro",
-                   "boxed", "contended", "replay", "sweep" and
-                   "observed" sections with ref and block timing columns
-                   and their ratios, all positive and mutually
-                   consistent;
+                   "contended", "replay", "sweep" and "observed"
+                   sections with ref and block timing columns and their
+                   ratios, all positive and mutually consistent;
                    additionally these performance gates — the block
                    engine's micro steps/s must be at least 3x the
                    committed fast-engine baseline, the recorder-on
                    micro (flight ring, full recording) must be within
                    5% of recorder-off, the contended micro under the
                    fix sweep's observers must keep at least 0.6 of the
-                   bare block engine's throughput, and on the
-                   boxed-chain micro, the contended micro, its
-                   register-only form, the strict replay of the micro's
-                   schedule and the sweep corpus under the race detector
-                   and under the report lens block must beat ref of the
-                   same run by the section's floor ([speedup_floors]);
+                   bare block engine's throughput, and on the contended
+                   micro, its register-only form, the strict replay of
+                   the micro's schedule and the sweep corpus under the
+                   race detector and under the report lens block must
+                   beat ref of the same run by the section's floor
+                   ([speedup_floors]);
    - BENCH_fuzz.json — the campaign bench document written by
                    `conair_fuzz --bench`: per-engine runs/sec, signature
                    digests and growth curves, with the differential gate
@@ -171,14 +170,9 @@ let fast_micro_baseline_steps_per_sec = 23_548_530.
    host where block replaced it (3.92, 4.45, 4.75, 4.77 and 2.89,
    rounded to one decimal), and [b] the factor by which block had to
    beat that engine there (1.8 on the register-only micro, where block
-   runs code ahead of the clock; 1 elsewhere). The boxed-chain micro
-   came later, when the unboxed tier took the register-only loops: its
-   floor is half the median of block's speedup there over five runs on
-   the same host (12.8, 13.0, 13.2, 13.5 and 13.6), so a change that
-   halves the boxed chains' throughput trips it. *)
+   runs code ahead of the clock; 1 elsewhere). *)
 let speedup_floors =
   [
-    ([ "boxed" ], 13.2 /. 2., "boxed chains");
     ([ "contended" ], 1. *. 3.9, "contended phases");
     ([ "contended"; "local" ], 1.8 *. 4.5, "register-only contended phases");
     ([ "replay" ], 1. *. 4.8, "fed windows");
@@ -243,7 +237,6 @@ let check_bench_interp file =
         (check_section "sweep"
            [ "runs"; "ref_seconds"; "block_seconds"; "block_vs_ref" ]);
       ignore (check_section "replay" columns);
-      ignore (check_section "boxed" columns);
       ignore (check_section "observed" [ "runs"; "steps"; "repeats" ]);
       (* A same-run gate on medians of alternated repeats: block must
          beat ref by [floor]. *)

@@ -200,8 +200,10 @@ let minimize ?(max_tests = 2000) ?(detect = true) ?program ?meta (log : Log.t)
              opens — before its thread runs and before the recorder
              sees it, so the recorder's [prev] is still the thread being
              switched away from and its [count] is this decision's
-             ordinal. Whether a switch was preemptive is read back from
-             the recording. *)
+             ordinal. Under a feed no thread runs ahead of the clock
+             ([Block_machine]), so [locate] reads where each thread
+             stands at the decision. Whether a switch was preemptive is
+             read back from the recording. *)
           let switches = ref [] in
           let switch chosen =
             let prev = Flight_ring.prev recorder in

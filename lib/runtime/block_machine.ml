@@ -77,18 +77,19 @@
      at a time up to the run's limit and stops where the loop exits,
      which is a register-only step too. A fault stops a run-ahead just
      before the faulting instruction, which faults at its own step
-     later. A feed decides every step of a contended phase and is told
-     nothing else, and an observer of accesses hears none from such
-     code, so both see the reference's stream; running ahead is off
-     only where the early steps themselves could be heard: under an
-     observer of per-step events and under a tap (whose runs take
-     every step through [step]). A run may end, through another thread,
-     the fuel or a feed's divergence, while a thread holds credit; then
-     only that thread's registers and program point are ahead, which
-     nothing reads after the outcome ([thread_summaries] reports
-     statuses and locks). An observer's [Event.view] can show them
-     during the run, as the [stack] and [block] of a thread that is not
-     the one of a sync or access event.
+     later. An observer of accesses hears none from such code, so it
+     hears the reference's stream. Running ahead is off where the early
+     steps could be seen: under an observer of per-step events, under a
+     tap (whose runs take every step through [step]), and under a feed,
+     which may read the machine it steers at each decision ([Minimize]'s
+     re-recording reads where each thread stands at every switch). A
+     run may end, through another thread or the fuel, while a thread
+     holds credit; then only that thread's registers and program point
+     are ahead, which nothing reads after the outcome
+     ([thread_summaries] reports statuses and locks). An observer's
+     [Event.view] can show them during the run, as the [stack] and
+     [block] of a thread that is not the one of a sync or access
+     event.
 
    A single step ([step]) is built from the same pieces: one scan, one
    decision, then one settled credit or one [step_one]. Only a
@@ -349,8 +350,8 @@ let run_ahead bm (th : Thread.t) =
    commutes with every step of every other thread, so only its place on
    the clock can be observed, and settling keeps that place. Running
    ahead ([ahead]) is off where it could be seen: under an observer of
-   per-step events, and in a single [step] (a tap's runs take every
-   step there).
+   per-step events, under a feed, and in a single [step] (a tap's runs
+   take every step there).
    The phase ends at a schedulable op, a thread death, a fault, a
    failed assert, or [bound]: the fuel or the earliest time-based wake
    of an ineligible thread, when the eligible set could grow, or the
@@ -480,7 +481,9 @@ let unhooked_step bm =
     | _ ->
         run_contended bm rn
           ~bound:(min m.Machine.config.Machine.fuel (Machine.next_wake m))
-          ~ahead:(not (Machine.steps m))
+          ~ahead:
+            (Option.is_none m.Machine.sched.Sched.feed
+            && not (Machine.steps m))
 
 let run bm =
   let m = bm.m in

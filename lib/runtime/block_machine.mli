@@ -25,8 +25,8 @@
     each with its {!Event.Step}. A feed ({!Sched.feed}) rides them
     too: a contended phase asks it for every decision, and a window
     asks it once how many decisions it accepts and tells it once how
-    many were taken. Under a tap or an observer of per-step events no
-    code runs ahead of the clock. A tap ({!hooked})
+    many were taken. Under a feed, a tap or an observer of per-step
+    events no code runs ahead of the clock. A tap ({!hooked})
     sends every step through {!step}, which is also the engine's
     single step. The differential suite in [test_fast_exec.ml] enforces
     the identity with [Ref_machine] over the bugbench catalog and

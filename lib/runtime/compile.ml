@@ -1608,8 +1608,7 @@ let reads_writes nregs (b : Link.lblock) =
 let[@inline] rd (r : int array) i = Array.unsafe_get r i
 let[@inline] wr (r : int array) i (x : int) = Array.unsafe_set r i x
 
-(* [Machine.eval_binop] over the tier's representation, for the operand
-   shapes [ubinop] does not spell out. *)
+(* [Machine.eval_binop] over the tier's representation. *)
 let uarith (op : Instr.binop) : int -> int -> int =
   match op with
   | Instr.Add -> ( + )
@@ -1636,79 +1635,6 @@ let ubinop (bool : bool array) d op a b (next : ucode) : ucode =
       let c = Bool.to_int (op = Instr.Ne) in
       fun r ->
         wr r d c;
-        next r
-  | Instr.Add, Link.L_reg x, Link.L_reg y ->
-      fun r ->
-        wr r d (rd r x + rd r y);
-        next r
-  | Instr.Sub, Link.L_reg x, Link.L_reg y ->
-      fun r ->
-        wr r d (rd r x - rd r y);
-        next r
-  | Instr.Mul, Link.L_reg x, Link.L_reg y ->
-      fun r ->
-        wr r d (rd r x * rd r y);
-        next r
-  | Instr.Lt, Link.L_reg x, Link.L_reg y ->
-      fun r ->
-        wr r d (Bool.to_int (rd r x < rd r y));
-        next r
-  | Instr.Le, Link.L_reg x, Link.L_reg y ->
-      fun r ->
-        wr r d (Bool.to_int (rd r x <= rd r y));
-        next r
-  | Instr.Gt, Link.L_reg x, Link.L_reg y ->
-      fun r ->
-        wr r d (Bool.to_int (rd r x > rd r y));
-        next r
-  | Instr.Ge, Link.L_reg x, Link.L_reg y ->
-      fun r ->
-        wr r d (Bool.to_int (rd r x >= rd r y));
-        next r
-  | Instr.Add, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (rd r x + c);
-        next r
-  | Instr.Sub, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (rd r x - c);
-        next r
-  | Instr.Mul, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (rd r x * c);
-        next r
-  | Instr.Div, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (rd r x / c);
-        next r
-  | Instr.Mod, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (rd r x mod c);
-        next r
-  | Instr.Lt, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (Bool.to_int (rd r x < c));
-        next r
-  | Instr.Le, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (Bool.to_int (rd r x <= c));
-        next r
-  | Instr.Gt, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (Bool.to_int (rd r x > c));
-        next r
-  | Instr.Ge, Link.L_reg x, Link.L_const c ->
-      let c = Option.get (uint c) in
-      fun r ->
-        wr r d (Bool.to_int (rd r x >= c));
         next r
   | _ -> (
       let fn = uarith op in

@@ -701,6 +701,12 @@ let minimize_hawknl () =
   | Outcome.Hang _ -> ()
   | o -> Alcotest.failf "minimized outcome: %s" (Outcome.to_string o)
 
+let switch_line (s : Minimize.switch) =
+  Printf.sprintf "#%d @%d t%d->t%d%s | %s | %s" s.Minimize.sw_index
+    s.Minimize.sw_step s.Minimize.sw_from s.Minimize.sw_to
+    (if s.Minimize.sw_preemptive then " preemptive" else "")
+    s.Minimize.sw_from_at s.Minimize.sw_to_at
+
 (* MySQL1 is the counterpoint: its wrong-output bug genuinely needs two
    preemptions beyond the forced switches — ddmin keeps exactly those. *)
 let minimize_mysql1 () =
@@ -714,15 +720,93 @@ let minimize_mysql1 () =
   let m = check_minimized "mysql1" log in
   Alcotest.(check int) "recorded preemptions" 6 m.Minimize.mn_original;
   Alcotest.(check int) "mysql1 minimal schedule" 2 m.Minimize.mn_minimized;
-  let pre =
-    List.filter (fun s -> s.Minimize.sw_preemptive) m.Minimize.mn_switches
+  Alcotest.(check (list string))
+    "where the switches land"
+    [
+      "#1 @1 t0->t1 preemptive | main:entry[1] [728] %t1 = spawn @query_thread() | rotate_log:entry[0] [714] sleep 17000";
+      "#2 @2 t1->t0 | rotate_log:entry[1] [715] store $log_state, 0 | main:entry[1] [728] %t1 = spawn @query_thread()";
+      "#4 @4 t0->t2 | main:entry[2] [729] join %t0 | query_thread:entry[0] [718] %w = call @compute_kernel(2500)";
+      "#17001 @17001 t2->t1 preemptive | compute_kernel:body[2] [5] %acc = add %acc, %sq | rotate_log:entry[1] [715] store $log_state, 0";
+      "#17003 @17003 t1->t2 | rotate_log:entry[3] [717] store $log_state, 1 | compute_kernel:body[2] [5] %acc = add %acc, %sq";
+    ]
+    (List.map switch_line m.Minimize.mn_switches)
+
+(* Where each switch of a minimized run lands. The re-recording reads
+   every thread's program point at each decision, so no thread may stand
+   ahead of the clock there: the switch points are pinned, on MySQL1
+   (under round-robin in its golden test above, here under a random
+   schedule) and on two workers that lose an update around a
+   register-only loop, where a thread run ahead would show a later point
+   inside the loop. *)
+let lost_update () =
+  Builder.build ~main:"main" @@ fun b ->
+  Builder.global b "x" (Value.Int 0);
+  Builder.func b "worker" ~params:[] (fun f ->
+      Builder.label f "entry";
+      Builder.load f "v" (Instr.Global "x");
+      Builder.move f "acc" (Builder.int 0);
+      Builder.move f "i" (Builder.int 0);
+      Builder.jump f "loop";
+      Builder.label f "loop";
+      Builder.lt f "c" (Builder.reg "i") (Builder.int 200);
+      Builder.branch f (Builder.reg "c") "body" "done";
+      Builder.label f "body";
+      Builder.mul f "sq" (Builder.reg "i") (Builder.reg "i");
+      Builder.binop f "sq" Instr.Mod (Builder.reg "sq") (Builder.int 97);
+      Builder.add f "acc" (Builder.reg "acc") (Builder.reg "sq");
+      Builder.add f "i" (Builder.reg "i") (Builder.int 1);
+      Builder.jump f "loop";
+      Builder.label f "done";
+      Builder.add f "v" (Builder.reg "v") (Builder.int 1);
+      Builder.store f (Instr.Global "x") (Builder.reg "v");
+      Builder.ret f None);
+  Builder.func b "main" ~params:[] (fun f ->
+      Builder.label f "entry";
+      Builder.spawn f "t1" "worker" [];
+      Builder.spawn f "t2" "worker" [];
+      Builder.join f (Builder.reg "t1");
+      Builder.join f (Builder.reg "t2");
+      Builder.load f "x" (Instr.Global "x");
+      Builder.eq f "ok" (Builder.reg "x") (Builder.int 2);
+      Builder.assert_ f (Builder.reg "ok") ~msg:"lost update";
+      Builder.exit_ f)
+
+let minimize_switches_pinned () =
+  let mysql1 =
+    (Option.get (Registry.find "MySQL1")).make ~variant:Spec.Buggy
+      ~oracle:true
   in
-  Alcotest.(check bool) "the preemptive switches are explained" true
-    (pre <> []
-    && List.for_all
-         (fun s ->
-           s.Minimize.sw_from_at <> "" && s.Minimize.sw_to_at <> "")
-         pre)
+  List.iter
+    (fun (name, p, policy, expected) ->
+      let _, log =
+        Conair.record_run ~config:(config policy) ~ident:(Log.ident name) p
+      in
+      Alcotest.(check (list string))
+        (name ^ ": switch points")
+        expected
+        (List.map switch_line (minimize_ok log).Minimize.mn_switches))
+    [
+      ( "MySQL1, random 7",
+        mysql1.program,
+        Sched.Random 7,
+        [
+          "#1 @1 t0->t1 preemptive | main:entry[1] [728] %t1 = spawn @query_thread() | rotate_log:entry[0] [714] sleep 17000";
+          "#2 @2 t1->t0 | rotate_log:entry[1] [715] store $log_state, 0 | main:entry[1] [728] %t1 = spawn @query_thread()";
+          "#4 @4 t0->t2 | main:entry[2] [729] join %t0 | query_thread:entry[0] [718] %w = call @compute_kernel(2500)";
+          "#17003 @17003 t2->t1 preemptive | compute_kernel:body[4] <terminator> | rotate_log:entry[1] [715] store $log_state, 0";
+          "#17005 @17005 t1->t2 | rotate_log:entry[3] [717] store $log_state, 1 | compute_kernel:body[4] <terminator>";
+        ] );
+      ( "lost update, random 3",
+        lost_update (),
+        Sched.Random 3,
+        [
+          "#1 @1 t0->t1 preemptive | main:entry[1] [11] %t2 = spawn @worker() | worker:entry[0] [0] %v = load $x";
+          "#4 @4 t1->t0 preemptive | worker:entry[3] <terminator> | main:entry[1] [11] %t2 = spawn @worker()";
+          "#6 @6 t0->t2 | main:entry[2] [12] join %t1 | worker:entry[0] [0] %v = load $x";
+          "#1415 @1415 t2->t1 | <no frame> | worker:entry[3] <terminator>";
+          "#2821 @2821 t1->t0 | <no frame> | main:entry[2] [12] join %t1";
+        ] );
+    ]
 
 let minimize_failing_catalog () =
   List.iter
@@ -785,6 +869,7 @@ let suites =
         case "tutorial golden" minimize_tutorial;
         case "hawknl golden" minimize_hawknl;
         case "mysql1 golden" minimize_mysql1;
+        case "switch points pinned" minimize_switches_pinned;
         case "every failing catalog app shrinks" minimize_failing_catalog;
         case "successful runs are rejected" minimize_rejects_success;
       ] );
