@@ -45,8 +45,8 @@
      step and in the same order. Sync events come from schedulable ops
      and from the shared [Machine] helpers the compiled code calls.
      Access events come from the compiled memory links themselves,
-     where the reference emits them; inside a batched segment a
-     link passes its own step, [m.step - fix] ([Compile]). Per-step
+     where the reference emits them and at its step: a link counts its
+     own step after its body ([Compile]). Per-step
      events come from this driver: with an observer of them, windows
      and contended phases retire every instruction through its
      single-step form and announce it first ([Machine.emit_step]), and
@@ -186,7 +186,7 @@ let[@inline] step_one bm (th : Thread.t) bound =
     | Some o when o.Event.steps -> Machine.emit_step m th ~woke
     | _ -> ());
     match (Compile.one bm.code func blk cbv).(i) m th fr with
-    | 0 (* t_refresh *) | 4 (* t_single *) ->
+    | 0 (* t_refresh *) ->
         if m.Machine.step < bound then 0 else 1
     | _ (* t_end, t_failed *) -> 1
     | exception Machine.Fault msg ->
@@ -260,7 +260,7 @@ let run_window bm (th : Thread.t) bound =
           cbv.Compile.cb_chain.(i) m th f
         else (Compile.one bm.code func blk cbv).(i) m th f
       with
-      | 0 (* t_refresh *) | 4 (* t_single *) ->
+      | 0 (* t_refresh *) ->
           if m.Machine.step >= bound then continue_ := false
       | 1 (* t_end *) -> continue_ := false
       | 2 (* t_sched *) ->
@@ -309,9 +309,10 @@ let ahead_chunk = 256
    thread that is not recovering runs ahead: a recovering thread's
    branch may close its episode, which reads the clock. Such code reads
    no clock, so [m.step] runs along and is put back; a fault stops the
-   run just before the faulting instruction (links raise before moving
-   the program point, segments roll their batch back), which then
-   faults at its own step. Returns the number of steps retired. *)
+   run just before the faulting instruction (a link that can raise
+   parks the program point on itself and counts its step only after
+   its body), which then faults at its own step. Returns the number of
+   steps retired. *)
 let run_ahead bm (th : Thread.t) =
   match (th.Thread.status, th.Thread.recovering) with
   | Thread.Runnable, None ->

@@ -5,13 +5,12 @@
    operand decoding done at compile time: register indices, constants,
    callee functions, jump targets and fault-message strings are captured
    in the closure's environment, so executing it is a single indirect
-   call with no [match] over the opcode and no operand
-   re-interpretation. The closure executes its body and tail-calls the
-   *next* instruction's closure: [cb_chain.(i)] is the fused run from
-   index [i]. Chains share their tails — compiling a block of [n]
-   instructions builds [O(n)] closures — and because every index has a
-   chain, a thread that re-enters a block mid-way still lands on fused
-   code.
+   call with no [match] over the opcode. The closure executes its body
+   and tail-calls the *next* instruction's closure: [cb_chain.(i)] is
+   the fused run from index [i]. Chains share their tails — compiling a
+   block of [n] instructions builds [O(n)] closures — and because every
+   index has a chain, a thread that re-enters a block mid-way still
+   lands on fused code.
 
    Control transfers chain too: a jump, branch, call or return link
    moves the program point and then — if the window's step budget
@@ -36,29 +35,41 @@
    one count); with several threads eligible the driver still decides
    every step, but no run in between changes who is eligible.
 
-   Links emit what [Ref_machine] emits for their opcode. The
-   seven memory links emit [Access] when the observer takes accesses
-   ([Machine.access]), before the memory operation like the
-   reference — global and stack ones before it, indexed ones after
-   operand evaluation and only for a pointer, [free] as a whole block;
-   a bare run pays one [match] per memory op. A link inside a batched
-   segment passes its own step, [m.step - fix], since [m.step] already
-   counts the rest of its segment, and a window's lazy decisions are
-   reported through that step. The output and checkpoint links emit
-   [Output] and [Checkpoint] to an observer of per-step events; the
+   Every link has one form. It runs its op's body, adds 1 to [m.step]
+   and tail-calls its successor, so [m.step] counts exactly the
+   instructions retired, at every point of a chain: a checkpoint's
+   [ck_step], a failure record, an access event and the destroying
+   preamble's [last_destroy_step] all read the reference's value.
+   Chains move [fr.idx] only where it is read: a transfer moves it to
+   the target, a call parks the caller after the call, and a stopper
+   parks it on its op (a checkpoint records [k + 1] as its point).
+   Elsewhere it is stale, so a link that can raise first parks
+   [fr.idx <- k]: a fault leaves the faulting instruction at [fr.idx]
+   and its step uncounted, which is where the driver's fault arm reads
+   the iid and where a run ahead of the clock stops. The one fault that
+   historically fired after a frame pop (return-with-no-value) is
+   compiled inline instead of raised.
+
+   Links emit what [Ref_machine] emits for their opcode. The seven
+   memory links emit [Access] when the observer takes accesses
+   ([Machine.access]), before the memory operation like the reference —
+   global and stack ones before it, indexed ones after operand
+   evaluation and only for a pointer, [free] as a whole block; a bare
+   run pays one [match] per memory op. The output and checkpoint links
+   emit [Output] and [Checkpoint] to an observer of per-step events; the
    [Step] events themselves come from [Block_machine], which under such
    an observer retires every instruction through its single-step form.
 
    Every instruction also has a single-step form, [cb_one.(i)]: the
-   same compiled link with the [halt] continuation in place of its
-   successor. The driver uses it to retire the tail of a window one
-   step at a time when the remaining budget is smaller than the chain,
-   and [Block_machine]'s contended phases and its single step use it
-   (with the budget floored, so transfers never chain) to retire the
-   chosen thread's one instruction per scheduling decision. A block's
-   single-step forms are built the first
-   time it is single-stepped ([one]); blocks that only ever run as
-   chains never pay for them.
+   same builder given a continuation that parks [fr.idx] on the next
+   instruction and stops. The driver uses it to retire the tail of a
+   window one step at a time when the remaining budget is smaller than
+   the chain, and [Block_machine]'s contended phases and its single
+   step use it (with the budget floored, so transfers never chain) to
+   retire the chosen thread's one instruction per scheduling decision.
+   A block's single-step forms are built the first time it is
+   single-stepped ([one]); blocks that only ever run as chains never pay
+   for them.
 
    Every index also carries [cb_local], the length of the
    register-only run from it through the block's terminator ([local]:
@@ -94,27 +105,6 @@
    its fail arms only when a failure is recovered — so compiling on
    entry keeps a fraction of the code an eager pass would build.
 
-   Step accounting is batched per straight-line segment. A maximal run
-   of [C_line] links (plain data ops: moves, binops, loads, asserts —
-   anything that reads neither [m.step] nor [fr.idx] and whose only
-   side effect besides register/global writes is a possible fault) is
-   entered through a closure that adds the whole segment's length to
-   [m.step] up front; the member closures then touch no counters and
-   never write [fr.idx]. Observable equivalence is restored at the two
-   places it could leak: a member that faults at slot [k] first parks
-   [fr.idx <- k] and subtracts the not-yet-retired tail of the batch
-   ([seg_fault]), and an assert that fails does the same before
-   recording the failure — so the [m.step] a checkpoint's [ck_step], a
-   failure record or a fault observer sees is exactly the
-   one-at-a-time value. Links that themselves read or record the
-   counters (checkpoints, destroying preambles reading
-   [last_destroy_step]) compile as [C_self]: they sit outside any
-   batch, write their own [fr.idx] and count their own step after the
-   body like the per-step drivers do. Terminators also count their own
-   step as they execute, and park [fr.idx] only at fault-raising
-   sites; the one fault that historically fired after a frame pop
-   (return-with-no-value) is compiled inline instead of raised.
-
    The spec of every closure is [Ref_machine]'s semantics for its
    opcode, *including evaluation order* (binop operands bind
    right-to-left, call arguments left-to-right) and fault messages.
@@ -122,20 +112,20 @@
    ([eval_binop], [do_return], [set_failure], ...), the code the
    schedulable ops run too. The differential suite in
    [test_fast_exec.ml] enforces bit-for-bit identity with [Ref_machine]
-   over the bugbench catalog and generated programs. *)
+   over the bugbench catalog and generated programs, and its
+   fault-attribution table over every op that can fault. *)
 
 open Conair_ir
-module Reg = Ident.Reg
 module Fname = Ident.Fname
 
 (* Chain results, as unboxed ints so a run's completion allocates
    nothing. Everything retired up to the returned point has already
-   bumped [m.step]. [t_refresh] is also what a pending block returns. *)
+   bumped [m.step]. [t_refresh] is also what a pending block and a
+   single-step form return. *)
 let t_refresh = 0
 let t_end = 1
 let t_sched = 2
 let t_failed = 3
-let t_single = 4
 
 type chain = Machine.t -> Thread.t -> Thread.frame -> int
 
@@ -144,7 +134,7 @@ type cblock = {
       (** indexed by [fr.idx]; slot [length lb_instrs] is the
           terminator: the fused run from that entry point *)
   mutable cb_one : chain array;
-      (** same links with the [halt] continuation: retires exactly one
+      (** same links with the [park] continuation: retires exactly one
           instruction (transfers still gate on [m.wbound]); empty until
           the block is first single-stepped ([one]) *)
   cb_iids : int array;  (** per-instruction iids, for fault reports *)
@@ -159,159 +149,58 @@ type cblock = {
           when all of them are register-only ([local]), else [0] *)
 }
 
-let halt : chain = fun _ _ _ -> t_single
-
-(* Operand getters: the compile-time half of [Machine.eval]. The
-   undefined-register message is rendered at fault time, exactly like
-   [Machine.eval] — rendering it eagerly here would put a [Format]
-   round trip on every compiled operand and dominate compilation. *)
-let undef_msg (f : Link.lfunc) (i : int) =
-  Format.asprintf "use of undefined register %a" Reg.pp f.Link.lf_reg_names.(i)
-
-let getter (f : Link.lfunc) (a : Link.rarg) : Thread.frame -> Value.t =
-  match a with
-  | Link.L_const v -> fun _ -> v
-  | Link.L_reg i ->
-      fun fr ->
-        let v = fr.Thread.regs.(i) in
-        if v == Thread.undef then raise (Machine.Fault (undef_msg f i)) else v
+(* Hand back to the driver with nothing retired. *)
+let refresh : chain = fun _ _ _ -> t_refresh
 
 (* Shared boolean results: [Value.t] carries no identity anywhere but the
-   [undef] sentinel, so comparison ops can reuse one allocation. *)
+   [undef] sentinel, so comparisons reuse one allocation. *)
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
 
-(* Compile-time specialization of [Machine.eval_binop] for the operand
-   shapes the fully-inlined arms below don't cover: the all-integer arms
-   run inline; anything else (mixed types, division by zero) delegates
-   to the shared [Machine.eval_binop], so coercion faults and their
-   messages stay byte-identical. *)
-let binop_fn (op : Instr.binop) : Value.t -> Value.t -> Value.t =
-  match op with
-  | Instr.Add -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y -> Value.Int (x + y)
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Sub -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y -> Value.Int (x - y)
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Mul -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y -> Value.Int (x * y)
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Div -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y when y <> 0 -> Value.Int (x / y)
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Mod -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y when y <> 0 -> Value.Int (x mod y)
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Lt -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y -> if x < y then vtrue else vfalse
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Le -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y -> if x <= y then vtrue else vfalse
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Gt -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y -> if x > y then vtrue else vfalse
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Ge -> (
-      fun a b ->
-        match (a, b) with
-        | Value.Int x, Value.Int y -> if x >= y then vtrue else vfalse
-        | _ -> Machine.eval_binop op a b)
-  | Instr.Eq -> (fun a b -> if Value.equal a b then vtrue else vfalse)
-  | Instr.Ne -> (fun a b -> if Value.equal a b then vfalse else vtrue)
-  | Instr.And | Instr.Or -> Machine.eval_binop op
+(* Operand reads: [Machine.eval] inline. A call into [Machine] is an
+   indirect call wherever modules compile opaque (dune's default
+   profile), and the hot links read every operand, so only the fault
+   and its message are left to [Machine]. *)
+let[@inline never] undefined (fr : Thread.frame) i = Machine.eval_reg fr i
 
-(* How an instruction participates in the closure arrays.
+let[@inline] reg (fr : Thread.frame) i =
+  let v = fr.Thread.regs.(i) in
+  if v == Thread.undef then undefined fr i else v
 
-   [C_line] ops — the fully-inlined register-only bodies — fuse into
-   *segments*: maximal consecutive runs of them, over which the chain
-   form does batched step accounting. The segment's entry closure adds
-   the whole segment's step count to [m.step] up front ([pre]) and no
-   closure in the segment touches [fr.idx] or [m.step] again until the
-   segment's end; a fault site rolls the batch back by its static
-   distance to the segment end ([fix], counting itself) and parks
-   [fr.idx] on the faulting instruction, restoring exactly the state
-   the reference would show. A [C_line] op must never be
-   dynamically destroying: the destroying preamble reads [m.step]
-   mid-segment, where the batch has it ahead of time.
+let[@inline] ev (fr : Thread.frame) (a : Link.rarg) =
+  match a with Link.L_reg i -> reg fr i | Link.L_const v -> v
 
-   [C_self] ops — anything with a complex body (hashtables, heap,
-   rendering) — keep per-step accounting: the body counts its own step
-   and moves [fr.idx] itself, entered through a [self_idx] prologue
-   that re-parks [fr.idx] on the op (chains leave it stale inside
-   segments), so their fault attribution works unchanged.
-
-   Builders take care to return a closure from under a [let] so the
-   partial application is a real closure, not a [caml_curry]
+(* How an instruction takes part in the closure arrays. A straight-line
+   op compiles to one builder, [C_link], from a successor to the op's
+   link; the chain builds it on the next index's chain, the single-step
+   form on [park (k + 1)]. Builders return a closure from under a [let]
+   so the partial application is a real closure, not a [caml_curry]
    trampoline. *)
 type comp =
   | C_sched  (** schedulable: a stopper in both forms *)
-  | C_line of (pre:int -> fix:int -> chain -> chain)
-      (** instantiated three ways: segment entry ([pre = fix] = steps to
-          the segment end), segment interior ([pre = 0]), and
-          single-step ([pre = fix = 0], continuation [one_halt]) *)
-  | C_self of (chain -> chain)
+  | C_link of (chain -> chain)
   | C_halt of chain
       (** one closure serves both forms (calls and always-faulting ops:
           the chain ends with the op either way) *)
 
-(* Cold continuations for fused-segment links. A fault must land with
-   [fr.idx] at the faulting instruction and the segment's batched step
-   count rolled back to the instructions actually retired: [fix] is the
-   faulting op's static distance to its segment end, itself included —
-   exactly the batched steps that did *not* happen. *)
-let seg_fault k fix m (fr : Thread.frame) msg =
-  fr.Thread.idx <- k;
-  if fix <> 0 then m.Machine.step <- m.Machine.step - fix;
-  raise (Machine.Fault msg)
-
-let seg_binop k fix op m fr va vb =
-  try Machine.eval_binop op va vb
-  with Machine.Fault msg -> seg_fault k fix m fr msg
-
-(* The single-step continuation of a [C_line] body: retire exactly this
-   instruction, exactly as the reference accounts it. *)
-let one_halt j : chain =
- fun m _ fr ->
+(* The single-step continuation: the link counted its step; leave the
+   program point on the next instruction and stop. *)
+let park j : chain =
+ fun _ _ fr ->
   fr.Thread.idx <- j;
-  m.Machine.step <- m.Machine.step + 1;
-  t_single
+  t_refresh
 
-(* A schedulable-op stopper: park the program point on the op (chains
-   leave [fr.idx] stale inside segments) and hand back to the driver. *)
+(* A schedulable-op stopper: park the program point on the op and hand
+   back to the driver. *)
 let stop_at k : chain =
  fun _ _ fr ->
   fr.Thread.idx <- k;
   t_sched
 
-(* [C_self]/[C_halt] prologue: re-park [fr.idx] on the op so bodies that
-   advance it relatively, read it (checkpoints) or fault through getters
-   see exactly the reference's value. *)
-let self_idx k (body : chain) : chain =
- fun m th fr ->
-  fr.Thread.idx <- k;
-  body m th fr
-
 (* The destroying preamble, compiled in only where the static flag is
    set. Applied to inline ops only: schedulable ops run the preamble
-   inside [Machine.run_thread_step]. Links bump [m.step] after it runs,
-   so [last_destroy_step] matches the reference exactly. *)
+   inside [Machine.run_thread_step]. It runs before the link counts its
+   step, so [last_destroy_step] matches the reference exactly. *)
 let destroying_link (i : Link.linstr) (body : chain) : chain =
   if not i.Link.li_destroying then body
   else
@@ -322,24 +211,10 @@ let destroying_link (i : Link.linstr) (body : chain) : chain =
       | Some _ -> Machine.close_episode m th);
       body m th fr
 
-(* Fresh register files for compiled calls. The unrolled sizes compile
-   to inline allocations; [Array.make] is an out-of-line C call, which
-   is most of a small frame's cost. *)
-let new_regs n =
-  let u = Thread.undef in
-  match n with
-  | 1 -> [| u |]
-  | 2 -> [| u; u |]
-  | 3 -> [| u; u; u |]
-  | 4 -> [| u; u; u; u |]
-  | 5 -> [| u; u; u; u; u |]
-  | 6 -> [| u; u; u; u; u; u |]
-  | 7 -> [| u; u; u; u; u; u; u |]
-  | 8 -> [| u; u; u; u; u; u; u; u |]
-  | _ -> Array.make n u
-
-let compile_comp (prog : cblock array array) (f : Link.lfunc)
-    (lp : Link.program) (k : int) (i : Link.linstr) : comp =
+(* The straight-line links. Each counts its step after its body, and
+   each that can raise parks [fr.idx <- k] first. *)
+let compile_comp (prog : cblock array array) (lp : Link.program) (k : int)
+    (i : Link.linstr) : comp =
   let iid = i.Link.li_iid in
   match i.Link.li_op with
   (* -- schedulable ops: chain stoppers, run by [run_thread_step] ------ *)
@@ -348,400 +223,85 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
   | Link.L_notify _ | Link.L_try_recover _ | Link.L_fail_stop _ ->
       C_sched
   (* -- straight-line ops: compiled to code --------------------------- *)
-  | Link.L_move (r, a) -> (
-      match a with
-      | Link.L_const v ->
-          C_line
-            (fun ~pre ~fix:_ next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                fr.Thread.regs.(r) <- v;
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let v = fr.Thread.regs.(ia) in
-                if v == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <- v;
-                next m th fr
-              in
-              l))
-  | Link.L_binop (r, op, a, b) -> (
-      (* operands bind right-to-left, like [eval_binop op (eval fr a)
-         (eval fr b)] in the reference; every specialization below
-         keeps that order (b's undefined-register fault wins over a's).
-         The arithmetic/comparison ops on the two hot operand shapes are
-         inlined outright — non-[Int] operands and division by zero
-         delegate to [Machine.eval_binop] for byte-identical faults. *)
-      match (a, b, op) with
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Add ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x -> Value.Int (x + y)
-                  | _ -> seg_binop k fix Instr.Add m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Sub ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x -> Value.Int (x - y)
-                  | _ -> seg_binop k fix Instr.Sub m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Mul ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x -> Value.Int (x * y)
-                  | _ -> seg_binop k fix Instr.Mul m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Div ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x when y <> 0 -> Value.Int (x / y)
-                  | _ -> seg_binop k fix Instr.Div m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Mod ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x when y <> 0 -> Value.Int (x mod y)
-                  | _ -> seg_binop k fix Instr.Mod m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Lt ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x -> if x < y then vtrue else vfalse
-                  | _ -> seg_binop k fix Instr.Lt m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Le ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x -> if x <= y then vtrue else vfalse
-                  | _ -> seg_binop k fix Instr.Le m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Gt ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x -> if x > y then vtrue else vfalse
-                  | _ -> seg_binop k fix Instr.Gt m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_const (Value.Int y as vb), Instr.Ge ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match va with
-                  | Value.Int x -> if x >= y then vtrue else vfalse
-                  | _ -> seg_binop k fix Instr.Ge m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Add ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y -> Value.Int (x + y)
-                  | _ -> seg_binop k fix Instr.Add m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Sub ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y -> Value.Int (x - y)
-                  | _ -> seg_binop k fix Instr.Sub m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Mul ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y -> Value.Int (x * y)
-                  | _ -> seg_binop k fix Instr.Mul m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Div ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y when y <> 0 -> Value.Int (x / y)
-                  | _ -> seg_binop k fix Instr.Div m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Mod ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y when y <> 0 -> Value.Int (x mod y)
-                  | _ -> seg_binop k fix Instr.Mod m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Lt ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y -> if x < y then vtrue else vfalse
-                  | _ -> seg_binop k fix Instr.Lt m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Le ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y -> if x <= y then vtrue else vfalse
-                  | _ -> seg_binop k fix Instr.Le m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Gt ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y -> if x > y then vtrue else vfalse
-                  | _ -> seg_binop k fix Instr.Gt m fr va vb);
-                next m th fr
-              in
-              l)
-      | Link.L_reg ia, Link.L_reg ib, Instr.Ge ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let vb = fr.Thread.regs.(ib) in
-                if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                let va = fr.Thread.regs.(ia) in
-                if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                fr.Thread.regs.(r) <-
-                  (match (va, vb) with
-                  | Value.Int x, Value.Int y -> if x >= y then vtrue else vfalse
-                  | _ -> seg_binop k fix Instr.Ge m fr va vb);
-                next m th fr
-              in
-              l)
-      | _ -> (
-          let bf = binop_fn op in
-          match (a, b) with
-          | Link.L_reg ia, Link.L_const vb ->
-              C_line
-                (fun ~pre ~fix next ->
-                  let l m th fr =
-                    if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                    let va = fr.Thread.regs.(ia) in
-                    if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                    fr.Thread.regs.(r) <-
-                      (try bf va vb with Machine.Fault emsg -> seg_fault k fix m fr emsg);
-                    next m th fr
-                  in
-                  l)
-          | Link.L_reg ia, Link.L_reg ib ->
-              C_line
-                (fun ~pre ~fix next ->
-                  let l m th fr =
-                    if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                    let vb = fr.Thread.regs.(ib) in
-                    if vb == Thread.undef then seg_fault k fix m fr (undef_msg f ib);
-                    let va = fr.Thread.regs.(ia) in
-                    if va == Thread.undef then seg_fault k fix m fr (undef_msg f ia);
-                    fr.Thread.regs.(r) <-
-                      (try bf va vb with Machine.Fault emsg -> seg_fault k fix m fr emsg);
-                    next m th fr
-                  in
-                  l)
-          | _ ->
-              let ga = getter f a and gb = getter f b in
-              C_self
-                (fun next ->
-                  let l m th fr =
-                    let vb = gb fr in
-                    let va = ga fr in
-                    fr.Thread.regs.(r) <- bf va vb;
-                    fr.Thread.idx <- fr.Thread.idx + 1;
-                    m.Machine.step <- m.Machine.step + 1;
-                    next m th fr
-                  in
-                  l)))
-  | Link.L_unop (r, op, a) -> (
-      match a with
-      | Link.L_reg ia ->
-          C_self
-            (fun next ->
-              let l m th fr =
-                let v = fr.Thread.regs.(ia) in
-                if v == Thread.undef then raise (Machine.Fault (undef_msg f ia));
-                fr.Thread.regs.(r) <- Machine.eval_unop op v;
-                fr.Thread.idx <- fr.Thread.idx + 1;
-                m.Machine.step <- m.Machine.step + 1;
-                next m th fr
-              in
-              l)
-      | _ ->
-          let ga = getter f a in
-          C_self
-            (fun next ->
-              let l m th fr =
-                fr.Thread.regs.(r) <- Machine.eval_unop op (ga fr);
-                fr.Thread.idx <- fr.Thread.idx + 1;
-                m.Machine.step <- m.Machine.step + 1;
-                next m th fr
-              in
-              l))
+  | Link.L_move (r, a) ->
+      C_link
+        (fun next ->
+          let l m th fr =
+            fr.Thread.idx <- k;
+            fr.Thread.regs.(r) <- ev fr a;
+            m.Machine.step <- m.Machine.step + 1;
+            next m th fr
+          in
+          l)
+  | Link.L_binop (r, op, a, b) ->
+      (* operands bind right-to-left, as in the reference's
+         [eval_binop op (eval fr a) (eval fr b)]: b's fault wins. Two
+         ints compute inline; anything else, a zero divisor and the
+         logical ops go to [Machine.eval_binop], whose coercions and
+         fault messages the reference shares. *)
+      C_link
+        (fun next ->
+          let l m th fr =
+            fr.Thread.idx <- k;
+            let vb = ev fr b in
+            let va = ev fr a in
+            fr.Thread.regs.(r) <-
+              (match (va, vb) with
+              | Value.Int x, Value.Int y -> (
+                  match op with
+                  | Instr.Add -> Value.Int (x + y)
+                  | Instr.Sub -> Value.Int (x - y)
+                  | Instr.Mul -> Value.Int (x * y)
+                  | Instr.Div when y <> 0 -> Value.Int (x / y)
+                  | Instr.Mod when y <> 0 -> Value.Int (x mod y)
+                  | Instr.Lt -> if x < y then vtrue else vfalse
+                  | Instr.Le -> if x <= y then vtrue else vfalse
+                  | Instr.Gt -> if x > y then vtrue else vfalse
+                  | Instr.Ge -> if x >= y then vtrue else vfalse
+                  | Instr.Eq -> if x = y then vtrue else vfalse
+                  | Instr.Ne -> if x <> y then vtrue else vfalse
+                  | Instr.Div | Instr.Mod | Instr.And | Instr.Or ->
+                      Machine.eval_binop op va vb)
+              | _ -> Machine.eval_binop op va vb);
+            m.Machine.step <- m.Machine.step + 1;
+            next m th fr
+          in
+          l)
+  | Link.L_unop (r, op, a) ->
+      C_link
+        (fun next ->
+          let l m th fr =
+            fr.Thread.idx <- k;
+            fr.Thread.regs.(r) <- Machine.eval_unop op (ev fr a);
+            m.Machine.step <- m.Machine.step + 1;
+            next m th fr
+          in
+          l)
   | Link.L_load_global (r, g) ->
       let msg = "load of undeclared global " ^ g in
       let addr = Event.A_global g in
-      C_line
-        (fun ~pre ~fix next ->
+      C_link
+        (fun next ->
           let l m th fr =
-            if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
+            fr.Thread.idx <- k;
             (match m.Machine.obs with
             | Some o when o.Event.accesses ->
-                Machine.access m ~step:(m.Machine.step - fix)
-                  ~tid:th.Thread.tid ~iid Event.Read addr
+                Machine.access m ~tid:th.Thread.tid ~iid Event.Read addr
             | _ -> ());
             (match Hashtbl.find_opt m.Machine.globals g with
             | Some v -> fr.Thread.regs.(r) <- v
-            | None -> seg_fault k fix m fr msg);
+            | None -> raise (Machine.Fault msg));
+            m.Machine.step <- m.Machine.step + 1;
             next m th fr
           in
           l)
   | Link.L_load_stack (r, s) ->
-      C_line
-        (fun ~pre ~fix next ->
+      C_link
+        (fun next ->
           let l m th fr =
-            if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
             (match m.Machine.obs with
             | Some o when o.Event.accesses ->
-                Machine.access m ~step:(m.Machine.step - fix)
-                  ~tid:th.Thread.tid ~iid Event.Read
+                Machine.access m ~tid:th.Thread.tid ~iid Event.Read
                   (Event.A_slot (th.Thread.tid, s))
             | _ -> ());
             fr.Thread.regs.(r) <-
@@ -749,182 +309,146 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
               | None -> Value.zero
               | Some h ->
                   Option.value ~default:Value.zero (Hashtbl.find_opt h s));
+            m.Machine.step <- m.Machine.step + 1;
             next m th fr
           in
           l)
   | Link.L_store_global (g, a) ->
-      let ga = getter f a in
       let msg = "store to undeclared global " ^ g in
       let addr = Event.A_global g in
-      C_self
+      C_link
         (fun next ->
           let l m th fr =
+            fr.Thread.idx <- k;
             (match m.Machine.obs with
             | Some o when o.Event.accesses ->
-                Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid ~iid
-                  Event.Write addr
+                Machine.access m ~tid:th.Thread.tid ~iid Event.Write addr
             | _ -> ());
-            if Hashtbl.mem m.Machine.globals g then begin
-              Hashtbl.replace m.Machine.globals g (ga fr);
-              fr.Thread.idx <- fr.Thread.idx + 1;
-              m.Machine.step <- m.Machine.step + 1;
-              next m th fr
-            end
-            else raise (Machine.Fault msg)
+            if Hashtbl.mem m.Machine.globals g then
+              Hashtbl.replace m.Machine.globals g (ev fr a)
+            else raise (Machine.Fault msg);
+            m.Machine.step <- m.Machine.step + 1;
+            next m th fr
           in
           l)
   | Link.L_store_stack (s, a) ->
-      let ga = getter f a in
-      C_self
+      C_link
         (fun next ->
           let l m th fr =
+            fr.Thread.idx <- k;
             (match m.Machine.obs with
             | Some o when o.Event.accesses ->
-                Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid ~iid
-                  Event.Write
+                Machine.access m ~tid:th.Thread.tid ~iid Event.Write
                   (Event.A_slot (th.Thread.tid, s))
             | _ -> ());
-            Hashtbl.replace (Thread.stack_tbl fr) s (ga fr);
-            fr.Thread.idx <- fr.Thread.idx + 1;
+            Hashtbl.replace (Thread.stack_tbl fr) s (ev fr a);
             m.Machine.step <- m.Machine.step + 1;
             next m th fr
           in
           l)
   | Link.L_load_idx (r, p, ix) ->
-      let gp = getter f p and gix = getter f ix in
-      C_self
+      C_link
         (fun next ->
           let l m th fr =
-            let iv = Machine.as_int (gix fr) in
-            let pv = gp fr in
+            fr.Thread.idx <- k;
+            let iv = Machine.as_int (ev fr ix) in
+            let pv = ev fr p in
             (match m.Machine.obs with
             | Some o when o.Event.accesses -> (
                 match pv with
                 | Value.Ptr { Value.block; offset } ->
-                    Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid
-                      ~iid Event.Read
+                    Machine.access m ~tid:th.Thread.tid ~iid Event.Read
                       (Event.A_cell (block, offset + iv))
                 | _ -> ())
             | _ -> ());
-            match Heap.load m.Machine.heap pv iv with
-            | Ok v ->
-                fr.Thread.regs.(r) <- v;
-                fr.Thread.idx <- fr.Thread.idx + 1;
-                m.Machine.step <- m.Machine.step + 1;
-                next m th fr
-            | Error e -> raise (Machine.Fault e)
+            (match Heap.load m.Machine.heap pv iv with
+            | Ok v -> fr.Thread.regs.(r) <- v
+            | Error e -> raise (Machine.Fault e));
+            m.Machine.step <- m.Machine.step + 1;
+            next m th fr
           in
           l)
   | Link.L_store_idx (p, ix, v) ->
-      let gp = getter f p and gix = getter f ix and gv = getter f v in
-      C_self
+      C_link
         (fun next ->
           let l m th fr =
-            let vv = gv fr in
-            let iv = Machine.as_int (gix fr) in
-            let pv = gp fr in
+            fr.Thread.idx <- k;
+            let vv = ev fr v in
+            let iv = Machine.as_int (ev fr ix) in
+            let pv = ev fr p in
             (match m.Machine.obs with
             | Some o when o.Event.accesses -> (
                 match pv with
                 | Value.Ptr { Value.block; offset } ->
-                    Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid
-                      ~iid Event.Write
+                    Machine.access m ~tid:th.Thread.tid ~iid Event.Write
                       (Event.A_cell (block, offset + iv))
                 | _ -> ())
             | _ -> ());
-            match Heap.store m.Machine.heap pv iv vv with
-            | Ok () ->
-                fr.Thread.idx <- fr.Thread.idx + 1;
-                m.Machine.step <- m.Machine.step + 1;
-                next m th fr
-            | Error e -> raise (Machine.Fault e)
+            (match Heap.store m.Machine.heap pv iv vv with
+            | Ok () -> ()
+            | Error e -> raise (Machine.Fault e));
+            m.Machine.step <- m.Machine.step + 1;
+            next m th fr
           in
           l)
   | Link.L_alloc (r, n) ->
-      let gn = getter f n in
-      C_self
+      C_link
         (fun next ->
           let l m th fr =
-            let ptr = Heap.alloc m.Machine.heap (Machine.as_int (gn fr)) in
+            fr.Thread.idx <- k;
+            let ptr = Heap.alloc m.Machine.heap (Machine.as_int (ev fr n)) in
             Thread.log_acquisition th (Thread.R_block ptr.Value.block);
             fr.Thread.regs.(r) <- Value.Ptr ptr;
-            fr.Thread.idx <- fr.Thread.idx + 1;
             m.Machine.step <- m.Machine.step + 1;
             next m th fr
           in
           l)
   | Link.L_free p ->
-      let gp = getter f p in
-      C_self
+      C_link
         (fun next ->
           let l m th fr =
-            let pv = gp fr in
+            fr.Thread.idx <- k;
+            let pv = ev fr p in
             (match m.Machine.obs with
             | Some o when o.Event.accesses -> (
                 match pv with
                 | Value.Ptr { Value.block; _ } ->
-                    Machine.access m ~step:m.Machine.step ~tid:th.Thread.tid
-                      ~iid Event.Write (Event.A_block block)
+                    Machine.access m ~tid:th.Thread.tid ~iid Event.Write
+                      (Event.A_block block)
                 | _ -> ())
             | _ -> ());
-            match Heap.free m.Machine.heap pv with
-            | Ok () ->
-                fr.Thread.idx <- fr.Thread.idx + 1;
-                m.Machine.step <- m.Machine.step + 1;
-                next m th fr
-            | Error e -> raise (Machine.Fault e)
+            (match Heap.free m.Machine.heap pv with
+            | Ok () -> ()
+            | Error e -> raise (Machine.Fault e));
+            m.Machine.step <- m.Machine.step + 1;
+            next m th fr
           in
           l)
-  | Link.L_assert { cond; msg; oracle } -> (
+  | Link.L_assert { cond; msg; oracle } ->
       let kind = if oracle then Instr.Wrong_output else Instr.Assert_fail in
-      (* the failure arm parks [fr.idx] on the assert and rolls the
-         batch back before [set_failure] reads [m.step], then counts the
-         assert's own step — the per-step engines' exact ordering *)
-      match cond with
-      | Link.L_reg ci ->
-          C_line
-            (fun ~pre ~fix next ->
-              let l m th fr =
-                if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                let v = fr.Thread.regs.(ci) in
-                if v == Thread.undef then seg_fault k fix m fr (undef_msg f ci);
-                if Value.is_true v then next m th fr
-                else begin
-                  fr.Thread.idx <- k;
-                  if fix <> 0 then m.Machine.step <- m.Machine.step - fix;
-                  Machine.set_failure m ~kind ~site_id:None ~iid:(Some iid)
-                    ~tid:th.Thread.tid ~msg;
-                  m.Machine.step <- m.Machine.step + 1;
-                  t_failed
-                end
-              in
-              l)
-      | Link.L_const v ->
-          if Value.is_true v then
-            C_line
-              (fun ~pre ~fix:_ next ->
-                let l m th fr =
-                  if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                  next m th fr
-                in
-                l)
-          else
-            C_line
-              (fun ~pre ~fix _next ->
-                let l m th fr =
-                  if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
-                  fr.Thread.idx <- k;
-                  if fix <> 0 then m.Machine.step <- m.Machine.step - fix;
-                  Machine.set_failure m ~kind ~site_id:None ~iid:(Some iid)
-                    ~tid:th.Thread.tid ~msg;
-                  m.Machine.step <- m.Machine.step + 1;
-                  t_failed
-                in
-                l))
-  | Link.L_output { fmt; args } ->
-      C_self
+      (* a failed assert records the failure at its own step, then
+         counts it: the per-step engines' exact ordering *)
+      C_link
         (fun next ->
           let l m th fr =
+            fr.Thread.idx <- k;
+            if Value.is_true (ev fr cond) then begin
+              m.Machine.step <- m.Machine.step + 1;
+              next m th fr
+            end
+            else begin
+              Machine.set_failure m ~kind ~site_id:None ~iid:(Some iid)
+                ~tid:th.Thread.tid ~msg;
+              m.Machine.step <- m.Machine.step + 1;
+              t_failed
+            end
+          in
+          l)
+  | Link.L_output { fmt; args } ->
+      C_link
+        (fun next ->
+          let l m th fr =
+            fr.Thread.idx <- k;
             let text =
               Machine.render_output fmt (Machine.eval_arg_list fr args)
             in
@@ -936,7 +460,6 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
                   (Event.Output
                      { step = m.Machine.step; tid = th.Thread.tid; text })
             | _ -> ());
-            fr.Thread.idx <- fr.Thread.idx + 1;
             m.Machine.step <- m.Machine.step + 1;
             next m th fr
           in
@@ -944,9 +467,6 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
   | Link.L_call { ret; fid; fname; args } ->
       if fid < 0 then
         let msg = Format.asprintf "call to unknown %a" Fname.pp fname in
-        (* raises with [fr.idx] still at the call, so the fault arm
-           attributes the step and the iid to the right instruction; the
-           value of [fr.idx] after an unrecovered fault is unobservable *)
         C_halt
           (fun _ _ fr ->
             fr.Thread.idx <- k;
@@ -971,211 +491,61 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
              written through the param-index table like [make_frame]
              (duplicate parameter names keep last-binding-wins) — but
              straight into the new frame's registers, skipping the argv
-             array; the common arities are unrolled. The link then
-             chains into the callee's entry block when the window budget
-             covers it: [callee_cbs] aliases the callee's slot array,
-             whose blocks compile in place on first entry, so mutual
-             recursion needs no patching pass. *)
+             array. The link then parks the caller after the call and
+             chains into the callee's entry block when the window's
+             budget covers it: [callee_cbs] aliases the callee's slot
+             array, whose blocks compile in place on first entry, so
+             mutual recursion needs no patching pass. *)
           let nregs = max 1 callee.Link.lf_nregs in
+          let slot = callee.Link.lf_param_index in
           let entry_ix = callee.Link.lf_entry in
           let entry = callee.Link.lf_blocks.(entry_ix) in
           let callee_cbs = prog.(fid) in
-          let nargs = Array.length args in
-          if nargs = 0 then
-            C_halt
-              (fun m th fr ->
-                let regs = new_regs nregs in
-                fr.Thread.idx <- k + 1;
-                let nf =
-                  {
-                    Thread.func = callee;
-                    block = entry;
-                    idx = 0;
-                    regs;
-                    stack_vars = None;
-                    ret_reg = ret;
-                  }
-                in
-                th.Thread.stack <- nf :: th.Thread.stack;
-                th.Thread.stack_depth <- th.Thread.stack_depth + 1;
-                m.Machine.step <- m.Machine.step + 1;
-                let cb = callee_cbs.(entry_ix) in
-                if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
-                  cb.cb_chain.(0) m th nf
-                else t_refresh)
-          else if nargs = 1 then
-            let s0 = callee.Link.lf_param_index.(0) in
-            (match args.(0) with
-            | Link.L_const v0 ->
-                C_halt
-                  (fun m th fr ->
-                    let regs = new_regs nregs in
-                    regs.(s0) <- v0;
-                    fr.Thread.idx <- k + 1;
-                    let nf =
-                      {
-                        Thread.func = callee;
-                        block = entry;
-                        idx = 0;
-                        regs;
-                        stack_vars = None;
-                        ret_reg = ret;
-                      }
-                    in
-                    th.Thread.stack <- nf :: th.Thread.stack;
-                    th.Thread.stack_depth <- th.Thread.stack_depth + 1;
-                    m.Machine.step <- m.Machine.step + 1;
-                    let cb = callee_cbs.(entry_ix) in
-                    if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
-                      cb.cb_chain.(0) m th nf
-                    else t_refresh)
-            | Link.L_reg ia ->
-                C_halt
-                  (fun m th fr ->
-                    let v0 = fr.Thread.regs.(ia) in
-                    if v0 == Thread.undef then begin
-                      fr.Thread.idx <- k;
-                      raise (Machine.Fault (undef_msg f ia))
-                    end;
-                    let regs = new_regs nregs in
-                    regs.(s0) <- v0;
-                    fr.Thread.idx <- k + 1;
-                    let nf =
-                      {
-                        Thread.func = callee;
-                        block = entry;
-                        idx = 0;
-                        regs;
-                        stack_vars = None;
-                        ret_reg = ret;
-                      }
-                    in
-                    th.Thread.stack <- nf :: th.Thread.stack;
-                    th.Thread.stack_depth <- th.Thread.stack_depth + 1;
-                    m.Machine.step <- m.Machine.step + 1;
-                    let cb = callee_cbs.(entry_ix) in
-                    if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
-                      cb.cb_chain.(0) m th nf
-                    else t_refresh))
-          else if nargs = 2 then
-            let s0 = callee.Link.lf_param_index.(0)
-            and s1 = callee.Link.lf_param_index.(1) in
-            (match (args.(0), args.(1)) with
-            | Link.L_reg ia, Link.L_reg ib ->
-                (* args are evaluated left-to-right, so arg 0's
-                   undefined-register fault wins over arg 1's *)
-                C_halt
-                  (fun m th fr ->
-                    let v0 = fr.Thread.regs.(ia) in
-                    if v0 == Thread.undef then begin
-                      fr.Thread.idx <- k;
-                      raise (Machine.Fault (undef_msg f ia))
-                    end;
-                    let v1 = fr.Thread.regs.(ib) in
-                    if v1 == Thread.undef then begin
-                      fr.Thread.idx <- k;
-                      raise (Machine.Fault (undef_msg f ib))
-                    end;
-                    let regs = new_regs nregs in
-                    regs.(s0) <- v0;
-                    regs.(s1) <- v1;
-                    fr.Thread.idx <- k + 1;
-                    let nf =
-                      {
-                        Thread.func = callee;
-                        block = entry;
-                        idx = 0;
-                        regs;
-                        stack_vars = None;
-                        ret_reg = ret;
-                      }
-                    in
-                    th.Thread.stack <- nf :: th.Thread.stack;
-                    th.Thread.stack_depth <- th.Thread.stack_depth + 1;
-                    m.Machine.step <- m.Machine.step + 1;
-                    let cb = callee_cbs.(entry_ix) in
-                    if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
-                      cb.cb_chain.(0) m th nf
-                    else t_refresh)
-            | a0, a1 ->
-                let g0 = getter f a0 and g1 = getter f a1 in
-                C_halt
-                  (fun m th fr ->
-                    fr.Thread.idx <- k;
-                    let regs = new_regs nregs in
-                    regs.(s0) <- g0 fr;
-                    regs.(s1) <- g1 fr;
-                    fr.Thread.idx <- k + 1;
-                    let nf =
-                      {
-                        Thread.func = callee;
-                        block = entry;
-                        idx = 0;
-                        regs;
-                        stack_vars = None;
-                        ret_reg = ret;
-                      }
-                    in
-                    th.Thread.stack <- nf :: th.Thread.stack;
-                    th.Thread.stack_depth <- th.Thread.stack_depth + 1;
-                    m.Machine.step <- m.Machine.step + 1;
-                    let cb = callee_cbs.(entry_ix) in
-                    if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
-                      cb.cb_chain.(0) m th nf
-                    else t_refresh))
-          else
-            let gets =
-              Array.mapi
-                (fun k a -> (callee.Link.lf_param_index.(k), getter f a))
-                args
-            in
-            C_halt
-              (fun m th fr ->
-                fr.Thread.idx <- k;
-                let regs = new_regs nregs in
-                for j = 0 to Array.length gets - 1 do
-                  let slot, g = gets.(j) in
-                  regs.(slot) <- g fr
-                done;
-                fr.Thread.idx <- k + 1;
-                let nf =
-                  {
-                    Thread.func = callee;
-                    block = entry;
-                    idx = 0;
-                    regs;
-                    stack_vars = None;
-                    ret_reg = ret;
-                  }
-                in
-                th.Thread.stack <- nf :: th.Thread.stack;
-                th.Thread.stack_depth <- th.Thread.stack_depth + 1;
-                m.Machine.step <- m.Machine.step + 1;
-                let cb = callee_cbs.(entry_ix) in
-                if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
-                  cb.cb_chain.(0) m th nf
-                else t_refresh)
+          C_halt
+            (fun m th fr ->
+              fr.Thread.idx <- k;
+              let regs = Array.make nregs Thread.undef in
+              for j = 0 to Array.length args - 1 do
+                regs.(slot.(j)) <- ev fr args.(j)
+              done;
+              fr.Thread.idx <- k + 1;
+              let nf =
+                {
+                  Thread.func = callee;
+                  block = entry;
+                  idx = 0;
+                  regs;
+                  stack_vars = None;
+                  ret_reg = ret;
+                }
+              in
+              th.Thread.stack <- nf :: th.Thread.stack;
+              th.Thread.stack_depth <- th.Thread.stack_depth + 1;
+              m.Machine.step <- m.Machine.step + 1;
+              let cb = callee_cbs.(entry_ix) in
+              if m.Machine.step + cb.cb_need.(0) <= m.Machine.wbound then
+                cb.cb_chain.(0) m th nf
+              else t_refresh)
   | Link.L_nop ->
-      C_line
-        (fun ~pre ~fix:_ next ->
+      C_link
+        (fun next ->
           let l m th fr =
-            if pre <> 0 then m.Machine.step <- m.Machine.step + pre;
+            m.Machine.step <- m.Machine.step + 1;
             next m th fr
           in
           l)
   | Link.L_checkpoint id ->
-      C_self
+      C_link
         (fun next ->
           let l m th fr =
             th.Thread.region_counter <- th.Thread.region_counter + 1;
-            fr.Thread.idx <- fr.Thread.idx + 1;
             th.Thread.checkpoint <-
               Some
                 {
                   Thread.ck_depth = Thread.depth th;
                   ck_func = fr.Thread.func;
                   ck_block = fr.Thread.block.Link.lb_label;
-                  ck_idx = fr.Thread.idx;
+                  ck_idx = k + 1;
                   ck_regs = Array.copy fr.Thread.regs;
                   ck_counter = th.Thread.region_counter;
                   ck_step = m.Machine.step;
@@ -1196,14 +566,13 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
           in
           l)
   | Link.L_ptr_guard (r, p, ix) ->
-      let gp = getter f p and gix = getter f ix in
-      C_self
+      C_link
         (fun next ->
           let l m th fr =
-            let iv = Machine.as_int (gix fr) in
-            let pv = gp fr in
+            fr.Thread.idx <- k;
+            let iv = Machine.as_int (ev fr ix) in
+            let pv = ev fr p in
             fr.Thread.regs.(r) <- Value.Bool (Heap.valid m.Machine.heap pv iv);
-            fr.Thread.idx <- fr.Thread.idx + 1;
             m.Machine.step <- m.Machine.step + 1;
             next m th fr
           in
@@ -1216,10 +585,9 @@ let compile_comp (prog : cblock array array) (f : Link.lfunc)
    schedulable-op stopper. *)
 let compile_term (prog : cblock array array) (f : Link.lfunc)
     (blk : Link.lblock) : chain option =
-  (* Chains leave [fr.idx] stale inside fused segments, so any fault a
-     terminator can raise must park the program point on the terminator
-     slot first — moving [fr.idx] on success paths is already part of
-     the transfer. *)
+  (* A terminator that can raise parks the program point on its slot
+     first, like any link; moving [fr.idx] on success paths is already
+     part of the transfer. *)
   let n = Array.length blk.Link.lb_instrs in
   match blk.Link.lb_term with
   | Link.L_jump t ->
@@ -1241,12 +609,8 @@ let compile_term (prog : cblock array array) (f : Link.lfunc)
         (match c with
         | Link.L_reg ic ->
             fun m th fr ->
-              let v = fr.Thread.regs.(ic) in
-              if v == Thread.undef then begin
-                fr.Thread.idx <- n;
-                raise (Machine.Fault (undef_msg f ic))
-              end;
-              let cond = Value.is_true v in
+              fr.Thread.idx <- n;
+              let cond = Value.is_true (reg fr ic) in
               (match th.Thread.recovering with
               | None -> ()
               | Some _ ->
@@ -1338,11 +702,8 @@ let compile_term (prog : cblock array array) (f : Link.lfunc)
           | Link.L_reg ia ->
               Some
                 (fun m th fr ->
-                  let value = fr.Thread.regs.(ia) in
-                  if value == Thread.undef then begin
-                    fr.Thread.idx <- n;
-                    raise (Machine.Fault (undef_msg f ia))
-                  end;
+                  fr.Thread.idx <- n;
+                  let value = reg fr ia in
                   match th.Thread.stack with
                   | _ :: (caller :: _ as rest) ->
                       th.Thread.stack <- rest;
@@ -1885,7 +1246,6 @@ let compile_block (prog : cblock array array) (lp : Link.program)
     cblock =
   let instrs = blk.Link.lb_instrs in
   let n = Array.length instrs in
-  let comps = Array.init n (fun k -> compile_comp prog f lp k instrs.(k)) in
   (* [locals.(k)]: the register-only run from [k] through a jump or
      branch, which the chain at [k] retires whole when [m.wbound] stops
      the terminator from chaining on *)
@@ -1897,18 +1257,7 @@ let compile_block (prog : cblock array array) (lp : Link.program)
     if locals.(k + 1) > 0 && local instrs.(k) then
       locals.(k) <- locals.(k + 1) + 1
   done;
-  (* [ends.(k)]: index of the segment end from [k] — the first slot at or
-     after [k] that is not [C_line]. The run [k .. ends.(k) - 1] is the
-     batch a segment entry at [k] pre-counts. *)
-  let ends = Array.make (n + 1) n in
-  for k = n - 1 downto 0 do
-    ends.(k) <- (match comps.(k) with C_line _ -> ends.(k + 1) | _ -> k)
-  done;
-  let chain = Array.make (n + 1) halt in
-  (* [inner.(k)]: the chain form entered from inside a segment — batch
-     already counted, so no pre-add. Outside segments it coincides with
-     [chain.(k)]. *)
-  let inner = Array.make (n + 1) halt in
+  let chain = Array.make (n + 1) refresh in
   let need = Array.make (n + 1) 1 in
   let sched = Array.make (n + 1) false in
   (match compile_term prog f blk with
@@ -1916,36 +1265,20 @@ let compile_block (prog : cblock array array) (lp : Link.program)
       sched.(n) <- true;
       chain.(n) <- stop_at n
   | Some l -> chain.(n) <- l);
-  inner.(n) <- chain.(n);
   (* Chains are built back to front so each link captures its already-
      built successor: tails are shared, [O(n)] closures per block. *)
   for k = n - 1 downto 0 do
     let i = instrs.(k) in
-    match comps.(k) with
+    match compile_comp prog lp k i with
     | C_sched ->
         sched.(k) <- true;
-        let stop = stop_at k in
-        chain.(k) <- stop;
-        inner.(k) <- stop
-    | C_line mk ->
-        (* never destroying: the destroying preamble reads [m.step],
-           which is ahead of retirement inside a segment *)
-        assert (not i.Link.li_destroying);
-        let fx = ends.(k) - k in
-        inner.(k) <- mk ~pre:0 ~fix:fx inner.(k + 1);
-        chain.(k) <- mk ~pre:fx ~fix:fx inner.(k + 1);
+        chain.(k) <- stop_at k
+    | C_link mk ->
+        chain.(k) <- destroying_link i (mk chain.(k + 1));
         need.(k) <- need.(k + 1) + 1
-    | C_self mk ->
-        let c = self_idx k (destroying_link i (mk chain.(k + 1))) in
-        chain.(k) <- c;
-        inner.(k) <- c;
-        need.(k) <- need.(k + 1) + 1
-    | C_halt l ->
-        let l = destroying_link i l in
-        chain.(k) <- l;
-        inner.(k) <- l
-        (* need stays 1: the link re-gates on [m.wbound] before chaining
-           past its own step *)
+    | C_halt l -> chain.(k) <- destroying_link i l
+    (* need stays 1: the link re-gates on [m.wbound] before chaining
+       past its own step *)
   done;
   (match loops.(blk.Link.lb_index) with
   | Some l ->
@@ -1990,7 +1323,6 @@ let pending_block (lp : Link.program) =
           w f.Link.lf_blocks)
       1 lp.Link.lp_funcs
   in
-  let refresh : chain = fun _ _ _ -> t_refresh in
   {
     cb_chain = Array.make width refresh;
     cb_one = [||];
@@ -2051,11 +1383,11 @@ let[@inline] block code (f : Link.lfunc) (b : Link.lblock) =
   if cb != code.pending then cb else compile_slot code f b
 
 (* The single-step forms, built the first time the driver single-steps
-   the block: many blocks only ever run as chains. [C_line] and [C_self]
-   links are rebuilt with a halting continuation; stoppers and calls end
-   the chain anyway, so their chain closures serve. The terminator's
-   link is rebuilt too: slot 0 of an empty loop block holds the tier's
-   entry link. *)
+   the block: many blocks only ever run as chains. Straight-line links
+   are rebuilt on the [park] continuation; stoppers and calls end the
+   chain anyway, so their chain closures serve. The terminator's link is
+   rebuilt too: slot 0 of an empty loop block holds the tier's entry
+   link. *)
 let[@inline never] compile_one code (f : Link.lfunc) (blk : Link.lblock) cb =
   let instrs = blk.Link.lb_instrs in
   let one = Array.copy cb.cb_chain in
@@ -2064,9 +1396,8 @@ let[@inline never] compile_one code (f : Link.lfunc) (blk : Link.lblock) cb =
     (compile_term code.blocks f blk);
   Array.iteri
     (fun k i ->
-      match compile_comp code.blocks f code.image k i with
-      | C_line mk -> one.(k) <- mk ~pre:0 ~fix:0 (one_halt (k + 1))
-      | C_self mk -> one.(k) <- self_idx k (destroying_link i (mk halt))
+      match compile_comp code.blocks code.image k i with
+      | C_link mk -> one.(k) <- destroying_link i (mk (park (k + 1)))
       | C_sched | C_halt _ -> ())
     instrs;
   cb.cb_one <- one;

@@ -12,14 +12,16 @@
     long single-threaded stretch executes closure-to-closure with no
     driver dispatch at all.
 
-    Step accounting is batched per straight-line segment: the entry
-    closure of a run of fault-free-by-construction-or-rollback links
-    adds the whole segment's length to [m.step] up front, and the
-    member closures touch no counters at all. If a member faults at
-    slot [k], the raising site first subtracts the not-yet-retired
-    tail of the batch and parks [fr.idx] at [k], so the counters and
-    frame an observer sees are bit-identical to one-at-a-time
-    counting. Terminators count their own single step as they execute.
+    Every link has one form: it runs its op's body, adds 1 to
+    [m.step] and tail-calls its successor, so [m.step] counts exactly
+    the instructions retired at every point of a chain, and every
+    event, failure record and checkpoint a link makes reads the
+    reference's step. Chains move [fr.idx] only where it is read
+    (transfers, calls, stoppers); a link that can raise parks [fr.idx]
+    on its own index first, so a fault finds the faulting instruction
+    there with its step not counted. The
+    single-step form ([cb_one]) is the same link built on a
+    continuation that parks [fr.idx] on the next instruction and stops.
 
     Each index also records the length of the register-only run from
     it through a jump or branch terminator ([cb_local]): code that
@@ -67,19 +69,18 @@
     Closures implement [Ref_machine]'s semantics bit-for-bit —
     including operand evaluation order and fault-message bytes — and
     call [Machine]'s shared runtime off the hot paths. Faults are
-    raised with the program point parked at the
-    faulting instruction and that instruction's step not counted
-    (segment batches having been rolled back as above), so the
-    driver's fault arm finds the faulting frame on top with [fr.idx]
-    at the faulting instruction. *)
+    raised with the program point parked at the faulting instruction
+    and that instruction's step not counted, so the driver's fault arm
+    finds the faulting frame on top with [fr.idx] at the faulting
+    instruction. *)
 
 (** Chain results, unboxed so completing a run allocates nothing. The
     chain has already counted every retired step in [m.step]. *)
 
 val t_refresh : int
-(** the program point moved and the budget gate stopped the chain, or
-    the chain reached a block not compiled yet: re-fetch frame and
-    block, keep going *)
+(** the program point moved and the budget gate stopped the chain, a
+    single-step form retired its instruction, or the chain reached a
+    block not compiled yet: re-fetch frame and block, keep going *)
 
 val t_end : int
 (** the window is over (thread died, or the outcome is decided) *)
@@ -91,10 +92,6 @@ val t_sched : int
 val t_failed : int
 (** an assertion (or inline-compiled fault) failed mid-run; its step is
     already counted and the failure is already recorded *)
-
-val t_single : int
-(** a single-step ([cb_one]) closure retired its one instruction
-    without moving the program point *)
 
 type chain = Machine.t -> Thread.t -> Thread.frame -> int
 (** Retires the run from the entry index under a single call, returning
@@ -108,10 +105,11 @@ type cblock = {
           terminator: the fused run from that entry point, chaining
           through control transfers while [m.wbound] allows *)
   mutable cb_one : chain array;
-      (** the same compiled links with a halting continuation: retires
-          exactly one instruction ([t_single] when the program point did
-          not move); control transfers still gate on [m.wbound], so a
-          driver that wants strict single-stepping must floor it first.
+      (** the same compiled links with a continuation that parks
+          [fr.idx] on the next instruction and returns [t_refresh]:
+          retires exactly one instruction; control transfers still gate
+          on [m.wbound], so a driver that wants strict single-stepping
+          must floor it first.
           Empty until the block is first single-stepped: read it through
           {!one} *)
   cb_iids : int array;  (** per-instruction iids, for fault reports *)

@@ -253,25 +253,21 @@ let steps m = match m.obs with Some o -> o.Event.steps | None -> false
 
 (* A block-engine window reports its decisions lazily ([run_from], see
    [Block_machine]); an event emitted from inside a window first
-   reports the window's decisions through the event's step, so every
-   engine's stream has the same order. That step is [m.step] everywhere
-   but inside a batched segment of compiled code, whose accesses pass
-   their own ([Compile]). *)
-let emit_at m step ev =
+   reports the window's decisions through the event's step, [m.step],
+   so every engine's stream has the same order. *)
+let emit m ev =
   match m.obs with
   | None -> ()
   | Some o ->
       if m.run_from >= 0 then begin
-        let count = step - m.run_from + 1 in
+        let count = m.step - m.run_from + 1 in
         if count > 0 then
           o.Event.on m.view
             (Event.Decide
                { step = m.run_from; tid = m.chosen; count; preemptive = false });
-        m.run_from <- step + 1
+        m.run_from <- m.step + 1
       end;
       o.Event.on m.view ev
-
-let emit m ev = emit_at m m.step ev
 
 (* The tid of the [j]th eligible thread: the closed projection every
    engine hands [Sched.choose_idx], so a decision allocates nothing. *)
@@ -293,8 +289,8 @@ let decide m k rn =
   m.chosen <- tid;
   emit m (Event.Decide { step = m.step; tid; count = 1; preemptive })
 
-let access m ~step ~tid ~iid kind addr =
-  emit_at m step (Event.Access { step; tid; iid; kind; addr })
+let access m ~tid ~iid kind addr =
+  emit m (Event.Access { step = m.step; tid; iid; kind; addr })
 
 (* [th] is about to execute its current instruction (or terminator). *)
 let emit_step m (th : Thread.t) ~woke =

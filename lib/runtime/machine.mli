@@ -166,12 +166,10 @@ val emit : t -> Event.t -> unit
     ([run_from >= 0]) it first reports the window's decisions through
     the current step as one {!Event.Decide}. *)
 
-val access :
-  t -> step:int -> tid:int -> iid:int -> Event.kind -> Event.addr -> unit
-(** Emit an {!Event.Access} at virtual time [step], reporting a window's
-    decisions through [step] first: inside a batched segment of compiled
-    code [m.step] already counts the rest of the segment, and [step] is
-    the access's own time. *)
+val access : t -> tid:int -> iid:int -> Event.kind -> Event.addr -> unit
+(** Emit an {!Event.Access} at the current step, through {!emit}:
+    compiled links count their own step after their body, so [m.step]
+    is the access's own time. *)
 
 val emit_step : t -> Thread.t -> woke:bool -> unit
 (** Emit the {!Event.Step} of the thread's current instruction (or

@@ -692,7 +692,7 @@ let digester (observer : (Event.view -> Event.t -> unit) -> Event.observer) =
 (* The event classes an observer may take, alone or as the fuzz
    campaign and the fix pipeline combine them: decisions with accesses
    is the one where a window's lazily reported decisions meet the
-   accesses inside its batched segments. *)
+   accesses its chained links emit. *)
 let event_classes =
   [
     ("sync", fun on -> Event.observer ~decisions:true ~sync:true on);
@@ -2362,6 +2362,300 @@ let generated_stepped =
            runs;
          true))
 
+(* ---- fault attribution --------------------------------------------- *)
+
+(* A fault is charged to the instruction and the step where it happened:
+   the re-execution point, the failure record and the recovery counts
+   all read those two values. Each op that can fault sits in block [b]
+   first, after ops that cannot fault, after one that can with more ops
+   behind it, and last before the terminator; each call is tried over
+   arities 0–4, constant and register arguments, an undefined argument
+   at each position and at all of them, duplicate parameter names, an
+   unknown callee and an arity mismatch. The block engine, chained and
+   single-stepped, original and survival-hardened, must end as the
+   reference does — the whole outcome (kind, iid, step, message), the
+   outputs and the statistics — and emit the same stream in every event
+   class. *)
+
+let fault_callees =
+  {|
+func @f0() {
+entry:
+  output "f0"
+  return 0
+}
+func @f1(%a) {
+entry:
+  output "f1 %v", %a
+  return %a
+}
+func @f2(%a, %b) {
+entry:
+  output "f2 %v %v", %a, %b
+  return %b
+}
+func @f3(%a, %b, %c) {
+entry:
+  output "f3 %v %v %v", %a, %b, %c
+  return %c
+}
+func @f4(%a, %b, %c, %d) {
+entry:
+  output "f4 %v %v %v %v", %a, %b, %c, %d
+  return %d
+}
+func @dup(%a, %a) {
+entry:
+  output "dup %v", %a
+  return %a
+}
+|}
+
+(* [%u], [%uu], [%u3] and [%u4] are never written. *)
+let fault_program op (pre, post) =
+  Parse.program_exn
+    (Printf.sprintf
+       {|global g = 0
+%s
+func @main() {
+entry:
+  %%one = move 1
+  %%zero = move 0
+  %%s = move "str"
+  %%f = move false
+  %%n = move null
+  %%p = alloc 2
+  %%q = alloc 1
+  free %%q
+  output "set up"
+  jump b
+b:
+%s  %s
+%s  jump done
+done:
+  output "done"
+  exit
+}
+main @main
+|}
+       fault_callees pre op post)
+
+(* Where the op sits in [b]: the code before it and the code after it. *)
+let fault_places =
+  [
+    ("first", "", "  %z = add %one, 2\n  nop\n");
+    ("after quiet ops", "  %y = move 3\n  nop\n", "  %z = move %y\n");
+    ("mid", "  %y = move 3\n  %x = add %one, %y\n", "  %z = move %x\n  nop\n");
+    ("last", "  %y = move 3\n  %x = add %y, %one\n", "");
+  ]
+
+let faulting_ops =
+  [
+    "%d = move %u";
+    (* binops: either operand undefined, or both (b binds first) *)
+    "%d = add %u, %one";
+    "%d = add %one, %u";
+    "%d = add %u, %uu";
+    "%d = add %u, 1";
+    "%d = sub 4, %u";
+    "%d = lt %u, %one";
+    "%d = lt %one, %u";
+    "%d = lt %u, %uu";
+    "%d = ge %u, 5";
+    "%d = eq %u, %one";
+    "%d = ne %one, %u";
+    "%d = eq %u, %uu";
+    "%d = and %u, %one";
+    "%d = or %one, %u";
+    "%d = and %u, %uu";
+    (* coercions, division and modulo *)
+    "%d = add %s, 1";
+    "%d = sub 1, %s";
+    "%d = mul %one, %p";
+    "%d = lt %s, 3";
+    "%d = ge %one, %n";
+    "%d = add %s, %n";
+    "%d = div %one, %zero";
+    "%d = div %one, 0";
+    "%d = mod %one, %zero";
+    "%d = mod %one, 0";
+    "%d = div %s, %zero";
+    "%d = mod %f, %s";
+    (* unops *)
+    "%d = neg %u";
+    "%d = neg %s";
+    "%d = not %u";
+    (* globals and stack slots *)
+    "%d = load $nope";
+    "store $nope, 1";
+    "store $nope, %u";
+    "store $g, %u";
+    "store ~slot, %u";
+    (* the heap *)
+    "%d = load %p[5]";
+    "%d = load %n[0]";
+    "%d = load %q[0]";
+    "%d = load %p[%u]";
+    "%d = load %u[%s]";
+    "store %p[5], 1";
+    "store %q[0], 1";
+    "store %p[0], %u";
+    "store %u[%s], 1";
+    "store %p[%u], %uu";
+    "%d = alloc %u";
+    "%d = alloc %s";
+    "free %q";
+    "free 5";
+    "free %u";
+    "%d = ptr_guard %u[0]";
+    "%d = ptr_guard %p[%s]";
+    "%d = ptr_guard %p[%u]";
+    (* asserts and outputs *)
+    {|assert %u, "undefined"|};
+    {|assert %f, "false"|};
+    {|assert false, "constant false"|};
+    {|oracle %f, "wrong"|};
+    {|output "out %v %v", %one, %u|};
+    {|output "out %v %v", %u, %uu|};
+  ]
+
+let undefined_args = [| "%u"; "%uu"; "%u3"; "%u4" |]
+
+(* Calls over arities 0–4: constants, defined registers, one undefined
+   argument at each position, all of them undefined (the first
+   evaluated names the fault); then duplicate parameters, an unknown
+   callee, with and without a faulting argument, and no return
+   register. *)
+let call_ops =
+  List.concat_map
+    (fun n ->
+      let call args =
+        Printf.sprintf "%%d = call @f%d(%s)" n (String.concat ", " args)
+      in
+      let consts = List.init n (fun i -> string_of_int (i + 10)) in
+      let regs = List.init n (fun i -> if i mod 2 = 0 then "%one" else "%s") in
+      let undef_at j =
+        List.init n (fun i -> if i = j then "%u" else List.nth regs i)
+      in
+      call consts
+      :: (if n > 0 then [ call regs ] else [])
+      @ List.init n (fun j -> call (undef_at j))
+      @ if n >= 2 then [ call (Array.to_list (Array.sub undefined_args 0 n)) ]
+        else [])
+    [ 0; 1; 2; 3; 4 ]
+  @ [
+      "%d = call @dup(1, 2)";
+      "%d = call @dup(%one, %s)";
+      "%d = call @nope()";
+      "%d = call @nope(%one)";
+      "%d = call @nope(%u)";
+      "call @f2(%one, %u)";
+      "call @f1(%s)";
+    ]
+
+(* [p] (and its survival hardening) on block, chained and single-stepped,
+   ends as on ref, and streams what ref streams in every event class. *)
+let check_fault_case name p =
+  let runs =
+    (name, None, p)
+    ::
+    (match Conair.harden p Conair.Survival with
+    | Error _ -> []
+    | Ok h ->
+        [
+          ( name ^ "/hardened",
+            Some (Machine.meta_of_harden h.hardened),
+            h.hardened.program );
+        ])
+  in
+  let config = { (config Sched.Round_robin) with fuel = 5_000 } in
+  List.iter
+    (fun (name, meta, p) ->
+      check_same name ?meta config p;
+      check_stepped name ?meta config p;
+      List.iter
+        (fun (cname, cls) ->
+          let digest engine =
+            let observer, digest = digester cls in
+            ignore (Engine.run (Engine.create ~config ?meta ~observer engine p));
+            digest ()
+          in
+          Alcotest.(check string)
+            (name ^ ": " ^ cname ^ " digest")
+            (digest Engine.Ref) (digest Engine.Block))
+        event_classes)
+    runs
+
+(* [fails op]: must the op's original program fail on the reference?
+   Every case runs; the test names each one that disagrees. *)
+let fault_table ~fails ops () =
+  let bad = ref [] in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (place, pre, post) ->
+          let name = Printf.sprintf "%s (%s)" op place in
+          let p = fault_program op (pre, post) in
+          match
+            let outcome, _, _, _ =
+              bare Engine.Ref (config Sched.Round_robin) p
+            in
+            Alcotest.(check bool)
+              (name ^ ": fails on ref") (fails op)
+              (match outcome with Outcome.Failed _ -> true | _ -> false);
+            check_fault_case name p
+          with
+          | () -> ()
+          | exception e -> bad := (name, Printexc.to_string e) :: !bad)
+        fault_places)
+    ops;
+  match List.rev !bad with
+  | [] -> ()
+  | bad ->
+      List.iter (fun (name, e) -> Printf.printf "FAILED %s: %s\n" name e) bad;
+      Alcotest.failf "%d cases disagree, the first: %s" (List.length bad)
+        (fst (List.hd bad))
+
+let has_sub s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* An arity mismatch escapes as [Thread.make_frame]'s [Invalid_argument],
+   raised after the arguments are evaluated, so an undefined argument
+   faults first. *)
+let arity_mismatch () =
+  List.iter
+    (fun (op, expected) ->
+      List.iter
+        (fun (place, pre, post) ->
+          let name = Printf.sprintf "%s (%s)" op place in
+          let p = fault_program op (pre, post) in
+          let ended engine ~stepped =
+            let config = { (config Sched.Round_robin) with fuel = 5_000 } in
+            let m = Engine.create ~config engine p in
+            match drive ~stepped config m with
+            | o -> Outcome.to_string o
+            | exception Invalid_argument msg -> "invalid_argument: " ^ msg
+          in
+          let r = ended Engine.Ref ~stepped:false in
+          Alcotest.(check bool) (name ^ ": on ref") true (expected r);
+          Alcotest.(check string) (name ^ "#block") r
+            (ended Engine.Block ~stepped:false);
+          Alcotest.(check string) (name ^ "#stepped") r
+            (ended Engine.Block ~stepped:true))
+        fault_places)
+    [
+      ( "%d = call @f2(1)",
+        fun r -> r = "invalid_argument: call to @f2: arity mismatch" );
+      ( "%d = call @f1(%one, 2)",
+        fun r -> r = "invalid_argument: call to @f1: arity mismatch" );
+      ( "%d = call @f1(%one, %u)",
+        fun r -> String.length r > 6 && String.sub r 0 6 = "failed" );
+    ]
+
 (* ---- allocation per step ------------------------------------------- *)
 
 (* A scheduling decision allocates nothing: the engines pass
@@ -2486,5 +2780,17 @@ let suites =
         Alcotest.test_case "the tier engages on compute_kernel" `Quick
           tier_engages_on_compute_kernel;
         generated_rloops_agree;
+      ] );
+    ( "fault-attribution",
+      [
+        Alcotest.test_case "every faulting op, at every place in a block"
+          `Quick
+          (fault_table ~fails:(fun _ -> true) faulting_ops);
+        Alcotest.test_case "calls: arities, arguments and callees" `Quick
+          (fault_table
+             ~fails:(fun op -> has_sub op "%u" || has_sub op "@nope")
+             call_ops);
+        Alcotest.test_case "an arity mismatch escapes after its arguments"
+          `Quick arity_mismatch;
       ] );
   ]
